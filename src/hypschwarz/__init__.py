@@ -38,7 +38,7 @@ from .solver import (
     solve_a_star,
     uh_elementary,
 )
-from .special import HypergeometricArgs, alpha_q, gauss_2f1, hyp2f1, log_gamma
+from .special import alpha_q
 from .verify import (
     BOUND_SLACK,
     CorollaryBatchReport,
@@ -70,7 +70,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "DomainError",
     "GpResult",
-    "HypergeometricArgs",
     "NonConvergenceError",
     "ObjectiveParams",
     "RandomBoundReport",
@@ -95,15 +94,12 @@ __all__ = [
     "g_2_closed",
     "g_inf_closed",
     "g_p",
-    "gauss_2f1",
     "gp_derivative_at_zero",
     "grad_at_origin",
     "grad_constant",
-    "hyp2f1",
     "integrate_with_breakpoint",
     "integrate_zonal",
     "kernel_range",
-    "log_gamma",
     "minimizing_sequence_p1",
     "moment_extremal",
     "phi",

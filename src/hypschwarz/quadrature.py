@@ -7,7 +7,9 @@ The surface integral of such a zonal integrand reduces to one dimension:
     c_n = Gamma(n/2) / (sqrt(pi) * Gamma((n-1)/2)),
 
 so the natural rule is Gauss-Jacobi with both exponents (n-3)/2, weights
-scaled by c_n (they then sum to 1, the measure of the sphere).
+scaled by c_n (they then sum to 1, the measure of the sphere).  Nodes and
+weights come from ``scipy.special.roots_jacobi``, which normalizes the
+weights to the exact mass of the Jacobi weight.
 
 Two integration paths are provided.  ``integrate_zonal`` applies the plain
 rule and is spectrally accurate for smooth f.  ``integrate_with_breakpoint``
@@ -27,10 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_jacobi
 
 from .errors import CapUnderflowError, DomainError
-from .special import log_gamma
 
 #: Default node count for the plain zonal rule.
 DEFAULT_ORDER = 128
@@ -43,67 +44,16 @@ _TAIL_GUARD = 0.95   # largest admissible panel-sum ratio for tail summation
 
 
 def _zonal_constant(n: int) -> float:
-    return math.exp(log_gamma(n / 2.0) - log_gamma((n - 1) / 2.0)) / math.sqrt(math.pi)
-
-
-def _jacobi_eval(order: int, alpha: float, beta: float, x: np.ndarray):
-    """Values of P_order, P_{order-1} and P_order' at x, via the three-term
-    recurrence in the standard normalization."""
-    ab = alpha + beta
-    p_prev = np.ones_like(x)
-    p = 0.5 * ((alpha - beta) + (2.0 + ab) * x)
-    for j in range(2, order + 1):
-        two_j_ab = 2.0 * j + ab
-        a_j = 2.0 * j * (j + ab) * (two_j_ab - 2.0)
-        b_j = (two_j_ab - 1.0) * (alpha * alpha - beta * beta + two_j_ab * (two_j_ab - 2.0) * x)
-        c_j = 2.0 * (j - 1.0 + alpha) * (j - 1.0 + beta) * two_j_ab
-        p, p_prev = (b_j * p - c_j * p_prev) / a_j, p
-    top = 2.0 * order + ab
-    deriv = (order * (alpha - beta - top * x) * p + 2.0 * (order + alpha) * (order + beta) * p_prev) / (
-        top * (1.0 - x * x)
-    )
-    return p, p_prev, deriv
+    return math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)) / math.sqrt(math.pi)
 
 
 @lru_cache(maxsize=64)
 def _gauss_jacobi(order: int, alpha: float, beta: float):
-    """Nodes and weights of the ``order``-point Gauss-Jacobi rule for the
-    weight (1-x)^alpha (1+x)^beta on [-1, 1].
-
-    Node seeds come from the symmetric tridiagonal (Golub-Welsch) matrix of
-    the recurrence; each seed is then polished by Newton iteration on the
-    Jacobi recurrence itself, and the weights follow from the derivative
-    identity, so the rule is pinned to the recurrence rather than to the
-    eigensolver's rounding.
-    """
+    """Read-only nodes and weights of the ``order``-point Gauss-Jacobi rule
+    for the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
     if order < 2:
         raise DomainError(f"rule order must be >= 2, got {order!r}")
-    ab = alpha + beta
-    k = np.arange(order, dtype=float)
-    diag = np.empty(order)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    kk = k[1:]
-    diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * kk + ab) * (2.0 * kk + ab + 2.0))
-    ke = k[1:]
-    off = np.sqrt(
-        4.0 * ke * (ke + alpha) * (ke + beta) * (ke + ab)
-        / ((2.0 * ke + ab) ** 2 * ((2.0 * ke + ab) ** 2 - 1.0))
-    )
-    x = eigh_tridiagonal(diag, off, eigvals_only=True)
-    for _ in range(3):
-        value, _, deriv = _jacobi_eval(order, alpha, beta, x)
-        step = value / deriv
-        x = x - step
-    value, prev, deriv = _jacobi_eval(order, alpha, beta, x)
-    if not (np.all(np.diff(x) > 0.0) and x[0] > -1.0 and x[-1] < 1.0):
-        raise DomainError(f"Gauss-Jacobi nodes degenerated at order {order}")
-    log_c = (
-        log_gamma(alpha + order)
-        + log_gamma(beta + order)
-        - log_gamma(order + 1.0)
-        - log_gamma(order + ab + 1.0)
-    )
-    w = math.exp(log_c) * (2.0 * order + ab) * 2.0 ** ab / (deriv * prev)
+    x, w = roots_jacobi(order, alpha, beta)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

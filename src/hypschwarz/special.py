@@ -1,146 +1,14 @@
-"""Scalar special functions: log-gamma, the Gauss hypergeometric series, and
-the absolute moments of a coordinate on the unit sphere.
+"""Absolute moments of one coordinate on the unit sphere.
 
-Everything here is implemented directly on top of ``math`` so results are
-reproducible bit-for-bit regardless of which BLAS or libm variant backs the
-array stack.
+Log-gamma comes from ``math.lgamma``; the Gauss hypergeometric function used
+by the closed forms is ``scipy.special.hyp2f1``, called from ``solver``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergenceError
-
-# Lanczos approximation, g = 7, 9 terms.  Classic double-precision set;
-# relative accuracy is ~1e-15 on the right half-line.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.9189385332046727417803297  # ln(2*pi)/2
-
-#: Hard cap on hypergeometric series length.
-MAX_SERIES_TERMS = 10 ** 6
-#: Relative size at which a series term is considered converged.
-SERIES_RTOL = 1e-16
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for ``x > 0``.
-
-    Uses the Lanczos rational approximation (g = 7, 9 coefficients) above
-    ``x = 0.5`` and the reflection formula below it.
-    """
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x); 1-x lands in the Lanczos range.
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    xm = x - 1.0
-    acc = _LANCZOS[0]
-    for k in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[k] / (xm + k)
-    t = xm + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (xm + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def _is_nonpositive_int(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
-@dataclass(frozen=True)
-class HypergeometricArgs:
-    """Parameters (a, b; c; z) of the Gauss hypergeometric function.
-
-    ``c`` must not be zero or a negative integer and ``z`` is restricted to
-    [0, 1), which covers every evaluation site in this package.
-    """
-
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if _is_nonpositive_int(self.c):
-            raise DomainError(f"2F1 pole: c = {self.c!r} is zero or a negative integer")
-        if not 0.0 <= self.z < 1.0:
-            raise DomainError(f"2F1 argument must lie in [0, 1), got z = {self.z!r}")
-
-
-def _series_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Plain power series sum_k (a)_k (b)_k / ((c)_k k!) z^k."""
-    term = 1.0
-    total = 1.0
-    quiet = 0
-    for k in range(MAX_SERIES_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if term == 0.0:
-            return total  # a or b hit a nonpositive integer: polynomial case
-        if abs(term) <= SERIES_RTOL * abs(total):
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-    raise NonConvergenceError(
-        f"2F1 series did not settle within {MAX_SERIES_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
-
-
-def gauss_2f1(args: HypergeometricArgs, one_minus_z: float = None) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) on [0, 1).
-
-    For z <= 1/2 the defining series is summed directly.  For z > 1/2 the
-    Euler transformation
-
-        2F1(a, b; c; z) = (1-z)^(c-a-b) * 2F1(c-a, c-b; c; z)
-
-    is applied whenever it converges faster; in particular when c-a or c-b
-    is a nonpositive integer the transformed series terminates and the value
-    is exact up to rounding.
-
-    ``one_minus_z`` optionally supplies 1 - z in a cancellation-free form
-    (e.g. from an exact algebraic identity); near z = 1 the subtraction
-    1.0 - z loses the digits that the Euler prefactor then amplifies.
-    """
-    a, b, c, z = args.a, args.b, args.c, args.z
-    if one_minus_z is None:
-        one_minus_z = 1.0 - z
-    elif not 0.0 < one_minus_z <= 1.0:
-        raise DomainError(f"one_minus_z must lie in (0, 1], got {one_minus_z!r}")
-    if z == 0.0:
-        return 1.0
-    if z <= 0.5:
-        return _series_2f1(a, b, c, z)
-    transformed_terminates = _is_nonpositive_int(c - a) or _is_nonpositive_int(c - b)
-    direct_terminates = _is_nonpositive_int(a) or _is_nonpositive_int(b)
-    if direct_terminates and not transformed_terminates:
-        return _series_2f1(a, b, c, z)
-    # Tail of the direct series decays like k^(a+b-c-1) z^k, the transformed
-    # one like k^(c-a-b-1) z^k; prefer the transform when it terminates or
-    # when it strictly flattens the prefactor growth.
-    if transformed_terminates or a + b - c > 0.0:
-        return one_minus_z ** (c - a - b) * _series_2f1(c - a, c - b, c, z)
-    return _series_2f1(a, b, c, z)
-
-
-def hyp2f1(a: float, b: float, c: float, z: float, one_minus_z: float = None) -> float:
-    """Convenience wrapper building :class:`HypergeometricArgs` inline."""
-    return gauss_2f1(HypergeometricArgs(a, b, c, z), one_minus_z)
+from .errors import DomainError
 
 
 def alpha_q(n: int, q: float) -> float:
@@ -156,8 +24,8 @@ def alpha_q(n: int, q: float) -> float:
     if not (q >= 0.0 and math.isfinite(q)):
         raise DomainError(f"moment order must be finite and >= 0, got {q!r}")
     return math.exp(
-        log_gamma(n / 2.0)
-        + log_gamma((1.0 + q) / 2.0)
+        math.lgamma(n / 2.0)
+        + math.lgamma((1.0 + q) / 2.0)
         - 0.5 * math.log(math.pi)
-        - log_gamma((n + q) / 2.0)
+        - math.lgamma((n + q) / 2.0)
     )

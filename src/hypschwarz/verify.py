@@ -199,6 +199,14 @@ def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
     return (np.abs(values) ** ctx.p @ rule.weights) ** (1.0 / ctx.p)
 
 
+def _safe_ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """lhs / bound per draw; degenerate draws with bound 0 count as ratio 0."""
+    ratio = np.zeros(len(lhs))
+    positive = bound > 0.0
+    ratio[positive] = lhs[positive] / bound[positive]
+    return ratio
+
+
 @dataclass(frozen=True)
 class RandomBoundReport:
     count: int
@@ -222,14 +230,11 @@ def random_bound_check(
     r = check_radius(r)
     rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
     kern = poisson_szego_axis(ctx, r, rule.nodes)
-    u = values @ (rule.weights * kern)
+    lhs = np.abs(values @ (rule.weights * kern))
     norms = _poly_norms(ctx, rule, coeffs, means, values)
     bound = g_p(ctx, r, order).g_value * norms
-    positive = bound > 0.0
-    ratio = np.zeros(count)
-    ratio[positive] = np.abs(u[positive]) / bound[positive]
-    violations = int(np.count_nonzero(np.abs(u) > bound * (1.0 + BOUND_SLACK)))
-    return RandomBoundReport(count, seed, violations, float(ratio.max()))
+    violations = int(np.count_nonzero(lhs > bound * (1.0 + BOUND_SLACK)))
+    return RandomBoundReport(count, seed, violations, float(_safe_ratio(lhs, bound).max()))
 
 
 def random_grad_check(
@@ -247,11 +252,8 @@ def random_grad_check(
     lhs = 2.0 * (ctx.n - 1.0) * np.abs(values @ (rule.weights * rule.nodes))
     norms = _poly_norms(ctx, rule, coeffs, means, values)
     bound = grad_constant(ctx) * norms
-    positive = bound > 0.0
-    ratio = np.zeros(count)
-    ratio[positive] = lhs[positive] / bound[positive]
     violations = int(np.count_nonzero(lhs > bound * (1.0 + BOUND_SLACK)))
-    return RandomBoundReport(count, seed, violations, float(ratio.max()))
+    return RandomBoundReport(count, seed, violations, float(_safe_ratio(lhs, bound).max()))
 
 
 def minimizing_sequence_p1(n: int, r: float, index: int, order: int = 64) -> float:
@@ -340,13 +342,8 @@ def corollary_l2_batch(
     rule, _, _, values = _random_poly_draws(n, count, seed, order)
     lhs = 2.0 * (n - 1.0) * np.abs(values @ (rule.weights * rule.nodes))
     rms = np.sqrt(values ** 2 @ rule.weights)
-    c_sqrt = math.sqrt(2.0 * (n - 1.0))
-    c_moment = grad_constant(ctx)
-    positive = rms > 0.0
-    ratio_sqrt = np.zeros(count)
-    ratio_moment = np.zeros(count)
-    ratio_sqrt[positive] = lhs[positive] / (c_sqrt * rms[positive])
-    ratio_moment[positive] = lhs[positive] / (c_moment * rms[positive])
+    ratio_sqrt = _safe_ratio(lhs, math.sqrt(2.0 * (n - 1.0)) * rms)
+    ratio_moment = _safe_ratio(lhs, grad_constant(ctx) * rms)
     slack = 1.0 + BOUND_SLACK
     return CorollaryBatchReport(
         n=n,

@@ -65,3 +65,28 @@ def mp_crossing(n, r, a):
 
 def central_diff(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def mp_g_2(n, r, dps=60):
+    """G_2(r) from its defining hypergeometric form, r promoted exactly."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        rr = mp.mpf(r)
+        z = rr * rr
+        moment = (1 - z) ** (2 * n - 2) * mp.hyp2f1(2 * n - 2, mp.mpf(3 * n - 2) / 2, mp.mpf(n) / 2, z)
+        return float(mp.sqrt(moment - 1))
+
+
+def mp_g_inf(n, r, dps=60):
+    """G_inf(r) from its defining hypergeometric form, r promoted exactly."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        rr = mp.mpf(r)
+        w = (2 * rr / (1 + rr * rr)) ** 2
+        pref = (
+            2 ** n * rr * (1 - rr * rr) ** (n - 1) * mp.gamma(mp.mpf(n) / 2) ** 2
+            / (mp.pi * (1 + rr * rr) ** n * mp.gamma(n - 1))
+        )
+        return float(pref * mp.hyp2f1(1, mp.mpf(n) / 2, mp.mpf(3) / 2, w))

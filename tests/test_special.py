@@ -1,128 +1,44 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from hypschwarz import (
-    DomainError,
-    HypergeometricArgs,
-    NonConvergenceError,
-    alpha_q,
-    gauss_2f1,
-    hyp2f1,
-    log_gamma,
-)
+from hypschwarz import DomainError, alpha_q, g_2_closed, g_inf_closed
 from hypschwarz.quadrature import integrate_with_breakpoint
-
-
-class TestLogGamma:
-    def test_half_integer_value(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-14)
-
-    def test_matches_math_lgamma_on_grid(self):
-        for k in range(400):
-            x = 0.5 + k * 0.5
-            ref = math.lgamma(x)
-            assert log_gamma(x) == pytest.approx(ref, rel=1e-13, abs=1e-13)
-
-    def test_reflection_region(self):
-        for x in (0.01, 0.1, 0.3, 0.49):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12)
-
-    def test_small_factorials(self):
-        for k in range(1, 15):
-            assert math.exp(log_gamma(k + 1.0)) == pytest.approx(math.factorial(k), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-1.5)
-
-    @given(st.floats(min_value=0.5, max_value=50.0))
-    def test_recurrence(self, x):
-        assert log_gamma(x + 1.0) == pytest.approx(log_gamma(x) + math.log(x), rel=1e-11, abs=1e-11)
+from conftest import mp_g_2, mp_g_inf
 
 
 class TestGauss2F1:
-    def test_frozen_value(self):
-        # independently computed with mpmath at 50 digits
-        assert hyp2f1(4.0, 3.5, 1.5, 0.25) == pytest.approx(10.652034750800183, rel=1e-13)
-
-    def test_at_zero(self):
-        assert hyp2f1(2.0, 3.0, 4.0, 0.0) == 1.0
-
-    def test_vanishing_upper_parameter(self):
-        assert hyp2f1(0.0, 3.0, 4.0, 0.7) == 1.0
-
-    def test_geometric_series_row(self):
-        # 2F1(1, b; b; z) = 1/(1-z) for any b
-        for z in (0.1, 0.5, 0.9, 0.99):
-            assert hyp2f1(1.0, 2.5, 2.5, z) == pytest.approx(1.0 / (1.0 - z), rel=1e-12)
-
-    def test_log_series(self):
-        # 2F1(1, 1; 2; z) = -log(1-z)/z
-        for z in (0.2, 0.5, 0.77):
-            assert hyp2f1(1.0, 1.0, 2.0, z) == pytest.approx(-math.log1p(-z) / z, rel=1e-12)
+    """The hypergeometric factors of the closed forms, checked through
+    g_2_closed and g_inf_closed against mpmath."""
 
     def test_against_mpmath_second_moment_sites(self):
-        mpmath = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         for n in (3, 4, 5):
             for r in (0.3, 0.5, 0.8, 0.95):
-                a, b, c, z = 2.0 * n - 2.0, (3.0 * n - 2.0) / 2.0, n / 2.0, r * r
-                ref = float(mpmath.hyp2f1(a, b, c, z))
-                assert hyp2f1(a, b, c, z) == pytest.approx(ref, rel=1e-11)
+                assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r), rel=1e-11)
 
     def test_against_mpmath_equator_sites(self):
-        mpmath = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         for n in (3, 4, 5, 6):
             for r in (0.3, 0.7, 0.95, 0.999):
-                w = (2.0 * r / (1.0 + r * r)) ** 2
-                ref = float(mpmath.hyp2f1(1.0, n / 2.0, 1.5, w))
-                assert hyp2f1(1.0, n / 2.0, 1.5, w) == pytest.approx(ref, rel=1e-10)
+                assert g_inf_closed(n, r)[1] == pytest.approx(mp_g_inf(n, r), rel=1e-10)
 
-    def test_increasing_in_z_for_positive_parameters(self):
-        values = [hyp2f1(1.5, 2.0, 3.0, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        assert all(b > a for a, b in zip(values, values[1:]))
+    def test_boundary_equator_site_without_cancellation(self):
+        # 1 - w is about 1e-6 here, so rounding w to a double moves it by
+        # ~1e-10 relative; the transformed series never forms 1 - w
+        pytest.importorskip("mpmath")
+        assert g_inf_closed(5, 0.999)[1] == pytest.approx(mp_g_inf(5, 0.999), rel=1e-12)
 
-    def test_exact_one_minus_z_fixes_cancellation(self):
-        # z and 1-z from the exact identity 1 - w = ((1-r^2)/(1+r^2))^2.
-        # The reference must be built at the exact algebraic site in mpmath:
-        # rounding w to a double already loses the digits under test, so
-        # hyp2f1 at float(w) differs from the true value by ~1e-10 here.
-        mpmath = pytest.importorskip("mpmath")
-        r = 0.999
-        w = (2.0 * r / (1.0 + r * r)) ** 2
-        omw = ((1.0 - r * r) / (1.0 + r * r)) ** 2
-        with mpmath.workdps(50):
-            rm = mpmath.mpf(r)
-            wm = (2.0 * rm / (1.0 + rm * rm)) ** 2
-            ref = float(mpmath.hyp2f1(1.0, 2.5, 1.5, wm))
-        assert hyp2f1(1.0, 2.5, 1.5, w, omw) == pytest.approx(ref, rel=1e-12)
-        # without the exact complement the double-precision call is visibly off
-        assert abs(hyp2f1(1.0, 2.5, 1.5, w) / ref - 1.0) > 1e-11
-
-    def test_rejects_pole_c(self):
-        with pytest.raises(DomainError):
-            HypergeometricArgs(1.0, 1.0, 0.0, 0.3)
-        with pytest.raises(DomainError):
-            HypergeometricArgs(1.0, 1.0, -2.0, 0.3)
-
-    def test_rejects_argument_outside_range(self):
-        with pytest.raises(DomainError):
-            HypergeometricArgs(1.0, 1.0, 2.0, 1.0)
-        with pytest.raises(DomainError):
-            HypergeometricArgs(1.0, 1.0, 2.0, -0.1)
-
-    def test_rejects_bad_one_minus_z(self):
-        with pytest.raises(DomainError):
-            gauss_2f1(HypergeometricArgs(1.0, 2.0, 3.0, 0.7), 0.0)
-
-    def test_nonconvergence_near_one(self):
-        with pytest.raises(NonConvergenceError):
-            hyp2f1(1.0, 1.0, 2.0, 1.0 - 1e-16)
+    def test_closed_forms_on_grid_against_mpmath(self):
+        pytest.importorskip("mpmath")
+        radii = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97, 0.99, 0.995, 0.999)
+        for n in (3, 4, 5, 10, 30, 64, 100):
+            for r in radii:
+                g2 = g_2_closed(n, r)
+                g_inf = g_inf_closed(n, r)[1]
+                assert math.isfinite(g2) and math.isfinite(g_inf)
+                assert g2 == pytest.approx(mp_g_2(n, r), rel=1e-12)
+                assert g_inf == pytest.approx(mp_g_inf(n, r), rel=1e-12)
 
 
 class TestAlphaQ:
