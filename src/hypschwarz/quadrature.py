@@ -29,6 +29,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+# roots_jacobi imports scipy.linalg inside its first call.  Importing it here
+# keeps that cost (about 7 MB and some milliseconds) at package import, the
+# same in every process, instead of in whichever call first builds a rule.
+import scipy.linalg  # noqa: F401
 from scipy.special import roots_jacobi
 
 from .errors import CapUnderflowError, DomainError
