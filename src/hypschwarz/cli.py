@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -24,10 +23,8 @@ from .errors import BracketError, CapUnderflowError, DomainError, NonConvergence
 from .kernel import BallContext
 from .objective import ObjectiveParams, big_f
 from .quadrature import DEFAULT_ORDER
-from .solver import g_1_closed, g_inf_closed, g_p, grad_constant, solve_a_star
+from .solver import g_inf_closed, g_p, grad_constant, solve_a_star
 from .verify import minimizing_sequence_p1, random_bound_check, verify_sharpness
-
-_ENV_ORDER = "HYPSCHWARZ_ORDER"
 
 #: Relative gap allowed by ``verify-sharpness`` before flagging a violation.
 SHARPNESS_GAP_LIMIT = 1e-6
@@ -46,321 +43,195 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _cell_float(key: str, value: float):
+def _cell(value) -> tuple[str, bool]:
+    """(token, bare): ints bare, floats to 17 digits, strings and infinities quoted."""
+    if isinstance(value, str):
+        return value, False
+    if isinstance(value, int):
+        return str(value), True
     value = float(value)
     if math.isinf(value):
-        return (key, "inf" if value > 0 else "-inf", False)
-    return (key, _fmt(value), True)
+        return str(value), False
+    return format(value, ".17g"), True
 
 
-def _cell_int(key: str, value: int):
-    return (key, str(int(value)), True)
-
-
-def _cell_str(key: str, value: str):
-    return (key, value, False)
-
-
-def _render(fmt: str, header, rows) -> str:
+def _render(fmt: str, rows) -> str:
+    if fmt == "text":
+        return "".join(f"{row}\n" for row in rows)
+    cells = [[(key, *_cell(value)) for key, value in row.items()] for row in rows]
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(token for _, token, _ in row) for row in rows)
+        lines = [",".join(rows[0])] + [",".join(token for _, token, _ in row) for row in cells]
         return "\n".join(lines) + "\n"
-    parts = []
-    for row in rows:
-        inner = ", ".join(
-            f'"{key}": ' + (token if numeric else f'"{token}"') for key, token, numeric in row
-        )
-        parts.append("  {" + inner + "}")
-    if not parts:
-        return "[]\n"
-    return "[\n" + ",\n".join(parts) + "\n]\n"
+    objects = (
+        "  {" + ", ".join(f'"{key}": ' + (token if bare else f'"{token}"') for key, token, bare in row) + "}"
+        for row in cells
+    )
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _write(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-
-
-def _default_order() -> int:
-    raw = os.environ.get(_ENV_ORDER)
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"{_ENV_ORDER} must be an integer, got {raw!r}")
-    if value < 2:
-        raise DomainError(f"{_ENV_ORDER} must be >= 2, got {value}")
-    return value
-
-
-def _resolve_order(args) -> int:
-    if getattr(args, "order", None) is not None:
-        if args.order < 2:
-            raise DomainError(f"--order must be >= 2, got {args.order}")
-        return args.order
-    return _default_order()
-
-
-def _resolve_radii(args, parser) -> list:
+def _radii(args) -> list:
     sweep = (args.r_min, args.r_max, args.steps)
     if args.r is not None:
-        if any(v is not None for v in sweep):
-            parser.error("give either --r or the sweep flags, not both")
+        if sweep != (None, None, None):
+            args.parser.error("give either --r or the sweep flags, not both")
         return [args.r]
-    if any(v is None for v in sweep):
-        parser.error("need --r, or all of --r-min/--r-max/--steps")
+    if None in sweep:
+        args.parser.error("need --r, or all of --r-min/--r-max/--steps")
     if args.steps < 1:
-        parser.error("--steps must be >= 1")
+        args.parser.error("--steps must be >= 1")
     return [float(x) for x in np.linspace(args.r_min, args.r_max, args.steps)]
 
 
-def _add_context_flags(sub) -> None:
-    sub.add_argument("--n", type=int, required=True, help="ambient dimension, >= 3")
-    sub.add_argument("--p", type=float, required=True, help='boundary norm exponent; "inf" accepted')
+def _gp(args):
+    ctx = BallContext(args.n, args.p)
+    rows = []
+    for r in args.radii:
+        res = g_p(ctx, r, args.order)
+        rows.append({"r": r, "a_star": res.a_star, "g_value": res.g_value,
+                     "method": res.method, "est_error": res.est_error})
+    return rows, False
 
 
-def _add_radius_flags(sub) -> None:
-    sub.add_argument("--r", type=float, help="single radius in [0, 1)")
-    sub.add_argument("--r-min", type=float, dest="r_min")
-    sub.add_argument("--r-max", type=float, dest="r_max")
-    sub.add_argument("--steps", type=int, help="sweep length when using --r-min/--r-max")
+def _astar(args):
+    ctx = BallContext(args.n, args.p)
+    rows = []
+    for r in args.radii:
+        if ctx.p in (1.0, math.inf):
+            a_star, residual = g_p(ctx, r).a_star, 0.0
+        else:
+            a_star = solve_a_star(ctx, r, args.order)
+            residual = big_f(ObjectiveParams(ctx, r, args.order), a_star)
+        rows.append({"r": r, "a_star": a_star, "f_residual": residual})
+    return rows, False
 
 
-def _add_output_flags(sub) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--output", help="write to this file instead of stdout")
+def _uh(args):
+    return [{"r": r, "u_h": g_inf_closed(args.n, r)[1]} for r in args.radii], False
 
 
-def _add_order_flag(sub) -> None:
-    sub.add_argument(
-        "--order", type=int, default=None,
-        help=f"quadrature order (default: ${_ENV_ORDER} or {DEFAULT_ORDER})",
+def _grad(args):
+    ctx = BallContext(args.n, args.p)
+    return [{"n": ctx.n, "p": ctx.p, "c_p": grad_constant(ctx)}], False
+
+
+def _verify_sharpness(args):
+    ctx = BallContext(args.n, args.p)
+    limit = SHARPNESS_GAP_LIMIT_P1 if ctx.p == 1.0 else SHARPNESS_GAP_LIMIT
+    rows = []
+    for r in args.radii:
+        report = verify_sharpness(ctx, r, args.order)
+        rows.append({"n": ctx.n, "p": ctx.p, "r": r, "g_bound": report.g_bound,
+                     "attained": report.attained, "u_at_zero": report.u_at_zero,
+                     "rel_gap": report.rel_gap})
+    return rows, any(row["rel_gap"] > limit for row in rows)
+
+
+def _verify_bound(args):
+    ctx = BallContext(args.n, args.p)
+    rows = []
+    for r in args.radii:
+        report = random_bound_check(ctx, r, count=args.count, seed=args.seed, order=args.order)
+        rows.append({"n": ctx.n, "p": ctx.p, "r": r, "count": report.count, "seed": report.seed,
+                     "violations": report.violations, "max_ratio": report.max_ratio})
+    return rows, any(row["violations"] for row in rows)
+
+
+def _verify_capseq(args):
+    if args.i_max < 2:
+        raise DomainError(f"--i-max must be >= 2, got {args.i_max}")
+    g1 = g_p(BallContext(args.n, 1.0), args.r).g_value
+    values = [minimizing_sequence_p1(args.n, args.r, 2 ** k) for k in range(1, args.i_max.bit_length())]
+    rows = [
+        {"i": 2 ** k, "u_i": u_i, "g1_closed": g1, "rel_gap": abs(g1 - u_i) / g1}
+        for k, u_i in enumerate(values, start=1)
+    ]
+    monotone = all(
+        later >= earlier - CAPSEQ_MONOTONE_SLACK * g1
+        for earlier, later in zip(values, values[1:])
     )
+    return rows, not (monotone and rows[-1]["rel_gap"] <= CAPSEQ_GAP_LIMIT)
+
+
+def _check(args):
+    from .acceptance import run_all
+
+    results = run_all()
+    return [result.line() for result in results], not all(result.passed for result in results)
+
+
+_FLAGS = {
+    "n": [("--n", dict(type=int, required=True, help="ambient dimension, >= 3"))],
+    "p": [("--p", dict(type=float, required=True, help='boundary norm exponent; "inf" accepted'))],
+    "radii": [
+        ("--r", dict(type=float, help="single radius in [0, 1)")),
+        ("--r-min", dict(type=float)),
+        ("--r-max", dict(type=float)),
+        ("--steps", dict(type=int, help="sweep length when using --r-min/--r-max")),
+    ],
+    "order": [("--order", dict(type=int, default=DEFAULT_ORDER,
+                               help=f"quadrature order (default: {DEFAULT_ORDER})"))],
+    "draws": [("--count", dict(type=int, default=1000)), ("--seed", dict(type=int, default=42))],
+    "capseq": [
+        ("--r", dict(type=float, required=True, help="radius in (0, 1)")),
+        ("--i-max", dict(type=int, default=64)),
+    ],
+    "output": [
+        ("--format", dict(choices=("csv", "json"), default="csv")),
+        ("--output", dict(help="write to this file instead of stdout")),
+    ],
+}
+
+#: name -> (help text, flag groups, function returning (rows, violated)); each
+#: row is a dict whose keys are the output columns.
+COMMANDS = {
+    "gp": ("sharp bound G_p(r) with its optimal shift",
+           ("n", "p", "radii", "order", "output"), _gp),
+    "astar": ("optimal shift and stationarity residual",
+              ("n", "p", "radii", "order", "output"), _astar),
+    "uh": ("closed-form sup-norm bound on the axis", ("n", "radii", "output"), _uh),
+    "grad": ("sharp gradient constant at the origin", ("n", "p", "output"), _grad),
+    "verify-sharpness": ("attain the bound with extremal data",
+                         ("n", "p", "radii", "order", "output"), _verify_sharpness),
+    "verify-bound": ("random boundary data against the bound",
+                     ("n", "p", "radii", "order", "draws", "output"), _verify_bound),
+    "verify-capseq": ("p = 1 minimizing sequence against its limit",
+                      ("n", "capseq", "output"), _verify_capseq),
+    "check": ("run the full acceptance battery", (), _check),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hypschwarz", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = subs.add_parser("gp", help="sharp bound G_p(r) with its optimal shift")
-    _add_context_flags(sub)
-    _add_radius_flags(sub)
-    _add_order_flag(sub)
-    _add_output_flags(sub)
-
-    sub = subs.add_parser("astar", help="optimal shift and stationarity residual")
-    _add_context_flags(sub)
-    _add_radius_flags(sub)
-    _add_order_flag(sub)
-    _add_output_flags(sub)
-
-    sub = subs.add_parser("uh", help="closed-form sup-norm bound on the axis")
-    sub.add_argument("--n", type=int, required=True, help="ambient dimension, >= 3")
-    _add_radius_flags(sub)
-    _add_output_flags(sub)
-
-    sub = subs.add_parser("grad", help="sharp gradient constant at the origin")
-    _add_context_flags(sub)
-    _add_output_flags(sub)
-
-    sub = subs.add_parser("verify-sharpness", help="attain the bound with extremal data")
-    _add_context_flags(sub)
-    _add_radius_flags(sub)
-    _add_order_flag(sub)
-    _add_output_flags(sub)
-
-    sub = subs.add_parser("verify-bound", help="random boundary data against the bound")
-    _add_context_flags(sub)
-    _add_radius_flags(sub)
-    _add_order_flag(sub)
-    sub.add_argument("--count", type=int, default=1000)
-    sub.add_argument("--seed", type=int, default=42)
-    _add_output_flags(sub)
-
-    sub = subs.add_parser("verify-capseq", help="p = 1 minimizing sequence against its limit")
-    sub.add_argument("--n", type=int, required=True, help="ambient dimension, >= 3")
-    sub.add_argument("--r", type=float, required=True, help="radius in (0, 1)")
-    sub.add_argument("--i-max", type=int, default=64, dest="i_max")
-    _add_output_flags(sub)
-
-    subs.add_parser("check", help="run the full acceptance battery")
+    for name, (help_text, groups, rows) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for group in groups:
+            for flag, options in _FLAGS[group]:
+                sub.add_argument(flag, **options)
+        sub.set_defaults(rows=rows, parser=sub)
+        if "output" not in groups:
+            sub.set_defaults(format="text", output=None)
     return parser
 
 
-def _run_gp(args, parser) -> int:
-    order = _resolve_order(args)
-    ctx = BallContext(args.n, args.p)
-    rows = []
-    for r in _resolve_radii(args, parser):
-        res = g_p(ctx, r, order)
-        rows.append([
-            _cell_float("r", r),
-            _cell_float("a_star", res.a_star),
-            _cell_float("g_value", res.g_value),
-            _cell_str("method", res.method),
-            _cell_float("est_error", res.est_error),
-        ])
-    _write(_render(args.format, ["r", "a_star", "g_value", "method", "est_error"], rows), args.output)
-    return 0
-
-
-def _run_astar(args, parser) -> int:
-    order = _resolve_order(args)
-    ctx = BallContext(args.n, args.p)
-    rows = []
-    for r in _resolve_radii(args, parser):
-        if ctx.p == 1.0:
-            a_star, residual = g_1_closed(ctx.n, r)[0], 0.0
-        elif ctx.p == math.inf:
-            a_star, residual = g_inf_closed(ctx.n, r)[0], 0.0
-        else:
-            a_star = solve_a_star(ctx, r, order)
-            residual = big_f(ObjectiveParams(ctx, r, order), a_star)
-        rows.append([
-            _cell_float("r", r),
-            _cell_float("a_star", a_star),
-            _cell_float("f_residual", residual),
-        ])
-    _write(_render(args.format, ["r", "a_star", "f_residual"], rows), args.output)
-    return 0
-
-
-def _run_uh(args, parser) -> int:
-    rows = []
-    for r in _resolve_radii(args, parser):
-        rows.append([
-            _cell_float("r", r),
-            _cell_float("u_h", g_inf_closed(args.n, r)[1]),
-        ])
-    _write(_render(args.format, ["r", "u_h"], rows), args.output)
-    return 0
-
-
-def _run_grad(args) -> int:
-    ctx = BallContext(args.n, args.p)
-    rows = [[
-        _cell_int("n", ctx.n),
-        _cell_float("p", ctx.p),
-        _cell_float("c_p", grad_constant(ctx)),
-    ]]
-    _write(_render(args.format, ["n", "p", "c_p"], rows), args.output)
-    return 0
-
-
-def _run_verify_sharpness(args, parser) -> int:
-    order = _resolve_order(args)
-    ctx = BallContext(args.n, args.p)
-    limit = SHARPNESS_GAP_LIMIT_P1 if ctx.p == 1.0 else SHARPNESS_GAP_LIMIT
-    rows = []
-    code = 0
-    for r in _resolve_radii(args, parser):
-        report = verify_sharpness(ctx, r, order)
-        if report.rel_gap > limit:
-            code = 2
-        rows.append([
-            _cell_int("n", ctx.n),
-            _cell_float("p", ctx.p),
-            _cell_float("r", r),
-            _cell_float("g_bound", report.g_bound),
-            _cell_float("attained", report.attained),
-            _cell_float("u_at_zero", report.u_at_zero),
-            _cell_float("rel_gap", report.rel_gap),
-        ])
-    header = ["n", "p", "r", "g_bound", "attained", "u_at_zero", "rel_gap"]
-    _write(_render(args.format, header, rows), args.output)
-    return code
-
-
-def _run_verify_bound(args, parser) -> int:
-    order = _resolve_order(args)
-    ctx = BallContext(args.n, args.p)
-    rows = []
-    code = 0
-    for r in _resolve_radii(args, parser):
-        report = random_bound_check(ctx, r, count=args.count, seed=args.seed, order=order)
-        if report.violations:
-            code = 2
-        rows.append([
-            _cell_int("n", ctx.n),
-            _cell_float("p", ctx.p),
-            _cell_float("r", r),
-            _cell_int("count", report.count),
-            _cell_int("seed", report.seed),
-            _cell_int("violations", report.violations),
-            _cell_float("max_ratio", report.max_ratio),
-        ])
-    header = ["n", "p", "r", "count", "seed", "violations", "max_ratio"]
-    _write(_render(args.format, header, rows), args.output)
-    return code
-
-
-def _run_verify_capseq(args) -> int:
-    if args.i_max < 2:
-        raise DomainError(f"--i-max must be >= 2, got {args.i_max}")
-    g1 = g_1_closed(args.n, args.r)[1]
-    indices = []
-    i = 2
-    while i <= args.i_max:
-        indices.append(i)
-        i *= 2
-    values = [minimizing_sequence_p1(args.n, args.r, i) for i in indices]
-    rows = []
-    for i, u_i in zip(indices, values):
-        rows.append([
-            _cell_int("i", i),
-            _cell_float("u_i", u_i),
-            _cell_float("g1_closed", g1),
-            _cell_float("rel_gap", abs(g1 - u_i) / g1),
-        ])
-    monotone = all(
-        later >= earlier - CAPSEQ_MONOTONE_SLACK * g1
-        for earlier, later in zip(values, values[1:])
-    )
-    final_gap = abs(g1 - values[-1]) / g1
-    _write(_render(args.format, ["i", "u_i", "g1_closed", "rel_gap"], rows), args.output)
-    return 0 if monotone and final_gap <= CAPSEQ_GAP_LIMIT else 2
-
-
-def _run_check() -> int:
-    from .acceptance import run_all
-
-    results = run_all()
-    for result in results:
-        sys.stdout.write(result.line() + "\n")
-    return 0 if all(result.passed for result in results) else 2
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if "steps" in vars(args):
+        args.radii = _radii(args)
     try:
-        if args.command == "gp":
-            return _run_gp(args, parser)
-        if args.command == "astar":
-            return _run_astar(args, parser)
-        if args.command == "uh":
-            return _run_uh(args, parser)
-        if args.command == "grad":
-            return _run_grad(args)
-        if args.command == "verify-sharpness":
-            return _run_verify_sharpness(args, parser)
-        if args.command == "verify-bound":
-            return _run_verify_bound(args, parser)
-        if args.command == "verify-capseq":
-            return _run_verify_capseq(args)
-        return _run_check()
+        if vars(args).get("order", DEFAULT_ORDER) < 2:
+            raise DomainError(f"--order must be >= 2, got {args.order}")
+        rows, violated = args.rows(args)
     except (DomainError, BracketError, NonConvergenceError, CapUnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    text = _render(args.format, rows)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    return 2 if violated else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ All helpers accept scalar or ndarray ``t``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +76,16 @@ def kernel_range(ctx: BallContext, r: float) -> tuple[float, float]:
     """(min, max) of K(r, .) over t in [-1, 1].
 
     The minimum sits at t = -1, the maximum at t = +1, and their product
-    is exactly 1.
+    is exactly 1.  Raises DomainError once the minimum drops below the
+    smallest normal double, where 1/min would overflow.
     """
     r = check_radius(r)
     lo = ((1.0 - r) / (1.0 + r)) ** (ctx.n - 1)
+    if lo < sys.float_info.min:
+        raise DomainError(
+            f"kernel range leaves double precision at n={ctx.n}, r={r}: "
+            f"((1-r)/(1+r))^(n-1) = {lo!r} is below {sys.float_info.min!r}"
+        )
     return lo, 1.0 / lo
 
 

@@ -1,11 +1,19 @@
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
 
+import hypschwarz
 from hypschwarz.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +26,87 @@ def csv_rows(text):
     lines = text.strip("\n").split("\n")
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+# Exact stdout of the closed-form commands: every byte of the table format
+# (17-digit floats, bare ints, quoted strings and infinities) is pinned here.
+GOLDEN = {
+    "gp --n 3 --p inf --r-min 0 --r-max 0.9 --steps 10": """\
+r,a_star,g_value,method,est_error
+0,1,0,closed_pinf,0
+0.10000000000000001,0.96078815802372308,0.19801980198019795,closed_pinf,0
+0.20000000000000001,0.85207100591715967,0.38461538461538441,closed_pinf,0
+0.30000000000000004,0.69699520242403823,0.55045871559632997,closed_pinf,0
+0.40000000000000002,0.52437574316290114,0.68965517241379271,closed_pinf,0
+0.5,0.35999999999999999,0.79999999999999949,closed_pinf,0
+0.60000000000000009,0.22145328719723173,0.88235294117647012,closed_pinf,0
+0.70000000000000007,0.11715688482500781,0.93959731543624114,closed_pinf,0
+0.80000000000000004,0.048185603807257546,0.9756097560975604,closed_pinf,0
+0.90000000000000002,0.011019199658130087,0.99447513812154631,closed_pinf,0
+""",
+    "gp --n 3 --p 1 --r 0.5 --format json": """\
+[
+  {"r": 0.5, "a_star": 4.5555555555555554, "g_value": 4.4444444444444446, "method": "closed_p1", "est_error": 0}
+]
+""",
+    "astar --n 3 --p inf --r 0.5 --format json": """\
+[
+  {"r": 0.5, "a_star": 0.35999999999999999, "f_residual": 0}
+]
+""",
+    "uh --n 4 --r 0.5": """\
+r,u_h
+0.5,0.89591196133817241
+""",
+    "grad --n 3 --p inf --format json": """\
+[
+  {"n": 3, "p": "inf", "c_p": 1.9999999999999996}
+]
+""",
+    "verify-capseq --n 3 --r 0.5 --i-max 64": """\
+i,u_i,g1_closed,rel_gap
+2,2.9411764705882359,4.4444444444444446,0.33823529411764697
+4,3.9436619718309864,4.4444444444444446,0.11267605633802809
+8,4.3078872347165023,4.4444444444444446,0.030725372188787035
+16,4.4095124563069525,4.4444444444444446,0.0078596973309357221
+32,4.4356604556757642,4.4444444444444446,0.0019763974729531063
+64,4.4422452369341139,4.4444444444444446,0.00049482168982442067
+""",
+    "verify-capseq --n 3 --r 0.5 --i-max 64 --format json": """\
+[
+  {"i": 2, "u_i": 2.9411764705882359, "g1_closed": 4.4444444444444446, "rel_gap": 0.33823529411764697},
+  {"i": 4, "u_i": 3.9436619718309864, "g1_closed": 4.4444444444444446, "rel_gap": 0.11267605633802809},
+  {"i": 8, "u_i": 4.3078872347165023, "g1_closed": 4.4444444444444446, "rel_gap": 0.030725372188787035},
+  {"i": 16, "u_i": 4.4095124563069525, "g1_closed": 4.4444444444444446, "rel_gap": 0.0078596973309357221},
+  {"i": 32, "u_i": 4.4356604556757642, "g1_closed": 4.4444444444444446, "rel_gap": 0.0019763974729531063},
+  {"i": 64, "u_i": 4.4422452369341139, "g1_closed": 4.4444444444444446, "rel_gap": 0.00049482168982442067}
+]
+""",
+}
+
+# Column order of the numeric commands, whose values are pinned elsewhere.
+NUMERIC_KEYS = {
+    "gp --n 4 --p 2.5 --r 0.7": ["r", "a_star", "g_value", "method", "est_error"],
+    "astar --n 3 --p 3 --r 0.5": ["r", "a_star", "f_residual"],
+    "verify-sharpness --n 3 --p 2 --r 0.5":
+        ["n", "p", "r", "g_bound", "attained", "u_at_zero", "rel_gap"],
+    "verify-bound --n 3 --p 2 --r 0.5 --count 50 --seed 42":
+        ["n", "p", "r", "count", "seed", "violations", "max_ratio"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(capsys, command):
+    code, out, err = run_cli(capsys, *shlex.split(command))
+    assert (code, out, err) == (0, GOLDEN[command], "")
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_KEYS))
+def test_numeric_column_order(capsys, command):
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0 and out.split("\n")[0].split(",") == NUMERIC_KEYS[command]
+    code, out, _ = run_cli(capsys, *shlex.split(command), "--format", "json")
+    assert code == 0 and [list(row) for row in json.loads(out)] == [NUMERIC_KEYS[command]]
 
 
 class TestGp:
@@ -131,40 +220,30 @@ class TestCheckCommand:
 
 class TestFailureModes:
     def test_usage_errors_exit_one(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gp", "--n", "3", "--r", "0.5"])  # --p missing
-        assert exc.value.code == 1
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["gp", "--n", "3", "--p", "2", "--r", "0.5", "--steps", "4"])
-        assert exc.value.code == 1
-        capsys.readouterr()
+        for flags in (
+            ("--r", "0.5"),  # --p missing
+            ("--p", "2", "--r", "0.5", "--steps", "4"),
+            ("--p", "2", "--r-min", "0", "--steps", "4"),
+            ("--p", "2", "--r-min", "0", "--r-max", "0.5", "--steps", "0"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["gp", "--n", "3", *flags])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: hypschwarz gp ")
+            assert "\nhypschwarz gp: error: " in err
 
     def test_domain_error_returns_one(self, capsys):
-        code, out, err = run_cli(capsys, "gp", "--n", "3", "--p", "2", "--r", "1.5")
-        assert code == 1 and out == ""
-        assert err.startswith("error:")
+        for n, p, r in (("3", "2", "1.5"), ("100", "1", "0.999"), ("100", "1", "0.9985")):
+            code, out, err = run_cli(capsys, "gp", "--n", n, "--p", p, "--r", r)
+            assert code == 1 and out == ""
+            assert err.startswith("error:")
 
     def test_order_flag_validation(self, capsys):
         code, _, err = run_cli(
             capsys, "gp", "--n", "3", "--p", "2", "--r", "0.5", "--order", "1",
         )
         assert code == 1 and "order" in err
-
-
-class TestOrderEnvironment:
-    def test_valid_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPSCHWARZ_ORDER", "64")
-        code, out, _ = run_cli(capsys, "astar", "--n", "3", "--p", "3", "--r", "0.5")
-        assert code == 0
-        _, rows = csv_rows(out)
-        assert abs(float(rows[0]["f_residual"])) <= 1e-9
-
-    def test_invalid_values_fail_cleanly(self, capsys, monkeypatch):
-        for bad in ("banana", "1"):
-            monkeypatch.setenv("HYPSCHWARZ_ORDER", bad)
-            code, _, err = run_cli(capsys, "gp", "--n", "3", "--p", "2", "--r", "0.5")
-            assert code == 1 and "HYPSCHWARZ_ORDER" in err
 
 
 def test_console_script_entry_point():
@@ -176,3 +255,29 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,p,c_p\n")
+
+
+def _readme_block(heading, language):
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_commands_run(capsys):
+    lines = [line for line in _readme_block("Command line", "sh").splitlines()
+             if line.startswith("hypschwarz ")]
+    assert len(lines) >= 8
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if argv == ["check"]:  # TestCheckCommand runs the battery
+            continue
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+
+
+def test_readme_quick_start_uses_public_names():
+    code = _readme_block("Quick start", "python")
+    for names in re.findall(r"^from hypschwarz import (.+)$", code, re.M):
+        for name in names.split(","):
+            assert name.strip() in hypschwarz.__all__
+    with redirect_stdout(StringIO()):
+        exec(compile(code, str(README), "exec"), {})

@@ -1,20 +1,20 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hypschwarz import (
+from hypschwarz.errors import DomainError
+from hypschwarz.kernel import (
     BallContext,
-    DomainError,
-    build_rule,
     check_radius,
     conjugate_exponent,
     crossing_point,
     d_kernel_dr,
-    integrate_zonal,
     kernel_range,
     poisson_szego_axis,
 )
+from hypschwarz.quadrature import build_rule, integrate_zonal
 from conftest import central_diff
 
 
@@ -63,6 +63,17 @@ def test_kernel_range_product_is_one():
             lo, hi = kernel_range(ctx, r)
             assert lo * hi == pytest.approx(1.0, rel=1e-14)
             assert lo == pytest.approx(((1.0 - r) / (1.0 + r)) ** (n - 1), rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.999, 0.9985])
+def test_kernel_range_refuses_subnormal_minimum(r):
+    # ((1-r)/(1+r))^99 underflows to 0 at r = 0.999 and is subnormal (its
+    # reciprocal overflows) at r = 0.9985.
+    ctx = BallContext(100, 1.0)
+    with pytest.raises(DomainError, match="double precision"):
+        kernel_range(ctx, r)
+    lo, hi = kernel_range(ctx, 0.998)
+    assert lo >= sys.float_info.min and math.isfinite(hi)
 
 
 def test_kernel_constant_at_origin():

@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hypschwarz import (
-    BallContext,
-    DomainError,
-    ObjectiveParams,
-    big_f,
-    crossing_point,
-    dF_da,
-    dF_dr,
-    g_2_closed,
-    kernel_range,
-    phi,
-)
+from hypschwarz.errors import DomainError
+from hypschwarz.kernel import BallContext, crossing_point, kernel_range
+from hypschwarz.objective import ObjectiveParams, big_f, dF_da, dF_dr, phi
+from hypschwarz.solver import g_2_closed
 from conftest import central_diff, mp_crossing, mp_kernel, mp_zonal
 
 

@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hypschwarz import (
-    BallContext,
-    CapUnderflowError,
-    DomainError,
-    build_rule,
-    cap_rule,
-    integrate_with_breakpoint,
-    integrate_zonal,
-    poisson_szego_axis,
-)
+from hypschwarz.errors import CapUnderflowError, DomainError
+from hypschwarz.kernel import BallContext, poisson_szego_axis
+from hypschwarz.quadrature import build_rule, cap_rule, integrate_with_breakpoint, integrate_zonal
 from conftest import mp_crossing, mp_kernel, mp_zonal
 
 

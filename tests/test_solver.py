@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hypschwarz import (
-    BallContext,
-    DomainError,
+from hypschwarz.errors import DomainError
+from hypschwarz.kernel import BallContext, kernel_range, poisson_szego_axis
+from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
+from hypschwarz.quadrature import integrate_with_breakpoint
+from hypschwarz.solver import (
     GpResult,
-    ObjectiveParams,
-    big_f,
-    dF_da,
     da_star_dr,
     g_1_closed,
     g_2_closed,
@@ -17,10 +16,6 @@ from hypschwarz import (
     g_p,
     gp_derivative_at_zero,
     grad_constant,
-    integrate_with_breakpoint,
-    kernel_range,
-    phi,
-    poisson_szego_axis,
     solve_a_star,
     uh_elementary,
 )

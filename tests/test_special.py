@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from hypschwarz import DomainError, alpha_q, g_2_closed, g_inf_closed
+from hypschwarz.errors import DomainError
+from hypschwarz.solver import g_2_closed, g_inf_closed
+from hypschwarz.special import alpha_q
 from hypschwarz.quadrature import integrate_with_breakpoint
 from conftest import mp_g_2, mp_g_inf
 

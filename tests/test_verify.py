@@ -3,24 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from hypschwarz import (
-    BallContext,
-    CapUnderflowError,
-    DomainError,
+from hypschwarz.errors import CapUnderflowError, DomainError
+from hypschwarz.kernel import BallContext, crossing_point
+from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
+from hypschwarz.verify import (
     ZonalBoundaryFunction,
     corollary_l2_batch,
     corollary_l2_check,
-    crossing_point,
     extremal_phi,
-    g_1_closed,
     grad_at_origin,
-    grad_constant,
     minimizing_sequence_p1,
     moment_extremal,
     poisson_integral_axis,
     random_bound_check,
     random_grad_check,
-    uh_elementary,
     verify_sharpness,
 )
 
@@ -67,8 +63,6 @@ class TestExtremalPhi:
         ctx = BallContext(3, 1.5)
         f = extremal_phi(ctx, 0.5)
         assert abs(f.mean) <= 1e-9
-        a_star = None
-        from hypschwarz import solve_a_star
         a_star = solve_a_star(ctx, 0.5)
         assert f.kink == pytest.approx(crossing_point(ctx, 0.5, a_star), rel=1e-12)
 
