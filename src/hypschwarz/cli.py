@@ -100,7 +100,7 @@ def _astar(args):
             a_star, residual = g_p(ctx, r).a_star, 0.0
         else:
             a_star = solve_a_star(ctx, r, args.order)
-            residual = big_f(ObjectiveParams(ctx, r, args.order), a_star)
+            residual = big_f(ObjectiveParams(ctx, r, args.order), a_star) if r > 0.0 else 0.0
         rows.append({"r": r, "a_star": a_star, "f_residual": residual})
     return rows, False
 
@@ -139,6 +139,8 @@ def _verify_bound(args):
 def _verify_capseq(args):
     if args.i_max < 2:
         raise DomainError(f"--i-max must be >= 2, got {args.i_max}")
+    if args.r == 0.0:
+        raise DomainError("the cap sequence is compared with G_1(r) > 0; --r must lie in (0, 1)")
     g1 = g_p(BallContext(args.n, 1.0), args.r).g_value
     values = [minimizing_sequence_p1(args.n, args.r, 2 ** k) for k in range(1, args.i_max.bit_length())]
     rows = [

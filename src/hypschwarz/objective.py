@@ -17,7 +17,7 @@ through the breakpoint-aware rule with that crossing declared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,10 @@ _DEV_FLOOR = 2.0 ** -52
 
 @dataclass(frozen=True)
 class ObjectiveParams:
-    """Evaluation site for the objective: context, radius, rule order."""
+    """Evaluation site for the objective: context, radius in (0, 1), rule order.
+
+    At r = 0 the kernel is identically 1: a*(0) = 1 and G_p(0) = 0 exactly.
+    """
 
     ctx: BallContext
     r: float
@@ -44,13 +47,16 @@ class ObjectiveParams:
             raise DomainError(
                 f"objective needs a finite conjugate exponent q > 1, got q = {self.ctx.q!r}"
             )
-        check_radius(self.r)
+        if check_radius(self.r) == 0.0:
+            raise DomainError("objective is defined for r in (0, 1); a*(0) = 1 and G_p(0) = 0")
         if self.order < 2:
             raise DomainError(f"rule order must be >= 2, got {self.order!r}")
 
 
 def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
-    """Breakpoint-routed integral of weight_fn(K - a, t)."""
+    """Breakpoint-routed integral of weight_fn(K - a, t), split where K = a."""
+    if not math.isfinite(a):
+        raise DomainError(f"shift must be finite, got {a!r}")
     ctx, r = params.ctx, params.r
     t0 = crossing_point(ctx, r, a)
 
@@ -60,13 +66,15 @@ def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
     return integrate_with_breakpoint(ctx.n, params.order, integrand, t0)
 
 
+def _curvature_weight(q: float, a: float):
+    """The weight_fn |K - a|^(q-2), with |K - a| floored for q < 2 (see _DEV_FLOOR)."""
+    floor = _DEV_FLOOR * max(1.0, abs(a)) if q < 2.0 else 0.0
+    return lambda dev, t: np.maximum(np.abs(dev), floor) ** (q - 2.0)
+
+
 def phi(params: ObjectiveParams, a: float) -> float:
-    """Phi(a) = (integral |K - a|^q dsigma)^(1/q); at r = 0 this is |1 - a|."""
-    if not math.isfinite(a):
-        raise DomainError(f"shift must be finite, got {a!r}")
+    """Phi(a) = (integral |K - a|^q dsigma)^(1/q)."""
     q = params.ctx.q
-    if params.r == 0.0:
-        return abs(1.0 - a)
     value = _deviation_integral(params, a, lambda dev, t: np.abs(dev) ** q)
     return value ** (1.0 / q)
 
@@ -77,11 +85,7 @@ def big_f(params: ObjectiveParams, a: float) -> float:
     The integrand is written sign(K - a) |K - a|^(q-1), which is bounded for
     every q > 1.
     """
-    if not math.isfinite(a):
-        raise DomainError(f"shift must be finite, got {a!r}")
     q = params.ctx.q
-    if params.r == 0.0:
-        return math.copysign(abs(1.0 - a) ** (q - 1.0), 1.0 - a)
     return _deviation_integral(
         params, a, lambda dev, t: np.sign(dev) * np.abs(dev) ** (q - 1.0)
     )
@@ -93,43 +97,14 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     For q < 2 the integrand has an integrable singularity at the crossing;
     the graded rule absorbs it.
     """
-    if not math.isfinite(a):
-        raise DomainError(f"shift must be finite, got {a!r}")
     q = params.ctx.q
-    if params.r == 0.0:
-        if a == 1.0:
-            if q >= 2.0:
-                return -1.0 if q == 2.0 else 0.0
-            raise DomainError("dF/da diverges at r = 0, a = 1 for q < 2")
-        return (1.0 - q) * abs(1.0 - a) ** (q - 2.0)
-    if q < 2.0:
-        floor = _DEV_FLOOR * max(1.0, abs(a))
-
-        def weight(dev, t):
-            return np.maximum(np.abs(dev), floor) ** (q - 2.0)
-
-    else:
-
-        def weight(dev, t):
-            return np.abs(dev) ** (q - 2.0)
-
-    return (1.0 - q) * _deviation_integral(params, a, weight)
+    return (1.0 - q) * _deviation_integral(params, a, _curvature_weight(q, a))
 
 
 def dF_dr(params: ObjectiveParams, a: float) -> float:
-    """dF/dr = (q - 1) * integral dK/dr * |K - a|^(q-2) dsigma for r > 0."""
-    if not math.isfinite(a):
-        raise DomainError(f"shift must be finite, got {a!r}")
+    """dF/dr = (q - 1) * integral dK/dr * |K - a|^(q-2) dsigma."""
     ctx, r = params.ctx, params.r
-    q = ctx.q
-    if r == 0.0:
-        raise DomainError("dF/dr is defined for r in (0, 1); use a small positive r")
-    floor = _DEV_FLOOR * max(1.0, abs(a)) if q < 2.0 else 0.0
-    t0 = crossing_point(ctx, r, a)
-
-    def integrand(t):
-        dev = poisson_szego_axis(ctx, r, t) - a
-        mag = np.maximum(np.abs(dev), floor) if floor else np.abs(dev)
-        return d_kernel_dr(ctx, r, t) * mag ** (q - 2.0)
-
-    return (q - 1.0) * integrate_with_breakpoint(ctx.n, params.order, integrand, t0)
+    weight = _curvature_weight(ctx.q, a)
+    return (ctx.q - 1.0) * _deviation_integral(
+        params, a, lambda dev, t: d_kernel_dr(ctx, r, t) * weight(dev, t)
+    )

@@ -16,8 +16,8 @@ rule and is spectrally accurate for smooth f.  ``integrate_with_breakpoint``
 handles integrands with a kink or an integrable power singularity at a known
 interior point t0: it substitutes t = cos(theta), which keeps the Jacobi
 weight analytic at the poles, and tiles each side of theta0 = arccos(t0)
-with panels shrinking geometrically toward the breakpoint (ratio 1/2, at
-least 12 panels per side).  The leftover geometric tail is summed by
+with panels shrinking geometrically toward the breakpoint (ratio 1/2, 27
+panels per side).  The leftover geometric tail is summed by
 extrapolating the measured panel-sum ratio, which resolves any integrable
 power behaviour without knowing its exponent.
 """
@@ -43,8 +43,7 @@ DEFAULT_ORDER = 128
 
 # Panel layout for the breakpoint path.
 _PANEL_RATIO = 0.5
-_MIN_PANELS = 12
-_CLOSING_REL = 1e-8  # innermost panel edge, relative to the side length
+_PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
 _TAIL_GUARD = 0.95   # largest admissible panel-sum ratio for tail summation
 
 
@@ -130,33 +129,25 @@ def integrate_with_breakpoint(n: int, order: int, f, t0) -> float:
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"breakpoint must lie in [-1, 1], got {t0!r}")
     theta0 = math.acos(t0)
-    k = max(12, order // 8)
-    xi, om = _panel_nodes(k)
-    panels = max(_MIN_PANELS, int(math.ceil(math.log(1.0 / _CLOSING_REL) / math.log(1.0 / _PANEL_RATIO))))
-    total = 0.0
-    for lo, hi in ((0.0, theta0), (theta0, math.pi)):
-        length = hi - lo
-        if length <= 1e-300:
-            continue  # breakpoint sits at a pole of the sphere
-        offsets = length * _PANEL_RATIO ** np.arange(panels + 1)
-        if hi == theta0:  # panels shrink toward the right edge
-            left, right = hi - offsets[:-1], hi - offsets[1:]
-        else:             # panels shrink toward the left edge
-            left, right = lo + offsets[1:], lo + offsets[:-1]
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        theta = mid[:, None] + half[:, None] * xi
-        wt = half[:, None] * om
-        vals = _eval_integrand(f, np.cos(theta)) * np.sin(theta) ** (n - 2)
-        per_panel = np.sum(wt * vals, axis=1)  # index grows toward the breakpoint
-        side = float(np.sum(per_panel))
-        # Sum the uncovered geometric tail from the measured decay ratio.
-        if per_panel[-2] != 0.0:
-            ratio = per_panel[-1] / per_panel[-2]
-            if 0.0 < ratio < _TAIL_GUARD:
-                side += per_panel[-1] * ratio / (1.0 - ratio)
-        total += side
-    return _zonal_constant(n) * total
+    xi, om = _panel_nodes(max(12, order // 8))
+    # Panel index grows toward theta0.  A breakpoint at a pole leaves one
+    # side; the empty one is not evaluated, as f may be infinite there.
+    lengths = np.array([-theta0, math.pi - theta0])
+    lengths = lengths[np.abs(lengths) > 1e-300]
+    offsets = lengths[:, None] * _PANEL_RATIO ** np.arange(_PANELS + 1)
+    outer, inner = theta0 + offsets[:, :-1], theta0 + offsets[:, 1:]
+    mid = 0.5 * (outer + inner)
+    half = 0.5 * np.abs(outer - inner)
+    theta = mid[..., None] + half[..., None] * xi
+    vals = _eval_integrand(f, np.cos(theta)) * np.sin(theta) ** (n - 2)
+    per_panel = np.sum(half[..., None] * om * vals, axis=-1)
+    sides = np.sum(per_panel, axis=-1)
+    # Sum the uncovered geometric tail from the measured decay ratio.
+    last, prev = per_panel[:, -1], per_panel[:, -2]
+    ratio = np.divide(last, prev, out=np.zeros_like(last), where=prev != 0.0)
+    geometric = (ratio > 0.0) & (ratio < _TAIL_GUARD)
+    sides[geometric] += last[geometric] * ratio[geometric] / (1.0 - ratio[geometric])
+    return _zonal_constant(n) * float(np.sum(sides))
 
 
 def cap_rule(n: int, t_lower: float, order: int = 64):

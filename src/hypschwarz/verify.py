@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .kernel import BallContext, check_radius, crossing_point, poisson_szego_axis
 from .quadrature import DEFAULT_ORDER, build_rule, cap_rule, integrate_with_breakpoint
-from .solver import g_1_closed, g_inf_closed, g_p, grad_constant, solve_a_star
+from .solver import g_1_closed, g_p, grad_constant
 
 #: Multiplicative slack allowed when checking strict inequalities in floats.
 BOUND_SLACK = 1e-7
@@ -86,10 +86,7 @@ def extremal_phi(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> Zona
         raise DomainError("p = 1 admits no extremal; use minimizing_sequence_p1")
     if r == 0.0:
         raise DomainError("the bound degenerates at r = 0; extremal data needs r > 0")
-    if ctx.p == math.inf:
-        a_star = g_inf_closed(ctx.n, r)[0]
-    else:
-        a_star = solve_a_star(ctx, r, order)
+    a_star = g_p(ctx, r, order).a_star
     expo = ctx.q - 1.0
     t0 = crossing_point(ctx, r, a_star)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import shutil
@@ -234,8 +235,18 @@ class TestFailureModes:
             assert "\nhypschwarz gp: error: " in err
 
     def test_domain_error_returns_one(self, capsys):
-        for n, p, r in (("3", "2", "1.5"), ("100", "1", "0.999"), ("100", "1", "0.9985")):
-            code, out, err = run_cli(capsys, "gp", "--n", n, "--p", p, "--r", r)
+        for argv in (
+            "gp --n 3 --p 2 --r 1.5",
+            "gp --n 100 --p 1 --r 0.999",
+            "gp --n 100 --p 1 --r 0.9985",
+            # the p = inf shift underflows to 0.0, where u_h would exceed 1
+            "gp --n 100 --p inf --r 0.9999",
+            "astar --n 100 --p inf --r 0.9999",
+            "uh --n 100 --r 0.9999",
+            # G_1(0) = 0 leaves no relative gap to report
+            "verify-capseq --n 3 --r 0",
+        ):
+            code, out, err = run_cli(capsys, *argv.split())
             assert code == 1 and out == ""
             assert err.startswith("error:")
 
@@ -249,9 +260,12 @@ class TestFailureModes:
 def test_console_script_entry_point():
     script = shutil.which("hypschwarz")
     cmd = [script] if script else [sys.executable, "-m", "hypschwarz.cli"]
+    # without an install, the child imports the package the tests import
+    package_root = str(Path(hypschwarz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         cmd + ["grad", "--n", "4", "--p", "2"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,p,c_p\n")

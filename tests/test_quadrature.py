@@ -140,10 +140,23 @@ class TestBreakpointRule:
         assert numeric == pytest.approx(ref, rel=1e-8)
 
     def test_breakpoint_at_pole(self):
-        # integrable endpoint singularity: c_3 * int (1-t)^(-1/4) dt
-        value = integrate_with_breakpoint(3, 128, lambda t: (1.0 - t) ** -0.25, 1.0)
+        # integrable endpoint singularity: c_3 * int (1-t)^(-1/4) dt, at
+        # either pole; the empty side, where it is infinite, is never evaluated
         exact = 0.5 * (4.0 / 3.0) * 2.0 ** 0.75
-        assert value == pytest.approx(exact, rel=1e-9)
+        for sign in (1.0, -1.0):
+            value = integrate_with_breakpoint(3, 128, lambda t: (1.0 - sign * t) ** -0.25, sign)
+            assert value == pytest.approx(exact, rel=1e-9)
+
+    def test_one_integrand_call_per_integral(self):
+        for t0 in (0.3, 1.0, -1.0):
+            calls = []
+
+            def f(t):
+                calls.append(t)
+                return np.abs(t - 0.3)
+
+            integrate_with_breakpoint(3, 128, f, t0)
+            assert len(calls) == 1
 
     def test_rejects_breakpoint_outside_range(self):
         with pytest.raises(DomainError):

@@ -97,6 +97,13 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             uh_elementary(6, 0.5)
 
+    def test_pinf_refuses_underflowing_shift(self):
+        # a* = ((1-r^2)/(1+r^2))^(n-1) is 0.0 in doubles at n = 100, r = 0.9999
+        with pytest.raises(DomainError, match=r"n=100, r=0.9999.*below"):
+            g_inf_closed(100, 0.9999)
+        with pytest.raises(DomainError, match="leaves double precision"):
+            g_p(BallContext(100, math.inf), 0.9999)
+
     def test_pinf_shift_is_equator_value(self):
         ctx = BallContext(3, math.inf)
         r = 0.6

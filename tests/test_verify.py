@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypschwarz import solver
 from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
@@ -80,6 +81,22 @@ class TestSharpness:
             assert report.rel_gap <= 1e-6
         inf_report = verify_sharpness(BallContext(3, math.inf), 0.5)
         assert inf_report.g_bound == pytest.approx(0.8, rel=1e-8)
+
+    def test_certification_solves_once(self, monkeypatch):
+        # extremal data, bound and random draws share g_p's memo cache, so
+        # certifying one point evaluates F exactly as often as one cold g_p
+        calls = []
+        real_big_f = solver.big_f
+        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        ctx, r = BallContext(4, 3.0), 0.45
+        solver._g_p_numeric.cache_clear()
+        solver.g_p(ctx, r)
+        cold = len(calls)
+        solver._g_p_numeric.cache_clear()
+        calls.clear()
+        verify_sharpness(ctx, r)
+        random_bound_check(ctx, r, count=50, seed=3)
+        assert len(calls) == cold > 0
 
     def test_p1_uses_cap_sequence(self):
         report = verify_sharpness(BallContext(3, 1.0), 0.5)
