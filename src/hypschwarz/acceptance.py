@@ -8,6 +8,7 @@ the acceptance test module, so the gate is identical everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -22,17 +23,16 @@ from .solver import (
     g_2_closed,
     g_inf_closed,
     g_p,
-    gp_derivative_at_zero,
     grad_constant,
     solve_a_star,
     uh_elementary,
 )
 from .verify import (
+    CAPSEQ_GAP_LIMIT,
     ZonalBoundaryFunction,
     corollary_l2_batch,
     corollary_l2_check,
     grad_at_origin,
-    minimizing_sequence_p1,
     moment_extremal,
     random_bound_check,
     random_grad_check,
@@ -44,6 +44,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _DIMS = (3, 4, 5)
 _FINITE_PS = (1.5, 2.0, 3.0, 5.0)
 _RADII = (0.2, 0.5, 0.8)
+# Rule order of criteria 1 and 4.  Its 64-point panels resolve the kernel
+# peak near t = 1 (the pole sits at (1+r^2)/(2r), just outside).
+_ORDER = 512
 
 
 def golden_section_minimize(fn, lo: float, hi: float, tol: float) -> float:
@@ -80,36 +83,48 @@ class CriterionResult:
         return f"CRITERION {self.index} [{status}] {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
 
-def _finish(index: int, name: str, started: float, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(index, name, passed, detail, time.perf_counter() - started)
+def _criterion(index: int, name: str, budget: float | None = None):
+    """Turn a check returning (passed, detail) into a timed criterion.
+
+    A criterion with a budget in seconds also fails when it runs longer, and
+    its detail reports the elapsed time against that budget.
+    """
+
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion() -> CriterionResult:
+            started = time.perf_counter()
+            passed, detail = check()
+            elapsed = time.perf_counter() - started
+            if budget is not None:
+                passed = passed and elapsed < budget
+                detail = f"{detail}, elapsed {elapsed:.2f}s (budget {budget:g}s)"
+            return CriterionResult(index, name, passed, detail, elapsed)
+
+        return criterion
+
+    return wrap
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "boundary-norm table, dims 3-5", budget=1.0)
+def criterion_1():
     """Elementary G_inf forms in dimensions 3-5 reproduced by both routes."""
-    started = time.perf_counter()
     worst = 0.0
     for n in _DIMS:
         for r in (0.1, 0.25, 0.5, 0.75, 0.9):
             target = uh_elementary(n, r)
             a_star, closed = g_inf_closed(n, r)
             ctx = BallContext(n, math.inf)
-            # Order 512 gives 64-point panels, enough to resolve the kernel
-            # peak near t = 1 (its pole sits at (1+r^2)/(2r), just outside).
             numeric = integrate_with_breakpoint(
-                n, 512, lambda t: np.abs(poisson_szego_axis(ctx, r, t) - a_star), 0.0
+                n, _ORDER, lambda t: np.abs(poisson_szego_axis(ctx, r, t) - a_star), 0.0
             )
             worst = max(worst, abs(closed - target), abs(numeric - target))
-    passed = worst <= 1e-8
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        1, "boundary-norm table, dims 3-5", passed and elapsed < 1.0,
-        f"max abs deviation {worst:.2e}, elapsed {elapsed:.3f}s (budget 1s)", elapsed,
-    )
+    return worst <= 1e-8, f"max abs deviation {worst:.2e}"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "p = 2 closed form", budget=5.0)
+def criterion_2():
     """Numeric p = 2 bound against its hypergeometric closed form."""
-    started = time.perf_counter()
     worst_g = 0.0
     worst_a = 0.0
     for n in _DIMS:
@@ -120,17 +135,12 @@ def criterion_2() -> CriterionResult:
             worst_g = max(worst_g, abs(res.g_value - g_2_closed(n, r)))
             worst_a = max(worst_a, abs(res.a_star - 1.0))
     passed = worst_g <= 1e-8 and worst_a <= 1e-10
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        2, "p = 2 closed form", passed and elapsed < 5.0,
-        f"max |g - closed| {worst_g:.2e}, max |a* - 1| {worst_a:.2e}, elapsed {elapsed:.2f}s (budget 5s)",
-        elapsed,
-    )
+    return passed, f"max |g - closed| {worst_g:.2e}, max |a* - 1| {worst_a:.2e}"
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "p = 1 closed form and cap sequence", budget=5.0)
+def criterion_3():
     """p = 1 closed form vs direct sup-distance minimization; cap sequence."""
-    started = time.perf_counter()
     worst = 0.0
     for n in _DIMS:
         ctx = BallContext(n, 1.0)
@@ -144,19 +154,17 @@ def criterion_3() -> CriterionResult:
                 abs(center - a_closed) / a_closed,
                 abs(sup_dist(center) - g_closed) / g_closed,
             )
-    seq = minimizing_sequence_p1(3, 0.5, 64)
-    target = 40.0 / 9.0
-    seq_gap = abs(seq - target) / target
-    passed = worst <= 1e-12 and seq_gap <= 0.02
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        3, "p = 1 closed form and cap sequence", passed and elapsed < 5.0,
-        f"max rel dev {worst:.2e}, cap-64 gap {seq_gap:.2e} (limit 2e-2), elapsed {elapsed:.2f}s (budget 5s)",
-        elapsed,
+    # At p = 1 the sharpness report compares the index-64 cap pair with G_1.
+    cap = verify_sharpness(BallContext(3, 1.0), 0.5)
+    limit = format(CAPSEQ_GAP_LIMIT, ".0e").replace("e-0", "e-")
+    return (
+        worst <= 1e-12 and cap.passed,
+        f"max rel dev {worst:.2e}, cap-64 gap {cap.rel_gap:.2e} (limit {limit})",
     )
 
 
-def criterion_4(order: int = 512) -> CriterionResult:
+@_criterion(4, "shift stationarity")
+def criterion_4():
     """Stationarity of the optimal shift on the (n, p, r) grid.
 
     The golden-section cross-check targets 1e-7 agreement on the shift.  At
@@ -165,7 +173,6 @@ def criterion_4(order: int = 512) -> CriterionResult:
     comparison instead uses the standard resolution limit of derivative-free
     minimization, sqrt(c * eps * Phi / Phi''), documented in the ledger.
     """
-    started = time.perf_counter()
     worst_res = 0.0
     worst_ratio = 0.0
     limited_cells = 0
@@ -177,8 +184,8 @@ def criterion_4(order: int = 512) -> CriterionResult:
             ctx = BallContext(n, p)
             ok_origin &= solve_a_star(ctx, 0.0) == 1.0
             for r in _RADII:
-                params = ObjectiveParams(ctx, r, order)
-                a_star = solve_a_star(ctx, r, order)
+                params = ObjectiveParams(ctx, r, _ORDER)
+                a_star = solve_a_star(ctx, r, _ORDER)
                 worst_res = max(worst_res, abs(big_f(params, a_star)))
                 slope = dF_da(params, a_star)
                 ok_signs &= slope < 0.0
@@ -199,35 +206,28 @@ def criterion_4(order: int = 512) -> CriterionResult:
                     limited_cells += 1
                 worst_ratio = max(worst_ratio, gap / max(base_tol, resolution))
     passed = worst_res <= 1e-9 and worst_ratio <= 1.0 and ok_signs and ok_origin
-    return _finish(
-        4, "shift stationarity", started, passed,
+    return passed, (
         f"max |F(a*)| {worst_res:.2e}, worst golden gap at {worst_ratio:.2f} of its "
         f"tolerance ({limited_cells} flat cells on the resolution limit), "
-        f"slopes negative: {ok_signs}, a*(0)=1: {ok_origin}",
+        f"slopes negative: {ok_signs}, a*(0)=1: {ok_origin}"
     )
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "sharpness gap", budget=30.0)
+def criterion_5():
     """Extremal data attains the bound on the full grid plus p = inf."""
-    started = time.perf_counter()
-    worst = 0.0
-    for n in _DIMS:
-        for p in _FINITE_PS + (math.inf,):
-            ctx = BallContext(n, p)
-            for r in _RADII:
-                worst = max(worst, verify_sharpness(ctx, r).rel_gap)
-    passed = worst <= 1e-6
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        5, "sharpness gap", passed and elapsed < 30.0,
-        f"max relative gap {worst:.2e}, elapsed {elapsed:.2f}s (budget 30s)", elapsed,
-    )
+    reports = [
+        verify_sharpness(BallContext(n, p), r)
+        for n in _DIMS for p in _FINITE_PS + (math.inf,) for r in _RADII
+    ]
+    worst = max(report.rel_gap for report in reports)
+    return all(report.passed for report in reports), f"max relative gap {worst:.2e}"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "gradient constant")
+def criterion_6():
     """Gradient constant: attained by the moment extremal, matched by the
-    r -> 0 slope, never exceeded by random data."""
-    started = time.perf_counter()
+    r -> 0 slope G_p(h)/h, never exceeded by random data."""
     worst_extremal = 0.0
     for n in _DIMS:
         for p in _FINITE_PS + (math.inf,):
@@ -236,10 +236,11 @@ def criterion_6() -> CriterionResult:
             ratio = grad_at_origin(datum) / datum.norm
             worst_extremal = max(worst_extremal, abs(ratio - grad_constant(ctx)) / grad_constant(ctx))
     worst_fd = 0.0
+    h = 1e-4
     for n in (3, 4):
         for p in (2.0, 3.0, math.inf):
             ctx = BallContext(n, p)
-            slope = gp_derivative_at_zero(ctx, 1e-4)
+            slope = g_p(ctx, h).g_value / h
             worst_fd = max(worst_fd, abs(slope - grad_constant(ctx)) / grad_constant(ctx))
     violations = 0
     worst_random = 0.0
@@ -249,16 +250,15 @@ def criterion_6() -> CriterionResult:
             violations += report.violations
             worst_random = max(worst_random, report.max_ratio)
     passed = worst_extremal <= 1e-9 and worst_fd <= 1e-2 and violations == 0
-    return _finish(
-        6, "gradient constant", started, passed,
+    return passed, (
         f"extremal gap {worst_extremal:.2e}, slope gap {worst_fd:.2e}, "
-        f"random violations {violations} (max ratio {worst_random:.6f})",
+        f"random violations {violations} (max ratio {worst_random:.6f})"
     )
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "random bound property", budget=60.0)
+def criterion_7():
     """Random boundary data never violates the bound (two seeds, full grid)."""
-    started = time.perf_counter()
     violations = 0
     worst = 0.0
     for seed in (7, 42):
@@ -269,18 +269,12 @@ def criterion_7() -> CriterionResult:
                     report = random_bound_check(ctx, r, count=1000, seed=seed)
                     violations += report.violations
                     worst = max(worst, report.max_ratio)
-    passed = violations == 0
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        7, "random bound property", passed and elapsed < 60.0,
-        f"violations {violations} over 72000 draws, max ratio {worst:.6f}, "
-        f"elapsed {elapsed:.2f}s (budget 60s)", elapsed,
-    )
+    return violations == 0, f"violations {violations} over 72000 draws, max ratio {worst:.6f}"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "growth and range")
+def criterion_8():
     """Monotone growth in r; the p = inf bound stays inside [0, 1)."""
-    started = time.perf_counter()
     radii = np.arange(0.0, 0.9501, 0.05)
     monotone = True
     inf_in_range = True
@@ -293,26 +287,25 @@ def criterion_8() -> CriterionResult:
                 inf_in_range &= all(0.0 <= v < 1.0 for v in values)
     near_boundary = all(g_inf_closed(n, 0.999)[1] > 0.99 for n in _DIMS)
     inf_in_range &= all(g_inf_closed(n, 0.999)[1] < 1.0 for n in _DIMS)
-    passed = monotone and inf_in_range and near_boundary
-    return _finish(
-        8, "growth and range", started, passed,
+    return monotone and inf_in_range and near_boundary, (
         f"strictly increasing: {monotone}, G_inf in [0,1): {inf_in_range}, "
-        f"G_inf(0.999) > 0.99: {near_boundary}",
+        f"G_inf(0.999) > 0.99: {near_boundary}"
     )
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "L2 corollary constants")
+def criterion_9():
     """Empirical comparison of the two candidate L2 gradient constants."""
-    started = time.perf_counter()
     lines = []
     all_moment = True
     for n in _DIMS:
-        batch = corollary_l2_batch(n, count=1000, seed=42)
-        all_moment &= batch.holds_moment == batch.count
+        moment, sqrt_form = corollary_l2_batch(n, count=1000, seed=42)
+        all_moment &= moment.violations == 0
         lines.append(
-            f"n={n}: moment constant 2(n-1)/sqrt(n) holds {batch.holds_moment}/{batch.count} "
-            f"(max ratio {batch.max_ratio_moment:.6f}); sqrt(2(n-1)) holds "
-            f"{batch.holds_sqrt}/{batch.count} (max ratio {batch.max_ratio_sqrt:.6f})"
+            f"n={n}: moment constant 2(n-1)/sqrt(n) holds {moment.count - moment.violations}"
+            f"/{moment.count} (max ratio {moment.max_ratio:.6f}); sqrt(2(n-1)) holds "
+            f"{sqrt_form.count - sqrt_form.violations}/{sqrt_form.count} "
+            f"(max ratio {sqrt_form.max_ratio:.6f})"
         )
     ctx3 = BallContext(3, 2.0)
     witness = corollary_l2_check(
@@ -323,13 +316,12 @@ def criterion_9() -> CriterionResult:
         f"(holds: {witness.holds_sqrt}), moment-form rhs {witness.rhs_moment:.9f} "
         f"(holds: {witness.holds_moment})"
     )
-    resolution = (
+    lines.append(
         "resolution: the moment-based constant is the one the sharp gradient bound "
         "guarantees for scalar zonal data; the sqrt form is smaller for n >= 3 and the "
         "linear witness exceeds it"
     )
-    passed = all_moment and witness.holds_moment
-    return _finish(9, "L2 corollary constants", started, passed, "; ".join(lines + [resolution]))
+    return all_moment and witness.holds_moment, "; ".join(lines)
 
 
 def run_all() -> list[CriterionResult]:

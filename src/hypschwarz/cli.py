@@ -24,15 +24,7 @@ from .kernel import BallContext
 from .objective import ObjectiveParams, big_f
 from .quadrature import DEFAULT_ORDER
 from .solver import g_inf_closed, g_p, grad_constant, solve_a_star
-from .verify import minimizing_sequence_p1, random_bound_check, verify_sharpness
-
-#: Relative gap allowed by ``verify-sharpness`` before flagging a violation.
-SHARPNESS_GAP_LIMIT = 1e-6
-#: Looser limit for p = 1, where the cap sequence converges slowly.
-SHARPNESS_GAP_LIMIT_P1 = 0.02
-#: Final-gap and monotonicity limits for ``verify-capseq``.
-CAPSEQ_GAP_LIMIT = 0.02
-CAPSEQ_MONOTONE_SLACK = 1e-9
+from .verify import cap_sequence_check, random_bound_check, verify_sharpness
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,14 +108,11 @@ def _grad(args):
 
 def _verify_sharpness(args):
     ctx = BallContext(args.n, args.p)
-    limit = SHARPNESS_GAP_LIMIT_P1 if ctx.p == 1.0 else SHARPNESS_GAP_LIMIT
-    rows = []
-    for r in args.radii:
-        report = verify_sharpness(ctx, r, args.order)
-        rows.append({"n": ctx.n, "p": ctx.p, "r": r, "g_bound": report.g_bound,
-                     "attained": report.attained, "u_at_zero": report.u_at_zero,
-                     "rel_gap": report.rel_gap})
-    return rows, any(row["rel_gap"] > limit for row in rows)
+    reports = [verify_sharpness(ctx, r, args.order) for r in args.radii]
+    rows = [{"n": ctx.n, "p": ctx.p, "r": report.r, "g_bound": report.g_bound,
+             "attained": report.attained, "u_at_zero": report.u_at_zero,
+             "rel_gap": report.rel_gap} for report in reports]
+    return rows, not all(report.passed for report in reports)
 
 
 def _verify_bound(args):
@@ -141,17 +130,12 @@ def _verify_capseq(args):
         raise DomainError(f"--i-max must be >= 2, got {args.i_max}")
     if args.r == 0.0:
         raise DomainError("the cap sequence is compared with G_1(r) > 0; --r must lie in (0, 1)")
-    g1 = g_p(BallContext(args.n, 1.0), args.r).g_value
-    values = [minimizing_sequence_p1(args.n, args.r, 2 ** k) for k in range(1, args.i_max.bit_length())]
+    report = cap_sequence_check(args.n, args.r, args.i_max)
     rows = [
-        {"i": 2 ** k, "u_i": u_i, "g1_closed": g1, "rel_gap": abs(g1 - u_i) / g1}
-        for k, u_i in enumerate(values, start=1)
+        {"i": i, "u_i": u_i, "g1_closed": report.g1, "rel_gap": gap}
+        for i, u_i, gap in zip(report.indices, report.values, report.rel_gaps)
     ]
-    monotone = all(
-        later >= earlier - CAPSEQ_MONOTONE_SLACK * g1
-        for earlier, later in zip(values, values[1:])
-    )
-    return rows, not (monotone and rows[-1]["rel_gap"] <= CAPSEQ_GAP_LIMIT)
+    return rows, not report.passed
 
 
 def _check(args):

@@ -65,8 +65,6 @@ def poisson_szego_axis(ctx: BallContext, r: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < -1.0) or np.any(t > 1.0):
         raise DomainError("axis coordinate t must lie in [-1, 1]")
-    if r == 0.0:
-        return np.ones_like(t) if t.ndim else 1.0
     logk = (ctx.n - 1) * (math.log1p(-r * r) - np.log1p(r * r - 2.0 * r * t))
     out = np.exp(logk)
     return out if out.ndim else float(out)

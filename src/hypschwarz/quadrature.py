@@ -46,6 +46,9 @@ _PANEL_RATIO = 0.5
 _PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
 _TAIL_GUARD = 0.95   # largest admissible panel-sum ratio for tail summation
 
+#: Node count of the polar-cap rule.
+_CAP_ORDER = 64
+
 
 def _zonal_constant(n: int) -> float:
     return math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)) / math.sqrt(math.pi)
@@ -91,12 +94,17 @@ def build_rule(n: int, order: int = DEFAULT_ORDER) -> ZonalQuadrature:
 
 
 def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(x), dtype=float)
+    """Values of f at the nodes x; a scalar result means a constant f.
+
+    Overflow raises no numpy warning: it leaves non-finite values, which are
+    refused with DomainError like any other.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(f(x), dtype=float)
     if vals.ndim == 0:
         vals = np.broadcast_to(vals, x.shape)
     elif vals.shape != x.shape:
-        vals = np.fromiter((float(f(float(v))) for v in x.ravel()), dtype=float, count=x.size)
-        vals = vals.reshape(x.shape)
+        raise DomainError(f"integrand returned shape {vals.shape} at nodes of shape {x.shape}")
     if not np.isfinite(vals).all():
         raise DomainError("integrand produced non-finite values")
     return vals
@@ -150,7 +158,7 @@ def integrate_with_breakpoint(n: int, order: int, f, t0) -> float:
     return _zonal_constant(n) * float(np.sum(sides))
 
 
-def cap_rule(n: int, t_lower: float, order: int = 64):
+def cap_rule(n: int, t_lower: float):
     """Nodes and sigma-weights for the polar cap {t >= t_lower}.
 
     Returns (nodes, weights) with sum(weights * f(nodes)) the integral of a
@@ -164,7 +172,7 @@ def cap_rule(n: int, t_lower: float, order: int = 64):
     if not -1.0 < t_lower < 1.0:
         raise CapUnderflowError(f"cap boundary {t_lower!r} leaves no representable cap")
     expo = (n - 3) / 2.0
-    u, wu = _gauss_jacobi(order, expo, 0.0)
+    u, wu = _gauss_jacobi(_CAP_ORDER, expo, 0.0)
     h = 0.5 * (1.0 - t_lower)
     t = t_lower + h * (u + 1.0)
     scale = _zonal_constant(n) * h ** (expo + 1.0)

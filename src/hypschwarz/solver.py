@@ -238,17 +238,6 @@ def grad_constant(ctx: BallContext) -> float:
     return 2.0 * (n - 1.0) * alpha_q(n, ctx.q) ** (1.0 / ctx.q)
 
 
-def gp_derivative_at_zero(ctx: BallContext, h: float = 1e-4, order: int = DEFAULT_ORDER) -> float:
-    """Forward difference G_p(h)/h, the slope of the bound at r = 0.
-
-    Converges to grad_constant(ctx) as h -> 0; h is capped at 0.01 so the
-    secant stays in the linear regime.
-    """
-    if not 0.0 < h <= 0.01:
-        raise DomainError(f"step must lie in (0, 0.01], got {h!r}")
-    return g_p(ctx, h, order).g_value / h
-
-
 def da_star_dr(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
     """Implicit-function derivative of the optimal shift, -dF/dr / dF/da, for r in (0, 1)."""
     a_star = solve_a_star(ctx, r, order)

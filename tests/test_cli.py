@@ -190,6 +190,15 @@ class TestVerifyCommands:
         assert rows[0]["violations"] == "0"
         assert float(rows[0]["max_ratio"]) <= 1.0
 
+    def test_bound_at_center_is_clean(self, capsys):
+        # G_p(0) = 0: the zero bound is met by the centered data, not violated
+        code, out, _ = run_cli(
+            capsys, "verify-bound", "--n", "3", "--p", "2", "--r", "0", "--count", "50",
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert rows[0]["violations"] == "0"
+
     def test_sharpness_clean_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-sharpness", "--n", "3", "--p", "2", "--r", "0.5",
@@ -245,10 +254,12 @@ class TestFailureModes:
             "uh --n 100 --r 0.9999",
             # G_1(0) = 0 leaves no relative gap to report
             "verify-capseq --n 3 --r 0",
+            # |K - a|^(q-1) overflows for p near 1: refused without a warning
+            "gp --n 10 --p 1.01 --r 0.5",
         ):
             code, out, err = run_cli(capsys, *argv.split())
             assert code == 1 and out == ""
-            assert err.startswith("error:")
+            assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_order_flag_validation(self, capsys):
         code, _, err = run_cli(

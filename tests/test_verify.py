@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypschwarz import solver
+from hypschwarz import solver, verify
 from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
@@ -18,6 +18,7 @@ from hypschwarz.verify import (
     poisson_integral_axis,
     random_bound_check,
     random_grad_check,
+    cap_sequence_check,
     verify_sharpness,
 )
 
@@ -78,7 +79,7 @@ class TestSharpness:
     def test_extremal_attains_bound(self):
         for n, p, r in ((3, 2.0, 0.5), (4, 3.0, 0.3), (3, math.inf, 0.5)):
             report = verify_sharpness(BallContext(n, p), r)
-            assert report.rel_gap <= 1e-6
+            assert report.rel_gap <= 1e-6 and report.passed
         inf_report = verify_sharpness(BallContext(3, math.inf), 0.5)
         assert inf_report.g_bound == pytest.approx(0.8, rel=1e-8)
 
@@ -100,7 +101,7 @@ class TestSharpness:
 
     def test_p1_uses_cap_sequence(self):
         report = verify_sharpness(BallContext(3, 1.0), 0.5)
-        assert report.rel_gap <= 0.02
+        assert report.rel_gap <= 0.02 and report.passed
         assert report.g_bound == pytest.approx(40.0 / 9.0, rel=1e-14)
 
     def test_center_raises(self):
@@ -135,10 +136,12 @@ class TestMomentExtremal:
 
 class TestRandomChecks:
     def test_bound_holds_on_random_draws(self):
-        for ctx in (BallContext(3, 2.0), BallContext(3, math.inf)):
-            report = random_bound_check(ctx, 0.5, count=300, seed=7)
+        # at r = 0 the bound G_p(0) = 0 meets the zero-mean data: ratio 0
+        for ctx, r in ((BallContext(3, 2.0), 0.5), (BallContext(3, math.inf), 0.5),
+                       (BallContext(3, 2.0), 0.0), (BallContext(4, 1.0), 0.0)):
+            report = random_bound_check(ctx, r, count=300, seed=7)
             assert report.violations == 0
-            assert report.max_ratio <= 1.0
+            assert report.max_ratio <= (1.0 if r else 0.0)
 
     def test_gradient_bound_holds_on_random_draws(self):
         for ctx in (BallContext(3, 2.0), BallContext(4, math.inf)):
@@ -155,6 +158,22 @@ class TestRandomChecks:
     def test_count_validation(self):
         with pytest.raises(DomainError):
             random_bound_check(BallContext(3, 2.0), 0.5, count=0)
+
+    def test_one_draw_pass_per_check(self, monkeypatch):
+        calls = []
+        real_draws = verify._random_poly_draws
+        monkeypatch.setattr(
+            verify, "_random_poly_draws", lambda *args: calls.append(1) or real_draws(*args)
+        )
+        ctx = BallContext(3, 2.0)
+        for check in (
+            lambda: random_bound_check(ctx, 0.5, count=20),
+            lambda: random_grad_check(ctx, count=20),
+            lambda: corollary_l2_batch(3, count=20),
+        ):
+            calls.clear()
+            check()
+            assert len(calls) == 1
 
 
 class TestMinimizingSequence:
@@ -176,6 +195,23 @@ class TestMinimizingSequence:
         with pytest.raises(CapUnderflowError):
             minimizing_sequence_p1(3, 0.5, 10 ** 170)
 
+    def test_check_reports_powers_of_two(self):
+        report = cap_sequence_check(3, 0.5, 100)
+        assert report.indices == (2, 4, 8, 16, 32, 64)
+        assert report.g1 == g_1_closed(3, 0.5)[1]
+        assert report.values[-1] == minimizing_sequence_p1(3, 0.5, 64)
+        assert report.rel_gaps[-1] == abs(report.g1 - report.values[-1]) / report.g1
+        assert report.passed
+
+    def test_check_fails_short_of_the_limit(self):
+        # u_2 is far below G_1, so a sequence stopped there fails the gap limit
+        assert not cap_sequence_check(3, 0.5, 2).passed
+
+    def test_check_validation(self):
+        for r, i_max in ((0.0, 64), (0.5, 1)):
+            with pytest.raises(DomainError):
+                cap_sequence_check(3, r, i_max)
+
 
 class TestCorollary:
     def test_constant_data_holds_trivially(self):
@@ -183,7 +219,7 @@ class TestCorollary:
         f = ZonalBoundaryFunction(g=lambda t: np.full_like(np.asarray(t, dtype=float), 5.0),
                                   ctx=ctx)
         report = corollary_l2_check(ctx, f)
-        assert report.holds_sqrt and report.holds_moment and bool(report)
+        assert report.holds_sqrt and report.holds_moment
 
     def test_identity_data_separates_the_constants(self):
         ctx = BallContext(3, 2.0)
@@ -192,7 +228,6 @@ class TestCorollary:
         assert report.lhs == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert report.rhs_moment == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert report.rhs_sqrt == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-9)
-        assert bool(report) is report.holds_moment
 
     def test_requires_p2_context(self):
         ctx = BallContext(3, 3.0)
@@ -200,15 +235,21 @@ class TestCorollary:
             corollary_l2_check(ctx, identity_data(ctx))
 
     def test_batch_moment_constant_always_holds(self):
-        report = corollary_l2_batch(3, count=300, seed=5)
-        assert report.holds_moment == report.count == 300
-        assert report.max_ratio_moment <= 1.0
+        moment, _ = corollary_l2_batch(3, count=300, seed=5)
+        assert moment.count == 300 and moment.violations == 0
+        assert moment.max_ratio <= 1.0
 
     def test_batch_ratio_scale_identity(self):
         # both ratios scale the same lhs, so their max quotient is fixed
-        report = corollary_l2_batch(4, count=100, seed=9)
+        moment, sqrt_form = corollary_l2_batch(4, count=100, seed=9)
         c_sqrt = math.sqrt(6.0)
         c_moment = grad_constant(BallContext(4, 2.0))
-        assert report.max_ratio_sqrt / report.max_ratio_moment == pytest.approx(
+        assert sqrt_form.max_ratio / moment.max_ratio == pytest.approx(
             c_moment / c_sqrt, rel=1e-12
         )
+
+    def test_batch_moment_report_is_the_gradient_check(self):
+        # the moment constant is C_2, so its report is random_grad_check's at p = 2
+        moment, sqrt_form = corollary_l2_batch(5, count=200, seed=3)
+        assert moment == random_grad_check(BallContext(5, 2.0), count=200, seed=3)
+        assert sqrt_form.count == 200 and sqrt_form.seed == 3 and sqrt_form.violations > 0
