@@ -107,18 +107,3 @@ def crossing_point(ctx: BallContext, r: float, a: float):
     if -1.0 <= t <= 1.0:
         return float(t)
     return None
-
-
-def d_kernel_dr(ctx: BallContext, r: float, t):
-    """Partial derivative of K(r, t) in r; vectorized over t.
-
-    d/dr log K = (n-1) * (-2r/(1-r^2) - (2r - 2t)/(1 + r^2 - 2rt)).
-    """
-    r = check_radius(r)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1.0) or np.any(t > 1.0):
-        raise DomainError("axis coordinate t must lie in [-1, 1]")
-    denom = 1.0 + r * r - 2.0 * r * t
-    logfactor = -2.0 * r / (1.0 - r * r) - (2.0 * r - 2.0 * t) / denom
-    out = (ctx.n - 1) * poisson_szego_axis(ctx, r, t) * logfactor
-    return out if np.ndim(out) else float(out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel import BallContext, check_radius, crossing_point, d_kernel_dr, poisson_szego_axis
+from .kernel import BallContext, check_radius, crossing_point, poisson_szego_axis
 from .quadrature import DEFAULT_ORDER, integrate_with_breakpoint
 
 # Floor applied to |K - a| in negative-exponent integrands: a quadrature node
@@ -54,28 +54,22 @@ class ObjectiveParams:
 
 
 def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
-    """Breakpoint-routed integral of weight_fn(K - a, t), split where K = a."""
+    """Breakpoint-routed integral of weight_fn(K - a), split where K = a."""
     if not math.isfinite(a):
         raise DomainError(f"shift must be finite, got {a!r}")
     ctx, r = params.ctx, params.r
     t0 = crossing_point(ctx, r, a)
 
     def integrand(t):
-        return weight_fn(poisson_szego_axis(ctx, r, t) - a, t)
+        return weight_fn(poisson_szego_axis(ctx, r, t) - a)
 
     return integrate_with_breakpoint(ctx.n, params.order, integrand, t0)
-
-
-def _curvature_weight(q: float, a: float):
-    """The weight_fn |K - a|^(q-2), with |K - a| floored for q < 2 (see _DEV_FLOOR)."""
-    floor = _DEV_FLOOR * max(1.0, abs(a)) if q < 2.0 else 0.0
-    return lambda dev, t: np.maximum(np.abs(dev), floor) ** (q - 2.0)
 
 
 def phi(params: ObjectiveParams, a: float) -> float:
     """Phi(a) = (integral |K - a|^q dsigma)^(1/q)."""
     q = params.ctx.q
-    value = _deviation_integral(params, a, lambda dev, t: np.abs(dev) ** q)
+    value = _deviation_integral(params, a, lambda dev: np.abs(dev) ** q)
     return value ** (1.0 / q)
 
 
@@ -87,7 +81,7 @@ def big_f(params: ObjectiveParams, a: float) -> float:
     """
     q = params.ctx.q
     return _deviation_integral(
-        params, a, lambda dev, t: np.sign(dev) * np.abs(dev) ** (q - 1.0)
+        params, a, lambda dev: np.sign(dev) * np.abs(dev) ** (q - 1.0)
     )
 
 
@@ -98,13 +92,7 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     the graded rule absorbs it.
     """
     q = params.ctx.q
-    return (1.0 - q) * _deviation_integral(params, a, _curvature_weight(q, a))
-
-
-def dF_dr(params: ObjectiveParams, a: float) -> float:
-    """dF/dr = (q - 1) * integral dK/dr * |K - a|^(q-2) dsigma."""
-    ctx, r = params.ctx, params.r
-    weight = _curvature_weight(ctx.q, a)
-    return (ctx.q - 1.0) * _deviation_integral(
-        params, a, lambda dev, t: d_kernel_dr(ctx, r, t) * weight(dev, t)
+    floor = _DEV_FLOOR * max(1.0, abs(a)) if q < 2.0 else 0.0
+    return (1.0 - q) * _deviation_integral(
+        params, a, lambda dev: np.maximum(np.abs(dev), floor) ** (q - 2.0)
     )

@@ -2,9 +2,11 @@
 
 For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
-range.  The root is found by damped Newton iteration safeguarded by
-bisection against a maintained sign bracket.  The endpoint exponents have
-closed forms:
+range.  The root is bracketed by the kernel range and found from F alone,
+by an Illinois iteration on log a that stops once the bracket is 2^-44
+wide in log a, i.e. a* is resolved to 2^-44 relative.  The stopping rule is
+scale-free: F scales like |K - a|^(q-1), which for p near 1 at small r lies
+far below any fixed residual.  The endpoint exponents have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -24,17 +26,13 @@ from scipy.special import hyp2f1
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .kernel import BallContext, check_radius, kernel_range
-from .objective import ObjectiveParams, big_f, dF_da, dF_dr, phi
+from .objective import ObjectiveParams, big_f, phi
 from .quadrature import DEFAULT_ORDER
 from .special import alpha_q
 
-#: Absolute stationarity residual accepted as a root.
-F_TOL = 1e-9
-#: Relative fallback residual (vs the same integral without cancellation)
-#: accepted once the bracket is exhausted; covers huge-kernel regimes where
-#: the absolute target is below double-precision quadrature noise.
-F_TOL_REL = 1e-12
-_MAX_NEWTON = 200
+# Width in log a at which the root bracket counts as resolved.
+_LOG_A_TOL = 2.0 ** -44
+_MAX_ITER = 200
 _BRACKET_MARGIN = 1e-12
 
 _METHODS = ("numeric", "closed_p1", "closed_pinf")
@@ -70,43 +68,36 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
     params = ObjectiveParams(ctx, r, order)
     kmin, kmax = kernel_range(ctx, r)
     margin = _BRACKET_MARGIN * (kmax - kmin)
-    lo, hi = kmin + margin, kmax - margin
-    f_lo, f_hi = big_f(params, lo), big_f(params, hi)
+    a_lo, a_hi = kmin + margin, kmax - margin
+    f_lo, f_hi = big_f(params, a_lo), big_f(params, a_hi)
     if not (f_lo > 0.0 > f_hi):
         raise BracketError(
-            f"no sign change across the kernel range at r={r}: F({lo})={f_lo}, F({hi})={f_hi}"
+            f"no sign change across the kernel range at r={r}: F({a_lo})={f_lo}, F({a_hi})={f_hi}"
         )
-    a = 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
-    fa = big_f(params, a)
-    for _ in range(_MAX_NEWTON):
-        if fa > 0.0:
-            lo = max(lo, a)
-        elif fa < 0.0:
-            hi = min(hi, a)
-        else:
-            return a
-        if abs(fa) <= F_TOL:
-            return a
-        if hi - lo <= 2.0 ** -50 * max(1.0, hi):
-            break
-        slope = dF_da(params, a)
-        candidate = a - fa / slope if slope < 0.0 else math.nan
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        f_candidate = big_f(params, candidate)
-        if abs(f_candidate) >= abs(fa):
-            midpoint = 0.5 * (lo + hi)
-            if candidate != midpoint:
-                candidate = midpoint
-                f_candidate = big_f(params, candidate)
-        a, fa = candidate, f_candidate
-    # Bracket exhausted (or iteration cap).  Accept only quadrature-noise
-    # residuals, measured against the same integral without sign cancellation.
-    scale = phi(params, a) ** (ctx.q - 1.0)
-    if abs(fa) <= max(F_TOL, F_TOL_REL * scale):
-        return a
+    # Illinois regula falsi on s = log a.  When one end moves twice in a row,
+    # the F value held at the other end is halved; from its third move in a
+    # row the step bisects, which bounds the cost where F spans many orders
+    # of magnitude across the bracket.  Iterates stay half a tolerance inside
+    # the bracket, so a root next to one end is confirmed by a sign change.
+    lo, hi = math.log(a_lo), math.log(a_hi)
+    s, streak = (0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)), 0
+    for _ in range(_MAX_ITER):
+        s = min(max(s, lo + 0.5 * _LOG_A_TOL), hi - 0.5 * _LOG_A_TOL)
+        fs = big_f(params, math.exp(s))
+        if fs > 0.0:
+            lo, f_lo, streak = s, fs, max(streak, 0) + 1
+            if streak > 1:
+                f_hi *= 0.5
+        elif fs < 0.0:
+            hi, f_hi, streak = s, fs, min(streak, 0) - 1
+            if streak < -1:
+                f_lo *= 0.5
+        if fs == 0.0 or hi - lo <= _LOG_A_TOL:
+            return math.exp(s)
+        s = 0.5 * (lo + hi) if abs(streak) > 2 else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
     raise NonConvergenceError(
-        f"stationarity residual {fa} above tolerance at r={r}, q={ctx.q}"
+        f"root bracket [{math.exp(lo)}, {math.exp(hi)}] still open after {_MAX_ITER} "
+        f"iterations at r={r}, q={ctx.q}"
     )
 
 
@@ -236,10 +227,3 @@ def grad_constant(ctx: BallContext) -> float:
     if ctx.p == 1.0:
         return 2.0 * (n - 1.0)
     return 2.0 * (n - 1.0) * alpha_q(n, ctx.q) ** (1.0 / ctx.q)
-
-
-def da_star_dr(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
-    """Implicit-function derivative of the optimal shift, -dF/dr / dF/da, for r in (0, 1)."""
-    a_star = solve_a_star(ctx, r, order)
-    params = ObjectiveParams(ctx, r, order)
-    return -dF_dr(params, a_star) / dF_da(params, a_star)

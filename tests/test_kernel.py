@@ -10,12 +10,10 @@ from hypschwarz.kernel import (
     check_radius,
     conjugate_exponent,
     crossing_point,
-    d_kernel_dr,
     kernel_range,
     poisson_szego_axis,
 )
 from hypschwarz.quadrature import build_rule, integrate_zonal
-from conftest import central_diff
 
 
 def test_conjugate_exponent():
@@ -87,8 +85,6 @@ def test_kernel_rejects_bad_axis_coordinate():
     ctx = BallContext(3, 2.0)
     with pytest.raises(DomainError):
         poisson_szego_axis(ctx, 0.5, 1.5)
-    with pytest.raises(DomainError):
-        d_kernel_dr(ctx, 0.5, np.array([0.0, -1.2]))
 
 
 def test_kernel_integrates_to_one():
@@ -142,17 +138,3 @@ def test_crossing_point_degenerate_cases():
         crossing_point(ctx, 0.5, 0.0)
     with pytest.raises(DomainError):
         crossing_point(ctx, 0.5, math.inf)
-
-
-def test_kernel_derivative_at_origin():
-    ctx = BallContext(3, 2.0)
-    t = np.linspace(-1.0, 1.0, 9)
-    assert d_kernel_dr(ctx, 0.0, t) == pytest.approx(4.0 * t, abs=1e-14)
-
-
-def test_kernel_derivative_matches_finite_difference():
-    for n in (3, 5):
-        ctx = BallContext(n, 2.0)
-        for t in (-0.8, 0.0, 0.7):
-            fd = central_diff(lambda r: poisson_szego_axis(ctx, r, t), 0.5, 1e-6)
-            assert d_kernel_dr(ctx, 0.5, t) == pytest.approx(fd, rel=1e-8)

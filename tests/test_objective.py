@@ -5,7 +5,7 @@ import pytest
 
 from hypschwarz.errors import DomainError
 from hypschwarz.kernel import BallContext, crossing_point, kernel_range
-from hypschwarz.objective import ObjectiveParams, big_f, dF_da, dF_dr, phi
+from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
 from hypschwarz.solver import g_2_closed
 from conftest import central_diff, mp_crossing, mp_kernel, mp_zonal
 
@@ -116,22 +116,6 @@ class TestDfDa:
         a = 0.8
         fd = central_diff(lambda x: big_f(prm, x), a, 1e-5)
         assert dF_da(prm, a) == pytest.approx(fd, rel=1e-7)
-
-
-class TestDfDr:
-    def test_matches_finite_difference(self):
-        ctx = BallContext(3, 1.5)  # q = 3
-        a = 1.2
-
-        def f_of_r(r):
-            return big_f(ObjectiveParams(ctx, r, 128), a)
-
-        fd = central_diff(f_of_r, 0.5, 1e-5)
-        assert dF_dr(params(3, 1.5, 0.5), a) == pytest.approx(fd, rel=1e-6)
-
-    def test_center_raises(self):
-        with pytest.raises(DomainError):
-            dF_dr(params(3, 2.0, 0.0), 1.0)
 
 
 class TestStationarityIdentity:

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hypschwarz.errors import DomainError
-from hypschwarz.kernel import BallContext, kernel_range, poisson_szego_axis
+from hypschwarz.errors import BracketError, DomainError, NonConvergenceError
+from hypschwarz import solver
+from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
 from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
 from hypschwarz.quadrature import integrate_with_breakpoint
 from hypschwarz.solver import (
     GpResult,
-    da_star_dr,
     g_1_closed,
     g_2_closed,
     g_inf_closed,
@@ -19,7 +19,6 @@ from hypschwarz.solver import (
     uh_elementary,
 )
 from hypschwarz.acceptance import golden_section_minimize
-from conftest import central_diff
 
 
 class TestSolveAStar:
@@ -47,6 +46,62 @@ class TestSolveAStar:
         lo, hi = kernel_range(ctx, r)
         a_golden = golden_section_minimize(lambda x: phi(prm, x), lo, hi, 1e-10)
         assert a == pytest.approx(a_golden, abs=1e-7)
+
+    def test_relative_residual_on_small_exponent_grid(self):
+        # |F(a*)| against the same integral without sign cancellation, which
+        # scales like F itself; for p near 1 at small r both are far below
+        # any absolute tolerance
+        for n in (3, 4, 5):
+            for p in (1.01, 1.05, 1.1, 1.2, 1.5, 2.5, 5.0, 20.0):
+                ctx = BallContext(n, p)
+                for r in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.8, 0.95):
+                    try:
+                        a = solve_a_star(ctx, r)
+                    except DomainError:
+                        continue  # |K - a|^(q-1) overflows (p = 1.01, large r)
+                    scale = integrate_with_breakpoint(
+                        n, 128,
+                        lambda t: np.abs(poisson_szego_axis(ctx, r, t) - a) ** (ctx.q - 1.0),
+                        crossing_point(ctx, r, a),
+                    )
+                    assert abs(big_f(ObjectiveParams(ctx, r), a)) <= 1e-10 * scale, (n, p, r)
+
+    def test_small_radius_against_mpmath(self):
+        # a* by 45 bisections of the mpmath F on [a0 (1 - 1e-8), a0 (1 + 1e-8)],
+        # a0 the double-precision root, then G_p at that a*:
+        #   q = mpf(p) / (mpf(p) - 1); mp.dps = 40
+        #   dev = lambda a: lambda t: mp_kernel(n, r, t) - a
+        #   F = lambda a: mp_zonal(n, lambda t: sign(dev(a)(t)) * abs(dev(a)(t)) ** (q - 1),
+        #                          split=[mp_crossing(n, r, a)], dps=40)
+        #   G = mp_zonal(n, lambda t: abs(dev(a)(t)) ** q, split=[mp_crossing(n, r, a)],
+        #                dps=40) ** (1 / q)
+        for n, p, r, a_ref, g_ref in (
+            (3, 1.05, 0.01, 1.0006910369187645433, 0.034535523981310136),
+            (3, 1.1, 0.03, 1.0054085164944144757, 0.09598836881582991),
+        ):
+            res = g_p(BallContext(n, p), r)
+            assert res.a_star == pytest.approx(a_ref, rel=1e-9)
+            assert res.g_value == pytest.approx(g_ref, rel=1e-9)
+
+    def test_refuses_missing_sign_change(self):
+        with pytest.raises(BracketError):
+            g_p(BallContext(30, 2.0), 0.9705)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 2)
+        with pytest.raises(NonConvergenceError):
+            solve_a_star(BallContext(4, 3.0), 0.5)
+
+    def test_bisection_bounds_cost_where_f_spans_many_orders(self, monkeypatch):
+        # F at the bracket ends differs by about 1e44 here; halving the stale
+        # end alone took 174 and 198 evaluations
+        calls = []
+        real_big_f = solver.big_f
+        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        for n, p, r in ((30, 1.1, 0.8), (100, 1.01, 0.01)):
+            calls.clear()
+            solve_a_star(BallContext(n, p), r)
+            assert len(calls) <= 40, (n, p, r)
 
     def test_rejects_endpoint_exponents(self):
         with pytest.raises(DomainError):
@@ -168,19 +223,3 @@ class TestGradConstant:
         for n, p in ((3, 2.0), (4, 3.0), (3, math.inf)):
             ctx = BallContext(n, p)
             assert g_p(ctx, h).g_value / h == pytest.approx(grad_constant(ctx), rel=1e-6)
-
-
-class TestShiftDerivative:
-    def test_constant_for_p2(self):
-        # a*(r) = 1 identically, so the derivative vanishes
-        assert abs(da_star_dr(BallContext(3, 2.0), 0.5)) < 1e-8
-
-    def test_matches_finite_difference(self):
-        for n, p, rel in ((3, 1.5, 1e-5), (3, 3.0, 1e-5)):
-            ctx = BallContext(n, p)
-            fd = central_diff(lambda rr: solve_a_star(ctx, rr), 0.5, 1e-4)
-            assert da_star_dr(ctx, 0.5) == pytest.approx(fd, rel=rel)
-
-    def test_center_raises(self):
-        with pytest.raises(DomainError):
-            da_star_dr(BallContext(3, 2.0), 0.0)

@@ -8,6 +8,7 @@ from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
 from hypschwarz.verify import (
+    SHARPNESS_GAP_LIMIT,
     ZonalBoundaryFunction,
     corollary_l2_batch,
     corollary_l2_check,
@@ -103,6 +104,23 @@ class TestSharpness:
         report = verify_sharpness(BallContext(3, 1.0), 0.5)
         assert report.rel_gap <= 0.02 and report.passed
         assert report.g_bound == pytest.approx(40.0 / 9.0, rel=1e-14)
+        assert report.attained == minimizing_sequence_p1(3, 0.5, 64)
+
+    def test_p1_index_grows_toward_the_boundary(self):
+        # a fixed index 64 leaves a cap wide against 1 - r: gap 0.71 at n = 3, r = 0.99
+        for n in (3, 5, 10, 30):
+            for r in (0.5, 0.9, 0.99, 0.999):
+                assert verify_sharpness(BallContext(n, 1.0), r).passed, (n, r)
+        with pytest.raises(CapUnderflowError):
+            verify_sharpness(BallContext(60, 1.0), 0.999)
+
+    def test_small_radius_p_near_one(self):
+        # p near 1 at small r, where F is far below any absolute tolerance
+        for n in (3, 4, 5):
+            for p in (1.05, 1.1, 1.2):
+                for r in (0.01, 0.03, 0.06, 0.1):
+                    report = verify_sharpness(BallContext(n, p), r)
+                    assert report.rel_gap <= SHARPNESS_GAP_LIMIT and report.passed, (n, p, r)
 
     def test_center_raises(self):
         with pytest.raises(DomainError):
