@@ -178,32 +178,51 @@ def grad_at_origin(phi: ZonalBoundaryFunction) -> float:
     return 2.0 * (ctx.n - 1.0) * abs(moment)
 
 
-def _poly_sup(coeffs: np.ndarray) -> float:
-    """Exact sup of |polynomial| on [-1, 1] via critical points."""
-    poly = np.polynomial.Polynomial(coeffs)
-    candidates = [-1.0, 1.0]
-    deriv = poly.deriv()
-    if deriv.degree() >= 1:
-        roots = deriv.roots()
-        real = roots[np.abs(roots.imag) < 1e-12].real
-        candidates.extend(float(x) for x in real if -1.0 < x < 1.0)
-    return float(np.max(np.abs(poly(np.asarray(candidates)))))
+def _poly_sups(coeffs: np.ndarray) -> np.ndarray:
+    """Exact sup of |polynomial| on [-1, 1] for each row of ascending coefficients.
+
+    The candidates are both endpoints and the real part of every critical
+    point, clipped to [-1, 1].  Each lies in the interval, so none can exceed
+    the sup, and every real critical point is among them, so the largest
+    value is the sup.  The critical points are the eigenvalues of the
+    derivatives' companion matrices: one stacked ``eigvals`` call for the rows
+    of each derivative degree (one call in all when every leading coefficient
+    is nonzero).
+    """
+    deriv = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    degree = ((deriv != 0.0) * np.arange(deriv.shape[1])).max(axis=1)
+    points = np.full((len(coeffs), deriv.shape[1] + 1), -1.0)
+    points[:, -1] = 1.0
+    for m in np.unique(degree[degree > 0]):
+        rows = degree == m
+        d = deriv[rows, : m + 1]
+        companion = np.zeros((len(d), m, m))
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        companion[:, :, -1] = -d[:, :m] / d[:, m:]
+        points[rows, :m] = np.linalg.eigvals(companion).real.clip(-1.0, 1.0)
+    values = np.zeros_like(points)
+    for c in coeffs.T[::-1]:
+        values = values * points + c[:, None]
+    return np.abs(values).max(axis=1)
 
 
 def _random_poly_draws(n: int, count: int, seed: int, order: int):
     """Centered random polynomial draws of degree <= 8 on a zonal rule.
 
-    Draw i uses the stream seeded by (seed, i), so results do not depend on
-    evaluation order or batch size.  Returns the rule, the raw coefficient
-    matrix, the mean of each draw, and the centered node values.
+    The coefficients are one ``np.random.default_rng(seed)`` stream, uniform
+    on [-1, 1) and read row-major: draw i is values 9i to 9i + 8 of it.  A
+    smaller count is therefore a prefix of a larger one, the draws depend on
+    neither n nor order, and results do not depend on evaluation order or
+    batch size.  Returns the rule, the raw coefficient matrix, the mean of
+    each draw, and the centered node values.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     rule = build_rule(n, order)
     powers = rule.nodes[None, :] ** np.arange(9)[:, None]
-    coeffs = np.stack(
-        [np.random.default_rng([seed, i]).uniform(-1.0, 1.0, 9) for i in range(count)]
-    )
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9))
     values = coeffs @ powers
     means = values @ rule.weights
     values -= means[:, None]
@@ -215,7 +234,7 @@ def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
     if ctx.p == math.inf:
         centered = coeffs.copy()
         centered[:, 0] -= means
-        return np.array([_poly_sup(c) for c in centered])
+        return _poly_sups(centered)
     return (np.abs(values) ** ctx.p @ rule.weights) ** (1.0 / ctx.p)
 
 

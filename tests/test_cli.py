@@ -256,6 +256,8 @@ class TestFailureModes:
             "verify-capseq --n 3 --r 0",
             # |K - a|^(q-1) overflows for p near 1: refused without a warning
             "gp --n 10 --p 1.01 --r 0.5",
+            # the draw stream needs a non-negative integer seed
+            "verify-bound --n 3 --p 2 --r 0.5 --seed -1",
         ):
             code, out, err = run_cli(capsys, *argv.split())
             assert code == 1 and out == ""

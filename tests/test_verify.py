@@ -177,6 +177,26 @@ class TestRandomChecks:
         with pytest.raises(DomainError):
             random_bound_check(BallContext(3, 2.0), 0.5, count=0)
 
+    def test_seed_validation(self):
+        ctx = BallContext(3, 2.0)
+        for seed in (-1, 2.5, True, "7"):
+            for check in (
+                lambda: random_bound_check(ctx, 0.5, count=10, seed=seed),
+                lambda: random_grad_check(ctx, count=10, seed=seed),
+                lambda: corollary_l2_batch(3, count=10, seed=seed),
+            ):
+                with pytest.raises(DomainError, match="seed"):
+                    check()
+
+    def test_draws_are_one_stream(self):
+        # draw i is values 9i..9i+8 of one stream: a smaller count is a prefix
+        coeffs = verify._random_poly_draws(3, 1000, 11, 128)[1]
+        assert np.array_equal(coeffs, np.random.default_rng(11).uniform(-1.0, 1.0, (1000, 9)))
+        assert np.array_equal(verify._random_poly_draws(3, 10, 11, 128)[1], coeffs[:10])
+        for n, order in ((5, 128), (3, 64), (10, 256)):
+            assert np.array_equal(verify._random_poly_draws(n, 1000, 11, order)[1], coeffs)
+        assert not np.array_equal(verify._random_poly_draws(3, 10, 12, 128)[1], coeffs[:10])
+
     def test_one_draw_pass_per_check(self, monkeypatch):
         calls = []
         real_draws = verify._random_poly_draws
@@ -192,6 +212,42 @@ class TestRandomChecks:
             calls.clear()
             check()
             assert len(calls) == 1
+
+
+def per_row_sup(coeffs):
+    """Reference sup of |polynomial| on [-1, 1]: one root finding per row."""
+    poly = np.polynomial.Polynomial(coeffs)
+    candidates = [-1.0, 1.0]
+    deriv = poly.deriv()
+    if deriv.degree() >= 1:
+        roots = deriv.roots()
+        real = roots[np.abs(roots.imag) < 1e-12].real
+        candidates.extend(float(x) for x in real if -1.0 < x < 1.0)
+    return float(np.max(np.abs(poly(np.asarray(candidates)))))
+
+
+class TestPolySups:
+    def test_matches_per_row_roots(self):
+        coeffs = np.random.default_rng(2024).uniform(-1.0, 1.0, (2000, 9))
+        reference = np.array([per_row_sup(c) for c in coeffs])
+        assert np.all(np.abs(verify._poly_sups(coeffs) - reference) <= 1e-15 * reference)
+
+    def test_never_below_a_fine_grid(self):
+        coeffs = np.random.default_rng(77).uniform(-1.0, 1.0, (200, 9))
+        grid = np.cos(np.linspace(0.0, math.pi, 20001))
+        grid_max = np.abs(np.polynomial.polynomial.polyval(grid, coeffs.T)).max(axis=1)
+        assert np.all(verify._poly_sups(coeffs) >= grid_max * (1.0 - 1e-14))
+
+    def test_vanishing_leading_coefficients(self):
+        # vanishing leading coefficients: exact, and no division warning
+        coeffs = np.zeros((5, 9))
+        coeffs[0, 1] = 1.0                   # t
+        coeffs[1, 0] = -3.0                  # constant
+        coeffs[2, [0, 2]] = 0.25, -1.0       # 1/4 - t^2
+        coeffs[3, [1, 3]] = 3.0, -4.0        # -T_3
+        coeffs[4, :8] = 0.5                  # degree 7, sup at t = 1
+        reference = [1.0, 3.0, 0.75, 1.0, 4.0]
+        assert verify._poly_sups(coeffs) == pytest.approx(reference, rel=1e-15)
 
 
 class TestMinimizingSequence:
