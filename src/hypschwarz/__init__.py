@@ -13,7 +13,7 @@ package modules (``kernel``, ``quadrature``, ``objective``, ``solver``,
 
 from .errors import BracketError, CapUnderflowError, DomainError, NonConvergenceError
 from .kernel import BallContext
-from .solver import GpResult, g_p, grad_constant, solve_a_star
+from .solver import GpResult, g_p, g_p_curve, grad_constant, solve_a_star
 from .verify import minimizing_sequence_p1, random_bound_check, verify_sharpness
 
 __version__ = "0.1.0"
@@ -26,6 +26,7 @@ __all__ = [
     "GpResult",
     "NonConvergenceError",
     "g_p",
+    "g_p_curve",
     "grad_constant",
     "minimizing_sequence_p1",
     "random_bound_check",

@@ -23,6 +23,7 @@ from .solver import (
     g_2_closed,
     g_inf_closed,
     g_p,
+    g_p_curve,
     grad_constant,
     solve_a_star,
     uh_elementary,
@@ -281,7 +282,7 @@ def criterion_8():
     for n in _DIMS:
         for p in (1.0,) + _FINITE_PS + (math.inf,):
             ctx = BallContext(n, p)
-            values = [g_p(ctx, float(r)).g_value for r in radii]
+            values = [res.g_value for res in g_p_curve(ctx, [float(r) for r in radii])]
             monotone &= all(b > a for a, b in zip(values, values[1:]))
             if p == math.inf:
                 inf_in_range &= all(0.0 <= v < 1.0 for v in values)

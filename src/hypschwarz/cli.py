@@ -23,7 +23,7 @@ from .errors import BracketError, CapUnderflowError, DomainError, NonConvergence
 from .kernel import BallContext
 from .objective import ObjectiveParams, big_f
 from .quadrature import DEFAULT_ORDER
-from .solver import g_inf_closed, g_p, grad_constant, solve_a_star
+from .solver import g_inf_closed, g_p, g_p_curve, grad_constant, solve_a_star
 from .verify import cap_sequence_check, random_bound_check, verify_sharpness
 
 
@@ -76,11 +76,9 @@ def _radii(args) -> list:
 
 def _gp(args):
     ctx = BallContext(args.n, args.p)
-    rows = []
-    for r in args.radii:
-        res = g_p(ctx, r, args.order)
-        rows.append({"r": r, "a_star": res.a_star, "g_value": res.g_value,
-                     "method": res.method, "est_error": res.est_error})
+    rows = [{"r": r, "a_star": res.a_star, "g_value": res.g_value,
+             "method": res.method, "est_error": res.est_error}
+            for r, res in zip(args.radii, g_p_curve(ctx, args.radii, args.order))]
     return rows, False
 
 

@@ -6,7 +6,10 @@ range.  The root is bracketed by the kernel range and found from F alone,
 by an Illinois iteration on log a that stops once the bracket is 2^-44
 wide in log a, i.e. a* is resolved to 2^-44 relative.  The stopping rule is
 scale-free: F scales like |K - a|^(q-1), which for p near 1 at small r lies
-far below any fixed residual.  The endpoint exponents have closed forms:
+far below any fixed residual.  Along a sweep (g_p_curve) each solve starts
+from a* extrapolated through the radii solved before it, which takes about
+half the F evaluations of a cold solve.  The endpoint exponents have closed
+forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -34,6 +37,9 @@ from .special import alpha_q
 _LOG_A_TOL = 2.0 ** -44
 _MAX_ITER = 200
 _BRACKET_MARGIN = 1e-12
+# kernel_range refuses ranges past e^(+-708.4), so clamping a predicted log a*
+# to this keeps its exp finite and positive and every root reachable.
+_LOG_GUESS_MAX = 708.0
 
 _METHODS = ("numeric", "closed_p1", "closed_pinf")
 
@@ -58,8 +64,18 @@ class GpResult:
             raise DomainError("bound value and error estimate must be nonnegative")
 
 
-def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
-    """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly."""
+def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
+                 guess: float | None = None, width: float = 0.0) -> float:
+    """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly.
+
+    Without a guess, F is evaluated at both ends of the kernel range and the
+    iteration starts at a = 1.  With a guess (a shift, clamped into the
+    range), F is evaluated there and the bracket is searched outward on the
+    side its sign points to, from a step of ``width`` in log a growing
+    eightfold, until F changes sign; a step that reaches a range end
+    evaluates that end.  The guess changes the cost, not the root beyond its
+    2^-44 resolution.
+    """
     if not (math.isfinite(ctx.q) and ctx.q > 1.0):
         raise DomainError("shift optimization applies to p in (1, inf) only")
     r = check_radius(r)
@@ -69,18 +85,48 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
     kmin, kmax = kernel_range(ctx, r)
     margin = _BRACKET_MARGIN * (kmax - kmin)
     a_lo, a_hi = kmin + margin, kmax - margin
-    f_lo, f_hi = big_f(params, a_lo), big_f(params, a_hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise BracketError(
-            f"no sign change across the kernel range at r={r}: F({a_lo})={f_lo}, F({a_hi})={f_hi}"
-        )
-    # Illinois regula falsi on s = log a.  When one end moves twice in a row,
-    # the F value held at the other end is halved; from its third move in a
-    # row the step bisects, which bounds the cost where F spans many orders
-    # of magnitude across the bracket.  Iterates stay half a tolerance inside
-    # the bracket, so a root next to one end is confirmed by a sign change.
-    lo, hi = math.log(a_lo), math.log(a_hi)
-    s, streak = (0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)), 0
+    lo_end, hi_end = math.log(a_lo), math.log(a_hi)
+
+    def f_at(s: float) -> float:
+        """F at log a = s; at a range end, F must have the sign of a bracket."""
+        if s not in (lo_end, hi_end):
+            return big_f(params, math.exp(s))
+        a_end = a_lo if s == lo_end else a_hi
+        f_end = big_f(params, a_end)
+        if not (f_end > 0.0 if s == lo_end else f_end < 0.0):
+            raise BracketError(
+                f"no sign change across the kernel range at r={r}: F({a_end})={f_end}"
+            )
+        return f_end
+
+    if guess is None:
+        start = 0.0 if lo_end < 0.0 < hi_end else 0.5 * (lo_end + hi_end)
+        return _illinois(params, lo_end, f_at(lo_end), hi_end, f_at(hi_end), start)
+    if not (isinstance(guess, (int, float)) and 0.0 < guess < math.inf):
+        raise DomainError(f"guess must be a positive finite shift, got {guess!r}")
+    t = min(max(math.log(guess), lo_end), hi_end)
+    ft, step = f_at(t), max(width, _LOG_A_TOL)
+    s, fs = t, ft
+    while ft != 0.0 and (ft > 0.0) == (fs > 0.0):
+        s, fs = t, ft
+        t = min(s + step, hi_end) if fs > 0.0 else max(s - step, lo_end)
+        ft, step = f_at(t), 8.0 * step
+    if ft == 0.0:
+        return math.exp(t)
+    lo, f_lo, hi, f_hi = (s, fs, t, ft) if s < t else (t, ft, s, fs)
+    return _illinois(params, lo, f_lo, hi, f_hi, (lo * f_hi - hi * f_lo) / (f_hi - f_lo))
+
+
+def _illinois(params: ObjectiveParams, lo, f_lo, hi, f_hi, s) -> float:
+    """a* from the bracket lo < hi in log a, with F(lo) > 0 > F(hi), starting at s.
+
+    Illinois regula falsi: when one end moves twice in a row, the F value
+    held at the other end is halved; from its third move in a row the step
+    bisects, which bounds the cost where F spans many orders of magnitude
+    across the bracket.  Iterates stay half a tolerance inside the bracket,
+    so a root next to one end is confirmed by a sign change.
+    """
+    streak = 0
     for _ in range(_MAX_ITER):
         s = min(max(s, lo + 0.5 * _LOG_A_TOL), hi - 0.5 * _LOG_A_TOL)
         fs = big_f(params, math.exp(s))
@@ -97,7 +143,7 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
         s = 0.5 * (lo + hi) if abs(streak) > 2 else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
     raise NonConvergenceError(
         f"root bracket [{math.exp(lo)}, {math.exp(hi)}] still open after {_MAX_ITER} "
-        f"iterations at r={r}, q={ctx.q}"
+        f"iterations at r={params.r}, q={params.ctx.q}"
     )
 
 
@@ -205,7 +251,11 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
 
 @lru_cache(maxsize=4096)
 def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
-    a_star = solve_a_star(ctx, r, order)
+    return _numeric_result(ctx, r, order, solve_a_star(ctx, r, order))
+
+
+def _numeric_result(ctx: BallContext, r: float, order: int, a_star: float) -> GpResult:
+    """G_p = Phi(a*) and its est_error, for a numerically solved shift."""
     if r == 0.0:
         return GpResult(ctx, r, a_star, 0.0, "numeric", 0.0)
     g_val = float(phi(ObjectiveParams(ctx, r, order), a_star))
@@ -216,6 +266,49 @@ def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
         # needed to estimate the quadrature error of the bound itself.
         est = abs(g_val - float(phi(ObjectiveParams(ctx, r, 2 * order), a_star)))
     return GpResult(ctx, r, a_star, g_val, "numeric", est)
+
+
+def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
+    """g_p at every radius of a sweep, each shift solve started from its neighbours.
+
+    For finite p > 1, log a* at each new radius is predicted by quadratic
+    extrapolation in r through the last three radii solved (linear through
+    two, a cold solve before that); the search width is twice the gap between
+    the quadratic and linear predictions (a tenth of the last step in log a*
+    with two).  A radius already solved reuses that solve.  Results depend on
+    (ctx, radii, order) only: the per-point memo of g_p is neither read nor
+    filled.  Where F overflows at the kernel-range ends but not near a*
+    (p near 1 at larger r), a warm solve answers although g_p refuses.
+    """
+    if not 1.0 < ctx.p < math.inf:
+        return [g_p(ctx, r, order) for r in radii]
+    solved: dict[float, GpResult] = {}
+    history: list[tuple[float, float]] = []  # (r, log a*) of each radius solved, in order
+    results = []
+    for r in map(check_radius, radii):
+        if r not in solved:
+            a_star = _continued_solve(ctx, r, order, history[-3:])
+            solved[r] = _numeric_result(ctx, r, order, a_star)
+            history.append((r, math.log(a_star)))
+        results.append(solved[r])
+    return results
+
+
+def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
+    """solve_a_star at r, guessed from up to three known (radius, log a*) pairs."""
+    if len(known) < 2:
+        return solve_a_star(ctx, r, order)
+    (r1, s1), (r2, s2) = known[-2:]
+    linear = s2 + (r - r2) * (s2 - s1) / (r2 - r1)
+    if len(known) == 2:
+        guess, width = linear, 0.1 * abs(s2 - s1)
+    else:
+        r0, s0 = known[0]
+        curvature = ((s2 - s1) / (r2 - r1) - (s1 - s0) / (r1 - r0)) / (r2 - r0)
+        guess = linear + curvature * (r - r2) * (r - r1)
+        width = 2.0 * abs(guess - linear)
+    guess = min(max(guess, -_LOG_GUESS_MAX), _LOG_GUESS_MAX)
+    return solve_a_star(ctx, r, order, guess=math.exp(guess), width=width)
 
 
 def grad_constant(ctx: BallContext) -> float:

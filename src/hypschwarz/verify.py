@@ -218,8 +218,8 @@ def _random_poly_draws(n: int, count: int, seed: int, order: int):
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise DomainError(f"count must be an integer >= 1, got {count!r}")
     rule = build_rule(n, order)
     powers = rule.nodes[None, :] ** np.arange(9)[:, None]
     coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9))

@@ -138,6 +138,22 @@ class TestGp:
         assert data == out1.encode("utf-8")
         assert b"\r" not in data and data.endswith(b"\n")
 
+    def test_sweep_repeats_and_reverses_radii(self, capsys):
+        # a sweep predicts each shift from the radii before it; a repeated
+        # radius reuses its solve instead of extrapolating through r2 - r1 = 0
+        code, out, err = run_cli(capsys, "gp", "--n", "3", "--p", "3",
+                                 "--r-min", "0.5", "--r-max", "0.5", "--steps", "4")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 5 and len(set(lines[1:])) == 1
+        code, out, err = run_cli(capsys, "gp", "--n", "3", "--p", "3",
+                                 "--r-min", "0.9", "--r-max", "0", "--steps", "10")
+        assert code == 0 and err == ""
+        rows = csv_rows(out)[1]
+        radii = [float(row["r"]) for row in rows]
+        assert radii == pytest.approx([0.1 * k for k in range(9, -1, -1)])
+        assert all(float(b["g_value"]) < float(a["g_value"]) for a, b in zip(rows, rows[1:]))
+
 
 class TestAstar:
     def test_json_output(self, capsys):

@@ -14,6 +14,7 @@ from hypschwarz.solver import (
     g_2_closed,
     g_inf_closed,
     g_p,
+    g_p_curve,
     grad_constant,
     solve_a_star,
     uh_elementary,
@@ -86,6 +87,8 @@ class TestSolveAStar:
     def test_refuses_missing_sign_change(self):
         with pytest.raises(BracketError):
             g_p(BallContext(30, 2.0), 0.9705)
+        with pytest.raises(BracketError):
+            solve_a_star(BallContext(30, 2.0), 0.9705, guess=1.0)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_ITER", 2)
@@ -103,11 +106,88 @@ class TestSolveAStar:
             solve_a_star(BallContext(n, p), r)
             assert len(calls) <= 40, (n, p, r)
 
+    def test_guess_at_the_root_is_cheap(self, monkeypatch):
+        calls = []
+        real_big_f = solver.big_f
+        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03), (5, 10.0, 0.8), (4, 2.0, 0.7)):
+            ctx = BallContext(n, p)
+            a_star = solve_a_star(ctx, r)
+            calls.clear()
+            assert solve_a_star(ctx, r, guess=a_star) == pytest.approx(a_star, rel=1e-12)
+            assert len(calls) <= 6, (n, p, r)
+            # a guess past a range end is clamped into it and still finds the root
+            for guess in (1e-300, 1e300):
+                assert solve_a_star(ctx, r, guess=guess) == pytest.approx(a_star, rel=1e-12)
+        for guess in (0.0, -1.0, math.nan, math.inf, "1"):
+            with pytest.raises(DomainError, match="guess"):
+                solve_a_star(BallContext(4, 3.0), 0.5, guess=guess)
+
     def test_rejects_endpoint_exponents(self):
         with pytest.raises(DomainError):
             solve_a_star(BallContext(3, 1.0), 0.5)
         with pytest.raises(DomainError):
             solve_a_star(BallContext(3, math.inf), 0.5)
+
+
+class TestGpCurve:
+    def test_matches_point_solves(self):
+        # a* within the solver's 2^-44 resolution (plus F's rounding near the
+        # root); G within the point's est_error
+        for n, p, r_max in ((3, 1.1, 0.95), (4, 1.5, 0.95), (5, 2.0, 0.95), (3, 3.0, 0.95),
+                            (5, 10.0, 0.95), (4, 100.0, 0.95), (10, 1.1, 0.95), (10, 3.0, 0.75),
+                            (30, 1.5, 0.6), (100, 2.0, 0.12)):
+            ctx = BallContext(n, p)
+            radii = [float(r) for r in np.linspace(0.01, r_max, 30)]
+            for r, res in zip(radii, g_p_curve(ctx, radii)):
+                point = g_p(ctx, r)
+                assert res.r == r and res.method == "numeric"
+                assert res.a_star == pytest.approx(point.a_star, rel=1e-12), (n, p, r)
+                assert abs(res.g_value - point.g_value) <= (
+                    point.est_error + 1e-13 * point.g_value), (n, p, r)
+
+    def test_cost_per_radius(self, monkeypatch):
+        # cold solves take about 12.1 F per radius on this sweep
+        calls = []
+        real_big_f = solver.big_f
+        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        radii = [float(r) for r in np.linspace(0.01, 0.95, 100)]
+        g_p_curve(BallContext(4, 3.0), radii)
+        assert len(calls) / len(radii) <= 8.0
+
+    def test_repeated_and_unordered_radii(self):
+        same = g_p_curve(BallContext(3, 3.0), [0.5] * 4)
+        assert same == [g_p(BallContext(3, 3.0), 0.5)] * 4
+        for radii in ([0.9, 0.7, 0.5, 0.3, 0.1, 0.05],
+                      [0.0, 0.2, 0.5, 0.55, 0.9],
+                      [0.3, 0.0, 0.3, 0.6, 0.0, 0.31, 0.8, 0.6],
+                      [0.4]):
+            for p in (1.0, 2.0, 3.0, 1.3, math.inf):
+                ctx = BallContext(4, p)
+                curve = g_p_curve(ctx, radii)
+                assert [res.r for res in curve] == radii
+                for r, res in zip(radii, curve):
+                    point = g_p(ctx, r)
+                    assert res.method == point.method
+                    assert res.a_star == pytest.approx(point.a_star, rel=1e-12), (p, radii, r)
+                    assert res.g_value == pytest.approx(point.g_value, rel=1e-12, abs=1e-300)
+        assert g_p_curve(BallContext(4, 3.0), [0.4]) == [g_p(BallContext(4, 3.0), 0.4)]
+        assert g_p_curve(BallContext(4, 3.0), []) == []
+
+    def test_sweep_answers_where_the_point_refuses(self):
+        # at q = 101 a cold solve evaluates F at the kernel-range ends, where
+        # |K - a|^100 overflows; the warm solve stays near a*, where F and Phi
+        # are finite, and its bracket is sign-checked at interior points
+        ctx = BallContext(3, 1.01)
+        radii = [float(r) for r in np.linspace(0.9, 0.949, 8)]
+        with pytest.raises(DomainError, match="non-finite"):
+            g_p(ctx, 0.949)
+        curve = g_p_curve(ctx, radii)
+        values = [res.g_value for res in curve]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert g_inf_closed(3, 0.949)[1] <= values[-1] <= g_1_closed(3, 0.949)[1]
+        assert math.isfinite(values[-1]) and curve[-1].est_error <= 1e-10 * values[-1]
+        assert values[0] == g_p(ctx, 0.9).g_value
 
 
 class TestClosedForms:

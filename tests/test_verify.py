@@ -177,6 +177,18 @@ class TestRandomChecks:
         with pytest.raises(DomainError):
             random_bound_check(BallContext(3, 2.0), 0.5, count=0)
 
+    @pytest.mark.parametrize("check", [
+        lambda count: random_bound_check(BallContext(3, 2.0), 0.5, count=count),
+        lambda count: random_grad_check(BallContext(3, 2.0), count=count),
+        lambda count: corollary_l2_batch(3, count=count),
+    ], ids=["random_bound_check", "random_grad_check", "corollary_l2_batch"])
+    def test_count_must_be_an_integer(self, check):
+        # a float count reached numpy as an array shape and raised TypeError
+        for count in (2.5, True, "7", 0):
+            with pytest.raises(DomainError, match="count"):
+                check(count)
+        check(np.int64(3))
+
     def test_seed_validation(self):
         ctx = BallContext(3, 2.0)
         for seed in (-1, 2.5, True, "7"):
