@@ -63,7 +63,7 @@ def poisson_szego_axis(ctx: BallContext, r: float, t):
     """
     r = check_radius(r)
     t = np.asarray(t, dtype=float)
-    if np.any(t < -1.0) or np.any(t > 1.0):
+    if t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
         raise DomainError("axis coordinate t must lie in [-1, 1]")
     logk = (ctx.n - 1) * (math.log1p(-r * r) - np.log1p(r * r - 2.0 * r * t))
     out = np.exp(logk)

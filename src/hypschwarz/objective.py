@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel import BallContext, check_radius, crossing_point, poisson_szego_axis
+from .kernel import BallContext, check_radius, crossing_point, kernel_range, poisson_szego_axis
 from .quadrature import DEFAULT_ORDER, integrate_with_breakpoint
 
 # Floor applied to |K - a| in negative-exponent integrands: a quadrature node
@@ -67,10 +67,20 @@ def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
 
 
 def phi(params: ObjectiveParams, a: float) -> float:
-    """Phi(a) = (integral |K - a|^q dsigma)^(1/q)."""
+    """Phi(a) = (integral |K - a|^q dsigma)^(1/q).
+
+    The deviation is divided by s = max(kmax - a, a - kmin), its largest
+    size over the sphere, before the power is taken: |K - a|^q itself
+    overflows near r = 1 for large q while Phi = s * (integral |(K - a)/s|^q
+    dsigma)^(1/q) is finite.
+    """
     q = params.ctx.q
-    value = _deviation_integral(params, a, lambda dev: np.abs(dev) ** q)
-    return value ** (1.0 / q)
+    kmin, kmax = kernel_range(params.ctx, params.r)
+    # s is 0 only where the range collapses onto a (r below about 1e-17),
+    # where the deviations need no scale.
+    s = max(kmax - a, a - kmin) or 1.0
+    value = _deviation_integral(params, a, lambda dev: np.abs(dev / s) ** q)
+    return s * value ** (1.0 / q)
 
 
 def big_f(params: ObjectiveParams, a: float) -> float:

@@ -19,7 +19,9 @@ weight analytic at the poles, and tiles each side of theta0 = arccos(t0)
 with panels shrinking geometrically toward the breakpoint (ratio 1/2, 27
 panels per side).  The leftover geometric tail is summed by
 extrapolating the measured panel-sum ratio, which resolves any integrable
-power behaviour without knowing its exponent.
+power behaviour without knowing its exponent.  The panel layout of a side
+of unit length is built once per rule order and cached; each call only
+scales it by the lengths of its two sides and shifts it to theta0.
 """
 
 from __future__ import annotations
@@ -116,11 +118,21 @@ def integrate_zonal(rule: ZonalQuadrature, f) -> float:
 
 
 @lru_cache(maxsize=16)
-def _panel_nodes(k: int):
-    x, w = np.polynomial.legendre.leggauss(k)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _graded_panels(order: int):
+    """Read-only (offsets, weights), both of shape (_PANELS, k) with
+    k = max(12, order // 8): Gauss-Legendre nodes on the graded panels of a
+    side of unit length, as offsets from the breakpoint.  Panel j spans
+    [ratio^(j+1), ratio^j], so the panel index grows toward the breakpoint.
+    """
+    xi, om = np.polynomial.legendre.leggauss(max(12, order // 8))
+    edges = _PANEL_RATIO ** np.arange(_PANELS + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[:-1] - edges[1:])
+    offsets = mid[:, None] + half[:, None] * xi
+    weights = half[:, None] * om
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return offsets, weights
 
 
 def integrate_with_breakpoint(n: int, order: int, f, t0) -> float:
@@ -137,25 +149,24 @@ def integrate_with_breakpoint(n: int, order: int, f, t0) -> float:
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"breakpoint must lie in [-1, 1], got {t0!r}")
     theta0 = math.acos(t0)
-    xi, om = _panel_nodes(max(12, order // 8))
-    # Panel index grows toward theta0.  A breakpoint at a pole leaves one
-    # side; the empty one is not evaluated, as f may be infinite there.
-    lengths = np.array([-theta0, math.pi - theta0])
-    lengths = lengths[np.abs(lengths) > 1e-300]
-    offsets = lengths[:, None] * _PANEL_RATIO ** np.arange(_PANELS + 1)
-    outer, inner = theta0 + offsets[:, :-1], theta0 + offsets[:, 1:]
-    mid = 0.5 * (outer + inner)
-    half = 0.5 * np.abs(outer - inner)
-    theta = mid[..., None] + half[..., None] * xi
+    offsets, weights = _graded_panels(order)
+    # A breakpoint at a pole leaves one side; the empty one is not
+    # evaluated, as f may be infinite there.
+    lengths = [side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300]
+    theta = theta0 + np.array(lengths)[:, None, None] * offsets
     vals = _eval_integrand(f, np.cos(theta)) * np.sin(theta) ** (n - 2)
-    per_panel = np.sum(half[..., None] * om * vals, axis=-1)
-    sides = np.sum(per_panel, axis=-1)
-    # Sum the uncovered geometric tail from the measured decay ratio.
-    last, prev = per_panel[:, -1], per_panel[:, -2]
-    ratio = np.divide(last, prev, out=np.zeros_like(last), where=prev != 0.0)
-    geometric = (ratio > 0.0) & (ratio < _TAIL_GUARD)
-    sides[geometric] += last[geometric] * ratio[geometric] / (1.0 - ratio[geometric])
-    return _zonal_constant(n) * float(np.sum(sides))
+    per_panel = np.add.reduce(vals * weights, axis=-1)
+    total = 0.0
+    for length, panels in zip(lengths, per_panel.tolist()):
+        side = sum(panels)
+        # Sum the uncovered geometric tail from the measured decay ratio.
+        last, prev = panels[-1], panels[-2]
+        if prev != 0.0:
+            ratio = last / prev
+            if 0.0 < ratio < _TAIL_GUARD:
+                side += last * ratio / (1.0 - ratio)
+        total += abs(length) * side
+    return _zonal_constant(n) * total
 
 
 def cap_rule(n: int, t_lower: float):

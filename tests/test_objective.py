@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hypschwarz.errors import DomainError
-from hypschwarz.kernel import BallContext, crossing_point, kernel_range
+from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
 from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
-from hypschwarz.solver import g_2_closed
+from hypschwarz.quadrature import integrate_with_breakpoint
+from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p
 from conftest import central_diff, mp_crossing, mp_kernel, mp_zonal
 
 
@@ -51,6 +52,36 @@ class TestPhi:
         values = [phi(prm, float(a)) for a in grid]
         second = np.diff(values, 2)
         assert np.all(second > 0.0)
+
+    def test_scaled_deviation_matches_unscaled(self):
+        for n, p, r, a in ((3, 1.5, 0.5, 2.0), (4, 3.0, 0.5, 0.5), (5, 1.1, 0.3, 1.2),
+                           (10, 2.0, 0.8, 3.0), (3, 10.0, 0.9, 0.1)):
+            prm = params(n, p, r)
+            ctx, q = prm.ctx, prm.ctx.q
+            unscaled = integrate_with_breakpoint(
+                n, 128, lambda t: np.abs(poisson_szego_axis(ctx, r, t) - a) ** q,
+                crossing_point(ctx, r, a),
+            ) ** (1.0 / q)
+            assert phi(prm, a) == pytest.approx(unscaled, rel=1e-14)
+
+    def test_finite_where_unscaled_power_overflows(self):
+        # |K - a*|^11 overflows near K = 5e29; the scaled integrand does not
+        ctx, r = BallContext(10, 1.1), 0.999
+        res = g_p(ctx, r)
+        assert math.isfinite(res.g_value) and math.isfinite(res.est_error)
+        assert g_inf_closed(10, r)[1] <= res.g_value <= g_1_closed(10, r)[1]
+        prm = ObjectiveParams(ctx, r)
+        at_min = phi(prm, res.a_star)
+        # Phi rises by 2.4e-7 relative at a 1% shift; at a 1e-6 shift its rise
+        # is below the quadrature noise that est_error (1.3e-8 G) reports
+        for shift in (0.99, 1.01):
+            assert phi(prm, res.a_star * shift) > at_min
+        for shift in (1.0 - 1e-6, 1.0 + 1e-6):
+            assert phi(prm, res.a_star * shift) >= at_min - res.est_error
+
+    def test_collapsed_kernel_range(self):
+        # at r = 1e-17 the kernel range rounds to [1, 1]: no scale, no warning
+        assert phi(params(3, 3.0, 1e-17), 1.0) == 0.0
 
     def test_rejects_nonfinite_shift(self):
         prm = params(3, 2.0, 0.5)

@@ -5,7 +5,13 @@ import pytest
 
 from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, poisson_szego_axis
-from hypschwarz.quadrature import build_rule, cap_rule, integrate_with_breakpoint, integrate_zonal
+from hypschwarz.quadrature import (
+    _graded_panels,
+    build_rule,
+    cap_rule,
+    integrate_with_breakpoint,
+    integrate_zonal,
+)
 from conftest import mp_crossing, mp_kernel, mp_zonal
 
 
@@ -161,6 +167,30 @@ class TestBreakpointRule:
 
             integrate_with_breakpoint(3, 128, f, t0)
             assert len(calls) == 1
+
+    def test_graded_panels_cached_and_frozen(self):
+        offsets, weights = _graded_panels(128)
+        assert _graded_panels(128)[0] is offsets
+        assert offsets.shape == weights.shape == (27, 16)
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0.5
+
+    def test_graded_offsets_interior_and_ordered(self):
+        for order in (32, 128, 512):
+            offsets, weights = _graded_panels(order)
+            assert offsets.min() > 0.0 and offsets.max() < 1.0
+            # innermost panel first, each panel's nodes ascending
+            assert np.all(np.diff(offsets[::-1].ravel()) > 0.0)
+            assert np.all(weights > 0.0)
+
+    def test_constant_integrates_to_one(self):
+        # breakpoints at both poles leave a single side
+        for n in (3, 4, 7):
+            for t0 in (-1.0, -0.3, 0.0, 0.7, 1.0):
+                value = integrate_with_breakpoint(n, 128, lambda t: np.ones_like(t), t0)
+                assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_breakpoint_outside_range(self):
         with pytest.raises(DomainError):
