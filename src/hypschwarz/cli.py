@@ -23,7 +23,7 @@ from .errors import BracketError, CapUnderflowError, DomainError, NonConvergence
 from .kernel import BallContext
 from .objective import ObjectiveParams, big_f
 from .quadrature import DEFAULT_ORDER
-from .solver import g_inf_closed, g_p, g_p_curve, grad_constant, solve_a_star
+from .solver import g_inf_closed, g_p_curve, grad_constant
 from .verify import cap_sequence_check, random_bound_check, verify_sharpness
 
 
@@ -85,13 +85,10 @@ def _gp(args):
 def _astar(args):
     ctx = BallContext(args.n, args.p)
     rows = []
-    for r in args.radii:
-        if ctx.p in (1.0, math.inf):
-            a_star, residual = g_p(ctx, r).a_star, 0.0
-        else:
-            a_star = solve_a_star(ctx, r, args.order)
-            residual = big_f(ObjectiveParams(ctx, r, args.order), a_star) if r > 0.0 else 0.0
-        rows.append({"r": r, "a_star": a_star, "f_residual": residual})
+    for r, res in zip(args.radii, g_p_curve(ctx, args.radii, args.order)):
+        numeric = res.method == "numeric" and r > 0.0
+        residual = big_f(ObjectiveParams(ctx, r, args.order), res.a_star) if numeric else 0.0
+        rows.append({"r": r, "a_star": res.a_star, "f_residual": residual})
     return rows, False
 
 
@@ -124,10 +121,6 @@ def _verify_bound(args):
 
 
 def _verify_capseq(args):
-    if args.i_max < 2:
-        raise DomainError(f"--i-max must be >= 2, got {args.i_max}")
-    if args.r == 0.0:
-        raise DomainError("the cap sequence is compared with G_1(r) > 0; --r must lie in (0, 1)")
     report = cap_sequence_check(args.n, args.r, args.i_max)
     rows = [
         {"i": i, "u_i": u_i, "g1_closed": report.g1, "rel_gap": gap}

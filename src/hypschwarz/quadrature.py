@@ -46,6 +46,9 @@ DEFAULT_ORDER = 128
 # Panel layout for the breakpoint path.
 _PANEL_RATIO = 0.5
 _PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
+# Relative rounding floor of a breakpoint integral: an ulp for each panel sum
+# of its two sides.
+_ROUNDING_FLOOR = 2 * _PANELS * 2.0 ** -52
 _TAIL_GUARD = 0.95   # largest admissible panel-sum ratio for tail summation
 
 #: Node count of the polar-cap rule.

@@ -2,14 +2,15 @@
 
 For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
-range.  The root is bracketed by the kernel range and found from F alone,
-by an Illinois iteration on log a that stops once the bracket is 2^-44
-wide in log a, i.e. a* is resolved to 2^-44 relative.  The stopping rule is
-scale-free: F scales like |K - a|^(q-1), which for p near 1 at small r lies
-far below any fixed residual.  Along a sweep (g_p_curve) each solve starts
-from a* extrapolated through the radii solved before it, which takes about
-half the F evaluations of a cold solve.  The endpoint exponents have closed
-forms:
+range.  One loop on log a finds it from F alone: it steps outward from a
+start until F changes sign, evaluating a range end only when a step lands on
+it, then runs an Illinois iteration until the bracket is 2^-44 wide in log
+a, i.e. a* is resolved to 2^-44 relative.  The stopping rule is scale-free:
+F scales like |K - a|^(q-1), which for p near 1 at small r lies far below
+any fixed residual.  A cold solve starts at a = 1; along a sweep (g_p_curve)
+each solve starts from a* extrapolated through the radii solved before it,
+which takes about half the F evaluations.  The endpoint exponents have
+closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -30,13 +31,18 @@ from scipy.special import hyp2f1
 from .errors import BracketError, DomainError, NonConvergenceError
 from .kernel import BallContext, check_radius, kernel_range
 from .objective import ObjectiveParams, big_f, phi
-from .quadrature import DEFAULT_ORDER
+from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER
 from .special import alpha_q
 
 # Width in log a at which the root bracket counts as resolved.
 _LOG_A_TOL = 2.0 ** -44
 _MAX_ITER = 200
 _BRACKET_MARGIN = 1e-12
+# First step in log a of a solve without a guess.  Mean F counts per solve
+# differ by at most 5% for values from 1/32 to 1/4; this one reaches a root at
+# log a = 0.005 and one at -0.72 without landing on a range end (n = 3,
+# p = 1.1, r = 0.03 and n = 4, p = 3, r = 0.5).
+_COLD_STEP = 3.0 / 32.0
 # kernel_range refuses ranges past e^(+-708.4), so clamping a predicted log a*
 # to this keeps its exp finite and positive and every root reachable.
 _LOG_GUESS_MAX = 708.0
@@ -68,13 +74,19 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
                  guess: float | None = None, width: float = 0.0) -> float:
     """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly.
 
-    Without a guess, F is evaluated at both ends of the kernel range and the
-    iteration starts at a = 1.  With a guess (a shift, clamped into the
-    range), F is evaluated there and the bracket is searched outward on the
-    side its sign points to, from a step of ``width`` in log a growing
-    eightfold, until F changes sign; a step that reaches a range end
-    evaluates that end.  The guess changes the cost, not the root beyond its
-    2^-44 resolution.
+    One loop on log a, one F evaluation per step.  It starts at the guess (a
+    shift, clamped into the range) with a first step of ``width``, or without
+    one at a = 1 (the log-midpoint of the range if 1 lies outside it) with a
+    fixed first step.  While F is known on one side of the root only, the
+    next point steps outward to the other side, the step growing eightfold
+    and clamped at the range end; an end is evaluated only when a step lands
+    on it, and must then have the sign of a bracket.  Once F has changed
+    sign, Illinois regula falsi: when one end moves twice in a row, the F
+    value held at the other end is halved; from its third move in a row the
+    step bisects, which bounds the cost where F spans many orders of
+    magnitude across the bracket.  Iterates stay half a tolerance inside the
+    bracket, so a root next to one end is confirmed by a sign change.  The
+    guess changes the cost, not the root beyond its 2^-44 resolution.
     """
     if not (math.isfinite(ctx.q) and ctx.q > 1.0):
         raise DomainError("shift optimization applies to p in (1, inf) only")
@@ -84,66 +96,43 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
     params = ObjectiveParams(ctx, r, order)
     kmin, kmax = kernel_range(ctx, r)
     margin = _BRACKET_MARGIN * (kmax - kmin)
-    a_lo, a_hi = kmin + margin, kmax - margin
-    lo_end, hi_end = math.log(a_lo), math.log(a_hi)
-
-    def f_at(s: float) -> float:
-        """F at log a = s; at a range end, F must have the sign of a bracket."""
-        if s not in (lo_end, hi_end):
-            return big_f(params, math.exp(s))
-        a_end = a_lo if s == lo_end else a_hi
-        f_end = big_f(params, a_end)
-        if not (f_end > 0.0 if s == lo_end else f_end < 0.0):
-            raise BracketError(
-                f"no sign change across the kernel range at r={r}: F({a_end})={f_end}"
-            )
-        return f_end
-
+    lo = lo_end = math.log(kmin + margin)
+    hi = hi_end = math.log(kmax - margin)
     if guess is None:
-        start = 0.0 if lo_end < 0.0 < hi_end else 0.5 * (lo_end + hi_end)
-        return _illinois(params, lo_end, f_at(lo_end), hi_end, f_at(hi_end), start)
-    if not (isinstance(guess, (int, float)) and 0.0 < guess < math.inf):
+        s, step = (0.0 if lo_end < 0.0 < hi_end else 0.5 * (lo_end + hi_end)), _COLD_STEP
+    elif isinstance(guess, (int, float)) and 0.0 < guess < math.inf:
+        s, step = min(max(math.log(guess), lo_end), hi_end), max(width, _LOG_A_TOL)
+    else:
         raise DomainError(f"guess must be a positive finite shift, got {guess!r}")
-    t = min(max(math.log(guess), lo_end), hi_end)
-    ft, step = f_at(t), max(width, _LOG_A_TOL)
-    s, fs = t, ft
-    while ft != 0.0 and (ft > 0.0) == (fs > 0.0):
-        s, fs = t, ft
-        t = min(s + step, hi_end) if fs > 0.0 else max(s - step, lo_end)
-        ft, step = f_at(t), 8.0 * step
-    if ft == 0.0:
-        return math.exp(t)
-    lo, f_lo, hi, f_hi = (s, fs, t, ft) if s < t else (t, ft, s, fs)
-    return _illinois(params, lo, f_lo, hi, f_hi, (lo * f_hi - hi * f_lo) / (f_hi - f_lo))
-
-
-def _illinois(params: ObjectiveParams, lo, f_lo, hi, f_hi, s) -> float:
-    """a* from the bracket lo < hi in log a, with F(lo) > 0 > F(hi), starting at s.
-
-    Illinois regula falsi: when one end moves twice in a row, the F value
-    held at the other end is halved; from its third move in a row the step
-    bisects, which bounds the cost where F spans many orders of magnitude
-    across the bracket.  Iterates stay half a tolerance inside the bracket,
-    so a root next to one end is confirmed by a sign change.
-    """
+    f_lo = f_hi = None  # F at lo and hi, once evaluated
     streak = 0
     for _ in range(_MAX_ITER):
-        s = min(max(s, lo + 0.5 * _LOG_A_TOL), hi - 0.5 * _LOG_A_TOL)
         fs = big_f(params, math.exp(s))
+        if s in (lo_end, hi_end) and not (fs > 0.0 if s == lo_end else fs < 0.0):
+            raise BracketError(
+                f"no sign change across the kernel range at r={r}: F({math.exp(s)})={fs}"
+            )
+        bracketed = f_lo is not None and f_hi is not None
         if fs > 0.0:
-            lo, f_lo, streak = s, fs, max(streak, 0) + 1
+            lo, f_lo, streak = s, fs, max(streak, 0) + 1 if bracketed else 0
             if streak > 1:
                 f_hi *= 0.5
         elif fs < 0.0:
-            hi, f_hi, streak = s, fs, min(streak, 0) - 1
+            hi, f_hi, streak = s, fs, min(streak, 0) - 1 if bracketed else 0
             if streak < -1:
                 f_lo *= 0.5
-        if fs == 0.0 or hi - lo <= _LOG_A_TOL:
+        if fs == 0.0 or (bracketed and hi - lo <= _LOG_A_TOL):
             return math.exp(s)
-        s = 0.5 * (lo + hi) if abs(streak) > 2 else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if f_hi is None:
+            s, step = min(s + step, hi_end), 8.0 * step
+        elif f_lo is None:
+            s, step = max(s - step, lo_end), 8.0 * step
+        else:
+            s = 0.5 * (lo + hi) if abs(streak) > 2 else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            s = min(max(s, lo + 0.5 * _LOG_A_TOL), hi - 0.5 * _LOG_A_TOL)
     raise NonConvergenceError(
         f"root bracket [{math.exp(lo)}, {math.exp(hi)}] still open after {_MAX_ITER} "
-        f"iterations at r={params.r}, q={params.ctx.q}"
+        f"iterations at r={r}, q={ctx.q}"
     )
 
 
@@ -237,7 +226,8 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
 
     Dispatch: p = 1 and p = inf return their closed forms (est_error 0);
     every finite p > 1 is solved numerically, with est_error from doubling
-    the rule order (p = 2 instead reports the deviation from its closed form).
+    the rule order (p = 2 instead reports the deviation from its closed form)
+    and never below the rounding of the panel sums behind G.
     """
     r = check_radius(r)
     if ctx.p == 1.0:
@@ -265,7 +255,8 @@ def _numeric_result(ctx: BallContext, r: float, order: int, a_star: float) -> Gp
         # Phi is stationary at a*, so re-solving at the doubled order is not
         # needed to estimate the quadrature error of the bound itself.
         est = abs(g_val - float(phi(ObjectiveParams(ctx, r, 2 * order), a_star)))
-    return GpResult(ctx, r, a_star, g_val, "numeric", est)
+    # Order doubling cannot see the rounding both orders share.
+    return GpResult(ctx, r, a_star, g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val))
 
 
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
@@ -273,7 +264,7 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
 
     For finite p > 1, log a* at each new radius is predicted by quadratic
     extrapolation in r through the last three radii solved (linear through
-    two, a cold solve before that); the search width is twice the gap between
+    two, a cold solve before that); the first step is twice the gap between
     the quadratic and linear predictions (a tenth of the last step in log a*
     with two).  A radius already solved reuses that solve.  Results depend on
     (ctx, radii, order) only: the per-point memo of g_p is neither read nor

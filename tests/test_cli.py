@@ -167,6 +167,18 @@ class TestAstar:
         assert rows[0]["a_star"] == pytest.approx(1.0, abs=1e-10)
         assert abs(rows[0]["f_residual"]) <= 1e-9
 
+    def test_sweep_shifts_match_gp(self, capsys):
+        # both commands solve a sweep by continuation, so their shifts agree
+        # to the last digit
+        sweep = ("--n", "4", "--r-min", "0", "--r-max", "0.95", "--steps", "20")
+        for p in ("1", "1.5", "2", "3", "inf"):
+            columns = []
+            for command in ("gp", "astar"):
+                code, out, err = run_cli(capsys, command, "--p", p, *sweep)
+                assert code == 0 and err == ""
+                columns.append([row["a_star"] for row in csv_rows(out)[1]])
+            assert len(columns[0]) == 20 and columns[0] == columns[1], p
+
     def test_closed_endpoints_have_zero_residual(self, capsys):
         for p in ("1", "inf"):
             code, out, _ = run_cli(
@@ -270,6 +282,7 @@ class TestFailureModes:
             "uh --n 100 --r 0.9999",
             # G_1(0) = 0 leaves no relative gap to report
             "verify-capseq --n 3 --r 0",
+            "verify-capseq --n 3 --r 0.5 --i-max 1",
             # |K - a|^(q-1) overflows for p near 1: refused without a warning
             "gp --n 10 --p 1.01 --r 0.5",
             # the draw stream needs a non-negative integer seed

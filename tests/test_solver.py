@@ -20,6 +20,7 @@ from hypschwarz.solver import (
     uh_elementary,
 )
 from hypschwarz.acceptance import golden_section_minimize
+from conftest import mp_crossing, mp_kernel, mp_zonal
 
 
 class TestSolveAStar:
@@ -123,6 +124,20 @@ class TestSolveAStar:
             with pytest.raises(DomainError, match="guess"):
                 solve_a_star(BallContext(4, 3.0), 0.5, guess=guess)
 
+    def test_cold_solve_leaves_range_ends_alone(self, monkeypatch):
+        # a solve without a guess starts at a = 1 and evaluates a range end
+        # only when a step lands on it; these roots lie well inside
+        shifts = []
+        real_big_f = solver.big_f
+        monkeypatch.setattr(solver, "big_f", lambda prm, a: shifts.append(a) or real_big_f(prm, a))
+        for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03)):
+            ctx = BallContext(n, p)
+            kmin, kmax = kernel_range(ctx, r)
+            shifts.clear()
+            solve_a_star(ctx, r)
+            assert shifts[0] == 1.0
+            assert all(kmin * (1.0 + 1e-9) < a < kmax * (1.0 - 1e-9) for a in shifts), (n, p, r)
+
     def test_rejects_endpoint_exponents(self):
         with pytest.raises(DomainError):
             solve_a_star(BallContext(3, 1.0), 0.5)
@@ -147,7 +162,7 @@ class TestGpCurve:
                     point.est_error + 1e-13 * point.g_value), (n, p, r)
 
     def test_cost_per_radius(self, monkeypatch):
-        # cold solves take about 12.1 F per radius on this sweep
+        # cold solves take about 11.5 F per radius on this sweep
         calls = []
         real_big_f = solver.big_f
         monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
@@ -175,9 +190,9 @@ class TestGpCurve:
         assert g_p_curve(BallContext(4, 3.0), []) == []
 
     def test_sweep_answers_where_the_point_refuses(self):
-        # at q = 101 a cold solve evaluates F at the kernel-range ends, where
-        # |K - a|^100 overflows; the warm solve stays near a*, where F and Phi
-        # are finite, and its bracket is sign-checked at interior points
+        # at q = 101 a cold solve steps out from a = 1 to a kernel-range end,
+        # where |K - a|^100 overflows; the warm solve stays near a*, where F
+        # and Phi are finite, and its bracket is sign-checked at interior points
         ctx = BallContext(3, 1.01)
         radii = [float(r) for r in np.linspace(0.9, 0.949, 8)]
         with pytest.raises(DomainError, match="non-finite"):
@@ -265,6 +280,21 @@ class TestGpDispatch:
         assert res2.method == "numeric" and res2.est_error <= 1e-10
         res3 = g_p(BallContext(3, 3.0), 0.5)
         assert res3.method == "numeric" and res3.est_error <= 1e-10
+
+    def test_numeric_estimate_has_a_rounding_floor(self):
+        # order doubling reads exactly 0.0 at (10, 1.5, 0.1), where G is
+        # 4.4e-16 G off; at (3, 1.5, 0.9) it read 2.5e-16 G for a 5.3e-15 G error
+        for n in (3, 4, 10):
+            for p in (1.1, 1.5, 2.0, 3.0, 10.0):
+                for r in (0.01, 0.1, 0.5):
+                    res = g_p(BallContext(n, p), r)
+                    assert res.method == "numeric" and res.est_error > 0.0, (n, p, r)
+        n, p, r = 3, 1.5, 0.9
+        res = g_p(BallContext(n, p), r)
+        a, q = res.a_star, res.ctx.q
+        ref = mp_zonal(n, lambda t: abs(mp_kernel(n, r, t) - a) ** q,
+                       split=[mp_crossing(n, r, a)]) ** (1.0 / q)
+        assert abs(res.g_value - ref) <= res.est_error
 
     def test_center_point(self):
         res = g_p(BallContext(4, 3.0), 0.0)
