@@ -23,7 +23,7 @@ from .errors import BracketError, CapUnderflowError, DomainError, NonConvergence
 from .kernel import BallContext
 from .objective import ObjectiveParams, big_f
 from .quadrature import DEFAULT_ORDER
-from .solver import g_inf_closed, g_p_curve, grad_constant
+from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
 from .verify import cap_sequence_check, random_bound_check, verify_sharpness
 
 
@@ -84,11 +84,12 @@ def _gp(args):
 
 def _astar(args):
     ctx = BallContext(args.n, args.p)
-    rows = []
-    for r, res in zip(args.radii, g_p_curve(ctx, args.radii, args.order)):
-        numeric = res.method == "numeric" and r > 0.0
-        residual = big_f(ObjectiveParams(ctx, r, args.order), res.a_star) if numeric else 0.0
-        rows.append({"r": r, "a_star": res.a_star, "f_residual": residual})
+    if not 1.0 < ctx.p < math.inf:  # closed forms: no F to report
+        return [{"r": r, "a_star": res.a_star, "f_residual": 0.0}
+                for r, res in zip(args.radii, g_p_curve(ctx, args.radii, args.order))], False
+    rows = [{"r": r, "a_star": a_star,
+             "f_residual": big_f(ObjectiveParams(ctx, r, args.order), a_star) if r > 0.0 else 0.0}
+            for r, a_star in _shift_curve(ctx, args.radii, args.order)]
     return rows, False
 
 

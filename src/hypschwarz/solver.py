@@ -5,11 +5,13 @@ unique root of the stationarity function F(r, .) inside the kernel's value
 range.  One loop on log a finds it from F alone: it steps outward from a
 start until F changes sign, evaluating a range end only when a step lands on
 it, then runs an Illinois iteration until the bracket is 2^-44 wide in log
-a, i.e. a* is resolved to 2^-44 relative.  The stopping rule is scale-free:
-F scales like |K - a|^(q-1), which for p near 1 at small r lies far below
-any fixed residual.  A cold solve starts at a = 1; along a sweep (g_p_curve)
-each solve starts from a* extrapolated through the radii solved before it,
-which takes about half the F evaluations.  The endpoint exponents have
+a.  That resolves the root of the computed F; where F's quadrature noise near
+a* exceeds its slope times 2^-44, another start can move a* by more (17 times
+that at n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
+stopping rule is scale-free: F scales like |K - a|^(q-1), which for p near 1
+at small r lies far below any fixed residual.  A cold solve starts at a = 1;
+along a sweep (g_p_curve) each solve starts from a* extrapolated through the
+radii solved before it, which takes about half the F evaluations.  The endpoint exponents have
 closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
@@ -86,7 +88,9 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
     step bisects, which bounds the cost where F spans many orders of
     magnitude across the bracket.  Iterates stay half a tolerance inside the
     bracket, so a root next to one end is confirmed by a sign change.  The
-    guess changes the cost, not the root beyond its 2^-44 resolution.
+    guess changes the cost, and the root only within the band where the
+    computed F's quadrature noise outweighs its slope (2^-44 in log a where
+    F is smooth there).
     """
     if not (math.isfinite(ctx.q) and ctx.q > 1.0):
         raise DomainError("shift optimization applies to p in (1, inf) only")
@@ -273,16 +277,23 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     """
     if not 1.0 < ctx.p < math.inf:
         return [g_p(ctx, r, order) for r in radii]
-    solved: dict[float, GpResult] = {}
+    shifts = _shift_curve(ctx, radii, order)
+    results = {r: _numeric_result(ctx, r, order, a_star) for r, a_star in shifts}
+    return [results[r] for r, _ in shifts]
+
+
+def _shift_curve(ctx: BallContext, radii, order: int) -> list[tuple[float, float]]:
+    """(r, a*) at every radius of a sweep for finite p > 1: g_p_curve's
+    continued solves without Phi."""
+    solved: dict[float, float] = {}
     history: list[tuple[float, float]] = []  # (r, log a*) of each radius solved, in order
-    results = []
+    shifts = []
     for r in map(check_radius, radii):
         if r not in solved:
-            a_star = _continued_solve(ctx, r, order, history[-3:])
-            solved[r] = _numeric_result(ctx, r, order, a_star)
-            history.append((r, math.log(a_star)))
-        results.append(solved[r])
-    return results
+            solved[r] = _continued_solve(ctx, r, order, history[-3:])
+            history.append((r, math.log(solved[r])))
+        shifts.append((r, solved[r]))
+    return shifts
 
 
 def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,6 +207,14 @@ def _poly_sups(coeffs: np.ndarray) -> np.ndarray:
     return np.abs(values).max(axis=1)
 
 
+@lru_cache(maxsize=16)
+def _monomials(n: int, order: int) -> np.ndarray:
+    """Read-only table of t^k, k = 0..8, at the nodes of the (n, order) zonal rule."""
+    powers = build_rule(n, order).nodes[None, :] ** np.arange(9)[:, None]
+    powers.setflags(write=False)
+    return powers
+
+
 def _random_poly_draws(n: int, count: int, seed: int, order: int):
     """Centered random polynomial draws of degree <= 8 on a zonal rule.
 
@@ -221,21 +230,27 @@ def _random_poly_draws(n: int, count: int, seed: int, order: int):
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError(f"count must be an integer >= 1, got {count!r}")
     rule = build_rule(n, order)
-    powers = rule.nodes[None, :] ** np.arange(9)[:, None]
     coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9))
-    values = coeffs @ powers
+    values = coeffs @ _monomials(n, order)
     means = values @ rule.weights
     values -= means[:, None]
     return rule, coeffs, means, values
 
 
 def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
-    """p-norms of the centered draws; exact sup for p = inf."""
+    """p-norms of the centered draws; exact sup for p = inf.
+
+    For finite p this consumes ``values``: |values|^p is taken in place, so a
+    certificate holds one count x order matrix instead of three.  Read
+    anything else from ``values`` before calling.
+    """
     if ctx.p == math.inf:
         centered = coeffs.copy()
         centered[:, 0] -= means
         return _poly_sups(centered)
-    return (np.abs(values) ** ctx.p @ rule.weights) ** (1.0 / ctx.p)
+    np.abs(values, out=values)
+    values **= ctx.p
+    return (values @ rule.weights) ** (1.0 / ctx.p)
 
 
 def _grad_draws(ctx: BallContext, count: int, seed: int, order: int):

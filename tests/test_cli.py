@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -9,10 +10,16 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypschwarz
-from hypschwarz.cli import main
+from hypschwarz import solver
+from hypschwarz.cli import _render, main
+from hypschwarz.kernel import BallContext
+from hypschwarz.objective import ObjectiveParams, big_f
+from hypschwarz.quadrature import DEFAULT_ORDER
+from hypschwarz.solver import g_p_curve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -178,6 +185,29 @@ class TestAstar:
                 assert code == 0 and err == ""
                 columns.append([row["a_star"] for row in csv_rows(out)[1]])
             assert len(columns[0]) == 20 and columns[0] == columns[1], p
+
+    def test_sweep_integrates_no_phi(self, capsys, monkeypatch):
+        # the shifts come from the solves alone; G = Phi(a*) is never printed
+        calls = []
+        real_phi = solver.phi
+        monkeypatch.setattr(solver, "phi", lambda *args: calls.append(1) or real_phi(*args))
+        for p in ("1.5", "3"):
+            code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", p,
+                                   "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
+            assert code == 0 and len(csv_rows(out)[1]) == 20
+        assert calls == []
+
+    def test_sweep_rows_are_gp_shifts_and_their_residuals(self, capsys):
+        radii = [float(r) for r in np.linspace(0.0, 0.95, 20)]
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            ctx = BallContext(4, p)
+            expected = [{"r": r, "a_star": res.a_star, "f_residual": (
+                big_f(ObjectiveParams(ctx, r, DEFAULT_ORDER), res.a_star)
+                if res.method == "numeric" and r > 0.0 else 0.0)}
+                for r, res in zip(radii, g_p_curve(ctx, radii))]
+            code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", str(p), "--r-min", "0",
+                                   "--r-max", "0.95", "--steps", "20", "--format", "json")
+            assert code == 0 and out == _render("json", expected), p
 
     def test_closed_endpoints_have_zero_residual(self, capsys):
         for p in ("1", "inf"):

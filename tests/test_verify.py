@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypschwarz.kernel import BallContext, crossing_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
 from hypschwarz.verify import (
     SHARPNESS_GAP_LIMIT,
+    RandomBoundReport,
     ZonalBoundaryFunction,
     corollary_l2_batch,
     corollary_l2_check,
@@ -224,6 +226,51 @@ class TestRandomChecks:
             calls.clear()
             check()
             assert len(calls) == 1
+
+    # pinned from the p-norm that took |values|^p in two fresh temporaries;
+    # the in-place form is the same arithmetic, so every bit must agree
+    @pytest.mark.parametrize("check, expected", [
+        (lambda: random_bound_check(BallContext(4, 3.0), 0.6, count=1000, seed=3),
+         0.9889803881064796),
+        (lambda: random_bound_check(BallContext(3, 2.0), 0.5, count=1000, seed=3),
+         0.9957236723261879),
+        (lambda: random_bound_check(BallContext(5, 1.7), 0.9, count=1000, seed=3),
+         0.04407693973401673),
+        (lambda: random_grad_check(BallContext(4, 3.0), count=1000, seed=3),
+         0.994026172546964),
+        (lambda: random_grad_check(BallContext(4, math.inf), count=1000, seed=3),
+         0.69021157588592),
+    ], ids=["bound-4-3-0.6", "bound-3-2-0.5", "bound-5-1.7-0.9", "grad-4-3", "grad-4-inf"])
+    def test_reports_are_pinned(self, check, expected):
+        assert check() == RandomBoundReport(1000, 3, 0, expected)
+
+    @pytest.mark.parametrize("check", [
+        lambda: random_bound_check(BallContext(4, 3.0), 0.6, count=1000, seed=3),
+        lambda: random_grad_check(BallContext(4, 3.0), count=1000, seed=3),
+    ], ids=["random_bound_check", "random_grad_check"])
+    def test_one_draw_matrix_at_a_time(self, check):
+        # |values|^p in place: the peak stays near one 1000 x 128 matrix of
+        # doubles, where a fresh |values| and its power took three
+        check()  # warm the rule, monomial and g_p caches
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1000 * 128 * 8
+
+    @pytest.mark.parametrize("p", [1.1, 2.0, 3.0, 20.0])
+    def test_poly_norms_in_place(self, p):
+        ctx = BallContext(4, p)
+        rule, coeffs, means, values = verify._random_poly_draws(4, 200, 5, 128)
+        expected = (np.abs(values.copy()) ** p @ rule.weights) ** (1.0 / p)
+        assert np.array_equal(verify._poly_norms(ctx, rule, coeffs, means, values), expected)
+
+    def test_monomial_table_is_shared_and_read_only(self):
+        table = verify._monomials(4, 128)
+        assert verify._monomials(4, 128) is table and not table.flags.writeable
+        assert np.array_equal(table, verify.build_rule(4, 128).nodes ** np.arange(9)[:, None])
 
 
 def per_row_sup(coeffs):
