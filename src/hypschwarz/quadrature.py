@@ -46,6 +46,7 @@ DEFAULT_ORDER = 128
 # Panel layout for the breakpoint path.
 _PANEL_RATIO = 0.5
 _PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
+_PANEL_NODES = 12  # Gauss-Legendre nodes per panel up to order 8 * 12; order // 8 above
 # Relative rounding floor of a breakpoint integral: an ulp for each panel sum
 # of its two sides.
 _ROUNDING_FLOOR = 2 * _PANELS * 2.0 ** -52
@@ -123,11 +124,11 @@ def integrate_zonal(rule: ZonalQuadrature, f) -> float:
 @lru_cache(maxsize=16)
 def _graded_panels(order: int):
     """Read-only (offsets, weights), both of shape (_PANELS, k) with
-    k = max(12, order // 8): Gauss-Legendre nodes on the graded panels of a
-    side of unit length, as offsets from the breakpoint.  Panel j spans
-    [ratio^(j+1), ratio^j], so the panel index grows toward the breakpoint.
+    k = max(_PANEL_NODES, order // 8): Gauss-Legendre nodes on the graded
+    panels of a side of unit length, as offsets from the breakpoint; panel j
+    spans [ratio^(j+1), ratio^j], its index growing toward the breakpoint.
     """
-    xi, om = np.polynomial.legendre.leggauss(max(12, order // 8))
+    xi, om = np.polynomial.legendre.leggauss(max(_PANEL_NODES, order // 8))
     edges = _PANEL_RATIO ** np.arange(_PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[:-1] - edges[1:])

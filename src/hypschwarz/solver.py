@@ -4,15 +4,16 @@ For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
 range.  One loop on log a finds it from F alone: it steps outward from a
 start until F changes sign, evaluating a range end only when a step lands on
-it, then runs an Illinois iteration until the bracket is 2^-44 wide in log
-a.  That resolves the root of the computed F; where F's quadrature noise near
-a* exceeds its slope times 2^-44, another start can move a* by more (17 times
+it, then takes Chandrupatla's steps (inverse quadratic interpolation where it
+is safe, bisection otherwise) until the bracket is 2^-44 wide in log a.  That
+resolves the root of the computed F; where F's quadrature noise near a*
+exceeds its slope times 2^-44, another start can move a* by more (17 times
 that at n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
 stopping rule is scale-free: F scales like |K - a|^(q-1), which for p near 1
-at small r lies far below any fixed residual.  A cold solve starts at a = 1;
-along a sweep (g_p_curve) each solve starts from a* extrapolated through the
-radii solved before it, which takes about half the F evaluations.  The endpoint exponents have
-closed forms:
+at small r lies far below any fixed residual.  A cold solve starts from log
+a* interpolated in 1/p through the closed forms below; along a sweep
+(g_p_curve) from a* extrapolated through the radii solved before it.  The
+endpoint exponents have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -33,18 +34,19 @@ from scipy.special import hyp2f1
 from .errors import BracketError, DomainError, NonConvergenceError
 from .kernel import BallContext, check_radius, kernel_range
 from .objective import ObjectiveParams, big_f, phi
-from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER
+from .quadrature import _PANEL_NODES, _ROUNDING_FLOOR, DEFAULT_ORDER
 from .special import alpha_q
 
 # Width in log a at which the root bracket counts as resolved.
 _LOG_A_TOL = 2.0 ** -44
 _MAX_ITER = 200
 _BRACKET_MARGIN = 1e-12
-# First step in log a of a solve without a guess.  Mean F counts per solve
-# differ by at most 5% for values from 1/32 to 1/4; this one reaches a root at
-# log a = 0.005 and one at -0.72 without landing on a range end (n = 3,
-# p = 1.1, r = 0.03 and n = 4, p = 3, r = 0.5).
-_COLD_STEP = 3.0 / 32.0
+# First step in log a of a solve without a guess: a share of the start's
+# |log a|, with a floor.  Mean F per cold solve moves by at most 4% for shares
+# from 1/16 to 1/2 and floors from 1/128 to 1/4 (7.0 to 7.2 per solve on 300
+# points with n in {3, 4, 5}, p in [1.1, 20], r in [0.01, 0.95]).
+_COLD_SHARE = 1.0 / 8.0
+_COLD_STEP = 1.0 / 32.0
 # kernel_range refuses ranges past e^(+-708.4), so clamping a predicted log a*
 # to this keeps its exp finite and positive and every root reachable.
 _LOG_GUESS_MAX = 708.0
@@ -77,20 +79,21 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
     """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly.
 
     One loop on log a, one F evaluation per step.  It starts at the guess (a
-    shift, clamped into the range) with a first step of ``width``, or without
-    one at a = 1 (the log-midpoint of the range if 1 lies outside it) with a
-    fixed first step.  While F is known on one side of the root only, the
-    next point steps outward to the other side, the step growing eightfold
-    and clamped at the range end; an end is evaluated only when a step lands
-    on it, and must then have the sign of a bracket.  Once F has changed
-    sign, Illinois regula falsi: when one end moves twice in a row, the F
-    value held at the other end is halved; from its third move in a row the
-    step bisects, which bounds the cost where F spans many orders of
-    magnitude across the bracket.  Iterates stay half a tolerance inside the
+    shift) with a first step of ``width``, or without one at log a*
+    interpolated quadratically in 1/p through its closed forms at p = inf, 2
+    and 1 (a = 1 at p = 2) with a first step of _COLD_SHARE of |log a|, at
+    least _COLD_STEP; either start is clamped into the range.  While F is
+    known on one side of the root only, the next point steps outward to the
+    other side, the step growing eightfold and clamped at the range end; an
+    end is evaluated only when a step lands on it, and must then have the
+    sign of a bracket.  Then Chandrupatla's rule: with a the newest point, b
+    the bracket end where F has the other sign and c the point the last
+    evaluation displaced, the step is inverse quadratic interpolation through
+    the three where it stays well inside the bracket, else bisection (the
+    secant before c exists).  Iterates stay half a tolerance inside the
     bracket, so a root next to one end is confirmed by a sign change.  The
     guess changes the cost, and the root only within the band where the
-    computed F's quadrature noise outweighs its slope (2^-44 in log a where
-    F is smooth there).
+    computed F's quadrature noise outweighs its slope (2^-44 in log a).
     """
     if not (math.isfinite(ctx.q) and ctx.q > 1.0):
         raise DomainError("shift optimization applies to p in (1, inf) only")
@@ -100,44 +103,43 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
     params = ObjectiveParams(ctx, r, order)
     kmin, kmax = kernel_range(ctx, r)
     margin = _BRACKET_MARGIN * (kmax - kmin)
-    lo = lo_end = math.log(kmin + margin)
-    hi = hi_end = math.log(kmax - margin)
-    if guess is None:
-        s, step = (0.0 if lo_end < 0.0 < hi_end else 0.5 * (lo_end + hi_end)), _COLD_STEP
-    elif isinstance(guess, (int, float)) and 0.0 < guess < math.inf:
-        s, step = min(max(math.log(guess), lo_end), hi_end), max(width, _LOG_A_TOL)
-    else:
+    lo_end, hi_end = math.log(kmin + margin), math.log(kmax - margin)
+    if guess is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
+        x = 1.0 / ctx.p
+        l_inf = (ctx.n - 1) * (math.log1p(-r * r) - math.log1p(r * r))
+        s = 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * math.log(0.5 * (kmin + kmax)))
+        width = max(_COLD_SHARE * abs(s), _COLD_STEP)
+    elif not (isinstance(guess, (int, float)) and 0.0 < guess < math.inf):
         raise DomainError(f"guess must be a positive finite shift, got {guess!r}")
-    f_lo = f_hi = None  # F at lo and hi, once evaluated
-    streak = 0
+    else:
+        s, width = math.log(guess), max(width, _LOG_A_TOL)
+    s, step = min(max(s, lo_end), hi_end), width
+    a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
     for _ in range(_MAX_ITER):
         fs = big_f(params, math.exp(s))
         if s in (lo_end, hi_end) and not (fs > 0.0 if s == lo_end else fs < 0.0):
             raise BracketError(
                 f"no sign change across the kernel range at r={r}: F({math.exp(s)})={fs}"
             )
-        bracketed = f_lo is not None and f_hi is not None
-        if fs > 0.0:
-            lo, f_lo, streak = s, fs, max(streak, 0) + 1 if bracketed else 0
-            if streak > 1:
-                f_hi *= 0.5
-        elif fs < 0.0:
-            hi, f_hi, streak = s, fs, min(streak, 0) - 1 if bracketed else 0
-            if streak < -1:
-                f_lo *= 0.5
-        if fs == 0.0 or (bracketed and hi - lo <= _LOG_A_TOL):
+        if fs == 0.0:
             return math.exp(s)
-        if f_hi is None:
-            s, step = min(s + step, hi_end), 8.0 * step
-        elif f_lo is None:
-            s, step = max(s - step, lo_end), 8.0 * step
+        if a is None or (fs > 0.0) == (fa > 0.0):
+            a, fa, c, fc = s, fs, a, fa
         else:
-            s = 0.5 * (lo + hi) if abs(streak) > 2 else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            s = min(max(s, lo + 0.5 * _LOG_A_TOL), hi - 0.5 * _LOG_A_TOL)
-    raise NonConvergenceError(
-        f"root bracket [{math.exp(lo)}, {math.exp(hi)}] still open after {_MAX_ITER} "
-        f"iterations at r={r}, q={ctx.q}"
-    )
+            a, fa, b, fb, c, fc = s, fs, a, fa, b, fb
+        if b is None:
+            s, step = (min(s + step, hi_end) if fs > 0.0 else max(s - step, lo_end)), 8.0 * step
+            continue
+        if abs(a - b) <= _LOG_A_TOL:
+            return math.exp(a)
+        t = fa / (fa - fb)  # the first bracketed step: secant
+        if c is not None:
+            xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            iqi = ph * ph < xi and (1.0 - ph) ** 2 < 1.0 - xi
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)) if iqi else 0.5
+        s = min(max(a + t * (b - a), min(a, b) + 0.5 * _LOG_A_TOL), max(a, b) - 0.5 * _LOG_A_TOL)
+    raise NonConvergenceError(f"no root resolved after {_MAX_ITER} iterations at r={r}, q={ctx.q}")
 
 
 def g_1_closed(n: int, r: float) -> tuple[float, float]:
@@ -257,8 +259,11 @@ def _numeric_result(ctx: BallContext, r: float, order: int, a_star: float) -> Gp
         est = abs(g_val - g_2_closed(ctx.n, r))
     else:
         # Phi is stationary at a*, so re-solving at the doubled order is not
-        # needed to estimate the quadrature error of the bound itself.
-        est = abs(g_val - float(phi(ObjectiveParams(ctx, r, 2 * order), a_star)))
+        # needed to estimate the quadrature error of the bound itself.  Every
+        # order below 8 * _PANEL_NODES has _PANEL_NODES nodes per panel; the
+        # reference doubles that count.
+        refined = ObjectiveParams(ctx, r, 2 * max(order, 8 * _PANEL_NODES))
+        est = abs(g_val - float(phi(refined, a_star)))
     # Order doubling cannot see the rounding both orders share.
     return GpResult(ctx, r, a_star, g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val))
 

@@ -36,6 +36,9 @@ CAPSEQ_GAP_LIMIT = 0.02
 CAPSEQ_MONOTONE_SLACK = 1e-9
 
 _SUP_GRID_SIZE = 8193
+# Smallest unscaled power sum of a draw (the smallest normal double over
+# eps): |value|^p terms that underflow then weigh less than an ulp of it.
+_POWER_SUM_MIN = 2.0 ** -970
 
 
 @dataclass
@@ -242,15 +245,24 @@ def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
 
     For finite p this consumes ``values``: |values|^p is taken in place, so a
     certificate holds one count x order matrix instead of three.  Read
-    anything else from ``values`` before calling.
+    anything else from ``values`` before calling.  Where a draw's power sum
+    leaves double range (large p), every draw is evaluated again and divided
+    by its largest |value| before the power.
     """
     if ctx.p == math.inf:
         centered = coeffs.copy()
         centered[:, 0] -= means
         return _poly_sups(centered)
     np.abs(values, out=values)
-    values **= ctx.p
-    return (values @ rule.weights) ** (1.0 / ctx.p)
+    with np.errstate(over="ignore"):
+        values **= ctx.p
+    sums = values @ rule.weights
+    if ((_POWER_SUM_MIN <= sums) & (sums < math.inf)).all():
+        return sums ** (1.0 / ctx.p)
+    values = np.abs(coeffs @ _monomials(rule.n, rule.order) - means[:, None])
+    scale = values.max(axis=1)
+    scale[scale == 0.0] = 1.0  # a zero draw keeps norm 0
+    return scale * (((values / scale[:, None]) ** ctx.p) @ rule.weights) ** (1.0 / ctx.p)
 
 
 def _grad_draws(ctx: BallContext, count: int, seed: int, order: int):

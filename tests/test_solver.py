@@ -23,6 +23,15 @@ from hypschwarz.acceptance import golden_section_minimize
 from conftest import mp_crossing, mp_kernel, mp_zonal
 
 
+def anchored_log_start(ctx, r):
+    """log a* at p = inf, 2 and 1 (the equator value, 0, the log of the
+    kernel range's midpoint), interpolated quadratically in 1/p."""
+    x = 1.0 / ctx.p
+    kmin, kmax = kernel_range(ctx, r)
+    l_inf = (ctx.n - 1) * (math.log1p(-r * r) - math.log1p(r * r))
+    return 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * math.log(0.5 * (kmin + kmax)))
+
+
 class TestSolveAStar:
     def test_center_is_exact(self):
         assert solve_a_star(BallContext(3, 3.0), 0.0) == 1.0
@@ -125,8 +134,8 @@ class TestSolveAStar:
                 solve_a_star(BallContext(4, 3.0), 0.5, guess=guess)
 
     def test_cold_solve_leaves_range_ends_alone(self, monkeypatch):
-        # a solve without a guess starts at a = 1 and evaluates a range end
-        # only when a step lands on it; these roots lie well inside
+        # a solve without a guess starts at the anchored shift and evaluates a
+        # range end only when a step lands on it; these roots lie well inside
         shifts = []
         real_big_f = solver.big_f
         monkeypatch.setattr(solver, "big_f", lambda prm, a: shifts.append(a) or real_big_f(prm, a))
@@ -135,8 +144,55 @@ class TestSolveAStar:
             kmin, kmax = kernel_range(ctx, r)
             shifts.clear()
             solve_a_star(ctx, r)
-            assert shifts[0] == 1.0
+            assert shifts[0] == pytest.approx(math.exp(anchored_log_start(ctx, r)), rel=1e-14)
             assert all(kmin * (1.0 + 1e-9) < a < kmax * (1.0 - 1e-9) for a in shifts), (n, p, r)
+
+    def test_anchored_start_lies_inside_the_kernel_range(self, monkeypatch):
+        # the interpolated log a* never leaves [log kmin, log kmax]: it is at
+        # least log kmin at p = inf, exactly 0 at p = 2 and log of the midpoint
+        # at p = 1; a cold solve evaluates F there first, clamped into its
+        # bracket like a guess (the margin 1e-12 (kmax - kmin) exceeds kmin
+        # by far where n r is large)
+        class FirstShift(Exception):
+            pass
+
+        def first_shift(prm, a):
+            raise FirstShift(a)
+
+        monkeypatch.setattr(solver, "big_f", first_shift)
+        checked = 0
+        for n in (3, 4, 5, 10, 30, 100):
+            for p in (1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 100.0):
+                ctx = BallContext(n, p)
+                for r in (0.01, 0.1, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                    try:
+                        kmin, kmax = kernel_range(ctx, r)
+                    except DomainError:
+                        continue  # the range leaves double precision
+                    start = anchored_log_start(ctx, r)
+                    assert math.log(kmin) < start < math.log(kmax), (n, p, r)
+                    margin = 1e-12 * (kmax - kmin)
+                    clamped = min(max(start, math.log(kmin + margin)), math.log(kmax - margin))
+                    with pytest.raises(FirstShift) as first:
+                        solve_a_star(ctx, r)
+                    assert first.value.args[0] == pytest.approx(math.exp(clamped), rel=1e-14)
+                    if p == 2.0 and clamped == start:
+                        assert first.value.args[0] == 1.0
+                    checked += 1
+        assert checked == 329
+
+    def test_cold_solve_cost(self, monkeypatch):
+        # the Illinois loop stepping out from a = 1 took 13.5 F per solve here
+        calls = []
+        real_big_f = solver.big_f
+        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        solves = 0
+        for n in (3, 4, 5):
+            for p in (1.1, 1.5, 3.0, 10.0, 20.0):
+                for r in (0.05, 0.5, 0.9):
+                    solve_a_star(BallContext(n, p), r)
+                    solves += 1
+        assert len(calls) / solves <= 9.0
 
     def test_rejects_endpoint_exponents(self):
         with pytest.raises(DomainError):
@@ -162,7 +218,7 @@ class TestGpCurve:
                     point.est_error + 1e-13 * point.g_value), (n, p, r)
 
     def test_cost_per_radius(self, monkeypatch):
-        # cold solves take about 11.5 F per radius on this sweep
+        # cold solves take about 7.3 F per radius on this sweep
         calls = []
         real_big_f = solver.big_f
         monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
@@ -190,8 +246,8 @@ class TestGpCurve:
         assert g_p_curve(BallContext(4, 3.0), []) == []
 
     def test_sweep_answers_where_the_point_refuses(self):
-        # at q = 101 a cold solve steps out from a = 1 to a kernel-range end,
-        # where |K - a|^100 overflows; the warm solve stays near a*, where F
+        # at q = 101 a cold solve steps out to next to the upper kernel-range
+        # end, where |K - a|^100 overflows; the warm solve stays near a*, where F
         # and Phi are finite, and its bracket is sign-checked at interior points
         ctx = BallContext(3, 1.01)
         radii = [float(r) for r in np.linspace(0.9, 0.949, 8)]
@@ -295,6 +351,19 @@ class TestGpDispatch:
         ref = mp_zonal(n, lambda t: abs(mp_kernel(n, r, t) - a) ** q,
                        split=[mp_crossing(n, r, a)]) ** (1.0 / q)
         assert abs(res.g_value - ref) <= res.est_error
+
+    def test_estimate_refines_the_panels_at_low_orders(self):
+        # orders below 104 share 12 nodes per panel, so doubling an order below
+        # 52 compared a rule with itself: at (5, 10, 0.9) order 48 reported
+        # 2.9e-14 for an error of 2.7e-3 against order 1024.  Doubling the
+        # panel nodes gets the error within a factor of 2 (1 + 2e-5 there)
+        for n, p, r in ((5, 10.0, 0.9), (4, 3.0, 0.5), (3, 1.5, 0.9), (4, 1.3, 0.8)):
+            ctx = BallContext(n, p)
+            ref = g_p(ctx, r, order=1024)
+            for order in (16, 48):
+                res = g_p(ctx, r, order=order)
+                assert abs(res.g_value - ref.g_value) <= 2.0 * res.est_error + ref.est_error, (
+                    n, p, r, order)
 
     def test_center_point(self):
         res = g_p(BallContext(4, 3.0), 0.0)
