@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .special import check_dimension
 
 
 def conjugate_exponent(p: float) -> float:
@@ -42,8 +43,7 @@ class BallContext:
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 3):
-            raise DomainError(f"dimension must be an integer >= 3, got {self.n!r}")
+        object.__setattr__(self, "n", check_dimension(self.n))
         if not (self.p == math.inf or (math.isfinite(self.p) and self.p >= 1.0)):
             raise DomainError(f"exponent p must lie in [1, inf], got {self.p!r}")
         object.__setattr__(self, "q", conjugate_exponent(float(self.p)))

@@ -49,8 +49,13 @@ class ObjectiveParams:
             )
         if check_radius(self.r) == 0.0:
             raise DomainError("objective is defined for r in (0, 1); a*(0) = 1 and G_p(0) = 0")
-        if self.order < 2:
-            raise DomainError(f"rule order must be >= 2, got {self.order!r}")
+
+
+def _split_point(ctx: BallContext, r: float, a: float) -> float:
+    """Where K(r, .) crosses the level a; where it never does, the pole where
+    K comes nearest to a: t = 1 for a level above the range, t = -1 below."""
+    t0 = crossing_point(ctx, r, a)
+    return (1.0 if a > 1.0 else -1.0) if t0 is None else t0
 
 
 def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
@@ -58,7 +63,7 @@ def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
     if not math.isfinite(a):
         raise DomainError(f"shift must be finite, got {a!r}")
     ctx, r = params.ctx, params.r
-    t0 = crossing_point(ctx, r, a)
+    t0 = _split_point(ctx, r, a)
 
     def integrand(t):
         return weight_fn(poisson_szego_axis(ctx, r, t) - a)

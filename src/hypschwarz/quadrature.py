@@ -4,24 +4,22 @@ axis coordinate t = <eta, axis>.
 The surface integral of such a zonal integrand reduces to one dimension:
 
     integral f(<eta, axis>) dsigma = c_n * integral_{-1}^{1} f(t) (1-t^2)^((n-3)/2) dt,
-    c_n = Gamma(n/2) / (sqrt(pi) * Gamma((n-1)/2)),
+    c_n = Gamma(n/2) / (sqrt(pi) * Gamma((n-1)/2)).
 
-so the natural rule is Gauss-Jacobi with both exponents (n-3)/2, weights
-scaled by c_n (they then sum to 1, the measure of the sphere).  Nodes and
-weights come from ``scipy.special.roots_jacobi``, which normalizes the
-weights to the exact mass of the Jacobi weight.
-
-Two integration paths are provided.  ``integrate_zonal`` applies the plain
-rule and is spectrally accurate for smooth f.  ``integrate_with_breakpoint``
-handles integrands with a kink or an integrable power singularity at a known
-interior point t0: it substitutes t = cos(theta), which keeps the Jacobi
-weight analytic at the poles, and tiles each side of theta0 = arccos(t0)
-with panels shrinking geometrically toward the breakpoint (ratio 1/2, 27
-panels per side).  The leftover geometric tail is summed by
+The one integrator, ``integrate_with_breakpoint``, splits at the integrand's
+non-smooth point t0 (a kink, an integrable power singularity, or the pole
+t = 1 where the Poisson kernel peaks).  It substitutes t = cos(theta), which
+keeps the Jacobi weight analytic at the poles, and tiles each side of
+theta0 = arccos(t0) with panels shrinking geometrically toward the breakpoint
+(ratio 1/2, 27 panels per side).  The leftover geometric tail is summed by
 extrapolating the measured panel-sum ratio, which resolves any integrable
-power behaviour without knowing its exponent.  The panel layout of a side
-of unit length is built once per rule order and cached; each call only
-scales it by the lengths of its two sides and shifts it to theta0.
+power behaviour without knowing its exponent.  The panel layout of a side of
+unit length is built once per rule order and cached; each call only scales
+it by the lengths of its two sides and shifts it to theta0.
+
+``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights
+scaled by c_n) of the random polynomial draws in ``verify``, exact for their
+means and gradient moment; no kernel is summed on them.
 """
 
 from __future__ import annotations
@@ -39,11 +37,13 @@ import scipy.linalg  # noqa: F401
 from scipy.special import roots_jacobi
 
 from .errors import CapUnderflowError, DomainError
+from .special import check_dimension, check_integer
 
-#: Default node count for the plain zonal rule.
+#: Default rule order: the node count of a draw rule; a graded panel has
+#: order // 8 Gauss-Legendre nodes, at least _PANEL_NODES.
 DEFAULT_ORDER = 128
 
-# Panel layout for the breakpoint path.
+# Panel layout of the graded rule.
 _PANEL_RATIO = 0.5
 _PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
 _PANEL_NODES = 12  # Gauss-Legendre nodes per panel up to order 8 * 12; order // 8 above
@@ -64,8 +64,6 @@ def _zonal_constant(n: int) -> float:
 def _gauss_jacobi(order: int, alpha: float, beta: float):
     """Read-only nodes and weights of the ``order``-point Gauss-Jacobi rule
     for the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
-    if order < 2:
-        raise DomainError(f"rule order must be >= 2, got {order!r}")
     x, w = roots_jacobi(order, alpha, beta)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -74,8 +72,8 @@ def _gauss_jacobi(order: int, alpha: float, beta: float):
 
 @dataclass(frozen=True)
 class ZonalQuadrature:
-    """A ready-to-apply zonal rule: sum(weights * f(nodes)) integrates f
-    against normalized surface measure."""
+    """Gauss-Jacobi zonal rule: weights @ f(nodes) integrates a polynomial f
+    of degree <= 2 * order - 1 against normalized surface measure."""
 
     n: int
     order: int
@@ -83,15 +81,14 @@ class ZonalQuadrature:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def build_rule(n: int, order: int = DEFAULT_ORDER) -> ZonalQuadrature:
     """Gauss-Jacobi zonal rule for dimension n with ``order`` nodes.
 
     Weights include the c_n normalization and therefore sum to 1 up to
     rounding; the rule is exact for polynomials of degree <= 2*order - 1.
     """
-    if not (isinstance(n, int) and n >= 3):
-        raise DomainError(f"dimension must be an integer >= 3, got {n!r}")
+    n, order = check_dimension(n), check_integer(order, 2, "rule order")
     expo = (n - 3) / 2.0
     x, w = _gauss_jacobi(order, expo, expo)
     weights = _zonal_constant(n) * w
@@ -99,35 +96,15 @@ def build_rule(n: int, order: int = DEFAULT_ORDER) -> ZonalQuadrature:
     return ZonalQuadrature(n=n, order=order, nodes=x, weights=weights)
 
 
-def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
-    """Values of f at the nodes x; a scalar result means a constant f.
-
-    Overflow raises no numpy warning: it leaves non-finite values, which are
-    refused with DomainError like any other.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(f(x), dtype=float)
-    if vals.ndim == 0:
-        vals = np.broadcast_to(vals, x.shape)
-    elif vals.shape != x.shape:
-        raise DomainError(f"integrand returned shape {vals.shape} at nodes of shape {x.shape}")
-    if not np.isfinite(vals).all():
-        raise DomainError("integrand produced non-finite values")
-    return vals
-
-
-def integrate_zonal(rule: ZonalQuadrature, f) -> float:
-    """Apply the plain rule: sum of weights * f(nodes)."""
-    return float(np.dot(rule.weights, _eval_integrand(f, rule.nodes)))
-
-
-@lru_cache(maxsize=16)
+# typed, like build_rule's cache: an order of 128.0 must miss 128's entry and meet the check.
+@lru_cache(maxsize=16, typed=True)
 def _graded_panels(order: int):
     """Read-only (offsets, weights), both of shape (_PANELS, k) with
     k = max(_PANEL_NODES, order // 8): Gauss-Legendre nodes on the graded
     panels of a side of unit length, as offsets from the breakpoint; panel j
     spans [ratio^(j+1), ratio^j], its index growing toward the breakpoint.
     """
+    order = check_integer(order, 2, "rule order")
     xi, om = np.polynomial.legendre.leggauss(max(_PANEL_NODES, order // 8))
     edges = _PANEL_RATIO ** np.arange(_PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -139,17 +116,16 @@ def _graded_panels(order: int):
     return offsets, weights
 
 
-def integrate_with_breakpoint(n: int, order: int, f, t0) -> float:
-    """Zonal integral of f with special handling at the axis value t0.
+def integrate_with_breakpoint(n: int, order: int, f, t0: float):
+    """Zonal integral of f, split at the axis value t0 in [-1, 1].
 
-    ``t0 = None`` falls back to the plain rule.  Otherwise the integral is
-    computed in theta = arccos(t) with geometrically graded panels on both
-    sides of the breakpoint and a ratio-extrapolated tail, which keeps full
-    accuracy for |t - t0|^s factors with s > -1 (kinks and integrable
-    singularities alike).
+    The integral is computed in theta = arccos(t) with geometrically graded
+    panels on both sides of the breakpoint and a ratio-extrapolated tail,
+    which keeps full accuracy for |t - t0|^s factors with s > -1 (kinks and
+    integrable singularities alike).  Where f returns values of shape
+    (*stack, *nodes), the result is an array of shape ``stack``: each
+    integral is the one a separate call would give, bit for bit.
     """
-    if t0 is None:
-        return integrate_zonal(build_rule(n, order), f)
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"breakpoint must lie in [-1, 1], got {t0!r}")
     theta0 = math.acos(t0)
@@ -158,19 +134,32 @@ def integrate_with_breakpoint(n: int, order: int, f, t0) -> float:
     # evaluated, as f may be infinite there.
     lengths = [side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300]
     theta = theta0 + np.array(lengths)[:, None, None] * offsets
-    vals = _eval_integrand(f, np.cos(theta)) * np.sin(theta) ** (n - 2)
-    per_panel = np.add.reduce(vals * weights, axis=-1)
-    total = 0.0
-    for length, panels in zip(lengths, per_panel.tolist()):
-        side = sum(panels)
-        # Sum the uncovered geometric tail from the measured decay ratio.
-        last, prev = panels[-1], panels[-2]
-        if prev != 0.0:
-            ratio = last / prev
-            if 0.0 < ratio < _TAIL_GUARD:
-                side += last * ratio / (1.0 - ratio)
-        total += abs(length) * side
-    return _zonal_constant(n) * total
+    t = np.cos(theta)
+    # Overflow raises no numpy warning: it leaves non-finite values, which are
+    # refused like any other.  A scalar result means a constant f.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(f(t), dtype=float)
+    if vals.ndim == 0:
+        vals = np.broadcast_to(vals, t.shape)
+    elif vals.shape[-t.ndim:] != t.shape:
+        raise DomainError(f"integrand returned shape {vals.shape} at nodes of shape {t.shape}")
+    if not np.isfinite(vals).all():
+        raise DomainError("integrand produced non-finite values")
+    per_panel = np.add.reduce(vals * np.sin(theta) ** (n - 2) * weights, axis=-1)
+    totals = []
+    for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist():
+        total = 0.0
+        for length, panels in zip(lengths, sides):
+            side = sum(panels)
+            # Sum the uncovered geometric tail from the measured decay ratio.
+            last, prev = panels[-1], panels[-2]
+            if prev != 0.0:
+                ratio = last / prev
+                if 0.0 < ratio < _TAIL_GUARD:
+                    side += last * ratio / (1.0 - ratio)
+            total += abs(length) * side
+        totals.append(_zonal_constant(n) * total)
+    return np.reshape(totals, per_panel.shape[:-2]) if per_panel.ndim > 2 else totals[0]
 
 
 def cap_rule(n: int, t_lower: float):
@@ -182,8 +171,7 @@ def cap_rule(n: int, t_lower: float):
     weight is kept as an exact Jacobi weight on the mapped interval, so the
     rule stays accurate for caps many orders of magnitude smaller than 1.
     """
-    if not (isinstance(n, int) and n >= 3):
-        raise DomainError(f"dimension must be an integer >= 3, got {n!r}")
+    n = check_dimension(n)
     if not -1.0 < t_lower < 1.0:
         raise CapUnderflowError(f"cap boundary {t_lower!r} leaves no representable cap")
     expo = (n - 3) / 2.0

@@ -35,7 +35,7 @@ from .errors import BracketError, DomainError, NonConvergenceError
 from .kernel import BallContext, check_radius, kernel_range
 from .objective import ObjectiveParams, big_f, phi
 from .quadrature import _PANEL_NODES, _ROUNDING_FLOOR, DEFAULT_ORDER
-from .special import alpha_q
+from .special import alpha_q, check_dimension
 
 # Width in log a at which the root bracket counts as resolved.
 _LOG_A_TOL = 2.0 ** -44
@@ -161,8 +161,7 @@ def g_2_closed(n: int, r: float) -> float:
     n terms with all terms positive.
     """
     check_radius(r)
-    if not (isinstance(n, int) and n >= 3):
-        raise DomainError(f"dimension must be an integer >= 3, got {n!r}")
+    n = check_dimension(n)
     if r == 0.0:
         return 0.0
     second_moment = ((1.0 - r) * (1.0 + r)) ** (1 - n) * float(
@@ -192,8 +191,7 @@ def g_inf_closed(n: int, r: float) -> tuple[float, float]:
     Raises DomainError once a* drops below the smallest normal double.
     """
     check_radius(r)
-    if not (isinstance(n, int) and n >= 3):
-        raise DomainError(f"dimension must be an integer >= 3, got {n!r}")
+    n = check_dimension(n)
     a_star = ((1.0 - r * r) / (1.0 + r * r)) ** (n - 1)
     if a_star < sys.float_info.min:
         raise DomainError(
@@ -245,7 +243,7 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     return _g_p_numeric(ctx, r, order)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # a float order must not reuse an int order's solve
 def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
     return _numeric_result(ctx, r, order, solve_a_star(ctx, r, order))
 

@@ -15,14 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import BallContext, check_radius, crossing_point, poisson_szego_axis
+from .kernel import BallContext, check_radius, poisson_szego_axis
+from .objective import _split_point
 from .quadrature import DEFAULT_ORDER, build_rule, cap_rule, integrate_with_breakpoint
 from .solver import g_1_closed, g_p, grad_constant
+from .special import check_integer
 
 #: Multiplicative slack allowed when checking strict inequalities in floats.
 BOUND_SLACK = 1e-7
@@ -45,30 +47,28 @@ _POWER_SUM_MIN = 2.0 ** -970
 class ZonalBoundaryFunction:
     """Boundary data g(t) with its context, cached mean and p-norm.
 
-    ``kink`` declares a known non-smooth point of g so integrals involving
-    it can route through the breakpoint-aware rule.
+    ``kink`` is the breakpoint of every integral involving g: its one
+    non-smooth point, or by default the pole t = 1, where the kernel peaks.
     """
 
     g: Callable
     ctx: BallContext
-    kink: Optional[float] = None
+    kink: float = 1.0
     order: int = DEFAULT_ORDER
     mean: float = field(init=False)
     norm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.mean = integrate_with_breakpoint(self.ctx.n, self.order, self.g, self.kink)
-        self.norm = self._p_norm()
-
-    def _p_norm(self) -> float:
-        p = self.ctx.p
+        n, p, g = self.ctx.n, self.ctx.p, self.g
         if p == math.inf:
+            self.mean = integrate_with_breakpoint(n, self.order, g, self.kink)
             grid = np.cos(np.linspace(0.0, math.pi, _SUP_GRID_SIZE))
-            return float(np.max(np.abs(np.asarray(self.g(grid), dtype=float))))
-        value = integrate_with_breakpoint(
-            self.ctx.n, self.order, lambda t: np.abs(self.g(t)) ** p, self.kink
-        )
-        return value ** (1.0 / p)
+            self.norm = float(np.max(np.abs(np.asarray(g(grid), dtype=float))))
+        else:  # mean and p-norm in one stacked integral
+            self.mean, power = integrate_with_breakpoint(
+                n, self.order, lambda t: np.stack([(v := g(t)), np.abs(v) ** p]), self.kink
+            ).tolist()
+            self.norm = power ** (1.0 / p)
 
     def centered(self) -> "ZonalBoundaryFunction":
         shift = self.mean
@@ -83,10 +83,7 @@ def poisson_integral_axis(phi: ZonalBoundaryFunction, r: float) -> float:
     r = check_radius(r)
     ctx = phi.ctx
     return integrate_with_breakpoint(
-        ctx.n,
-        phi.order,
-        lambda t: poisson_szego_axis(ctx, r, t) * phi.g(t),
-        phi.kink,
+        ctx.n, phi.order, lambda t: poisson_szego_axis(ctx, r, t) * phi.g(t), phi.kink
     )
 
 
@@ -104,13 +101,12 @@ def extremal_phi(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> Zona
         raise DomainError("the bound degenerates at r = 0; extremal data needs r > 0")
     a_star = g_p(ctx, r, order).a_star
     expo = ctx.q - 1.0
-    t0 = crossing_point(ctx, r, a_star)
 
     def data(t):
         dev = poisson_szego_axis(ctx, r, t) - a_star
         return np.sign(dev) * np.abs(dev) ** expo
 
-    return ZonalBoundaryFunction(g=data, ctx=ctx, kink=t0, order=order)
+    return ZonalBoundaryFunction(g=data, ctx=ctx, kink=_split_point(ctx, r, a_star), order=order)
 
 
 def moment_extremal(ctx: BallContext, order: int = DEFAULT_ORDER) -> ZonalBoundaryFunction:
@@ -120,7 +116,6 @@ def moment_extremal(ctx: BallContext, order: int = DEFAULT_ORDER) -> ZonalBounda
     expo = ctx.q - 1.0
 
     def data(t):
-        t = np.asarray(t, dtype=float)
         return np.sign(t) * np.abs(t) ** expo
 
     return ZonalBoundaryFunction(g=data, ctx=ctx, kink=0.0, order=order)
@@ -228,10 +223,8 @@ def _random_poly_draws(n: int, count: int, seed: int, order: int):
     batch size.  Returns the rule, the raw coefficient matrix, the mean of
     each draw, and the centered node values.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise DomainError(f"count must be an integer >= 1, got {count!r}")
+    check_integer(seed, 0, "seed")
+    check_integer(count, 1, "count")
     rule = build_rule(n, order)
     coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9))
     values = coeffs @ _monomials(n, order)
@@ -301,12 +294,17 @@ def random_bound_check(
     """Sample random centered polynomial boundary data against the bound.
 
     Tests |u(r axis)| <= G_p(r) ||g||_p * (1 + BOUND_SLACK) over ``count``
-    draws.  Degenerate draws with ||g||_p = 0 count as ratio 0.
+    draws.  Degenerate draws with ||g||_p = 0 count as ratio 0.  A draw's
+    u(r axis) = integral K (g - mean) dsigma comes from the kernel moments
+    M_k = integral K t^k dsigma, k = 0..8: one stacked integral of K, K t,
+    ..., K t^8 on the graded rule, split at the pole t = 1, where K peaks.
     """
     r = check_radius(r)
     rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
-    kern = poisson_szego_axis(ctx, r, rule.nodes)
-    lhs = np.abs(values @ (rule.weights * kern))
+    moments = integrate_with_breakpoint(
+        ctx.n, order, lambda t: np.cumprod([poisson_szego_axis(ctx, r, t)] + [t] * 8, axis=0), 1.0
+    )
+    lhs = np.abs(coeffs @ moments - means * moments[0])
     norms = _poly_norms(ctx, rule, coeffs, means, values)
     return RandomBoundReport(count, seed, *_ratio_check(lhs, g_p(ctx, r, order).g_value * norms))
 
@@ -334,8 +332,7 @@ def minimizing_sequence_p1(n: int, r: float, index: int) -> float:
     The sequence increases to G_1(r) as i grows.
     """
     r = check_radius(r)
-    if not (isinstance(index, int) and index >= 1):
-        raise DomainError(f"sequence index must be an integer >= 1, got {index!r}")
+    check_integer(index, 1, "sequence index")
     ctx = BallContext(n, 1.0)
     # indices past ~1e8 collapse the cap to zero width in doubles; clamping
     # keeps the square finite so they fail as CapUnderflowError, not overflow
@@ -370,8 +367,7 @@ def cap_sequence_check(n: int, r: float, i_max: int = 64) -> CapSequenceReport:
     """The cap-pair sequence at every power of two i <= i_max against G_1(r)."""
     if not 0.0 < check_radius(r):
         raise DomainError("the cap sequence is compared with G_1(r) > 0; r must lie in (0, 1)")
-    if i_max < 2:
-        raise DomainError(f"the sequence needs i_max >= 2, got {i_max!r}")
+    i_max = check_integer(i_max, 2, "i_max")
     g1 = g_1_closed(n, r)[1]
     indices = tuple(2 ** k for k in range(1, i_max.bit_length()))
     values = tuple(minimizing_sequence_p1(n, r, i) for i in indices)

@@ -26,8 +26,10 @@ class TestParams:
         for r in (1.0, -0.1, 0.0):  # r = 0 is solved exactly before the objective
             with pytest.raises(DomainError):
                 params(3, 2.0, r)
-        with pytest.raises(DomainError):
-            ObjectiveParams(BallContext(3, 2.0), 0.5, order=1)
+        # the rule checks the order on the first integral
+        for order in (1, 2.5):
+            with pytest.raises(DomainError, match="order"):
+                big_f(ObjectiveParams(BallContext(3, 2.0), 0.5, order=order), 1.0)
 
 
 class TestPhi:

@@ -10,7 +10,6 @@ from hypschwarz.quadrature import (
     build_rule,
     cap_rule,
     integrate_with_breakpoint,
-    integrate_zonal,
 )
 from conftest import mp_crossing, mp_kernel, mp_zonal
 
@@ -42,20 +41,20 @@ class TestPlainRule:
         for n in (3, 5):
             rule = build_rule(n, 6)
             for k in range(12):
-                numeric = integrate_zonal(rule, lambda t: t ** k)
+                numeric = rule.weights @ rule.nodes ** k
                 expected = 0.0 if k % 2 else exact_even_moment(n, k)
                 assert numeric == pytest.approx(expected, abs=1e-14)
 
     def test_exactness_stops_at_rule_degree(self):
         rule = build_rule(3, 2)
-        wrong = integrate_zonal(rule, lambda t: t ** 4)
+        wrong = rule.weights @ rule.nodes ** 4
         assert abs(wrong - exact_even_moment(3, 4)) > 1e-3
 
     def test_even_moments_at_order_512(self):
         for n in (3, 4, 6, 10, 30, 100):
             rule = build_rule(n, 512)
             for k in range(0, 65, 2):
-                numeric = integrate_zonal(rule, lambda t: t ** k)
+                numeric = rule.weights @ rule.nodes ** k
                 assert numeric == pytest.approx(exact_even_moment(n, k), abs=1e-13)
 
     def test_rule_is_cached_and_frozen(self):
@@ -65,28 +64,30 @@ class TestPlainRule:
             rule.nodes[0] = 0.0
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            build_rule(2, 64)
-        with pytest.raises(DomainError):
-            build_rule(3, 1)
+        for n, order in ((2, 64), (3, 1), (3.0, 64), (3, 2.5), (3, 64.0), (True, 64), (3, True)):
+            with pytest.raises(DomainError):
+                build_rule(n, order)
+        assert build_rule(np.int64(3), np.int64(64)).nodes.shape == (64,)
 
 
 class TestIntegrateZonal:
+    """Integrands as the graded rule sees them: scalars, shapes, overflow."""
+
     def test_constants(self):
-        rule = build_rule(4, 64)
-        assert integrate_zonal(rule, lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-12)
+        assert integrate_with_breakpoint(4, 64, lambda t: np.ones_like(t), 0.2) == pytest.approx(
+            1.0, abs=1e-14)
         # scalar-returning integrand exercises the broadcast path
-        assert integrate_zonal(rule, lambda t: 3.0) == pytest.approx(3.0, abs=1e-12)
+        assert integrate_with_breakpoint(4, 64, lambda t: 3.0, 0.2) == pytest.approx(3.0, abs=1e-14)
 
     def test_kernel_mean(self):
+        # split at the pole, where the kernel peaks
         ctx = BallContext(3, 2.0)
-        rule = build_rule(3, 128)
-        value = integrate_zonal(rule, lambda t: poisson_szego_axis(ctx, 0.7, t))
-        assert value == pytest.approx(1.0, abs=1e-10)
+        value = integrate_with_breakpoint(3, 128, lambda t: poisson_szego_axis(ctx, 0.7, t), 1.0)
+        assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_order_doubling_plateau_for_smooth_integrand(self):
-        lo = integrate_zonal(build_rule(4, 128), np.exp)
-        hi = integrate_zonal(build_rule(4, 256), np.exp)
+        lo = integrate_with_breakpoint(4, 128, np.exp, 1.0)
+        hi = integrate_with_breakpoint(4, 256, np.exp, 1.0)
         assert lo == pytest.approx(hi, rel=1e-14)
 
     def test_non_vectorized_integrand_fallback(self):
@@ -97,28 +98,23 @@ class TestIntegrateZonal:
             return 2.0
 
         with pytest.raises(DomainError, match="shape"):
-            integrate_zonal(build_rule(3, 32), awkward)
-        with pytest.raises(DomainError, match="shape"):
             integrate_with_breakpoint(3, 32, awkward, 0.5)
 
     def test_rejects_nonfinite_integrand(self):
         with pytest.raises(DomainError):
-            integrate_zonal(build_rule(3, 32), lambda t: np.where(t > 0.0, 1.0, np.inf))
+            integrate_with_breakpoint(3, 32, lambda t: np.where(t > 0.0, 1.0, np.inf), 0.3)
 
     def test_absolute_value_moment_at_high_order(self):
-        # |t| is C^0 at zero; the plain rule needs a large order for 1e-8
-        value = integrate_zonal(build_rule(3, 8192), np.abs)
-        assert value == pytest.approx(0.5, abs=1e-8)
+        # |t| is C^0 at zero; the Gauss-Jacobi nodes need a large order for 1e-8
+        rule = build_rule(3, 8192)
+        assert rule.weights @ np.abs(rule.nodes) == pytest.approx(0.5, abs=1e-8)
 
 
 class TestBreakpointRule:
-    def test_none_breakpoint_matches_plain_rule(self):
-        plain = integrate_zonal(build_rule(3, 128), np.cos)
-        assert integrate_with_breakpoint(3, 128, np.cos, None) == plain
-
     def test_smooth_integrand_consistency(self):
         f = lambda t: np.cos(3.0 * t)
-        plain = integrate_zonal(build_rule(3, 256), f)
+        rule = build_rule(3, 256)
+        plain = rule.weights @ f(rule.nodes)
         split = integrate_with_breakpoint(3, 128, f, 0.2)
         assert split == pytest.approx(plain, rel=1e-12)
 
@@ -195,6 +191,28 @@ class TestBreakpointRule:
     def test_rejects_breakpoint_outside_range(self):
         with pytest.raises(DomainError):
             integrate_with_breakpoint(3, 128, np.abs, 1.5)
+
+    def test_rejects_non_integer_order(self):
+        for order in (1, 2.5, 128.0, True):
+            with pytest.raises(DomainError, match="order"):
+                integrate_with_breakpoint(3, order, np.abs, 0.0)
+        assert integrate_with_breakpoint(3, np.int64(128), np.abs, 0.0) == pytest.approx(0.5)
+
+    def test_stacked_integrand_matches_separate_calls(self):
+        ctx = BallContext(4, 3.0)
+        kernel = lambda t: poisson_szego_axis(ctx, 0.8, t)
+        parts = [kernel, lambda t: np.abs(kernel(t) - 1.5) ** 2.5, np.cos, lambda t: 2.0 + 0.0 * t]
+        for t0 in (-1.0, 0.3, 1.0):
+            separate = [integrate_with_breakpoint(4, 128, f, t0) for f in parts]
+            stacked = integrate_with_breakpoint(
+                4, 128, lambda t: np.stack([f(t) for f in parts]).reshape(2, 2, *t.shape), t0)
+            assert stacked.shape == (2, 2)
+            assert stacked.ravel().tolist() == separate
+
+    def test_stack_must_end_in_the_node_shape(self):
+        for shape in (lambda t: (3, *t.shape[1:]), lambda t: (*t.shape, 2), lambda t: (3, 7)):
+            with pytest.raises(DomainError, match="shape"):
+                integrate_with_breakpoint(3, 128, lambda t: np.zeros(shape(t)), 0.2)
 
 
 class TestCapRule:

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from hypschwarz.errors import DomainError
+from hypschwarz.kernel import BallContext
 from hypschwarz.solver import g_2_closed, g_inf_closed
 from hypschwarz.special import alpha_q
-from hypschwarz.quadrature import integrate_with_breakpoint
+from hypschwarz.quadrature import build_rule, cap_rule, integrate_with_breakpoint
 from conftest import mp_g_2, mp_g_inf
 
 
@@ -68,3 +70,21 @@ class TestAlphaQ:
             alpha_q(3, -0.5)
         with pytest.raises(DomainError):
             alpha_q(3, math.inf)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda n: BallContext(n, 2.0),
+    lambda n: build_rule(n, 16),
+    lambda n: cap_rule(n, 0.5),
+    lambda n: alpha_q(n, 1.0),
+    lambda n: g_2_closed(n, 0.5),
+    lambda n: g_inf_closed(n, 0.5),
+], ids=["BallContext", "build_rule", "cap_rule", "alpha_q", "g_2_closed", "g_inf_closed"])
+def test_dimension_checked_alike_everywhere(entry):
+    # BallContext(np.int64(3), 2.0) was refused with "got np.int64(3)"
+    for n in (2, 3.0, np.float64(4.0), True, "3", None):
+        with pytest.raises(DomainError, match=r"^dimension must be an integer >= 3, got "):
+            entry(n)
+    for n in (3, np.int64(3), np.int32(5)):
+        entry(n)
+    assert type(BallContext(np.int64(4), 2.0).n) is int

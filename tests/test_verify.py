@@ -10,6 +10,7 @@ from hypschwarz import solver, verify
 from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
+from conftest import mp_kernel, mp_zonal
 from hypschwarz.verify import (
     SHARPNESS_GAP_LIMIT,
     RandomBoundReport,
@@ -177,6 +178,17 @@ class TestRandomChecks:
         second = random_bound_check(ctx, 0.6, count=100, seed=11)
         assert first == second
 
+    def test_order_must_be_an_integer(self):
+        # order 2.5 answered in g_p and raised scipy's ValueError in the draws;
+        # 128.0 is refused even where order 128 is already solved
+        ctx = BallContext(3, 2.5)
+        solver.g_p(ctx, 0.5, order=128)
+        for order in (2.5, 1, True, 128.0):
+            with pytest.raises(DomainError, match="order"):
+                solver.g_p(ctx, 0.5, order=order)
+            with pytest.raises(DomainError, match="order"):
+                random_bound_check(ctx, 0.5, count=10, order=order)
+
     def test_count_validation(self):
         with pytest.raises(DomainError):
             random_bound_check(BallContext(3, 2.0), 0.5, count=0)
@@ -231,15 +243,16 @@ class TestRandomChecks:
 
     # pinned from the p-norm that took |values|^p in two fresh temporaries;
     # the in-place form is the same arithmetic, so every bit must agree.  The
-    # two bound pins at p != 2 were re-pinned when the shift solve changed:
-    # G moved by 7e-16 and 9e-15 relative, inside its est_error
+    # bound pins follow u(r axis) from the kernel moments on the graded rule:
+    # each is within 7e-15 relative of the ratio at its maximizing draw's
+    # mpmath u (Gauss-Jacobi kernel sums had it 1e-15, 3e-13 and 2e-8 off)
     @pytest.mark.parametrize("check, expected", [
         (lambda: random_bound_check(BallContext(4, 3.0), 0.6, count=1000, seed=3),
-         0.9889803881064789),
+         0.9889803881064775),
         (lambda: random_bound_check(BallContext(3, 2.0), 0.5, count=1000, seed=3),
-         0.9957236723261879),
+         0.9957236723259068),
         (lambda: random_bound_check(BallContext(5, 1.7), 0.9, count=1000, seed=3),
-         0.044076939734016315),
+         0.044076940782812025),
         (lambda: random_grad_check(BallContext(4, 3.0), count=1000, seed=3),
          0.994026172546964),
         (lambda: random_grad_check(BallContext(4, math.inf), count=1000, seed=3),
@@ -295,6 +308,27 @@ class TestRandomChecks:
         table = verify._monomials(4, 128)
         assert verify._monomials(4, 128) is table and not table.flags.writeable
         assert np.array_equal(table, verify.build_rule(4, 128).nodes ** np.arange(9)[:, None])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_draw_extensions_against_mpmath(n):
+    # |u(r axis)| of single draws, read back from the ratio to G_inf ||g||_inf
+    # (both closed forms); Gauss-Jacobi kernel sums had it 0.78 and 1.6 off at n = 3
+    pytest.importorskip("mpmath")
+    from mpmath import mp
+
+    ctx = BallContext(n, math.inf)
+    for seed in (1, 2):
+        _, coeffs, means, _ = verify._random_poly_draws(n, 1, seed, 128)
+        c, mean = coeffs[0], means[0]
+        centered = np.concatenate([[c[0] - mean], c[1:]])
+        for r, tol in ((0.99, 1e-12), (0.999, 1e-9)):
+            ratio = random_bound_check(ctx, r, count=1, seed=seed).max_ratio
+            u = ratio * solver.g_inf_closed(n, r)[1] * verify._poly_sups(centered[None])[0]
+            split = [1.0 - (1.0 - r) ** 2 / (2.0 * r) * 10.0 ** k for k in range(3, -1, -1)]
+            ref = mp_zonal(n, lambda t: mp_kernel(n, r, t) * mp.polyval(centered[::-1].tolist(), t),
+                           split=split)
+            assert abs(u - abs(ref)) <= tol, (seed, r, u, ref)
 
 
 def per_row_sup(coeffs):
@@ -368,6 +402,13 @@ class TestMinimizingSequence:
         for r, i_max in ((0.0, 64), (0.5, 1)):
             with pytest.raises(DomainError):
                 cap_sequence_check(3, r, i_max)
+
+    def test_i_max_must_be_an_integer(self):
+        # a float i_max raised AttributeError from int.bit_length
+        for i_max in (64.0, 2.5, True, "64", None):
+            with pytest.raises(DomainError, match="i_max"):
+                cap_sequence_check(3, 0.5, i_max)
+        assert cap_sequence_check(3, 0.5, np.int64(64)) == cap_sequence_check(3, 0.5, 64)
 
 
 class TestCorollary:
