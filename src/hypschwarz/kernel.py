@@ -65,9 +65,14 @@ def poisson_szego_axis(ctx: BallContext, r: float, t):
     t = np.asarray(t, dtype=float)
     if t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
         raise DomainError("axis coordinate t must lie in [-1, 1]")
-    logk = (ctx.n - 1) * (math.log1p(-r * r) - np.log1p(r * r - 2.0 * r * t))
-    out = np.exp(logk)
+    out = _axis_kernel(ctx.n, r, t)
     return out if out.ndim else float(out)
+
+
+def _axis_kernel(n: int, r: float, t: np.ndarray) -> np.ndarray:
+    """K(r, t) at a radius in [0, 1) and an array t of values in [-1, 1],
+    unchecked: the nodes of a quadrature rule are cosines and need no check."""
+    return np.exp((n - 1) * (math.log1p(-r * r) - np.log1p(r * r - 2.0 * r * t)))
 
 
 def kernel_range(ctx: BallContext, r: float) -> tuple[float, float]:

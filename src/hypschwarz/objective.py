@@ -10,20 +10,25 @@ which is strictly convex in a.  Its stationarity is governed by
     F(r, a) = integral (K - a) |K - a|^(q-2) dsigma,
 
 strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
-here is smooth except where K crosses the level a, so all integrals route
-through the breakpoint-aware rule with that crossing declared.
+here is smooth except where K crosses the level a, so all integrals use the
+breakpoint-aware rule split at that crossing.  The rule's nodes and K - a
+on them depend on the shift only, not on the integrand: they form one site
+per shift, and the last site built is kept.  Phi at a solved a*, and the
+residual F(a*), then cost one power and one panel sum on the site of the
+solve's last F, which evaluated exactly that shift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import BallContext, check_radius, crossing_point, kernel_range, poisson_szego_axis
-from .quadrature import DEFAULT_ORDER, integrate_with_breakpoint
+from .kernel import BallContext, _axis_kernel, check_radius, crossing_point, kernel_range
+from .quadrature import DEFAULT_ORDER, _graded_nodes, _panel_sum
 
 # Floor applied to |K - a| in negative-exponent integrands: a quadrature node
 # can land within one rounding step of the crossing, where the computed
@@ -58,17 +63,27 @@ def _split_point(ctx: BallContext, r: float, a: float) -> float:
     return (1.0 if a > 1.0 else -1.0) if t0 is None else t0
 
 
-def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
-    """Breakpoint-routed integral of weight_fn(K - a), split where K = a."""
+@lru_cache(maxsize=1, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
+def _site(ctx: BallContext, r: float, order: int, a: float):
+    """(K - a, node set) at the shift a: the graded rule split where K
+    crosses a, with K - a at its nodes.  F, Phi and dF/da at one shift share
+    it, so Phi at a solved a* and the residual F(a*) reuse the site of the
+    solve's last F, which evaluated exactly that shift.
+    """
     if not math.isfinite(a):
         raise DomainError(f"shift must be finite, got {a!r}")
-    ctx, r = params.ctx, params.r
-    t0 = _split_point(ctx, r, a)
+    nodes = _graded_nodes(ctx.n, order, _split_point(ctx, r, a))
+    dev = _axis_kernel(ctx.n, r, nodes[0]) - a
+    dev.setflags(write=False)
+    return dev, nodes
 
-    def integrand(t):
-        return weight_fn(poisson_szego_axis(ctx, r, t) - a)
 
-    return integrate_with_breakpoint(ctx.n, params.order, integrand, t0)
+def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
+    """Breakpoint-routed integral of weight_fn(K - a), split where K = a."""
+    # Overflow leaves non-finite values, which the panel sum refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev, nodes = _site(params.ctx, params.r, params.order, a)
+        return _panel_sum(params.ctx.n, weight_fn(dev), nodes)
 
 
 def phi(params: ObjectiveParams, a: float) -> float:
@@ -91,12 +106,12 @@ def phi(params: ObjectiveParams, a: float) -> float:
 def big_f(params: ObjectiveParams, a: float) -> float:
     """F(r, a) = integral (K - a)|K - a|^(q-2) dsigma, decreasing in a.
 
-    The integrand is written sign(K - a) |K - a|^(q-1), which is bounded for
-    every q > 1.
+    The integrand is written |K - a|^(q-1) with the sign of K - a, which is
+    bounded for every q > 1.
     """
     q = params.ctx.q
     return _deviation_integral(
-        params, a, lambda dev: np.sign(dev) * np.abs(dev) ** (q - 1.0)
+        params, a, lambda dev: np.copysign(np.abs(dev) ** (q - 1.0), dev)
     )
 
 

@@ -15,7 +15,12 @@ theta0 = arccos(t0) with panels shrinking geometrically toward the breakpoint
 extrapolating the measured panel-sum ratio, which resolves any integrable
 power behaviour without knowing its exponent.  The panel layout of a side of
 unit length is built once per rule order and cached; each call only scales
-it by the lengths of its two sides and shifts it to theta0.
+it by the lengths of its two sides and shifts it to theta0.  The rule is two
+steps: ``_graded_nodes`` builds the node set for (n, order, t0), and
+``_panel_sum`` sums values taken at it.  ``integrate_with_breakpoint``
+composes them around an integrand; ``objective`` keeps one node set per
+shift and sums several integrands on it.  A non-finite value, or a total
+past double range, is refused with DomainError.
 
 ``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights
 scaled by c_n) of the random polynomial draws in ``verify``, exact for their
@@ -56,6 +61,7 @@ _TAIL_GUARD = 0.95   # largest admissible panel-sum ratio for tail summation
 _CAP_ORDER = 64
 
 
+@lru_cache(maxsize=64)
 def _zonal_constant(n: int) -> float:
     return math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)) / math.sqrt(math.pi)
 
@@ -116,36 +122,29 @@ def _graded_panels(order: int):
     return offsets, weights
 
 
-def integrate_with_breakpoint(n: int, order: int, f, t0: float):
-    """Zonal integral of f, split at the axis value t0 in [-1, 1].
-
-    The integral is computed in theta = arccos(t) with geometrically graded
-    panels on both sides of the breakpoint and a ratio-extrapolated tail,
-    which keeps full accuracy for |t - t0|^s factors with s > -1 (kinks and
-    integrable singularities alike).  Where f returns values of shape
-    (*stack, *nodes), the result is an array of shape ``stack``: each
-    integral is the one a separate call would give, bit for bit.
+def _graded_nodes(n: int, order: int, t0: float):
+    """Node set of the graded rule split at t0: (t, sin^(n-2) theta, panel
+    weights, side lengths), with t and the sine power of shape
+    (sides, _PANELS, k).  A breakpoint at a pole leaves one side; the empty
+    one gets no nodes, as an integrand may be infinite there.
     """
-    if not -1.0 <= t0 <= 1.0:
-        raise DomainError(f"breakpoint must lie in [-1, 1], got {t0!r}")
     theta0 = math.acos(t0)
     offsets, weights = _graded_panels(order)
-    # A breakpoint at a pole leaves one side; the empty one is not
-    # evaluated, as f may be infinite there.
     lengths = [side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300]
     theta = theta0 + np.array(lengths)[:, None, None] * offsets
-    t = np.cos(theta)
-    # Overflow raises no numpy warning: it leaves non-finite values, which are
-    # refused like any other.  A scalar result means a constant f.
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(f(t), dtype=float)
-    if vals.ndim == 0:
-        vals = np.broadcast_to(vals, t.shape)
-    elif vals.shape[-t.ndim:] != t.shape:
-        raise DomainError(f"integrand returned shape {vals.shape} at nodes of shape {t.shape}")
-    if not np.isfinite(vals).all():
-        raise DomainError("integrand produced non-finite values")
-    per_panel = np.add.reduce(vals * np.sin(theta) ** (n - 2) * weights, axis=-1)
+    return np.cos(theta), np.sin(theta) ** (n - 2), weights, lengths
+
+
+def _panel_sum(n: int, vals, nodes):
+    """Zonal integral of ``vals``, values of shape (*stack, *t.shape) at the
+    node set ``nodes`` of ``_graded_nodes``: one float, or an array of shape
+    ``stack``.  Call it with numpy's overflow and invalid warnings off: a
+    non-finite value makes its panel sum, and so its total, non-finite, and
+    every non-finite total is refused.
+    """
+    _, sinpow, weights, lengths = nodes
+    per_panel = np.add.reduce(vals * sinpow * weights, axis=-1)
+    c_n = _zonal_constant(n)
     totals = []
     for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist():
         total = 0.0
@@ -158,8 +157,38 @@ def integrate_with_breakpoint(n: int, order: int, f, t0: float):
                 if 0.0 < ratio < _TAIL_GUARD:
                     side += last * ratio / (1.0 - ratio)
             total += abs(length) * side
-        totals.append(_zonal_constant(n) * total)
+        total = c_n * total
+        # Python floats overflow to inf silently, in the sums as in the tail.
+        if not math.isfinite(total):
+            raise DomainError("integrand produced non-finite values or a non-finite integral")
+        totals.append(total)
     return np.reshape(totals, per_panel.shape[:-2]) if per_panel.ndim > 2 else totals[0]
+
+
+def integrate_with_breakpoint(n: int, order: int, f, t0: float):
+    """Zonal integral of f, split at the axis value t0 in [-1, 1].
+
+    The integral is computed in theta = arccos(t) with geometrically graded
+    panels on both sides of the breakpoint and a ratio-extrapolated tail,
+    which keeps full accuracy for |t - t0|^s factors with s > -1 (kinks and
+    integrable singularities alike).  Where f returns values of shape
+    (*stack, *nodes), the result is an array of shape ``stack``: each
+    integral is the one a separate call would give, bit for bit.  A
+    non-finite value of f, or a total past double range, raises DomainError.
+    """
+    if not -1.0 <= t0 <= 1.0:
+        raise DomainError(f"breakpoint must lie in [-1, 1], got {t0!r}")
+    nodes = _graded_nodes(n, order, t0)
+    t = nodes[0]
+    # Overflow raises no numpy warning: it leaves non-finite values, which are
+    # refused like any other.  A scalar result means a constant f.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(f(t), dtype=float)
+        if vals.ndim == 0:
+            vals = np.broadcast_to(vals, t.shape)
+        elif vals.shape[-t.ndim:] != t.shape:
+            raise DomainError(f"integrand returned shape {vals.shape} at nodes of shape {t.shape}")
+        return _panel_sum(n, vals, nodes)
 
 
 def cap_rule(n: int, t_lower: float):

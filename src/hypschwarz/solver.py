@@ -12,8 +12,9 @@ that at n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
 stopping rule is scale-free: F scales like |K - a|^(q-1), which for p near 1
 at small r lies far below any fixed residual.  A cold solve starts from log
 a* interpolated in 1/p through the closed forms below; along a sweep
-(g_p_curve) from a* extrapolated through the radii solved before it.  The
-endpoint exponents have closed forms:
+(g_p_curve) from a* extrapolated through the radii solved before it, except
+at p = 2, where the cold start a = 1 is the root.  The endpoint exponents
+have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -269,39 +270,48 @@ def _numeric_result(ctx: BallContext, r: float, order: int, a_star: float) -> Gp
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
     """g_p at every radius of a sweep, each shift solve started from its neighbours.
 
-    For finite p > 1, log a* at each new radius is predicted by quadratic
-    extrapolation in r through the last three radii solved (linear through
-    two, a cold solve before that); the first step is twice the gap between
-    the quadratic and linear predictions (a tenth of the last step in log a*
-    with two).  A radius already solved reuses that solve.  Results depend on
-    (ctx, radii, order) only: the per-point memo of g_p is neither read nor
-    filled.  Where F overflows at the kernel-range ends but not near a*
-    (p near 1 at larger r), a warm solve answers although g_p refuses.
+    For finite p > 1 other than 2, log a* at each new radius is predicted by
+    quadratic extrapolation in r through the last three radii solved (linear
+    through two, a cold solve before that); the first step is twice the gap
+    between the quadratic and linear predictions (a tenth of the last step in
+    log a* with two).  At p = 2 every radius is solved cold, from its root
+    a = 1, so the rows are g_p's bit for bit.  A radius already solved reuses
+    that solve.  Each G is computed right after its radius's solve, while the
+    site of the solve's last F is still held.  Results depend on (ctx,
+    radii, order) only: the per-point memo of g_p is neither read nor
+    filled.  Where F overflows at the kernel-range ends but not near a* (p
+    near 1 at larger r), a warm solve answers although g_p refuses.
     """
     if not 1.0 < ctx.p < math.inf:
         return [g_p(ctx, r, order) for r in radii]
-    shifts = _shift_curve(ctx, radii, order)
-    results = {r: _numeric_result(ctx, r, order, a_star) for r, a_star in shifts}
-    return [results[r] for r, _ in shifts]
+    results: dict[float, GpResult] = {}
+    curve = []
+    for r, a_star in _shift_curve(ctx, radii, order):
+        if r not in results:
+            results[r] = _numeric_result(ctx, r, order, a_star)
+        curve.append(results[r])
+    return curve
 
 
-def _shift_curve(ctx: BallContext, radii, order: int) -> list[tuple[float, float]]:
-    """(r, a*) at every radius of a sweep for finite p > 1: g_p_curve's
-    continued solves without Phi."""
+def _shift_curve(ctx: BallContext, radii, order: int):
+    """(r, a*) at every radius of a sweep for finite p > 1, yielded as each
+    is solved: g_p_curve's continued solves without Phi."""
     solved: dict[float, float] = {}
     history: list[tuple[float, float]] = []  # (r, log a*) of each radius solved, in order
-    shifts = []
     for r in map(check_radius, radii):
         if r not in solved:
             solved[r] = _continued_solve(ctx, r, order, history[-3:])
             history.append((r, math.log(solved[r])))
-        shifts.append((r, solved[r]))
-    return shifts
+        yield r, solved[r]
 
 
 def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
-    """solve_a_star at r, guessed from up to three known (radius, log a*) pairs."""
-    if len(known) < 2:
+    """solve_a_star at r, guessed from up to three known (radius, log a*) pairs.
+
+    At p = 2, F(a) = 1 - a and the cold start a = 1 is the root; a guess
+    would only extrapolate the solves' last-bit jitter, so it solves cold.
+    """
+    if len(known) < 2 or ctx.p == 2.0:
         return solve_a_star(ctx, r, order)
     (r1, s1), (r2, s2) = known[-2:]
     linear = s2 + (r - r2) * (s2 - s1) / (r2 - r1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hypschwarz
-from hypschwarz import solver
+from hypschwarz import objective, solver
 from hypschwarz.cli import _render, main
 from hypschwarz.kernel import BallContext
 from hypschwarz.objective import ObjectiveParams, big_f
@@ -196,6 +196,22 @@ class TestAstar:
                                    "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
             assert code == 0 and len(csv_rows(out)[1]) == 20
         assert calls == []
+
+    def test_sweep_residuals_build_no_node_sets(self, capsys, monkeypatch):
+        # each row's F(a*) reads the site of its solve's last F
+        built = []
+        real = objective._graded_nodes
+        monkeypatch.setattr(objective, "_graded_nodes", lambda *args: built.append(1) or real(*args))
+        radii = [float(r) for r in np.linspace(0.01, 0.95, 20)]
+        objective._site.cache_clear()
+        shifts = list(solver._shift_curve(BallContext(4, 3.0), radii, DEFAULT_ORDER))
+        solves = len(built)
+        objective._site.cache_clear()
+        code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
+                               "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
+        assert code == 0 and [float(row["a_star"]) for row in csv_rows(out)[1]] == [
+            a_star for _, a_star in shifts]
+        assert len(built) == 2 * solves
 
     def test_sweep_rows_are_gp_shifts_and_their_residuals(self, capsys):
         radii = [float(r) for r in np.linspace(0.0, 0.95, 20)]

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hypschwarz.errors import DomainError
+from hypschwarz import objective, solver
+from hypschwarz.errors import BracketError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
-from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
+from hypschwarz.objective import _DEV_FLOOR, ObjectiveParams, _split_point, big_f, dF_da, phi
 from hypschwarz.quadrature import integrate_with_breakpoint
-from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p
+from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p, solve_a_star
 from conftest import central_diff, mp_crossing, mp_kernel, mp_zonal
 
 
@@ -165,3 +166,81 @@ class TestStationarityIdentity:
         ctx = BallContext(3, 1.5)
         t0 = crossing_point(ctx, 0.5, 2.0)
         assert t0 is not None and -1.0 < t0 < 1.0
+
+
+def closure_integral(prm, a, weight):
+    """The integral of weight(K - a) as one integrand closure: the kernel
+    evaluated through its checked public form at the rule's nodes."""
+    ctx, r = prm.ctx, prm.r
+    return integrate_with_breakpoint(
+        ctx.n, prm.order, lambda t: weight(poisson_szego_axis(ctx, r, t) - a),
+        _split_point(ctx, r, a),
+    )
+
+
+def closure_phi(prm, a):
+    q = prm.ctx.q
+    kmin, kmax = kernel_range(prm.ctx, prm.r)
+    s = max(kmax - a, a - kmin) or 1.0
+    return s * closure_integral(prm, a, lambda dev: np.abs(dev / s) ** q) ** (1.0 / q)
+
+
+def closure_big_f(prm, a):
+    q = prm.ctx.q
+    return closure_integral(prm, a, lambda dev: np.sign(dev) * np.abs(dev) ** (q - 1.0))
+
+
+def closure_dF_da(prm, a):
+    q = prm.ctx.q
+    floor = _DEV_FLOOR * max(1.0, abs(a)) if q < 2.0 else 0.0
+    return (1.0 - q) * closure_integral(
+        prm, a, lambda dev: np.maximum(np.abs(dev), floor) ** (q - 2.0))
+
+
+def outcome(fn, *args):
+    """The exact bits of a float result, or the refusal's type."""
+    try:
+        return fn(*args).hex()
+    except DomainError as exc:
+        return type(exc).__name__
+
+
+class TestSharedSite:
+    def test_matches_closure_formulation_bit_for_bit(self):
+        # F, Phi and dF/da on one shared site give the bits of one integrand
+        # closure each, around a*, just inside the range and past both its ends
+        for n in (3, 4, 5, 10):
+            for p in (1.1, 1.5, 3.0, 10.0):
+                for r in (0.05, 0.35, 0.65, 0.95):
+                    prm = params(n, p, r)
+                    kmin, kmax = kernel_range(prm.ctx, r)
+                    try:
+                        a_star = solve_a_star(prm.ctx, r)
+                    except BracketError:  # n = 10, r = 0.95 at p = 3 and 10
+                        a_star = 1.0
+                    shifts = [a_star * f for f in (1.0, 1.0 - 1e-12, 1.0 + 1e-9, 0.9, 1.3)]
+                    shifts += [kmin / 2.0, kmin * 1.01, kmax * 0.99, kmax * 2.0]
+                    for a in shifts:
+                        for new, ref in ((big_f, closure_big_f), (phi, closure_phi),
+                                         (dF_da, closure_dF_da)):
+                            assert outcome(new, prm, a) == outcome(ref, prm, a), (n, p, r, a, new)
+
+    def test_cold_g_p_builds_node_sets_for_its_F_and_refined_phi_only(self, monkeypatch):
+        f_calls, built = [], []
+        real_big_f, real_nodes = solver.big_f, objective._graded_nodes
+        monkeypatch.setattr(solver, "big_f", lambda *args: f_calls.append(1) or real_big_f(*args))
+        monkeypatch.setattr(objective, "_graded_nodes",
+                            lambda n, order, t0: built.append(order) or real_nodes(n, order, t0))
+        objective._site.cache_clear()
+        solver._g_p_numeric.cache_clear()
+        res = g_p(BallContext(4, 3.0), 0.5)
+        # Phi at a* read the site of the solve's last F
+        assert len(f_calls) == 8
+        assert built == [128] * 8 + [256]
+        # the order-256 Phi holds the one slot now: Phi at a* builds its
+        # node set again, and F and dF/da at a* share it
+        prm = params(4, 3.0, 0.5)
+        assert phi(prm, res.a_star) == res.g_value
+        big_f(prm, res.a_star)
+        dF_da(prm, res.a_star)
+        assert built == [128] * 8 + [256, 128]

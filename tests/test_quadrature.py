@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,8 +102,23 @@ class TestIntegrateZonal:
             integrate_with_breakpoint(3, 32, awkward, 0.5)
 
     def test_rejects_nonfinite_integrand(self):
-        with pytest.raises(DomainError):
-            integrate_with_breakpoint(3, 32, lambda t: np.where(t > 0.0, 1.0, np.inf), 0.3)
+        # a non-finite value makes its panel sum non-finite, also where the
+        # sine power underflows to 0 next to the pole (inf * 0); numpy warns of none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, bad, t0 in ((3, np.inf, 0.3), (3, np.nan, 0.3), (200, np.inf, 1.0)):
+                with pytest.raises(DomainError, match="non-finite"):
+                    integrate_with_breakpoint(n, 32, lambda t: np.where(t < 0.999, 1.0, bad), t0)
+
+    def test_rejects_a_total_past_double_range(self):
+        # every value and panel sum is finite, but the sum over the sides
+        # (2e308 before the factor c_3 = 1/2) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                integrate_with_breakpoint(3, 128, lambda t: np.full_like(t, 1e308), 0.2)
+        value = integrate_with_breakpoint(3, 128, lambda t: np.full_like(t, 1e307), 0.2)
+        assert value == pytest.approx(1e307, rel=1e-14)
 
     def test_absolute_value_moment_at_high_order(self):
         # |t| is C^0 at zero; the Gauss-Jacobi nodes need a large order for 1e-8

@@ -226,6 +226,24 @@ class TestGpCurve:
         g_p_curve(BallContext(4, 3.0), radii)
         assert len(calls) / len(radii) <= 8.0
 
+    def test_p2_sweep_solves_each_radius_cold(self, monkeypatch):
+        # at p = 2, F(a) = 1 - a and the cold start a = 1 is the root; a guess
+        # extrapolated from earlier solves costs more F, so the sweep's rows and
+        # F count are those of cold point solves
+        calls = []
+        real_big_f = solver.big_f
+        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        radii = [float(r) for r in np.linspace(0.01, 0.95, 100)]
+        for n in (3, 4, 5):
+            ctx = BallContext(n, 2.0)
+            calls.clear()
+            curve = g_p_curve(ctx, radii)
+            swept = len(calls)
+            solver._g_p_numeric.cache_clear()
+            calls.clear()
+            assert curve == [g_p(ctx, r) for r in radii], n
+            assert swept == len(calls), n
+
     def test_repeated_and_unordered_radii(self):
         same = g_p_curve(BallContext(3, 3.0), [0.5] * 4)
         assert same == [g_p(BallContext(3, 3.0), 0.5)] * 4
