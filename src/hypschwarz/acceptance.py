@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import BallContext, kernel_range, poisson_szego_axis
-from .objective import ObjectiveParams, big_f, dF_da, phi
-from .quadrature import integrate_with_breakpoint
+from .kernel import BallContext, kernel_range
+from .objective import ObjectiveParams, _site_integral, big_f, dF_da, phi
 from .solver import (
     g_1_closed,
     g_2_closed,
@@ -30,11 +29,9 @@ from .solver import (
 )
 from .verify import (
     CAPSEQ_GAP_LIMIT,
-    ZonalBoundaryFunction,
+    _gradient_extremal_ratio,
     corollary_l2_batch,
     corollary_l2_check,
-    grad_at_origin,
-    moment_extremal,
     random_bound_check,
     random_grad_check,
     verify_sharpness,
@@ -115,10 +112,7 @@ def criterion_1():
         for r in (0.1, 0.25, 0.5, 0.75, 0.9):
             target = uh_elementary(n, r)
             a_star, closed = g_inf_closed(n, r)
-            ctx = BallContext(n, math.inf)
-            numeric = integrate_with_breakpoint(
-                n, _ORDER, lambda t: np.abs(poisson_szego_axis(ctx, r, t) - a_star), 0.0
-            )
+            numeric = _site_integral(n, r, _ORDER, 0.0, lambda kernel, _: np.abs(kernel - a_star))
             worst = max(worst, abs(closed - target), abs(numeric - target))
     return worst <= 1e-8, f"max abs deviation {worst:.2e}"
 
@@ -233,8 +227,7 @@ def criterion_6():
     for n in _DIMS:
         for p in _FINITE_PS + (math.inf,):
             ctx = BallContext(n, p)
-            datum = moment_extremal(ctx)
-            ratio = grad_at_origin(datum) / datum.norm
+            ratio = _gradient_extremal_ratio(ctx)
             worst_extremal = max(worst_extremal, abs(ratio - grad_constant(ctx)) / grad_constant(ctx))
     worst_fd = 0.0
     h = 1e-4
@@ -308,10 +301,7 @@ def criterion_9():
             f"{sqrt_form.count - sqrt_form.violations}/{sqrt_form.count} "
             f"(max ratio {sqrt_form.max_ratio:.6f})"
         )
-    ctx3 = BallContext(3, 2.0)
-    witness = corollary_l2_check(
-        ctx3, ZonalBoundaryFunction(g=lambda t: np.asarray(t, dtype=float), ctx=ctx3)
-    )
+    witness = corollary_l2_check(3, [0.0, 1.0])
     lines.append(
         f"witness g(t)=t, n=3: lhs {witness.lhs:.9f}, sqrt-form rhs {witness.rhs_sqrt:.9f} "
         f"(holds: {witness.holds_sqrt}), moment-form rhs {witness.rhs_moment:.9f} "

@@ -11,11 +11,15 @@ which is strictly convex in a.  Its stationarity is governed by
 
 strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
 here is smooth except where K crosses the level a, so all integrals use the
-breakpoint-aware rule split at that crossing.  The rule's nodes and K - a
-on them depend on the shift only, not on the integrand: they form one site
-per shift, and the last site built is kept.  Phi at a solved a*, and the
-residual F(a*), then cost one power and one panel sum on the site of the
-solve's last F, which evaluated exactly that shift.
+breakpoint-aware rule split at that crossing.
+
+A site is the graded rule's node set split at one point t0 with the kernel
+K at its nodes; it depends on (n, r, order, t0) only, not on the integrand,
+and the last site built is kept.  It is the one place where K is evaluated
+on rule nodes: F, Phi and dF/da subtract their shift from it, so Phi at a
+solved a*, and the residual F(a*), cost one power and one panel sum on the
+site of the solve's last F.  The certificates in ``verify`` integrate their
+kernel-weighted data on sites too, through ``_site_integral``.
 """
 
 from __future__ import annotations
@@ -64,26 +68,30 @@ def _split_point(ctx: BallContext, r: float, a: float) -> float:
 
 
 @lru_cache(maxsize=1, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
-def _site(ctx: BallContext, r: float, order: int, a: float):
-    """(K - a, node set) at the shift a: the graded rule split where K
-    crosses a, with K - a at its nodes.  F, Phi and dF/da at one shift share
-    it, so Phi at a solved a* and the residual F(a*) reuse the site of the
-    solve's last F, which evaluated exactly that shift.
-    """
-    if not math.isfinite(a):
-        raise DomainError(f"shift must be finite, got {a!r}")
-    nodes = _graded_nodes(ctx.n, order, _split_point(ctx, r, a))
-    dev = _axis_kernel(ctx.n, r, nodes[0]) - a
-    dev.setflags(write=False)
-    return dev, nodes
+def _site(n: int, r: float, order: int, t0: float):
+    """(K, node set): the graded rule's node set split at t0 and the kernel
+    K(r, .) at its nodes, read-only."""
+    nodes = _graded_nodes(n, order, t0)
+    kernel = _axis_kernel(n, r, nodes[0])
+    kernel.setflags(write=False)
+    return kernel, nodes
+
+
+def _site_integral(n: int, r: float, order: int, t0: float, fn):
+    """Zonal integral of fn(K, t), values at the nodes of the site split at
+    t0 (an array, or a stack of them for one integral each)."""
+    # Overflow leaves non-finite values, which the panel sum refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel, nodes = _site(n, r, order, t0)
+        return _panel_sum(n, fn(kernel, nodes[0]), nodes)
 
 
 def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
-    """Breakpoint-routed integral of weight_fn(K - a), split where K = a."""
-    # Overflow leaves non-finite values, which the panel sum refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev, nodes = _site(params.ctx, params.r, params.order, a)
-        return _panel_sum(params.ctx.n, weight_fn(dev), nodes)
+    """Integral of weight_fn(K - a) on the site split where K = a."""
+    ctx, r = params.ctx, params.r
+    return _site_integral(
+        ctx.n, r, params.order, _split_point(ctx, r, a), lambda kernel, _: weight_fn(kernel - a)
+    )
 
 
 def phi(params: ObjectiveParams, a: float) -> float:

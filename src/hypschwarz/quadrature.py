@@ -18,8 +18,9 @@ unit length is built once per rule order and cached; each call only scales
 it by the lengths of its two sides and shifts it to theta0.  The rule is two
 steps: ``_graded_nodes`` builds the node set for (n, order, t0), and
 ``_panel_sum`` sums values taken at it.  ``integrate_with_breakpoint``
-composes them around an integrand; ``objective`` keeps one node set per
-shift and sums several integrands on it.  A non-finite value, or a total
+composes them around an integrand of t; every integrand weighted by the
+kernel is summed instead on a site of ``objective`` (a node set with the
+kernel at its nodes, the last one kept).  A non-finite value, or a total
 past double range, is refused with DomainError.
 
 ``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights

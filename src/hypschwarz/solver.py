@@ -148,10 +148,14 @@ def g_1_closed(n: int, r: float) -> tuple[float, float]:
 
     a* = (max + min)/2 and G_1 = (max - min)/2 over the kernel range; the
     pair satisfies a*^2 - G_1^2 = 1 because the range endpoints multiply to 1.
+    G_1 is evaluated as (1 - min^2) / (2 min), with 1 - min^2 from expm1 and
+    log1p: the difference max - min cancels at small r (5.5e-2 relative at
+    r = 1e-15).
     """
     ctx = BallContext(n, 1.0)
     kmin, kmax = kernel_range(ctx, r)
-    return 0.5 * (kmax + kmin), 0.5 * (kmax - kmin)
+    gap = -math.expm1(2.0 * (n - 1) * math.log1p(-2.0 * r / (1.0 + r)))
+    return 0.5 * (kmax + kmin), gap / (2.0 * kmin)
 
 
 def g_2_closed(n: int, r: float) -> float:

@@ -1,9 +1,13 @@
-"""Certification helpers: extremal boundary data, random bound sampling,
-the p = 1 minimizing sequence, and the L2 gradient-corollary comparison.
+"""Certification helpers: the extremal data of the bound and of the gradient
+constant, random bound sampling, the p = 1 minimizing sequence, and the L2
+gradient-corollary comparison.
 
-Everything works with zonal boundary functions, i.e. functions of the axis
-coordinate t alone; their harmonic extensions at axis points and the
-gradient at the origin then reduce to one-dimensional integrals.
+All boundary data are zonal (functions of the axis coordinate t alone), so
+their extensions at axis points and the gradient at the origin reduce to
+one-dimensional integrals.  Kernel-weighted ones are summed on a site of
+``objective``: the sharpness data on the site of a*, the random draws'
+kernel moments on the site split at the pole.  The draws are polynomials of
+degree <= 8, with means, norms and gradient moment on a Gauss-Jacobi rule.
 
 Every pass/fail decision of a certificate is made here, against the limits
 below: reports carry violation counts or a ``passed`` flag, which the CLI
@@ -13,15 +17,14 @@ and the acceptance battery only render.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .kernel import BallContext, check_radius, poisson_szego_axis
-from .objective import _split_point
+from .objective import _site_integral, _split_point
 from .quadrature import DEFAULT_ORDER, build_rule, cap_rule, integrate_with_breakpoint
 from .solver import g_1_closed, g_p, grad_constant
 from .special import check_integer
@@ -37,88 +40,9 @@ CAPSEQ_GAP_LIMIT = 0.02
 #: Largest drop between consecutive cap-pair values, relative to G_1.
 CAPSEQ_MONOTONE_SLACK = 1e-9
 
-_SUP_GRID_SIZE = 8193
 # Smallest unscaled power sum of a draw (the smallest normal double over
 # eps): |value|^p terms that underflow then weigh less than an ulp of it.
 _POWER_SUM_MIN = 2.0 ** -970
-
-
-@dataclass
-class ZonalBoundaryFunction:
-    """Boundary data g(t) with its context, cached mean and p-norm.
-
-    ``kink`` is the breakpoint of every integral involving g: its one
-    non-smooth point, or by default the pole t = 1, where the kernel peaks.
-    """
-
-    g: Callable
-    ctx: BallContext
-    kink: float = 1.0
-    order: int = DEFAULT_ORDER
-    mean: float = field(init=False)
-    norm: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        n, p, g = self.ctx.n, self.ctx.p, self.g
-        if p == math.inf:
-            self.mean = integrate_with_breakpoint(n, self.order, g, self.kink)
-            grid = np.cos(np.linspace(0.0, math.pi, _SUP_GRID_SIZE))
-            self.norm = float(np.max(np.abs(np.asarray(g(grid), dtype=float))))
-        else:  # mean and p-norm in one stacked integral
-            self.mean, power = integrate_with_breakpoint(
-                n, self.order, lambda t: np.stack([(v := g(t)), np.abs(v) ** p]), self.kink
-            ).tolist()
-            self.norm = power ** (1.0 / p)
-
-    def centered(self) -> "ZonalBoundaryFunction":
-        shift = self.mean
-        base = self.g
-        return ZonalBoundaryFunction(
-            g=lambda t: base(t) - shift, ctx=self.ctx, kink=self.kink, order=self.order
-        )
-
-
-def poisson_integral_axis(phi: ZonalBoundaryFunction, r: float) -> float:
-    """Harmonic extension of phi evaluated at radius r on the axis."""
-    r = check_radius(r)
-    ctx = phi.ctx
-    return integrate_with_breakpoint(
-        ctx.n, phi.order, lambda t: poisson_szego_axis(ctx, r, t) * phi.g(t), phi.kink
-    )
-
-
-def extremal_phi(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> ZonalBoundaryFunction:
-    """Boundary data attaining G_p(r): sign(K - a*) |K - a*|^(q-1).
-
-    The exponent q/p equals q - 1, covering p = inf (where the data is the
-    bare sign of K - a*).  No extremal exists for p = 1; use
-    :func:`minimizing_sequence_p1` there.
-    """
-    r = check_radius(r)
-    if ctx.p == 1.0:
-        raise DomainError("p = 1 admits no extremal; use minimizing_sequence_p1")
-    if r == 0.0:
-        raise DomainError("the bound degenerates at r = 0; extremal data needs r > 0")
-    a_star = g_p(ctx, r, order).a_star
-    expo = ctx.q - 1.0
-
-    def data(t):
-        dev = poisson_szego_axis(ctx, r, t) - a_star
-        return np.sign(dev) * np.abs(dev) ** expo
-
-    return ZonalBoundaryFunction(g=data, ctx=ctx, kink=_split_point(ctx, r, a_star), order=order)
-
-
-def moment_extremal(ctx: BallContext, order: int = DEFAULT_ORDER) -> ZonalBoundaryFunction:
-    """Boundary data attaining the gradient constant: |t|^(q-1) sign(t)."""
-    if ctx.p == 1.0:
-        raise DomainError("the p = 1 gradient constant is a limit, not attained")
-    expo = ctx.q - 1.0
-
-    def data(t):
-        return np.sign(t) * np.abs(t) ** expo
-
-    return ZonalBoundaryFunction(g=data, ctx=ctx, kink=0.0, order=order)
 
 
 @dataclass(frozen=True)
@@ -140,9 +64,13 @@ class SharpnessReport:
 
 
 def verify_sharpness(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> SharpnessReport:
-    """Construct the extremal data and compare u(r axis) with G_p * ||phi||_p.
+    """Compare u(r axis) of the extremal data with G_p * ||phi||_p.
 
-    For p in (1, inf] the relative gap is pure quadrature error.  For p = 1
+    For p in (1, inf] the data is phi = sign(K - a*) |K - a*|^(q-1) (the
+    exponent q/p is q - 1; at p = inf phi is the bare sign, of norm 1).  Its
+    mean, u(r axis) = integral K phi dsigma and integral |phi|^p dsigma are
+    one stacked panel sum on the site of a*, split where K crosses a*, and
+    the relative gap is pure quadrature error.  For p = 1
     the comparison uses the cap-pair minimizing sequence at index
     i = max(64, ceil(4 n / (1 - r))), whose gap is the genuine (slow)
     convergence deficit of that sequence.  The cap's chord radius 1/i must be
@@ -158,23 +86,39 @@ def verify_sharpness(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> 
         index = max(64, math.ceil(4 * ctx.n / (1.0 - r)))
         attained = minimizing_sequence_p1(ctx.n, r, index)
         return SharpnessReport(ctx, r, bound, attained, 0.0, abs(bound - attained) / bound)
-    phi_star = extremal_phi(ctx, r, order)
-    attained = poisson_integral_axis(phi_star, r)
-    bound = g_p(ctx, r, order).g_value * phi_star.norm
+    result = g_p(ctx, r, order)
+    a_star, expo = result.a_star, ctx.q - 1.0
+
+    def sums(kernel, _):
+        dev = kernel - a_star
+        data = np.sign(dev) * np.abs(dev) ** expo
+        return np.stack([data, kernel * data, np.abs(data) ** ctx.p])
+
+    mean, attained, power = _site_integral(
+        ctx.n, r, order, _split_point(ctx, r, a_star), sums
+    ).tolist()
+    bound = result.g_value * power ** (1.0 / ctx.p)  # the norm is 1 at p = inf
     gap = abs(bound - attained) / max(bound, 2.0 ** -1022)
-    return SharpnessReport(ctx, r, bound, attained, phi_star.mean, gap)
+    return SharpnessReport(ctx, r, bound, attained, mean, gap)
 
 
-def grad_at_origin(phi: ZonalBoundaryFunction) -> float:
-    """|gradient| at the origin of the harmonic extension of zonal data,
+def _gradient_extremal_ratio(ctx: BallContext, order: int = DEFAULT_ORDER) -> float:
+    """|grad u(0)| / ||g||_p for the data g = sign(t) |t|^(q-1), which attains
+    the gradient constant; |grad u(0)| = 2 (n - 1) |integral t g dsigma|.
 
-        |grad u(0)| = 2 (n - 1) | integral t g(t) dsigma |.
+    Both integrals are one stacked integral split at the kink t = 0.  At
+    p = inf the data is sign(t) and the norm (integral |g|^p)^(1/p) is 1.
     """
-    ctx = phi.ctx
-    moment = integrate_with_breakpoint(
-        ctx.n, phi.order, lambda t: np.asarray(t, dtype=float) * phi.g(t), phi.kink
-    )
-    return 2.0 * (ctx.n - 1.0) * abs(moment)
+    if ctx.p == 1.0:
+        raise DomainError("the p = 1 gradient constant is a limit, not attained")
+    expo = ctx.q - 1.0
+
+    def sums(t):
+        data = np.sign(t) * np.abs(t) ** expo
+        return np.stack([t * data, np.abs(data) ** ctx.p])
+
+    moment, power = integrate_with_breakpoint(ctx.n, order, sums, 0.0).tolist()
+    return 2.0 * (ctx.n - 1.0) * abs(moment) / power ** (1.0 / ctx.p)
 
 
 def _poly_sups(coeffs: np.ndarray) -> np.ndarray:
@@ -220,13 +164,18 @@ def _random_poly_draws(n: int, count: int, seed: int, order: int):
     on [-1, 1) and read row-major: draw i is values 9i to 9i + 8 of it.  A
     smaller count is therefore a prefix of a larger one, the draws depend on
     neither n nor order, and results do not depend on evaluation order or
-    batch size.  Returns the rule, the raw coefficient matrix, the mean of
-    each draw, and the centered node values.
+    batch size.  Returns ``_poly_data`` of them.
     """
     check_integer(seed, 0, "seed")
     check_integer(count, 1, "count")
+    return _poly_data(n, np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9)), order)
+
+
+def _poly_data(n: int, coeffs: np.ndarray, order: int):
+    """The rule, the coefficient rows (ascending, nine each), the mean of
+    each polynomial and its centered values at the nodes of the (n, order)
+    zonal rule."""
     rule = build_rule(n, order)
-    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9))
     values = coeffs @ _monomials(n, order)
     means = values @ rule.weights
     values -= means[:, None]
@@ -258,9 +207,9 @@ def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
     return scale * (((values / scale[:, None]) ** ctx.p) @ rule.weights) ** (1.0 / ctx.p)
 
 
-def _grad_draws(ctx: BallContext, count: int, seed: int, order: int):
-    """|grad u(0)| = 2 (n - 1) |integral t g dsigma| and ||g||_p of the random draws."""
-    rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
+def _grad_draws(ctx: BallContext, rule, coeffs, means, values):
+    """|grad u(0)| = 2 (n - 1) |integral t g dsigma| and ||g||_p of the
+    centered polynomials of ``_poly_data``."""
     lhs = 2.0 * (ctx.n - 1.0) * np.abs(values @ (rule.weights * rule.nodes))
     return lhs, _poly_norms(ctx, rule, coeffs, means, values)
 
@@ -296,13 +245,13 @@ def random_bound_check(
     Tests |u(r axis)| <= G_p(r) ||g||_p * (1 + BOUND_SLACK) over ``count``
     draws.  Degenerate draws with ||g||_p = 0 count as ratio 0.  A draw's
     u(r axis) = integral K (g - mean) dsigma comes from the kernel moments
-    M_k = integral K t^k dsigma, k = 0..8: one stacked integral of K, K t,
-    ..., K t^8 on the graded rule, split at the pole t = 1, where K peaks.
+    M_k = integral K t^k dsigma, k = 0..8: one stacked sum of K, K t, ...,
+    K t^8 on the site split at the pole t = 1, where K peaks.
     """
     r = check_radius(r)
     rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
-    moments = integrate_with_breakpoint(
-        ctx.n, order, lambda t: np.cumprod([poisson_szego_axis(ctx, r, t)] + [t] * 8, axis=0), 1.0
+    moments = _site_integral(
+        ctx.n, r, order, 1.0, lambda kernel, t: np.cumprod([kernel] + [t] * 8, axis=0)
     )
     lhs = np.abs(coeffs @ moments - means * moments[0])
     norms = _poly_norms(ctx, rule, coeffs, means, values)
@@ -319,7 +268,7 @@ def random_grad_check(
 
     Tests |grad u(0)| <= C_p ||g||_p * (1 + BOUND_SLACK).
     """
-    lhs, norms = _grad_draws(ctx, count, seed, order)
+    lhs, norms = _grad_draws(ctx, *_random_poly_draws(ctx.n, count, seed, order))
     return RandomBoundReport(count, seed, *_ratio_check(lhs, grad_constant(ctx) * norms))
 
 
@@ -391,23 +340,20 @@ class CorollaryL2Report:
     holds_moment: bool
 
 
-def corollary_l2_check(ctx: BallContext, phi: ZonalBoundaryFunction) -> CorollaryL2Report:
-    """Compare |grad u(0)| against both candidate L2 corollary constants."""
-    if ctx.p != 2.0:
-        raise DomainError("the corollary comparison is specific to p = 2")
-    centered = phi.centered()
-    lhs = grad_at_origin(centered)
-    rms = centered.norm
+def corollary_l2_check(n: int, coeffs) -> CorollaryL2Report:
+    """Compare |grad u(0)| against both candidate L2 corollary constants for
+    one datum: the polynomial in t with ascending coefficients ``coeffs``
+    (degree <= 8), centered, on the random draws' rule."""
+    datum = np.asarray(coeffs, dtype=float)
+    if datum.ndim != 1 or not 1 <= datum.size <= 9 or not np.isfinite(datum).all():
+        raise DomainError(f"datum must be 1 to 9 finite polynomial coefficients, got {coeffs!r}")
+    ctx = BallContext(n, 2.0)
+    draws = _poly_data(ctx.n, np.pad(datum, (0, 9 - datum.size))[None], DEFAULT_ORDER)
+    lhs, rms = (float(value[0]) for value in _grad_draws(ctx, *draws))
     rhs_sqrt = math.sqrt(2.0 * (ctx.n - 1.0)) * rms
     rhs_moment = grad_constant(ctx) * rms
-    return CorollaryL2Report(
-        n=ctx.n,
-        lhs=lhs,
-        rhs_sqrt=rhs_sqrt,
-        rhs_moment=rhs_moment,
-        holds_sqrt=_ratio_check(lhs, rhs_sqrt)[0] == 0,
-        holds_moment=_ratio_check(lhs, rhs_moment)[0] == 0,
-    )
+    holds = [_ratio_check(lhs, rhs)[0] == 0 for rhs in (rhs_sqrt, rhs_moment)]
+    return CorollaryL2Report(ctx.n, lhs, rhs_sqrt, rhs_moment, *holds)
 
 
 def corollary_l2_batch(
@@ -419,7 +365,7 @@ def corollary_l2_batch(
     sqrt(2(n-1)), each comparing |grad u(0)| with constant * ||g - mean||_2.
     """
     ctx = BallContext(n, 2.0)
-    lhs, rms = _grad_draws(ctx, count, seed, order)
+    lhs, rms = _grad_draws(ctx, *_random_poly_draws(n, count, seed, order))
     return tuple(
         RandomBoundReport(count, seed, *_ratio_check(lhs, constant * rms))
         for constant in (grad_constant(ctx), math.sqrt(2.0 * (n - 1.0)))

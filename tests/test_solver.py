@@ -294,6 +294,28 @@ class TestClosedForms:
                 slack = max(1e-12, 8.0 * 2.0 ** -52 * a_star * a_star)
                 assert a_star * a_star - g1 * g1 == pytest.approx(1.0, abs=slack)
 
+    def test_p1_against_mpmath(self):
+        # (kmax - kmin)/2 cancelled at small r: 3.3e-5 off at r = 1e-12 and
+        # 5.5e-2 at r = 1e-15.  What is left is the rounding of kmin, about
+        # 2 (n - 1) ulps of (1 - r)/(1 + r) raised to n - 1: 2.1e-14 at
+        # n = 100, r = 0.25, and within 2e-14 up to n = 30.
+        pytest.importorskip("mpmath")
+        from mpmath import mp
+
+        radii = np.concatenate([np.geomspace(1e-15, 0.999, 121), np.arange(0.05, 0.951, 0.05)])
+        with mp.workdps(50):
+            for n in (3, 4, 5, 10, 30, 100):
+                tol = max(2e-14, 3.0 * (n - 1) * 2.0 ** -53)
+                for r in map(float, radii):
+                    try:
+                        g1 = g_1_closed(n, r)[1]
+                    except DomainError:  # kernel_range refuses n = 100 from r = 0.9985
+                        assert n == 100 and r > 0.998
+                        continue
+                    kmin = ((1 - mp.mpf(r)) / (1 + mp.mpf(r))) ** (n - 1)
+                    ref = (1 / kmin - kmin) / 2
+                    assert abs(g1 - ref) <= tol * ref, (n, r, g1, ref)
+
     def test_p2_reference_point(self):
         assert g_2_closed(3, 0.5) == pytest.approx(1.539600717839002, rel=1e-13)
         assert g_2_closed(3, 0.0) == 0.0

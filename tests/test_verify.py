@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from hypschwarz import solver, verify
+from hypschwarz import objective, solver, verify
 from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
@@ -14,14 +14,9 @@ from conftest import mp_kernel, mp_zonal
 from hypschwarz.verify import (
     SHARPNESS_GAP_LIMIT,
     RandomBoundReport,
-    ZonalBoundaryFunction,
     corollary_l2_batch,
     corollary_l2_check,
-    extremal_phi,
-    grad_at_origin,
     minimizing_sequence_p1,
-    moment_extremal,
-    poisson_integral_axis,
     random_bound_check,
     random_grad_check,
     cap_sequence_check,
@@ -29,56 +24,77 @@ from hypschwarz.verify import (
 )
 
 
-def identity_data(ctx):
-    return ZonalBoundaryFunction(g=lambda t: np.asarray(t, dtype=float), ctx=ctx)
+def poly_data(n, coeffs):
+    """The draw path's (rule, coefficients, means, centered values) of one datum."""
+    row = np.zeros((1, 9))
+    row[0, :len(coeffs)] = coeffs
+    return verify._poly_data(n, row, 128)
+
+
+def site_builds(monkeypatch):
+    """Split points of the node sets built from now on (the site cache emptied)."""
+    built = []
+    real = objective._graded_nodes
+    monkeypatch.setattr(objective, "_graded_nodes",
+                        lambda n, order, t0: built.append(t0) or real(n, order, t0))
+    objective._site.cache_clear()
+    return built
 
 
 class TestZonalBoundaryFunction:
+    """Zonal data as polynomial coefficients in t, on the random draws' rule."""
+
     def test_mean_and_l2_norm_of_identity(self):
-        f = identity_data(BallContext(3, 2.0))
-        assert f.mean == pytest.approx(0.0, abs=1e-13)
-        assert f.norm == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+        rule, coeffs, means, values = poly_data(3, [0.0, 1.0])
+        assert means[0] == pytest.approx(0.0, abs=1e-13)
+        norm = verify._poly_norms(BallContext(3, 2.0), rule, coeffs, means, values)[0]
+        assert norm == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
 
     def test_sup_norm_of_identity(self):
-        f = identity_data(BallContext(3, math.inf))
-        assert f.norm == pytest.approx(1.0, rel=1e-12)
+        norm = verify._poly_norms(BallContext(3, math.inf), *poly_data(3, [0.0, 1.0]))[0]
+        assert norm == pytest.approx(1.0, rel=1e-12)
 
     def test_centered_removes_mean(self):
-        f = ZonalBoundaryFunction(g=lambda t: np.asarray(t, dtype=float) + 2.0,
-                                  ctx=BallContext(4, 2.0))
-        assert f.mean == pytest.approx(2.0, rel=1e-12)
-        assert f.centered().mean == pytest.approx(0.0, abs=1e-12)
+        rule, _, means, values = poly_data(4, [2.0, 1.0])
+        assert means[0] == pytest.approx(2.0, rel=1e-12)
+        assert values[0] @ rule.weights == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPoissonIntegral:
+    """Kernel-weighted integrals on a site of the objective."""
+
     def test_constant_extends_to_itself(self):
-        f = ZonalBoundaryFunction(g=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                                  ctx=BallContext(4, 2.0), order=256)
         for r in (0.0, 0.3, 0.9):
-            assert poisson_integral_axis(f, r) == pytest.approx(1.0, abs=1e-10)
+            u = objective._site_integral(4, r, 256, 1.0, lambda kernel, _: kernel)
+            assert u == pytest.approx(1.0, abs=1e-10)
 
     def test_sign_data_matches_equator_split(self):
         # the extension of sign(t) on the axis is the harmonic-measure gap
-        f = ZonalBoundaryFunction(g=np.sign, ctx=BallContext(3, math.inf), kink=0.0)
         for r in (0.2, 0.5, 0.8):
-            assert poisson_integral_axis(f, r) == pytest.approx(
-                uh_elementary(3, r), rel=1e-8
-            )
+            u = objective._site_integral(3, r, 128, 0.0, lambda kernel, t: kernel * np.sign(t))
+            assert u == pytest.approx(uh_elementary(3, r), rel=1e-8)
 
 
 class TestExtremalPhi:
-    def test_zero_mean_and_declared_kink(self):
-        ctx = BallContext(3, 1.5)
-        f = extremal_phi(ctx, 0.5)
-        assert abs(f.mean) <= 1e-9
-        a_star = solve_a_star(ctx, 0.5)
-        assert f.kink == pytest.approx(crossing_point(ctx, 0.5, a_star), rel=1e-12)
+    """The extremal data of the sharpness certificate."""
 
-    def test_rejects_degenerate_sites(self):
+    def test_zero_mean_and_declared_kink(self, monkeypatch):
+        # the data is summed on the site of a*, split where K crosses a*
+        ctx = BallContext(3, 1.5)
+        a_star = solve_a_star(ctx, 0.5)
+        solver.g_p(ctx, 0.5)
+        built = site_builds(monkeypatch)
+        report = verify_sharpness(ctx, 0.5)
+        assert abs(report.u_at_zero) <= 1e-9
+        assert built == [crossing_point(ctx, 0.5, a_star)]
+
+    def test_rejects_degenerate_sites(self, monkeypatch):
+        # p = 1 has no extremal: its certificate is the cap pair and builds no site
+        built = site_builds(monkeypatch)
+        report = verify_sharpness(BallContext(3, 1.0), 0.5)
+        assert report.u_at_zero == 0.0 and built == []
         with pytest.raises(DomainError):
-            extremal_phi(BallContext(3, 1.0), 0.5)
-        with pytest.raises(DomainError):
-            extremal_phi(BallContext(3, 2.0), 0.0)
+            verify_sharpness(BallContext(3, 2.0), 0.0)
 
 
 class TestSharpness:
@@ -127,34 +143,99 @@ class TestSharpness:
                     report = verify_sharpness(BallContext(n, p), r)
                     assert report.rel_gap <= SHARPNESS_GAP_LIMIT and report.passed, (n, p, r)
 
+    # (g_bound, attained, u_at_zero, rel_gap), pinned from the closure-built
+    # extremal data (mean and norm, then u, each integrated on its own node
+    # set); one stacked sum on the site of a* is the same arithmetic
+    @pytest.mark.parametrize("n, p, r, expected", [
+        (3, 1.5, 0.2, ("0x1.4770a809ad1f6p-3", "0x1.4770a809ace1ap-3",
+                       "-0x1.c7bffffffffffp-46", "0x1.823865a06f20fp-43")),
+        (3, 1.5, 0.8, ("0x1.0eb2fe9f2ea81p+10", "0x1.0eb2fe9f2ea66p+10",
+                       "-0x1.86fffffffffffp-40", "0x1.988ac28981a47p-48")),
+        (3, 3.0, 0.2, ("0x1.29b654ddeca74p-2", "0x1.29b654ddec86ap-2",
+                       "-0x1.16fffffffffffp-45", "0x1.c0dcec4a7a467p-44")),
+        (3, 3.0, 0.8, ("0x1.1fa0f3e81522fp+2", "0x1.1fa0f3e815230p+2",
+                       "0x1.1bfffffffffffp-47", "0x1.c7b2d6205f481p-53")),
+        (3, 10.0, 0.2, ("0x1.6fd65dab0f0f4p-2", "0x1.6fd65dab0eed0p-2",
+                        "-0x1.39fffffffffffp-45", "0x1.7d62ccfbc0fa4p-44")),
+        (3, 10.0, 0.8, ("0x1.51c84a5af5bc2p+0", "0x1.51c84a5af5bbep+0",
+                        "-0x1.7dfffffffffffp-47", "0x1.84096c93cee36p-51")),
+        (3, math.inf, 0.2, ("0x1.89d89d89d89d5p-2", "0x1.89d89d89d89d6p-2",
+                            "0x0.0p+0", "0x1.4ccccccccccd0p-53")),
+        (3, math.inf, 0.8, ("0x1.f3831f3831f33p-1", "0x1.f3831f3b5d4cbp-1",
+                            "0x0.0p+0", "0x1.9fd111999999ep-32")),
+        (5, 1.5, 0.2, ("0x1.e3deba8c7a79dp-1", "0x1.e3deba8c7a589p-1",
+                       "-0x1.adc0000000004p-45", "0x1.1976c958d9dbep-44")),
+        (5, 1.5, 0.8, ("0x1.1e091fa8bdbb9p+21", "0x1.1e091fa8bdbb4p+21",
+                       "-0x1.cb00000000005p-35", "0x1.1e65db4d23786p-50")),
+        (5, 3.0, 0.2, ("0x1.1c60a3c92d078p-1", "0x1.1c60a3c92d076p-1",
+                       "-0x1.8000000000004p-53", "0x1.cce891f0aa80cp-52")),
+        (5, 3.0, 0.8, ("0x1.8b352d37dcbaep+4", "0x1.8b352d37dcba7p+4",
+                       "-0x1.9800000000004p-49", "0x1.22325ed36763cp-50")),
+        (5, 10.0, 0.2, ("0x1.164e98d4ae285p-1", "0x1.164e98d4ae283p-1",
+                        "0x0.0p+0", "0x1.d6f63e71b9f92p-52")),
+        (5, 10.0, 0.8, ("0x1.e7d1a1976f6b0p+0", "0x1.e7d1a1976f6acp+0",
+                        "-0x1.b600000000005p-48", "0x1.0cb09cc28000fp-51")),
+        (5, math.inf, 0.2, ("0x1.18d1bd9508463p-1", "0x1.18d1bd950845bp-1",
+                            "-0x1.8000000000004p-54", "0x1.d2bfa0d2bfa06p-50")),
+        (5, math.inf, 0.8, ("0x1.ff8bfdef4eb86p-1", "0x1.ff8bfc9869367p-1",
+                            "-0x1.8000000000004p-54", "0x1.573344f00214dp-25")),
+    ])
+    def test_reports_are_pinned(self, n, p, r, expected):
+        report = verify_sharpness(BallContext(n, p), r)
+        fields = (report.g_bound, report.attained, report.u_at_zero, report.rel_gap)
+        assert tuple(value.hex() for value in fields) == expected
+
+    def test_one_site_after_the_solve(self, monkeypatch):
+        # the extremal data, its extension and its norm share one node set
+        for ctx in (BallContext(4, 3.0), BallContext(4, math.inf)):
+            solver.g_p(ctx, 0.45)
+            built = site_builds(monkeypatch)
+            verify_sharpness(ctx, 0.45)
+            assert len(built) == 1
+
     def test_center_raises(self):
         with pytest.raises(DomainError):
             verify_sharpness(BallContext(3, 2.0), 0.0)
 
 
 class TestGradAtOrigin:
+    """|grad u(0)| = 2 (n - 1) |integral t g dsigma| on the draw path."""
+
     def test_even_data_has_no_gradient(self):
-        f = ZonalBoundaryFunction(g=lambda t: np.asarray(t, dtype=float) ** 2,
-                                  ctx=BallContext(3, 2.0))
-        assert grad_at_origin(f) == pytest.approx(0.0, abs=1e-13)
+        assert corollary_l2_check(3, [0.0, 0.0, 1.0]).lhs == pytest.approx(0.0, abs=1e-13)
 
     def test_identity_data_gradient(self):
         # 2(n-1) * integral t^2 dsigma = 4/3 in dimension 3
-        f = identity_data(BallContext(3, 2.0))
-        assert grad_at_origin(f) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert corollary_l2_check(3, [0.0, 1.0]).lhs == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 class TestMomentExtremal:
+    """The data sign(t) |t|^(q-1), which attains the gradient constant."""
+
     def test_attains_gradient_constant(self):
         for n, p in ((3, 2.0), (4, 3.0), (3, 1.5), (3, math.inf)):
             ctx = BallContext(n, p)
-            f = moment_extremal(ctx)
-            ratio = grad_at_origin(f) / (grad_constant(ctx) * f.norm)
+            ratio = verify._gradient_extremal_ratio(ctx) / grad_constant(ctx)
             assert ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_p1_rejected(self):
         with pytest.raises(DomainError):
-            moment_extremal(BallContext(3, 1.0))
+            verify._gradient_extremal_ratio(BallContext(3, 1.0))
+
+    # |grad u(0)| / ||g||_p, pinned from the closure-built data that preceded
+    # the stacked integral: the same arithmetic, so every bit must agree
+    @pytest.mark.parametrize("n, p, expected", [
+        (3, 1.5, "0x1.428a2f98d728ap+1"),
+        (3, 3.0, "0x1.15f4d44462722p+1"),
+        (3, 10.0, "0x1.0557ab9c326bdp+1"),
+        (3, math.inf, "0x1.fffffffffffffp+0"),
+        (5, 1.5, "0x1.0000000000001p+2"),
+        (5, 3.0, "0x1.a83da5d2353ddp+1"),
+        (5, 10.0, "0x1.89a0ba516ecf2p+1"),
+        (5, math.inf, "0x1.8000000000004p+1"),
+    ])
+    def test_ratios_are_pinned(self, n, p, expected):
+        assert verify._gradient_extremal_ratio(BallContext(n, p)).hex() == expected
 
 
 class TestRandomChecks:
@@ -413,24 +494,22 @@ class TestMinimizingSequence:
 
 class TestCorollary:
     def test_constant_data_holds_trivially(self):
-        ctx = BallContext(3, 2.0)
-        f = ZonalBoundaryFunction(g=lambda t: np.full_like(np.asarray(t, dtype=float), 5.0),
-                                  ctx=ctx)
-        report = corollary_l2_check(ctx, f)
+        report = corollary_l2_check(3, [5.0])
         assert report.holds_sqrt and report.holds_moment
 
     def test_identity_data_separates_the_constants(self):
-        ctx = BallContext(3, 2.0)
-        report = corollary_l2_check(ctx, identity_data(ctx))
+        report = corollary_l2_check(3, [0.0, 1.0])
         assert report.holds_moment and not report.holds_sqrt
         assert report.lhs == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert report.rhs_moment == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert report.rhs_sqrt == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-9)
 
-    def test_requires_p2_context(self):
-        ctx = BallContext(3, 3.0)
-        with pytest.raises(DomainError):
-            corollary_l2_check(ctx, identity_data(ctx))
+    def test_rejects_malformed_datum(self):
+        for coeffs in ([], [0.0] * 10, [[0.0, 1.0]], [0.0, math.nan], [math.inf]):
+            with pytest.raises(DomainError, match="datum"):
+                corollary_l2_check(3, coeffs)
+        with pytest.raises(DomainError, match="dimension"):
+            corollary_l2_check(2, [0.0, 1.0])
 
     def test_batch_moment_constant_always_holds(self):
         moment, _ = corollary_l2_batch(3, count=300, seed=5)
