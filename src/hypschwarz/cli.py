@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .kernel import BallContext
 from .objective import ObjectiveParams, big_f
 from .quadrature import DEFAULT_ORDER
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
-from .verify import cap_sequence_check, random_bound_check, verify_sharpness
+from .verify import _bound_check, _sharpness, cap_sequence_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,9 +103,24 @@ def _grad(args):
     return [{"n": ctx.n, "p": ctx.p, "c_p": grad_constant(ctx)}], False
 
 
+def _swept(ctx, radii, order):
+    """g_p's stand-in for the verify-* commands: the GpResult at a radius of
+    one g_p_curve sweep over ``radii``, solved on first use, so that their
+    sweeps solve by continuation and report gp's rows."""
+    results = {}
+
+    def bound_of(_ctx, r, _order):
+        if not results:
+            results.update(zip(radii, g_p_curve(ctx, radii, order)))
+        return results[r]
+
+    return bound_of
+
+
 def _verify_sharpness(args):
     ctx = BallContext(args.n, args.p)
-    reports = [verify_sharpness(ctx, r, args.order) for r in args.radii]
+    bound_of = _swept(ctx, args.radii, args.order)
+    reports = [_sharpness(ctx, r, args.order, bound_of) for r in args.radii]
     rows = [{"n": ctx.n, "p": ctx.p, "r": report.r, "g_bound": report.g_bound,
              "attained": report.attained, "u_at_zero": report.u_at_zero,
              "rel_gap": report.rel_gap} for report in reports]
@@ -113,9 +129,10 @@ def _verify_sharpness(args):
 
 def _verify_bound(args):
     ctx = BallContext(args.n, args.p)
+    bound_of = _swept(ctx, args.radii, args.order)
     rows = []
     for r in args.radii:
-        report = random_bound_check(ctx, r, count=args.count, seed=args.seed, order=args.order)
+        report = _bound_check(ctx, r, args.count, args.seed, args.order, bound_of)
         rows.append({"n": ctx.n, "p": ctx.p, "r": r, "count": report.count, "seed": report.seed,
                      "violations": report.violations, "max_ratio": report.max_ratio})
     return rows, any(row["violations"] for row in rows)
@@ -178,6 +195,7 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)  # parsing leaves the parser as it was; building it costs milliseconds
 def build_parser() -> _Parser:
     parser = _Parser(prog="hypschwarz", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -13,9 +13,18 @@ keeps the Jacobi weight analytic at the poles, and tiles each side of
 theta0 = arccos(t0) with panels shrinking geometrically toward the breakpoint
 (ratio 1/2, 27 panels per side).  The leftover geometric tail is summed by
 extrapolating the measured panel-sum ratio, which resolves any integrable
-power behaviour without knowing its exponent.  The panel layout of a side of
-unit length is built once per rule order and cached; each call only scales
-it by the lengths of its two sides and shifts it to theta0.  The rule is two
+power behaviour without knowing its exponent.  At an interior breakpoint
+only the outer J(n) = max(2, ceil(log2 sqrt(n - 1)) - 1) panels of a side
+carry order // 8 Gauss-Legendre nodes (at least 12): every other panel lies
+three half-widths from the breakpoint, where 12 nodes already reach rounding
+level, and has 12 at any order.  So raising the order refines the outer
+panels, where all order-dependent error lives.  A breakpoint at a pole
+(t0 = +-1) keeps order // 8 nodes on every panel, as its side is graded
+toward the kernel's peak there.  The nodes of a side are one flat array
+with the index of each panel's first node, and the panel sums one
+``np.add.reduceat``.  The layout of a side of unit length is built once per
+(order, J) and cached; each call only scales it by the lengths of its two
+sides and shifts it to theta0.  The rule is two
 steps: ``_graded_nodes`` builds the node set for (n, order, t0), and
 ``_panel_sum`` sums values taken at it.  ``integrate_with_breakpoint``
 composes them around an integrand of t; every integrand weighted by the
@@ -45,14 +54,14 @@ from scipy.special import roots_jacobi
 from .errors import CapUnderflowError, DomainError
 from .special import check_dimension, check_integer
 
-#: Default rule order: the node count of a draw rule; a graded panel has
-#: order // 8 Gauss-Legendre nodes, at least _PANEL_NODES.
+#: Default rule order: the node count of a draw rule; an outer graded panel
+#: has order // 8 Gauss-Legendre nodes, at least _PANEL_NODES.
 DEFAULT_ORDER = 128
 
 # Panel layout of the graded rule.
 _PANEL_RATIO = 0.5
 _PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
-_PANEL_NODES = 12  # Gauss-Legendre nodes per panel up to order 8 * 12; order // 8 above
+_PANEL_NODES = 12  # Gauss-Legendre nodes on an inner panel, and on every one up to order 8 * 12
 # Relative rounding floor of a breakpoint integral: an ulp for each panel sum
 # of its two sides.
 _ROUNDING_FLOOR = 2 * _PANELS * 2.0 ** -52
@@ -103,37 +112,52 @@ def build_rule(n: int, order: int = DEFAULT_ORDER) -> ZonalQuadrature:
     return ZonalQuadrature(n=n, order=order, nodes=x, weights=weights)
 
 
+def _outer_panels(n: int) -> int:
+    """J(n) = max(2, ceil(log2 sqrt(n - 1)) - 1), at most _PANELS: how many
+    panels of each side, counted from its far end, carry order // 8 nodes
+    at an interior breakpoint.  It grows with n because the kernel's
+    variation across a wide panel does."""
+    # ceil(log2 sqrt(n - 1)) is the least m with 4^m >= n - 1.
+    return min(_PANELS, max(2, ((n - 2).bit_length() + 1) // 2 - 1))
+
+
 # typed, like build_rule's cache: an order of 128.0 must miss 128's entry and meet the check.
 @lru_cache(maxsize=16, typed=True)
-def _graded_panels(order: int):
-    """Read-only (offsets, weights), both of shape (_PANELS, k) with
-    k = max(_PANEL_NODES, order // 8): Gauss-Legendre nodes on the graded
-    panels of a side of unit length, as offsets from the breakpoint; panel j
-    spans [ratio^(j+1), ratio^j], its index growing toward the breakpoint.
+def _graded_panels(order: int, outer: int):
+    """Read-only (offsets, weights, starts): Gauss-Legendre nodes on the
+    graded panels of a side of unit length, as offsets from the breakpoint,
+    flat and panel by panel, with the index of each panel's first node.
+    Panel j spans [ratio^(j+1), ratio^j], its index growing toward the
+    breakpoint; the ``outer`` panels j < outer have max(_PANEL_NODES,
+    order // 8) nodes, every other one _PANEL_NODES.
     """
     order = check_integer(order, 2, "rule order")
-    xi, om = np.polynomial.legendre.leggauss(max(_PANEL_NODES, order // 8))
+    counts = [max(_PANEL_NODES, order // 8)] * outer + [_PANEL_NODES] * (_PANELS - outer)
+    rules = {k: np.polynomial.legendre.leggauss(k) for k in set(counts)}
     edges = _PANEL_RATIO ** np.arange(_PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[:-1] - edges[1:])
-    offsets = mid[:, None] + half[:, None] * xi
-    weights = half[:, None] * om
-    offsets.setflags(write=False)
-    weights.setflags(write=False)
-    return offsets, weights
+    offsets = np.concatenate([m + h * rules[k][0] for m, h, k in zip(mid, half, counts)])
+    weights = np.concatenate([h * rules[k][1] for h, k in zip(half, counts)])
+    starts = np.cumsum([0] + counts[:-1])
+    for array in (offsets, weights, starts):
+        array.setflags(write=False)
+    return offsets, weights, starts
 
 
 def _graded_nodes(n: int, order: int, t0: float):
     """Node set of the graded rule split at t0: (t, sin^(n-2) theta, panel
-    weights, side lengths), with t and the sine power of shape
-    (sides, _PANELS, k).  A breakpoint at a pole leaves one side; the empty
-    one gets no nodes, as an integrand may be infinite there.
+    weights, panel starts, side lengths), with t and the sine power of shape
+    (sides, nodes per side), on the layout with _outer_panels(n) outer
+    panels, or with _PANELS at a pole.  A breakpoint at a pole leaves one
+    side; the empty one gets no nodes, as an integrand may be infinite there.
     """
     theta0 = math.acos(t0)
-    offsets, weights = _graded_panels(order)
+    outer = _PANELS if abs(t0) == 1.0 else _outer_panels(n)
+    offsets, weights, starts = _graded_panels(order, outer)
     lengths = [side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300]
-    theta = theta0 + np.array(lengths)[:, None, None] * offsets
-    return np.cos(theta), np.sin(theta) ** (n - 2), weights, lengths
+    theta = theta0 + np.array(lengths)[:, None] * offsets
+    return np.cos(theta), np.sin(theta) ** (n - 2), weights, starts, lengths
 
 
 def _panel_sum(n: int, vals, nodes):
@@ -143,8 +167,8 @@ def _panel_sum(n: int, vals, nodes):
     non-finite value makes its panel sum, and so its total, non-finite, and
     every non-finite total is refused.
     """
-    _, sinpow, weights, lengths = nodes
-    per_panel = np.add.reduce(vals * sinpow * weights, axis=-1)
+    _, sinpow, weights, starts, lengths = nodes
+    per_panel = np.add.reduceat(vals * sinpow * weights, starts, axis=-1)
     c_n = _zonal_constant(n)
     totals = []
     for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist():

@@ -236,7 +236,11 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     Dispatch: p = 1 and p = inf return their closed forms (est_error 0);
     every finite p > 1 is solved numerically, with est_error from doubling
     the rule order (p = 2 instead reports the deviation from its closed form)
-    and never below the rounding of the panel sums behind G.
+    and never below the rounding of the panel sums behind G.  Doubling the
+    order refines the outer panels of the graded rule, the only ones whose
+    node count grows with it: with 256 nodes on every panel instead of the
+    inner ones' 12, an F or Phi integral moved by at most 6.5e-16 of the
+    integral of |f| (n from 3 to 300, r from 0.1 to 0.99, p from 1.05 to 20).
     """
     r = check_radius(r)
     if ctx.p == 1.0:
@@ -263,8 +267,8 @@ def _numeric_result(ctx: BallContext, r: float, order: int, a_star: float) -> Gp
     else:
         # Phi is stationary at a*, so re-solving at the doubled order is not
         # needed to estimate the quadrature error of the bound itself.  Every
-        # order below 8 * _PANEL_NODES has _PANEL_NODES nodes per panel; the
-        # reference doubles that count.
+        # order below 8 * _PANEL_NODES has _PANEL_NODES nodes on its outer
+        # panels; the reference doubles that count.
         refined = ObjectiveParams(ctx, r, 2 * max(order, 8 * _PANEL_NODES))
         est = abs(g_val - float(phi(refined, a_star)))
     # Order doubling cannot see the rounding both orders share.

@@ -78,6 +78,12 @@ def verify_sharpness(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> 
     n in {3, 5, 10, 30} and every r <= 0.9999.  Where the cap leaves double
     precision (n = 60 from r = 0.999) the call raises CapUnderflowError.
     """
+    return _sharpness(ctx, r, order, g_p)
+
+
+def _sharpness(ctx: BallContext, r: float, order: int, bound_of) -> SharpnessReport:
+    """verify_sharpness with the bound's GpResult from bound_of(ctx, r,
+    order): g_p, or the CLI's lookup into one g_p_curve sweep."""
     r = check_radius(r)
     if r == 0.0:
         raise DomainError("sharpness is certified for r in (0, 1)")
@@ -86,7 +92,7 @@ def verify_sharpness(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> 
         index = max(64, math.ceil(4 * ctx.n / (1.0 - r)))
         attained = minimizing_sequence_p1(ctx.n, r, index)
         return SharpnessReport(ctx, r, bound, attained, 0.0, abs(bound - attained) / bound)
-    result = g_p(ctx, r, order)
+    result = bound_of(ctx, r, order)
     a_star, expo = result.a_star, ctx.q - 1.0
 
     def sums(kernel, _):
@@ -248,6 +254,13 @@ def random_bound_check(
     M_k = integral K t^k dsigma, k = 0..8: one stacked sum of K, K t, ...,
     K t^8 on the site split at the pole t = 1, where K peaks.
     """
+    return _bound_check(ctx, r, count, seed, order, g_p)
+
+
+def _bound_check(ctx: BallContext, r: float, count: int, seed: int, order: int,
+                 bound_of) -> RandomBoundReport:
+    """random_bound_check with G_p(r) from bound_of(ctx, r, order), as in
+    ``_sharpness``."""
     r = check_radius(r)
     rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
     moments = _site_integral(
@@ -255,7 +268,8 @@ def random_bound_check(
     )
     lhs = np.abs(coeffs @ moments - means * moments[0])
     norms = _poly_norms(ctx, rule, coeffs, means, values)
-    return RandomBoundReport(count, seed, *_ratio_check(lhs, g_p(ctx, r, order).g_value * norms))
+    bound = bound_of(ctx, r, order).g_value * norms
+    return RandomBoundReport(count, seed, *_ratio_check(lhs, bound))
 
 
 def random_grad_check(

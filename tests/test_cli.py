@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import hypschwarz
-from hypschwarz import objective, solver
-from hypschwarz.cli import _render, main
+from hypschwarz import objective, solver, verify
+from hypschwarz.cli import _render, build_parser, main
 from hypschwarz.kernel import BallContext
 from hypschwarz.objective import ObjectiveParams, big_f
 from hypschwarz.quadrature import DEFAULT_ORDER
@@ -281,6 +281,36 @@ class TestVerifyCommands:
             _, rows = csv_rows(out)
             assert float(rows[0]["rel_gap"]) <= limit
 
+    def test_sweeps_solve_by_continuation(self, capsys, monkeypatch):
+        # each radius is solved from its neighbours, as in gp: 5.6 F per
+        # radius at (4, 3) on these radii, 7.2 with a cold solve per radius
+        calls = []
+        real_big_f = solver.big_f
+        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        sweep = ("--n", "4", "--p", "3", "--r-min", "0.05", "--r-max", "0.9", "--steps", "40")
+        for argv in (("verify-sharpness", *sweep), ("verify-bound", *sweep, "--count", "50")):
+            solver._g_p_numeric.cache_clear()
+            calls.clear()
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0 and len(calls) <= 6 * 40, argv
+
+    def test_sweeps_report_gp_rows(self, capsys):
+        # G at each radius is gp's sweep row, within est_error of a cold g_p
+        ctx, radii = BallContext(4, 3.0), [float(r) for r in np.linspace(0.05, 0.9, 12)]
+        curve = dict(zip(radii, g_p_curve(ctx, radii)))
+        code, out, _ = run_cli(capsys, "verify-bound", "--n", "4", "--p", "3", "--r-min", "0.05",
+                               "--r-max", "0.9", "--steps", "12", "--count", "50")
+        assert code == 0
+        moved = 0
+        for row in csv_rows(out)[1]:
+            r = float(row["r"])
+            result, cold = curve[r], solver.g_p(ctx, r)
+            report = verify._bound_check(ctx, r, 50, 42, DEFAULT_ORDER, lambda *_: result)
+            assert float(row["max_ratio"]) == report.max_ratio
+            assert abs(result.g_value - cold.g_value) <= max(result.est_error, cold.est_error)
+            moved += result.g_value != cold.g_value
+        assert moved  # the cold solves land elsewhere in the bracket
+
     def test_capseq_clean_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-capseq", "--n", "3", "--r", "0.5", "--i-max", "64",
@@ -300,6 +330,27 @@ class TestCheckCommand:
         assert len(lines) == 9
         assert all(line.startswith("CRITERION") for line in lines)
         assert code == 0, out
+
+
+def test_parser_state_does_not_leak_between_calls(capsys, tmp_path):
+    # one parser per process: a flag given to one call is not the next call's default
+    assert build_parser() is build_parser()
+    ctx = BallContext(4, 2.5)
+    target = tmp_path / "gp.json"
+    code, out, _ = run_cli(capsys, "gp", "--n", "4", "--p", "2.5", "--r", "0.7",
+                           "--order", "64", "--format", "json", "--output", str(target))
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())[0]["g_value"] == solver.g_p(ctx, 0.7, 64).g_value
+    code, out, _ = run_cli(capsys, "gp", "--n", "4", "--p", "2.5", "--r", "0.7")
+    _, rows = csv_rows(out)
+    assert code == 0 and float(rows[0]["g_value"]) == solver.g_p(ctx, 0.7).g_value
+    code, out, _ = run_cli(capsys, "astar", "--n", "3", "--p", "3", "--r", "0.5")
+    _, rows = csv_rows(out)
+    assert code == 0 and float(rows[0]["a_star"]) == solver.g_p(BallContext(3, 3.0), 0.5).a_star
+    with pytest.raises(SystemExit) as exc:
+        main(["gp", "--n", "3", "--r", "0.5"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: hypschwarz gp ")
 
 
 class TestFailureModes:

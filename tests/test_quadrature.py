@@ -4,14 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
+from hypschwarz import objective, quadrature
 from hypschwarz.errors import CapUnderflowError, DomainError
-from hypschwarz.kernel import BallContext, poisson_szego_axis
+from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
 from hypschwarz.quadrature import (
+    _PANELS,
+    _graded_nodes,
     _graded_panels,
     build_rule,
     cap_rule,
     integrate_with_breakpoint,
 )
+from hypschwarz.objective import ObjectiveParams, phi
+from hypschwarz.solver import g_p
 from conftest import mp_crossing, mp_kernel, mp_zonal
 
 
@@ -181,21 +186,27 @@ class TestBreakpointRule:
             assert len(calls) == 1
 
     def test_graded_panels_cached_and_frozen(self):
-        offsets, weights = _graded_panels(128)
-        assert _graded_panels(128)[0] is offsets
-        assert offsets.shape == weights.shape == (27, 16)
-        with pytest.raises(ValueError):
-            offsets[0, 0] = 0.5
-        with pytest.raises(ValueError):
-            weights[0, 0] = 0.5
+        offsets, weights, starts = _graded_panels(128, 2)
+        assert _graded_panels(128, 2)[0] is offsets
+        assert offsets.shape == weights.shape == (2 * 16 + 25 * 12,)
+        assert starts.tolist() == [0, 16] + list(range(32, 332, 12))
+        for array in (offsets, weights, starts):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     def test_graded_offsets_interior_and_ordered(self):
+        edges = 0.5 ** np.arange(28)
         for order in (32, 128, 512):
-            offsets, weights = _graded_panels(order)
-            assert offsets.min() > 0.0 and offsets.max() < 1.0
-            # innermost panel first, each panel's nodes ascending
-            assert np.all(np.diff(offsets[::-1].ravel()) > 0.0)
-            assert np.all(weights > 0.0)
+            for outer in (2, 4, 27):
+                offsets, weights, starts = _graded_panels(order, outer)
+                assert offsets.min() > 0.0 and offsets.max() < 1.0
+                assert np.all(weights > 0.0)
+                panels = np.split(offsets, starts[1:])
+                # panel j inside [2^-(j+1), 2^-j]: the index grows toward the breakpoint
+                for j, panel in enumerate(panels):
+                    assert edges[j + 1] < panel.min() and panel.max() < edges[j]
+                # innermost panel first, each panel's nodes ascending
+                assert np.all(np.diff(np.concatenate(panels[::-1])) > 0.0)
 
     def test_constant_integrates_to_one(self):
         # breakpoints at both poles leave a single side
@@ -229,6 +240,77 @@ class TestBreakpointRule:
         for shape in (lambda t: (3, *t.shape[1:]), lambda t: (*t.shape, 2), lambda t: (3, 7)):
             with pytest.raises(DomainError, match="shape"):
                 integrate_with_breakpoint(3, 128, lambda t: np.zeros(shape(t)), 0.2)
+
+
+class TestGradedLayout:
+    """12 nodes on the inner panels at an interior breakpoint, order // 8 on
+    the outer J(n) panels; order // 8 on every panel at a pole."""
+
+    def test_nodes_per_site(self):
+        for n, order, per_side in ((4, 128, 332), (4, 256, 364), (4, 512, 428),
+                                   (100, 512, 3 * 64 + 24 * 12), (1000, 512, 4 * 64 + 23 * 12),
+                                   (4, 64, 27 * 12)):
+            assert _graded_nodes(n, order, 0.3)[0].shape == (2, per_side)
+
+    def test_pole_split_keeps_order_nodes_on_every_panel(self):
+        for n in (3, 30, 1000):
+            for t0 in (1.0, -1.0):
+                t, _, _, starts, lengths = _graded_nodes(n, 512, t0)
+                assert t.shape == (1, 27 * 64) and len(lengths) == 1
+                assert starts.tolist() == list(range(0, 27 * 64, 64))
+
+    def test_pole_split_resolves_the_kernel_peak(self):
+        # the kernel mean is 1; with 12 nodes on the inner panels of a pole
+        # split it was 3.0e-13 off at (30, 0.5) and 1.6e-7 at (100, 0.9)
+        for n, r, tol in ((30, 0.5, 1e-14), (100, 0.9, 1e-10)):
+            ctx = BallContext(n, 2.0)
+            value = integrate_with_breakpoint(n, 128, lambda t: poisson_szego_axis(ctx, r, t), 1.0)
+            assert abs(value - 1.0) <= tol, (n, r)
+
+    def test_inner_panels_at_rounding_level(self, monkeypatch):
+        # An order-2048 integral is within 1e-15 of integral |f| of the one
+        # with 256 nodes on all 27 panels, for the F and Phi integrands (the
+        # deviation scaled by its largest size) at shifts spread over the
+        # kernel range.  J fixed at 1 missed by 1e-4 at n = 300, J fixed at 2
+        # by 2.4e-12.
+        exponents = [p / (p - 1.0) for p in (1.05, 1.5, 3.0, 20.0)]
+        for n in (3, 5, 10, 30, 100, 300):
+            for r in (0.1, 0.5, 0.9, 0.99):
+                ctx = BallContext(n, 2.0)
+                try:
+                    kmin, kmax = kernel_range(ctx, r)
+                except DomainError:
+                    continue  # the kernel range leaves double precision
+                for share in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    a = kmin ** (1.0 - share) * kmax ** share
+                    scale = max(kmax - a, a - kmin)
+
+                    def sums(t):
+                        dev = (poisson_szego_axis(ctx, r, t) - a) / scale
+                        size = np.abs(dev)
+                        return np.stack([part for q in exponents for part in (
+                            np.copysign(size ** (q - 1.0), dev), size ** (q - 1.0), size ** q)])
+
+                    t0 = crossing_point(ctx, r, a)
+                    value = integrate_with_breakpoint(n, 2048, sums, t0).reshape(4, 3)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)
+                        ref = integrate_with_breakpoint(n, 2048, sums, t0).reshape(4, 3)
+                    err = np.abs(value - ref)
+                    assert np.all(err[:, [0, 2]] <= 1e-15 * ref[:, [1, 2]]), (n, r, share)
+
+    def test_phi_at_a_star_for_large_n(self, monkeypatch):
+        # J(1000) = 4; with J fixed at 2, G was 3.9e-11 off at r = 0.005 and
+        # order doubling did not see it
+        for p in (1.05, 1.5, 3.0, 20.0):
+            for r in (0.005, 0.01):
+                ctx = BallContext(1000, p)
+                result = g_p(ctx, r)
+                with monkeypatch.context() as patch:
+                    patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)
+                    ref = phi(ObjectiveParams(ctx, r, 2048), result.a_star)
+                    objective._site.cache_clear()  # its site has the reference layout
+                assert abs(result.g_value - ref) <= 1e-13 * ref, (p, r)
 
 
 class TestCapRule:
