@@ -25,7 +25,7 @@ from .kernel import BallContext
 from .objective import ObjectiveParams, big_f
 from .quadrature import DEFAULT_ORDER
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
-from .verify import _bound_check, _sharpness, cap_sequence_check
+from .verify import _bound_checks, _sharpness, cap_sequence_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,11 +130,10 @@ def _verify_sharpness(args):
 def _verify_bound(args):
     ctx = BallContext(args.n, args.p)
     bound_of = _swept(ctx, args.radii, args.order)
-    rows = []
-    for r in args.radii:
-        report = _bound_check(ctx, r, args.count, args.seed, args.order, bound_of)
-        rows.append({"n": ctx.n, "p": ctx.p, "r": r, "count": report.count, "seed": report.seed,
-                     "violations": report.violations, "max_ratio": report.max_ratio})
+    reports = _bound_checks(ctx, args.radii, args.count, args.seed, args.order, bound_of)
+    rows = [{"n": ctx.n, "p": ctx.p, "r": r, "count": report.count, "seed": report.seed,
+             "violations": report.violations, "max_ratio": report.max_ratio}
+            for r, report in zip(args.radii, reports)]
     return rows, any(row["violations"] for row in rows)
 
 

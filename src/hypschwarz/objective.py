@@ -15,10 +15,12 @@ breakpoint-aware rule split at that crossing.
 
 A site is the graded rule's node set split at one point t0 with the kernel
 K at its nodes; it depends on (n, r, order, t0) only, not on the integrand,
-and the last site built is kept.  It is the one place where K is evaluated
-on rule nodes: F, Phi and dF/da subtract their shift from it, so Phi at a
-solved a*, and the residual F(a*), cost one power and one panel sum on the
-site of the solve's last F.  The certificates in ``verify`` integrate their
+and the last two sites built are kept.  It is the one place where K is
+evaluated on rule nodes: F, Phi and dF/da subtract their shift from it, so
+Phi at a solved a*, and the residual F(a*), cost one power and one panel sum
+on the site of the solve's last F.  The second slot keeps that site while
+the doubled-order Phi of ``est_error`` builds its own, so a certificate
+right after g_p reads it too.  The certificates in ``verify`` integrate their
 kernel-weighted data on sites too, through ``_site_integral``.
 """
 
@@ -67,7 +69,7 @@ def _split_point(ctx: BallContext, r: float, a: float) -> float:
     return (1.0 if a > 1.0 else -1.0) if t0 is None else t0
 
 
-@lru_cache(maxsize=1, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
+@lru_cache(maxsize=2, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
 def _site(n: int, r: float, order: int, t0: float):
     """(K, node set): the graded rule's node set split at t0 and the kernel
     K(r, .) at its nodes, read-only."""

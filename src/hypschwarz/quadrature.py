@@ -29,7 +29,7 @@ steps: ``_graded_nodes`` builds the node set for (n, order, t0), and
 ``_panel_sum`` sums values taken at it.  ``integrate_with_breakpoint``
 composes them around an integrand of t; every integrand weighted by the
 kernel is summed instead on a site of ``objective`` (a node set with the
-kernel at its nodes, the last one kept).  A non-finite value, or a total
+kernel at its nodes, the last two kept).  A non-finite value, or a total
 past double range, is refused with DomainError.
 
 ``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights
@@ -174,7 +174,11 @@ def _panel_sum(n: int, vals, nodes):
     for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist():
         total = 0.0
         for length, panels in zip(lengths, sides):
-            side = sum(panels)
+            # Left to right, as one loop: since Python 3.12 builtin sum()
+            # compensates float sums, which would change the bits by version.
+            side = 0.0
+            for panel in panels:
+                side += panel
             # Sum the uncovered geometric tail from the measured decay ratio.
             last, prev = panels[-1], panels[-2]
             if prev != 0.0:

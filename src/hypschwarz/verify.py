@@ -40,6 +40,9 @@ CAPSEQ_GAP_LIMIT = 0.02
 #: Largest drop between consecutive cap-pair values, relative to G_1.
 CAPSEQ_MONOTONE_SLACK = 1e-9
 
+# Relative margin by which a draw's sup floor undercuts its exact sup at
+# p = inf, far above the rounding of either (``_ratio_checker``).
+_SUP_MARGIN = 1e-12
 # Smallest unscaled power sum of a draw (the smallest normal double over
 # eps): |value|^p terms that underflow then weigh less than an ulp of it.
 _POWER_SUM_MIN = 2.0 ** -970
@@ -188,6 +191,13 @@ def _poly_data(n: int, coeffs: np.ndarray, order: int):
     return rule, coeffs, means, values
 
 
+def _centered(coeffs, means) -> np.ndarray:
+    """Coefficient rows of the centered draws: the mean taken off c_0."""
+    centered = coeffs.copy()
+    centered[:, 0] -= means
+    return centered
+
+
 def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
     """p-norms of the centered draws; exact sup for p = inf.
 
@@ -198,9 +208,7 @@ def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
     by its largest |value| before the power.
     """
     if ctx.p == math.inf:
-        centered = coeffs.copy()
-        centered[:, 0] -= means
-        return _poly_sups(centered)
+        return _poly_sups(_centered(coeffs, means))
     np.abs(values, out=values)
     with np.errstate(over="ignore"):
         values **= ctx.p
@@ -213,11 +221,61 @@ def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
     return scale * (((values / scale[:, None]) ** ctx.p) @ rule.weights) ** (1.0 / ctx.p)
 
 
+def _ratio_checker(ctx: BallContext, rule, coeffs, means, values):
+    """(lhs, scale) -> ``_ratio_check(lhs, scale * norms)`` for the p-norms
+    of the draws of ``_poly_data``; consumes ``values`` as ``_poly_norms``.
+
+    At p = inf the norm is the exact sup, and only the draws that can decide
+    the result take one.  A draw's floor, its largest |value| at the rule
+    nodes and at t = +-1 less _SUP_MARGIN (|mean| + sum |c_k|), undercuts
+    its sup by a relative margin of at least _SUP_MARGIN: both are evaluated
+    from the same coefficients and mean to within 2e-15 of that sum, which
+    is at least the sup.  So lhs / (scale * floor) is an upper bound on the
+    ratio (inf where the floor is not positive).  The draw of the largest
+    bound takes its exact sup, and so does every draw whose bound exceeds
+    min(that draw's ratio, 1 + BOUND_SLACK); any other draw's ratio is at
+    most that minimum, so it neither raises the largest ratio nor violates.
+    The floors are taken once, and each exact sup at most once, over every
+    call of the checker.
+    """
+    if ctx.p != math.inf:
+        norms = _poly_norms(ctx, rule, coeffs, means, values)
+        return lambda lhs, scale: _ratio_check(lhs, scale * norms)
+    centered = _centered(coeffs, means)
+    ends = np.abs(centered @ np.array([-1.0, 1.0]) ** np.arange(9)[:, None]).max(axis=1)
+    floors = np.maximum(np.maximum(values.max(axis=1), -values.min(axis=1)), ends)
+    floors -= _SUP_MARGIN * (np.abs(means) + np.abs(coeffs).sum(axis=1))
+    sups = np.full(len(coeffs), math.nan)  # exact sups taken so far
+
+    def exact(lhs, scale, rows):
+        todo = rows & np.isnan(sups)
+        if todo.any():
+            sups[todo] = _poly_sups(centered[todo])
+        return _ratio_check(lhs[rows], scale * sups[rows])
+
+    def check(lhs, scale):
+        bound_floor = scale * floors
+        ceiling = np.full_like(lhs, math.inf)
+        with np.errstate(over="ignore"):
+            np.divide(lhs, bound_floor, out=ceiling, where=bound_floor > 0.0)
+        ceiling[(lhs == 0.0) | (scale == 0.0)] = 0.0  # ratio 0 whatever the sup
+        deciding = np.zeros(len(lhs), dtype=bool)
+        deciding[np.argmax(ceiling)] = True
+        deciding |= ceiling > min(exact(lhs, scale, deciding)[1], 1.0 + BOUND_SLACK)
+        return exact(lhs, scale, deciding)
+
+    return check
+
+
+def _grad_moments(ctx: BallContext, rule, values) -> np.ndarray:
+    """|grad u(0)| = 2 (n - 1) |integral t g dsigma| of the centered
+    polynomials of ``_poly_data``."""
+    return 2.0 * (ctx.n - 1.0) * np.abs(values @ (rule.weights * rule.nodes))
+
+
 def _grad_draws(ctx: BallContext, rule, coeffs, means, values):
-    """|grad u(0)| = 2 (n - 1) |integral t g dsigma| and ||g||_p of the
-    centered polynomials of ``_poly_data``."""
-    lhs = 2.0 * (ctx.n - 1.0) * np.abs(values @ (rule.weights * rule.nodes))
-    return lhs, _poly_norms(ctx, rule, coeffs, means, values)
+    """|grad u(0)| and ||g||_p of the centered polynomials of ``_poly_data``."""
+    return _grad_moments(ctx, rule, values), _poly_norms(ctx, rule, coeffs, means, values)
 
 
 def _ratio_check(lhs, bound) -> tuple[int, float]:
@@ -261,15 +319,25 @@ def _bound_check(ctx: BallContext, r: float, count: int, seed: int, order: int,
                  bound_of) -> RandomBoundReport:
     """random_bound_check with G_p(r) from bound_of(ctx, r, order), as in
     ``_sharpness``."""
-    r = check_radius(r)
+    return _bound_checks(ctx, [r], count, seed, order, bound_of)[0]
+
+
+def _bound_checks(ctx: BallContext, radii, count: int, seed: int, order: int,
+                  bound_of) -> list:
+    """``_bound_check`` at each radius of ``radii``, each report the one a
+    separate call gives: the draws and their norms, which do not depend on
+    r, are taken once, and each radius adds its kernel moments and ratios."""
+    radii = [check_radius(r) for r in radii]
     rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
-    moments = _site_integral(
-        ctx.n, r, order, 1.0, lambda kernel, t: np.cumprod([kernel] + [t] * 8, axis=0)
-    )
-    lhs = np.abs(coeffs @ moments - means * moments[0])
-    norms = _poly_norms(ctx, rule, coeffs, means, values)
-    bound = bound_of(ctx, r, order).g_value * norms
-    return RandomBoundReport(count, seed, *_ratio_check(lhs, bound))
+    check = _ratio_checker(ctx, rule, coeffs, means, values)
+    reports = []
+    for r in radii:
+        moments = _site_integral(
+            ctx.n, r, order, 1.0, lambda kernel, t: np.cumprod([kernel] + [t] * 8, axis=0)
+        )
+        lhs = np.abs(coeffs @ moments - means * moments[0])
+        reports.append(RandomBoundReport(count, seed, *check(lhs, bound_of(ctx, r, order).g_value)))
+    return reports
 
 
 def random_grad_check(
@@ -282,8 +350,10 @@ def random_grad_check(
 
     Tests |grad u(0)| <= C_p ||g||_p * (1 + BOUND_SLACK).
     """
-    lhs, norms = _grad_draws(ctx, *_random_poly_draws(ctx.n, count, seed, order))
-    return RandomBoundReport(count, seed, *_ratio_check(lhs, grad_constant(ctx) * norms))
+    rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
+    lhs = _grad_moments(ctx, rule, values)
+    check = _ratio_checker(ctx, rule, coeffs, means, values)
+    return RandomBoundReport(count, seed, *check(lhs, grad_constant(ctx)))
 
 
 def minimizing_sequence_p1(n: int, r: float, index: int) -> float:

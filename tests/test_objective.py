@@ -237,10 +237,10 @@ class TestSharedSite:
         # Phi at a* read the site of the solve's last F
         assert len(f_calls) == 8
         assert built == [128] * 8 + [256]
-        # the order-256 Phi holds the one slot now: Phi at a* builds its
-        # node set again, and F and dF/da at a* share it
+        # the order-256 Phi took the second slot: Phi, F and dF/da at a*
+        # read the site of the solve's last F, building nothing
         prm = params(4, 3.0, 0.5)
         assert phi(prm, res.a_star) == res.g_value
         big_f(prm, res.a_star)
         dF_da(prm, res.a_star)
-        assert built == [128] * 8 + [256, 128]
+        assert built == [128] * 8 + [256]

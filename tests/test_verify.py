@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from hypschwarz import objective, solver, verify
-from hypschwarz.errors import CapUnderflowError, DomainError
+from hypschwarz import objective, quadrature, solver, verify
+from hypschwarz.errors import BracketError, CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
 from conftest import mp_kernel, mp_zonal
@@ -22,6 +23,10 @@ from hypschwarz.verify import (
     cap_sequence_check,
     verify_sharpness,
 )
+
+
+# radii of the multi-radius bound sweeps, from the centre to near the boundary
+SWEEP_RADII = (0.0, 0.3, 0.6, 0.9, 0.99)
 
 
 def poly_data(n, coeffs):
@@ -187,6 +192,29 @@ class TestSharpness:
         fields = (report.g_bound, report.attained, report.u_at_zero, report.rel_gap)
         assert tuple(value.hex() for value in fields) == expected
 
+    def test_reports_do_not_depend_on_the_python_version(self, monkeypatch):
+        # since Python 3.12 builtin sum() of floats is compensated (Neumaier);
+        # panel sums that used it moved this pin, and 22 others, there
+        def neumaier_sum(values, start=0):
+            total, compensation = float(start), 0.0
+            for value in values:
+                new = total + value
+                if abs(total) >= abs(value):
+                    compensation += (total - new) + value
+                else:
+                    compensation += (value - new) + total
+                total = new
+            return total + compensation if compensation and math.isfinite(compensation) else total
+
+        monkeypatch.setattr(quadrature, "sum", neumaier_sum, raising=False)
+        solver._g_p_numeric.cache_clear()
+        objective._site.cache_clear()
+        report = verify_sharpness(BallContext(3, 3.0), 0.2)
+        fields = (report.g_bound, report.attained, report.u_at_zero, report.rel_gap)
+        assert tuple(value.hex() for value in fields) == (
+            "0x1.29b654ddeca76p-2", "0x1.29b654ddec86ap-2",
+            "-0x1.15fffffffffffp-45", "0x1.c2952fe4c15d1p-44")
+
     def test_one_site_after_the_solve(self, monkeypatch):
         # the extremal data, its extension and its norm share one node set
         for ctx in (BallContext(4, 3.0), BallContext(4, math.inf)):
@@ -318,12 +346,86 @@ class TestRandomChecks:
         ctx = BallContext(3, 2.0)
         for check in (
             lambda: random_bound_check(ctx, 0.5, count=20),
+            lambda: verify._bound_checks(ctx, SWEEP_RADII, 20, 42, 128, solver.g_p),
             lambda: random_grad_check(ctx, count=20),
             lambda: corollary_l2_batch(3, count=20),
         ):
             calls.clear()
             check()
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
+    def test_sweep_reports_equal_single_radius_ones(self, n):
+        # a sweep takes the draws and their norms once; every report is the
+        # one random_bound_check gives at that radius, bit for bit
+        for p in (1.1, 2.0, 3.0, 20.0, math.inf):
+            ctx = BallContext(n, p)
+            for seed in (1, 7, 42):
+                single = []
+                for r in SWEEP_RADII:
+                    try:
+                        single.append(random_bound_check(ctx, r, count=1000, seed=seed))
+                    except BracketError as exc:  # past the solver's domain
+                        single.append(exc)
+                        break
+                answered = [report for report in single if isinstance(report, RandomBoundReport)]
+                swept = verify._bound_checks(ctx, SWEEP_RADII[:len(answered)], 1000, seed, 128,
+                                             solver.g_p)
+                assert swept == answered, (n, p, seed)
+                if len(answered) < len(SWEEP_RADII):
+                    with pytest.raises(BracketError, match=re.escape(str(single[-1]))):
+                        verify._bound_checks(ctx, SWEEP_RADII, 1000, seed, 128, solver.g_p)
+
+    def test_deciding_draws_give_the_full_sup_decision(self):
+        # at p = inf only the draws that can decide get exact sups; the
+        # report is the one from every draw's exact sup
+        r, violated = 0.6, 0
+        for seed in range(40):
+            n = (3, 4, 5, 10)[seed % 4]
+            ctx = BallContext(n, math.inf)
+            moments = objective._site_integral(
+                n, r, 128, 1.0, lambda kernel, t: np.cumprod([kernel] + [t] * 8, axis=0))
+            scales = (solver.g_inf_closed(n, r)[1], grad_constant(ctx))
+            rule, coeffs, means, values = verify._random_poly_draws(n, 1000, seed, 128)
+            sups = verify._poly_sups(verify._centered(coeffs, means))
+            bound_lhs = np.abs(coeffs @ moments - means * moments[0])
+            grad_lhs = verify._grad_moments(ctx, rule, values)
+            check = verify._ratio_checker(ctx, rule, coeffs, means, values)
+            for lhs, scale in zip((bound_lhs, grad_lhs), scales):
+                for factor in (1.0, 0.5):
+                    expected = verify._ratio_check(lhs, factor * scale * sups)
+                    assert check(lhs, factor * scale) == expected, (seed, scale, factor)
+                    violated += expected[0] > 0
+        assert violated >= 40  # the halved scale violates on every seed, for at least one check
+
+    def test_deciding_draws_on_crafted_data(self):
+        ctx = BallContext(4, math.inf)
+        rows = np.zeros((6, 9))
+        rows[1, 8] = 1.0                  # t^8: sup at both endpoints
+        rows[2, [1, 3]] = 3.0, -4.0       # -T_3: sup at interior points too
+        rows[3, 1] = 1.0                  # t: the gradient's extremal datum
+        rows[4, :] = 0.5                  # sup at t = 1
+        rows[5, :] = np.random.default_rng(5).uniform(-1.0, 1.0, 9)
+        for subset in ([0], [1], [0, 1, 2, 3, 4, 5], [0, 4], [5]):  # a zero draw, count 1, ...
+            rule, coeffs, means, values = verify._poly_data(4, rows[subset], 128)
+            sups = verify._poly_sups(verify._centered(coeffs, means))
+            lhs = verify._grad_moments(ctx, rule, values)
+            check = verify._ratio_checker(ctx, rule, coeffs, means, values)
+            for scale in (grad_constant(ctx), 1.0, 1e-3, 0.0):
+                assert check(lhs, scale) == verify._ratio_check(lhs, scale * sups), (subset, scale)
+        assert verify._ratio_checker(ctx, rule, coeffs, means, values)(lhs, 1e-3)[0] == 1
+
+    @pytest.mark.parametrize("check", [
+        lambda: random_bound_check(BallContext(4, math.inf), 0.5, count=1000, seed=42),
+        lambda: random_grad_check(BallContext(4, math.inf), count=1000, seed=42),
+    ], ids=["random_bound_check", "random_grad_check"])
+    def test_few_exact_sups(self, check, monkeypatch):
+        # 1 of the 1000 draws needs one here
+        rows = []
+        real_sups = verify._poly_sups
+        monkeypatch.setattr(verify, "_poly_sups", lambda c: rows.append(len(c)) or real_sups(c))
+        check()
+        assert 1 <= sum(rows) <= 50
 
     # pinned from the p-norm that took |values|^p in two fresh temporaries;
     # the in-place form is the same arithmetic, so every bit must agree.  The
