@@ -26,7 +26,10 @@ with the index of each panel's first node, and the panel sums one
 (order, J) and cached; each call only scales it by the lengths of its two
 sides and shifts it to theta0.  The rule is two
 steps: ``_graded_nodes`` builds the node set for (n, order, t0), and
-``_panel_sum`` sums values taken at it.  ``integrate_with_breakpoint``
+``_panel_sum`` sums values taken at it, panel by panel (``_panel_sums``) and
+then side by side (``_side_total``).  ``_outer_nodes`` builds the outer
+panels of a node set alone: at an interior breakpoint they are all that a
+doubled order changes.  ``integrate_with_breakpoint``
 composes them around an integrand of t; every integrand weighted by the
 kernel is summed instead on a site of ``objective`` (a node set with the
 kernel at its nodes, the last two kept).  A non-finite value, or a total
@@ -65,7 +68,11 @@ _PANEL_NODES = 12  # Gauss-Legendre nodes on an inner panel, and on every one up
 # Relative rounding floor of a breakpoint integral: an ulp for each panel sum
 # of its two sides.
 _ROUNDING_FLOOR = 2 * _PANELS * 2.0 ** -52
-_TAIL_GUARD = 0.95   # largest admissible panel-sum ratio for tail summation
+# Largest panel-sum ratio whose geometric tail is summed.  A |theta - theta0|^s
+# factor has the ratio 2^-(s+1), so dF/da's |K - a|^(q-2) has 2^-(q-1): it
+# exceeded the earlier guard 0.95 from p = 14.5 on, and the dropped tail held
+# 37% of the integral at p = 20.  At 0.999 the tail is summed up to p = 693.
+_TAIL_GUARD = 0.999
 
 #: Node count of the polar-cap rule.
 _CAP_ORDER = 64
@@ -152,12 +159,58 @@ def _graded_nodes(n: int, order: int, t0: float):
     panels, or with _PANELS at a pole.  A breakpoint at a pole leaves one
     side; the empty one gets no nodes, as an integrand may be infinite there.
     """
-    theta0 = math.acos(t0)
     outer = _PANELS if abs(t0) == 1.0 else _outer_panels(n)
+    return _nodes_at(n, t0, *_graded_panels(order, outer))
+
+
+def _outer_nodes(n: int, order: int, t0: float):
+    """The outer _outer_panels(n) panels of ``_graded_nodes(n, order, t0)``
+    at an interior t0, node for node, as a node set of their own."""
+    outer = _outer_panels(n)
     offsets, weights, starts = _graded_panels(order, outer)
+    end = starts[outer] if outer < _PANELS else offsets.size
+    return _nodes_at(n, t0, offsets[:end], weights[:end], starts[:outer])
+
+
+def _nodes_at(n: int, t0: float, offsets, weights, starts):
+    theta0 = math.acos(t0)
     lengths = [side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300]
     theta = theta0 + np.array(lengths)[:, None] * offsets
     return np.cos(theta), np.sin(theta) ** (n - 2), weights, starts, lengths
+
+
+def _panel_sums(vals, nodes):
+    """Per-panel sums of ``vals``, values of shape (*stack, *t.shape) at the
+    node set ``nodes`` of ``_graded_nodes``: shape (*stack, sides, panels)."""
+    _, sinpow, weights, starts, _ = nodes
+    return np.add.reduceat(vals * sinpow * weights, starts, axis=-1)
+
+
+def _side_total(n: int, sides, lengths) -> float:
+    """Zonal integral from the per-panel sums of each side (nested lists, one
+    row of ``_panel_sums``), unchecked: it may be non-finite."""
+    total = 0.0
+    for length, panels in zip(lengths, sides):
+        # Left to right, as one loop: since Python 3.12 builtin sum()
+        # compensates float sums, which would change the bits by version.
+        side = 0.0
+        for panel in panels:
+            side += panel
+        # Sum the uncovered geometric tail from the measured decay ratio.
+        last, prev = panels[-1], panels[-2]
+        if prev != 0.0:
+            ratio = last / prev
+            if 0.0 < ratio < _TAIL_GUARD:
+                side += last * ratio / (1.0 - ratio)
+        total += abs(length) * side
+    return _zonal_constant(n) * total
+
+
+def _checked(total: float) -> float:
+    # Python floats overflow to inf silently, in the sums as in the tail.
+    if not math.isfinite(total):
+        raise DomainError("integrand produced non-finite values or a non-finite integral")
+    return total
 
 
 def _panel_sum(n: int, vals, nodes):
@@ -167,30 +220,10 @@ def _panel_sum(n: int, vals, nodes):
     non-finite value makes its panel sum, and so its total, non-finite, and
     every non-finite total is refused.
     """
-    _, sinpow, weights, starts, lengths = nodes
-    per_panel = np.add.reduceat(vals * sinpow * weights, starts, axis=-1)
-    c_n = _zonal_constant(n)
-    totals = []
-    for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist():
-        total = 0.0
-        for length, panels in zip(lengths, sides):
-            # Left to right, as one loop: since Python 3.12 builtin sum()
-            # compensates float sums, which would change the bits by version.
-            side = 0.0
-            for panel in panels:
-                side += panel
-            # Sum the uncovered geometric tail from the measured decay ratio.
-            last, prev = panels[-1], panels[-2]
-            if prev != 0.0:
-                ratio = last / prev
-                if 0.0 < ratio < _TAIL_GUARD:
-                    side += last * ratio / (1.0 - ratio)
-            total += abs(length) * side
-        total = c_n * total
-        # Python floats overflow to inf silently, in the sums as in the tail.
-        if not math.isfinite(total):
-            raise DomainError("integrand produced non-finite values or a non-finite integral")
-        totals.append(total)
+    per_panel = _panel_sums(vals, nodes)
+    lengths = nodes[4]
+    totals = [_checked(_side_total(n, sides, lengths))
+              for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist()]
     return np.reshape(totals, per_panel.shape[:-2]) if per_panel.ndim > 2 else totals[0]
 
 

@@ -2,18 +2,21 @@
 
 For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
-range.  One loop on log a finds it from F alone: it steps outward from a
-start until F changes sign, evaluating a range end only when a step lands on
-it, then takes Chandrupatla's steps (inverse quadratic interpolation where it
-is safe, bisection otherwise) until the bracket is 2^-44 wide in log a.  That
+range.  One loop on log a finds it from F: it steps outward from a start
+until F changes sign, evaluating a range end only when a step lands on it,
+then takes Chandrupatla's steps (inverse quadratic interpolation where it is
+safe, bisection otherwise) until the bracket is 2^-44 wide in log a.  From a
+guess its first steps follow a slope instead (Newton's from dF/da on the
+guess's own site, then secants), so a good guess brackets the root in three
+F evaluations.  That
 resolves the root of the computed F; where F's quadrature noise near a*
 exceeds its slope times 2^-44, another start can move a* by more (17 times
 that at n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
 stopping rule is scale-free: F scales like |K - a|^(q-1), which for p near 1
 at small r lies far below any fixed residual.  A cold solve starts from log
 a* interpolated in 1/p through the closed forms below; along a sweep
-(g_p_curve) from a* extrapolated through the radii solved before it, except
-at p = 2, where the cold start a = 1 is the root.  The endpoint exponents
+(g_p_curve) from log a* extrapolated through up to six radii solved before
+it, except at p = 2, where the cold start a = 1 is the root.  The endpoint exponents
 have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
@@ -34,7 +37,7 @@ from scipy.special import hyp2f1
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .kernel import BallContext, check_radius, kernel_range
-from .objective import ObjectiveParams, big_f, phi
+from .objective import ObjectiveParams, _f_and_slope, _phi_and_refined, big_f, phi
 from .quadrature import _PANEL_NODES, _ROUNDING_FLOOR, DEFAULT_ORDER
 from .special import alpha_q, check_dimension
 
@@ -87,12 +90,19 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
     known on one side of the root only, the next point steps outward to the
     other side, the step growing eightfold and clamped at the range end; an
     end is evaluated only when a step lands on it, and must then have the
-    sign of a bracket.  Then Chandrupatla's rule: with a the newest point, b
+    sign of a bracket.  A guessed solve steers its first three such steps
+    instead: the guess's F comes with dF/da from the same site and power,
+    and the next point is Newton's root, then the root of the secant through
+    the last two points, each lengthened a quarter tolerance past it, while
+    the slope is negative and finite and the point inside the range (else
+    the outward step).  Then Chandrupatla's rule: with a the newest point, b
     the bracket end where F has the other sign and c the point the last
     evaluation displaced, the step is inverse quadratic interpolation through
     the three where it stays well inside the bracket, else bisection (the
     secant before c exists).  Iterates stay half a tolerance inside the
-    bracket, so a root next to one end is confirmed by a sign change.  The
+    bracket, so a root next to one end is confirmed by a sign change; after
+    a steered point that crossed the root by a quarter tolerance, the next
+    lands a quarter tolerance short of it, which closes the bracket.  The
     guess changes the cost, and the root only within the band where the
     computed F's quadrature noise outweighs its slope (2^-44 in log a).
     """
@@ -115,9 +125,16 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
     else:
         s, width = math.log(guess), max(width, _LOG_A_TOL)
     s, step = min(max(s, lo_end), hi_end), width
+    # A guessed solve steers its first three unbracketed steps: by dF/da from
+    # the guess's own site, then by the secant through its last two points.
+    steered = 3 if guess is not None else 0
     a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
     for _ in range(_MAX_ITER):
-        fs = big_f(params, math.exp(s))
+        if steered == 3:
+            fs, slope = _f_and_slope(params, math.exp(s))
+            slope *= math.exp(s)  # dF/d(log a)
+        else:
+            fs = big_f(params, math.exp(s))
         if s in (lo_end, hi_end) and not (fs > 0.0 if s == lo_end else fs < 0.0):
             raise BracketError(
                 f"no sign change across the kernel range at r={r}: F({math.exp(s)})={fs}"
@@ -129,7 +146,16 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
         else:
             a, fa, b, fb, c, fc = s, fs, a, fa, b, fb
         if b is None:
-            s, step = (min(s + step, hi_end) if fs > 0.0 else max(s - step, lo_end)), 8.0 * step
+            if 0 < steered < 3:
+                slope = (fa - fc) / (a - c) if a != c else math.nan
+            # the root of the slope's line, a quarter tolerance past it
+            target = s - fs / slope + math.copysign(0.25 * _LOG_A_TOL, fs) if (
+                steered and -math.inf < slope < 0.0) else math.nan
+            if lo_end <= target <= hi_end:
+                s = target
+            else:
+                s, step = (min(s + step, hi_end) if fs > 0.0 else max(s - step, lo_end)), 8.0 * step
+            steered = max(steered - 1, 0)
             continue
         if abs(a - b) <= _LOG_A_TOL:
             return math.exp(a)
@@ -241,6 +267,8 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     node count grows with it: with 256 nodes on every panel instead of the
     inner ones' 12, an F or Phi integral moved by at most 6.5e-16 of the
     integral of |f| (n from 3 to 300, r from 0.1 to 0.99, p from 1.05 to 20).
+    So the doubled-order Phi evaluates those outer panels only and takes the
+    inner panel sums of Phi(a*), which gives the bits of a full evaluation.
     """
     r = check_radius(r)
     if ctx.p == 1.0:
@@ -261,16 +289,17 @@ def _numeric_result(ctx: BallContext, r: float, order: int, a_star: float) -> Gp
     """G_p = Phi(a*) and its est_error, for a numerically solved shift."""
     if r == 0.0:
         return GpResult(ctx, r, a_star, 0.0, "numeric", 0.0)
-    g_val = float(phi(ObjectiveParams(ctx, r, order), a_star))
+    params = ObjectiveParams(ctx, r, order)
     if ctx.p == 2.0:
+        g_val = phi(params, a_star)
         est = abs(g_val - g_2_closed(ctx.n, r))
     else:
         # Phi is stationary at a*, so re-solving at the doubled order is not
         # needed to estimate the quadrature error of the bound itself.  Every
         # order below 8 * _PANEL_NODES has _PANEL_NODES nodes on its outer
         # panels; the reference doubles that count.
-        refined = ObjectiveParams(ctx, r, 2 * max(order, 8 * _PANEL_NODES))
-        est = abs(g_val - float(phi(refined, a_star)))
+        g_val, refined = _phi_and_refined(params, a_star, 2 * max(order, 8 * _PANEL_NODES))
+        est = abs(g_val - refined)
     # Order doubling cannot see the rounding both orders share.
     return GpResult(ctx, r, a_star, g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val))
 
@@ -279,10 +308,11 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     """g_p at every radius of a sweep, each shift solve started from its neighbours.
 
     For finite p > 1 other than 2, log a* at each new radius is predicted by
-    quadratic extrapolation in r through the last three radii solved (linear
-    through two, a cold solve before that); the first step is twice the gap
-    between the quadratic and linear predictions (a tenth of the last step in
-    log a* with two).  At p = 2 every radius is solved cold, from its root
+    extrapolation in r through the last six radii solved (through all of them
+    while there are two to five, a cold solve before that); the first step is
+    twice the gap between that prediction and the one without the oldest
+    radius.  The solve takes a Newton step from the guess, and mostly needs
+    three F evaluations.  At p = 2 every radius is solved cold, from its root
     a = 1, so the rows are g_p's bit for bit.  A radius already solved reuses
     that solve.  Each G is computed right after its radius's solve, while the
     site of the solve's last F is still held.  Results depend on (ctx,
@@ -308,30 +338,34 @@ def _shift_curve(ctx: BallContext, radii, order: int):
     history: list[tuple[float, float]] = []  # (r, log a*) of each radius solved, in order
     for r in map(check_radius, radii):
         if r not in solved:
-            solved[r] = _continued_solve(ctx, r, order, history[-3:])
+            solved[r] = _continued_solve(ctx, r, order, history[-6:])
             history.append((r, math.log(solved[r])))
         yield r, solved[r]
 
 
 def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
-    """solve_a_star at r, guessed from up to three known (radius, log a*) pairs.
+    """solve_a_star at r, guessed from up to six known (radius, log a*) pairs.
 
-    At p = 2, F(a) = 1 - a and the cold start a = 1 is the root; a guess
-    would only extrapolate the solves' last-bit jitter, so it solves cold.
+    The guess is log a* extrapolated through all of them in Newton's
+    divided-difference form, newest radius first; its first step is twice
+    the last term, the gap between the predictions through all the pairs and
+    through all but the oldest.  At p = 2, F(a) = 1 - a and the cold start
+    a = 1 is the root; a guess would only extrapolate the solves' last-bit
+    jitter, so it solves cold.
     """
     if len(known) < 2 or ctx.p == 2.0:
         return solve_a_star(ctx, r, order)
-    (r1, s1), (r2, s2) = known[-2:]
-    linear = s2 + (r - r2) * (s2 - s1) / (r2 - r1)
-    if len(known) == 2:
-        guess, width = linear, 0.1 * abs(s2 - s1)
-    else:
-        r0, s0 = known[0]
-        curvature = ((s2 - s1) / (r2 - r1) - (s1 - s0) / (r1 - r0)) / (r2 - r0)
-        guess = linear + curvature * (r - r2) * (r - r1)
-        width = 2.0 * abs(guess - linear)
+    radii = [rk for rk, _ in reversed(known)]
+    diffs = [sk for _, sk in reversed(known)]
+    for k in range(1, len(diffs)):  # diffs[i] becomes the divided difference over radii[:i + 1]
+        for i in range(len(diffs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (radii[i] - radii[i - k])
+    guess, term = 0.0, 1.0
+    for rk, diff in zip(radii, diffs):
+        last = diff * term
+        guess, term = guess + last, term * (r - rk)
     guess = min(max(guess, -_LOG_GUESS_MAX), _LOG_GUESS_MAX)
-    return solve_a_star(ctx, r, order, guess=math.exp(guess), width=width)
+    return solve_a_star(ctx, r, order, guess=math.exp(guess), width=2.0 * abs(last))
 
 
 def grad_constant(ctx: BallContext) -> float:

@@ -63,6 +63,18 @@ def mp_crossing(n, r, a):
     return (1 + rr * rr) / (2 * rr) - (1 - rr * rr) / (2 * rr) * aa ** (mp.mpf(1) / (1 - n))
 
 
+def count_f_evals(monkeypatch):
+    """Hook the shift solve's F evaluations, plain (big_f) and with the slope
+    (_f_and_slope); the returned list gets one entry per evaluation."""
+    from hypschwarz import solver
+
+    calls = []
+    for name in ("big_f", "_f_and_slope"):
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *args, real=real: calls.append(1) or real(*args))
+    return calls
+
+
 def central_diff(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

@@ -20,6 +20,7 @@ from hypschwarz.kernel import BallContext
 from hypschwarz.objective import ObjectiveParams, big_f
 from hypschwarz.quadrature import DEFAULT_ORDER
 from hypschwarz.solver import g_p_curve
+from conftest import count_f_evals
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -189,8 +190,9 @@ class TestAstar:
     def test_sweep_integrates_no_phi(self, capsys, monkeypatch):
         # the shifts come from the solves alone; G = Phi(a*) is never printed
         calls = []
-        real_phi = solver.phi
-        monkeypatch.setattr(solver, "phi", lambda *args: calls.append(1) or real_phi(*args))
+        for name in ("phi", "_phi_and_refined"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *args, real=real: calls.append(1) or real(*args))
         for p in ("1.5", "3"):
             code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", p,
                                    "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
@@ -282,17 +284,16 @@ class TestVerifyCommands:
             assert float(rows[0]["rel_gap"]) <= limit
 
     def test_sweeps_solve_by_continuation(self, capsys, monkeypatch):
-        # each radius is solved from its neighbours, as in gp: 5.6 F per
-        # radius at (4, 3) on these radii, 7.2 with a cold solve per radius
-        calls = []
-        real_big_f = solver.big_f
-        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        # each radius is solved from its neighbours, as in gp: 3.9 F per
+        # radius at (4, 3) on these radii (5.6 without the slope-steered first
+        # steps), 7.2 with a cold solve per radius
+        calls = count_f_evals(monkeypatch)
         sweep = ("--n", "4", "--p", "3", "--r-min", "0.05", "--r-max", "0.9", "--steps", "40")
         for argv in (("verify-sharpness", *sweep), ("verify-bound", *sweep, "--count", "50")):
             solver._g_p_numeric.cache_clear()
             calls.clear()
             code, _, _ = run_cli(capsys, *argv)
-            assert code == 0 and len(calls) <= 6 * 40, argv
+            assert code == 0 and len(calls) <= 4.5 * 40, argv
 
     def test_sweeps_report_gp_rows(self, capsys):
         # G at each radius is gp's sweep row, within est_error of a cold g_p

@@ -6,10 +6,19 @@ import pytest
 from hypschwarz import objective, solver
 from hypschwarz.errors import BracketError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
-from hypschwarz.objective import _DEV_FLOOR, ObjectiveParams, _split_point, big_f, dF_da, phi
-from hypschwarz.quadrature import integrate_with_breakpoint
+from hypschwarz.objective import (
+    _DEV_FLOOR,
+    ObjectiveParams,
+    _f_and_slope,
+    _phi_and_refined,
+    _split_point,
+    big_f,
+    dF_da,
+    phi,
+)
+from hypschwarz.quadrature import _ROUNDING_FLOOR, integrate_with_breakpoint
 from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p, solve_a_star
-from conftest import central_diff, mp_crossing, mp_kernel, mp_zonal
+from conftest import central_diff, count_f_evals, mp_crossing, mp_kernel, mp_zonal
 
 
 def params(n, p, r, order=128):
@@ -151,6 +160,67 @@ class TestDfDa:
         fd = central_diff(lambda x: big_f(prm, x), a, 1e-5)
         assert dF_da(prm, a) == pytest.approx(fd, rel=1e-7)
 
+    def test_matches_finite_difference_at_large_p(self):
+        # q - 1 below 0.074: the panel-sum ratio 2^-(q-1) of |K - a|^(q-2) is
+        # above 0.95, where the tail (37% of the integral at p = 20) was dropped
+        for p in (15.0, 20.0, 50.0, 100.0):
+            for n in (3, 4, 5):
+                for r in (0.1, 0.5, 0.8):
+                    prm = params(n, p, r)
+                    a_star = solve_a_star(prm.ctx, r)
+                    for a in (a_star, 0.9 * a_star, 1.1 * a_star):
+                        fd = central_diff(lambda x: big_f(prm, x), a, 1e-5 * a)
+                        assert dF_da(prm, a) == pytest.approx(fd, rel=1e-6), (n, p, r, a)
+
+    def test_slope_of_the_first_point(self):
+        # F with the slope is big_f's bits; the slope is dF/da's up to the
+        # floor, which _f_and_slope applies at every q
+        for n, p, r in ((3, 1.1, 0.5), (4, 1.5, 0.9), (4, 3.0, 0.5), (5, 20.0, 0.3), (10, 3.0, 0.6)):
+            prm = params(n, p, r)
+            a_star = solve_a_star(prm.ctx, r)
+            kmin, kmax = kernel_range(prm.ctx, r)
+            for a in (a_star, a_star * (1.0 + 1e-9), 0.7 * a_star, 1.3 * a_star, kmin / 2.0, kmax * 2.0):
+                f_value, slope = _f_and_slope(prm, a)
+                assert f_value.hex() == big_f(prm, a).hex(), (n, p, r, a)
+                assert slope == pytest.approx(dF_da(prm, a), rel=1e-12), (n, p, r, a)
+
+
+class TestRefinedPhi:
+    def test_est_error_is_two_full_phi_calls(self):
+        # est_error from the outer panels of the doubled order alone is
+        # |Phi(order) - Phi(2 max(order, 96))| of two full phi calls, bit for bit
+        answered = 0
+        for order in (64, 128, 256):
+            for n in (3, 4, 5, 10, 30):
+                for p in (1.1, 1.5, 3.0, 10.0, 20.0):
+                    ctx = BallContext(n, p)
+                    for r in (0.05, 0.2, 0.5, 0.8, 0.95):
+                        try:
+                            res = g_p(ctx, r, order)
+                        except (BracketError, DomainError):
+                            continue
+                        prm = ObjectiveParams(ctx, r, order)
+                        refined = ObjectiveParams(ctx, r, 2 * max(order, 96))
+                        g_val = phi(prm, res.a_star)
+                        est = max(abs(g_val - phi(refined, res.a_star)), _ROUNDING_FLOOR * g_val)
+                        assert res.g_value.hex() == g_val.hex(), (order, n, p, r)
+                        assert res.est_error.hex() == est.hex(), (order, n, p, r)
+                        answered += 1
+        assert answered >= 300
+
+    def test_pair_matches_two_phi_calls_off_the_root(self):
+        # interior splits reuse the inner panels; splits at a pole (a shift
+        # outside the kernel range) build the full doubled-order node set
+        for n, p, r in ((3, 1.1, 0.5), (4, 3.0, 0.9), (5, 20.0, 0.3), (30, 1.5, 0.2)):
+            ctx = BallContext(n, p)
+            kmin, kmax = kernel_range(ctx, r)
+            for a in (0.5 * (kmin + kmax), kmin * 1.01, kmax * 0.99, kmin / 2.0, kmax * 2.0):
+                for order in (64, 128):
+                    prm = ObjectiveParams(ctx, r, order)
+                    pair = _phi_and_refined(prm, a, 256)
+                    expected = (phi(prm, a), phi(ObjectiveParams(ctx, r, 256), a))
+                    assert [v.hex() for v in pair] == [v.hex() for v in expected], (n, p, r, a)
+
 
 class TestStationarityIdentity:
     def test_phi_slope_from_big_f(self):
@@ -226,21 +296,26 @@ class TestSharedSite:
                             assert outcome(new, prm, a) == outcome(ref, prm, a), (n, p, r, a, new)
 
     def test_cold_g_p_builds_node_sets_for_its_F_and_refined_phi_only(self, monkeypatch):
-        f_calls, built = [], []
-        real_big_f, real_nodes = solver.big_f, objective._graded_nodes
-        monkeypatch.setattr(solver, "big_f", lambda *args: f_calls.append(1) or real_big_f(*args))
+        f_calls, built, outer = count_f_evals(monkeypatch), [], []
+        real_nodes, real_outer = objective._graded_nodes, objective._outer_nodes
         monkeypatch.setattr(objective, "_graded_nodes",
                             lambda n, order, t0: built.append(order) or real_nodes(n, order, t0))
+        monkeypatch.setattr(objective, "_outer_nodes",
+                            lambda n, order, t0: outer.append((order, t0)) or real_outer(n, order, t0))
         objective._site.cache_clear()
         solver._g_p_numeric.cache_clear()
         res = g_p(BallContext(4, 3.0), 0.5)
-        # Phi at a* read the site of the solve's last F
+        # Phi at a* read the site of the solve's last F; the order-256 Phi of
+        # est_error built the outer J(4) = 2 panels of each side only, 32
+        # nodes each, and no site
         assert len(f_calls) == 8
-        assert built == [128] * 8 + [256]
-        # the order-256 Phi took the second slot: Phi, F and dF/da at a*
-        # read the site of the solve's last F, building nothing
+        assert built == [128] * 8
+        t0 = _split_point(BallContext(4, 3.0), 0.5, res.a_star)
+        assert outer == [(256, t0)] and -1.0 < t0 < 1.0
+        assert real_outer(4, 256, t0)[0].shape == (2, 64)
+        # Phi, F and dF/da at a* read the site of the solve's last F, building nothing
         prm = params(4, 3.0, 0.5)
         assert phi(prm, res.a_star) == res.g_value
         big_f(prm, res.a_star)
         dF_da(prm, res.a_star)
-        assert built == [128] * 8 + [256]
+        assert built == [128] * 8 and len(outer) == 1

@@ -20,7 +20,7 @@ from hypschwarz.solver import (
     uh_elementary,
 )
 from hypschwarz.acceptance import golden_section_minimize
-from conftest import mp_crossing, mp_kernel, mp_zonal
+from conftest import count_f_evals, mp_crossing, mp_kernel, mp_zonal
 
 
 def anchored_log_start(ctx, r):
@@ -108,18 +108,14 @@ class TestSolveAStar:
     def test_bisection_bounds_cost_where_f_spans_many_orders(self, monkeypatch):
         # F at the bracket ends differs by about 1e44 here; halving the stale
         # end alone took 174 and 198 evaluations
-        calls = []
-        real_big_f = solver.big_f
-        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        calls = count_f_evals(monkeypatch)
         for n, p, r in ((30, 1.1, 0.8), (100, 1.01, 0.01)):
             calls.clear()
             solve_a_star(BallContext(n, p), r)
             assert len(calls) <= 40, (n, p, r)
 
     def test_guess_at_the_root_is_cheap(self, monkeypatch):
-        calls = []
-        real_big_f = solver.big_f
-        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        calls = count_f_evals(monkeypatch)
         for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03), (5, 10.0, 0.8), (4, 2.0, 0.7)):
             ctx = BallContext(n, p)
             a_star = solve_a_star(ctx, r)
@@ -137,8 +133,9 @@ class TestSolveAStar:
         # a solve without a guess starts at the anchored shift and evaluates a
         # range end only when a step lands on it; these roots lie well inside
         shifts = []
-        real_big_f = solver.big_f
-        monkeypatch.setattr(solver, "big_f", lambda prm, a: shifts.append(a) or real_big_f(prm, a))
+        for name in ("big_f", "_f_and_slope"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda prm, a, real=real: shifts.append(a) or real(prm, a))
         for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03)):
             ctx = BallContext(n, p)
             kmin, kmax = kernel_range(ctx, r)
@@ -160,6 +157,7 @@ class TestSolveAStar:
             raise FirstShift(a)
 
         monkeypatch.setattr(solver, "big_f", first_shift)
+        monkeypatch.setattr(solver, "_f_and_slope", first_shift)
         checked = 0
         for n in (3, 4, 5, 10, 30, 100):
             for p in (1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 100.0):
@@ -183,9 +181,7 @@ class TestSolveAStar:
 
     def test_cold_solve_cost(self, monkeypatch):
         # the Illinois loop stepping out from a = 1 took 13.5 F per solve here
-        calls = []
-        real_big_f = solver.big_f
-        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        calls = count_f_evals(monkeypatch)
         solves = 0
         for n in (3, 4, 5):
             for p in (1.1, 1.5, 3.0, 10.0, 20.0):
@@ -209,30 +205,42 @@ class TestGpCurve:
                             (5, 10.0, 0.95), (4, 100.0, 0.95), (10, 1.1, 0.95), (10, 3.0, 0.75),
                             (30, 1.5, 0.6), (100, 2.0, 0.12)):
             ctx = BallContext(n, p)
-            radii = [float(r) for r in np.linspace(0.01, r_max, 30)]
-            for r, res in zip(radii, g_p_curve(ctx, radii)):
-                point = g_p(ctx, r)
-                assert res.r == r and res.method == "numeric"
-                assert res.a_star == pytest.approx(point.a_star, rel=1e-12), (n, p, r)
-                assert abs(res.g_value - point.g_value) <= (
-                    point.est_error + 1e-13 * point.g_value), (n, p, r)
+            ascending = [float(r) for r in np.linspace(0.01, r_max, 30)]
+            geometric = [float(r) for r in np.geomspace(0.01, r_max, 30)]
+            for radii in (ascending, ascending[::-1], geometric, geometric[::-1]):
+                for r, res in zip(radii, g_p_curve(ctx, radii)):
+                    point = g_p(ctx, r)
+                    assert res.r == r and res.method == "numeric"
+                    assert res.a_star == pytest.approx(point.a_star, rel=1e-12), (n, p, r)
+                    assert abs(res.g_value - point.g_value) <= (
+                        point.est_error + 1e-13 * point.g_value), (n, p, r)
 
     def test_cost_per_radius(self, monkeypatch):
-        # cold solves take about 7.3 F per radius on this sweep
-        calls = []
-        real_big_f = solver.big_f
-        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        # cold solves take 6.4 to 9.8 F per radius on these sweeps, and warm
+        # ones took 5.0 to 5.7 with a quadratic guess and no Newton step
+        calls = count_f_evals(monkeypatch)
         radii = [float(r) for r in np.linspace(0.01, 0.95, 100)]
-        g_p_curve(BallContext(4, 3.0), radii)
-        assert len(calls) / len(radii) <= 8.0
+        for n, p in ((4, 3.0), (5, 20.0), (3, 1.1)):
+            calls.clear()
+            g_p_curve(BallContext(n, p), radii)
+            assert len(calls) / len(radii) <= 4.0, (n, p)
+
+    def test_unusable_slope_falls_back_to_the_outward_step(self, monkeypatch):
+        # a slope that is non-finite, zero or of the wrong sign only costs
+        # steps: the bracket, and so the root, still comes from F alone
+        ctx, r = BallContext(4, 3.0), 0.5
+        a_star = solve_a_star(ctx, r)
+        real = solver._f_and_slope
+        for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
+            monkeypatch.setattr(solver, "_f_and_slope", lambda prm, a: (real(prm, a)[0], bad))
+            for guess in (a_star * 0.99, a_star * 1.01):
+                assert solve_a_star(ctx, r, guess=guess) == pytest.approx(a_star, rel=1e-12)
 
     def test_p2_sweep_solves_each_radius_cold(self, monkeypatch):
         # at p = 2, F(a) = 1 - a and the cold start a = 1 is the root; a guess
         # extrapolated from earlier solves costs more F, so the sweep's rows and
         # F count are those of cold point solves
-        calls = []
-        real_big_f = solver.big_f
-        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        calls = count_f_evals(monkeypatch)
         radii = [float(r) for r in np.linspace(0.01, 0.95, 100)]
         for n in (3, 4, 5):
             ctx = BallContext(n, 2.0)

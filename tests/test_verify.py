@@ -11,7 +11,7 @@ from hypschwarz import objective, quadrature, solver, verify
 from hypschwarz.errors import BracketError, CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
-from conftest import mp_kernel, mp_zonal
+from conftest import count_f_evals, mp_kernel, mp_zonal
 from hypschwarz.verify import (
     SHARPNESS_GAP_LIMIT,
     RandomBoundReport,
@@ -113,9 +113,7 @@ class TestSharpness:
     def test_certification_solves_once(self, monkeypatch):
         # extremal data, bound and random draws share g_p's memo cache, so
         # certifying one point evaluates F exactly as often as one cold g_p
-        calls = []
-        real_big_f = solver.big_f
-        monkeypatch.setattr(solver, "big_f", lambda *args: calls.append(1) or real_big_f(*args))
+        calls = count_f_evals(monkeypatch)
         ctx, r = BallContext(4, 3.0), 0.45
         solver._g_p_numeric.cache_clear()
         solver.g_p(ctx, r)
