@@ -30,7 +30,7 @@ from .solver import (
 )
 from .verify import (
     CAPSEQ_GAP_LIMIT,
-    _bound_checks,
+    _bound_checker,
     _gradient_extremal_ratio,
     corollary_l2_batch,
     corollary_l2_check,
@@ -261,7 +261,9 @@ def criterion_7():
             for p in _FINITE_PS:
                 # one draw pass and one set of norms for the three radii
                 ctx = BallContext(n, p)
-                for report in _bound_checks(ctx, _RADII, 1000, seed, DEFAULT_ORDER, g_p):
+                check = _bound_checker(ctx, 1000, seed, DEFAULT_ORDER)
+                for r in _RADII:
+                    report = check(g_p(ctx, r))
                     violations += report.violations
                     worst = max(worst, report.max_ratio)
     return violations == 0, f"violations {violations} over 72000 draws, max ratio {worst:.6f}"

@@ -25,7 +25,7 @@ from .kernel import BallContext
 from .objective import ObjectiveParams, big_f
 from .quadrature import DEFAULT_ORDER
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
-from .verify import _bound_checks, _sharpness, cap_sequence_check
+from .verify import _bound_checker, _sharpness, cap_sequence_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,24 +103,9 @@ def _grad(args):
     return [{"n": ctx.n, "p": ctx.p, "c_p": grad_constant(ctx)}], False
 
 
-def _swept(ctx, radii, order):
-    """g_p's stand-in for the verify-* commands: the GpResult at a radius of
-    one g_p_curve sweep over ``radii``, solved on first use, so that their
-    sweeps solve by continuation and report gp's rows."""
-    results = {}
-
-    def bound_of(_ctx, r, _order):
-        if not results:
-            results.update(zip(radii, g_p_curve(ctx, radii, order)))
-        return results[r]
-
-    return bound_of
-
-
 def _verify_sharpness(args):
     ctx = BallContext(args.n, args.p)
-    bound_of = _swept(ctx, args.radii, args.order)
-    reports = [_sharpness(ctx, r, args.order, bound_of) for r in args.radii]
+    reports = [_sharpness(result, args.order) for result in g_p_curve(ctx, args.radii, args.order)]
     rows = [{"n": ctx.n, "p": ctx.p, "r": report.r, "g_bound": report.g_bound,
              "attained": report.attained, "u_at_zero": report.u_at_zero,
              "rel_gap": report.rel_gap} for report in reports]
@@ -129,11 +114,10 @@ def _verify_sharpness(args):
 
 def _verify_bound(args):
     ctx = BallContext(args.n, args.p)
-    bound_of = _swept(ctx, args.radii, args.order)
-    reports = _bound_checks(ctx, args.radii, args.count, args.seed, args.order, bound_of)
+    check = _bound_checker(ctx, args.count, args.seed, args.order)  # refuses before any solve
     rows = [{"n": ctx.n, "p": ctx.p, "r": r, "count": report.count, "seed": report.seed,
              "violations": report.violations, "max_ratio": report.max_ratio}
-            for r, report in zip(args.radii, reports)]
+            for r, report in zip(args.radii, map(check, g_p_curve(ctx, args.radii, args.order)))]
     return rows, any(row["violations"] for row in rows)
 
 

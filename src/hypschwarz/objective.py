@@ -21,11 +21,11 @@ below: F, Phi and dF/da subtract their shift from it, so Phi at a solved
 a*, and the residual F(a*), cost one power and one panel sum on the site of
 the solve's last F.  The first F of a guessed solve comes with dF/da from
 the same power (``_f_and_slope``).  The doubled-order Phi of ``est_error``
-evaluates K on the outer panels of its layout only and reuses the inner
-panel sums of Phi(a*) (``_phi_and_refined``), so it builds no site and a
-certificate right after g_p reads the site of a*.  The certificates in
-``verify`` integrate their kernel-weighted data on sites too, through
-``_site_integral``.
+evaluates K on the outer panels of its layout only (every panel of a split
+at a pole) and reuses the inner panel sums of Phi(a*) (``_phi_and_refined``),
+so it builds no site and a certificate right after g_p reads the site of
+a*.  The certificates in ``verify`` integrate their kernel-weighted data on
+sites too, through ``_site_integral``.
 """
 
 from __future__ import annotations
@@ -131,13 +131,12 @@ def phi(params: ObjectiveParams, a: float) -> float:
 def _phi_and_refined(params: ObjectiveParams, a: float, order: int) -> tuple[float, float]:
     """(Phi(a) at params.order, Phi(a) at ``order``), the bits of two phi calls.
 
-    Where a splits the sphere inside, the layouts of the two orders differ
-    only on the outer _outer_panels(n) panels of each side: every inner panel
-    has the same 12 nodes at the same offsets in both.  So the second Phi
-    evaluates the kernel and the power on the outer panels of ``order``
-    only, takes the inner panel sums of the first, and adds them up in the
-    same left-to-right loop.  A split at a pole has no inner panels and
-    builds the full node set.
+    The layouts of the two orders differ only on the outer panels of each
+    side (``_outer_nodes``): every inner panel has the same 12 nodes at the
+    same offsets in both, and a split at a pole has no inner panel.  So the
+    second Phi evaluates the kernel and the power on the outer panels of
+    ``order`` only, takes the inner panel sums of the first, and adds them
+    up in the same left-to-right loop.
     """
     ctx, r = params.ctx, params.r
     n, q, s = ctx.n, ctx.q, _phi_scale(params, a)
@@ -146,8 +145,6 @@ def _phi_and_refined(params: ObjectiveParams, a: float, order: int) -> tuple[flo
         kernel, nodes = _site(n, r, params.order, t0)
         per_panel = _panel_sums(np.abs((kernel - a) / s) ** q, nodes)
         value = s * _checked(_side_total(n, per_panel.tolist(), nodes[4])) ** (1.0 / q)
-        if abs(t0) == 1.0:
-            return value, phi(ObjectiveParams(ctx, r, order), a)
         outer = _outer_nodes(n, order, t0)
         outer_sums = _panel_sums(np.abs((_axis_kernel(n, r, outer[0]) - a) / s) ** q, outer)
     sides = np.concatenate([outer_sums, per_panel[:, outer_sums.shape[-1]:]], axis=-1)
@@ -195,10 +192,10 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     For q < 2 the integrand has an integrable singularity at the crossing,
     |t - t0|^(q-2): its panel sums shrink by 2^-(q-1) toward the crossing,
     and the geometric tail past the innermost panel is summed from that
-    ratio up to p = 693 (quadrature._TAIL_GUARD).  Against central
-    differences of big_f it is within 5e-7 up to p = 100 (n in {3, 4, 5},
-    r in {0.1, 0.5, 0.8}, at a* and 10% off it); past p = 693 the tail is
-    dropped and the value is low.
+    ratio, however near 1.  Against central differences of big_f it is
+    within 5e-7 up to p = 100 (n in {3, 4, 5}, r in {0.1, 0.5, 0.8}, at a*
+    and 10% off it), and within 6e-6 at p = 700, 1000 and 5000 (n = 4,
+    r = 0.5, at a*).
     """
     q = params.ctx.q
     floor = _DEV_FLOOR * max(1.0, abs(a)) if q < 2.0 else 0.0

@@ -28,8 +28,8 @@ sides and shifts it to theta0.  The rule is two
 steps: ``_graded_nodes`` builds the node set for (n, order, t0), and
 ``_panel_sum`` sums values taken at it, panel by panel (``_panel_sums``) and
 then side by side (``_side_total``).  ``_outer_nodes`` builds the outer
-panels of a node set alone: at an interior breakpoint they are all that a
-doubled order changes.  ``integrate_with_breakpoint``
+panels of a node set alone, all that a doubled order changes (every panel at
+a pole).  ``integrate_with_breakpoint``
 composes them around an integrand of t; every integrand weighted by the
 kernel is summed instead on a site of ``objective`` (a node set with the
 kernel at its nodes, the last two kept).  A non-finite value, or a total
@@ -68,11 +68,6 @@ _PANEL_NODES = 12  # Gauss-Legendre nodes on an inner panel, and on every one up
 # Relative rounding floor of a breakpoint integral: an ulp for each panel sum
 # of its two sides.
 _ROUNDING_FLOOR = 2 * _PANELS * 2.0 ** -52
-# Largest panel-sum ratio whose geometric tail is summed.  A |theta - theta0|^s
-# factor has the ratio 2^-(s+1), so dF/da's |K - a|^(q-2) has 2^-(q-1): it
-# exceeded the earlier guard 0.95 from p = 14.5 on, and the dropped tail held
-# 37% of the integral at p = 20.  At 0.999 the tail is summed up to p = 693.
-_TAIL_GUARD = 0.999
 
 #: Node count of the polar-cap rule.
 _CAP_ORDER = 64
@@ -155,18 +150,22 @@ def _graded_panels(order: int, outer: int):
 def _graded_nodes(n: int, order: int, t0: float):
     """Node set of the graded rule split at t0: (t, sin^(n-2) theta, panel
     weights, panel starts, side lengths), with t and the sine power of shape
-    (sides, nodes per side), on the layout with _outer_panels(n) outer
-    panels, or with _PANELS at a pole.  A breakpoint at a pole leaves one
-    side; the empty one gets no nodes, as an integrand may be infinite there.
+    (sides, nodes per side), on the layout with _outer_count(n, t0) outer
+    panels.  A breakpoint at a pole leaves one side; the empty one gets no
+    nodes, as an integrand may be infinite there.
     """
-    outer = _PANELS if abs(t0) == 1.0 else _outer_panels(n)
-    return _nodes_at(n, t0, *_graded_panels(order, outer))
+    return _nodes_at(n, t0, *_graded_panels(order, _outer_count(n, t0)))
+
+
+def _outer_count(n: int, t0: float) -> int:
+    """Outer panels of a side split at t0: _outer_panels(n), or all at a pole."""
+    return _PANELS if abs(t0) == 1.0 else _outer_panels(n)
 
 
 def _outer_nodes(n: int, order: int, t0: float):
-    """The outer _outer_panels(n) panels of ``_graded_nodes(n, order, t0)``
-    at an interior t0, node for node, as a node set of their own."""
-    outer = _outer_panels(n)
+    """The outer panels of ``_graded_nodes(n, order, t0)``, node for node, as
+    a node set of their own: all of it at a pole."""
+    outer = _outer_count(n, t0)
     offsets, weights, starts = _graded_panels(order, outer)
     end = starts[outer] if outer < _PANELS else offsets.size
     return _nodes_at(n, t0, offsets[:end], weights[:end], starts[:outer])
@@ -196,11 +195,13 @@ def _side_total(n: int, sides, lengths) -> float:
         side = 0.0
         for panel in panels:
             side += panel
-        # Sum the uncovered geometric tail from the measured decay ratio.
+        # Sum the uncovered geometric tail from the measured decay ratio,
+        # 2^-(s+1) for a |theta - theta0|^s factor.  A ratio near 1 comes from
+        # s near -1 (dF/da's |K - a|^(q-2) at large p), whose tail is that large.
         last, prev = panels[-1], panels[-2]
         if prev != 0.0:
             ratio = last / prev
-            if 0.0 < ratio < _TAIL_GUARD:
+            if 0.0 < ratio < 1.0:
                 side += last * ratio / (1.0 - ratio)
         total += abs(length) * side
     return _zonal_constant(n) * total

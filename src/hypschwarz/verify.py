@@ -26,7 +26,7 @@ from .errors import DomainError
 from .kernel import BallContext, check_radius, poisson_szego_axis
 from .objective import _site_integral, _split_point
 from .quadrature import DEFAULT_ORDER, build_rule, cap_rule, integrate_with_breakpoint
-from .solver import g_1_closed, g_p, grad_constant
+from .solver import GpResult, g_1_closed, g_p, grad_constant
 from .special import check_integer
 
 #: Multiplicative slack allowed when checking strict inequalities in floats.
@@ -81,21 +81,19 @@ def verify_sharpness(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> 
     n in {3, 5, 10, 30} and every r <= 0.9999.  Where the cap leaves double
     precision (n = 60 from r = 0.999) the call raises CapUnderflowError.
     """
-    return _sharpness(ctx, r, order, g_p)
+    return _sharpness(g_p(ctx, r, order), order)
 
 
-def _sharpness(ctx: BallContext, r: float, order: int, bound_of) -> SharpnessReport:
-    """verify_sharpness with the bound's GpResult from bound_of(ctx, r,
-    order): g_p, or the CLI's lookup into one g_p_curve sweep."""
-    r = check_radius(r)
+def _sharpness(result: GpResult, order: int) -> SharpnessReport:
+    """verify_sharpness against the GpResult ``result`` (g_p's, or a
+    g_p_curve row)."""
+    ctx, r, g_value = result.ctx, result.r, result.g_value
     if r == 0.0:
         raise DomainError("sharpness is certified for r in (0, 1)")
-    if ctx.p == 1.0:
-        bound = g_1_closed(ctx.n, r)[1]
+    if ctx.p == 1.0:  # g_value is g_1_closed's
         index = max(64, math.ceil(4 * ctx.n / (1.0 - r)))
         attained = minimizing_sequence_p1(ctx.n, r, index)
-        return SharpnessReport(ctx, r, bound, attained, 0.0, abs(bound - attained) / bound)
-    result = bound_of(ctx, r, order)
+        return SharpnessReport(ctx, r, g_value, attained, 0.0, abs(g_value - attained) / g_value)
     a_star, expo = result.a_star, ctx.q - 1.0
 
     def sums(kernel, _):
@@ -106,7 +104,7 @@ def _sharpness(ctx: BallContext, r: float, order: int, bound_of) -> SharpnessRep
     mean, attained, power = _site_integral(
         ctx.n, r, order, _split_point(ctx, r, a_star), sums
     ).tolist()
-    bound = result.g_value * power ** (1.0 / ctx.p)  # the norm is 1 at p = inf
+    bound = g_value * power ** (1.0 / ctx.p)  # the norm is 1 at p = inf
     gap = abs(bound - attained) / max(bound, 2.0 ** -1022)
     return SharpnessReport(ctx, r, bound, attained, mean, gap)
 
@@ -312,32 +310,25 @@ def random_bound_check(
     M_k = integral K t^k dsigma, k = 0..8: one stacked sum of K, K t, ...,
     K t^8 on the site split at the pole t = 1, where K peaks.
     """
-    return _bound_check(ctx, r, count, seed, order, g_p)
+    return _bound_checker(ctx, count, seed, order)(g_p(ctx, r, order))
 
 
-def _bound_check(ctx: BallContext, r: float, count: int, seed: int, order: int,
-                 bound_of) -> RandomBoundReport:
-    """random_bound_check with G_p(r) from bound_of(ctx, r, order), as in
-    ``_sharpness``."""
-    return _bound_checks(ctx, [r], count, seed, order, bound_of)[0]
-
-
-def _bound_checks(ctx: BallContext, radii, count: int, seed: int, order: int,
-                  bound_of) -> list:
-    """``_bound_check`` at each radius of ``radii``, each report the one a
-    separate call gives: the draws and their norms, which do not depend on
-    r, are taken once, and each radius adds its kernel moments and ratios."""
-    radii = [check_radius(r) for r in radii]
+def _bound_checker(ctx: BallContext, count: int, seed: int, order: int):
+    """bound -> random_bound_check's report against the GpResult ``bound``
+    (g_p's, or a g_p_curve row).  The draws and their norms do not depend on
+    r: they are taken, and count, seed and order refused, when the checker
+    is built; each bound adds its kernel moments and ratios."""
     rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
     check = _ratio_checker(ctx, rule, coeffs, means, values)
-    reports = []
-    for r in radii:
+
+    def report(bound: GpResult) -> RandomBoundReport:
         moments = _site_integral(
-            ctx.n, r, order, 1.0, lambda kernel, t: np.cumprod([kernel] + [t] * 8, axis=0)
+            ctx.n, bound.r, order, 1.0, lambda kernel, t: np.cumprod([kernel] + [t] * 8, axis=0)
         )
         lhs = np.abs(coeffs @ moments - means * moments[0])
-        reports.append(RandomBoundReport(count, seed, *check(lhs, bound_of(ctx, r, order).g_value)))
-    return reports
+        return RandomBoundReport(count, seed, *check(lhs, bound.g_value))
+
+    return report
 
 
 def random_grad_check(

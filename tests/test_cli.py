@@ -306,11 +306,41 @@ class TestVerifyCommands:
         for row in csv_rows(out)[1]:
             r = float(row["r"])
             result, cold = curve[r], solver.g_p(ctx, r)
-            report = verify._bound_check(ctx, r, 50, 42, DEFAULT_ORDER, lambda *_: result)
+            report = verify._bound_checker(ctx, 50, 42, DEFAULT_ORDER)(result)
             assert float(row["max_ratio"]) == report.max_ratio
             assert abs(result.g_value - cold.g_value) <= max(result.est_error, cold.est_error)
             moved += result.g_value != cold.g_value
         assert moved  # the cold solves land elsewhere in the bracket
+
+    def test_sharpness_sweep_reports_curve_rows(self, capsys):
+        # each row is _sharpness of gp's sweep row at its radius, bit for bit
+        radii = [float(r) for r in np.linspace(0.05, 0.9, 12)]
+        for p in (1.0, 1.5, 3.0, math.inf):
+            ctx = BallContext(4, p)
+            reports = [verify._sharpness(result, DEFAULT_ORDER) for result in g_p_curve(ctx, radii)]
+            expected = [{"n": 4, "p": p, "r": report.r, "g_bound": report.g_bound,
+                         "attained": report.attained, "u_at_zero": report.u_at_zero,
+                         "rel_gap": report.rel_gap} for report in reports]
+            code, out, _ = run_cli(capsys, "verify-sharpness", "--n", "4", "--p", str(p),
+                                   "--r-min", "0.05", "--r-max", "0.9", "--steps", "12",
+                                   "--format", "json")
+            # p = inf at r = 0.9 misses SHARPNESS_GAP_LIMIT at order 128 (the
+            # kernel's peak at the pole); the exit code follows the reports
+            violated = not all(report.passed for report in reports)
+            assert (code, out) == (2 if violated else 0, _render("json", expected)), p
+
+    def test_draw_arguments_refused_before_any_solve(self, capsys, monkeypatch):
+        # this sweep's solves refuse at r = 0.9; a bad --count or --seed is
+        # reported first, with no F evaluated
+        calls = count_f_evals(monkeypatch)
+        sweep = ("--n", "30", "--p", "2", "--r-min", "0.9", "--r-max", "0.9705", "--steps", "3")
+        code, _, err = run_cli(capsys, "verify-bound", *sweep)
+        assert code == 1 and "no sign change" in err and calls
+        for flag, value, message in (("--count", "0", "count must be an integer >= 1, got 0"),
+                                     ("--seed", "-1", "seed must be an integer >= 0, got -1")):
+            calls.clear()
+            code, out, err = run_cli(capsys, "verify-bound", *sweep, flag, value)
+            assert (code, out, err, calls) == (1, "", f"error: {message}\n", []), flag
 
     def test_capseq_clean_run(self, capsys):
         code, out, _ = run_cli(

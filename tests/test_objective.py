@@ -172,6 +172,15 @@ class TestDfDa:
                         fd = central_diff(lambda x: big_f(prm, x), a, 1e-5 * a)
                         assert dF_da(prm, a) == pytest.approx(fd, rel=1e-6), (n, p, r, a)
 
+    def test_matches_finite_difference_past_p_693(self):
+        # the ratio 2^-(q-1) of |K - a|^(q-2) passes 0.999 at p = 693; its
+        # tail was dropped there, which left dF/da 97% low at p = 700
+        for p in (700.0, 1000.0, 5000.0):
+            prm = params(4, p, 0.5)
+            a_star = solve_a_star(prm.ctx, 0.5)
+            fd = central_diff(lambda x: big_f(prm, x), a_star, 1e-5 * a_star)
+            assert dF_da(prm, a_star) == pytest.approx(fd, rel=1e-5), p
+
     def test_slope_of_the_first_point(self):
         # F with the slope is big_f's bits; the slope is dF/da's up to the
         # floor, which _f_and_slope applies at every q
@@ -208,16 +217,21 @@ class TestRefinedPhi:
                         answered += 1
         assert answered >= 300
 
-    def test_pair_matches_two_phi_calls_off_the_root(self):
-        # interior splits reuse the inner panels; splits at a pole (a shift
-        # outside the kernel range) build the full doubled-order node set
+    def test_pair_matches_two_phi_calls_off_the_root(self, monkeypatch):
+        # interior splits reuse the inner panels; at a split at a pole (a
+        # shift outside the kernel range) the outer panels are all of them.
+        # Neither builds a site at the doubled order.
+        sites, real_site = [], objective._site
+        monkeypatch.setattr(objective, "_site", lambda *args: sites.append(args[2]) or real_site(*args))
         for n, p, r in ((3, 1.1, 0.5), (4, 3.0, 0.9), (5, 20.0, 0.3), (30, 1.5, 0.2)):
             ctx = BallContext(n, p)
             kmin, kmax = kernel_range(ctx, r)
             for a in (0.5 * (kmin + kmax), kmin * 1.01, kmax * 0.99, kmin / 2.0, kmax * 2.0):
                 for order in (64, 128):
                     prm = ObjectiveParams(ctx, r, order)
+                    sites.clear()
                     pair = _phi_and_refined(prm, a, 256)
+                    assert sites == [order], (n, p, r, a)
                     expected = (phi(prm, a), phi(ObjectiveParams(ctx, r, 256), a))
                     assert [v.hex() for v in pair] == [v.hex() for v in expected], (n, p, r, a)
 

@@ -344,7 +344,8 @@ class TestRandomChecks:
         ctx = BallContext(3, 2.0)
         for check in (
             lambda: random_bound_check(ctx, 0.5, count=20),
-            lambda: verify._bound_checks(ctx, SWEEP_RADII, 20, 42, 128, solver.g_p),
+            lambda: list(map(verify._bound_checker(ctx, 20, 42, 128),
+                             solver.g_p_curve(ctx, SWEEP_RADII))),
             lambda: random_grad_check(ctx, count=20),
             lambda: corollary_l2_batch(3, count=20),
         ):
@@ -367,12 +368,12 @@ class TestRandomChecks:
                         single.append(exc)
                         break
                 answered = [report for report in single if isinstance(report, RandomBoundReport)]
-                swept = verify._bound_checks(ctx, SWEEP_RADII[:len(answered)], 1000, seed, 128,
-                                             solver.g_p)
+                check = verify._bound_checker(ctx, 1000, seed, 128)
+                swept = [check(solver.g_p(ctx, r)) for r in SWEEP_RADII[:len(answered)]]
                 assert swept == answered, (n, p, seed)
                 if len(answered) < len(SWEEP_RADII):
                     with pytest.raises(BracketError, match=re.escape(str(single[-1]))):
-                        verify._bound_checks(ctx, SWEEP_RADII, 1000, seed, 128, solver.g_p)
+                        [check(solver.g_p(ctx, r)) for r in SWEEP_RADII]
 
     def test_deciding_draws_give_the_full_sup_decision(self):
         # at p = inf only the draws that can decide get exact sups; the
