@@ -38,7 +38,8 @@ from .verify import (
     verify_sharpness,
 )
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Brent's golden-section fraction, (3 - sqrt(5)) / 2.
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 _DIMS = (3, 4, 5)
 _FINITE_PS = (1.5, 2.0, 3.0, 5.0)
@@ -48,25 +49,56 @@ _RADII = (0.2, 0.5, 0.8)
 _ORDER = 512
 
 
-def golden_section_minimize(fn, lo: float, hi: float, tol: float) -> float:
-    """Plain golden-section minimizer for a unimodal function on [lo, hi].
+def brent_minimize(fn, lo: float, hi: float, tol: float) -> float:
+    """Brent's derivative-free minimizer for a unimodal function on [lo, hi].
 
-    Used as the derivative-free cross-check against root-based optimizers.
+    Used as the derivative-free cross-check against root-based optimizers:
+    it calls fn only.  Parabolic steps through the last three points where
+    they fall well inside the bracket, golden-section steps elsewhere
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5).  Every step is at least tol / 4 long.  It stops once its best
+    point is within tol / 2 of both ends of the bracket, which then is at
+    most tol wide, and returns that point.
     """
     a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
+    step_min = 0.25 * tol
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = fn(x)
+    d = e = 0.0
+    while max(x - a, b - x) > 0.5 * tol:
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step_min:
+            # vertex of the parabola through (v, fv), (w, fw), (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept a step inside the bracket, shorter than half the one before last
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+            e = d
+        if parabolic:
+            d = p / q
+            if min(x + d - a, b - x - d) < 0.5 * tol:
+                d = step_min if x < mid else -step_min
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+            e = (b if x < mid else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
+        fu = fn(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 @dataclass(frozen=True)
@@ -143,7 +175,7 @@ def criterion_3():
         for r in _RADII:
             kmin, kmax = kernel_range(ctx, r)
             sup_dist = lambda a: max(kmax - a, a - kmin)
-            center = golden_section_minimize(sup_dist, kmin, kmax, 1e-13 * max(1.0, kmax))
+            center = brent_minimize(sup_dist, kmin, kmax, 1e-13 * max(1.0, kmax))
             a_closed, g_closed = g_1_closed(n, r)
             worst = max(
                 worst,
@@ -163,9 +195,10 @@ def criterion_3():
 def criterion_4():
     """Stationarity of the optimal shift on the (n, p, r) grid.
 
-    The golden-section cross-check targets 1e-7 agreement on the shift.  At
-    cells where the objective is flat on that scale (its curvature makes
-    the minimum location unresolvable to 1e-7 in double precision) the
+    The derivative-free cross-check (Brent's method on Phi alone, from the
+    whole kernel range) targets 1e-7 agreement on the shift.  At cells
+    where the objective is flat on that scale (its curvature makes the
+    minimum location unresolvable to 1e-7 in double precision) the
     comparison instead uses the standard resolution limit of derivative-free
     minimization, sqrt(c * eps * Phi / Phi''), documented in the ledger.
     """
@@ -184,18 +217,19 @@ def criterion_4():
                 a_star = solve_a_star(ctx, r, _ORDER)
                 worst_res = max(worst_res, abs(big_f(params, a_star)))
                 slope = dF_da(params, a_star)
+                # read while the site of a* is still cached
+                value = phi(params, a_star)
                 ok_signs &= slope < 0.0
                 kmin, kmax = kernel_range(ctx, r)
                 width = kmax - kmin
-                gold = golden_section_minimize(
+                direct = brent_minimize(
                     lambda a: phi(params, a),
                     kmin + 1e-12 * width,
                     kmax - 1e-12 * width,
                     1e-9 * max(1.0, a_star),
                 )
-                gap = abs(gold - a_star)
+                gap = abs(direct - a_star)
                 base_tol = 1e-7 * max(1.0, a_star)
-                value = phi(params, a_star)
                 curvature = -slope * value ** (1.0 - ctx.q)
                 resolution = math.sqrt(64.0 * eps * value / curvature)
                 if resolution > base_tol:
@@ -203,7 +237,7 @@ def criterion_4():
                 worst_ratio = max(worst_ratio, gap / max(base_tol, resolution))
     passed = worst_res <= 1e-9 and worst_ratio <= 1.0 and ok_signs and ok_origin
     return passed, (
-        f"max |F(a*)| {worst_res:.2e}, worst golden gap at {worst_ratio:.2f} of its "
+        f"max |F(a*)| {worst_res:.2e}, worst Brent gap at {worst_ratio:.2f} of its "
         f"tolerance ({limited_cells} flat cells on the resolution limit), "
         f"slopes negative: {ok_signs}, a*(0)=1: {ok_origin}"
     )

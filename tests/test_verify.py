@@ -221,6 +221,22 @@ class TestSharpness:
             verify_sharpness(ctx, 0.45)
             assert len(built) == 1
 
+    # Known defect, ROADMAP open item 1: at p = inf the attained integral is
+    # an order-128 sum on the site split at the equator, compared with the
+    # closed-form G_inf, so the kernel peak at the pole shows unmasked near
+    # the boundary (rel_gap 1.9e-6, 7.1e-6 and 1.6e-5 at n = 3, 4, 5,
+    # r = 0.9).  Strict: these pass once item 1's pole-side rule lands.
+    @pytest.mark.xfail(strict=True, reason="pole-side kernel peak, ROADMAP open item 1")
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_inf_near_the_boundary_at_the_default_order(self, n):
+        assert verify_sharpness(BallContext(n, math.inf), 0.9).passed
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_inf_near_the_boundary_at_a_doubled_order(self, n):
+        # the bound holds there: order 256 resolves the peak
+        report = verify_sharpness(BallContext(n, math.inf), 0.9, 256)
+        assert report.rel_gap <= 1e-10 and report.passed
+
     def test_center_raises(self):
         with pytest.raises(DomainError):
             verify_sharpness(BallContext(3, 2.0), 0.0)
