@@ -13,19 +13,15 @@ strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
 here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
-A site is the graded rule's node set split at one point t0 with the kernel
-K at its nodes; it depends on (n, r, order, t0) only, not on the integrand,
-and the last two sites built are kept.  It is the one place where K is
-evaluated on rule nodes, apart from the outer panels of a doubled order
-below: F, Phi and dF/da subtract their shift from it, so Phi at a solved
-a*, and the residual F(a*), cost one power and one panel sum on the site of
-the solve's last F.  The first F of a guessed solve comes with dF/da from
-the same power (``_f_and_slope``).  The doubled-order Phi of ``est_error``
-evaluates K on the outer panels of its layout only (every panel of a split
-at a pole) and reuses the inner panel sums of Phi(a*) (``_phi_and_refined``),
-so it builds no site and a certificate right after g_p reads the site of
-a*.  The certificates in ``verify`` integrate their kernel-weighted data on
-sites too, through ``_site_integral``.
+A site is the graded rule's node set split at one point t0 with K at its
+nodes; it depends on (n, r, order, t0) only, and the last two built are
+kept.  Every kernel-weighted integral is one pass on a site, ``_site_sums``:
+F, its slope dF/da (a second row of F's power), Phi, the doubled-order Phi
+of ``est_error`` (the outer panels of its layout spliced in, on no site of
+its own) and the certificates' data in ``verify`` differ only in the values
+summed.  So Phi(a*) and the residual F(a*) cost one power and one panel sum
+on the site of the solve's last F, and a certificate right after g_p reads
+the site of a*.
 """
 
 from __future__ import annotations
@@ -38,15 +34,8 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import BallContext, _axis_kernel, check_radius, crossing_point, kernel_range
-from .quadrature import (
-    DEFAULT_ORDER,
-    _checked,
-    _graded_nodes,
-    _outer_nodes,
-    _panel_sum,
-    _panel_sums,
-    _side_total,
-)
+from .quadrature import (DEFAULT_ORDER, _checked, _graded_nodes, _outer_nodes, _panel_sums,
+                         _side_total)
 
 # Floor applied to |K - a| in negative-exponent integrands: a quadrature node
 # can land within one rounding step of the crossing, where the computed
@@ -66,12 +55,18 @@ class ObjectiveParams:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ctx.q) and self.ctx.q > 1.0):
-            raise DomainError(
-                f"objective needs a finite conjugate exponent q > 1, got q = {self.ctx.q!r}"
-            )
+        _check_exponent(self.ctx, "the objective")
         if check_radius(self.r) == 0.0:
             raise DomainError("objective is defined for r in (0, 1); a*(0) = 1 and G_p(0) = 0")
+
+
+def _check_exponent(ctx: BallContext, what: str) -> None:
+    """Refuse p outside (1, inf), and p whose conjugate q = p/(p-1) rounds to 1."""
+    if 1.0 < ctx.p < math.inf and ctx.q == 1.0:
+        raise DomainError(f"{what} needs q = p/(p-1) > 1, but at p = {ctx.p!r} q rounds to 1 "
+                          "in double precision")
+    if not (math.isfinite(ctx.q) and ctx.q > 1.0):
+        raise DomainError(f"{what} applies to p in (1, inf) only, got p = {ctx.p!r}")
 
 
 def _split_point(ctx: BallContext, r: float, a: float) -> float:
@@ -91,28 +86,39 @@ def _site(n: int, r: float, order: int, t0: float):
     return kernel, nodes
 
 
-def _site_integral(n: int, r: float, order: int, t0: float, fn):
-    """Zonal integral of fn(K, t), values at the nodes of the site split at
-    t0 (an array, or a stack of them for one integral each)."""
-    # Overflow leaves non-finite values, which the panel sum refuses.
+def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0) -> list[float]:
+    """Zonal integrals of fn(K, t), values at the nodes of the site split at
+    t0, unchecked (non-finite where a value or a sum is): a list of one for
+    an array of values, of one per row for a stack of them.
+
+    With ``refine``, the same integrals at the order ``refine`` follow.  The
+    two layouts differ only on the outer panels of each side, every panel at
+    a pole (``_outer_nodes``); each inner panel has the same 12 nodes at the
+    same offsets in both.  So fn is evaluated on those outer panels alone,
+    their sums replace the first order's, and the panels are added up again
+    in the same left-to-right loop: the bits of a full evaluation.
+    """
+    # Overflow leaves non-finite values, and so non-finite sums.
     with np.errstate(over="ignore", invalid="ignore"):
         kernel, nodes = _site(n, r, order, t0)
-        return _panel_sum(n, fn(kernel, nodes[0]), nodes)
+        per_panel = _panel_sums(fn(kernel, nodes[0]), nodes)
+        rows = [per_panel.tolist()]
+        if refine:
+            outer = _outer_nodes(n, refine, t0)
+            outer_sums = _panel_sums(fn(_axis_kernel(n, r, outer[0]), outer[0]), outer)
+            per_panel[..., :outer_sums.shape[-1]] = outer_sums
+            rows.append(per_panel.tolist())
+    totals = []
+    for sums in rows:
+        for sides in sums if per_panel.ndim == 3 else [sums]:
+            totals.append(_side_total(n, sides, nodes[4]))
+    return totals
 
 
-def _deviation_integral(params: ObjectiveParams, a: float, weight_fn) -> float:
-    """Integral of weight_fn(K - a) on the site split where K = a."""
-    ctx, r = params.ctx, params.r
-    return _site_integral(
-        ctx.n, r, params.order, _split_point(ctx, r, a), lambda kernel, _: weight_fn(kernel - a)
-    )
-
-
-def _phi_scale(params: ObjectiveParams, a: float) -> float:
-    kmin, kmax = kernel_range(params.ctx, params.r)
-    # s is 0 only where the range collapses onto a (r below about 1e-17),
-    # where the deviations need no scale.
-    return max(kmax - a, a - kmin) or 1.0
+def _site_integral(n: int, r: float, order: int, t0: float, fn):
+    """``_site_sums`` refused where non-finite: a float for one integral, a list for more."""
+    totals = [_checked(total) for total in _site_sums(n, r, order, t0, fn)]
+    return totals if len(totals) > 1 else totals[0]
 
 
 def phi(params: ObjectiveParams, a: float) -> float:
@@ -123,32 +129,25 @@ def phi(params: ObjectiveParams, a: float) -> float:
     overflows near r = 1 for large q while Phi = s * (integral |(K - a)/s|^q
     dsigma)^(1/q) is finite.
     """
-    q, s = params.ctx.q, _phi_scale(params, a)
-    value = _deviation_integral(params, a, lambda dev: np.abs(dev / s) ** q)
-    return s * value ** (1.0 / q)
+    return _phi_and_refined(params, a, 0)[0]
 
 
-def _phi_and_refined(params: ObjectiveParams, a: float, order: int) -> tuple[float, float]:
-    """(Phi(a) at params.order, Phi(a) at ``order``), the bits of two phi calls.
+def _phi_and_refined(params: ObjectiveParams, a: float, order: int) -> list[float]:
+    """[Phi(a) at params.order, Phi(a) at ``order``], the bits of two phi
+    calls from one site pass; [Phi(a)] alone for order 0."""
+    ctx, r, q = params.ctx, params.r, params.ctx.q
+    kmin, kmax = kernel_range(ctx, r)
+    s = max(kmax - a, a - kmin) or 1.0  # 0 only where the range collapses onto a
 
-    The layouts of the two orders differ only on the outer panels of each
-    side (``_outer_nodes``): every inner panel has the same 12 nodes at the
-    same offsets in both, and a split at a pole has no inner panel.  So the
-    second Phi evaluates the kernel and the power on the outer panels of
-    ``order`` only, takes the inner panel sums of the first, and adds them
-    up in the same left-to-right loop.
-    """
-    ctx, r = params.ctx, params.r
-    n, q, s = ctx.n, ctx.q, _phi_scale(params, a)
-    t0 = _split_point(ctx, r, a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernel, nodes = _site(n, r, params.order, t0)
-        per_panel = _panel_sums(np.abs((kernel - a) / s) ** q, nodes)
-        value = s * _checked(_side_total(n, per_panel.tolist(), nodes[4])) ** (1.0 / q)
-        outer = _outer_nodes(n, order, t0)
-        outer_sums = _panel_sums(np.abs((_axis_kernel(n, r, outer[0]) - a) / s) ** q, outer)
-    sides = np.concatenate([outer_sums, per_panel[:, outer_sums.shape[-1]:]], axis=-1)
-    return value, s * _checked(_side_total(n, sides.tolist(), nodes[4])) ** (1.0 / q)
+    def values(kernel, _):
+        dev = kernel - a
+        dev /= s
+        np.abs(dev, out=dev)
+        dev **= q
+        return dev
+
+    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx, r, a), values, order)
+    return [s * _checked(total) ** (1.0 / q) for total in totals]
 
 
 def big_f(params: ObjectiveParams, a: float) -> float:
@@ -157,48 +156,44 @@ def big_f(params: ObjectiveParams, a: float) -> float:
     The integrand is written |K - a|^(q-1) with the sign of K - a, which is
     bounded for every q > 1.
     """
-    q = params.ctx.q
-    return _deviation_integral(
-        params, a, lambda dev: np.copysign(np.abs(dev) ** (q - 1.0), dev)
-    )
+    ctx, r, q = params.ctx, params.r, params.ctx.q
+
+    def values(kernel, _):
+        dev = kernel - a
+        power = np.abs(dev)
+        power **= q - 1.0
+        return np.copysign(power, dev, out=power)
+
+    return _checked(_site_sums(ctx.n, r, params.order, _split_point(ctx, r, a), values)[0])
 
 
 def _f_and_slope(params: ObjectiveParams, a: float) -> tuple[float, float]:
-    """(F(a), dF/da) from one power on one site; F is big_f's bits.
-
-    |K - a|^(q-2) is taken as |K - a|^(q-1) / max(|K - a|, floor), so the
-    two integrands are one stacked panel sum.  F is refused like big_f's; the
-    slope is returned as it comes, non-finite included, because a caller
-    that only steers by it must not lose a point F answers.
+    """(F(a), dF/da) from one power on one site: F has big_f's bits, and the
+    slope row, |K - a|^(q-1) / max(|K - a|, floor) for |K - a|^(q-2), is the
+    one definition of dF/da.  F is refused like big_f's; the slope is
+    returned as it comes, non-finite included, because a caller that only
+    steers by it must not lose a point F answers.
     """
-    ctx, r = params.ctx, params.r
-    q = ctx.q
+    ctx, r, q = params.ctx, params.r, params.ctx.q
     floor = _DEV_FLOOR * max(1.0, abs(a))
-    t0 = _split_point(ctx, r, a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernel, nodes = _site(ctx.n, r, params.order, t0)
+
+    def rows(kernel, _):
         dev = kernel - a
         size = np.abs(dev)
         power = size ** (q - 1.0)
-        per_panel = _panel_sums(np.stack([np.copysign(power, dev), power / np.maximum(size, floor)]),
-                                nodes).tolist()
-    f_value = _checked(_side_total(ctx.n, per_panel[0], nodes[4]))
-    return f_value, (1.0 - q) * _side_total(ctx.n, per_panel[1], nodes[4])
+        out = np.empty((2, *dev.shape))
+        np.copysign(power, dev, out=out[0])
+        np.divide(power, np.maximum(size, floor, out=size), out=out[1])
+        return out
+
+    f_value, slope = _site_sums(ctx.n, r, params.order, _split_point(ctx, r, a), rows)
+    return _checked(f_value), (1.0 - q) * slope
 
 
 def dF_da(params: ObjectiveParams, a: float) -> float:
-    """dF/da = (1 - q) * integral |K - a|^(q-2) dsigma  (always negative).
-
-    For q < 2 the integrand has an integrable singularity at the crossing,
-    |t - t0|^(q-2): its panel sums shrink by 2^-(q-1) toward the crossing,
-    and the geometric tail past the innermost panel is summed from that
-    ratio, however near 1.  Against central differences of big_f it is
-    within 5e-7 up to p = 100 (n in {3, 4, 5}, r in {0.1, 0.5, 0.8}, at a*
-    and 10% off it), and within 6e-6 at p = 700, 1000 and 5000 (n = 4,
-    r = 0.5, at a*).
+    """dF/da = (1 - q) * integral |K - a|^(q-2) dsigma < 0, the slope row of
+    ``_f_and_slope``, refused where non-finite.  Its panel sums shrink by
+    2^-(q-1) toward the crossing, and the tail past the innermost panel is
+    summed from that ratio, however near 1 (README, "Numerical notes").
     """
-    q = params.ctx.q
-    floor = _DEV_FLOOR * max(1.0, abs(a)) if q < 2.0 else 0.0
-    return (1.0 - q) * _deviation_integral(
-        params, a, lambda dev: np.maximum(np.abs(dev), floor) ** (q - 2.0)
-    )
+    return _checked(_f_and_slope(params, a)[1])

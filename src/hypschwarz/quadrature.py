@@ -25,15 +25,15 @@ with the index of each panel's first node, and the panel sums one
 ``np.add.reduceat``.  The layout of a side of unit length is built once per
 (order, J) and cached; each call only scales it by the lengths of its two
 sides and shifts it to theta0.  The rule is two
-steps: ``_graded_nodes`` builds the node set for (n, order, t0), and
-``_panel_sum`` sums values taken at it, panel by panel (``_panel_sums``) and
-then side by side (``_side_total``).  ``_outer_nodes`` builds the outer
-panels of a node set alone, all that a doubled order changes (every panel at
-a pole).  ``integrate_with_breakpoint``
-composes them around an integrand of t; every integrand weighted by the
-kernel is summed instead on a site of ``objective`` (a node set with the
-kernel at its nodes, the last two kept).  A non-finite value, or a total
-past double range, is refused with DomainError.
+steps: ``_graded_nodes`` builds the node set for (n, order, t0), and values
+taken at it are summed panel by panel (``_panel_sums``), then side by side
+(``_side_total``).  ``_outer_nodes`` builds the outer panels of a node set
+alone, all that a doubled order changes (every panel at a pole).  Two
+functions take these steps: ``integrate_with_breakpoint`` around an
+integrand of t, and for every integrand weighted by the kernel the one site
+pass of ``objective`` (a node set with the kernel at its nodes, the last
+two kept).  A non-finite value, or a total past double range, is refused
+with DomainError.
 
 ``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights
 scaled by c_n) of the random polynomial draws in ``verify``, exact for their
@@ -182,7 +182,9 @@ def _panel_sums(vals, nodes):
     """Per-panel sums of ``vals``, values of shape (*stack, *t.shape) at the
     node set ``nodes`` of ``_graded_nodes``: shape (*stack, sides, panels)."""
     _, sinpow, weights, starts, _ = nodes
-    return np.add.reduceat(vals * sinpow * weights, starts, axis=-1)
+    weighted = vals * sinpow
+    weighted *= weights
+    return np.add.reduceat(weighted, starts, axis=-1)
 
 
 def _side_total(n: int, sides, lengths) -> float:
@@ -214,20 +216,6 @@ def _checked(total: float) -> float:
     return total
 
 
-def _panel_sum(n: int, vals, nodes):
-    """Zonal integral of ``vals``, values of shape (*stack, *t.shape) at the
-    node set ``nodes`` of ``_graded_nodes``: one float, or an array of shape
-    ``stack``.  Call it with numpy's overflow and invalid warnings off: a
-    non-finite value makes its panel sum, and so its total, non-finite, and
-    every non-finite total is refused.
-    """
-    per_panel = _panel_sums(vals, nodes)
-    lengths = nodes[4]
-    totals = [_checked(_side_total(n, sides, lengths))
-              for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist()]
-    return np.reshape(totals, per_panel.shape[:-2]) if per_panel.ndim > 2 else totals[0]
-
-
 def integrate_with_breakpoint(n: int, order: int, f, t0: float):
     """Zonal integral of f, split at the axis value t0 in [-1, 1].
 
@@ -251,7 +239,10 @@ def integrate_with_breakpoint(n: int, order: int, f, t0: float):
             vals = np.broadcast_to(vals, t.shape)
         elif vals.shape[-t.ndim:] != t.shape:
             raise DomainError(f"integrand returned shape {vals.shape} at nodes of shape {t.shape}")
-        return _panel_sum(n, vals, nodes)
+        per_panel = _panel_sums(vals, nodes)
+    totals = [_checked(_side_total(n, sides, nodes[4]))
+              for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist()]
+    return np.reshape(totals, per_panel.shape[:-2]) if per_panel.ndim > 2 else totals[0]
 
 
 def cap_rule(n: int, t_lower: float):

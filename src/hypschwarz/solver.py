@@ -37,7 +37,7 @@ from scipy.special import hyp2f1
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .kernel import BallContext, check_radius, kernel_range
-from .objective import ObjectiveParams, _f_and_slope, _phi_and_refined, big_f, phi
+from .objective import ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined, big_f, phi
 from .quadrature import _PANEL_NODES, _ROUNDING_FLOOR, DEFAULT_ORDER
 from .special import alpha_q, check_dimension
 
@@ -106,8 +106,7 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
     guess changes the cost, and the root only within the band where the
     computed F's quadrature noise outweighs its slope (2^-44 in log a).
     """
-    if not (math.isfinite(ctx.q) and ctx.q > 1.0):
-        raise DomainError("shift optimization applies to p in (1, inf) only")
+    _check_exponent(ctx, "shift optimization")
     r = check_radius(r)
     if r == 0.0:
         return 1.0

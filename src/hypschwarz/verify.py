@@ -101,9 +101,7 @@ def _sharpness(result: GpResult, order: int) -> SharpnessReport:
         data = np.sign(dev) * np.abs(dev) ** expo
         return np.stack([data, kernel * data, np.abs(data) ** ctx.p])
 
-    mean, attained, power = _site_integral(
-        ctx.n, r, order, _split_point(ctx, r, a_star), sums
-    ).tolist()
+    mean, attained, power = _site_integral(ctx.n, r, order, _split_point(ctx, r, a_star), sums)
     bound = g_value * power ** (1.0 / ctx.p)  # the norm is 1 at p = inf
     gap = abs(bound - attained) / max(bound, 2.0 ** -1022)
     return SharpnessReport(ctx, r, bound, attained, mean, gap)

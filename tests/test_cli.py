@@ -420,6 +420,18 @@ class TestFailureModes:
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
+    def test_conjugate_rounding_to_one_is_named(self, capsys):
+        # past about p = 2^53 the conjugate p/(p-1) rounds to 1.0: the refusal says
+        # so, where p = 4.5e15 still answers, within 1e-16 of G_inf
+        message = ("error: shift optimization needs q = p/(p-1) > 1, but at p = 1e+16 "
+                   "q rounds to 1 in double precision\n")
+        for command in ("gp", "astar"):
+            assert run_cli(capsys, command, "--n", "4", "--p", "1e16", "--r", "0.5") == (1, "", message)
+        code, out, err = run_cli(capsys, "gp", "--n", "4", "--p", "4.5e15", "--r", "0.5")
+        assert (code, err) == (0, "")
+        g_value = float(csv_rows(out)[1][0]["g_value"])
+        assert g_value == pytest.approx(solver.g_inf_closed(4, 0.5)[1], abs=2e-16)
+
     def test_order_flag_validation(self, capsys):
         code, _, err = run_cli(
             capsys, "gp", "--n", "3", "--p", "2", "--r", "0.5", "--order", "1",

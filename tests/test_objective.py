@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hypschwarz import objective, solver
+from hypschwarz import objective, quadrature, solver, verify
 from hypschwarz.errors import BracketError, DomainError
 from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
 from hypschwarz.objective import (
@@ -17,7 +18,7 @@ from hypschwarz.objective import (
     phi,
 )
 from hypschwarz.quadrature import _ROUNDING_FLOOR, integrate_with_breakpoint
-from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p, solve_a_star
+from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p, g_p_curve, solve_a_star
 from conftest import central_diff, count_f_evals, mp_crossing, mp_kernel, mp_zonal
 
 
@@ -31,6 +32,15 @@ class TestParams:
             ObjectiveParams(BallContext(3, 1.0), 0.5)  # q = inf
         with pytest.raises(DomainError):
             ObjectiveParams(BallContext(3, math.inf), 0.5)  # q = 1
+
+    def test_names_a_conjugate_that_rounds_to_one(self):
+        # past about p = 2^53 the conjugate p/(p-1) rounds to 1.0 although p lies in (1, inf)
+        ctx = BallContext(3, 1e16)
+        assert ctx.q == 1.0
+        with pytest.raises(DomainError, match=r"at p = 1e\+16 q rounds to 1 in double precision"):
+            ObjectiveParams(ctx, 0.5)
+        with pytest.raises(DomainError, match=r"p in \(1, inf\) only, got p = inf"):
+            ObjectiveParams(BallContext(3, math.inf), 0.5)
 
     def test_rejects_bad_radius_and_order(self):
         for r in (1.0, -0.1, 0.0):  # r = 0 is solved exactly before the objective
@@ -182,8 +192,7 @@ class TestDfDa:
             assert dF_da(prm, a_star) == pytest.approx(fd, rel=1e-5), p
 
     def test_slope_of_the_first_point(self):
-        # F with the slope is big_f's bits; the slope is dF/da's up to the
-        # floor, which _f_and_slope applies at every q
+        # F with the slope is big_f's bits, and the slope is dF/da's
         for n, p, r in ((3, 1.1, 0.5), (4, 1.5, 0.9), (4, 3.0, 0.5), (5, 20.0, 0.3), (10, 3.0, 0.6)):
             prm = params(n, p, r)
             a_star = solve_a_star(prm.ctx, r)
@@ -191,7 +200,7 @@ class TestDfDa:
             for a in (a_star, a_star * (1.0 + 1e-9), 0.7 * a_star, 1.3 * a_star, kmin / 2.0, kmax * 2.0):
                 f_value, slope = _f_and_slope(prm, a)
                 assert f_value.hex() == big_f(prm, a).hex(), (n, p, r, a)
-                assert slope == pytest.approx(dF_da(prm, a), rel=1e-12), (n, p, r, a)
+                assert slope.hex() == dF_da(prm, a).hex(), (n, p, r, a)
 
 
 class TestRefinedPhi:
@@ -275,10 +284,11 @@ def closure_big_f(prm, a):
 
 
 def closure_dF_da(prm, a):
+    # the slope row of _f_and_slope: |K - a|^(q-2) as |K - a|^(q-1) / max(|K - a|, floor)
     q = prm.ctx.q
-    floor = _DEV_FLOOR * max(1.0, abs(a)) if q < 2.0 else 0.0
+    floor = _DEV_FLOOR * max(1.0, abs(a))
     return (1.0 - q) * closure_integral(
-        prm, a, lambda dev: np.maximum(np.abs(dev), floor) ** (q - 2.0))
+        prm, a, lambda dev: np.abs(dev) ** (q - 1.0) / np.maximum(np.abs(dev), floor))
 
 
 def outcome(fn, *args):
@@ -333,3 +343,34 @@ class TestSharedSite:
         big_f(prm, res.a_star)
         dF_da(prm, res.a_star)
         assert built == [128] * 8 and len(outer) == 1
+
+    def test_one_site_pass_sums_every_kernel_weighted_integral(self):
+        # F, its slope, Phi, the doubled-order Phi and the certificates' data
+        # reach the panel sums only through _site_sums; integrands of t alone
+        # through integrate_with_breakpoint
+        targets = {quadrature._panel_sums.__code__, quadrature._side_total.__code__}
+        callers = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in targets:
+                caller = frame.f_back
+                while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+                    caller = caller.f_back
+                callers.add(caller.f_code)
+
+        objective._site.cache_clear()
+        solver._g_p_numeric.cache_clear()
+        ctx = BallContext(4, 3.0)
+        sys.setprofile(profile)
+        try:
+            res = g_p(ctx, 0.5)
+            g_p_curve(ctx, [0.3, 0.4, 0.5])  # a guessed solve: F with its slope
+            dF_da(ObjectiveParams(ctx, 0.5), res.a_star)
+            verify.verify_sharpness(ctx, 0.5)
+            verify.random_bound_check(ctx, 0.5)
+            integral = quadrature.integrate_with_breakpoint(4, 128, lambda t: t * t, 0.0)
+        finally:
+            sys.setprofile(None)
+        assert integral == pytest.approx(1.0 / 4.0, rel=1e-14)  # the mean of t^2 on S^3
+        assert callers == {objective._site_sums.__code__,
+                           quadrature.integrate_with_breakpoint.__code__}
