@@ -11,7 +11,7 @@ package modules (``kernel``, ``quadrature``, ``objective``, ``solver``,
 ``verify``, ...).
 """
 
-from .errors import BracketError, CapUnderflowError, DomainError, NonConvergenceError
+from .errors import CapUnderflowError, DomainError, NonConvergenceError
 from .kernel import BallContext
 from .solver import GpResult, g_p, g_p_curve, grad_constant, solve_a_star
 from .verify import minimizing_sequence_p1, random_bound_check, verify_sharpness
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallContext",
-    "BracketError",
     "CapUnderflowError",
     "DomainError",
     "GpResult",

@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, CapUnderflowError, DomainError, NonConvergenceError
+from .errors import CapUnderflowError, DomainError, NonConvergenceError
 from .kernel import BallContext
-from .objective import ObjectiveParams, big_f
+from .objective import ObjectiveParams, _f_and_slope
 from .quadrature import DEFAULT_ORDER
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
 from .verify import _bound_checker, _sharpness, cap_sequence_check
@@ -88,9 +88,9 @@ def _astar(args):
     if not 1.0 < ctx.p < math.inf:  # closed forms: no F to report
         return [{"r": r, "a_star": res.a_star, "f_residual": 0.0}
                 for r, res in zip(args.radii, g_p_curve(ctx, args.radii, args.order))], False
-    rows = [{"r": r, "a_star": a_star,
-             "f_residual": big_f(ObjectiveParams(ctx, r, args.order), a_star) if r > 0.0 else 0.0}
-            for r, a_star in _shift_curve(ctx, args.radii, args.order)]
+    rows = [{"r": r, "a_star": math.exp(s), "f_residual": _f_and_slope(
+                ObjectiveParams(ctx, r, args.order), s, False)[0] if r > 0.0 else 0.0}
+            for r, s in _shift_curve(ctx, args.radii, args.order)]
     return rows, False
 
 
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
         if vars(args).get("order", DEFAULT_ORDER) < 2:
             raise DomainError(f"--order must be >= 2, got {args.order}")
         rows, violated = args.rows(args)
-    except (DomainError, BracketError, NonConvergenceError, CapUnderflowError) as exc:
+    except (DomainError, NonConvergenceError, CapUnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = _render(args.format, rows)

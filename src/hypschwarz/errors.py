@@ -9,9 +9,5 @@ class NonConvergenceError(RuntimeError):
     """An iteration hit its cap before reaching the requested accuracy."""
 
 
-class BracketError(RuntimeError):
-    """A root bracket could not be established (no sign change)."""
-
-
 class CapUnderflowError(ArithmeticError):
     """A spherical-cap measure underflowed to zero in double precision."""

@@ -65,14 +65,23 @@ def poisson_szego_axis(ctx: BallContext, r: float, t):
     t = np.asarray(t, dtype=float)
     if t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
         raise DomainError("axis coordinate t must lie in [-1, 1]")
-    out = _axis_kernel(ctx.n, r, t)
+    out = np.exp(_log_kernel(ctx.n, r, t))
     return out if out.ndim else float(out)
 
 
-def _axis_kernel(n: int, r: float, t: np.ndarray) -> np.ndarray:
-    """K(r, t) at a radius in [0, 1) and an array t of values in [-1, 1],
+def _log_kernel(n: int, r: float, t: np.ndarray) -> np.ndarray:
+    """log K(r, t) at a radius in [0, 1) and an array t of values in [-1, 1],
     unchecked: the nodes of a quadrature rule are cosines and need no check."""
-    return np.exp((n - 1) * (math.log1p(-r * r) - np.log1p(r * r - 2.0 * r * t)))
+    return (n - 1) * (math.log1p(-r * r) - np.log1p(r * r - 2.0 * r * t))
+
+
+# math.exp and math.expm1 raise OverflowError past this.
+_EXP_MAX = math.log(sys.float_info.max)
+
+
+def _log_range(n: int, r: float) -> float:
+    """l = log K(r, 1) = -log K(r, -1): log K ranges over [-l, l]."""
+    return (n - 1) * (math.log1p(r) - math.log1p(-r))
 
 
 def kernel_range(ctx: BallContext, r: float) -> tuple[float, float]:
@@ -95,9 +104,9 @@ def kernel_range(ctx: BallContext, r: float) -> tuple[float, float]:
 def crossing_point(ctx: BallContext, r: float, a: float):
     """The unique t where K(r, t) = a, or None when no crossing exists.
 
-    Solving K = a for t gives
+    Solving K = a for t gives, with sigma = log(a)/(n - 1),
 
-        t = (1 + r^2)/(2r) - ((1 - r^2)/(2r)) * a^(1/(1-n)),
+        t = (1 - e^-sigma + r^2 (1 + e^-sigma)) / (2r),
 
     which lies in [-1, 1] exactly when a is within the kernel's range.
     """
@@ -108,7 +117,13 @@ def crossing_point(ctx: BallContext, r: float, a: float):
         if a != 1.0:
             raise DomainError("constant kernel at r = 0 never attains a != 1")
         return None  # K - 1 vanishes identically; no isolated crossing
-    t = (1.0 + r * r) / (2.0 * r) - (1.0 - r * r) / (2.0 * r) * a ** (1.0 / (1.0 - ctx.n))
-    if -1.0 <= t <= 1.0:
-        return float(t)
-    return None
+    s = math.log(a)
+    return _split_point(ctx.n, r, s) if abs(s) <= _log_range(ctx.n, r) else None
+
+
+def _split_point(n: int, r: float, s: float) -> float:
+    """crossing_point's t for the level e^s at r in (0, 1), unchecked; where
+    there is none, the pole where K comes nearest to the level: t = 1 for a
+    level above the range, t = -1 below."""
+    sigma = s / (n - 1)
+    return min(max((-math.expm1(-sigma) + r * r * (1.0 + math.exp(-sigma))) / (2.0 * r), -1.0), 1.0)

@@ -1,27 +1,28 @@
 """The shifted-kernel objective and its stationarity function.
 
 For a fixed dimension, radius r and conjugate exponent q in (1, inf), the
-quantity minimized over the shift a is
+quantity minimized over the shift a = e^s is
 
-    Phi(a) = ( integral |K(r, .) - a|^q dsigma )^(1/q),
+    Phi(a) = ( integral |K(r, .) - a|^q dsigma )^(1/q) = a ( integral |d|^q dsigma )^(1/q),
 
-which is strictly convex in a.  Its stationarity is governed by
+which is strictly convex in a; d = K/a - 1 = expm1(log K - s) keeps the
+digits that K - a, a difference of two numbers near 1 at small r, loses.
+Its stationarity is governed by
 
-    F(r, a) = integral (K - a) |K - a|^(q-2) dsigma,
+    F(r, a) = integral (K - a) |K - a|^(q-2) dsigma = a^(q-1) integral sign(d) |d|^(q-1) dsigma,
 
 strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
 here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
-A site is the graded rule's node set split at one point t0 with K at its
-nodes; it depends on (n, r, order, t0) only, and the last two built are
-kept.  Every kernel-weighted integral is one pass on a site, ``_site_sums``:
-F, its slope dF/da (a second row of F's power), Phi, the doubled-order Phi
-of ``est_error`` (the outer panels of its layout spliced in, on no site of
-its own) and the certificates' data in ``verify`` differ only in the values
-summed.  So Phi(a*) and the residual F(a*) cost one power and one panel sum
-on the site of the solve's last F, and a certificate right after g_p reads
-the site of a*.
+A site is the graded rule's node set split at one point t0 with K and log K
+at its nodes; it depends on (n, r, order, t0) only, and the last two built
+are kept.  Every kernel-weighted integral is one pass on a site,
+``_site_sums``: F, its slope (a second row of F's power), Phi, the
+doubled-order Phi of ``est_error`` (the outer panels of its layout spliced
+in, on no site of its own) and the certificates' data in ``verify`` (which
+read K) differ only in the values summed.  So Phi(a*) and the residual
+F(a*) cost one power and one panel sum on the site of the solve's last F.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernel import BallContext, _axis_kernel, check_radius, crossing_point, kernel_range
+from .kernel import _EXP_MAX, BallContext, _log_kernel, _log_range, _split_point, check_radius
 from .quadrature import (DEFAULT_ORDER, _checked, _graded_nodes, _outer_nodes, _panel_sums,
                          _side_total)
 
-# Floor applied to |K - a| in negative-exponent integrands: a quadrature node
-# can land within one rounding step of the crossing, where the computed
-# difference may be exactly 0 although the true distance never is.
+# Floor applied to |d| in negative-exponent integrands: a quadrature node can
+# land within one rounding step of the crossing, where the computed deviation
+# may be exactly 0 although the true distance never is.
 _DEV_FLOOR = 2.0 ** -52
 
 
@@ -69,27 +70,36 @@ def _check_exponent(ctx: BallContext, what: str) -> None:
         raise DomainError(f"{what} applies to p in (1, inf) only, got p = {ctx.p!r}")
 
 
-def _split_point(ctx: BallContext, r: float, a: float) -> float:
-    """Where K(r, .) crosses the level a; where it never does, the pole where
-    K comes nearest to a: t = 1 for a level above the range, t = -1 below."""
-    t0 = crossing_point(ctx, r, a)
-    return (1.0 if a > 1.0 else -1.0) if t0 is None else t0
+def _exp(x: float, fn=math.exp) -> float:
+    """fn(x) for math.exp or math.expm1, inf where Python raises OverflowError."""
+    return fn(x) if x <= _EXP_MAX else math.inf
+
+
+def _log_shift(a: float) -> float:
+    """log a for a public function's shift a, refused unless positive and finite."""
+    if not (a > 0.0 and math.isfinite(a)):
+        raise DomainError(f"shift must be positive and finite, got {a!r}")
+    return math.log(a)
 
 
 @lru_cache(maxsize=2, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
 def _site(n: int, r: float, order: int, t0: float):
-    """(K, node set): the graded rule's node set split at t0 and the kernel
-    K(r, .) at its nodes, read-only."""
+    """(K, log K, node set): the graded rule's node set split at t0 and the
+    kernel K(r, .) and its log at its nodes, read-only."""
     nodes = _graded_nodes(n, order, t0)
-    kernel = _axis_kernel(n, r, nodes[0])
+    log_kernel = _log_kernel(n, r, nodes[0])
+    kernel = np.exp(log_kernel)
     kernel.setflags(write=False)
-    return kernel, nodes
+    log_kernel.setflags(write=False)
+    return kernel, log_kernel, nodes
 
 
-def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0) -> list[float]:
-    """Zonal integrals of fn(K, t), values at the nodes of the site split at
-    t0, unchecked (non-finite where a value or a sum is): a list of one for
-    an array of values, of one per row for a stack of them.
+def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0,
+               log: bool = False) -> list[float]:
+    """Zonal integrals of fn(K, t), or of fn(log K, t) with ``log``, values
+    at the nodes of the site split at t0, unchecked (non-finite where a value
+    or a sum is): a list of one for an array of values, of one per row for a
+    stack of them.
 
     With ``refine``, the same integrals at the order ``refine`` follow.  The
     two layouts differ only on the outer panels of each side, every panel at
@@ -100,12 +110,13 @@ def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0) -> 
     """
     # Overflow leaves non-finite values, and so non-finite sums.
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel, nodes = _site(n, r, order, t0)
-        per_panel = _panel_sums(fn(kernel, nodes[0]), nodes)
+        kernel, log_kernel, nodes = _site(n, r, order, t0)
+        per_panel = _panel_sums(fn(log_kernel if log else kernel, nodes[0]), nodes)
         rows = [per_panel.tolist()]
         if refine:
             outer = _outer_nodes(n, refine, t0)
-            outer_sums = _panel_sums(fn(_axis_kernel(n, r, outer[0]), outer[0]), outer)
+            log_outer = _log_kernel(n, r, outer[0])
+            outer_sums = _panel_sums(fn(log_outer if log else np.exp(log_outer), outer[0]), outer)
             per_panel[..., :outer_sums.shape[-1]] = outer_sums
             rows.append(per_panel.tolist())
     totals = []
@@ -124,70 +135,59 @@ def _site_integral(n: int, r: float, order: int, t0: float, fn):
 def phi(params: ObjectiveParams, a: float) -> float:
     """Phi(a) = (integral |K - a|^q dsigma)^(1/q).
 
-    The deviation is divided by s = max(kmax - a, a - kmin), its largest
-    size over the sphere, before the power is taken: |K - a|^q itself
-    overflows near r = 1 for large q while Phi = s * (integral |(K - a)/s|^q
-    dsigma)^(1/q) is finite.
+    d = K/a - 1 is divided by its largest size m = max(e^(l-s) - 1, 1 - e^(-l-s))
+    first: |d|^q overflows near r = 1 for large q, a m (integral |d/m|^q)^(1/q) not.
     """
-    return _phi_and_refined(params, a, 0)[0]
+    return _phi_and_refined(params, _log_shift(a), 0)[0]
 
 
-def _phi_and_refined(params: ObjectiveParams, a: float, order: int) -> list[float]:
-    """[Phi(a) at params.order, Phi(a) at ``order``], the bits of two phi
-    calls from one site pass; [Phi(a)] alone for order 0."""
+def _phi_and_refined(params: ObjectiveParams, s: float, order: int) -> list[float]:
+    """[Phi(e^s) at params.order, Phi(e^s) at ``order``] from one site pass,
+    the bits of two phi calls; [Phi(e^s)] alone for order 0."""
     ctx, r, q = params.ctx, params.r, params.ctx.q
-    kmin, kmax = kernel_range(ctx, r)
-    s = max(kmax - a, a - kmin) or 1.0  # 0 only where the range collapses onto a
+    ell = _log_range(ctx.n, r)
+    size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
 
-    def values(kernel, _):
-        dev = kernel - a
-        dev /= s
+    def values(log_kernel, _):
+        dev = np.expm1(log_kernel - s)
+        dev *= 1.0 / size
         np.abs(dev, out=dev)
         dev **= q
         return dev
 
-    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx, r, a), values, order)
-    return [s * _checked(total) ** (1.0 / q) for total in totals]
+    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), values, order, log=True)
+    return [_checked(_exp(s) * size * total ** (1.0 / q)) for total in totals]
 
 
 def big_f(params: ObjectiveParams, a: float) -> float:
-    """F(r, a) = integral (K - a)|K - a|^(q-2) dsigma, decreasing in a.
+    """F(r, a) = integral (K - a)|K - a|^(q-2) dsigma, decreasing in a,
+    integrated as a^(q-1) integral sign(d) |d|^(q-1) dsigma, d = K/a - 1."""
+    return _f_and_slope(params, _log_shift(a), False)[0]
 
-    The integrand is written |K - a|^(q-1) with the sign of K - a, which is
-    bounded for every q > 1.
+
+def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
+    """(F, dF/ds) at the shift a = e^s from one power on one site, or
+    (F, None) without the slope.  The slope row, |d|^(q-1) / max(|d|, floor)
+    for |d|^(q-2), is the one definition of dF/ds = a dF/da.  F is refused
+    where non-finite (where a^(q-1) underflows, its integral overflows); the
+    slope comes as it is: a caller that only steers by it keeps F's points.
     """
     ctx, r, q = params.ctx, params.r, params.ctx.q
 
-    def values(kernel, _):
-        dev = kernel - a
-        power = np.abs(dev)
-        power **= q - 1.0
-        return np.copysign(power, dev, out=power)
-
-    return _checked(_site_sums(ctx.n, r, params.order, _split_point(ctx, r, a), values)[0])
-
-
-def _f_and_slope(params: ObjectiveParams, a: float) -> tuple[float, float]:
-    """(F(a), dF/da) from one power on one site: F has big_f's bits, and the
-    slope row, |K - a|^(q-1) / max(|K - a|, floor) for |K - a|^(q-2), is the
-    one definition of dF/da.  F is refused like big_f's; the slope is
-    returned as it comes, non-finite included, because a caller that only
-    steers by it must not lose a point F answers.
-    """
-    ctx, r, q = params.ctx, params.r, params.ctx.q
-    floor = _DEV_FLOOR * max(1.0, abs(a))
-
-    def rows(kernel, _):
-        dev = kernel - a
+    def rows(log_kernel, _):
+        dev = np.expm1(log_kernel - s)
         size = np.abs(dev)
         power = size ** (q - 1.0)
+        if not slope:
+            return np.copysign(power, dev, out=power)
         out = np.empty((2, *dev.shape))
         np.copysign(power, dev, out=out[0])
-        np.divide(power, np.maximum(size, floor, out=size), out=out[1])
+        np.divide(power, np.maximum(size, _DEV_FLOOR, out=size), out=out[1])
         return out
 
-    f_value, slope = _site_sums(ctx.n, r, params.order, _split_point(ctx, r, a), rows)
-    return _checked(f_value), (1.0 - q) * slope
+    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), rows, log=True)
+    scale = _exp((q - 1.0) * s)
+    return _checked(scale * totals[0]), (1.0 - q) * scale * totals[1] if slope else None
 
 
 def dF_da(params: ObjectiveParams, a: float) -> float:
@@ -196,4 +196,4 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     2^-(q-1) toward the crossing, and the tail past the innermost panel is
     summed from that ratio, however near 1 (README, "Numerical notes").
     """
-    return _checked(_f_and_slope(params, a)[1])
+    return _checked(_f_and_slope(params, _log_shift(a))[1] / a)

@@ -2,22 +2,12 @@
 
 For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
-range.  One loop on log a finds it from F: it steps outward from a start
-until F changes sign, evaluating a range end only when a step lands on it,
-then takes Chandrupatla's steps (inverse quadratic interpolation where it is
-safe, bisection otherwise) until the bracket is 2^-44 wide in log a.  From a
-guess its first steps follow a slope instead (Newton's from dF/da on the
-guess's own site, then secants), so a good guess brackets the root in three
-F evaluations.  That
-resolves the root of the computed F; where F's quadrature noise near a*
-exceeds its slope times 2^-44, another start can move a* by more (17 times
-that at n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
-stopping rule is scale-free: F scales like |K - a|^(q-1), which for p near 1
-at small r lies far below any fixed residual.  A cold solve starts from log
-a* interpolated in 1/p through the closed forms below; along a sweep
-(g_p_curve) from log a* extrapolated through up to six radii solved before
-it, except at p = 2, where the cold start a = 1 is the root.  The endpoint exponents
-have closed forms:
+range.  One loop on s = log a finds it from F (``solve_a_star``) and hands
+that s, not a rounded a*, to Phi.  It resolves the root of the computed F:
+where F's quadrature noise near a* exceeds its slope times the tolerance,
+another start can move a* by more (17 times that at n = 4, p = 1.5,
+r = 0.99, with G still far inside est_error).  The endpoint exponents have
+closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -35,25 +25,21 @@ from functools import lru_cache
 
 from scipy.special import hyp2f1
 
-from .errors import BracketError, DomainError, NonConvergenceError
-from .kernel import BallContext, check_radius, kernel_range
-from .objective import ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined, big_f, phi
+from .errors import DomainError, NonConvergenceError
+from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
+from .objective import ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined
 from .quadrature import _PANEL_NODES, _ROUNDING_FLOOR, DEFAULT_ORDER
 from .special import alpha_q, check_dimension
 
-# Width in log a at which the root bracket counts as resolved.
+# Width in log a at which the root bracket counts as resolved (times 2l, l < 1/2).
 _LOG_A_TOL = 2.0 ** -44
 _MAX_ITER = 200
-_BRACKET_MARGIN = 1e-12
 # First step in log a of a solve without a guess: a share of the start's
 # |log a|, with a floor.  Mean F per cold solve moves by at most 4% for shares
 # from 1/16 to 1/2 and floors from 1/128 to 1/4 (7.0 to 7.2 per solve on 300
 # points with n in {3, 4, 5}, p in [1.1, 20], r in [0.01, 0.95]).
 _COLD_SHARE = 1.0 / 8.0
 _COLD_STEP = 1.0 / 32.0
-# kernel_range refuses ranges past e^(+-708.4), so clamping a predicted log a*
-# to this keeps its exp finite and positive and every root reachable.
-_LOG_GUESS_MAX = 708.0
 
 _METHODS = ("numeric", "closed_p1", "closed_pinf")
 
@@ -82,89 +68,83 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
                  guess: float | None = None, width: float = 0.0) -> float:
     """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly.
 
-    One loop on log a, one F evaluation per step.  It starts at the guess (a
-    shift) with a first step of ``width``, or without one at log a*
-    interpolated quadratically in 1/p through its closed forms at p = inf, 2
-    and 1 (a = 1 at p = 2) with a first step of _COLD_SHARE of |log a|, at
-    least _COLD_STEP; either start is clamped into the range.  While F is
-    known on one side of the root only, the next point steps outward to the
-    other side, the step growing eightfold and clamped at the range end; an
-    end is evaluated only when a step lands on it, and must then have the
-    sign of a bracket.  A guessed solve steers its first three such steps
-    instead: the guess's F comes with dF/da from the same site and power,
-    and the next point is Newton's root, then the root of the secant through
-    the last two points, each lengthened a quarter tolerance past it, while
-    the slope is negative and finite and the point inside the range (else
-    the outward step).  Then Chandrupatla's rule: with a the newest point, b
-    the bracket end where F has the other sign and c the point the last
-    evaluation displaced, the step is inverse quadratic interpolation through
-    the three where it stays well inside the bracket, else bisection (the
-    secant before c exists).  Iterates stay half a tolerance inside the
-    bracket, so a root next to one end is confirmed by a sign change; after
-    a steered point that crossed the root by a quarter tolerance, the next
-    lands a quarter tolerance short of it, which closes the bracket.  The
-    guess changes the cost, and the root only within the band where the
-    computed F's quadrature noise outweighs its slope (2^-44 in log a).
+    One loop on s = log a, one F evaluation per step, inside the range
+    (-l, l) of log K, at whose ends F's signs are known (positive at -l).
+    It starts at the guess (a shift) with a first step of ``width``, or at
+    log a* interpolated quadratically in 1/p through its closed forms at
+    p = inf, 2 and 1, with a first step of _COLD_SHARE of |log a|, at least
+    _COLD_STEP.  Until F changes sign it steps outward, eightfold each time
+    and at most half the way to the range end; reaching that end within the
+    tolerance raises DomainError.  A guessed solve steers its first three
+    such steps: to Newton's root from the slope that comes with the guess's
+    F, then to secant roots, each a quarter tolerance past the root, while
+    the slope is negative and finite.  Then Chandrupatla's rule (newest
+    point a, bracket end b, displaced point c): inverse quadratic
+    interpolation where it stays well inside the bracket, else bisection,
+    iterates half a tolerance inside, so a steered point a quarter past the
+    root is followed by one a quarter short of it.  The tolerance is 2^-44
+    in log a, times 2l where l < 1/2.  The guess changes the cost, and the
+    root only where F's quadrature noise outweighs its slope.
     """
+    if guess is not None and not (isinstance(guess, (int, float)) and 0.0 < guess < math.inf):
+        raise DomainError(f"guess must be a positive finite shift, got {guess!r}")
+    return math.exp(_solve(ctx, r, order, None if guess is None else math.log(guess), width))
+
+
+def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> float:
+    """solve_a_star's root as s = log a*, unrounded, from the log guess ``start``."""
     _check_exponent(ctx, "shift optimization")
     r = check_radius(r)
     if r == 0.0:
-        return 1.0
+        return 0.0
     params = ObjectiveParams(ctx, r, order)
-    kmin, kmax = kernel_range(ctx, r)
-    margin = _BRACKET_MARGIN * (kmax - kmin)
-    lo_end, hi_end = math.log(kmin + margin), math.log(kmax - margin)
-    if guess is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
+    ell = _log_range(ctx.n, r)  # F > 0 at log a = -ell, F < 0 at ell
+    tol = _LOG_A_TOL * min(1.0, 2.0 * ell)
+    if start is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
         x = 1.0 / ctx.p
         l_inf = (ctx.n - 1) * (math.log1p(-r * r) - math.log1p(r * r))
-        s = 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * math.log(0.5 * (kmin + kmax)))
+        l_one = ell + math.log1p(0.5 * math.expm1(-2.0 * ell))  # log cosh l: the range's midpoint
+        s = 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * l_one)
         width = max(_COLD_SHARE * abs(s), _COLD_STEP)
-    elif not (isinstance(guess, (int, float)) and 0.0 < guess < math.inf):
-        raise DomainError(f"guess must be a positive finite shift, got {guess!r}")
     else:
-        s, width = math.log(guess), max(width, _LOG_A_TOL)
-    s, step = min(max(s, lo_end), hi_end), width
-    # A guessed solve steers its first three unbracketed steps: by dF/da from
-    # the guess's own site, then by the secant through its last two points.
-    steered = 3 if guess is not None else 0
+        s, width = start, max(width, tol)
+    s, step = min(max(s, tol - ell), ell - tol), width
+    # A guessed solve steers its first three unbracketed steps: by its slope
+    # from the guess's own site, then by the secant through its last two points.
+    steered = 3 if start is not None else 0
     a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
     for _ in range(_MAX_ITER):
-        if steered == 3:
-            fs, slope = _f_and_slope(params, math.exp(s))
-            slope *= math.exp(s)  # dF/d(log a)
-        else:
-            fs = big_f(params, math.exp(s))
-        if s in (lo_end, hi_end) and not (fs > 0.0 if s == lo_end else fs < 0.0):
-            raise BracketError(
-                f"no sign change across the kernel range at r={r}: F({math.exp(s)})={fs}"
-            )
+        fs, slope = _f_and_slope(params, s, steered == 3)
         if fs == 0.0:
-            return math.exp(s)
+            return s
         if a is None or (fs > 0.0) == (fa > 0.0):
             a, fa, c, fc = s, fs, a, fa
         else:
             a, fa, b, fb, c, fc = s, fs, a, fa, b, fb
         if b is None:
+            end = ell if fs > 0.0 else -ell
+            if abs(end - s) <= tol:
+                raise DomainError(f"no sign change of F at r={r} up to the end log a = {end!r}")
             if 0 < steered < 3:
                 slope = (fa - fc) / (a - c) if a != c else math.nan
             # the root of the slope's line, a quarter tolerance past it
-            target = s - fs / slope + math.copysign(0.25 * _LOG_A_TOL, fs) if (
+            target = s - fs / slope + math.copysign(0.25 * tol, fs) if (
                 steered and -math.inf < slope < 0.0) else math.nan
-            if lo_end <= target <= hi_end:
+            if -ell < target < ell:
                 s = target
             else:
-                s, step = (min(s + step, hi_end) if fs > 0.0 else max(s - step, lo_end)), 8.0 * step
+                s, step = s + math.copysign(min(step, 0.5 * abs(end - s)), fs), 8.0 * step
             steered = max(steered - 1, 0)
             continue
-        if abs(a - b) <= _LOG_A_TOL:
-            return math.exp(a)
+        if abs(a - b) <= tol:
+            return a
         t = fa / (fa - fb)  # the first bracketed step: secant
         if c is not None:
             xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
             iqi = ph * ph < xi and (1.0 - ph) ** 2 < 1.0 - xi
             t = (fa / (fb - fa) * fc / (fb - fc)
                  + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)) if iqi else 0.5
-        s = min(max(a + t * (b - a), min(a, b) + 0.5 * _LOG_A_TOL), max(a, b) - 0.5 * _LOG_A_TOL)
+        s = min(max(a + t * (b - a), min(a, b) + 0.5 * tol), max(a, b) - 0.5 * tol)
     raise NonConvergenceError(f"no root resolved after {_MAX_ITER} iterations at r={r}, q={ctx.q}")
 
 
@@ -188,16 +168,26 @@ def g_2_closed(n: int, r: float) -> float:
 
     Evaluated in Euler-transformed form, G_2^2 + 1 =
     (1-r^2)^(1-n) 2F1(1-n, 2-3n/2; n/2; r^2), whose series terminates after
-    n terms with all terms positive.
+    n terms with all terms positive: with ``tail`` the sum of those past the
+    first, G_2^2 = expm1((1-n) log(1-r^2) + log1p(tail)), which never forms
+    the moment minus 1.  Below r = 2^-27, where r^2 is below rounding
+    against 1, G_2 = C_2 r = 2(n-1)/sqrt(n) r.  Raises DomainError where
+    G_2^2 leaves double range.
     """
-    check_radius(r)
+    r = check_radius(r)
     n = check_dimension(n)
-    if r == 0.0:
-        return 0.0
-    second_moment = ((1.0 - r) * (1.0 + r)) ** (1 - n) * float(
-        hyp2f1(1.0 - n, 2.0 - 1.5 * n, n / 2.0, r * r)
-    )
-    return math.sqrt(second_moment - 1.0)
+    if r < 2.0 ** -27:
+        return 2.0 * (n - 1) / math.sqrt(n) * r
+    z, term, tail = r * r, 1.0, 0.0
+    for k in range(n - 1):
+        term *= (1.0 - n + k) * (2.0 - 1.5 * n + k) / ((0.5 * n + k) * (k + 1.0)) * z
+        tail += term
+    # log(1 - r^2): a rounded r^2 near 1 would cost 1/(1 - r^2) of its rounding
+    log_gap = math.log1p(-z) if z < 0.25 else math.log((1.0 - r) * (1.0 + r))
+    log_moment = (1 - n) * log_gap + math.log1p(tail)
+    if not log_moment <= _EXP_MAX:
+        raise DomainError(f"G_2^2 leaves double range at n={n}, r={r}")
+    return math.sqrt(math.expm1(log_moment))
 
 
 def g_inf_closed(n: int, r: float) -> tuple[float, float]:
@@ -281,26 +271,27 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
 
 @lru_cache(maxsize=4096, typed=True)  # a float order must not reuse an int order's solve
 def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
-    return _numeric_result(ctx, r, order, solve_a_star(ctx, r, order))
+    return _numeric_result(ctx, r, order, _solve(ctx, r, order, None, 0.0))
 
 
-def _numeric_result(ctx: BallContext, r: float, order: int, a_star: float) -> GpResult:
-    """G_p = Phi(a*) and its est_error, for a numerically solved shift."""
+def _numeric_result(ctx: BallContext, r: float, order: int, s: float) -> GpResult:
+    """G_p = Phi(a*) and its est_error, for a numerically solved s = log a*;
+    only the reported a* is rounded to e^s."""
     if r == 0.0:
-        return GpResult(ctx, r, a_star, 0.0, "numeric", 0.0)
+        return GpResult(ctx, r, 1.0, 0.0, "numeric", 0.0)
     params = ObjectiveParams(ctx, r, order)
     if ctx.p == 2.0:
-        g_val = phi(params, a_star)
+        g_val = _phi_and_refined(params, s, 0)[0]
         est = abs(g_val - g_2_closed(ctx.n, r))
     else:
         # Phi is stationary at a*, so re-solving at the doubled order is not
         # needed to estimate the quadrature error of the bound itself.  Every
         # order below 8 * _PANEL_NODES has _PANEL_NODES nodes on its outer
         # panels; the reference doubles that count.
-        g_val, refined = _phi_and_refined(params, a_star, 2 * max(order, 8 * _PANEL_NODES))
+        g_val, refined = _phi_and_refined(params, s, 2 * max(order, 8 * _PANEL_NODES))
         est = abs(g_val - refined)
     # Order doubling cannot see the rounding both orders share.
-    return GpResult(ctx, r, a_star, g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val))
+    return GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val))
 
 
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
@@ -316,34 +307,34 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     that solve.  Each G is computed right after its radius's solve, while the
     site of the solve's last F is still held.  Results depend on (ctx,
     radii, order) only: the per-point memo of g_p is neither read nor
-    filled.  Where F overflows at the kernel-range ends but not near a* (p
+    filled.  Where F overflows near a kernel-range end but not near a* (p
     near 1 at larger r), a warm solve answers although g_p refuses.
     """
     if not 1.0 < ctx.p < math.inf:
         return [g_p(ctx, r, order) for r in radii]
     results: dict[float, GpResult] = {}
     curve = []
-    for r, a_star in _shift_curve(ctx, radii, order):
+    for r, s in _shift_curve(ctx, radii, order):
         if r not in results:
-            results[r] = _numeric_result(ctx, r, order, a_star)
+            results[r] = _numeric_result(ctx, r, order, s)
         curve.append(results[r])
     return curve
 
 
 def _shift_curve(ctx: BallContext, radii, order: int):
-    """(r, a*) at every radius of a sweep for finite p > 1, yielded as each
-    is solved: g_p_curve's continued solves without Phi."""
+    """(r, log a*) at every radius of a sweep for finite p > 1, yielded as
+    each is solved: g_p_curve's continued solves without Phi."""
     solved: dict[float, float] = {}
     history: list[tuple[float, float]] = []  # (r, log a*) of each radius solved, in order
     for r in map(check_radius, radii):
         if r not in solved:
             solved[r] = _continued_solve(ctx, r, order, history[-6:])
-            history.append((r, math.log(solved[r])))
+            history.append((r, solved[r]))
         yield r, solved[r]
 
 
 def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
-    """solve_a_star at r, guessed from up to six known (radius, log a*) pairs.
+    """log a* at r, solved from a guess through up to six known (radius, log a*) pairs.
 
     The guess is log a* extrapolated through all of them in Newton's
     divided-difference form, newest radius first; its first step is twice
@@ -353,7 +344,7 @@ def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
     jitter, so it solves cold.
     """
     if len(known) < 2 or ctx.p == 2.0:
-        return solve_a_star(ctx, r, order)
+        return _solve(ctx, r, order, None, 0.0)
     radii = [rk for rk, _ in reversed(known)]
     diffs = [sk for _, sk in reversed(known)]
     for k in range(1, len(diffs)):  # diffs[i] becomes the divided difference over radii[:i + 1]
@@ -363,8 +354,7 @@ def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
     for rk, diff in zip(radii, diffs):
         last = diff * term
         guess, term = guess + last, term * (r - rk)
-    guess = min(max(guess, -_LOG_GUESS_MAX), _LOG_GUESS_MAX)
-    return solve_a_star(ctx, r, order, guess=math.exp(guess), width=2.0 * abs(last))
+    return _solve(ctx, r, order, guess, 2.0 * abs(last))
 
 
 def grad_constant(ctx: BallContext) -> float:

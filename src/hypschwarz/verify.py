@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernel import BallContext, check_radius, poisson_szego_axis
-from .objective import _site_integral, _split_point
+from .kernel import BallContext, _split_point, check_radius, poisson_szego_axis
+from .objective import _site_integral
 from .quadrature import DEFAULT_ORDER, build_rule, cap_rule, integrate_with_breakpoint
 from .solver import GpResult, g_1_closed, g_p, grad_constant
 from .special import check_integer
@@ -101,7 +101,7 @@ def _sharpness(result: GpResult, order: int) -> SharpnessReport:
         data = np.sign(dev) * np.abs(dev) ** expo
         return np.stack([data, kernel * data, np.abs(data) ** ctx.p])
 
-    mean, attained, power = _site_integral(ctx.n, r, order, _split_point(ctx, r, a_star), sums)
+    mean, attained, power = _site_integral(ctx.n, r, order, _split_point(ctx.n, r, math.log(a_star)), sums)
     bound = g_value * power ** (1.0 / ctx.p)  # the norm is 1 at p = inf
     gap = abs(bound - attained) / max(bound, 2.0 ** -1022)
     return SharpnessReport(ctx, r, bound, attained, mean, gap)

