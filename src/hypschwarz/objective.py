@@ -101,12 +101,12 @@ def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0,
     or a sum is): a list of one for an array of values, of one per row for a
     stack of them.
 
-    With ``refine``, the same integrals at the order ``refine`` follow.  The
-    two layouts differ only on the outer panels of each side, every panel at
-    a pole (``_outer_nodes``); each inner panel has the same 12 nodes at the
-    same offsets in both.  So fn is evaluated on those outer panels alone,
-    their sums replace the first order's, and the panels are added up again
-    in the same left-to-right loop: the bits of a full evaluation.
+    With ``refine`` (on log K only), the same integrals at the order
+    ``refine`` follow.  The layouts differ only on the outer panels of each
+    side, every panel at a pole (``_outer_nodes``); each inner panel has the
+    same 12 nodes at the same offsets in both.  So fn is evaluated on those
+    outer panels alone, their sums replace the first order's, and the panels
+    are summed in the same left-to-right loop: a full evaluation's bits.
     """
     # Overflow leaves non-finite values, and so non-finite sums.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,8 +115,7 @@ def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0,
         rows = [per_panel.tolist()]
         if refine:
             outer = _outer_nodes(n, refine, t0)
-            log_outer = _log_kernel(n, r, outer[0])
-            outer_sums = _panel_sums(fn(log_outer if log else np.exp(log_outer), outer[0]), outer)
+            outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
             per_panel[..., :outer_sums.shape[-1]] = outer_sums
             rows.append(per_panel.tolist())
     totals = []
@@ -147,10 +146,11 @@ def _phi_and_refined(params: ObjectiveParams, s: float, order: int) -> list[floa
     ctx, r, q = params.ctx, params.r, params.ctx.q
     ell = _log_range(ctx.n, r)
     size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
+    scale = 1.0 / size  # inf where size is subnormal: r below about 1e-308 / (2(n - 1))
 
     def values(log_kernel, _):
         dev = np.expm1(log_kernel - s)
-        dev *= 1.0 / size
+        np.multiply(dev, scale, out=dev) if scale < math.inf else np.divide(dev, size, out=dev)
         np.abs(dev, out=dev)
         dev **= q
         return dev

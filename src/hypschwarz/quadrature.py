@@ -14,7 +14,7 @@ theta0 = arccos(t0) with panels shrinking geometrically toward the breakpoint
 (ratio 1/2, 27 panels per side).  The leftover geometric tail is summed by
 extrapolating the measured panel-sum ratio, which resolves any integrable
 power behaviour without knowing its exponent.  At an interior breakpoint
-only the outer J(n) = max(2, ceil(log2 sqrt(n - 1)) - 1) panels of a side
+only the outer J(n) = max(2, ceil(log2(n - 1)) - 4) panels of a side
 carry order // 8 Gauss-Legendre nodes (at least 12): every other panel lies
 three half-widths from the breakpoint, where 12 nodes already reach rounding
 level, and has 12 at any order.  So raising the order refines the outer
@@ -115,12 +115,12 @@ def build_rule(n: int, order: int = DEFAULT_ORDER) -> ZonalQuadrature:
 
 
 def _outer_panels(n: int) -> int:
-    """J(n) = max(2, ceil(log2 sqrt(n - 1)) - 1), at most _PANELS: how many
+    """J(n) = max(2, ceil(log2(n - 1)) - 4), at most _PANELS: how many
     panels of each side, counted from its far end, carry order // 8 nodes
-    at an interior breakpoint.  It grows with n because the kernel's
-    variation across a wide panel does."""
-    # ceil(log2 sqrt(n - 1)) is the least m with 4^m >= n - 1.
-    return min(_PANELS, max(2, ((n - 2).bit_length() + 1) // 2 - 1))
+    at an interior breakpoint.  It grows with log2 n because log K, and so
+    its variation across a panel of half the width, grows with n - 1."""
+    # ceil(log2(n - 1)) is the least m with 2^m >= n - 1.
+    return min(_PANELS, max(2, (n - 2).bit_length() - 4))
 
 
 # typed, like build_rule's cache: an order of 128.0 must miss 128's entry and meet the check.

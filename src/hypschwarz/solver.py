@@ -254,7 +254,7 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     and never below the rounding of the panel sums behind G.  Doubling the
     order refines the outer panels of the graded rule, the only ones whose
     node count grows with it: with 256 nodes on every panel instead of the
-    inner ones' 12, an F or Phi integral moved by at most 6.5e-16 of the
+    inner ones' 12, an F or Phi integral moved by at most 5e-16 of the
     integral of |f| (n from 3 to 300, r from 0.1 to 0.99, p from 1.05 to 20).
     So the doubled-order Phi evaluates those outer panels only and takes the
     inner panel sums of Phi(a*), which gives the bits of a full evaluation.

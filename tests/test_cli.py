@@ -167,9 +167,10 @@ class TestGp:
         # (10, 3, 0.8) and the sweep's upper radii were refused with "no sign
         # change" (an absolute bracket margin cut a* out), (3, 3, 1e-300) too
         # (K - a cancelled to 0), and (10, 2, 1e-9) raised a raw ValueError
-        # from the p = 2 closed form behind est_error
+        # from the p = 2 closed form behind est_error; at the subnormal
+        # r = 1e-310 Phi's scale 1/max|d| overflowed
         for command in ("gp --n 10 --p 3 --r 0.8", "gp --n 3 --p 3 --r 1e-300",
-                        "gp --n 10 --p 2 --r 1e-9",
+                        "gp --n 3 --p 3 --r 1e-310", "gp --n 10 --p 2 --r 1e-9",
                         "gp --n 10 --p 3 --r-min 0.5 --r-max 0.95 --steps 20"):
             code, out, err = run_cli(capsys, *shlex.split(command))
             assert code == 0 and err == "", command

@@ -6,7 +6,7 @@ import pytest
 
 from hypschwarz import objective, quadrature
 from hypschwarz.errors import CapUnderflowError, DomainError
-from hypschwarz.kernel import BallContext, kernel_range, poisson_szego_axis
+from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
 from hypschwarz.quadrature import (
     _PANELS,
     _graded_nodes,
@@ -248,7 +248,7 @@ class TestGradedLayout:
 
     def test_nodes_per_site(self):
         for n, order, per_side in ((4, 128, 332), (4, 256, 364), (4, 512, 428),
-                                   (100, 512, 3 * 64 + 24 * 12), (1000, 512, 4 * 64 + 23 * 12),
+                                   (100, 512, 3 * 64 + 24 * 12), (1000, 512, 6 * 64 + 21 * 12),
                                    (4, 64, 27 * 12)):
             assert _graded_nodes(n, order, 0.3)[0].shape == (2, per_side)
 
@@ -272,7 +272,7 @@ class TestGradedLayout:
         # with 256 nodes on all 27 panels, for the F and Phi integrands (the
         # deviation scaled by its largest size) at shifts spread over the
         # kernel range.  J fixed at 1 missed by 1e-4 at n = 300, J fixed at 2
-        # by 2.4e-12.
+        # by 2.4e-12, J(300) = 4 by 1.4e-15 (F at p = 3, r = 0.1, a = 1).
         exponents = [p / (p - 1.0) for p in (1.05, 1.5, 3.0, 20.0)]
         for n in (3, 5, 10, 30, 100, 300):
             for r in (0.1, 0.5, 0.9, 0.99):
@@ -291,11 +291,7 @@ class TestGradedLayout:
                         return np.stack([part for q in exponents for part in (
                             np.copysign(size ** (q - 1.0), dev), size ** (q - 1.0), size ** q)])
 
-                    # the split points this bound was measured at: the direct
-                    # form of the crossing, up to 5e-16 off it at a = 1.  At the
-                    # exact crossing t0 = r, J(300) = 4 leaves 1.4e-15 on F at
-                    # (300, p = 3, r = 0.1), and every J >= 5 leaves 0
-                    t0 = (1.0 + r * r) / (2.0 * r) - (1.0 - r * r) / (2.0 * r) * a ** (1.0 / (1.0 - n))
+                    t0 = crossing_point(ctx, r, a)
                     value = integrate_with_breakpoint(n, 2048, sums, t0).reshape(4, 3)
                     with monkeypatch.context() as patch:
                         patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)
@@ -304,7 +300,7 @@ class TestGradedLayout:
                     assert np.all(err[:, [0, 2]] <= 1e-15 * ref[:, [1, 2]]), (n, r, share)
 
     def test_phi_at_a_star_for_large_n(self, monkeypatch):
-        # J(1000) = 4; with J fixed at 2, G was 3.9e-11 off at r = 0.005 and
+        # J(1000) = 6; with J fixed at 2, G was 3.9e-11 off at r = 0.005 and
         # order doubling did not see it
         for p in (1.05, 1.5, 3.0, 20.0):
             for r in (0.005, 0.01):

@@ -160,7 +160,10 @@ class TestSolveAStar:
             logs.clear()
             solve_a_star(ctx, r)
             assert logs[0] == pytest.approx(anchored_log_start(ctx, r), rel=1e-14, abs=1e-15)
-            assert all(-ell < s < ell for s in logs), (n, p, r)
+            # 1e-9 inside each end in log a (its share of l where l is 1e-6
+            # or less: l = 4e-12 at r = 1e-12), and 1e-9 of l where l > 1
+            margin = 1e-9 * (max(1.0, ell) if ell > 1e-6 else ell)
+            assert all(abs(s) < ell - margin for s in logs), (n, p, r)
 
     def test_anchored_start_lies_inside_the_kernel_range(self, monkeypatch):
         # the interpolated log a* never leaves [log kmin, log kmax]: it is at
@@ -252,10 +255,11 @@ class TestDomainGrid:
     @pytest.mark.parametrize("n", (3, 5, 10))
     def test_small_radius_slope_is_the_gradient_constant(self, n, p):
         # G_p(r) = C_p r (1 + O(r^2)).  K - a cancelled here: at (3, 3) G was
-        # 7e-5 off C_p r at r = 1e-12, twice it at 1e-15 and refused at 1e-18
+        # 7e-5 off C_p r at r = 1e-12, twice it at 1e-15 and refused at 1e-18.
+        # At the subnormal r = 1e-310 Phi's scale 1/max|d| overflowed
         ctx = BallContext(n, p)
         c_p = grad_constant(ctx)
-        for r in (1e-8, 1e-12, 1e-15, 1e-50, 1e-300):
+        for r in (1e-8, 1e-12, 1e-15, 1e-50, 1e-300, 1e-310):
             res = g_p(ctx, r)
             assert abs(res.g_value - c_p * r) <= max(10.0 * res.est_error, 1e-14 * res.g_value), (
                 n, p, r)
