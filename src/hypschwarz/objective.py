@@ -15,13 +15,13 @@ strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
 here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
-A site is the graded rule's node set split at one point t0 with K and log K
-at its nodes; it depends on (n, r, order, t0) only, and the last two built
-are kept.  Every kernel-weighted integral is one pass on a site,
-``_site_sums``: F, its slope (a second row of F's power), Phi, the
-doubled-order Phi of ``est_error`` (the outer panels of its layout spliced
-in, on no site of its own) and the certificates' data in ``verify`` (which
-read K) differ only in the values summed.  So Phi(a*) and the residual
+A site is the graded rule's node set split at one point t0 with log K at
+its nodes; it depends on (n, r, order, t0) only, and the last two built are
+kept.  Every kernel-weighted integral is one pass on a site, ``_site_sums``:
+F, its slope (a second row of F's power), Phi, the doubled-order Phi of
+``est_error`` (the outer panels of its layout spliced in, on no site of its
+own) and the certificates' data in ``verify`` (which read K, the exp of the
+site's log K) differ only in the values summed.  So Phi(a*) and the residual
 F(a*) cost one power and one panel sum on the site of the solve's last F.
 """
 
@@ -84,14 +84,12 @@ def _log_shift(a: float) -> float:
 
 @lru_cache(maxsize=2, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
 def _site(n: int, r: float, order: int, t0: float):
-    """(K, log K, node set): the graded rule's node set split at t0 and the
-    kernel K(r, .) and its log at its nodes, read-only."""
+    """(log K, node set): the graded rule's node set split at t0 and the
+    log of the kernel K(r, .) at its nodes, read-only."""
     nodes = _graded_nodes(n, order, t0)
     log_kernel = _log_kernel(n, r, nodes[0])
-    kernel = np.exp(log_kernel)
-    kernel.setflags(write=False)
     log_kernel.setflags(write=False)
-    return kernel, log_kernel, nodes
+    return log_kernel, nodes
 
 
 def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0,
@@ -110,8 +108,8 @@ def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0,
     """
     # Overflow leaves non-finite values, and so non-finite sums.
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel, log_kernel, nodes = _site(n, r, order, t0)
-        per_panel = _panel_sums(fn(log_kernel if log else kernel, nodes[0]), nodes)
+        log_kernel, nodes = _site(n, r, order, t0)
+        per_panel = _panel_sums(fn(log_kernel if log else np.exp(log_kernel), nodes[0]), nodes)
         rows = [per_panel.tolist()]
         if refine:
             outer = _outer_nodes(n, refine, t0)
@@ -149,7 +147,8 @@ def _phi_and_refined(params: ObjectiveParams, s: float, order: int) -> list[floa
     scale = 1.0 / size  # inf where size is subnormal: r below about 1e-308 / (2(n - 1))
 
     def values(log_kernel, _):
-        dev = np.expm1(log_kernel - s)
+        dev = log_kernel - s
+        np.expm1(dev, out=dev)
         np.multiply(dev, scale, out=dev) if scale < math.inf else np.divide(dev, size, out=dev)
         np.abs(dev, out=dev)
         dev **= q
@@ -175,7 +174,8 @@ def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
     ctx, r, q = params.ctx, params.r, params.ctx.q
 
     def rows(log_kernel, _):
-        dev = np.expm1(log_kernel - s)
+        dev = log_kernel - s
+        np.expm1(dev, out=dev)
         size = np.abs(dev)
         power = size ** (q - 1.0)
         if not slope:
