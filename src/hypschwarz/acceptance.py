@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import BallContext, kernel_range
-from .objective import ObjectiveParams, _site_integral, big_f, dF_da, phi
-from .quadrature import DEFAULT_ORDER
+from .objective import ObjectiveParams, big_f, dF_da, phi
+from .quadrature import DEFAULT_ORDER, _site_integral
 from .solver import (
     g_1_closed,
     g_2_closed,
@@ -145,7 +145,8 @@ def criterion_1():
         for r in (0.1, 0.25, 0.5, 0.75, 0.9):
             target = uh_elementary(n, r)
             a_star, closed = g_inf_closed(n, r)
-            numeric = _site_integral(n, r, _ORDER, 0.0, lambda kernel, _: np.abs(kernel - a_star))
+            numeric, = _site_integral(n, r, _ORDER, 0.0,
+                                      lambda log_kernel, _: np.abs(np.exp(log_kernel) - a_star))
             worst = max(worst, abs(closed - target), abs(numeric - target))
     return worst <= 1e-8, f"max abs deviation {worst:.2e}"
 

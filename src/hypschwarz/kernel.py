@@ -101,29 +101,14 @@ def kernel_range(ctx: BallContext, r: float) -> tuple[float, float]:
     return lo, 1.0 / lo
 
 
-def crossing_point(ctx: BallContext, r: float, a: float):
-    """The unique t where K(r, t) = a, or None when no crossing exists.
-
-    Solving K = a for t gives, with sigma = log(a)/(n - 1),
+def _split_point(n: int, r: float, s: float) -> float:
+    """The t where K(r, t) = e^s, at r in (0, 1), unchecked.  Solving K = e^s
+    for t gives, with sigma = s/(n - 1),
 
         t = (1 - e^-sigma + r^2 (1 + e^-sigma)) / (2r),
 
-    which lies in [-1, 1] exactly when a is within the kernel's range.
-    """
-    r = check_radius(r)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"level must be positive and finite, got {a!r}")
-    if r == 0.0:
-        if a != 1.0:
-            raise DomainError("constant kernel at r = 0 never attains a != 1")
-        return None  # K - 1 vanishes identically; no isolated crossing
-    s = math.log(a)
-    return _split_point(ctx.n, r, s) if abs(s) <= _log_range(ctx.n, r) else None
-
-
-def _split_point(n: int, r: float, s: float) -> float:
-    """crossing_point's t for the level e^s at r in (0, 1), unchecked; where
-    there is none, the pole where K comes nearest to the level: t = 1 for a
-    level above the range, t = -1 below."""
+    which lies in [-1, 1] exactly when s is within the range [-l, l] of
+    log K.  Outside it, the pole where K comes nearest to the level: t = 1
+    for a level above the range, t = -1 below."""
     sigma = s / (n - 1)
     return min(max((-math.expm1(-sigma) + r * r * (1.0 + math.exp(-sigma))) / (2.0 * r), -1.0), 1.0)

@@ -15,28 +15,24 @@ strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
 here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
-A site is the graded rule's node set split at one point t0 with log K at
-its nodes; it depends on (n, r, order, t0) only, and the last two built are
-kept.  Every kernel-weighted integral is one pass on a site, ``_site_sums``:
-F, its slope (a second row of F's power), Phi, the doubled-order Phi of
-``est_error`` (the outer panels of its layout spliced in, on no site of its
-own) and the certificates' data in ``verify`` (which read K, the exp of the
-site's log K) differ only in the values summed.  So Phi(a*) and the residual
-F(a*) cost one power and one panel sum on the site of the solve's last F.
+Each function here only supplies values: powers of d on log K at the
+nodes of a site of ``quadrature`` split where K crosses the shift, summed by
+its one pass ``_site_sums``.  F and its slope (a second row of F's power)
+are one stack of values; Phi and the doubled-order Phi of ``est_error`` are
+one pass.  So Phi(a*) and the residual F(a*) cost one power and one panel
+sum on the site of the solve's last F.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import _EXP_MAX, BallContext, _log_kernel, _log_range, _split_point, check_radius
-from .quadrature import (DEFAULT_ORDER, _checked, _graded_nodes, _outer_nodes, _panel_sums,
-                         _side_total)
+from .kernel import _EXP_MAX, BallContext, _log_range, _split_point, check_radius
+from .quadrature import DEFAULT_ORDER, _checked, _site_sums
 
 # Floor applied to |d| in negative-exponent integrands: a quadrature node can
 # land within one rounding step of the crossing, where the computed deviation
@@ -82,53 +78,6 @@ def _log_shift(a: float) -> float:
     return math.log(a)
 
 
-@lru_cache(maxsize=2, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
-def _site(n: int, r: float, order: int, t0: float):
-    """(log K, node set): the graded rule's node set split at t0 and the
-    log of the kernel K(r, .) at its nodes, read-only."""
-    nodes = _graded_nodes(n, order, t0)
-    log_kernel = _log_kernel(n, r, nodes[0])
-    log_kernel.setflags(write=False)
-    return log_kernel, nodes
-
-
-def _site_sums(n: int, r: float, order: int, t0: float, fn, refine: int = 0,
-               log: bool = False) -> list[float]:
-    """Zonal integrals of fn(K, t), or of fn(log K, t) with ``log``, values
-    at the nodes of the site split at t0, unchecked (non-finite where a value
-    or a sum is): a list of one for an array of values, of one per row for a
-    stack of them.
-
-    With ``refine`` (on log K only), the same integrals at the order
-    ``refine`` follow.  The layouts differ only on the outer panels of each
-    side, every panel at a pole (``_outer_nodes``); each inner panel has the
-    same 12 nodes at the same offsets in both.  So fn is evaluated on those
-    outer panels alone, their sums replace the first order's, and the panels
-    are summed in the same left-to-right loop: a full evaluation's bits.
-    """
-    # Overflow leaves non-finite values, and so non-finite sums.
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_kernel, nodes = _site(n, r, order, t0)
-        per_panel = _panel_sums(fn(log_kernel if log else np.exp(log_kernel), nodes[0]), nodes)
-        rows = [per_panel.tolist()]
-        if refine:
-            outer = _outer_nodes(n, refine, t0)
-            outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
-            per_panel[..., :outer_sums.shape[-1]] = outer_sums
-            rows.append(per_panel.tolist())
-    totals = []
-    for sums in rows:
-        for sides in sums if per_panel.ndim == 3 else [sums]:
-            totals.append(_side_total(n, sides, nodes[4]))
-    return totals
-
-
-def _site_integral(n: int, r: float, order: int, t0: float, fn):
-    """``_site_sums`` refused where non-finite: a float for one integral, a list for more."""
-    totals = [_checked(total) for total in _site_sums(n, r, order, t0, fn)]
-    return totals if len(totals) > 1 else totals[0]
-
-
 def phi(params: ObjectiveParams, a: float) -> float:
     """Phi(a) = (integral |K - a|^q dsigma)^(1/q).
 
@@ -154,7 +103,7 @@ def _phi_and_refined(params: ObjectiveParams, s: float, order: int) -> list[floa
         dev **= q
         return dev
 
-    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), values, order, log=True)
+    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), values, order)
     return [_checked(_exp(s) * size * total ** (1.0 / q)) for total in totals]
 
 
@@ -185,7 +134,7 @@ def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
         np.divide(power, np.maximum(size, _DEV_FLOOR, out=size), out=out[1])
         return out
 
-    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), rows, log=True)
+    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), rows)
     scale = _exp((q - 1.0) * s)
     return _checked(scale * totals[0]), (1.0 - q) * scale * totals[1] if slope else None
 

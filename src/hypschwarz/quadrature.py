@@ -24,16 +24,18 @@ toward the kernel's peak there.  The nodes of a side are one flat array
 with the index of each panel's first node, and the panel sums one
 ``np.add.reduceat``.  The layout of a side of unit length is built once per
 (order, J) and cached; each call only scales it by the lengths of its two
-sides and shifts it to theta0.  The rule is two
-steps: ``_graded_nodes`` builds the node set for (n, order, t0), and values
-taken at it are summed panel by panel (``_panel_sums``), then side by side
-(``_side_total``).  ``_outer_nodes`` builds the outer panels of a node set
-alone, all that a doubled order changes (every panel at a pole).  Two
-functions take these steps: ``integrate_with_breakpoint`` around an
-integrand of t, and for every integrand weighted by the kernel the one site
-pass of ``objective`` (a node set with the kernel at its nodes, the last
-two kept).  A non-finite value, or a total past double range, is refused
-with DomainError.
+sides and shifts it to theta0.
+
+A site is the node set split at t0 (``_graded_nodes``) with log K(r, .) at
+its nodes; it depends on (n, r, order, t0) only, and the last two built are
+kept.  One function, ``_site_sums``, sums every zonal integral: it evaluates
+the values it is given at a site's nodes (at the node set alone, on no
+site, for ``integrate_with_breakpoint``'s integrands of t) under the one
+overflow guard, takes their panel sums and adds the side totals left to
+right.  With a doubled order it also evaluates the outer panels of that
+order alone (``_outer_nodes``), all that the order changes (every panel at
+a pole), and splices their sums over the first order's.  A non-finite
+value, or a total past double range, is refused with DomainError.
 
 ``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights
 scaled by c_n) of the random polynomial draws in ``verify``, exact for their
@@ -55,6 +57,7 @@ import scipy.linalg  # noqa: F401
 from scipy.special import roots_jacobi
 
 from .errors import CapUnderflowError, DomainError
+from .kernel import _log_kernel
 from .special import check_dimension, check_integer
 
 #: Default rule order: the node count of a draw rule; an outer graded panel
@@ -216,6 +219,51 @@ def _checked(total: float) -> float:
     return total
 
 
+@lru_cache(maxsize=2, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
+def _site(n: int, r: float, order: int, t0: float):
+    """(log K, node set): the graded rule's node set split at t0 and the
+    log of the kernel K(r, .) at its nodes, read-only."""
+    nodes = _graded_nodes(n, order, t0)
+    log_kernel = _log_kernel(n, r, nodes[0])
+    log_kernel.setflags(write=False)
+    return log_kernel, nodes
+
+
+def _site_sums(n: int, r: float | None, order: int, t0: float, fn, refine: int = 0) -> list[float]:
+    """Zonal integrals of fn(log K, t), values at the nodes of the site split
+    at t0, unchecked (non-finite where a value or a sum is): a list of one
+    for an array of values, of one per row for a stack of them.  Where r is
+    None, fn(None, t) is summed on the node set alone, which takes no site.
+
+    With ``refine`` (on a site), the same integrals at the order ``refine``
+    follow.  The layouts differ only on the outer panels of each side, every
+    panel at a pole (``_outer_nodes``); each inner panel has the same 12
+    nodes at the same offsets in both.  So fn is evaluated on those outer
+    panels alone, their sums replace the first order's, and the panels are
+    summed in the same left-to-right loop: a full evaluation's bits.
+    """
+    # Overflow leaves non-finite values, and so non-finite sums.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_kernel, nodes = (None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
+        per_panel = _panel_sums(fn(log_kernel, nodes[0]), nodes)
+        rows = [per_panel.tolist()]
+        if refine:
+            outer = _outer_nodes(n, refine, t0)
+            outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
+            per_panel[..., :outer_sums.shape[-1]] = outer_sums
+            rows.append(per_panel.tolist())
+    totals = []
+    for sums in rows:
+        for sides in sums if per_panel.ndim == 3 else [sums]:
+            totals.append(_side_total(n, sides, nodes[4]))
+    return totals
+
+
+def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:
+    """``_site_sums``, each integral refused where non-finite."""
+    return [_checked(total) for total in _site_sums(n, r, order, t0, fn)]
+
+
 def integrate_with_breakpoint(n: int, order: int, f, t0: float):
     """Zonal integral of f, split at the axis value t0 in [-1, 1].
 
@@ -229,20 +277,19 @@ def integrate_with_breakpoint(n: int, order: int, f, t0: float):
     """
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"breakpoint must lie in [-1, 1], got {t0!r}")
-    nodes = _graded_nodes(n, order, t0)
-    t = nodes[0]
-    # Overflow raises no numpy warning: it leaves non-finite values, which are
-    # refused like any other.  A scalar result means a constant f.
-    with np.errstate(over="ignore", invalid="ignore"):
+    stack = []
+
+    def values(_, t):
         vals = np.asarray(f(t), dtype=float)
-        if vals.ndim == 0:
+        if vals.ndim == 0:  # a constant f
             vals = np.broadcast_to(vals, t.shape)
         elif vals.shape[-t.ndim:] != t.shape:
             raise DomainError(f"integrand returned shape {vals.shape} at nodes of shape {t.shape}")
-        per_panel = _panel_sums(vals, nodes)
-    totals = [_checked(_side_total(n, sides, nodes[4]))
-              for sides in per_panel.reshape(-1, *per_panel.shape[-2:]).tolist()]
-    return np.reshape(totals, per_panel.shape[:-2]) if per_panel.ndim > 2 else totals[0]
+        stack.append(vals.shape[:-t.ndim])
+        return vals.reshape(-1, *t.shape)
+
+    totals = _site_integral(n, None, order, t0, values)
+    return np.reshape(totals, stack[0]) if stack[0] else totals[0]
 
 
 def cap_rule(n: int, t_lower: float):

@@ -2,7 +2,7 @@
 
 For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
-range.  One loop on s = log a finds it from F (``solve_a_star``) and hands
+range.  One loop on s = log a finds it from F (``_solve``) and hands
 that s, not a rounded a*, to Phi.  It resolves the root of the computed F:
 where F's quadrature noise near a* exceeds its slope times the tolerance,
 another start can move a* by more (17 times that at n = 4, p = 1.5,
@@ -64,14 +64,19 @@ class GpResult:
             raise DomainError("bound value and error estimate must be nonnegative")
 
 
-def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
-                 guess: float | None = None, width: float = 0.0) -> float:
-    """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly.
+def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
+    """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly: the
+    cold solve of ``_solve``, rounded to a* = e^s."""
+    return math.exp(_solve(ctx, r, order, None, 0.0))
+
+
+def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> float:
+    """The root of F(r, .) as s = log a*, unrounded.
 
     One loop on s = log a, one F evaluation per step, inside the range
     (-l, l) of log K, at whose ends F's signs are known (positive at -l).
-    It starts at the guess (a shift) with a first step of ``width``, or at
-    log a* interpolated quadratically in 1/p through its closed forms at
+    It starts at the log guess ``start`` with a first step of ``width``, or
+    at log a* interpolated quadratically in 1/p through its closed forms at
     p = inf, 2 and 1, with a first step of _COLD_SHARE of |log a|, at least
     _COLD_STEP.  Until F changes sign it steps outward, eightfold each time
     and at most half the way to the range end; reaching that end within the
@@ -83,23 +88,17 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER,
     interpolation where it stays well inside the bracket, else bisection,
     iterates half a tolerance inside, so a steered point a quarter past the
     root is followed by one a quarter short of it.  The tolerance is 2^-44
-    in log a, times 2l where l < 1/2.  The guess changes the cost, and the
-    root only where F's quadrature noise outweighs its slope.
+    in log a, times 2l where l < 1/2, and never below the spacing of doubles
+    at l (at subnormal r, 2^-44 2l underflows).  The guess changes the cost,
+    and the root only where F's quadrature noise outweighs its slope.
     """
-    if guess is not None and not (isinstance(guess, (int, float)) and 0.0 < guess < math.inf):
-        raise DomainError(f"guess must be a positive finite shift, got {guess!r}")
-    return math.exp(_solve(ctx, r, order, None if guess is None else math.log(guess), width))
-
-
-def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> float:
-    """solve_a_star's root as s = log a*, unrounded, from the log guess ``start``."""
     _check_exponent(ctx, "shift optimization")
     r = check_radius(r)
     if r == 0.0:
         return 0.0
     params = ObjectiveParams(ctx, r, order)
     ell = _log_range(ctx.n, r)  # F > 0 at log a = -ell, F < 0 at ell
-    tol = _LOG_A_TOL * min(1.0, 2.0 * ell)
+    tol = max(_LOG_A_TOL * min(1.0, 2.0 * ell), math.ulp(ell))
     if start is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
         x = 1.0 / ctx.p
         l_inf = (ctx.n - 1) * (math.log1p(-r * r) - math.log1p(r * r))
@@ -290,8 +289,11 @@ def _numeric_result(ctx: BallContext, r: float, order: int, s: float) -> GpResul
         # panels; the reference doubles that count.
         g_val, refined = _phi_and_refined(params, s, 2 * max(order, 8 * _PANEL_NODES))
         est = abs(g_val - refined)
-    # Order doubling cannot see the rounding both orders share.
-    return GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val))
+    # Order doubling cannot see the rounding both orders share: an ulp for
+    # each panel sum, and at subnormal r the rounding of log K's argument
+    # r^2 - 2rt to the spacing 2^-1074, times n - 1, which moves G by as much.
+    floor = max(_ROUNDING_FLOOR * g_val, (ctx.n - 1) * math.ulp(0.0))
+    return GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, floor))
 
 
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:

@@ -5,7 +5,7 @@ gradient-corollary comparison.
 All boundary data are zonal (functions of the axis coordinate t alone), so
 their extensions at axis points and the gradient at the origin reduce to
 one-dimensional integrals.  Kernel-weighted ones are summed on a site of
-``objective``: the sharpness data on the site of a*, the random draws'
+``quadrature``: the sharpness data on the site of a*, the random draws'
 kernel moments on the site split at the pole.  The draws are polynomials of
 degree <= 8, with means, norms and gradient moment on a Gauss-Jacobi rule.
 
@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import BallContext, _split_point, check_radius, poisson_szego_axis
-from .objective import _site_integral
-from .quadrature import DEFAULT_ORDER, build_rule, cap_rule, integrate_with_breakpoint
+from .quadrature import DEFAULT_ORDER, _site_integral, build_rule, cap_rule, integrate_with_breakpoint
 from .solver import GpResult, g_1_closed, g_p, grad_constant
 from .special import check_integer
 
@@ -96,7 +95,8 @@ def _sharpness(result: GpResult, order: int) -> SharpnessReport:
         return SharpnessReport(ctx, r, g_value, attained, 0.0, abs(g_value - attained) / g_value)
     a_star, expo = result.a_star, ctx.q - 1.0
 
-    def sums(kernel, _):
+    def sums(log_kernel, _):
+        kernel = np.exp(log_kernel)
         dev = kernel - a_star
         data = np.sign(dev) * np.abs(dev) ** expo
         return np.stack([data, kernel * data, np.abs(data) ** ctx.p])
@@ -157,7 +157,7 @@ def _poly_sups(coeffs: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _monomials(n: int, order: int) -> np.ndarray:
     """Read-only table of t^k, k = 0..8, at the nodes of the (n, order) zonal rule."""
-    powers = build_rule(n, order).nodes[None, :] ** np.arange(9)[:, None]
+    powers = build_rule(n, order).nodes ** np.arange(9)[:, None]
     powers.setflags(write=False)
     return powers
 
@@ -320,9 +320,8 @@ def _bound_checker(ctx: BallContext, count: int, seed: int, order: int):
     check = _ratio_checker(ctx, rule, coeffs, means, values)
 
     def report(bound: GpResult) -> RandomBoundReport:
-        moments = _site_integral(
-            ctx.n, bound.r, order, 1.0, lambda kernel, t: np.cumprod([kernel] + [t] * 8, axis=0)
-        )
+        moments = _site_integral(ctx.n, bound.r, order, 1.0, lambda log_kernel, t: np.cumprod(
+            [np.exp(log_kernel)] + [t] * 8, axis=0))
         lhs = np.abs(coeffs @ moments - means * moments[0])
         return RandomBoundReport(count, seed, *check(lhs, bound.g_value))
 

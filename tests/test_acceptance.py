@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hypschwarz import acceptance, objective
+from hypschwarz import acceptance, quadrature
 from hypschwarz.acceptance import brent_minimize
 from hypschwarz.kernel import BallContext, kernel_range
 
@@ -130,8 +130,8 @@ def test_criterion_4_cross_check_calls(monkeypatch):
 
 def test_criterion_4_reads_phi_at_the_shift_on_its_cached_site(monkeypatch):
     built = []
-    real_nodes = objective._graded_nodes
-    monkeypatch.setattr(objective, "_graded_nodes",
+    real_nodes = quadrature._graded_nodes
+    monkeypatch.setattr(quadrature, "_graded_nodes",
                         lambda *args: built.append(args) or real_nodes(*args))
     solved = []
     real_solve = acceptance.solve_a_star
@@ -152,6 +152,6 @@ def test_criterion_4_reads_phi_at_the_shift_on_its_cached_site(monkeypatch):
 
     monkeypatch.setattr(acceptance, "solve_a_star", solve)
     monkeypatch.setattr(acceptance, "phi", phi)
-    objective._site.cache_clear()
+    quadrature._site.cache_clear()
     assert acceptance.criterion_4().passed
     assert builds_at_shift == [0] * 36

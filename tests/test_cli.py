@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hypschwarz
-from hypschwarz import objective, solver, verify
+from hypschwarz import objective, quadrature, solver, verify
 from hypschwarz.cli import _render, build_parser, main
 from hypschwarz.kernel import BallContext
 from hypschwarz.objective import ObjectiveParams
@@ -168,9 +168,11 @@ class TestGp:
         # change" (an absolute bracket margin cut a* out), (3, 3, 1e-300) too
         # (K - a cancelled to 0), and (10, 2, 1e-9) raised a raw ValueError
         # from the p = 2 closed form behind est_error; at the subnormal
-        # r = 1e-310 Phi's scale 1/max|d| overflowed
+        # r = 1e-310 Phi's scale 1/max|d| overflowed, and at 1e-315 and
+        # 5e-324 the solve's tolerance underflowed to 0 (no root resolved)
         for command in ("gp --n 10 --p 3 --r 0.8", "gp --n 3 --p 3 --r 1e-300",
-                        "gp --n 3 --p 3 --r 1e-310", "gp --n 10 --p 2 --r 1e-9",
+                        "gp --n 3 --p 3 --r 1e-310", "gp --n 3 --p 3 --r 1e-315",
+                        "gp --n 5 --p 10 --r 5e-324", "gp --n 10 --p 2 --r 1e-9",
                         "gp --n 10 --p 3 --r-min 0.5 --r-max 0.95 --steps 20"):
             code, out, err = run_cli(capsys, *shlex.split(command))
             assert code == 0 and err == "", command
@@ -215,13 +217,13 @@ class TestAstar:
     def test_sweep_residuals_build_no_node_sets(self, capsys, monkeypatch):
         # each row's F(a*) reads the site of its solve's last F
         built = []
-        real = objective._graded_nodes
-        monkeypatch.setattr(objective, "_graded_nodes", lambda *args: built.append(1) or real(*args))
+        real = quadrature._graded_nodes
+        monkeypatch.setattr(quadrature, "_graded_nodes", lambda *args: built.append(1) or real(*args))
         radii = [float(r) for r in np.linspace(0.01, 0.95, 20)]
-        objective._site.cache_clear()
+        quadrature._site.cache_clear()
         shifts = list(solver._shift_curve(BallContext(4, 3.0), radii, DEFAULT_ORDER))
         solves = len(built)
-        objective._site.cache_clear()
+        quadrature._site.cache_clear()
         code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
                                "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
         assert code == 0 and [float(row["a_star"]) for row in csv_rows(out)[1]] == [

@@ -7,9 +7,9 @@ import pytest
 from hypschwarz.errors import DomainError
 from hypschwarz.kernel import (
     BallContext,
+    _split_point,
     check_radius,
     conjugate_exponent,
-    crossing_point,
     kernel_range,
     poisson_szego_axis,
 )
@@ -98,17 +98,17 @@ def test_kernel_integrates_to_one():
 
 
 def test_crossing_point_basics():
-    ctx = BallContext(3, 2.0)
-    assert crossing_point(ctx, 0.4, 1.0) == pytest.approx(0.4, rel=1e-14)
-    lo, hi = kernel_range(ctx, 0.4)
+    n, r = 3, 0.4
+    assert _split_point(n, r, 0.0) == pytest.approx(0.4, rel=1e-14)
+    lo, hi = kernel_range(BallContext(n, 2.0), r)
     # levels nudged just inside the range cross just inside the endpoints
-    # (at the exact endpoints rounding may land epsilon outside, giving None)
-    near_top = crossing_point(ctx, 0.4, hi * (1.0 - 1e-9))
-    near_bottom = crossing_point(ctx, 0.4, lo * (1.0 + 1e-9))
-    assert near_top is not None and 1.0 - 1e-8 < near_top <= 1.0
-    assert near_bottom is not None and -1.0 <= near_bottom < -1.0 + 1e-8
-    assert crossing_point(ctx, 0.4, hi * 1.01) is None
-    assert crossing_point(ctx, 0.4, lo * 0.99) is None
+    near_top = _split_point(n, r, math.log(hi * (1.0 - 1e-9)))
+    near_bottom = _split_point(n, r, math.log(lo * (1.0 + 1e-9)))
+    assert 1.0 - 1e-8 < near_top <= 1.0
+    assert -1.0 <= near_bottom < -1.0 + 1e-8
+    # a level outside the range splits at the pole where K comes nearest to it
+    assert _split_point(n, r, math.log(hi * 1.01)) == 1.0
+    assert _split_point(n, r, math.log(lo * 0.99)) == -1.0
 
 
 def test_crossing_point_roundtrip():
@@ -117,8 +117,7 @@ def test_crossing_point_roundtrip():
         for r in (0.2, 0.6, 0.9):
             lo, hi = kernel_range(ctx, r)
             for a in np.geomspace(lo * 1.01, hi * 0.99, 9):
-                t = crossing_point(ctx, r, float(a))
-                assert t is not None
+                t = _split_point(n, r, math.log(a))
                 assert poisson_szego_axis(ctx, r, t) == pytest.approx(float(a), rel=1e-12)
 
 
@@ -126,16 +125,5 @@ def test_crossing_point_increasing_in_level():
     ctx = BallContext(4, 2.0)
     lo, hi = kernel_range(ctx, 0.5)
     levels = np.geomspace(lo * 1.01, hi * 0.99, 12)
-    points = [crossing_point(ctx, 0.5, float(a)) for a in levels]
+    points = [_split_point(4, 0.5, math.log(a)) for a in levels]
     assert all(b > a for a, b in zip(points, points[1:]))
-
-
-def test_crossing_point_degenerate_cases():
-    ctx = BallContext(3, 2.0)
-    assert crossing_point(ctx, 0.0, 1.0) is None
-    with pytest.raises(DomainError):
-        crossing_point(ctx, 0.0, 2.0)
-    with pytest.raises(DomainError):
-        crossing_point(ctx, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        crossing_point(ctx, 0.5, math.inf)

@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from hypschwarz import objective, quadrature, solver, verify
+from hypschwarz import quadrature, solver, verify
 from hypschwarz.errors import DomainError
-from hypschwarz.kernel import (BallContext, _log_kernel, _log_range, _split_point, crossing_point,
+from hypschwarz.kernel import (BallContext, _log_kernel, _log_range, _split_point,
                                kernel_range, poisson_szego_axis)
 from hypschwarz.objective import (
     _DEV_FLOOR,
@@ -82,7 +82,7 @@ class TestPhi:
             ctx, q = prm.ctx, prm.ctx.q
             unscaled = integrate_with_breakpoint(
                 n, 128, lambda t: np.abs(poisson_szego_axis(ctx, r, t) - a) ** q,
-                crossing_point(ctx, r, a),
+                _split_point(ctx.n, r, math.log(a)),
             ) ** (1.0 / q)
             assert phi(prm, a) == pytest.approx(unscaled, rel=1e-14)
 
@@ -236,8 +236,8 @@ class TestRefinedPhi:
         # interior splits reuse the inner panels; at a split at a pole (a
         # shift outside the kernel range) the outer panels are all of them.
         # Neither builds a site at the doubled order.
-        sites, real_site = [], objective._site
-        monkeypatch.setattr(objective, "_site", lambda *args: sites.append(args[2]) or real_site(*args))
+        sites, real_site = [], quadrature._site
+        monkeypatch.setattr(quadrature, "_site", lambda *args: sites.append(args[2]) or real_site(*args))
         for n, p, r in ((3, 1.1, 0.5), (4, 3.0, 0.9), (5, 20.0, 0.3), (30, 1.5, 0.2)):
             ctx = BallContext(n, p)
             kmin, kmax = kernel_range(ctx, r)
@@ -263,8 +263,8 @@ class TestStationarityIdentity:
 
     def test_crossing_is_declared_breakpoint(self):
         ctx = BallContext(3, 1.5)
-        t0 = crossing_point(ctx, 0.5, 2.0)
-        assert t0 is not None and -1.0 < t0 < 1.0
+        t0 = _split_point(ctx.n, 0.5, math.log(2.0))
+        assert -1.0 < t0 < 1.0
 
 
 def closure_integral(prm, a, weight):
@@ -327,12 +327,12 @@ class TestSharedSite:
 
     def test_cold_g_p_builds_node_sets_for_its_F_and_refined_phi_only(self, monkeypatch):
         f_calls, built, outer = count_f_evals(monkeypatch), [], []
-        real_nodes, real_outer = objective._graded_nodes, objective._outer_nodes
-        monkeypatch.setattr(objective, "_graded_nodes",
+        real_nodes, real_outer = quadrature._graded_nodes, quadrature._outer_nodes
+        monkeypatch.setattr(quadrature, "_graded_nodes",
                             lambda n, order, t0: built.append(order) or real_nodes(n, order, t0))
-        monkeypatch.setattr(objective, "_outer_nodes",
+        monkeypatch.setattr(quadrature, "_outer_nodes",
                             lambda n, order, t0: outer.append((order, t0)) or real_outer(n, order, t0))
-        objective._site.cache_clear()
+        quadrature._site.cache_clear()
         solver._g_p_numeric.cache_clear()
         res = g_p(BallContext(4, 3.0), 0.5)
         # Phi at a* read the site of the solve's last F; the order-256 Phi of
@@ -351,9 +351,9 @@ class TestSharedSite:
         assert built == [128] * 8 and len(outer) == 1
 
     def test_one_site_pass_sums_every_kernel_weighted_integral(self):
-        # F, its slope, Phi, the doubled-order Phi and the certificates' data
-        # reach the panel sums only through _site_sums; integrands of t alone
-        # through integrate_with_breakpoint
+        # F, its slope, Phi, the doubled-order Phi, the certificates' data and
+        # integrands of t alone reach the panel sums and side totals only
+        # through the one summation function, _site_sums
         targets = {quadrature._panel_sums.__code__, quadrature._side_total.__code__}
         callers = set()
 
@@ -364,7 +364,7 @@ class TestSharedSite:
                     caller = caller.f_back
                 callers.add(caller.f_code)
 
-        objective._site.cache_clear()
+        quadrature._site.cache_clear()
         solver._g_p_numeric.cache_clear()
         ctx = BallContext(4, 3.0)
         sys.setprofile(profile)
@@ -378,5 +378,4 @@ class TestSharedSite:
         finally:
             sys.setprofile(None)
         assert integral == pytest.approx(1.0 / 4.0, rel=1e-14)  # the mean of t^2 on S^3
-        assert callers == {objective._site_sums.__code__,
-                           quadrature.integrate_with_breakpoint.__code__}
+        assert callers == {quadrature._site_sums.__code__}

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hypschwarz import objective, quadrature
+from hypschwarz import quadrature
 from hypschwarz.errors import CapUnderflowError, DomainError
-from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
+from hypschwarz.kernel import BallContext, _split_point, kernel_range, poisson_szego_axis
 from hypschwarz.quadrature import (
     _PANELS,
     _graded_nodes,
@@ -236,6 +236,15 @@ class TestBreakpointRule:
             assert stacked.shape == (2, 2)
             assert stacked.ravel().tolist() == separate
 
+    def test_integrands_of_t_take_no_site(self):
+        # the two site slots keep the kernel's sites: Phi(a*) reads the one
+        # of the solve's last F, which an integral of t alone must not evict
+        quadrature._site(4, 0.5, 128, 0.3)
+        before = quadrature._site.cache_info()
+        for f, t0 in ((np.abs, 0.0), (np.exp, 1.0), (lambda t: 2.0, -0.4)):
+            integrate_with_breakpoint(4, 128, f, t0)
+        assert quadrature._site.cache_info() == before
+
     def test_stack_must_end_in_the_node_shape(self):
         for shape in (lambda t: (3, *t.shape[1:]), lambda t: (*t.shape, 2), lambda t: (3, 7)):
             with pytest.raises(DomainError, match="shape"):
@@ -291,7 +300,7 @@ class TestGradedLayout:
                         return np.stack([part for q in exponents for part in (
                             np.copysign(size ** (q - 1.0), dev), size ** (q - 1.0), size ** q)])
 
-                    t0 = crossing_point(ctx, r, a)
+                    t0 = _split_point(ctx.n, r, math.log(a))
                     value = integrate_with_breakpoint(n, 2048, sums, t0).reshape(4, 3)
                     with monkeypatch.context() as patch:
                         patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)
@@ -309,7 +318,7 @@ class TestGradedLayout:
                 with monkeypatch.context() as patch:
                     patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)
                     ref = phi(ObjectiveParams(ctx, r, 2048), result.a_star)
-                    objective._site.cache_clear()  # its site has the reference layout
+                    quadrature._site.cache_clear()  # its site has the reference layout
                 assert abs(result.g_value - ref) <= 1e-13 * ref, (p, r)
 
 

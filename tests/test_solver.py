@@ -5,7 +5,7 @@ import pytest
 
 from hypschwarz.errors import DomainError, NonConvergenceError
 from hypschwarz import solver
-from hypschwarz.kernel import BallContext, crossing_point, kernel_range, poisson_szego_axis
+from hypschwarz.kernel import BallContext, _split_point, kernel_range, poisson_szego_axis
 from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
 from hypschwarz.quadrature import integrate_with_breakpoint
 from hypschwarz.solver import (
@@ -30,6 +30,11 @@ def anchored_log_start(ctx, r):
     kmin, kmax = kernel_range(ctx, r)
     l_inf = (ctx.n - 1) * (math.log1p(-r * r) - math.log1p(r * r))
     return 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * math.log(0.5 * (kmin + kmax)))
+
+
+def guessed(ctx, r, guess):
+    """a* from a solve started at the shift ``guess``, with the least first step."""
+    return math.exp(solver._solve(ctx, r, 128, math.log(guess), 0.0))
 
 
 def log_range(n, r):
@@ -78,7 +83,7 @@ class TestSolveAStar:
                     scale = integrate_with_breakpoint(
                         n, 128,
                         lambda t: np.abs(poisson_szego_axis(ctx, r, t) - a) ** (ctx.q - 1.0),
-                        crossing_point(ctx, r, a),
+                        _split_point(ctx.n, r, math.log(a)),
                     )
                     assert abs(big_f(ObjectiveParams(ctx, r), a)) <= 1e-10 * scale, (n, p, r)
 
@@ -107,7 +112,7 @@ class TestSolveAStar:
         # (ROADMAP open item 1), which moves the computed root to 0.989
         ctx = BallContext(30, 2.0)
         a_star = solve_a_star(ctx, 0.9705)
-        assert a_star == pytest.approx(solve_a_star(ctx, 0.9705, guess=1.0), rel=1e-12)
+        assert a_star == pytest.approx(guessed(ctx, 0.9705, 1.0), rel=1e-12)
         assert abs(a_star - 1.0) < 0.02
         # an F that never changes sign is refused next to the end it walks to
         real = solver._f_and_slope
@@ -117,7 +122,7 @@ class TestSolveAStar:
         end = float(str(refused.value).rsplit(" = ", 1)[1])
         assert end == pytest.approx(log_range(4, 0.5), rel=1e-15)
         with pytest.raises(DomainError, match="no sign change"):
-            solve_a_star(BallContext(4, 3.0), 0.5, guess=2.0)
+            guessed(BallContext(4, 3.0), 0.5, 2.0)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_ITER", 2)
@@ -139,14 +144,11 @@ class TestSolveAStar:
             ctx = BallContext(n, p)
             a_star = solve_a_star(ctx, r)
             calls.clear()
-            assert solve_a_star(ctx, r, guess=a_star) == pytest.approx(a_star, rel=1e-12)
+            assert guessed(ctx, r, a_star) == pytest.approx(a_star, rel=1e-12)
             assert len(calls) <= 6, (n, p, r)
             # a guess past a range end is clamped into it and still finds the root
             for guess in (1e-300, 1e300):
-                assert solve_a_star(ctx, r, guess=guess) == pytest.approx(a_star, rel=1e-12)
-        for guess in (0.0, -1.0, math.nan, math.inf, "1"):
-            with pytest.raises(DomainError, match="guess"):
-                solve_a_star(BallContext(4, 3.0), 0.5, guess=guess)
+                assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12)
 
     def test_cold_solve_leaves_range_ends_alone(self, monkeypatch):
         # a solve without a guess starts at the anchored shift and never
@@ -256,13 +258,30 @@ class TestDomainGrid:
     def test_small_radius_slope_is_the_gradient_constant(self, n, p):
         # G_p(r) = C_p r (1 + O(r^2)).  K - a cancelled here: at (3, 3) G was
         # 7e-5 off C_p r at r = 1e-12, twice it at 1e-15 and refused at 1e-18.
-        # At the subnormal r = 1e-310 Phi's scale 1/max|d| overflowed
+        # At the subnormal r = 1e-310 Phi's scale 1/max|d| overflowed.  Below
+        # it the solve's tolerance 2^-44 2l underflowed to 0 (no root resolved
+        # at (3, 3, 1e-315)), and est_error read 0 where G is an ulp coarse
         ctx = BallContext(n, p)
         c_p = grad_constant(ctx)
-        for r in (1e-8, 1e-12, 1e-15, 1e-50, 1e-300, 1e-310):
+        for r in (1e-8, 1e-12, 1e-15, 1e-50, 1e-300, 1e-310, 1e-315, 1e-320, 5e-324):
             res = g_p(ctx, r)
+            assert res.est_error >= math.ulp(res.g_value), (n, p, r)
             assert abs(res.g_value - c_p * r) <= max(10.0 * res.est_error, 1e-14 * res.g_value), (
                 n, p, r)
+
+    def test_subnormal_radii_answer_within_est_error(self):
+        # below the smallest normal double r^2 is 0 and G = C_p r; the rounding
+        # of log K's argument to the subnormal spacing, times n - 1, is the
+        # error floor (G is 13 ulps off at (100, 3, 5e-324), est_error 99 ulps)
+        for n in (3, 5, 10, 100):
+            for p in (1.1, 3.0, 10.0, 1e6):
+                ctx = BallContext(n, p)
+                c_p = grad_constant(ctx)
+                for r in (1e-308, 1e-310, 1e-315, 1e-320, 5e-324):
+                    res = g_p(ctx, r)
+                    assert res.est_error >= math.ulp(res.g_value), (n, p, r)
+                    assert abs(res.g_value - c_p * r) <= max(10.0 * res.est_error, math.ulp(res.g_value)), (
+                        n, p, r)
 
 
 class TestGpCurve:
@@ -302,7 +321,7 @@ class TestGpCurve:
         for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
             monkeypatch.setattr(solver, "_f_and_slope", lambda *args: (real(*args)[0], bad))
             for guess in (a_star * 0.99, a_star * 1.01):
-                assert solve_a_star(ctx, r, guess=guess) == pytest.approx(a_star, rel=1e-12)
+                assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12)
 
     def test_p2_sweep_solves_each_radius_cold(self, monkeypatch):
         # at p = 2, F(a) = 1 - a and the cold start a = 1 is the root; a guess

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from hypschwarz import objective, quadrature, solver, verify
+from hypschwarz import quadrature, solver, verify
 from hypschwarz.errors import CapUnderflowError, DomainError
-from hypschwarz.kernel import BallContext, crossing_point
+from hypschwarz.kernel import BallContext, _split_point
 from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
 from conftest import count_f_evals, mp_kernel, mp_zonal
 from hypschwarz.verify import (
@@ -39,10 +39,10 @@ def poly_data(n, coeffs):
 def site_builds(monkeypatch):
     """Split points of the node sets built from now on (the site cache emptied)."""
     built = []
-    real = objective._graded_nodes
-    monkeypatch.setattr(objective, "_graded_nodes",
+    real = quadrature._graded_nodes
+    monkeypatch.setattr(quadrature, "_graded_nodes",
                         lambda n, order, t0: built.append(t0) or real(n, order, t0))
-    objective._site.cache_clear()
+    quadrature._site.cache_clear()
     return built
 
 
@@ -66,17 +66,17 @@ class TestZonalBoundaryFunction:
 
 
 class TestPoissonIntegral:
-    """Kernel-weighted integrals on a site of the objective."""
+    """Kernel-weighted integrals on a site of the quadrature."""
 
     def test_constant_extends_to_itself(self):
         for r in (0.0, 0.3, 0.9):
-            u = objective._site_integral(4, r, 256, 1.0, lambda kernel, _: kernel)
+            u, = quadrature._site_integral(4, r, 256, 1.0, lambda log_kernel, _: np.exp(log_kernel))
             assert u == pytest.approx(1.0, abs=1e-10)
 
     def test_sign_data_matches_equator_split(self):
         # the extension of sign(t) on the axis is the harmonic-measure gap
         for r in (0.2, 0.5, 0.8):
-            u = objective._site_integral(3, r, 128, 0.0, lambda kernel, t: kernel * np.sign(t))
+            u, = quadrature._site_integral(3, r, 128, 0.0, lambda log_kernel, t: np.exp(log_kernel) * np.sign(t))
             assert u == pytest.approx(uh_elementary(3, r), rel=1e-8)
 
 
@@ -91,7 +91,7 @@ class TestExtremalPhi:
         built = site_builds(monkeypatch)
         report = verify_sharpness(ctx, 0.5)
         assert abs(report.u_at_zero) <= 1e-9
-        assert built == [crossing_point(ctx, 0.5, a_star)]
+        assert built == [_split_point(ctx.n, 0.5, math.log(a_star))]
 
     def test_rejects_degenerate_sites(self, monkeypatch):
         # p = 1 has no extremal: its certificate is the cap pair and builds no site
@@ -208,7 +208,7 @@ class TestSharpness:
 
         monkeypatch.setattr(quadrature, "sum", neumaier_sum, raising=False)
         solver._g_p_numeric.cache_clear()
-        objective._site.cache_clear()
+        quadrature._site.cache_clear()
         report = verify_sharpness(BallContext(3, 3.0), 0.2)
         fields = (report.g_bound, report.attained, report.u_at_zero, report.rel_gap)
         assert tuple(value.hex() for value in fields) == (
@@ -400,8 +400,8 @@ class TestRandomChecks:
         for seed in range(40):
             n = (3, 4, 5, 10)[seed % 4]
             ctx = BallContext(n, math.inf)
-            moments = objective._site_integral(
-                n, r, 128, 1.0, lambda kernel, t: np.cumprod([kernel] + [t] * 8, axis=0))
+            moments = quadrature._site_integral(
+                n, r, 128, 1.0, lambda log_kernel, t: np.cumprod([np.exp(log_kernel)] + [t] * 8, axis=0))
             scales = (solver.g_inf_closed(n, r)[1], grad_constant(ctx))
             rule, coeffs, means, values = verify._random_poly_draws(n, 1000, seed, 128)
             sups = verify._poly_sups(verify._centered(coeffs, means))
