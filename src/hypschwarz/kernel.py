@@ -72,6 +72,8 @@ def poisson_szego_axis(ctx: BallContext, r: float, t):
 def _log_kernel(n: int, r: float, t: np.ndarray) -> np.ndarray:
     """log K(r, t) at a radius in [0, 1) and an array t of values in [-1, 1],
     unchecked: the nodes of a quadrature rule are cosines and need no check."""
+    if r < sys.float_info.min:  # r^2 is 0: log K = 2 (n - 1) r t, rounded after the factor
+        return (2.0 * (n - 1) * r) * t
     return (n - 1) * (math.log1p(-r * r) - np.log1p(r * r - 2.0 * r * t))
 
 

@@ -54,12 +54,13 @@ class GpResult:
     g_value: float
     method: str
     est_error: float
+    log_a_star: float  # the s of G: the solve's own, unrounded, or a closed form's
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise DomainError(f"unknown method tag {self.method!r}")
-        if not self.a_star > 0.0:
-            raise DomainError(f"optimal shift must be positive, got {self.a_star!r}")
+        if not (self.a_star > 0.0 and math.isfinite(self.log_a_star)):
+            raise DomainError(f"need a* > 0 and a finite log a*, got {self.a_star!r}, {self.log_a_star!r}")
         if self.g_value < 0.0 or self.est_error < 0.0:
             raise DomainError("bound value and error estimate must be nonnegative")
 
@@ -101,8 +102,7 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     tol = max(_LOG_A_TOL * min(1.0, 2.0 * ell), math.ulp(ell))
     if start is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
         x = 1.0 / ctx.p
-        l_inf = (ctx.n - 1) * (math.log1p(-r * r) - math.log1p(r * r))
-        l_one = ell + math.log1p(0.5 * math.expm1(-2.0 * ell))  # log cosh l: the range's midpoint
+        l_inf, l_one = _closed_log_a(ctx.n, r, math.inf), _closed_log_a(ctx.n, r, 1.0)
         s = 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * l_one)
         width = max(_COLD_SHARE * abs(s), _COLD_STEP)
     else:
@@ -145,6 +145,14 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
                  + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)) if iqi else 0.5
         s = min(max(a + t * (b - a), min(a, b) + 0.5 * tol), max(a, b) - 0.5 * tol)
     raise NonConvergenceError(f"no root resolved after {_MAX_ITER} iterations at r={r}, q={ctx.q}")
+
+
+def _closed_log_a(n: int, r: float, p: float) -> float:
+    """log a* at p = 1, log cosh l (the midpoint of log K's range [-l, l]), or at p = inf."""
+    if p == 1.0:
+        ell = _log_range(n, r)
+        return ell + math.log1p(0.5 * math.expm1(-2.0 * ell))
+    return (n - 1) * (math.log1p(-r * r) - math.log1p(r * r))
 
 
 def g_1_closed(n: int, r: float) -> tuple[float, float]:
@@ -259,12 +267,9 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     inner panel sums of Phi(a*), which gives the bits of a full evaluation.
     """
     r = check_radius(r)
-    if ctx.p == 1.0:
-        a_star, g_val = g_1_closed(ctx.n, r)
-        return GpResult(ctx, r, a_star, g_val, "closed_p1", 0.0)
-    if ctx.p == math.inf:
-        a_star, g_val = g_inf_closed(ctx.n, r)
-        return GpResult(ctx, r, a_star, g_val, "closed_pinf", 0.0)
+    if ctx.p in (1.0, math.inf):
+        closed, method = (g_1_closed, "closed_p1") if ctx.p == 1.0 else (g_inf_closed, "closed_pinf")
+        return GpResult(ctx, r, *closed(ctx.n, r), method, 0.0, _closed_log_a(ctx.n, r, ctx.p))
     return _g_p_numeric(ctx, r, order)
 
 
@@ -277,7 +282,7 @@ def _numeric_result(ctx: BallContext, r: float, order: int, s: float) -> GpResul
     """G_p = Phi(a*) and its est_error, for a numerically solved s = log a*;
     only the reported a* is rounded to e^s."""
     if r == 0.0:
-        return GpResult(ctx, r, 1.0, 0.0, "numeric", 0.0)
+        return GpResult(ctx, r, 1.0, 0.0, "numeric", 0.0, 0.0)
     params = ObjectiveParams(ctx, r, order)
     if ctx.p == 2.0:
         g_val = _phi_and_refined(params, s, 0)[0]
@@ -290,10 +295,9 @@ def _numeric_result(ctx: BallContext, r: float, order: int, s: float) -> GpResul
         g_val, refined = _phi_and_refined(params, s, 2 * max(order, 8 * _PANEL_NODES))
         est = abs(g_val - refined)
     # Order doubling cannot see the rounding both orders share: an ulp for
-    # each panel sum, and at subnormal r the rounding of log K's argument
-    # r^2 - 2rt to the spacing 2^-1074, times n - 1, which moves G by as much.
+    # each panel sum, and at subnormal r n - 1 spacings 2^-1074 of log K.
     floor = max(_ROUNDING_FLOOR * g_val, (ctx.n - 1) * math.ulp(0.0))
-    return GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, floor))
+    return GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, floor), s)
 
 
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:

@@ -4,9 +4,10 @@ gradient-corollary comparison.
 
 All boundary data are zonal (functions of the axis coordinate t alone), so
 their extensions at axis points and the gradient at the origin reduce to
-one-dimensional integrals.  Kernel-weighted ones are summed on a site of
-``quadrature``: the sharpness data on the site of a*, the random draws'
-kernel moments on the site split at the pole.  The draws are polynomials of
+one-dimensional integrals.  Kernel-weighted ones sum K - 1 = expm1(log K),
+so they read u(r axis) - u(0), on a site of ``quadrature``: the sharpness
+data on the site of the solve's own s = log a*, the random draws' kernel
+moments on the site split at the pole.  The draws are polynomials of
 degree <= 8, with means, norms and gradient moment on a Gauss-Jacobi rule.
 
 Every pass/fail decision of a certificate is made here, against the limits
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernel import BallContext, _split_point, check_radius, poisson_szego_axis
+from .kernel import BallContext, _log_kernel, _log_range, _split_point, check_radius
 from .quadrature import DEFAULT_ORDER, _site_integral, build_rule, cap_rule, integrate_with_breakpoint
 from .solver import GpResult, g_1_closed, g_p, grad_constant
 from .special import check_integer
@@ -49,7 +50,7 @@ _POWER_SUM_MIN = 2.0 ** -970
 
 @dataclass(frozen=True)
 class SharpnessReport:
-    """Attained value vs claimed bound for one (ctx, r)."""
+    """Attained value u(r axis) - u(0) vs claimed bound for one (ctx, r)."""
 
     ctx: BallContext
     r: float
@@ -66,13 +67,15 @@ class SharpnessReport:
 
 
 def verify_sharpness(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> SharpnessReport:
-    """Compare u(r axis) of the extremal data with G_p * ||phi||_p.
+    """Compare u(r axis) - u(0) of the extremal data with G_p * ||phi||_p.
 
     For p in (1, inf] the data is phi = sign(K - a*) |K - a*|^(q-1) (the
     exponent q/p is q - 1; at p = inf phi is the bare sign, of norm 1).  Its
-    mean, u(r axis) = integral K phi dsigma and integral |phi|^p dsigma are
-    one stacked panel sum on the site of a*, split where K crosses a*, and
-    the relative gap is pure quadrature error.  For p = 1
+    mean u(0), u(r axis) - u(0) = integral (K - 1) phi dsigma and integral
+    |phi|^p dsigma are one stacked panel sum on the site of the result's own
+    s = log a*, on d = expm1(log K - s) / min(l, 1), whose powers keep their
+    digits at small r (log K ranges over [-l, l]); the gap is taken at that
+    scale and is pure quadrature error.  For p = 1
     the comparison uses the cap-pair minimizing sequence at index
     i = max(64, ceil(4 n / (1 - r))), whose gap is the genuine (slow)
     convergence deficit of that sequence.  The cap's chord radius 1/i must be
@@ -90,21 +93,20 @@ def _sharpness(result: GpResult, order: int) -> SharpnessReport:
     if r == 0.0:
         raise DomainError("sharpness is certified for r in (0, 1)")
     if ctx.p == 1.0:  # g_value is g_1_closed's
-        index = max(64, math.ceil(4 * ctx.n / (1.0 - r)))
-        attained = minimizing_sequence_p1(ctx.n, r, index)
+        attained = minimizing_sequence_p1(ctx.n, r, max(64, math.ceil(4 * ctx.n / (1.0 - r))))
         return SharpnessReport(ctx, r, g_value, attained, 0.0, abs(g_value - attained) / g_value)
-    a_star, expo = result.a_star, ctx.q - 1.0
+    s, expo, size = result.log_a_star, ctx.q - 1.0, min(_log_range(ctx.n, r), 1.0)
 
     def sums(log_kernel, _):
-        kernel = np.exp(log_kernel)
-        dev = kernel - a_star
+        dev = np.expm1(log_kernel - s) / size
         data = np.sign(dev) * np.abs(dev) ** expo
-        return np.stack([data, kernel * data, np.abs(data) ** ctx.p])
+        return np.stack([data, np.expm1(log_kernel) * data, np.abs(data) ** ctx.p])
 
-    mean, attained, power = _site_integral(ctx.n, r, order, _split_point(ctx.n, r, math.log(a_star)), sums)
+    mean, attained, power = _site_integral(ctx.n, r, order, _split_point(ctx.n, r, s), sums)
     bound = g_value * power ** (1.0 / ctx.p)  # the norm is 1 at p = inf
     gap = abs(bound - attained) / max(bound, 2.0 ** -1022)
-    return SharpnessReport(ctx, r, bound, attained, mean, gap)
+    scale = math.exp(expo * (s + math.log(size)))  # phi = scale sign(d/size) |d/size|^(q-1)
+    return SharpnessReport(ctx, r, scale * bound, scale * attained, scale * mean, gap)
 
 
 def _gradient_extremal_ratio(ctx: BallContext, order: int = DEFAULT_ORDER) -> float:
@@ -304,9 +306,9 @@ def random_bound_check(
 
     Tests |u(r axis)| <= G_p(r) ||g||_p * (1 + BOUND_SLACK) over ``count``
     draws.  Degenerate draws with ||g||_p = 0 count as ratio 0.  A draw's
-    u(r axis) = integral K (g - mean) dsigma comes from the kernel moments
-    M_k = integral K t^k dsigma, k = 0..8: one stacked sum of K, K t, ...,
-    K t^8 on the site split at the pole t = 1, where K peaks.
+    u(r axis) - u(0) = integral (K - 1) (g - mean) dsigma comes from the
+    moments M_k = integral (K - 1) t^k dsigma, k = 0..8, of K - 1 = expm1(log K):
+    one stacked sum on the site split at the pole t = 1, where K peaks.
     """
     return _bound_checker(ctx, count, seed, order)(g_p(ctx, r, order))
 
@@ -321,7 +323,7 @@ def _bound_checker(ctx: BallContext, count: int, seed: int, order: int):
 
     def report(bound: GpResult) -> RandomBoundReport:
         moments = _site_integral(ctx.n, bound.r, order, 1.0, lambda log_kernel, t: np.cumprod(
-            [np.exp(log_kernel)] + [t] * 8, axis=0))
+            [np.expm1(log_kernel)] + [t] * 8, axis=0))
         lhs = np.abs(coeffs @ moments - means * moments[0])
         return RandomBoundReport(count, seed, *check(lhs, bound.g_value))
 
@@ -354,14 +356,12 @@ def minimizing_sequence_p1(n: int, r: float, index: int) -> float:
     """
     r = check_radius(r)
     check_integer(index, 1, "sequence index")
-    ctx = BallContext(n, 1.0)
     # indices past ~1e8 collapse the cap to zero width in doubles; clamping
     # keeps the square finite so they fail as CapUnderflowError, not overflow
     t_edge = 1.0 - 1.0 / (2.0 * min(float(index), 1e150) ** 2)
     nodes, weights = cap_rule(n, t_edge)
     sigma = float(np.sum(weights))
-    plus = float(np.dot(weights, poisson_szego_axis(ctx, r, nodes)))
-    minus = float(np.dot(weights, poisson_szego_axis(ctx, r, -nodes)))
+    plus, minus = (float(np.dot(weights, np.expm1(_log_kernel(n, r, t)))) for t in (nodes, -nodes))
     return (plus - minus) / (2.0 * sigma)
 
 

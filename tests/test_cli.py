@@ -72,22 +72,23 @@ r,u_h
   {"n": 3, "p": "inf", "c_p": 1.9999999999999996}
 ]
 """,
+    # u_i within 1.2 ulps of its exact value, the n = 3 cap integrals of K in closed form at 30 digits
     "verify-capseq --n 3 --r 0.5 --i-max 64": """\
 i,u_i,g1_closed,rel_gap
-2,2.9411764705882359,4.4444444444444446,0.33823529411764697
+2,2.9411764705882355,4.4444444444444446,0.33823529411764702
 4,3.9436619718309864,4.4444444444444446,0.11267605633802809
-8,4.3078872347165023,4.4444444444444446,0.030725372188787035
+8,4.3078872347165031,4.4444444444444446,0.030725372188786834
 16,4.4095124563069525,4.4444444444444446,0.0078596973309357221
-32,4.4356604556757642,4.4444444444444446,0.0019763974729531063
+32,4.4356604556757651,4.4444444444444446,0.0019763974729529064
 64,4.4422452369341139,4.4444444444444446,0.00049482168982442067
 """,
     "verify-capseq --n 3 --r 0.5 --i-max 64 --format json": """\
 [
-  {"i": 2, "u_i": 2.9411764705882359, "g1_closed": 4.4444444444444446, "rel_gap": 0.33823529411764697},
+  {"i": 2, "u_i": 2.9411764705882355, "g1_closed": 4.4444444444444446, "rel_gap": 0.33823529411764702},
   {"i": 4, "u_i": 3.9436619718309864, "g1_closed": 4.4444444444444446, "rel_gap": 0.11267605633802809},
-  {"i": 8, "u_i": 4.3078872347165023, "g1_closed": 4.4444444444444446, "rel_gap": 0.030725372188787035},
+  {"i": 8, "u_i": 4.3078872347165031, "g1_closed": 4.4444444444444446, "rel_gap": 0.030725372188786834},
   {"i": 16, "u_i": 4.4095124563069525, "g1_closed": 4.4444444444444446, "rel_gap": 0.0078596973309357221},
-  {"i": 32, "u_i": 4.4356604556757642, "g1_closed": 4.4444444444444446, "rel_gap": 0.0019763974729531063},
+  {"i": 32, "u_i": 4.4356604556757651, "g1_closed": 4.4444444444444446, "rel_gap": 0.0019763974729529064},
   {"i": 64, "u_i": 4.4422452369341139, "g1_closed": 4.4444444444444446, "rel_gap": 0.00049482168982442067}
 ]
 """,

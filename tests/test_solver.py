@@ -270,9 +270,9 @@ class TestDomainGrid:
                 n, p, r)
 
     def test_subnormal_radii_answer_within_est_error(self):
-        # below the smallest normal double r^2 is 0 and G = C_p r; the rounding
-        # of log K's argument to the subnormal spacing, times n - 1, is the
-        # error floor (G is 13 ulps off at (100, 3, 5e-324), est_error 99 ulps)
+        # below the smallest normal double r^2 is 0 and G = C_p r; n - 1
+        # subnormal spacings of log K are the error floor (est_error 99 ulps
+        # at (100, 3, 5e-324))
         for n in (3, 5, 10, 100):
             for p in (1.1, 3.0, 10.0, 1e6):
                 ctx = BallContext(n, p)
@@ -282,6 +282,22 @@ class TestDomainGrid:
                     assert res.est_error >= math.ulp(res.g_value), (n, p, r)
                     assert abs(res.g_value - c_p * r) <= max(10.0 * res.est_error, math.ulp(res.g_value)), (
                         n, p, r)
+
+    def test_subnormal_radii_within_an_ulp_of_the_slope(self):
+        # log K = 2 (n - 1) r t is rounded after the factor n - 1; rounding 2rt
+        # to the subnormal spacing first left 18 of these points more than an
+        # ulp off C_p r (13 ulps at (100, 3, 5e-324)), with est_error floored
+        off = []
+        for n in (3, 5, 10, 100):
+            for p in (1.01, 1.1, 2.0, 3.0, 10.0, 1e6):
+                ctx = BallContext(n, p)
+                c_p = grad_constant(ctx)
+                for r in (1e-315, 1e-320, 5e-324):
+                    res = g_p(ctx, r)
+                    assert res.est_error >= (n - 1) * math.ulp(0.0), (n, p, r)
+                    if abs(res.g_value - c_p * r) > math.ulp(c_p * r):
+                        off.append((n, p, r))
+        assert off == [(10, 1.01, 1e-315), (100, 1.01, 1e-315)]
 
 
 class TestGpCurve:
@@ -512,11 +528,11 @@ class TestGpDispatch:
     def test_result_validation(self):
         ctx = BallContext(3, 2.0)
         with pytest.raises(DomainError):
-            GpResult(ctx, 0.5, 1.0, 1.0, "magic", 0.0)
+            GpResult(ctx, 0.5, 1.0, 1.0, "magic", 0.0, 0.0)
         with pytest.raises(DomainError):
-            GpResult(ctx, 0.5, 0.0, 1.0, "numeric", 0.0)
+            GpResult(ctx, 0.5, 0.0, 1.0, "numeric", 0.0, 0.0)
         with pytest.raises(DomainError):
-            GpResult(ctx, 0.5, 1.0, -1.0, "numeric", 0.0)
+            GpResult(ctx, 0.5, 1.0, -1.0, "numeric", 0.0, 0.0)
 
 
 class TestGradConstant:

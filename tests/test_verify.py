@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ from scipy.special import logsumexp
 from hypschwarz import quadrature, solver, verify
 from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, _split_point
-from hypschwarz.solver import g_1_closed, grad_constant, solve_a_star, uh_elementary
+from hypschwarz.solver import g_1_closed, grad_constant, uh_elementary
 from conftest import count_f_evals, mp_kernel, mp_zonal
 from hypschwarz.verify import (
     SHARPNESS_GAP_LIMIT,
@@ -86,12 +87,11 @@ class TestExtremalPhi:
     def test_zero_mean_and_declared_kink(self, monkeypatch):
         # the data is summed on the site of a*, split where K crosses a*
         ctx = BallContext(3, 1.5)
-        a_star = solve_a_star(ctx, 0.5)
-        solver.g_p(ctx, 0.5)
+        log_a_star = solver.g_p(ctx, 0.5).log_a_star
         built = site_builds(monkeypatch)
         report = verify_sharpness(ctx, 0.5)
         assert abs(report.u_at_zero) <= 1e-9
-        assert built == [_split_point(ctx.n, 0.5, math.log(a_star))]
+        assert built == [_split_point(ctx.n, 0.5, log_a_star)]
 
     def test_rejects_degenerate_sites(self, monkeypatch):
         # p = 1 has no extremal: its certificate is the cap pair and builds no site
@@ -148,44 +148,45 @@ class TestSharpness:
 
     # (g_bound, attained, u_at_zero, rel_gap) on the graded layout with 12
     # nodes on every inner panel, with G = Phi(a*) from the relative deviation
-    # at the solve's own log a*.  Against 30-digit mp_zonal at each row's own
-    # a* (split at the crossing and toward the pole), g_bound and attained
-    # are within 8 ulps at r = 0.2 (7 with K - a*); at r = 0.8 both forms
-    # share the order-128 rule's pole error (ROADMAP open item 1), 39 ulps to
-    # 3.8e8 ulps, and differ from each other by at most 54 ulps of it
+    # at the solve's own log a*, and attained = integral (K - 1) phi on d =
+    # expm1(log K - log a*).  Against 30-digit mp_zonal at each row's own
+    # a* = e^(log a*) (split at the crossing and toward the pole), g_bound
+    # and attained are within 5 ulps at r = 0.2 (8 with K phi and K - a*); at
+    # r = 0.8 both share the order-128 rule's pole error (ROADMAP open item
+    # 1), 28 ulps to 3.8e8 ulps, as they did with K phi and K - a*
     @pytest.mark.parametrize("n, p, r, expected", [
-        (3, 1.5, 0.2, ("0x1.4770a809ad1f6p-3", "0x1.4770a809ace15p-3",
-                       "-0x1.c83ffffffffffp-46", "0x1.842cc36b9c420p-43")),
-        (3, 1.5, 0.8, ("0x1.0eb2fe9f2ea94p+10", "0x1.0eb2fe9f2ea7bp+10",
-                       "-0x1.75fffffffffffp-40", "0x1.7a4797aeba673p-48")),
-        (3, 3.0, 0.2, ("0x1.29b654ddeca75p-2", "0x1.29b654ddecc82p-2",
-                       "0x1.17fffffffffffp-45", "0x1.c37151b1e4e8ap-44")),
-        (3, 3.0, 0.8, ("0x1.1fa0f3e81521cp+2", "0x1.1fa0f3e81521cp+2",
-                       "-0x1.7ffffffffffffp-53", "0x0.0p+0")),
-        (3, 10.0, 0.2, ("0x1.6fd65dab0f0f4p-2", "0x1.6fd65dab0f318p-2",
-                        "0x1.3cfffffffffffp-45", "0x1.7d62ccfbc0fa4p-44")),
-        (3, 10.0, 0.8, ("0x1.51c84a5af5bd2p+0", "0x1.51c84a5af5bd3p+0",
-                        "0x1.7ffffffffffffp-47", "0x1.84096c93cee23p-53")),
-        (3, math.inf, 0.2, ("0x1.89d89d89d89d5p-2", "0x1.89d89d89d89d8p-2",
-                            "0x1.7ffffffffffffp-53", "0x1.f333333333338p-52")),
-        (3, math.inf, 0.8, ("0x1.f3831f3831f33p-1", "0x1.f3831f3b5d4cbp-1",
-                            "-0x1.fffffffffffffp-54", "0x1.9fd111999999ep-32")),
-        (5, 1.5, 0.2, ("0x1.e3deba8c7a79fp-1", "0x1.e3deba8c7a591p-1",
-                       "-0x1.aac0000000004p-45", "0x1.164a23779bbb8p-44")),
-        (5, 1.5, 0.8, ("0x1.1e091fa8bdbefp+21", "0x1.1e091fa8bdbf2p+21",
-                       "0x1.da00000000005p-35", "0x1.57ad6d8fc4260p-51")),
-        (5, 3.0, 0.2, ("0x1.1c60a3c92d078p-1", "0x1.1c60a3c92d073p-1",
-                       "-0x1.2000000000003p-53", "0x1.20115b366a908p-50")),
-        (5, 3.0, 0.8, ("0x1.8b352d37dcbaap+4", "0x1.8b352d37dcba4p+4",
-                       "-0x1.a100000000004p-49", "0x1.f17aebb38cab5p-51")),
-        (5, 10.0, 0.2, ("0x1.164e98d4ae284p-1", "0x1.164e98d4ae1cfp-1",
-                        "-0x1.d880000000005p-46", "0x1.4cfc1a26687d4p-45")),
-        (5, 10.0, 0.8, ("0x1.e7d1a1976f6b0p+0", "0x1.e7d1a1976f6afp+0",
-                        "-0x1.b600000000005p-48", "0x1.0cb09cc28000fp-53")),
-        (5, math.inf, 0.2, ("0x1.18d1bd9508463p-1", "0x1.18d1bd950845ep-1",
-                            "0x1.8000000000004p-53", "0x1.23b7c483b7c44p-50")),
-        (5, math.inf, 0.8, ("0x1.ff8bfdef4eb86p-1", "0x1.ff8bfc9869367p-1",
-                            "-0x1.8000000000004p-53", "0x1.573344f00214dp-25")),
+        (3, 1.5, 0.2, ("0x1.4770a809ad1f6p-3", "0x1.4770a809ad1abp-3",
+                       "-0x1.c7f8d9cd3186dp-46", "0x1.d47a185531295p-47")),
+        (3, 1.5, 0.8, ("0x1.0eb2fe9f2ea93p+10", "0x1.0eb2fe9f2ea7dp+10",
+                       "-0x1.739a7d5e4cb36p-40", "0x1.54716c110df63p-48")),
+        (3, 3.0, 0.2, ("0x1.29b654ddeca76p-2", "0x1.29b654ddeca4fp-2",
+                       "0x1.161089b64e34ap-45", "0x1.07d717804ce2ap-47")),
+        (3, 3.0, 0.8, ("0x1.1fa0f3e81521dp+2", "0x1.1fa0f3e81521cp+2",
+                       "0x0.0p+0", "0x1.a151beb956733p-53")),
+        (3, 10.0, 0.2, ("0x1.6fd65dab0f0f4p-2", "0x1.6fd65dab0f0a5p-2",
+                        "0x1.384992a666052p-45", "0x1.b75e0618ea677p-47")),
+        (3, 10.0, 0.8, ("0x1.51c84a5af5bd1p+0", "0x1.51c84a5af5ba0p+0",
+                        "0x1.7aab0833ac6b6p-47", "0x1.2a1c331650268p-47")),
+        (3, math.inf, 0.2, ("0x1.89d89d89d89d5p-2", "0x1.89d89d89d89d4p-2",
+                            "-0x1.fffffffffffffp-54", "0x1.4ccccccccccd0p-53")),
+        (3, math.inf, 0.8, ("0x1.f3831f3831f33p-1", "0x1.f3831f3b5d4cdp-1",
+                            "-0x1.fffffffffffffp-54", "0x1.9fd1220000004p-32")),
+        (5, 1.5, 0.2, ("0x1.e3deba8c7a79ep-1", "0x1.e3deba8c7a73dp-1",
+                       "-0x1.ae2000082accdp-45", "0x1.9c1278ec23091p-47")),
+        (5, 1.5, 0.8, ("0x1.1e091fa8bdbeep+21", "0x1.1e091fa8bdbf4p+21",
+                       "0x1.d81d0f71a0944p-35", "0x1.342d1ba8919ddp-50")),
+        (5, 3.0, 0.2, ("0x1.1c60a3c92d077p-1", "0x1.1c60a3c92d076p-1",
+                       "-0x1.653cc3d98f913p-55", "0x1.acc92717c8a46p-53")),
+        (5, 3.0, 0.8, ("0x1.8b352d37dcba8p+4", "0x1.8b352d37dcba7p+4",
+                       "-0x1.9d46488d06775p-49", "0x1.d70292887f072p-53")),
+        (5, 10.0, 0.2, ("0x1.164e98d4ae285p-1", "0x1.164e98d4ae2bap-1",
+                        "-0x1.db8d877df1a15p-46", "0x1.88663a7fc7803p-47")),
+        (5, 10.0, 0.8, ("0x1.e7d1a1976f6b2p+0", "0x1.e7d1a1976f6c8p+0",
+                        "-0x1.aeae649ce6b7dp-48", "0x1.6528d7a9cf2eep-49")),
+        (5, math.inf, 0.2, ("0x1.18d1bd9508463p-1", "0x1.18d1bd950845cp-1",
+                            "-0x1.8000000000004p-53", "0x1.9867acb867ac5p-50")),
+        (5, math.inf, 0.8, ("0x1.ff8bfdef4eb86p-1", "0x1.ff8bfc986936ap-1",
+                            "-0x1.8000000000004p-53", "0x1.573344bff7322p-25")),
     ])
     def test_reports_are_pinned(self, n, p, r, expected):
         report = verify_sharpness(BallContext(n, p), r)
@@ -212,8 +213,8 @@ class TestSharpness:
         report = verify_sharpness(BallContext(3, 3.0), 0.2)
         fields = (report.g_bound, report.attained, report.u_at_zero, report.rel_gap)
         assert tuple(value.hex() for value in fields) == (
-            "0x1.29b654ddeca75p-2", "0x1.29b654ddecc82p-2",
-            "0x1.17fffffffffffp-45", "0x1.c37151b1e4e8ap-44")
+            "0x1.29b654ddeca76p-2", "0x1.29b654ddeca4fp-2",
+            "0x1.161089b64e34ap-45", "0x1.07d717804ce2ap-47")
 
     def test_one_site_after_the_solve(self, monkeypatch):
         # the extremal data, its extension and its norm share one node set
@@ -242,6 +243,65 @@ class TestSharpness:
     def test_center_raises(self):
         with pytest.raises(DomainError):
             verify_sharpness(BallContext(3, 2.0), 0.0)
+
+    def test_no_site_after_the_solve(self):
+        # the certificate splits at the solve's own log a*, whose site g_p
+        # left; at (3, 3, 0.5) log(e^s) != s, and splitting there built one
+        ctx, r = BallContext(3, 3.0), 0.5
+        solver._g_p_numeric.cache_clear()
+        result = solver.g_p(ctx, r)
+        assert _split_point(3, r, math.log(result.a_star)) != _split_point(3, r, result.log_a_star)
+        misses = quadrature._site.cache_info().misses
+        verify_sharpness(ctx, r)
+        assert quadrature._site.cache_info().misses == misses
+
+    def test_result_refuses_a_non_finite_log_a_star(self):
+        result = solver.g_p(BallContext(3, 3.0), 0.5)
+        for log_a_star in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                dataclasses.replace(result, log_a_star=log_a_star)
+
+
+class TestSmallRadii:
+    """The certificates at small r.  They sum K - 1 = expm1(log K) at the
+    solve's own log a*; K - a* and K cancelled there (rel_gap 8.2e-2 at
+    (3, 3, 1e-8), 947 of 1000 draws violating at (4, 1.5, 1e-18), the p = 1
+    cap pair 0 at r = 1e-300)."""
+
+    RADII = (1e-6, 1e-10, 1e-14, 1e-16, 1e-100, 1e-300)
+
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 10.0, math.inf))
+    @pytest.mark.parametrize("n", (3, 4, 5, 10))
+    def test_extremal_data_attain_the_bound(self, n, p):
+        for r in self.RADII:
+            report = verify_sharpness(BallContext(n, p), r)
+            assert report.rel_gap <= 1e-12 and report.passed, (r, report)
+
+    def test_extremal_data_keep_their_digits(self, monkeypatch):
+        # d is divided by min(l, 1) before its powers: (2 (n - 1) r)^q
+        # underflows at r = 1e-300, where the undivided sums read 0 = 0
+        sums = []
+        real = verify._site_integral
+        monkeypatch.setattr(verify, "_site_integral", lambda *args: sums.append(real(*args)) or sums[-1])
+        for p in (1.5, 2.0, 3.0, 10.0):
+            verify_sharpness(BallContext(3, p), 1e-300)
+        assert all(attained >= 1e-301 and power >= 0.01 for _, attained, power in sums), sums
+
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 10.0, math.inf))
+    @pytest.mark.parametrize("n", (3, 4, 5, 10))
+    def test_random_draws_keep_their_ratio(self, n, p):
+        # max_ratio tends to that of the gradient bound as r -> 0
+        ctx = BallContext(n, p)
+        near = random_bound_check(ctx, 1e-6).max_ratio
+        for r in self.RADII[1:] + (1e-310,):
+            report = random_bound_check(ctx, r)
+            assert report.violations == 0 and abs(report.max_ratio - near) <= 1e-5, (r, report)
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 10))
+    def test_p1_cap_pair(self, n):
+        gaps = [verify_sharpness(BallContext(n, 1.0), r).rel_gap for r in (1e-6, 1e-16, 1e-300)]
+        assert max(gaps) <= 1e-4 and max(gaps) - min(gaps) <= 1e-7, gaps
+        assert all(cap_sequence_check(n, r).passed for r in (1e-6, 1e-16, 1e-300))
 
 
 class TestGradAtOrigin:
@@ -446,16 +506,17 @@ class TestRandomChecks:
 
     # pinned from the p-norm that took |values|^p in two fresh temporaries;
     # the in-place form is the same arithmetic, so every bit must agree.  The
-    # bound pins follow u(r axis) from the kernel moments on the graded rule:
-    # each is within 7e-15 relative of the ratio at its maximizing draw's
-    # mpmath u (Gauss-Jacobi kernel sums had it 1e-15, 3e-13 and 2e-8 off)
+    # bound pins follow u(r axis) - u(0) from the moments of K - 1 on the
+    # graded rule: each is within 7.4e-15 relative of the ratio at its
+    # maximizing draw's 30-digit mpmath u(r axis) - u(0), as the moments of K
+    # were of u(r axis) (Gauss-Jacobi kernel sums had it 1e-15, 3e-13 and 2e-8 off)
     @pytest.mark.parametrize("check, expected", [
         (lambda: random_bound_check(BallContext(4, 3.0), 0.6, count=1000, seed=3),
-         0.9889803881064779),
+         0.9889803881064776),
         (lambda: random_bound_check(BallContext(3, 2.0), 0.5, count=1000, seed=3),
-         0.9957236723259069),
+         0.9957236723259337),
         (lambda: random_bound_check(BallContext(5, 1.7), 0.9, count=1000, seed=3),
-         0.044076940782812046),
+         0.04407694078281204),
         (lambda: random_grad_check(BallContext(4, 3.0), count=1000, seed=3),
          0.994026172546964),
         (lambda: random_grad_check(BallContext(4, math.inf), count=1000, seed=3),
