@@ -15,6 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Criteria 3 and 7 build Gauss-Jacobi rules, whose first build imports
+# scipy.special and, inside roots_jacobi, scipy.linalg.  Importing both here
+# charges that cost to loading the battery, not to whichever criterion runs
+# first.
+import scipy.linalg  # noqa: F401
+import scipy.special  # noqa: F401
+
 from .kernel import BallContext, kernel_range
 from .objective import ObjectiveParams, big_f, dF_da, phi
 from .quadrature import DEFAULT_ORDER, _site_integral

@@ -50,12 +50,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# roots_jacobi imports scipy.linalg inside its first call.  Importing it here
-# keeps that cost (about 7 MB and some milliseconds) at package import, the
-# same in every process, instead of in whichever call first builds a rule.
-import scipy.linalg  # noqa: F401
-from scipy.special import roots_jacobi
-
 from .errors import CapUnderflowError, DomainError
 from .kernel import _log_kernel
 from .special import check_dimension, check_integer
@@ -84,7 +78,10 @@ def _zonal_constant(n: int) -> float:
 @lru_cache(maxsize=64)
 def _gauss_jacobi(order: int, alpha: float, beta: float):
     """Read-only nodes and weights of the ``order``-point Gauss-Jacobi rule
-    for the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
+    for the weight (1-x)^alpha (1+x)^beta on [-1, 1].  scipy is imported
+    here, by the first rule built, so that paths building none never load it."""
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(order, alpha, beta)
     x.setflags(write=False)
     w.setflags(write=False)

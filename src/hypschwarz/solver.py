@@ -12,8 +12,8 @@ closed forms:
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
   p = inf:  a* = ((1-r^2)/(1+r^2))^(n-1) and G_inf(r) is the harmonic measure
-            split along the equator, an explicit hypergeometric expression
-            with elementary forms in dimensions 3, 4, 5.
+            split along the equator, a hypergeometric expression summed by
+            a positive recurrence, with elementary forms in dimensions 3, 4, 5.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.special import hyp2f1
 
 from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
@@ -203,18 +201,23 @@ def g_inf_closed(n: int, r: float) -> tuple[float, float]:
     a* = ((1-r^2)/(1+r^2))^(n-1) is the kernel value on the equator, and
 
       G_inf(r) = 2^n r (1-r^2)^(n-1) Gamma(n/2)^2
-                 / (pi (1+r^2)^n Gamma(n-1)) * 2F1(1, n/2; 3/2; w),
-      w = (2r/(1+r^2))^2.
+                 / (pi (1+r^2)^n Gamma(n-1)) * 2F1(1, n/2; 3/2; y^2),
+      y = 2r/(1+r^2).
 
-    The Euler transform's factor (1-w)^((1-n)/2) cancels the (1-r^2) powers,
-    which leaves the form evaluated here,
+    The Euler transform's factor (1-y^2)^((1-n)/2) cancels the (1-r^2)
+    powers, and 2F1(1/2, (3-n)/2; 3/2; y^2) = I_{n-3} / y with
+    I_m = integral from 0 to y of (1-x^2)^(m/2) dx, which leaves
 
-      G_inf(r) = 2^n r Gamma(n/2)^2 / (pi (1+r^2) Gamma(n-1))
-                 * 2F1(1/2, (3-n)/2; 3/2; w),
+      G_inf(r) = 2^n r Gamma(n/2)^2 / (pi (1+r^2) Gamma(n-1)) * I_{n-3} / y.
 
-    free of any 1 - w (the series terminates for odd n).  Measured against a
-    60-digit mpmath evaluation of the first form at every n in [3, 100] and
-    29 radii in [0.01, 0.999], the relative error is at most 1.4e-13.
+    Integration by parts gives I_m = (y c^m + m I_{m-2}) / (m+1) with
+    c = (1-r^2)/(1+r^2), from I_0 = y (odd n) or I_{-1} = asin y = 2 atan r
+    (even n, without asin's loss of digits as y -> 1); every term is
+    positive.  The prefactor's exponential multiplies I / y, not I, so
+    nothing underflows at small r.  Against mpmath at n in 3..30, 40, 50,
+    64, 80, 100 and 13 radii from 1e-300 to 0.999 the relative error is at
+    most 1.1e-13, the rounding of exp of a prefactor log near -690; against
+    ``uh_elementary`` at n = 3, 4, 5 it is at most 1.8e-15.
     Raises DomainError once a* drops below the smallest normal double.
     """
     check_radius(r)
@@ -227,7 +230,12 @@ def g_inf_closed(n: int, r: float) -> tuple[float, float]:
         )
     if r == 0.0:
         return a_star, 0.0
-    w = (2.0 * r / (1.0 + r * r)) ** 2
+    y = 2.0 * r / (1.0 + r * r)
+    c = (1.0 - r) * (1.0 + r) / (1.0 + r * r)
+    m, integral = (0, y) if n % 2 else (-1, 2.0 * math.atan(r))  # I_0 or I_-1
+    while m < n - 3:
+        m += 2
+        integral = (y * c ** m + m * integral) / (m + 1)
     log_pref = (
         n * math.log(2.0)
         + math.log(r)
@@ -236,7 +244,7 @@ def g_inf_closed(n: int, r: float) -> tuple[float, float]:
         - math.log1p(r * r)
         - math.lgamma(n - 1.0)
     )
-    return a_star, math.exp(log_pref) * float(hyp2f1(0.5, (3.0 - n) / 2.0, 1.5, w))
+    return a_star, math.exp(log_pref) * (integral / y)
 
 
 def uh_elementary(n: int, r: float) -> float:

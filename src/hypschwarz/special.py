@@ -1,7 +1,8 @@
 """Absolute moments of one coordinate on the unit sphere; integer argument checks.
 
-Log-gamma comes from ``math.lgamma``; the Gauss hypergeometric function used
-by the closed forms is ``scipy.special.hyp2f1``, called from ``solver``.
+Log-gamma comes from ``math.lgamma``.  The closed forms in ``solver`` sum
+their Gauss hypergeometric functions themselves: a terminating series for
+G_2 and a positive recurrence for G_inf.
 """
 
 from __future__ import annotations

@@ -63,9 +63,10 @@ r,a_star,g_value,method,est_error
   {"r": 0.5, "a_star": 0.35999999999999999, "f_residual": 0}
 ]
 """,
+    # G_inf(4, 0.5) = 0.895911961338172141 at 30 digits
     "uh --n 4 --r 0.5": """\
 r,u_h
-0.5,0.89591196133817241
+0.5,0.8959119613381723
 """,
     "grad --n 3 --p inf --format json": """\
 [
@@ -471,6 +472,41 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,p,c_p\n")
+
+
+# The cold path: every closed form and quadrature rule that g_p, g_p_curve,
+# gp, astar and uh use is built without scipy; only the battery loads it.
+_COLD_PATH = """
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+import hypschwarz
+from hypschwarz import BallContext, cli, g_p, g_p_curve
+
+for p in (1.0, 1.5, 2.0, 3.0, float("inf")):
+    g_p(BallContext(4, p), 0.5)
+g_p_curve(BallContext(3, 3.0), [0.1, 0.5, 0.9])
+with redirect_stdout(StringIO()):
+    for argv in (["gp", "--n", "4", "--p", "3", "--r", "0.5"],
+                 ["astar", "--n", "4", "--p", "3", "--r", "0.5"],
+                 ["uh", "--n", "4", "--r", "0.5"]):
+        assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+import hypschwarz.acceptance
+print("scipy.special" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_cold_path_loads_no_scipy():
+    package_root = str(Path(hypschwarz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 def _readme_block(heading, language):

@@ -5,15 +5,16 @@ import pytest
 
 from hypschwarz.errors import DomainError
 from hypschwarz.kernel import BallContext
-from hypschwarz.solver import g_2_closed, g_inf_closed
+from hypschwarz.solver import g_2_closed, g_inf_closed, uh_elementary
 from hypschwarz.special import alpha_q
 from hypschwarz.quadrature import build_rule, cap_rule, integrate_with_breakpoint
 from conftest import mp_g_2, mp_g_inf
 
 
 class TestGauss2F1:
-    """The hypergeometric factors of the closed forms, checked through
-    g_2_closed and g_inf_closed against mpmath."""
+    """The closed forms, whose defining Gauss hypergeometric functions the
+    package sums as a terminating series (g_2_closed) and a positive
+    recurrence (g_inf_closed), checked against mpmath's 2F1."""
 
     def test_against_mpmath_second_moment_sites(self):
         pytest.importorskip("mpmath")
@@ -52,6 +53,18 @@ class TestGauss2F1:
         for n in (3, 4, 5, 10, 30, 100):
             for r in (1e-3, 1e-6, 1e-9, 1e-15):
                 assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r, dps=80), rel=1e-15), (n, r)
+
+    def test_g_inf_at_small_radii(self):
+        pytest.importorskip("mpmath")
+        for n in (3, 4, 5, 10, 30, 100):
+            for r in (1e-3, 1e-6, 1e-9, 1e-15, 1e-300):
+                dps = 40 + round(-math.log10(r))
+                assert g_inf_closed(n, r)[1] == pytest.approx(mp_g_inf(n, r, dps=dps), rel=2e-13, abs=0.0), (n, r)
+
+    def test_g_inf_against_elementary_forms(self):
+        for n in (3, 4, 5):
+            for r in np.linspace(0.001, 0.999, 999):
+                assert g_inf_closed(n, r)[1] == pytest.approx(uh_elementary(n, r), rel=1e-14, abs=0.0), (n, r)
 
     def test_g_2_refuses_past_double_range(self):
         with pytest.raises(DomainError, match="G_2"):
