@@ -39,7 +39,12 @@ value, or a total past double range, is refused with DomainError.
 
 ``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights
 scaled by c_n) of the random polynomial draws in ``verify``, exact for their
-means and gradient moment; no kernel is summed on them.
+means and gradient moment; no kernel is summed on them.  A Gauss-Jacobi
+rule, this or the polar cap's, whose nodes are not finite and strictly
+increasing inside (-1, 1) or whose weights are not finite and positive is
+refused with DomainError.  scipy returns NaN throughout from the first n at
+which binom(order + n - 3, order), a factor of its Gegenbauer evaluation,
+overflows: n = 1406 at order 256, 521 at order 512.
 """
 
 from __future__ import annotations
@@ -79,10 +84,17 @@ def _zonal_constant(n: int) -> float:
 def _gauss_jacobi(order: int, alpha: float, beta: float):
     """Read-only nodes and weights of the ``order``-point Gauss-Jacobi rule
     for the weight (1-x)^alpha (1+x)^beta on [-1, 1].  scipy is imported
-    here, by the first rule built, so that paths building none never load it."""
+    here, by the first rule built, so that paths building none never load it.
+    A rule scipy returns as NaN is refused with DomainError, without scipy's
+    warnings."""
     from scipy.special import roots_jacobi
 
-    x, w = roots_jacobi(order, alpha, beta)
+    with np.errstate(all="ignore"):
+        x, w = roots_jacobi(order, alpha, beta)
+    nodes_ok = -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
+    if not (nodes_ok and np.all((w > 0.0) & (w < np.inf))):
+        raise DomainError(f"the Gauss-Jacobi rule of order {order} with exponents ({alpha}, {beta}) "
+                          "has non-finite or misplaced nodes or weights in double precision")
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -20,11 +20,11 @@ def test_conjugate_exponent():
     assert conjugate_exponent(1.0) == math.inf
     assert conjugate_exponent(math.inf) == 1.0
     assert conjugate_exponent(2.0) == 2.0
-    assert conjugate_exponent(4.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert conjugate_exponent(4.0) == pytest.approx(4.0 / 3.0, rel=1e-15, abs=0)
 
 
 def test_context_derives_conjugate():
-    assert BallContext(3, 1.5).q == pytest.approx(3.0, rel=1e-15)
+    assert BallContext(3, 1.5).q == pytest.approx(3.0, rel=1e-15, abs=0)
     assert BallContext(5, 1.0).q == math.inf
     assert BallContext(5, math.inf).q == 1.0
 
@@ -50,8 +50,8 @@ def test_check_radius():
 
 def test_kernel_extremes_dimension_three():
     ctx = BallContext(3, 2.0)
-    assert poisson_szego_axis(ctx, 0.5, 1.0) == pytest.approx(9.0, rel=1e-14)
-    assert poisson_szego_axis(ctx, 0.5, -1.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
+    assert poisson_szego_axis(ctx, 0.5, 1.0) == pytest.approx(9.0, rel=1e-14, abs=0)
+    assert poisson_szego_axis(ctx, 0.5, -1.0) == pytest.approx(1.0 / 9.0, rel=1e-14, abs=0)
 
 
 def test_kernel_range_product_is_one():
@@ -59,8 +59,8 @@ def test_kernel_range_product_is_one():
         ctx = BallContext(n, 2.0)
         for r in (0.1, 0.5, 0.9, 0.99):
             lo, hi = kernel_range(ctx, r)
-            assert lo * hi == pytest.approx(1.0, rel=1e-14)
-            assert lo == pytest.approx(((1.0 - r) / (1.0 + r)) ** (n - 1), rel=1e-14)
+            assert lo * hi == pytest.approx(1.0, rel=1e-14, abs=0)
+            assert lo == pytest.approx(((1.0 - r) / (1.0 + r)) ** (n - 1), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("r", [0.999, 0.9985])
@@ -99,7 +99,7 @@ def test_kernel_integrates_to_one():
 
 def test_crossing_point_basics():
     n, r = 3, 0.4
-    assert _split_point(n, r, 0.0) == pytest.approx(0.4, rel=1e-14)
+    assert _split_point(n, r, 0.0) == pytest.approx(0.4, rel=1e-14, abs=0)
     lo, hi = kernel_range(BallContext(n, 2.0), r)
     # levels nudged just inside the range cross just inside the endpoints
     near_top = _split_point(n, r, math.log(hi * (1.0 - 1e-9)))
@@ -118,7 +118,7 @@ def test_crossing_point_roundtrip():
             lo, hi = kernel_range(ctx, r)
             for a in np.geomspace(lo * 1.01, hi * 0.99, 9):
                 t = _split_point(n, r, math.log(a))
-                assert poisson_szego_axis(ctx, r, t) == pytest.approx(float(a), rel=1e-12)
+                assert poisson_szego_axis(ctx, r, t) == pytest.approx(float(a), rel=1e-12, abs=0)
 
 
 def test_crossing_point_increasing_in_level():

@@ -6,8 +6,7 @@ import pytest
 
 from hypschwarz import quadrature, solver, verify
 from hypschwarz.errors import DomainError
-from hypschwarz.kernel import (BallContext, _log_kernel, _log_range, _split_point,
-                               kernel_range, poisson_szego_axis)
+from hypschwarz.kernel import BallContext, _log_range, _split_point, kernel_range
 from hypschwarz.objective import (
     _DEV_FLOOR,
     ObjectiveParams,
@@ -17,7 +16,7 @@ from hypschwarz.objective import (
     dF_da,
     phi,
 )
-from hypschwarz.quadrature import _ROUNDING_FLOOR, _checked, integrate_with_breakpoint
+from hypschwarz.quadrature import _ROUNDING_FLOOR, _checked
 from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p, g_p_curve, solve_a_star
 from conftest import central_diff, count_f_evals, mp_crossing, mp_kernel, mp_zonal
 
@@ -60,13 +59,13 @@ class TestPhi:
             g2 = g_2_closed(n, r)
             for a in (0.5, 1.0, 1.7):
                 expected = math.sqrt(g2 * g2 + (1.0 - a) ** 2)
-                assert phi(prm, a) == pytest.approx(expected, rel=1e-10)
+                assert phi(prm, a) == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_frozen_cubic_value(self):
         prm = params(3, 1.5, 0.5)  # q = 3
         value = phi(prm, 2.0)
-        assert value == pytest.approx(2.108287782758039, rel=1e-9)
-        assert value ** 3 == pytest.approx(9.371080665415818, rel=1e-9)
+        assert value == pytest.approx(2.108287782758039, rel=1e-9, abs=0)
+        assert value ** 3 == pytest.approx(9.371080665415818, rel=1e-9, abs=0)
 
     def test_convex_in_shift(self):
         prm = params(3, 3.0, 0.6)
@@ -78,13 +77,14 @@ class TestPhi:
     def test_scaled_deviation_matches_unscaled(self):
         for n, p, r, a in ((3, 1.5, 0.5, 2.0), (4, 3.0, 0.5, 0.5), (5, 1.1, 0.3, 1.2),
                            (10, 2.0, 0.8, 3.0), (3, 10.0, 0.9, 0.1)):
+            # the unscaled a (integral |d|^q)^(1/q) on the same split, reading
+            # log K from the same site: only the scaling by m differs
             prm = params(n, p, r)
-            ctx, q = prm.ctx, prm.ctx.q
-            unscaled = integrate_with_breakpoint(
-                n, 128, lambda t: np.abs(poisson_szego_axis(ctx, r, t) - a) ** q,
-                _split_point(ctx.n, r, math.log(a)),
-            ) ** (1.0 / q)
-            assert phi(prm, a) == pytest.approx(unscaled, rel=1e-14)
+            q, s = prm.ctx.q, math.log(a)
+            total, = quadrature._site_integral(
+                n, r, 128, _split_point(n, r, s), lambda log_kernel, _: np.abs(np.expm1(log_kernel - s)) ** q,
+            )
+            assert phi(prm, a) == pytest.approx(a * total ** (1.0 / q), rel=1e-14, abs=0)
 
     def test_finite_where_unscaled_power_overflows(self):
         # |K - a*|^11 overflows near K = 5e29; the scaled integrand does not
@@ -105,7 +105,7 @@ class TestPhi:
         # at r = 1e-17 the kernel range rounds to [1, 1], where K - a kept no
         # digit (Phi read 0.0); the relative deviation keeps them all.  30-digit
         # mp_zonal of |K - 1|^(3/2), split at t = r: 2.1715340932759254e-17
-        assert phi(params(3, 3.0, 1e-17), 1.0) == pytest.approx(2.1715340932759254e-17, rel=1e-14)
+        assert phi(params(3, 3.0, 1e-17), 1.0) == pytest.approx(2.1715340932759254e-17, rel=1e-14, abs=0)
 
     def test_rejects_nonfinite_shift(self):
         prm = params(3, 2.0, 0.5)
@@ -145,7 +145,7 @@ class TestBigF:
             return (1 if dev >= 0 else -1) * mag ** 0.5
 
         ref = mp_zonal(n, f_mp, split=[split])
-        assert big_f(prm, a) == pytest.approx(ref, rel=1e-8)
+        assert big_f(prm, a) == pytest.approx(ref, rel=1e-8, abs=0)
 
 
 class TestDfDa:
@@ -164,13 +164,13 @@ class TestDfDa:
         prm = params(3, 1.5, 0.5)  # q = 3
         a = 1.2
         fd = central_diff(lambda x: big_f(prm, x), a, 1e-5)
-        assert dF_da(prm, a) == pytest.approx(fd, rel=1e-7)
+        assert dF_da(prm, a) == pytest.approx(fd, rel=1e-7, abs=0)
 
     def test_matches_finite_difference_fractional_q(self):
         prm = params(3, 3.0, 0.5)  # q = 1.5
         a = 0.8
         fd = central_diff(lambda x: big_f(prm, x), a, 1e-5)
-        assert dF_da(prm, a) == pytest.approx(fd, rel=1e-7)
+        assert dF_da(prm, a) == pytest.approx(fd, rel=1e-7, abs=0)
 
     def test_matches_finite_difference_at_large_p(self):
         # q - 1 below 0.074: the panel-sum ratio 2^-(q-1) of |K - a|^(q-2) is
@@ -182,7 +182,7 @@ class TestDfDa:
                     a_star = solve_a_star(prm.ctx, r)
                     for a in (a_star, 0.9 * a_star, 1.1 * a_star):
                         fd = central_diff(lambda x: big_f(prm, x), a, 1e-5 * a)
-                        assert dF_da(prm, a) == pytest.approx(fd, rel=1e-6), (n, p, r, a)
+                        assert dF_da(prm, a) == pytest.approx(fd, rel=1e-6, abs=0), (n, p, r, a)
 
     def test_matches_finite_difference_past_p_693(self):
         # the ratio 2^-(q-1) of |K - a|^(q-2) passes 0.999 at p = 693; its
@@ -191,7 +191,7 @@ class TestDfDa:
             prm = params(4, p, 0.5)
             a_star = solve_a_star(prm.ctx, 0.5)
             fd = central_diff(lambda x: big_f(prm, x), a_star, 1e-5 * a_star)
-            assert dF_da(prm, a_star) == pytest.approx(fd, rel=1e-5), p
+            assert dF_da(prm, a_star) == pytest.approx(fd, rel=1e-5, abs=0), p
 
     def test_slope_of_the_first_point(self):
         # F with the slope is big_f's bits, and the slope in log a over a is dF/da's
@@ -259,7 +259,7 @@ class TestStationarityIdentity:
         q = prm.ctx.q
         analytic = -phi(prm, a) ** (1.0 - q) * big_f(prm, a)
         fd = central_diff(lambda x: phi(prm, x), a, 1e-5)
-        assert analytic == pytest.approx(fd, rel=1e-6)
+        assert analytic == pytest.approx(fd, rel=1e-6, abs=0)
 
     def test_crossing_is_declared_breakpoint(self):
         ctx = BallContext(3, 1.5)
@@ -269,12 +269,13 @@ class TestStationarityIdentity:
 
 def closure_integral(prm, a, weight):
     """The integral of weight(d), d = K/a - 1 = expm1(log K - log a), as one
-    integrand closure: log K evaluated at the rule's nodes."""
+    integrand closure of its own pass, on log K of the site split where K
+    crosses a."""
     ctx, r, s = prm.ctx, prm.r, math.log(a)
-    return integrate_with_breakpoint(
-        ctx.n, prm.order, lambda t: weight(np.expm1(_log_kernel(ctx.n, r, t) - s)),
-        _split_point(ctx.n, r, s),
+    total, = quadrature._site_integral(
+        ctx.n, r, prm.order, _split_point(ctx.n, r, s), lambda log_kernel, _: weight(np.expm1(log_kernel - s)),
     )
+    return total
 
 
 def closure_phi(prm, a):
@@ -310,8 +311,9 @@ def outcome(fn, *args):
 
 class TestSharedSite:
     def test_matches_closure_formulation_bit_for_bit(self):
-        # F, Phi and dF/da on one shared site give the bits of one integrand
-        # closure each, around a*, just inside the range and past both its ends
+        # F, Phi and dF/da (F's stacked slope row) give the bits of one
+        # unstacked integrand closure each, summed on the same site, around a*,
+        # just inside the range and past both its ends
         for n in (3, 4, 5, 10):
             for p in (1.1, 1.5, 3.0, 10.0):
                 for r in (0.05, 0.35, 0.65, 0.95):
@@ -377,5 +379,5 @@ class TestSharedSite:
             integral = quadrature.integrate_with_breakpoint(4, 128, lambda t: t * t, 0.0)
         finally:
             sys.setprofile(None)
-        assert integral == pytest.approx(1.0 / 4.0, rel=1e-14)  # the mean of t^2 on S^3
+        assert integral == pytest.approx(1.0 / 4.0, rel=1e-14, abs=0)  # the mean of t^2 on S^3
         assert callers == {quadrature._site_sums.__code__}

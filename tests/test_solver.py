@@ -101,8 +101,8 @@ class TestSolveAStar:
             (3, 1.1, 0.03, 1.0054085164944144757, 0.09598836881582991),
         ):
             res = g_p(BallContext(n, p), r)
-            assert res.a_star == pytest.approx(a_ref, rel=1e-9)
-            assert res.g_value == pytest.approx(g_ref, rel=1e-9)
+            assert res.a_star == pytest.approx(a_ref, rel=1e-9, abs=0)
+            assert res.g_value == pytest.approx(g_ref, rel=1e-9, abs=0)
 
     def test_refuses_missing_sign_change(self, monkeypatch):
         # F is positive at the lower end of the range of log K and negative at
@@ -112,7 +112,7 @@ class TestSolveAStar:
         # (ROADMAP open item 1), which moves the computed root to 0.989
         ctx = BallContext(30, 2.0)
         a_star = solve_a_star(ctx, 0.9705)
-        assert a_star == pytest.approx(guessed(ctx, 0.9705, 1.0), rel=1e-12)
+        assert a_star == pytest.approx(guessed(ctx, 0.9705, 1.0), rel=1e-12, abs=0)
         assert abs(a_star - 1.0) < 0.02
         # an F that never changes sign is refused next to the end it walks to
         real = solver._f_and_slope
@@ -120,7 +120,7 @@ class TestSolveAStar:
         with pytest.raises(DomainError, match="no sign change") as refused:
             solve_a_star(BallContext(4, 3.0), 0.5)
         end = float(str(refused.value).rsplit(" = ", 1)[1])
-        assert end == pytest.approx(log_range(4, 0.5), rel=1e-15)
+        assert end == pytest.approx(log_range(4, 0.5), rel=1e-15, abs=0)
         with pytest.raises(DomainError, match="no sign change"):
             guessed(BallContext(4, 3.0), 0.5, 2.0)
 
@@ -144,11 +144,11 @@ class TestSolveAStar:
             ctx = BallContext(n, p)
             a_star = solve_a_star(ctx, r)
             calls.clear()
-            assert guessed(ctx, r, a_star) == pytest.approx(a_star, rel=1e-12)
+            assert guessed(ctx, r, a_star) == pytest.approx(a_star, rel=1e-12, abs=0)
             assert len(calls) <= 6, (n, p, r)
             # a guess past a range end is clamped into it and still finds the root
             for guess in (1e-300, 1e300):
-                assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12)
+                assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12, abs=0)
 
     def test_cold_solve_leaves_range_ends_alone(self, monkeypatch):
         # a solve without a guess starts at the anchored shift and never
@@ -314,7 +314,7 @@ class TestGpCurve:
                 for r, res in zip(radii, g_p_curve(ctx, radii)):
                     point = g_p(ctx, r)
                     assert res.r == r and res.method == "numeric"
-                    assert res.a_star == pytest.approx(point.a_star, rel=1e-12), (n, p, r)
+                    assert res.a_star == pytest.approx(point.a_star, rel=1e-12, abs=0), (n, p, r)
                     assert abs(res.g_value - point.g_value) <= (
                         point.est_error + 1e-13 * point.g_value), (n, p, r)
 
@@ -337,7 +337,7 @@ class TestGpCurve:
         for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
             monkeypatch.setattr(solver, "_f_and_slope", lambda *args: (real(*args)[0], bad))
             for guess in (a_star * 0.99, a_star * 1.01):
-                assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12)
+                assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12, abs=0)
 
     def test_p2_sweep_solves_each_radius_cold(self, monkeypatch):
         # at p = 2, F(a) = 1 - a and the cold start a = 1 is the root; a guess
@@ -369,7 +369,7 @@ class TestGpCurve:
                 for r, res in zip(radii, curve):
                     point = g_p(ctx, r)
                     assert res.method == point.method
-                    assert res.a_star == pytest.approx(point.a_star, rel=1e-12), (p, radii, r)
+                    assert res.a_star == pytest.approx(point.a_star, rel=1e-12, abs=0), (p, radii, r)
                     assert res.g_value == pytest.approx(point.g_value, rel=1e-12, abs=1e-300)
         assert g_p_curve(BallContext(4, 3.0), [0.4]) == [g_p(BallContext(4, 3.0), 0.4)]
         assert g_p_curve(BallContext(4, 3.0), []) == []
@@ -393,8 +393,8 @@ class TestGpCurve:
 class TestClosedForms:
     def test_p1_reference_point(self):
         a_star, g1 = g_1_closed(3, 0.5)
-        assert a_star == pytest.approx(41.0 / 9.0, rel=1e-14)
-        assert g1 == pytest.approx(40.0 / 9.0, rel=1e-14)
+        assert a_star == pytest.approx(41.0 / 9.0, rel=1e-14, abs=0)
+        assert g1 == pytest.approx(40.0 / 9.0, rel=1e-14, abs=0)
 
     def test_p1_hyperbolic_identity(self):
         # the kernel range endpoints multiply to 1, so a*^2 - G_1^2 = 1;
@@ -428,7 +428,7 @@ class TestClosedForms:
                     assert abs(g1 - ref) <= tol * ref, (n, r, g1, ref)
 
     def test_p2_reference_point(self):
-        assert g_2_closed(3, 0.5) == pytest.approx(1.539600717839002, rel=1e-13)
+        assert g_2_closed(3, 0.5) == pytest.approx(1.539600717839002, rel=1e-13, abs=0)
         assert g_2_closed(3, 0.0) == 0.0
 
     def test_pinf_matches_elementary_forms(self):
@@ -440,14 +440,14 @@ class TestClosedForms:
     def test_pinf_near_boundary(self):
         for n in (3, 4, 5):
             _, g_val = g_inf_closed(n, 0.999)
-            assert g_val == pytest.approx(uh_elementary(n, 0.999), rel=5e-10)
+            assert g_val == pytest.approx(uh_elementary(n, 0.999), rel=5e-10, abs=0)
             assert g_val < 1.0
 
     def test_pinf_reference_points(self):
-        assert uh_elementary(4, 0.5) == pytest.approx(0.8959119613381721, rel=1e-15)
-        assert uh_elementary(5, 0.5) == pytest.approx(0.944, rel=1e-15)
+        assert uh_elementary(4, 0.5) == pytest.approx(0.8959119613381721, rel=1e-15, abs=0)
+        assert uh_elementary(5, 0.5) == pytest.approx(0.944, rel=1e-15, abs=0)
         _, g3 = g_inf_closed(3, 0.5)
-        assert g3 == pytest.approx(0.8, rel=1e-14)
+        assert g3 == pytest.approx(0.8, rel=1e-14, abs=0)
 
     def test_elementary_form_rejects_other_dimensions(self):
         with pytest.raises(DomainError):
@@ -464,7 +464,7 @@ class TestClosedForms:
         ctx = BallContext(3, math.inf)
         r = 0.6
         a_star, _ = g_inf_closed(3, r)
-        assert a_star == pytest.approx(float(poisson_szego_axis(ctx, r, 0.0)), rel=1e-14)
+        assert a_star == pytest.approx(float(poisson_szego_axis(ctx, r, 0.0)), rel=1e-14, abs=0)
 
     def test_pinf_numeric_integral_agrees(self):
         # the L^1 deviation from the equator value, split at its crossing t = 0
@@ -539,9 +539,9 @@ class TestGradConstant:
     def test_dimension_three_values(self):
         assert grad_constant(BallContext(3, 1.0)) == 4.0
         assert grad_constant(BallContext(3, 2.0)) == pytest.approx(
-            4.0 / math.sqrt(3.0), rel=1e-14
+            4.0 / math.sqrt(3.0), rel=1e-14, abs=0
         )
-        assert grad_constant(BallContext(3, math.inf)) == pytest.approx(2.0, rel=1e-14)
+        assert grad_constant(BallContext(3, math.inf)) == pytest.approx(2.0, rel=1e-14, abs=0)
 
     def test_p1_equals_two_n_minus_two(self):
         for n in (3, 4, 5, 7):
@@ -552,4 +552,4 @@ class TestGradConstant:
         h = 1e-4
         for n, p in ((3, 2.0), (4, 3.0), (3, math.inf)):
             ctx = BallContext(n, p)
-            assert g_p(ctx, h).g_value / h == pytest.approx(grad_constant(ctx), rel=1e-6)
+            assert g_p(ctx, h).g_value / h == pytest.approx(grad_constant(ctx), rel=1e-6, abs=0)

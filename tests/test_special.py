@@ -20,19 +20,19 @@ class TestGauss2F1:
         pytest.importorskip("mpmath")
         for n in (3, 4, 5):
             for r in (0.3, 0.5, 0.8, 0.95):
-                assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r), rel=1e-11)
+                assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r), rel=1e-11, abs=0)
 
     def test_against_mpmath_equator_sites(self):
         pytest.importorskip("mpmath")
         for n in (3, 4, 5, 6):
             for r in (0.3, 0.7, 0.95, 0.999):
-                assert g_inf_closed(n, r)[1] == pytest.approx(mp_g_inf(n, r), rel=1e-10)
+                assert g_inf_closed(n, r)[1] == pytest.approx(mp_g_inf(n, r), rel=1e-10, abs=0)
 
     def test_boundary_equator_site_without_cancellation(self):
         # 1 - w is about 1e-6 here, so rounding w to a double moves it by
         # ~1e-10 relative; the transformed series never forms 1 - w
         pytest.importorskip("mpmath")
-        assert g_inf_closed(5, 0.999)[1] == pytest.approx(mp_g_inf(5, 0.999), rel=1e-12)
+        assert g_inf_closed(5, 0.999)[1] == pytest.approx(mp_g_inf(5, 0.999), rel=1e-12, abs=0)
 
     def test_closed_forms_on_grid_against_mpmath(self):
         pytest.importorskip("mpmath")
@@ -42,8 +42,8 @@ class TestGauss2F1:
                 g2 = g_2_closed(n, r)
                 g_inf = g_inf_closed(n, r)[1]
                 assert math.isfinite(g2) and math.isfinite(g_inf)
-                assert g2 == pytest.approx(mp_g_2(n, r), rel=1e-12)
-                assert g_inf == pytest.approx(mp_g_inf(n, r), rel=1e-12)
+                assert g2 == pytest.approx(mp_g_2(n, r), rel=1e-12, abs=0)
+                assert g_inf == pytest.approx(mp_g_inf(n, r), rel=1e-12, abs=0)
 
 
     def test_g_2_at_small_radii(self):
@@ -52,7 +52,7 @@ class TestGauss2F1:
         pytest.importorskip("mpmath")
         for n in (3, 4, 5, 10, 30, 100):
             for r in (1e-3, 1e-6, 1e-9, 1e-15):
-                assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r, dps=80), rel=1e-15), (n, r)
+                assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r, dps=80), rel=1e-15, abs=0), (n, r)
 
     def test_g_inf_at_small_radii(self):
         pytest.importorskip("mpmath")
@@ -73,10 +73,10 @@ class TestGauss2F1:
 
 class TestAlphaQ:
     def test_trivial_moments(self):
-        assert alpha_q(3, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert alpha_q(3, 1.0) == pytest.approx(0.5, rel=1e-14)
+        assert alpha_q(3, 0.0) == pytest.approx(1.0, rel=1e-14, abs=0)
+        assert alpha_q(3, 1.0) == pytest.approx(0.5, rel=1e-14, abs=0)
         for n in range(3, 9):
-            assert alpha_q(n, 2.0) == pytest.approx(1.0 / n, rel=1e-13)
+            assert alpha_q(n, 2.0) == pytest.approx(1.0 / n, rel=1e-13, abs=0)
 
     def test_decreasing_in_q(self):
         values = [alpha_q(4, q) for q in (0.5, 1.0, 2.0, 3.5, 7.0)]
@@ -87,7 +87,7 @@ class TestAlphaQ:
 
         for n, q in ((3, 1.5), (4, 2.7), (5, 3.3)):
             numeric = integrate_with_breakpoint(n, 256, lambda t: np.abs(t) ** q, 0.0)
-            assert numeric == pytest.approx(alpha_q(n, q), rel=1e-10)
+            assert numeric == pytest.approx(alpha_q(n, q), rel=1e-10, abs=0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

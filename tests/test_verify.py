@@ -54,15 +54,15 @@ class TestZonalBoundaryFunction:
         rule, coeffs, means, values = poly_data(3, [0.0, 1.0])
         assert means[0] == pytest.approx(0.0, abs=1e-13)
         norm = verify._poly_norms(BallContext(3, 2.0), rule, coeffs, means, values)[0]
-        assert norm == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+        assert norm == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12, abs=0)
 
     def test_sup_norm_of_identity(self):
         norm = verify._poly_norms(BallContext(3, math.inf), *poly_data(3, [0.0, 1.0]))[0]
-        assert norm == pytest.approx(1.0, rel=1e-12)
+        assert norm == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_centered_removes_mean(self):
         rule, _, means, values = poly_data(4, [2.0, 1.0])
-        assert means[0] == pytest.approx(2.0, rel=1e-12)
+        assert means[0] == pytest.approx(2.0, rel=1e-12, abs=0)
         assert values[0] @ rule.weights == pytest.approx(0.0, abs=1e-12)
 
 
@@ -78,7 +78,7 @@ class TestPoissonIntegral:
         # the extension of sign(t) on the axis is the harmonic-measure gap
         for r in (0.2, 0.5, 0.8):
             u, = quadrature._site_integral(3, r, 128, 0.0, lambda log_kernel, t: np.exp(log_kernel) * np.sign(t))
-            assert u == pytest.approx(uh_elementary(3, r), rel=1e-8)
+            assert u == pytest.approx(uh_elementary(3, r), rel=1e-8, abs=0)
 
 
 class TestExtremalPhi:
@@ -108,7 +108,7 @@ class TestSharpness:
             report = verify_sharpness(BallContext(n, p), r)
             assert report.rel_gap <= 1e-6 and report.passed
         inf_report = verify_sharpness(BallContext(3, math.inf), 0.5)
-        assert inf_report.g_bound == pytest.approx(0.8, rel=1e-8)
+        assert inf_report.g_bound == pytest.approx(0.8, rel=1e-8, abs=0)
 
     def test_certification_solves_once(self, monkeypatch):
         # extremal data, bound and random draws share g_p's memo cache, so
@@ -127,7 +127,7 @@ class TestSharpness:
     def test_p1_uses_cap_sequence(self):
         report = verify_sharpness(BallContext(3, 1.0), 0.5)
         assert report.rel_gap <= 0.02 and report.passed
-        assert report.g_bound == pytest.approx(40.0 / 9.0, rel=1e-14)
+        assert report.g_bound == pytest.approx(40.0 / 9.0, rel=1e-14, abs=0)
         assert report.attained == minimizing_sequence_p1(3, 0.5, 64)
 
     def test_p1_index_grows_toward_the_boundary(self):
@@ -312,7 +312,7 @@ class TestGradAtOrigin:
 
     def test_identity_data_gradient(self):
         # 2(n-1) * integral t^2 dsigma = 4/3 in dimension 3
-        assert corollary_l2_check(3, [0.0, 1.0]).lhs == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert corollary_l2_check(3, [0.0, 1.0]).lhs == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0)
 
 
 class TestMomentExtremal:
@@ -322,7 +322,7 @@ class TestMomentExtremal:
         for n, p in ((3, 2.0), (4, 3.0), (3, 1.5), (3, math.inf)):
             ctx = BallContext(n, p)
             ratio = verify._gradient_extremal_ratio(ctx) / grad_constant(ctx)
-            assert ratio == pytest.approx(1.0, rel=1e-9)
+            assert ratio == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_p1_rejected(self):
         with pytest.raises(DomainError):
@@ -628,7 +628,7 @@ class TestPolySups:
         coeffs[3, [1, 3]] = 3.0, -4.0        # -T_3
         coeffs[4, :8] = 0.5                  # degree 7, sup at t = 1
         reference = [1.0, 3.0, 0.75, 1.0, 4.0]
-        assert verify._poly_sups(coeffs) == pytest.approx(reference, rel=1e-15)
+        assert verify._poly_sups(coeffs) == pytest.approx(reference, rel=1e-15, abs=0)
 
 
 class TestMinimizingSequence:
@@ -638,7 +638,7 @@ class TestMinimizingSequence:
         values = [minimizing_sequence_p1(n, r, i) for i in (2, 4, 8, 16, 32, 64)]
         assert np.all(np.diff(values) > 0.0)
         assert all(v <= g1 * (1.0 + 1e-9) for v in values)
-        assert values[-1] == pytest.approx(g1, rel=0.02)
+        assert values[-1] == pytest.approx(g1, rel=0.02, abs=0)
 
     def test_index_validation(self):
         with pytest.raises(DomainError):
@@ -683,9 +683,9 @@ class TestCorollary:
     def test_identity_data_separates_the_constants(self):
         report = corollary_l2_check(3, [0.0, 1.0])
         assert report.holds_moment and not report.holds_sqrt
-        assert report.lhs == pytest.approx(4.0 / 3.0, rel=1e-9)
-        assert report.rhs_moment == pytest.approx(4.0 / 3.0, rel=1e-9)
-        assert report.rhs_sqrt == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-9)
+        assert report.lhs == pytest.approx(4.0 / 3.0, rel=1e-9, abs=0)
+        assert report.rhs_moment == pytest.approx(4.0 / 3.0, rel=1e-9, abs=0)
+        assert report.rhs_sqrt == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-9, abs=0)
 
     def test_rejects_malformed_datum(self):
         for coeffs in ([], [0.0] * 10, [[0.0, 1.0]], [0.0, math.nan], [math.inf]):
@@ -705,7 +705,7 @@ class TestCorollary:
         c_sqrt = math.sqrt(6.0)
         c_moment = grad_constant(BallContext(4, 2.0))
         assert sqrt_form.max_ratio / moment.max_ratio == pytest.approx(
-            c_moment / c_sqrt, rel=1e-12
+            c_moment / c_sqrt, rel=1e-12, abs=0
         )
 
     def test_batch_moment_report_is_the_gradient_check(self):
