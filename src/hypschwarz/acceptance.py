@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Criteria 3 and 7 build Gauss-Jacobi rules, whose first build imports
-# scipy.special and, inside roots_jacobi, scipy.linalg.  Importing both here
-# charges that cost to loading the battery, not to whichever criterion runs
-# first.
+# Criteria 6, 7 and 9 build the random draws' Gauss-Jacobi rules, whose first
+# build imports scipy.special and, inside roots_jacobi, scipy.linalg.
+# Importing both here charges that cost to loading the battery, not to
+# whichever criterion runs first.
 import scipy.linalg  # noqa: F401
 import scipy.special  # noqa: F401
 

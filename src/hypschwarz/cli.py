@@ -198,8 +198,6 @@ def main(argv=None) -> int:
     if "steps" in vars(args):
         args.radii = _radii(args)
     try:
-        if vars(args).get("order", DEFAULT_ORDER) < 2:
-            raise DomainError(f"--order must be >= 2, got {args.order}")
         rows, violated = args.rows(args)
     except (DomainError, NonConvergenceError, CapUnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

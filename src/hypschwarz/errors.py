@@ -10,4 +10,4 @@ class NonConvergenceError(RuntimeError):
 
 
 class CapUnderflowError(ArithmeticError):
-    """A spherical-cap measure underflowed to zero in double precision."""
+    """A p = 1 cap pair leaves the range where double precision resolves it."""

@@ -39,12 +39,12 @@ value, or a total past double range, is refused with DomainError.
 
 ``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights
 scaled by c_n) of the random polynomial draws in ``verify``, exact for their
-means and gradient moment; no kernel is summed on them.  A Gauss-Jacobi
-rule, this or the polar cap's, whose nodes are not finite and strictly
-increasing inside (-1, 1) or whose weights are not finite and positive is
-refused with DomainError.  scipy returns NaN throughout from the first n at
-which binom(order + n - 3, order), a factor of its Gegenbauer evaluation,
-overflows: n = 1406 at order 256, 521 at order 512.
+means and gradient moment; no kernel is summed on them.  A rule whose
+nodes are not finite and strictly increasing inside (-1, 1) or whose
+weights are not finite and positive is refused with DomainError.  scipy
+returns NaN throughout from the first n at which binom(order + n - 3,
+order), a factor of its Gegenbauer evaluation, overflows: n = 1406 at
+order 256, 521 at order 512.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapUnderflowError, DomainError
+from .errors import DomainError
 from .kernel import _log_kernel
 from .special import check_dimension, check_integer
 
@@ -70,9 +70,6 @@ _PANEL_NODES = 12  # Gauss-Legendre nodes on an inner panel, and on every one up
 # Relative rounding floor of a breakpoint integral: an ulp for each panel sum
 # of its two sides.
 _ROUNDING_FLOOR = 2 * _PANELS * 2.0 ** -52
-
-#: Node count of the polar-cap rule.
-_CAP_ORDER = 64
 
 
 @lru_cache(maxsize=64)
@@ -300,25 +297,3 @@ def integrate_with_breakpoint(n: int, order: int, f, t0: float):
     totals = _site_integral(n, None, order, t0, values)
     return np.reshape(totals, stack[0]) if stack[0] else totals[0]
 
-
-def cap_rule(n: int, t_lower: float):
-    """Nodes and sigma-weights for the polar cap {t >= t_lower}.
-
-    Returns (nodes, weights) with sum(weights * f(nodes)) the integral of a
-    zonal f over the cap against normalized surface measure; in particular
-    the weight total is the cap's measure.  The (1-t) factor of the zonal
-    weight is kept as an exact Jacobi weight on the mapped interval, so the
-    rule stays accurate for caps many orders of magnitude smaller than 1.
-    """
-    n = check_dimension(n)
-    if not -1.0 < t_lower < 1.0:
-        raise CapUnderflowError(f"cap boundary {t_lower!r} leaves no representable cap")
-    expo = (n - 3) / 2.0
-    u, wu = _gauss_jacobi(_CAP_ORDER, expo, 0.0)
-    h = 0.5 * (1.0 - t_lower)
-    t = t_lower + h * (u + 1.0)
-    scale = _zonal_constant(n) * h ** (expo + 1.0)
-    weights = scale * wu * (1.0 + t) ** expo
-    if not np.all(weights > 0.0):
-        raise CapUnderflowError(f"cap at t >= {t_lower!r} underflowed in double precision")
-    return t, weights

@@ -23,11 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-from .kernel import BallContext, _log_kernel, _log_range, _split_point, check_radius
-from .quadrature import DEFAULT_ORDER, _site_integral, build_rule, cap_rule, integrate_with_breakpoint
+from .errors import CapUnderflowError, DomainError
+from .kernel import BallContext, _log_range, _split_point, check_radius
+from .quadrature import DEFAULT_ORDER, _site_integral, build_rule, integrate_with_breakpoint
 from .solver import GpResult, g_1_closed, g_p, grad_constant
-from .special import check_integer
+from .special import check_dimension, check_integer
 
 #: Multiplicative slack allowed when checking strict inequalities in floats.
 BOUND_SLACK = 1e-7
@@ -75,13 +75,15 @@ def verify_sharpness(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> 
     |phi|^p dsigma are one stacked panel sum on the site of the result's own
     s = log a*, on d = expm1(log K - s) / min(l, 1), whose powers keep their
     digits at small r (log K ranges over [-l, l]); the gap is taken at that
-    scale and is pure quadrature error.  For p = 1
+    scale.  The bound is integral |K - a*|^q, and integral (K - 1) phi adds
+    (a* - 1) integral phi to it, so attained - bound = (a* - 1) u_at_zero on
+    the same nodes: at finite p the gap checks the solve's residual F(a*);
+    quadrature error shows at p = inf and in est_error.  For p = 1
     the comparison uses the cap-pair minimizing sequence at index
     i = max(64, ceil(4 n / (1 - r))), whose gap is the genuine (slow)
     convergence deficit of that sequence.  The cap's chord radius 1/i must be
     small against 1 - r; with this index the gap is at most 7e-3 for
-    n in {3, 5, 10, 30} and every r <= 0.9999.  Where the cap leaves double
-    precision (n = 60 from r = 0.999) the call raises CapUnderflowError.
+    n in {3, 5, 10, 30} and every r <= 0.9999.
     """
     return _sharpness(g_p(ctx, r, order), order)
 
@@ -271,19 +273,18 @@ def _grad_moments(ctx: BallContext, rule, values) -> np.ndarray:
     return 2.0 * (ctx.n - 1.0) * np.abs(values @ (rule.weights * rule.nodes))
 
 
-def _grad_draws(ctx: BallContext, rule, coeffs, means, values):
-    """|grad u(0)| and ||g||_p of the centered polynomials of ``_poly_data``."""
-    return _grad_moments(ctx, rule, values), _poly_norms(ctx, rule, coeffs, means, values)
-
-
 def _ratio_check(lhs, bound) -> tuple[int, float]:
     """(violations, max ratio) of lhs / bound over one or more data.
 
     A datum violates when its ratio exceeds 1 + BOUND_SLACK; data with bound
-    0 (zero norm, or G_p(0) = 0) count as ratio 0.
+    0 (zero norm, or G_p(0) = 0) count as ratio 0.  A NaN lhs, bound or ratio
+    (inf / inf) decides nothing and raises DomainError.
     """
     lhs, bound = np.atleast_1d(lhs), np.atleast_1d(bound)
-    ratio = np.divide(lhs, bound, out=np.zeros_like(lhs), where=bound > 0.0)
+    with np.errstate(invalid="ignore"):  # inf / inf is refused below
+        ratio = np.divide(lhs, bound, out=np.zeros_like(lhs), where=bound > 0.0)
+    if any(np.isnan(array).any() for array in (lhs, bound, ratio)):
+        raise DomainError("a certificate ratio is NaN: a datum's value, norm or bound is not a number")
     return int(np.count_nonzero(ratio > 1.0 + BOUND_SLACK)), float(ratio.max())
 
 
@@ -340,29 +341,68 @@ def random_grad_check(
 
     Tests |grad u(0)| <= C_p ||g||_p * (1 + BOUND_SLACK).
     """
+    return _grad_reports(ctx, count, seed, order, (grad_constant(ctx),))[0]
+
+
+def _grad_reports(ctx: BallContext, count: int, seed: int, order: int, constants):
+    """random_grad_check's report for each constant in place of C_p, from one draw pass."""
     rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
     lhs = _grad_moments(ctx, rule, values)
     check = _ratio_checker(ctx, rule, coeffs, means, values)
-    return RandomBoundReport(count, seed, *check(lhs, grad_constant(ctx)))
+    return tuple(RandomBoundReport(count, seed, *check(lhs, constant)) for constant in constants)
 
 
 def minimizing_sequence_p1(n: int, r: float, index: int) -> float:
     """Value u_i(r axis) of the i-th normalized cap-pair boundary data.
 
     The data is +1/(2 sigma) on the polar cap of chord radius 1/i around the
-    north pole (axis coordinate t >= 1 - 1/(2 i^2)), -1/(2 sigma) on its
-    antipodal mirror, 0 elsewhere: unit L1 norm and zero mean by symmetry.
+    north pole (angular radius theta, sin(theta/2) = 1/(2i)), -1/(2 sigma) on
+    its antipodal mirror, 0 elsewhere: unit L1 norm and zero mean by symmetry.
     The sequence increases to G_1(r) as i grows.
+
+    No kernel is summed: K(r, .) is the Jacobian of the boundary map
+    tan(phi/2) -> rho tan(phi/2), rho = (1 + r)/(1 - r), of the Moebius
+    automorphism taking r axis to 0, so K integrates over each cap to the
+    measure of its image.  With tau = tan(theta/2), tan(theta'/2) = rho tau
+    and tan(psi/2) = tau/rho,
+
+        u_i = integral_psi^theta' sin^(n-2) / (2 integral_0^theta sin^(n-2)),
+
+    both positive Gauss-Legendre sums of (sin phi / sin theta)^(n-2) on
+    max(64, (n-2)//2 + 2) nodes, the ring [psi, theta'] by its width
+    2 atan(r c), c = 4 tau / ((1 - r^2)(1 + tau^2)), with r multiplied in
+    last.  n above 1000 (the dimensions checked against mpmath), or an index
+    whose tan(psi/2) is not a normal double, raises CapUnderflowError.
     """
-    r = check_radius(r)
-    check_integer(index, 1, "sequence index")
-    # indices past ~1e8 collapse the cap to zero width in doubles; clamping
-    # keeps the square finite so they fail as CapUnderflowError, not overflow
-    t_edge = 1.0 - 1.0 / (2.0 * min(float(index), 1e150) ** 2)
-    nodes, weights = cap_rule(n, t_edge)
-    sigma = float(np.sum(weights))
-    plus, minus = (float(np.dot(weights, np.expm1(_log_kernel(n, r, t)))) for t in (nodes, -nodes))
-    return (plus - minus) / (2.0 * sigma)
+    n, r = check_dimension(n), check_radius(r)
+    index = check_integer(index, 1, "sequence index")
+    if n > 1000:
+        raise CapUnderflowError(f"cap pairs are checked up to n = 1000, got n = {n}")
+    half = 1 / (2 * index)  # sin(theta/2); int / int, so a huge index gives 0, not OverflowError
+    tau = half / math.sqrt((1.0 - half) * (1.0 + half))
+    inner = tau * (1.0 - r) / (1.0 + r)  # tan(psi/2)
+    if inner < 2.0 ** -1022:
+        raise CapUnderflowError(f"the cap pair at index {index} leaves double precision at r = {r}")
+    theta, psi = 2.0 * math.asin(half), 2.0 * math.atan(inner)
+    c = 4.0 * tau / ((1.0 - r) * (1.0 + r) * (1.0 + tau * tau))
+    x = r * c  # tan of half the ring's width
+    nodes, weights = _legendre(max(64, (n - 2) // 2 + 2))
+    phi = np.multiply.outer([math.atan(x), 0.5 * theta], 1.0 + nodes)  # ring and cap, from 0
+    phi[0] += psi
+    with np.errstate(over="ignore"):
+        ring, cap = ((np.sin(phi) / math.sin(theta)) ** (n - 2) @ weights).tolist()
+    # u_i = atan(x) ring / (theta cap), with r multiplied in last so that tiny radii keep their digits
+    value = r * (c * (math.atan(x) / x if x else 1.0) * ring / (theta * cap))
+    if not math.isfinite(value):
+        raise DomainError(f"the cap pair at index {index} leaves double range at n = {n}, r = {r}")
+    return value
+
+
+@lru_cache(maxsize=8)
+def _legendre(count: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared: not to be written.
+    Built on first use, so importing the package loads no numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(count)
 
 
 @dataclass(frozen=True)
@@ -420,8 +460,9 @@ def corollary_l2_check(n: int, coeffs) -> CorollaryL2Report:
     if datum.ndim != 1 or not 1 <= datum.size <= 9 or not np.isfinite(datum).all():
         raise DomainError(f"datum must be 1 to 9 finite polynomial coefficients, got {coeffs!r}")
     ctx = BallContext(n, 2.0)
-    draws = _poly_data(ctx.n, np.pad(datum, (0, 9 - datum.size))[None], DEFAULT_ORDER)
-    lhs, rms = (float(value[0]) for value in _grad_draws(ctx, *draws))
+    rule, coeffs, means, values = _poly_data(ctx.n, np.pad(datum, (0, 9 - datum.size))[None], DEFAULT_ORDER)
+    lhs = float(_grad_moments(ctx, rule, values)[0])  # read before _poly_norms consumes values
+    rms = float(_poly_norms(ctx, rule, coeffs, means, values)[0])
     rhs_sqrt = math.sqrt(2.0 * (ctx.n - 1.0)) * rms
     rhs_moment = grad_constant(ctx) * rms
     holds = [_ratio_check(lhs, rhs)[0] == 0 for rhs in (rhs_sqrt, rhs_moment)]
@@ -437,8 +478,4 @@ def corollary_l2_batch(
     sqrt(2(n-1)), each comparing |grad u(0)| with constant * ||g - mean||_2.
     """
     ctx = BallContext(n, 2.0)
-    lhs, rms = _grad_draws(ctx, *_random_poly_draws(n, count, seed, order))
-    return tuple(
-        RandomBoundReport(count, seed, *_ratio_check(lhs, constant * rms))
-        for constant in (grad_constant(ctx), math.sqrt(2.0 * (n - 1.0)))
-    )
+    return _grad_reports(ctx, count, seed, order, (grad_constant(ctx), math.sqrt(2.0 * (ctx.n - 1.0))))

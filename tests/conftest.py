@@ -102,3 +102,20 @@ def mp_g_inf(n, r, dps=60):
             / (mp.pi * (1 + rr * rr) ** n * mp.gamma(n - 1))
         )
         return float(pref * mp.hyp2f1(1, mp.mpf(n) / 2, mp.mpf(3) / 2, w))
+
+
+def mp_cap_pair(n, r, index, dps=60):
+    """The cap pair u_i(r axis) in mpmath, r promoted exactly: the normalized
+    measures I_x((n-1)/2, (n-1)/2), x = sin^2(angle/2), of the caps the
+    Moebius map takes the pair to, x = rho^2 s / (1 - s + rho^2 s) and
+    s / (rho^2 (1 - s) + s) for the caps of x = s = 1/(4 i^2), over twice
+    the measure of the cap itself; rho = (1 + r)/(1 - r)."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        rho2 = ((1 + mp.mpf(r)) / (1 - mp.mpf(r))) ** 2
+        s = 1 / (4 * mp.mpf(index) ** 2)
+        half = (mp.mpf(n) - 1) / 2
+        measure = lambda x: mp.betainc(half, half, 0, x, regularized=True)
+        ring = measure(rho2 * s / (1 - s + rho2 * s)) - measure(s / (rho2 * (1 - s) + s))
+        return float(ring / (2 * measure(s)))

@@ -73,23 +73,25 @@ r,u_h
   {"n": 3, "p": "inf", "c_p": 1.9999999999999996}
 ]
 """,
-    # u_i within 1.2 ulps of its exact value, the n = 3 cap integrals of K in closed form at 30 digits
+    # u_i within 1.6 ulps of its exact value, the n = 3 cap integrals of K in closed form at 30 digits:
+    # 2.9411764705882353, 3.9436619718309859, 4.3078872347165030, 4.4095124563069525,
+    # 4.4356604556757642, 4.4422452369341137
     "verify-capseq --n 3 --r 0.5 --i-max 64": """\
 i,u_i,g1_closed,rel_gap
-2,2.9411764705882355,4.4444444444444446,0.33823529411764702
-4,3.9436619718309864,4.4444444444444446,0.11267605633802809
+2,2.9411764705882346,4.4444444444444446,0.33823529411764724
+4,3.943661971830986,4.4444444444444446,0.11267605633802819
 8,4.3078872347165031,4.4444444444444446,0.030725372188786834
-16,4.4095124563069525,4.4444444444444446,0.0078596973309357221
-32,4.4356604556757651,4.4444444444444446,0.0019763974729529064
+16,4.4095124563069534,4.4444444444444446,0.0078596973309355226
+32,4.4356604556757633,4.4444444444444446,0.0019763974729533063
 64,4.4422452369341139,4.4444444444444446,0.00049482168982442067
 """,
     "verify-capseq --n 3 --r 0.5 --i-max 64 --format json": """\
 [
-  {"i": 2, "u_i": 2.9411764705882355, "g1_closed": 4.4444444444444446, "rel_gap": 0.33823529411764702},
-  {"i": 4, "u_i": 3.9436619718309864, "g1_closed": 4.4444444444444446, "rel_gap": 0.11267605633802809},
+  {"i": 2, "u_i": 2.9411764705882346, "g1_closed": 4.4444444444444446, "rel_gap": 0.33823529411764724},
+  {"i": 4, "u_i": 3.943661971830986, "g1_closed": 4.4444444444444446, "rel_gap": 0.11267605633802819},
   {"i": 8, "u_i": 4.3078872347165031, "g1_closed": 4.4444444444444446, "rel_gap": 0.030725372188786834},
-  {"i": 16, "u_i": 4.4095124563069525, "g1_closed": 4.4444444444444446, "rel_gap": 0.0078596973309357221},
-  {"i": 32, "u_i": 4.4356604556757651, "g1_closed": 4.4444444444444446, "rel_gap": 0.0019763974729529064},
+  {"i": 16, "u_i": 4.4095124563069534, "g1_closed": 4.4444444444444446, "rel_gap": 0.0078596973309355226},
+  {"i": 32, "u_i": 4.4356604556757633, "g1_closed": 4.4444444444444446, "rel_gap": 0.0019763974729533063},
   {"i": 64, "u_i": 4.4422452369341139, "g1_closed": 4.4444444444444446, "rel_gap": 0.00049482168982442067}
 ]
 """,
@@ -460,6 +462,10 @@ class TestFailureModes:
             capsys, "gp", "--n", "3", "--p", "2", "--r", "0.5", "--order", "1",
         )
         assert code == 1 and "order" in err
+        # the library checks the order, also where no rule is built
+        for argv in ("astar --n 4 --p 3 --r 0 --order 1", "gp --n 4 --p inf --r 0.5 --order 1"):
+            code, out, err = run_cli(capsys, *argv.split())
+            assert (code, out) == (1, "") and "rule order must be an integer >= 2" in err, argv
 
 
 def test_console_script_entry_point():

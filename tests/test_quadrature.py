@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from hypschwarz import quadrature
-from hypschwarz.errors import CapUnderflowError, DomainError
+from hypschwarz.errors import DomainError
 from hypschwarz.kernel import BallContext, _split_point, kernel_range, poisson_szego_axis
 from hypschwarz.quadrature import (
     _PANELS,
     _graded_nodes,
     _graded_panels,
     build_rule,
-    cap_rule,
     integrate_with_breakpoint,
 )
 from hypschwarz.objective import ObjectiveParams, phi
@@ -325,35 +324,3 @@ class TestGradedLayout:
                     ref = phi(ObjectiveParams(ctx, r, 2048), result.a_star)
                     quadrature._site.cache_clear()  # its site has the reference layout
                 assert abs(result.g_value - ref) <= 1e-13 * ref, (p, r)
-
-
-class TestCapRule:
-    def test_cap_measure_dimension_three(self):
-        # n = 3: sigma({t >= c}) = (1 - c)/2 exactly
-        for c in (0.9, 1.0 - 1e-4, 1.0 - 1e-12):
-            nodes, weights = cap_rule(3, c)
-            assert float(np.sum(weights)) == pytest.approx((1.0 - c) / 2.0, rel=1e-13, abs=0)
-            assert np.all(nodes >= c) and np.all(nodes <= 1.0)
-
-    def test_cap_first_moment_dimension_three(self):
-        c = 0.3
-        nodes, weights = cap_rule(3, c)
-        assert float(np.dot(weights, nodes)) == pytest.approx((1.0 - c * c) / 4.0, rel=1e-13, abs=0)
-
-    def test_cap_measure_dimension_four(self):
-        c = 0.75
-        nodes, weights = cap_rule(4, c)
-        exact = (2.0 / math.pi) * (math.pi / 4.0 - 0.5 * (c * math.sqrt(1 - c * c) + math.asin(c)))
-        assert float(np.sum(weights)) == pytest.approx(exact, rel=1e-12, abs=0)
-
-    def test_cap_underflow(self):
-        with pytest.raises(CapUnderflowError):
-            cap_rule(3, 1.0)
-        with pytest.raises(CapUnderflowError):
-            cap_rule(3, -1.0)
-        with pytest.raises(CapUnderflowError):
-            cap_rule(3, 1.0 - 2e-323)
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(DomainError):
-            cap_rule(2, 0.5)

@@ -488,6 +488,14 @@ class TestGpDispatch:
         res3 = g_p(BallContext(3, 3.0), 0.5)
         assert res3.method == "numeric" and res3.est_error <= 1e-10
 
+    def test_order_checked_at_every_p(self):
+        # the closed forms and a solve at r = 0 answered any order
+        for call in (lambda: g_p(BallContext(4, math.inf), 0.5, order=1),
+                     lambda: g_p_curve(BallContext(4, 1.0), [0.5], order=1),
+                     lambda: solve_a_star(BallContext(4, 3.0), 0.0, order=1)):
+            with pytest.raises(DomainError, match="rule order must be an integer >= 2"):
+                call()
+
     def test_numeric_estimate_has_a_rounding_floor(self):
         # order doubling reads exactly 0.0 at (10, 1.5, 0.1), where G is
         # 4.4e-16 G off; at (3, 1.5, 0.9) it read 2.5e-16 G for a 5.3e-15 G error

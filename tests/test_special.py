@@ -7,7 +7,8 @@ from hypschwarz.errors import DomainError
 from hypschwarz.kernel import BallContext
 from hypschwarz.solver import g_2_closed, g_inf_closed, uh_elementary
 from hypschwarz.special import alpha_q
-from hypschwarz.quadrature import build_rule, cap_rule, integrate_with_breakpoint
+from hypschwarz.quadrature import build_rule, integrate_with_breakpoint
+from hypschwarz.verify import minimizing_sequence_p1
 from conftest import mp_g_2, mp_g_inf
 
 
@@ -101,11 +102,11 @@ class TestAlphaQ:
 @pytest.mark.parametrize("entry", [
     lambda n: BallContext(n, 2.0),
     lambda n: build_rule(n, 16),
-    lambda n: cap_rule(n, 0.5),
+    lambda n: minimizing_sequence_p1(n, 0.5, 64),
     lambda n: alpha_q(n, 1.0),
     lambda n: g_2_closed(n, 0.5),
     lambda n: g_inf_closed(n, 0.5),
-], ids=["BallContext", "build_rule", "cap_rule", "alpha_q", "g_2_closed", "g_inf_closed"])
+], ids=["BallContext", "build_rule", "minimizing_sequence_p1", "alpha_q", "g_2_closed", "g_inf_closed"])
 def test_dimension_checked_alike_everywhere(entry):
     # BallContext(np.int64(3), 2.0) was refused with "got np.int64(3)"
     for n in (2, 3.0, np.float64(4.0), True, "3", None):

@@ -12,7 +12,7 @@ from hypschwarz import quadrature, solver, verify
 from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, _split_point
 from hypschwarz.solver import g_1_closed, grad_constant, uh_elementary
-from conftest import count_f_evals, mp_kernel, mp_zonal
+from conftest import count_f_evals, mp_cap_pair, mp_kernel, mp_zonal
 from hypschwarz.verify import (
     SHARPNESS_GAP_LIMIT,
     RandomBoundReport,
@@ -135,8 +135,9 @@ class TestSharpness:
         for n in (3, 5, 10, 30):
             for r in (0.5, 0.9, 0.99, 0.999):
                 assert verify_sharpness(BallContext(n, 1.0), r).passed, (n, r)
-        with pytest.raises(CapUnderflowError):
-            verify_sharpness(BallContext(60, 1.0), 0.999)
+        # the cap rule's weights underflowed at both; the Moebius form answers
+        for n, r in ((60, 0.999), (100, 0.9)):
+            assert verify_sharpness(BallContext(n, 1.0), r).passed, (n, r)
 
     def test_small_radius_p_near_one(self):
         # p near 1 at small r, where F is far below any absolute tolerance
@@ -492,6 +493,16 @@ class TestRandomChecks:
                 assert check(lhs, scale) == verify._ratio_check(lhs, scale * sups), (subset, scale)
         assert verify._ratio_checker(ctx, rule, coeffs, means, values)(lhs, 1e-3)[0] == 1
 
+    def test_ratio_check_refuses_nan(self):
+        # each passed as "no violation", reading (0, nan), (0, 0.0) and (0, nan)
+        for lhs, bound in (([math.nan, 0.5], [1.0, 1.0]), ([0.5], [math.nan]), ([math.inf], [math.inf])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="NaN"):
+                    verify._ratio_check(lhs, bound)
+        # bound 0, and a finite lhs over an infinite bound, still read ratio 0
+        assert verify._ratio_check([0.5, 2.0], [0.0, math.inf]) == (0, 0.0)
+
     @pytest.mark.parametrize("check", [
         lambda: random_bound_check(BallContext(4, math.inf), 0.5, count=1000, seed=42),
         lambda: random_grad_check(BallContext(4, math.inf), count=1000, seed=42),
@@ -647,8 +658,50 @@ class TestMinimizingSequence:
             minimizing_sequence_p1(3, 0.5, 2.5)
 
     def test_cap_underflow_at_extreme_index(self):
+        # a cap of angular radius 1e-170 still answers: u_i is G_1 to rounding
+        assert minimizing_sequence_p1(3, 0.5, 10 ** 170) == pytest.approx(40.0 / 9.0, rel=1e-15, abs=0)
         with pytest.raises(CapUnderflowError):
-            minimizing_sequence_p1(3, 0.5, 10 ** 170)
+            minimizing_sequence_p1(3, 0.5, 10 ** 400)
+
+    def test_matches_mpmath_cap_measures(self):
+        # includes four points where the 64-node cap rule of K missed the kernel's peak
+        missed = {(10, 0.99, 2), (64, 0.9, 2), (3, 0.99, 2), (30, 0.9, 2)}
+        rows = []
+        for n in (3, 4, 5, 10, 30, 64, 100):
+            for r in (1e-12, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.999):
+                if (n - 1) * math.log((1.0 + r) / (1.0 - r)) > 700.0:
+                    continue
+                rows += [(n, r, i) for i in (2, 4, 16, 64, max(64, math.ceil(4 * n / (1.0 - r))))]
+        assert len(rows) == 240 and missed <= set(rows)
+        # and caps down to 1 - t = 1 / (2 i^2) = 3.1e-12
+        rows += [(3, 0.5, 400000), (10, 0.99, 400000), (100, 1e-6, 400000)]
+        for n, r, i in rows:
+            exact = mp_cap_pair(n, r, i)
+            assert minimizing_sequence_p1(n, r, i) == pytest.approx(exact, rel=1e-13, abs=0), (n, r, i)
+
+    def test_matches_mpmath_at_large_dimensions(self):
+        for n, limit in ((300, 1e-12), (1000, 1e-11)):
+            for r in (1e-6, 0.1, 0.3):
+                for i in (1, 2, 64, max(64, math.ceil(4 * n / (1.0 - r)))):
+                    exact = mp_cap_pair(n, r, i, dps=90)
+                    assert minimizing_sequence_p1(n, r, i) == pytest.approx(exact, rel=limit, abs=0), (n, r, i)
+
+    def test_moebius_form_against_the_kernel_integral(self):
+        # the cap integrals of K itself, by mpmath quadrature in t
+        for n, r, i in ((4, 0.9, 16), (10, 0.99, 2)):
+            edge = 1.0 - 1.0 / (2.0 * i * i)
+            signed = lambda t: mp_kernel(n, r, t) * ((t >= edge) - (t <= -edge))
+            ring = mp_zonal(n, signed, split=(-edge, edge))
+            cap = mp_zonal(n, lambda t: float(t >= edge), split=(-edge, edge))
+            assert minimizing_sequence_p1(n, r, i) == pytest.approx(ring / (2.0 * cap), rel=1e-13, abs=0)
+
+    def test_refusals_and_the_centre(self):
+        assert minimizing_sequence_p1(3, 0.0, 64) == 0.0
+        with pytest.raises(CapUnderflowError, match="n = 1000"):
+            minimizing_sequence_p1(1001, 0.1, 64)
+        # G_1 itself is past double range here
+        with pytest.raises(DomainError, match="double range"):
+            minimizing_sequence_p1(1000, 0.9, 2)
 
     def test_check_reports_powers_of_two(self):
         report = cap_sequence_check(3, 0.5, 100)
@@ -713,3 +766,5 @@ class TestCorollary:
         moment, sqrt_form = corollary_l2_batch(5, count=200, seed=3)
         assert moment == random_grad_check(BallContext(5, 2.0), count=200, seed=3)
         assert sqrt_form.count == 200 and sqrt_form.seed == 3 and sqrt_form.violations > 0
+        for n in (3, 4, 5):
+            assert corollary_l2_batch(n)[0] == random_grad_check(BallContext(n, 2.0)), n
