@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -662,6 +663,44 @@ class TestMinimizingSequence:
         assert minimizing_sequence_p1(3, 0.5, 10 ** 170) == pytest.approx(40.0 / 9.0, rel=1e-15, abs=0)
         with pytest.raises(CapUnderflowError):
             minimizing_sequence_p1(3, 0.5, 10 ** 400)
+
+    def test_cap_measure_dimension_three(self):
+        # n = 3: the cap {angle <= phi} has measure sin^2(phi/2), so the pair is
+        # rational in s = 1/(4 i^2) and rho^2; exact in fractions for dyadic r,
+        # over caps from 1 - t = 1/8 down to 1 - t = 1/(2 i^2) = 1.0e-12
+        for r in (2.0 ** -40, 0.5, 0.9, 0.99, 0.999):
+            rho2 = ((1 + Fraction(r)) / (1 - Fraction(r))) ** 2
+            for i in (2, 3, 71, 7072, 707107):
+                s = Fraction(1, 4 * i * i)
+                exact = (rho2 * s / (1 - s + rho2 * s) - s / (rho2 * (1 - s) + s)) / (2 * s)
+                assert minimizing_sequence_p1(3, r, i) == pytest.approx(float(exact), rel=1e-13, abs=0), (r, i)
+
+    def test_cap_measure_dimension_four(self):
+        # n = 4: the cap {angle <= phi} has measure (phi - sin(phi) cos(phi)) / pi
+        from mpmath import mp
+
+        with mp.workdps(60):
+            for r in (1e-9, 0.3, 0.75, 0.99):
+                rho = (1 + mp.mpf(r)) / (1 - mp.mpf(r))
+                for i in (2, 5, 64, 40000):
+                    tau = mp.tan(mp.asin(1 / mp.mpf(2 * i)))
+                    measure = lambda phi: phi - mp.sin(phi) * mp.cos(phi)
+                    ring = measure(2 * mp.atan(rho * tau)) - measure(2 * mp.atan(tau / rho))
+                    exact = float(ring / (2 * measure(2 * mp.atan(tau))))
+                    assert minimizing_sequence_p1(4, r, i) == pytest.approx(exact, rel=1e-13, abs=0), (r, i)
+
+    def test_cap_underflow(self):
+        # the refusal sits where tan(psi/2) = tan(theta/2) (1 - r)/(1 + r) leaves
+        # the normal doubles: about 2^-1021 / 3 at r = 1/2, and 2^-1019 / 3 answers
+        assert minimizing_sequence_p1(3, 0.5, 2 ** 1018) == pytest.approx(40.0 / 9.0, rel=1e-15, abs=0)
+        for n, r, index in ((3, 0.5, 2 ** 1020), (10, 0.999, 2 ** 1012), (3, 0.5, 10 ** 310)):
+            with pytest.raises(CapUnderflowError, match="double precision"):
+                minimizing_sequence_p1(n, r, index)
+
+    def test_rejects_bad_dimension(self):
+        for n in (2, 1, 0, -3, 3.5):
+            with pytest.raises(DomainError, match="dimension"):
+                minimizing_sequence_p1(n, 0.5, 64)
 
     def test_matches_mpmath_cap_measures(self):
         # includes four points where the 64-node cap rule of K missed the kernel's peak
