@@ -5,10 +5,10 @@ sharp bound and its optimal shift over a radius or sweep, ``uh`` and ``grad``
 print the closed-form quantities, the ``verify-*`` commands run the
 certification routines, and ``check`` executes the full acceptance battery.
 
-Exit codes: 0 on success, 1 on usage or domain errors, 2 when a verification
-command detects a property violation.  Output is byte deterministic: floats
-are rendered with repr-faithful precision and rows always end with a bare
-newline.
+Exit codes: 0 on success, 1 on usage, domain or output-file errors, 2 when a
+verification command detects a property violation.  Output is byte
+deterministic: floats are rendered with repr-faithful precision and rows
+always end with a bare newline.
 """
 
 from __future__ import annotations
@@ -199,15 +199,15 @@ def main(argv=None) -> int:
         args.radii = _radii(args)
     try:
         rows, violated = args.rows(args)
-    except (DomainError, NonConvergenceError, CapUnderflowError) as exc:
+        text = _render(args.format, rows)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+    except (DomainError, NonConvergenceError, CapUnderflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(args.format, rows)
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
     return 2 if violated else 0
 
 

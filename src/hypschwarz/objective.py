@@ -84,12 +84,12 @@ def phi(params: ObjectiveParams, a: float) -> float:
     d = K/a - 1 is divided by its largest size m = max(e^(l-s) - 1, 1 - e^(-l-s))
     first: |d|^q overflows near r = 1 for large q, a m (integral |d/m|^q)^(1/q) not.
     """
-    return _phi_and_refined(params, _log_shift(a), 0)[0]
+    return _phi_and_refined(params, _log_shift(a), False)[0]
 
 
-def _phi_and_refined(params: ObjectiveParams, s: float, order: int) -> list[float]:
-    """[Phi(e^s) at params.order, Phi(e^s) at ``order``] from one site pass,
-    the bits of two phi calls; [Phi(e^s)] alone for order 0."""
+def _phi_and_refined(params: ObjectiveParams, s: float, refine: bool) -> list[float]:
+    """[Phi(e^s) at params.order, at est_error's reference order (``_site_sums``)]
+    from one site pass, the bits of two phi calls; [Phi(e^s)] without ``refine``."""
     ctx, r, q = params.ctx, params.r, params.ctx.q
     ell = _log_range(ctx.n, r)
     size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
@@ -103,7 +103,7 @@ def _phi_and_refined(params: ObjectiveParams, s: float, order: int) -> list[floa
         dev **= q
         return dev
 
-    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), values, order)
+    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), values, refine)
     return [_checked(_exp(s) * size * total ** (1.0 / q)) for total in totals]
 
 

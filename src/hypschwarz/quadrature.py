@@ -32,19 +32,20 @@ kept.  One function, ``_site_sums``, sums every zonal integral: it evaluates
 the values it is given at a site's nodes (at the node set alone, on no
 site, for ``integrate_with_breakpoint``'s integrands of t) under the one
 overflow guard, takes their panel sums and adds the side totals left to
-right.  With a doubled order it also evaluates the outer panels of that
-order alone (``_outer_nodes``), all that the order changes (every panel at
-a pole), and splices their sums over the first order's.  A non-finite
-value, or a total past double range, is refused with DomainError.
+right.  With ``refine`` it also evaluates the outer panels alone
+(``_outer_nodes``, every panel at a pole), all that the order changes, at
+est_error's reference order 2 max(order, 96), and splices their sums over
+the first order's.  Non-finite values or totals raise DomainError.
 
-``build_rule`` gives the Gauss-Jacobi nodes (both exponents (n-3)/2, weights
-scaled by c_n) of the random polynomial draws in ``verify``, exact for their
-means and gradient moment; no kernel is summed on them.  A rule whose
-nodes are not finite and strictly increasing inside (-1, 1) or whose
-weights are not finite and positive is refused with DomainError.  scipy
-returns NaN throughout from the first n at which binom(order + n - 3,
-order), a factor of its Gegenbauer evaluation, overflows: n = 1406 at
-order 256, 521 at order 512.
+Every rule is built here on first use, cached and read-only: ``_legendre``
+for the graded panels and ``verify``'s p = 1 cap pairs, and ``build_rule``,
+the Gauss-Jacobi nodes (both exponents (n-3)/2, weights scaled by c_n) of
+the random polynomial draws in ``verify``, exact for their means and
+gradient moment; no kernel is summed on them.  A rule whose nodes are not
+finite and strictly increasing inside (-1, 1) or whose weights are not
+finite and positive is refused with DomainError.  scipy returns NaN
+throughout from the first n at which binom(order + n - 3, order), a factor
+of its Gegenbauer evaluation, overflows: n = 1406 at order 256, 521 at 512.
 """
 
 from __future__ import annotations
@@ -77,26 +78,6 @@ def _zonal_constant(n: int) -> float:
     return math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)) / math.sqrt(math.pi)
 
 
-@lru_cache(maxsize=64)
-def _gauss_jacobi(order: int, alpha: float, beta: float):
-    """Read-only nodes and weights of the ``order``-point Gauss-Jacobi rule
-    for the weight (1-x)^alpha (1+x)^beta on [-1, 1].  scipy is imported
-    here, by the first rule built, so that paths building none never load it.
-    A rule scipy returns as NaN is refused with DomainError, without scipy's
-    warnings."""
-    from scipy.special import roots_jacobi
-
-    with np.errstate(all="ignore"):
-        x, w = roots_jacobi(order, alpha, beta)
-    nodes_ok = -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
-    if not (nodes_ok and np.all((w > 0.0) & (w < np.inf))):
-        raise DomainError(f"the Gauss-Jacobi rule of order {order} with exponents ({alpha}, {beta}) "
-                          "has non-finite or misplaced nodes or weights in double precision")
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 @dataclass(frozen=True)
 class ZonalQuadrature:
     """Gauss-Jacobi zonal rule: weights @ f(nodes) integrates a polynomial f
@@ -114,13 +95,32 @@ def build_rule(n: int, order: int = DEFAULT_ORDER) -> ZonalQuadrature:
 
     Weights include the c_n normalization and therefore sum to 1 up to
     rounding; the rule is exact for polynomials of degree <= 2*order - 1.
+    scipy is imported here, so that paths building no rule never load it; a
+    rule it returns as NaN is refused, without its warnings.
     """
     n, order = check_dimension(n), check_integer(order, 2, "rule order")
+    from scipy.special import roots_jacobi
     expo = (n - 3) / 2.0
-    x, w = _gauss_jacobi(order, expo, expo)
+    with np.errstate(all="ignore"):
+        x, w = roots_jacobi(order, expo, expo)
+    nodes_ok = -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
+    if not (nodes_ok and np.all((w > 0.0) & (w < np.inf))):
+        raise DomainError(f"the Gauss-Jacobi rule of order {order} with exponents ({expo}, {expo}) "
+                          "has non-finite or misplaced nodes or weights in double precision")
     weights = _zonal_constant(n) * w
-    weights.setflags(write=False)
+    for array in (x, weights):
+        array.setflags(write=False)
     return ZonalQuadrature(n=n, order=order, nodes=x, weights=weights)
+
+
+@lru_cache(maxsize=16)
+def _legendre(count: int):
+    """Read-only nodes and weights of the ``count``-point Gauss-Legendre rule
+    on [-1, 1], built on first use: importing the package loads no numpy.polynomial."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    for array in (x, w):
+        array.setflags(write=False)
+    return x, w
 
 
 def _outer_panels(n: int) -> int:
@@ -144,12 +144,11 @@ def _graded_panels(order: int, outer: int):
     """
     order = check_integer(order, 2, "rule order")
     counts = [max(_PANEL_NODES, order // 8)] * outer + [_PANEL_NODES] * (_PANELS - outer)
-    rules = {k: np.polynomial.legendre.leggauss(k) for k in set(counts)}
     edges = _PANEL_RATIO ** np.arange(_PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[:-1] - edges[1:])
-    offsets = np.concatenate([m + h * rules[k][0] for m, h, k in zip(mid, half, counts)])
-    weights = np.concatenate([h * rules[k][1] for h, k in zip(half, counts)])
+    offsets = np.concatenate([m + h * _legendre(k)[0] for m, h, k in zip(mid, half, counts)])
+    weights = np.concatenate([h * _legendre(k)[1] for h, k in zip(half, counts)])
     starts = np.cumsum([0] + counts[:-1])
     for array in (offsets, weights, starts):
         array.setflags(write=False)
@@ -235,15 +234,15 @@ def _site(n: int, r: float, order: int, t0: float):
     return log_kernel, nodes
 
 
-def _site_sums(n: int, r: float | None, order: int, t0: float, fn, refine: int = 0) -> list[float]:
+def _site_sums(n: int, r: float | None, order: int, t0: float, fn, refine: bool = False) -> list[float]:
     """Zonal integrals of fn(log K, t), values at the nodes of the site split
     at t0, unchecked (non-finite where a value or a sum is): a list of one
     for an array of values, of one per row for a stack of them.  Where r is
     None, fn(None, t) is summed on the node set alone, which takes no site.
 
-    With ``refine`` (on a site), the same integrals at the order ``refine``
-    follow.  The layouts differ only on the outer panels of each side, every
-    panel at a pole (``_outer_nodes``); each inner panel has the same 12
+    With ``refine`` (on a site), the same integrals at est_error's reference
+    order follow.  The layouts differ only on the outer panels of each side,
+    every panel at a pole (``_outer_nodes``); each inner panel has the same 12
     nodes at the same offsets in both.  So fn is evaluated on those outer
     panels alone, their sums replace the first order's, and the panels are
     summed in the same left-to-right loop: a full evaluation's bits.
@@ -254,7 +253,8 @@ def _site_sums(n: int, r: float | None, order: int, t0: float, fn, refine: int =
         per_panel = _panel_sums(fn(log_kernel, nodes[0]), nodes)
         rows = [per_panel.tolist()]
         if refine:
-            outer = _outer_nodes(n, refine, t0)
+            # Below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes: double that.
+            outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), t0)
             outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
             per_panel[..., :outer_sums.shape[-1]] = outer_sums
             rows.append(per_panel.tolist())

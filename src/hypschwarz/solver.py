@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
 from .objective import ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined
-from .quadrature import _PANEL_NODES, _ROUNDING_FLOOR, DEFAULT_ORDER
+from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER
 from .special import alpha_q, check_dimension, check_integer
 
 # Width in log a at which the root bracket counts as resolved (times 2l, l < 1/2).
@@ -289,20 +289,17 @@ def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
 
 
 def _numeric_result(ctx: BallContext, r: float, order: int, s: float) -> GpResult:
-    """G_p = Phi(a*) and its est_error, for a numerically solved s = log a*;
-    only the reported a* is rounded to e^s."""
+    """G_p = Phi(a*) and est_error (|G_p - G_2| at p = 2, else the gap to Phi(a*) at
+    quadrature's reference order) for a solved s = log a*; only a* is rounded to e^s."""
     if r == 0.0:
         return GpResult(ctx, r, 1.0, 0.0, "numeric", 0.0, 0.0)
     params = ObjectiveParams(ctx, r, order)
     if ctx.p == 2.0:
-        g_val = _phi_and_refined(params, s, 0)[0]
+        g_val = _phi_and_refined(params, s, False)[0]
         est = abs(g_val - g_2_closed(ctx.n, r))
     else:
-        # Phi is stationary at a*, so re-solving at the doubled order is not
-        # needed to estimate the quadrature error of the bound itself.  Every
-        # order below 8 * _PANEL_NODES has _PANEL_NODES nodes on its outer
-        # panels; the reference doubles that count.
-        g_val, refined = _phi_and_refined(params, s, 2 * max(order, 8 * _PANEL_NODES))
+        # Phi is stationary at a*: its error needs no solve at the reference order.
+        g_val, refined = _phi_and_refined(params, s, True)
         est = abs(g_val - refined)
     # Order doubling cannot see the rounding both orders share: an ulp for
     # each panel sum, and at subnormal r n - 1 spacings 2^-1074 of log K.

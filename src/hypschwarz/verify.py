@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapUnderflowError, DomainError
 from .kernel import BallContext, _log_range, _split_point, check_radius
-from .quadrature import DEFAULT_ORDER, _site_integral, build_rule, integrate_with_breakpoint
+from .quadrature import DEFAULT_ORDER, _legendre, _site_integral, build_rule, integrate_with_breakpoint
 from .solver import GpResult, g_1_closed, g_p, grad_constant
 from .special import check_dimension, check_integer
 
@@ -396,13 +396,6 @@ def minimizing_sequence_p1(n: int, r: float, index: int) -> float:
     if not math.isfinite(value):
         raise DomainError(f"the cap pair at index {index} leaves double range at n = {n}, r = {r}")
     return value
-
-
-@lru_cache(maxsize=8)
-def _legendre(count: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], shared: not to be written.
-    Built on first use, so importing the package loads no numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(count)
 
 
 @dataclass(frozen=True)

@@ -445,6 +445,12 @@ class TestFailureModes:
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
+    def test_unwritable_output_returns_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "gp", "--n", "4", "--p", "3", "--r", "0.5", "--output", str(target))
+        assert code == 1 and out == "" and not target.parent.exists()
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
     def test_conjugate_rounding_to_one_is_named(self, capsys):
         # past about p = 2^53 the conjugate p/(p-1) rounds to 1.0: the refusal says
         # so, where p = 4.5e15 still answers, within 1e-16 of G_inf
@@ -489,7 +495,12 @@ import sys
 from contextlib import redirect_stdout
 from io import StringIO
 
+import numpy
+numpy_only = set(sys.modules)
 import hypschwarz
+import hypschwarz.cli
+# quadrature builds its Gauss-Legendre rules on first use, not at import
+assert not [name for name in set(sys.modules) - numpy_only if name.startswith("numpy.polynomial")]
 from hypschwarz import BallContext, cli, g_p, g_p_curve
 
 for p in (1.0, 1.5, 2.0, 3.0, float("inf")):

@@ -224,8 +224,8 @@ class TestRefinedPhi:
                         refined = ObjectiveParams(ctx, r, 2 * max(order, 96))
                         s = solver._solve(ctx, r, order, None, 0.0)
                         assert res.a_star == math.exp(s)
-                        g_val = _phi_and_refined(prm, s, 0)[0]
-                        est = max(abs(g_val - _phi_and_refined(refined, s, 0)[0]),
+                        g_val = _phi_and_refined(prm, s, False)[0]
+                        est = max(abs(g_val - _phi_and_refined(refined, s, False)[0]),
                                   _ROUNDING_FLOOR * g_val)
                         assert res.g_value.hex() == g_val.hex(), (order, n, p, r)
                         assert res.est_error.hex() == est.hex(), (order, n, p, r)
@@ -245,9 +245,9 @@ class TestRefinedPhi:
                 for order in (64, 128):
                     prm = ObjectiveParams(ctx, r, order)
                     sites.clear()
-                    pair = _phi_and_refined(prm, math.log(a), 256)
+                    pair = _phi_and_refined(prm, math.log(a), True)
                     assert sites == [order], (n, p, r, a)
-                    expected = (phi(prm, a), phi(ObjectiveParams(ctx, r, 256), a))
+                    expected = (phi(prm, a), phi(ObjectiveParams(ctx, r, 2 * max(order, 96)), a))
                     assert [v.hex() for v in pair] == [v.hex() for v in expected], (n, p, r, a)
 
 

@@ -16,6 +16,7 @@ from hypschwarz.quadrature import (
 )
 from hypschwarz.objective import ObjectiveParams, phi
 from hypschwarz.solver import g_p
+from hypschwarz.verify import minimizing_sequence_p1
 from conftest import mp_crossing, mp_kernel, mp_zonal
 
 
@@ -197,6 +198,18 @@ class TestBreakpointRule:
         for array in (offsets, weights, starts):
             with pytest.raises(ValueError):
                 array[0] = 1
+        # one Gauss-Legendre builder, shared with the p = 1 cap pairs
+        nodes, weights = quadrature._legendre(16)
+        assert all(a is b for a, b in zip(quadrature._legendre(16), (nodes, weights)))
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        quadrature._legendre.cache_clear()
+        minimizing_sequence_p1(860, 0.1, 4)  # max(64, 858 // 2 + 2) = 431 nodes
+        assert quadrature._legendre.cache_info().misses == 1
+        minimizing_sequence_p1(860, 0.1, 4)
+        minimizing_sequence_p1(860, 0.05, 8)
+        assert quadrature._legendre.cache_info().misses == 1
 
     def test_graded_offsets_interior_and_ordered(self):
         edges = 0.5 ** np.arange(28)
