@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Criteria 6, 7 and 9 build the random draws' Gauss-Jacobi rules, whose first
-# build imports scipy.special and, inside roots_jacobi, scipy.linalg.
-# Importing both here charges that cost to loading the battery, not to
+# numpy 2 loads these on first use: for the graded panels' Gauss-Legendre
+# rules, the random draws and np.unique in their exact sups.  Importing them
+# here charges their import (about 30 ms) to loading the battery, not to
 # whichever criterion runs first.
-import scipy.linalg  # noqa: F401
-import scipy.special  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.polynomial  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .kernel import BallContext, kernel_range
 from .objective import ObjectiveParams, big_f, dF_da, phi

@@ -25,6 +25,7 @@ from .kernel import BallContext
 from .objective import ObjectiveParams, _f_and_slope
 from .quadrature import DEFAULT_ORDER
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
+from .special import MAX_ORDER
 from .verify import _bound_checker, _sharpness, cap_sequence_check
 
 
@@ -147,7 +148,7 @@ _FLAGS = {
         ("--steps", dict(type=int, help="sweep length when using --r-min/--r-max")),
     ],
     "order": [("--order", dict(type=int, default=DEFAULT_ORDER,
-                               help=f"quadrature order (default: {DEFAULT_ORDER})"))],
+                               help=f"quadrature order, 2 to {MAX_ORDER} (default: {DEFAULT_ORDER})"))],
     "draws": [("--count", dict(type=int, default=1000)), ("--seed", dict(type=int, default=42))],
     "capseq": [
         ("--r", dict(type=float, required=True, help="radius in (0, 1)")),

@@ -39,13 +39,18 @@ the first order's.  Non-finite values or totals raise DomainError.
 
 Every rule is built here on first use, cached and read-only: ``_legendre``
 for the graded panels and ``verify``'s p = 1 cap pairs, and ``build_rule``,
-the Gauss-Jacobi nodes (both exponents (n-3)/2, weights scaled by c_n) of
-the random polynomial draws in ``verify``, exact for their means and
-gradient moment; no kernel is summed on them.  A rule whose nodes are not
-finite and strictly increasing inside (-1, 1) or whose weights are not
-finite and positive is refused with DomainError.  scipy returns NaN
-throughout from the first n at which binom(order + n - 3, order), a factor
-of its Gegenbauer evaluation, overflows: n = 1406 at order 256, 521 at 512.
+the Gauss-Jacobi rule of c_n (1-t^2)^((n-3)/2) dt for the random polynomial
+draws in ``verify``, exact for their means and gradient moment; no kernel is
+summed on them.  ``build_rule`` is Golub-Welsch at half size: the Jacobi
+matrix of that weight has a zero diagonal, so its eigenvalues are +- the
+square roots of those of a tridiagonal matrix of order // 2, which numpy's
+``eigvalsh`` finds at an eighth of the full problem's dense work.  One
+Newton step on the orthonormal three-term recurrence polishes the nodes, and
+the same recurrence gives the weights as Christoffel numbers.  A rule whose
+nodes are not finite and strictly increasing inside (-1, 1) or whose weights
+are not finite and positive is refused with DomainError: its smallest
+weights underflow to 0 from n = 1423 at order 512, 444 at 1024, 277 at 2048
+and 166 at 8192.  No order above ``special.MAX_ORDER`` is built.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import _log_kernel
-from .special import check_dimension, check_integer
+from .special import check_dimension, check_order
 
 #: Default rule order: the node count of a draw rule; an outer graded panel
 #: has order // 8 Gauss-Legendre nodes, at least _PANEL_NODES.
@@ -68,6 +73,11 @@ DEFAULT_ORDER = 128
 _PANEL_RATIO = 0.5
 _PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
 _PANEL_NODES = 12  # Gauss-Legendre nodes on an inner panel, and on every one up to order 8 * 12
+# A node's orthonormal values are scaled by 2^-_RESCALE_BITS once their sum of
+# squares passes _RESCALE_AT: one recurrence step grows them by far less than
+# the 2^256 that would take the sum past double range.
+_RESCALE_BITS = 256
+_RESCALE_AT = 2.0 ** 512
 # Relative rounding floor of a breakpoint integral: an ulp for each panel sum
 # of its two sides.
 _ROUNDING_FLOOR = 2 * _PANELS * 2.0 ** -52
@@ -93,24 +103,76 @@ class ZonalQuadrature:
 def build_rule(n: int, order: int = DEFAULT_ORDER) -> ZonalQuadrature:
     """Gauss-Jacobi zonal rule for dimension n with ``order`` nodes.
 
-    Weights include the c_n normalization and therefore sum to 1 up to
-    rounding; the rule is exact for polynomials of degree <= 2*order - 1.
-    scipy is imported here, so that paths building no rule never load it; a
-    rule it returns as NaN is refused, without its warnings.
+    The weights are the Christoffel numbers of c_n (1-t^2)^((n-3)/2) dt and
+    sum to 1 up to rounding; the rule is exact for polynomials of degree
+    <= 2*order - 1.  The nodes are +-sqrt of the eigenvalues of a tridiagonal
+    matrix of half the order (``_jacobi_squared``), and 0 at an odd order,
+    each polished by one Newton step on the orthonormal recurrence that also
+    sums the weights (``_orthonormal``).  A rule whose smallest weights
+    underflow to 0 is refused, without a warning.
     """
-    n, order = check_dimension(n), check_integer(order, 2, "rule order")
-    from scipy.special import roots_jacobi
-    expo = (n - 3) / 2.0
+    n, order = check_dimension(n), check_order(order)
+    k = np.arange(1.0, order + 1.0)
+    # b_k, k = 1..order: the recurrence t p_k = b_{k+1} p_{k+1} + b_k p_{k-1}
+    # of the orthonormal polynomials, the off-diagonal of the Jacobi matrix.
+    b = np.sqrt(k * (k + n - 3) / ((2 * k + n - 3) ** 2 - 1))
+    x = np.sqrt(np.maximum(np.linalg.eigvalsh(_jacobi_squared(b)), 0.0))
+    if order % 2:
+        x = np.concatenate(([0.0], x))
     with np.errstate(all="ignore"):
-        x, w = roots_jacobi(order, expo, expo)
-    nodes_ok = -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
-    if not (nodes_ok and np.all((w > 0.0) & (w < np.inf))):
+        p, dp, total, scale = _orthonormal(x, b)
+        step = p / dp
+        # At a root of p_order, d log K(t, t) / dt = (n - 1) t / (1 - t^2) for
+        # K(t, t) = sum of p_k(t)^2: the Christoffel numbers at the polished nodes.
+        half = np.ldexp(1.0 / total, -2 * scale) / (1.0 - (n - 1) * x * step / (1.0 - x * x))
+        x = x - step
+    mirror = slice(None, 0 if order % 2 else None, -1)
+    nodes, weights = np.concatenate((-x[mirror], x)), np.concatenate((half[mirror], half))
+    nodes_ok = -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)
+    if not (nodes_ok and np.all((weights > 0.0) & (weights < np.inf))):
+        expo = (n - 3) / 2.0
         raise DomainError(f"the Gauss-Jacobi rule of order {order} with exponents ({expo}, {expo}) "
-                          "has non-finite or misplaced nodes or weights in double precision")
-    weights = _zonal_constant(n) * w
-    for array in (x, weights):
+                          "has nodes or weights outside double range")
+    for array in (nodes, weights):
         array.setflags(write=False)
-    return ZonalQuadrature(n=n, order=order, nodes=x, weights=weights)
+    return ZonalQuadrature(n=n, order=order, nodes=nodes, weights=weights)
+
+
+def _jacobi_squared(b):
+    """B^T B for the Jacobi matrix [[0, B], [B^T, 0]] (zero diagonal, rows
+    ordered even then odd) of off-diagonal b: tridiagonal of size
+    b.size // 2, diagonal b_{2i-1}^2 + b_{2i}^2 and off-diagonal
+    b_{2i} b_{2i+1}, with b_order taken as 0.  Its eigenvalues are the
+    squares of the positive nodes.  Only the lower triangle is filled, all
+    that ``eigvalsh`` reads."""
+    half = b.size // 2
+    c = b.copy()
+    c[-1] = 0.0
+    odd, even = c[0:2 * half:2], c[1:2 * half:2]
+    matrix = np.zeros((half, half))
+    matrix.flat[::half + 1] = odd * odd + even * even
+    matrix.flat[half::half + 1] = even[:-1] * c[2:2 * half:2]
+    return matrix
+
+
+def _orthonormal(x, b):
+    """(p_N(x), p_N'(x), sum_{k<N} p_k(x)^2, e) for the orthonormal
+    polynomials of the recurrence b, N = b.size: p_N and p_N' scaled by 2^-e
+    and the sum by 2^-2e, per node, so that none leaves double range."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
+    scale = np.zeros(x.shape, dtype=np.int64)
+    for b_k, b_next in zip([0.0] + b[:-1].tolist(), b.tolist()):
+        total += p * p
+        if total.max() > _RESCALE_AT:
+            shift = np.where(total > _RESCALE_AT, -_RESCALE_BITS, 0)
+            p, p_prev, dp, dp_prev = (np.ldexp(v, shift) for v in (p, p_prev, dp, dp_prev))
+            total = np.ldexp(total, 2 * shift)
+            scale -= shift
+        p, p_prev = (x * p - b_k * p_prev) / b_next, p
+        dp, dp_prev = (p_prev + x * dp - b_k * dp_prev) / b_next, dp
+    return p, dp, total, scale
 
 
 @lru_cache(maxsize=16)
@@ -132,17 +194,17 @@ def _outer_panels(n: int) -> int:
     return min(_PANELS, max(2, (n - 2).bit_length() - 4))
 
 
-# typed, like build_rule's cache: an order of 128.0 must miss 128's entry and meet the check.
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=16)
 def _graded_panels(order: int, outer: int):
     """Read-only (offsets, weights, starts): Gauss-Legendre nodes on the
     graded panels of a side of unit length, as offsets from the breakpoint,
     flat and panel by panel, with the index of each panel's first node.
     Panel j spans [ratio^(j+1), ratio^j], its index growing toward the
     breakpoint; the ``outer`` panels j < outer have max(_PANEL_NODES,
-    order // 8) nodes, every other one _PANEL_NODES.
+    order // 8) nodes, every other one _PANEL_NODES.  ``order`` is checked
+    by ``_graded_nodes``: est_error's reference layout is built at twice an
+    order that passed it, up to 2 * MAX_ORDER.
     """
-    order = check_integer(order, 2, "rule order")
     counts = [max(_PANEL_NODES, order // 8)] * outer + [_PANEL_NODES] * (_PANELS - outer)
     edges = _PANEL_RATIO ** np.arange(_PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -162,7 +224,7 @@ def _graded_nodes(n: int, order: int, t0: float):
     panels.  A breakpoint at a pole leaves one side; the empty one gets no
     nodes, as an integrand may be infinite there.
     """
-    return _nodes_at(n, t0, *_graded_panels(order, _outer_count(n, t0)))
+    return _nodes_at(n, t0, *_graded_panels(check_order(order), _outer_count(n, t0)))
 
 
 def _outer_count(n: int, t0: float) -> int:

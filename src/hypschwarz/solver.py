@@ -27,7 +27,7 @@ from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
 from .objective import ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined
 from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER
-from .special import alpha_q, check_dimension, check_integer
+from .special import alpha_q, check_dimension, check_order
 
 # Width in log a at which the root bracket counts as resolved (times 2l, l < 1/2).
 _LOG_A_TOL = 2.0 ** -44
@@ -91,7 +91,7 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     at l (at subnormal r, 2^-44 2l underflows).  The guess changes the cost,
     and the root only where F's quadrature noise outweighs its slope.
     """
-    order = check_integer(order, 2, "rule order")
+    order = check_order(order)
     _check_exponent(ctx, "shift optimization")
     r = check_radius(r)
     if r == 0.0:
@@ -275,7 +275,7 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     So the doubled-order Phi evaluates those outer panels only and takes the
     inner panel sums of Phi(a*), which gives the bits of a full evaluation.
     """
-    order = check_integer(order, 2, "rule order")
+    order = check_order(order)
     r = check_radius(r)
     if ctx.p in (1.0, math.inf):
         closed, method = (g_1_closed, "closed_p1") if ctx.p == 1.0 else (g_inf_closed, "closed_pinf")
@@ -323,7 +323,7 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     filled.  Where F overflows near a kernel-range end but not near a* (p
     near 1 at larger r), a warm solve answers although g_p refuses.
     """
-    order = check_integer(order, 2, "rule order")
+    order = check_order(order)
     if not 1.0 < ctx.p < math.inf:
         return [g_p(ctx, r, order) for r in radii]
     results: dict[float, GpResult] = {}

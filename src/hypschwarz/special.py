@@ -12,6 +12,11 @@ import numbers
 
 from .errors import DomainError
 
+#: Largest rule order: the Gauss-Jacobi builder's eigenproblem holds
+#: (order / 2)^2 doubles, 134 MB at 8192, and the graded panels' Gauss-Legendre
+#: rules (order // 8 nodes) a dense companion matrix of their own.
+MAX_ORDER = 8192
+
 
 def check_integer(value, least: int, what: str) -> int:
     """``value`` as an int if it is an integer (numpy's too, not a bool) >= ``least``."""
@@ -23,6 +28,15 @@ def check_integer(value, least: int, what: str) -> int:
 def check_dimension(n) -> int:
     """The ambient dimension n as an int, if it is an integer >= 3."""
     return check_integer(n, 3, "dimension")
+
+
+def check_order(order) -> int:
+    """A rule order as an int, if it is an integer in [2, MAX_ORDER]: a
+    larger one is refused before any rule of it is built."""
+    order = check_integer(order, 2, "rule order")
+    if order > MAX_ORDER:
+        raise DomainError(f"rule order must be at most {MAX_ORDER}, got {order}")
+    return order
 
 
 def alpha_q(n: int, q: float) -> float:

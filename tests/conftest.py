@@ -42,6 +42,26 @@ def mp_zonal(n, f_mp, split=(), dps=30):
         mp.dps = old
 
 
+def mp_christoffel(n, order, t, dps=40):
+    """Weight of the Gauss-Jacobi zonal rule of ``order`` nodes at the node
+    nearest t: Newton's method from t on p_order, then 1 / sum_{k < order}
+    p_k^2, all on the orthonormal recurrence of c_n (1-t^2)^((n-3)/2) dt in
+    mpmath precision."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        b = [mp.sqrt(mp.mpf(k * (k + n - 3)) / ((2 * k + n - 3) ** 2 - 1)) for k in range(1, order + 1)]
+        x = mp.mpf(t)
+        for _ in range(2):  # a double node is within 1e-16: 1e-32 after one step
+            p_prev, p, dp_prev, dp, total = 0, mp.mpf(1), 0, mp.mpf(0), mp.mpf(0)
+            for b_k, b_next in zip([0] + b[:-1], b):
+                total += p * p
+                p, p_prev, dp, dp_prev = ((x * p - b_k * p_prev) / b_next, p,
+                                          (p + x * dp - b_k * dp_prev) / b_next, dp)
+            x -= p / dp
+        return float(1 / total)
+
+
 def mp_kernel(n, r, t):
     """Kernel value in mpmath arithmetic; r is promoted exactly from float."""
     from mpmath import mp

@@ -17,7 +17,7 @@ from hypschwarz.quadrature import (
 from hypschwarz.objective import ObjectiveParams, phi
 from hypschwarz.solver import g_p
 from hypschwarz.verify import minimizing_sequence_p1
-from conftest import mp_crossing, mp_kernel, mp_zonal
+from conftest import mp_christoffel, mp_crossing, mp_kernel, mp_zonal
 
 
 def exact_even_moment(n, k):
@@ -63,6 +63,27 @@ class TestPlainRule:
                 numeric = rule.weights @ rule.nodes ** k
                 assert numeric == pytest.approx(exact_even_moment(n, k), abs=1e-13)
 
+    def test_even_moments_at_every_order(self):
+        for n in (3, 4, 5, 6, 8, 10, 30, 100):
+            for order in (6, 7, 64, 128, 255, 256, 512):
+                rule = build_rule(n, order)
+                for k in range(0, min(2 * order - 1, 64) + 1, 2):
+                    numeric = rule.weights @ rule.nodes ** k
+                    assert numeric == pytest.approx(exact_even_moment(n, k), abs=2e-14), (n, order, k)
+
+    @pytest.mark.parametrize("order", [128, 512])
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
+    def test_weights_against_mpmath(self, n, order):
+        # Christoffel numbers at 40 digits, on the outermost nodes (the most
+        # sensitive) and a spread of the rest: within 6.5e-13 here; the rule
+        # is symmetric
+        rule = build_rule(n, order)
+        for i in sorted({*range(order - 4, order), *range(order // 2, order, order // 16)}):
+            expected = mp_christoffel(n, order, rule.nodes[i])
+            assert rule.weights[i] == pytest.approx(expected, rel=1e-12, abs=0), i
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+
     def test_rule_is_cached_and_frozen(self):
         rule = build_rule(3, 128)
         assert rule is build_rule(3, 128)
@@ -70,15 +91,25 @@ class TestPlainRule:
             rule.nodes[0] = 0.0
 
     def test_rejects_bad_parameters(self):
-        # (1406, 256) and (521, 512): the first n at which scipy's rule is NaN
+        # (1423, 512) and (444, 1024): the first n at which the smallest
+        # weights underflow to 0; refused without a warning
         for n, order in ((2, 64), (3, 1), (3.0, 64), (3, 2.5), (3, 64.0), (True, 64), (3, True),
-                         (1406, 256), (521, 512)):
+                         (3, 8193), (1423, 512), (444, 1024)):
             with pytest.raises(DomainError):
                 build_rule(n, order)
         assert build_rule(np.int64(3), np.int64(64)).nodes.shape == (64,)
         # one step below that frontier the rule builds
-        for n, order in ((1405, 256), (520, 512)):
+        for n, order in ((1422, 512), (443, 1024)):
             assert build_rule(n, order).nodes.shape == (order,)
+
+    def test_builds_at_large_n(self):
+        # from these n on, binom(order + n - 3, order) passes double range, so
+        # a rule from unnormalized Gegenbauer values would be NaN throughout
+        for n, order in ((1406, 256), (521, 512)):
+            rule = build_rule(n, order)
+            for k in range(0, 65, 2):
+                numeric = rule.weights @ rule.nodes ** k
+                assert numeric == pytest.approx(exact_even_moment(n, k), abs=2e-14), (n, order, k)
 
 
 class TestIntegrateZonal:

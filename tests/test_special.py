@@ -5,8 +5,8 @@ import pytest
 
 from hypschwarz.errors import DomainError
 from hypschwarz.kernel import BallContext
-from hypschwarz.solver import g_2_closed, g_inf_closed, uh_elementary
-from hypschwarz.special import alpha_q
+from hypschwarz.solver import g_2_closed, g_inf_closed, g_p, g_p_curve, solve_a_star, uh_elementary
+from hypschwarz.special import MAX_ORDER, alpha_q
 from hypschwarz.quadrature import build_rule, integrate_with_breakpoint
 from hypschwarz.verify import minimizing_sequence_p1
 from conftest import mp_g_2, mp_g_inf
@@ -115,3 +115,22 @@ def test_dimension_checked_alike_everywhere(entry):
     for n in (3, np.int64(3), np.int32(5)):
         entry(n)
     assert type(BallContext(np.int64(4), 2.0).n) is int
+
+
+@pytest.mark.parametrize("entry", [
+    lambda order: build_rule(3, order),
+    lambda order: integrate_with_breakpoint(3, order, np.cos, 0.2),
+    lambda order: solve_a_star(BallContext(4, 3.0), 0.5, order),
+    lambda order: g_p(BallContext(4, 3.0), 0.5, order),
+    lambda order: g_p_curve(BallContext(4, 3.0), [0.5], order),
+], ids=["build_rule", "integrate_with_breakpoint", "solve_a_star", "g_p", "g_p_curve"])
+def test_order_checked_alike_everywhere(entry):
+    # an order past MAX_ORDER is refused before any rule is built: numpy's
+    # dense eigensolvers would allocate (order / 2)^2 doubles or more
+    for order in (MAX_ORDER + 1, 2 ** 20, 10 ** 30):
+        with pytest.raises(DomainError, match=rf"^rule order must be at most {MAX_ORDER}, got {order}$"):
+            entry(order)
+    for order in (1, 2.0, True):
+        with pytest.raises(DomainError, match=r"^rule order must be an integer >= 2, got "):
+            entry(order)
+    entry(np.int64(16))
