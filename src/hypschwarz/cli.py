@@ -26,7 +26,7 @@ from .objective import ObjectiveParams, _f_and_slope
 from .quadrature import DEFAULT_ORDER
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
 from .special import MAX_ORDER
-from .verify import _bound_checker, _sharpness, cap_sequence_check
+from .verify import _SIZE_ERRORS, _bound_checker, _sharpness, cap_sequence_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +73,10 @@ def _radii(args) -> list:
         args.parser.error("need --r, or all of --r-min/--r-max/--steps")
     if args.steps < 1:
         args.parser.error("--steps must be >= 1")
-    return [float(x) for x in np.linspace(args.r_min, args.r_max, args.steps)]
+    try:
+        return [float(x) for x in np.linspace(args.r_min, args.r_max, args.steps)]
+    except _SIZE_ERRORS as exc:
+        raise DomainError(f"--steps {args.steps} radii do not fit in memory: {exc}") from None
 
 
 def _gp(args):
@@ -196,9 +199,9 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "steps" in vars(args):
-        args.radii = _radii(args)
     try:
+        if "steps" in vars(args):
+            args.radii = _radii(args)
         rows, violated = args.rows(args)
         text = _render(args.format, rows)
         if args.output is None:

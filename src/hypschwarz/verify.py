@@ -8,7 +8,8 @@ one-dimensional integrals.  Kernel-weighted ones sum K - 1 = expm1(log K),
 so they read u(r axis) - u(0), on a site of ``quadrature``: the sharpness
 data on the site of the solve's own s = log a*, the random draws' kernel
 moments on the site split at the pole.  The draws are polynomials of
-degree <= 8, with means, norms and gradient moment on a Gauss-Jacobi rule.
+degree <= 8, held as centered coefficient rows; their means and gradient
+moment come from a Gauss-Jacobi rule's integrals of t^k, norms from its nodes.
 
 Every pass/fail decision of a certificate is made here, against the limits
 below: reports carry violation counts or a ``passed`` flag, which the CLI
@@ -43,6 +44,9 @@ CAPSEQ_MONOTONE_SLACK = 1e-9
 # Relative margin by which a draw's sup floor undercuts its exact sup at
 # p = inf, far above the rounding of either (``_ratio_checker``).
 _SUP_MARGIN = 1e-12
+# What numpy raises for an array size it cannot index or allocate (IndexError:
+# ``np.linspace`` at 2^63 points, numpy 2.4).
+_SIZE_ERRORS = (ValueError, IndexError, MemoryError)
 # Smallest unscaled power sum of a draw (the smallest normal double over
 # eps): |value|^p terms that underflow then weigh less than an ulp of it.
 _POWER_SUM_MIN = 2.0 ** -970
@@ -159,11 +163,14 @@ def _poly_sups(coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _monomials(n: int, order: int) -> np.ndarray:
-    """Read-only table of t^k, k = 0..8, at the nodes of the (n, order) zonal rule."""
-    powers = build_rule(n, order).nodes ** np.arange(9)[:, None]
-    powers.setflags(write=False)
-    return powers
+def _monomials(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only t^k at the nodes of the (n, order) zonal rule (k <= 8), and its integrals (k <= 9)."""
+    rule = build_rule(n, order)
+    powers = rule.nodes ** np.arange(10)[:, None]
+    table, moments = powers[:9], powers @ rule.weights
+    table.setflags(write=False)
+    moments.setflags(write=False)
+    return table, moments
 
 
 def _random_poly_draws(n: int, count: int, seed: int, order: int):
@@ -177,88 +184,82 @@ def _random_poly_draws(n: int, count: int, seed: int, order: int):
     """
     check_integer(seed, 0, "seed")
     check_integer(count, 1, "count")
-    return _poly_data(n, np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9)), order)
+    try:
+        coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9))
+    except _SIZE_ERRORS as exc:
+        raise DomainError(f"count = {count} draws do not fit in memory: {exc}") from None
+    return _poly_data(n, coeffs, order)
 
 
 def _poly_data(n: int, coeffs: np.ndarray, order: int):
-    """The rule, the coefficient rows (ascending, nine each), the mean of
-    each polynomial and its centered values at the nodes of the (n, order)
-    zonal rule."""
-    rule = build_rule(n, order)
-    values = coeffs @ _monomials(n, order)
-    means = values @ rule.weights
-    values -= means[:, None]
-    return rule, coeffs, means, values
-
-
-def _centered(coeffs, means) -> np.ndarray:
-    """Coefficient rows of the centered draws: the mean taken off c_0."""
+    """The rule, the centered coefficient rows (ascending, nine each: each
+    mean, the row times the rule's moments, taken off c_0) and their values
+    at the nodes of the (n, order) zonal rule."""
+    table, moments = _monomials(n, order)
     centered = coeffs.copy()
-    centered[:, 0] -= means
-    return centered
+    centered[:, 0] -= coeffs @ moments[:9]
+    return build_rule(n, order), centered, centered @ table
 
 
-def _poly_norms(ctx: BallContext, rule, coeffs, means, values) -> np.ndarray:
-    """p-norms of the centered draws; exact sup for p = inf.
+def _poly_norms(ctx: BallContext, rule, coeffs, values) -> np.ndarray:
+    """Finite p-norms of the draws of ``_poly_data``.
 
-    For finite p this consumes ``values``: |values|^p is taken in place, so a
-    certificate holds one count x order matrix instead of three.  Read
-    anything else from ``values`` before calling.  Where a draw's power sum
-    leaves double range (large p), every draw is evaluated again and divided
-    by its largest |value| before the power.
+    This consumes ``values``: |values|^p is taken in place, so a certificate
+    holds one count x order matrix instead of three.  Where a draw's power
+    sum leaves double range (large p), every draw is evaluated again and
+    divided by its largest |value| before the power.
     """
-    if ctx.p == math.inf:
-        return _poly_sups(_centered(coeffs, means))
     np.abs(values, out=values)
     with np.errstate(over="ignore"):
         values **= ctx.p
     sums = values @ rule.weights
     if ((_POWER_SUM_MIN <= sums) & (sums < math.inf)).all():
         return sums ** (1.0 / ctx.p)
-    values = np.abs(coeffs @ _monomials(rule.n, rule.order) - means[:, None])
+    values = np.abs(coeffs @ _monomials(rule.n, rule.order)[0])
     scale = values.max(axis=1)
     scale[scale == 0.0] = 1.0  # a zero draw keeps norm 0
     return scale * (((values / scale[:, None]) ** ctx.p) @ rule.weights) ** (1.0 / ctx.p)
 
 
-def _ratio_checker(ctx: BallContext, rule, coeffs, means, values):
-    """(lhs, scale) -> ``_ratio_check(lhs, scale * norms)`` for the p-norms
-    of the draws of ``_poly_data``; consumes ``values`` as ``_poly_norms``.
+def _ratio_checker(ctx: BallContext, rule, coeffs, values):
+    """(moments, scale) -> ``_ratio_check(|coeffs @ moments|, scale * norms)``
+    for the p-norms of the draws of ``_poly_data``; consumes ``values`` as
+    ``_poly_norms``.
 
-    At p = inf the norm is the exact sup, and only the draws that can decide
-    the result take one.  A draw's floor, its largest |value| at the rule
-    nodes and at t = +-1 less _SUP_MARGIN (|mean| + sum |c_k|), undercuts
-    its sup by a relative margin of at least _SUP_MARGIN: both are evaluated
-    from the same coefficients and mean to within 2e-15 of that sum, which
-    is at least the sup.  So lhs / (scale * floor) is an upper bound on the
-    ratio (inf where the floor is not positive).  The draw of the largest
-    bound takes its exact sup, and so does every draw whose bound exceeds
+    Only the draws that can decide the result take their exact norm.  A
+    draw's norm floor makes lhs / (scale * floor) an upper bound on its ratio
+    (inf where the floor is not positive).  The draw of the largest bound
+    takes its exact norm, and so does every draw whose bound exceeds
     min(that draw's ratio, 1 + BOUND_SLACK); any other draw's ratio is at
     most that minimum, so it neither raises the largest ratio nor violates.
-    The floors are taken once, and each exact sup at most once, over every
-    call of the checker.
+    Floors and exact norms are the only p-specific parts: at finite p both
+    are the rule norms; at p = inf the exact norm is the sup, taken at most
+    once per draw over every call, and the floor the largest |value| at the
+    rule nodes and at t = +-1 less _SUP_MARGIN sum |c_k|, which undercuts it
+    by a relative margin of at least _SUP_MARGIN: both are evaluated from the
+    same coefficients to within 2e-15 of that sum, which is at least the sup.
     """
-    if ctx.p != math.inf:
-        norms = _poly_norms(ctx, rule, coeffs, means, values)
-        return lambda lhs, scale: _ratio_check(lhs, scale * norms)
-    centered = _centered(coeffs, means)
-    ends = np.abs(centered @ np.array([-1.0, 1.0]) ** np.arange(9)[:, None]).max(axis=1)
-    floors = np.maximum(np.maximum(values.max(axis=1), -values.min(axis=1)), ends)
-    floors -= _SUP_MARGIN * (np.abs(means) + np.abs(coeffs).sum(axis=1))
-    sups = np.full(len(coeffs), math.nan)  # exact sups taken so far
+    if ctx.p == math.inf:
+        ends = np.abs(coeffs @ np.array([-1.0, 1.0]) ** np.arange(9)[:, None]).max(axis=1)
+        floors = np.maximum(np.maximum(values.max(axis=1), -values.min(axis=1)), ends)
+        floors -= _SUP_MARGIN * np.abs(coeffs).sum(axis=1)
+        norms = np.full(len(coeffs), math.nan)  # exact sups taken so far
+    else:
+        norms = floors = _poly_norms(ctx, rule, coeffs, values)
 
     def exact(lhs, scale, rows):
-        todo = rows & np.isnan(sups)
+        todo = rows & np.isnan(norms)
         if todo.any():
-            sups[todo] = _poly_sups(centered[todo])
-        return _ratio_check(lhs[rows], scale * sups[rows])
+            norms[todo] = _poly_sups(coeffs[todo])
+        return _ratio_check(lhs[rows], scale * norms[rows])
 
-    def check(lhs, scale):
+    def check(moments, scale):
+        lhs = np.abs(coeffs @ moments)
         bound_floor = scale * floors
         ceiling = np.full_like(lhs, math.inf)
         with np.errstate(over="ignore"):
             np.divide(lhs, bound_floor, out=ceiling, where=bound_floor > 0.0)
-        ceiling[(lhs == 0.0) | (scale == 0.0)] = 0.0  # ratio 0 whatever the sup
+        ceiling[(lhs == 0.0) | (scale == 0.0)] = 0.0  # ratio 0 whatever the norm
         deciding = np.zeros(len(lhs), dtype=bool)
         deciding[np.argmax(ceiling)] = True
         deciding |= ceiling > min(exact(lhs, scale, deciding)[1], 1.0 + BOUND_SLACK)
@@ -267,10 +268,10 @@ def _ratio_checker(ctx: BallContext, rule, coeffs, means, values):
     return check
 
 
-def _grad_moments(ctx: BallContext, rule, values) -> np.ndarray:
-    """|grad u(0)| = 2 (n - 1) |integral t g dsigma| of the centered
-    polynomials of ``_poly_data``."""
-    return 2.0 * (ctx.n - 1.0) * np.abs(values @ (rule.weights * rule.nodes))
+def _grad_moments(n: int, order: int) -> np.ndarray:
+    """Moments 2 (n - 1) integral t^(k+1) dsigma, k = 0..8: a draw's
+    |grad u(0)| = 2 (n - 1) |integral t g dsigma| is |coeffs @ them|."""
+    return 2.0 * (n - 1.0) * _monomials(n, order)[1][1:]
 
 
 def _ratio_check(lhs, bound) -> tuple[int, float]:
@@ -319,14 +320,12 @@ def _bound_checker(ctx: BallContext, count: int, seed: int, order: int):
     (g_p's, or a g_p_curve row).  The draws and their norms do not depend on
     r: they are taken, and count, seed and order refused, when the checker
     is built; each bound adds its kernel moments and ratios."""
-    rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
-    check = _ratio_checker(ctx, rule, coeffs, means, values)
+    check = _ratio_checker(ctx, *_random_poly_draws(ctx.n, count, seed, order))
 
     def report(bound: GpResult) -> RandomBoundReport:
         moments = _site_integral(ctx.n, bound.r, order, 1.0, lambda log_kernel, t: np.cumprod(
             [np.expm1(log_kernel)] + [t] * 8, axis=0))
-        lhs = np.abs(coeffs @ moments - means * moments[0])
-        return RandomBoundReport(count, seed, *check(lhs, bound.g_value))
+        return RandomBoundReport(count, seed, *check(moments, bound.g_value))
 
     return report
 
@@ -346,10 +345,9 @@ def random_grad_check(
 
 def _grad_reports(ctx: BallContext, count: int, seed: int, order: int, constants):
     """random_grad_check's report for each constant in place of C_p, from one draw pass."""
-    rule, coeffs, means, values = _random_poly_draws(ctx.n, count, seed, order)
-    lhs = _grad_moments(ctx, rule, values)
-    check = _ratio_checker(ctx, rule, coeffs, means, values)
-    return tuple(RandomBoundReport(count, seed, *check(lhs, constant)) for constant in constants)
+    check = _ratio_checker(ctx, *_random_poly_draws(ctx.n, count, seed, order))
+    return tuple(RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), constant))
+                 for constant in constants)
 
 
 def minimizing_sequence_p1(n: int, r: float, index: int) -> float:
@@ -453,9 +451,9 @@ def corollary_l2_check(n: int, coeffs) -> CorollaryL2Report:
     if datum.ndim != 1 or not 1 <= datum.size <= 9 or not np.isfinite(datum).all():
         raise DomainError(f"datum must be 1 to 9 finite polynomial coefficients, got {coeffs!r}")
     ctx = BallContext(n, 2.0)
-    rule, coeffs, means, values = _poly_data(ctx.n, np.pad(datum, (0, 9 - datum.size))[None], DEFAULT_ORDER)
-    lhs = float(_grad_moments(ctx, rule, values)[0])  # read before _poly_norms consumes values
-    rms = float(_poly_norms(ctx, rule, coeffs, means, values)[0])
+    rule, coeffs, values = _poly_data(ctx.n, np.pad(datum, (0, 9 - datum.size))[None], DEFAULT_ORDER)
+    lhs = float(abs(coeffs[0] @ _grad_moments(ctx.n, DEFAULT_ORDER)))
+    rms = float(_poly_norms(ctx, rule, coeffs, values)[0])
     rhs_sqrt = math.sqrt(2.0 * (ctx.n - 1.0)) * rms
     rhs_moment = grad_constant(ctx) * rms
     holds = [_ratio_check(lhs, rhs)[0] == 0 for rhs in (rhs_sqrt, rhs_moment)]

@@ -449,6 +449,16 @@ class TestFailureModes:
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
+    def test_sizes_numpy_cannot_allocate(self, capsys):
+        # numpy refuses each size before allocating anything; each was a traceback
+        for argv, flag in (
+            ("verify-bound --n 3 --p 2 --r 0.5 --count 2305843009213693952", "count"),
+            ("gp --n 3 --p 2 --r-min 0.1 --r-max 0.5 --steps 4611686018427387904", "--steps"),
+            ("verify-sharpness --n 3 --p 2 --r-min 0.1 --r-max 0.5 --steps 99999999999999999999", "--steps"),
+        ):
+            code, out, err = run_cli(capsys, *argv.split())
+            assert (code, out) == (1, "") and err.startswith(f"error: {flag} ") and err.count("\n") == 1, argv
+
     def test_unwritable_output_returns_one(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(capsys, "gp", "--n", "4", "--p", "3", "--r", "0.5", "--output", str(target))

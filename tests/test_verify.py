@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypschwarz import quadrature, solver, verify
+from hypschwarz import quadrature, solver, special, verify
 from hypschwarz.errors import CapUnderflowError, DomainError
 from hypschwarz.kernel import BallContext, _split_point
 from hypschwarz.solver import g_1_closed, grad_constant, uh_elementary
@@ -31,10 +31,28 @@ SWEEP_RADII = (0.0, 0.3, 0.6, 0.9, 0.99)
 
 
 def poly_data(n, coeffs):
-    """The draw path's (rule, coefficients, means, centered values) of one datum."""
+    """The draw path's (rule, centered coefficient row, values at the nodes) of one datum."""
     row = np.zeros((1, 9))
     row[0, :len(coeffs)] = coeffs
     return verify._poly_data(n, row, 128)
+
+
+# exponents at which the random-draw checker's decisions are compared with
+# every draw's exact norm: the large-p ones take the rescaled norms
+DECIDING_PS = [1.0, 1.5, 2.0, 3.0, 20.0, 1000.0, math.inf]
+
+
+def exact_norms(ctx, rule, coeffs, values):
+    """Every draw's exact norm: the sup at p = inf, else the rule norm (of a copy)."""
+    if ctx.p == math.inf:
+        return verify._poly_sups(coeffs)
+    return verify._poly_norms(ctx, rule, coeffs, values.copy())
+
+
+def forbid_sups_below_inf(p, monkeypatch):
+    """At finite p the checker decides on rule norms and takes no sup."""
+    if p != math.inf:
+        monkeypatch.setattr(verify, "_poly_sups", lambda coeffs: pytest.fail("a sup taken at finite p"))
 
 
 def site_builds(monkeypatch):
@@ -51,18 +69,18 @@ class TestZonalBoundaryFunction:
     """Zonal data as polynomial coefficients in t, on the random draws' rule."""
 
     def test_mean_and_l2_norm_of_identity(self):
-        rule, coeffs, means, values = poly_data(3, [0.0, 1.0])
-        assert means[0] == pytest.approx(0.0, abs=1e-13)
-        norm = verify._poly_norms(BallContext(3, 2.0), rule, coeffs, means, values)[0]
+        rule, coeffs, values = poly_data(3, [0.0, 1.0])
+        assert -coeffs[0, 0] == pytest.approx(0.0, abs=1e-13)  # the mean, taken off c_0
+        norm = verify._poly_norms(BallContext(3, 2.0), rule, coeffs, values)[0]
         assert norm == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12, abs=0)
 
     def test_sup_norm_of_identity(self):
-        norm = verify._poly_norms(BallContext(3, math.inf), *poly_data(3, [0.0, 1.0]))[0]
+        norm = verify._poly_sups(poly_data(3, [0.0, 1.0])[1])[0]
         assert norm == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_centered_removes_mean(self):
-        rule, _, means, values = poly_data(4, [2.0, 1.0])
-        assert means[0] == pytest.approx(2.0, rel=1e-12, abs=0)
+        rule, coeffs, values = poly_data(4, [2.0, 1.0])
+        assert 2.0 - coeffs[0, 0] == pytest.approx(2.0, rel=1e-12, abs=0)  # the mean, taken off c_0
         assert values[0] @ rule.weights == pytest.approx(0.0, abs=1e-12)
 
 
@@ -381,6 +399,9 @@ class TestRandomChecks:
     def test_count_validation(self):
         with pytest.raises(DomainError):
             random_bound_check(BallContext(3, 2.0), 0.5, count=0)
+        # a count numpy refuses to allocate (before allocating anything)
+        with pytest.raises(DomainError, match="count = 2305843009213693952 draws"):
+            random_bound_check(BallContext(3, 2.0), 0.5, count=2 ** 61)
 
     @pytest.mark.parametrize("check", [
         lambda count: random_bound_check(BallContext(3, 2.0), 0.5, count=count),
@@ -406,13 +427,14 @@ class TestRandomChecks:
                     check()
 
     def test_draws_are_one_stream(self):
-        # draw i is values 9i..9i+8 of one stream: a smaller count is a prefix
-        coeffs = verify._random_poly_draws(3, 1000, 11, 128)[1]
-        assert np.array_equal(coeffs, np.random.default_rng(11).uniform(-1.0, 1.0, (1000, 9)))
-        assert np.array_equal(verify._random_poly_draws(3, 10, 11, 128)[1], coeffs[:10])
-        for n, order in ((5, 128), (3, 64), (10, 256)):
-            assert np.array_equal(verify._random_poly_draws(n, 1000, 11, order)[1], coeffs)
-        assert not np.array_equal(verify._random_poly_draws(3, 10, 12, 128)[1], coeffs[:10])
+        # draw i is values 9i..9i+8 of one stream: a smaller count is a prefix;
+        # the centered rows take each mean, the row times the rule's moments, off c_0
+        stream = np.random.default_rng(11).uniform(-1.0, 1.0, (1000, 9))
+        for n, order, count in ((3, 128, 1000), (3, 128, 10), (5, 128, 1000), (3, 64, 1000), (10, 256, 1000)):
+            coeffs, draws = verify._random_poly_draws(n, count, 11, order)[1], stream[:count]
+            assert np.array_equal(coeffs[:, 1:], draws[:, 1:])
+            assert np.array_equal(coeffs[:, 0], draws[:, 0] - draws @ verify._monomials(n, order)[1][:9])
+        assert not np.array_equal(verify._random_poly_draws(3, 10, 12, 128)[1][:, 1:], stream[:10, 1:])
 
     def test_one_draw_pass_per_check(self, monkeypatch):
         calls = []
@@ -454,44 +476,60 @@ class TestRandomChecks:
                     with pytest.raises(DomainError, match=re.escape(str(single[-1]))):
                         [check(solver.g_p(ctx, r)) for r in SWEEP_RADII]
 
-    def test_deciding_draws_give_the_full_sup_decision(self):
-        # at p = inf only the draws that can decide get exact sups; the
-        # report is the one from every draw's exact sup
-        r, violated = 0.6, 0
-        for seed in range(40):
-            n = (3, 4, 5, 10)[seed % 4]
-            ctx = BallContext(n, math.inf)
-            moments = quadrature._site_integral(
-                n, r, 128, 1.0, lambda log_kernel, t: np.cumprod([np.exp(log_kernel)] + [t] * 8, axis=0))
-            scales = (solver.g_inf_closed(n, r)[1], grad_constant(ctx))
-            rule, coeffs, means, values = verify._random_poly_draws(n, 1000, seed, 128)
-            sups = verify._poly_sups(verify._centered(coeffs, means))
-            bound_lhs = np.abs(coeffs @ moments - means * moments[0])
-            grad_lhs = verify._grad_moments(ctx, rule, values)
-            check = verify._ratio_checker(ctx, rule, coeffs, means, values)
-            for lhs, scale in zip((bound_lhs, grad_lhs), scales):
-                for factor in (1.0, 0.5):
-                    expected = verify._ratio_check(lhs, factor * scale * sups)
-                    assert check(lhs, factor * scale) == expected, (seed, scale, factor)
-                    violated += expected[0] > 0
-        assert violated >= 40  # the halved scale violates on every seed, for at least one check
+    def test_deciding_draws_give_the_full_sup_decision(self, monkeypatch):
+        # only the draws that can decide take their exact norm (at p = inf
+        # their sup); the report is the one from every draw's exact norm
+        r = 0.6
 
-    def test_deciding_draws_on_crafted_data(self):
-        ctx = BallContext(4, math.inf)
+        def kernel_powers(log_kernel, t):  # (K - 1) t^k, k = 0..8, as _bound_checker sums them
+            return np.cumprod([np.expm1(log_kernel)] + [t] * 8, axis=0)
+
+        for p in DECIDING_PS:
+            violated = 0
+            with monkeypatch.context() as patch:
+                forbid_sups_below_inf(p, patch)
+                for seed in range(40):
+                    n = (3, 4, 5, 10)[seed % 4]
+                    ctx = BallContext(n, p)
+                    bound_moments = quadrature._site_integral(n, r, 128, 1.0, kernel_powers)
+                    draws = verify._random_poly_draws(n, 1000, seed, 128)
+                    norms = exact_norms(ctx, *draws)
+                    check = verify._ratio_checker(ctx, *draws)
+                    for moments, scale in ((bound_moments, solver.g_p(ctx, r).g_value),
+                                           (verify._grad_moments(n, 128), grad_constant(ctx))):
+                        lhs = np.abs(draws[1] @ moments)
+                        for factor in (1.0, 0.5, 0.0):
+                            expected = verify._ratio_check(lhs, factor * scale * norms)
+                            assert check(moments, factor * scale) == expected, (p, seed, scale, factor)
+                            violated += expected[0] > 0
+                    with pytest.raises(DomainError, match="NaN"):
+                        check(np.where(np.arange(9) == seed % 9, math.nan, bound_moments), 1.0)
+            assert violated >= 40, p  # the halved scale violates on every seed, for at least one check
+
+    def test_deciding_draws_on_crafted_data(self, monkeypatch):
         rows = np.zeros((6, 9))
         rows[1, 8] = 1.0                  # t^8: sup at both endpoints
         rows[2, [1, 3]] = 3.0, -4.0       # -T_3: sup at interior points too
         rows[3, 1] = 1.0                  # t: the gradient's extremal datum
         rows[4, :] = 0.5                  # sup at t = 1
         rows[5, :] = np.random.default_rng(5).uniform(-1.0, 1.0, 9)
-        for subset in ([0], [1], [0, 1, 2, 3, 4, 5], [0, 4], [5]):  # a zero draw, count 1, ...
-            rule, coeffs, means, values = verify._poly_data(4, rows[subset], 128)
-            sups = verify._poly_sups(verify._centered(coeffs, means))
-            lhs = verify._grad_moments(ctx, rule, values)
-            check = verify._ratio_checker(ctx, rule, coeffs, means, values)
-            for scale in (grad_constant(ctx), 1.0, 1e-3, 0.0):
-                assert check(lhs, scale) == verify._ratio_check(lhs, scale * sups), (subset, scale)
-        assert verify._ratio_checker(ctx, rule, coeffs, means, values)(lhs, 1e-3)[0] == 1
+        moments = verify._grad_moments(4, 128)
+        for p in DECIDING_PS:
+            ctx = BallContext(4, p)
+            with monkeypatch.context() as patch:
+                forbid_sups_below_inf(p, patch)
+                for subset in ([0], [1], [0, 1, 2, 3, 4, 5], [0, 4], [5]):  # a zero draw, count 1, ...
+                    draws = verify._poly_data(4, rows[subset], 128)
+                    norms = exact_norms(ctx, *draws)
+                    lhs = np.abs(draws[1] @ moments)
+                    check = verify._ratio_checker(ctx, *draws)
+                    for scale in (grad_constant(ctx), 1.0, 1e-3, 0.0):
+                        expected = verify._ratio_check(lhs, scale * norms)
+                        assert check(moments, scale) == expected, (p, subset, scale)
+                    for moment in range(9):  # a NaN moment decides nothing, even for a zero draw
+                        with pytest.raises(DomainError, match="NaN"):
+                            check(np.where(np.arange(9) == moment, math.nan, moments), 1.0)
+            assert check(moments, 1e-3)[0] == 1, p  # subset [5]
 
     def test_ratio_check_refuses_nan(self):
         # each passed as "no violation", reading (0, nan), (0, 0.0) and (0, nan)
@@ -526,13 +564,13 @@ class TestRandomChecks:
     # within 4.4e-16 of the exact ones
     @pytest.mark.parametrize("check, expected", [
         (lambda: random_bound_check(BallContext(4, 3.0), 0.6, count=1000, seed=3),
-         0.9889803881064767),
+         0.9889803881064768),
         (lambda: random_bound_check(BallContext(3, 2.0), 0.5, count=1000, seed=3),
-         0.9957236723260433),
+         0.9957236723260431),
         (lambda: random_bound_check(BallContext(5, 1.7), 0.9, count=1000, seed=3),
          0.04407694078281198),
         (lambda: random_grad_check(BallContext(4, 3.0), count=1000, seed=3),
-         0.9940261725469648),
+         0.9940261725469652),
         (lambda: random_grad_check(BallContext(4, math.inf), count=1000, seed=3),
          0.6902115758859212),
     ], ids=["bound-4-3-0.6", "bound-3-2-0.5", "bound-5-1.7-0.9", "grad-4-3", "grad-4-inf"])
@@ -558,22 +596,22 @@ class TestRandomChecks:
     @pytest.mark.parametrize("p", [1.1, 2.0, 3.0, 20.0])
     def test_poly_norms_in_place(self, p):
         ctx = BallContext(4, p)
-        rule, coeffs, means, values = verify._random_poly_draws(4, 200, 5, 128)
+        rule, coeffs, values = verify._random_poly_draws(4, 200, 5, 128)
         expected = (np.abs(values.copy()) ** p @ rule.weights) ** (1.0 / p)
-        assert np.array_equal(verify._poly_norms(ctx, rule, coeffs, means, values), expected)
+        assert np.array_equal(verify._poly_norms(ctx, rule, coeffs, values), expected)
 
     @pytest.mark.parametrize("p", [200.0, 1000.0, 1e5])
     def test_large_p_norms_keep_every_draw(self, p):
         # |value|^p leaves double range: at p = 1000, 301 of these 1000 norms
         # were inf and 48 were 0, each a draw silently counted as ratio 0
         ctx = BallContext(3, p)
-        rule, coeffs, means, values = verify._random_poly_draws(3, 1000, 42, 128)
+        rule, coeffs, values = verify._random_poly_draws(3, 1000, 42, 128)
         logs = p * np.log(np.abs(values)) + np.log(rule.weights)
         top = logs.max(axis=1)  # log of the sum, shifted by the largest term
         expected = np.exp((top + np.log(np.exp(logs - top[:, None]).sum(axis=1))) / p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            norms = verify._poly_norms(ctx, rule, coeffs, means, values)
+            norms = verify._poly_norms(ctx, rule, coeffs, values)
         assert np.allclose(norms, expected, rtol=1e-13, atol=0.0)
 
     def test_large_p_certificates_do_not_warn(self):
@@ -585,9 +623,17 @@ class TestRandomChecks:
         assert grad.violations == 0 and 0.5 < grad.max_ratio <= 1.0
 
     def test_monomial_table_is_shared_and_read_only(self):
-        table = verify._monomials(4, 128)
-        assert verify._monomials(4, 128) is table and not table.flags.writeable
+        table, moments = verify._monomials(4, 128)
+        assert verify._monomials(4, 128)[0] is table and not table.flags.writeable
+        assert verify._monomials(4, 128)[1] is moments and not moments.flags.writeable
         assert np.array_equal(table, verify.build_rule(4, 128).nodes ** np.arange(9)[:, None])
+
+    @pytest.mark.parametrize("order", [8, 128])
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 30])
+    def test_moment_vector(self, n, order):
+        # the rule's integrals of t^k, k = 0..9: the sphere moments of one coordinate
+        exact = [special.alpha_q(n, k) if k % 2 == 0 else 0.0 for k in range(10)]
+        assert verify._monomials(n, order)[1] == pytest.approx(exact, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -599,9 +645,7 @@ def test_draw_extensions_against_mpmath(n):
 
     ctx = BallContext(n, math.inf)
     for seed in (1, 2):
-        _, coeffs, means, _ = verify._random_poly_draws(n, 1, seed, 128)
-        c, mean = coeffs[0], means[0]
-        centered = np.concatenate([[c[0] - mean], c[1:]])
+        centered = verify._random_poly_draws(n, 1, seed, 128)[1][0]
         for r, tol in ((0.99, 1e-12), (0.999, 1e-9)):
             ratio = random_bound_check(ctx, r, count=1, seed=seed).max_ratio
             u = ratio * solver.g_inf_closed(n, r)[1] * verify._poly_sups(centered[None])[0]
