@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # numpy 2 loads these on first use: for the graded panels' Gauss-Legendre
-# rules, the random draws and np.unique in their exact sups.  Importing them
-# here charges their import (about 30 ms) to loading the battery, not to
-# whichever criterion runs first.
-import numpy.ma  # noqa: F401
+# rules and the random draws.  Importing them here charges their import
+# (about 20-30 ms) to loading the battery, not to whichever criterion runs
+# first.
 import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 

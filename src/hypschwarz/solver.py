@@ -262,30 +262,25 @@ def uh_elementary(n: int, r: float) -> float:
 
 
 def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
-    """The sharp bound G_p(r) with the optimal shift and an error estimate.
+    """The sharp bound G_p(r), a* and est_error: ``g_p_curve`` at r alone, memoized.
 
-    Dispatch: p = 1 and p = inf return their closed forms (est_error 0);
-    every finite p > 1 is solved numerically, with est_error from doubling
-    the rule order (p = 2 instead reports the deviation from its closed form)
-    and never below the rounding of the panel sums behind G.  Doubling the
-    order refines the outer panels of the graded rule, the only ones whose
-    node count grows with it: with 256 nodes on every panel instead of the
-    inner ones' 12, an F or Phi integral moved by at most 5e-16 of the
-    integral of |f| (n from 3 to 300, r from 0.1 to 0.99, p from 1.05 to 20).
-    So the doubled-order Phi evaluates those outer panels only and takes the
-    inner panel sums of Phi(a*), which gives the bits of a full evaluation.
+    Closed forms (p = 1, inf) report est_error 0, numeric ones the change
+    from doubling the rule order (at p = 2 the deviation from its closed
+    form), never below the rounding of the panel sums behind G.  Doubling
+    the order refines the outer panels of the graded rule, the only ones
+    whose node count grows with it: with 256 nodes on every panel instead of
+    the inner ones' 12, an F or Phi integral moved by at most 5e-16 of the
+    integral of |f| (n from 3 to 300, r from 0.1 to 0.99, p from 1.05 to
+    20).  So the doubled-order Phi evaluates those outer panels only and
+    takes the inner panel sums of Phi(a*): the bits of a full evaluation.
     """
     order = check_order(order)
-    r = check_radius(r)
-    if ctx.p in (1.0, math.inf):
-        closed, method = (g_1_closed, "closed_p1") if ctx.p == 1.0 else (g_inf_closed, "closed_pinf")
-        return GpResult(ctx, r, *closed(ctx.n, r), method, 0.0, _closed_log_a(ctx.n, r, ctx.p))
-    return _g_p_numeric(ctx, r, order)
+    return _g_p_numeric(ctx, check_radius(r), order)
 
 
 @lru_cache(maxsize=4096, typed=True)  # a float order must not reuse an int order's solve
 def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
-    return _numeric_result(ctx, r, order, _solve(ctx, r, order, None, 0.0))
+    return g_p_curve(ctx, [r], order)[0]
 
 
 def _numeric_result(ctx: BallContext, r: float, order: int, s: float) -> GpResult:
@@ -310,22 +305,25 @@ def _numeric_result(ctx: BallContext, r: float, order: int, s: float) -> GpResul
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
     """g_p at every radius of a sweep, each shift solve started from its neighbours.
 
-    For finite p > 1 other than 2, log a* at each new radius is predicted by
-    extrapolation in r through the last six radii solved (through all of them
-    while there are two to five, a cold solve before that); the first step is
-    twice the gap between that prediction and the one without the oldest
-    radius.  The solve takes a Newton step from the guess, and mostly needs
-    three F evaluations.  At p = 2 every radius is solved cold, from its root
-    a = 1, so the rows are g_p's bit for bit.  A radius already solved reuses
-    that solve.  Each G is computed right after its radius's solve, while the
-    site of the solve's last F is still held.  Results depend on (ctx,
-    radii, order) only: the per-point memo of g_p is neither read nor
-    filled.  Where F overflows near a kernel-range end but not near a* (p
-    near 1 at larger r), a warm solve answers although g_p refuses.
+    Every GpResult is built here: closed forms at p = 1 and inf.  For finite
+    p > 1 other than 2, log a* at each new radius is predicted by
+    extrapolation in r through the last six radii solved (through all of
+    them while there are two to five, a cold solve before that); the first
+    step is twice the gap between that prediction and the one without the
+    oldest radius.  The solve takes a Newton step from the guess, and mostly
+    needs three F evaluations.  At p = 2 every radius is solved cold, from
+    its root a = 1, so the rows are g_p's bit for bit.  A radius already
+    solved reuses that solve.  Each G is computed right after its radius's
+    solve, while the site of the solve's last F is still held.  Results
+    depend on (ctx, radii, order) only: the per-point memo of g_p is neither
+    read nor filled.  Where F overflows near a kernel-range end but not near
+    a* (p near 1 at larger r), a warm solve answers although g_p refuses.
     """
     order = check_order(order)
-    if not 1.0 < ctx.p < math.inf:
-        return [g_p(ctx, r, order) for r in radii]
+    if ctx.p in (1.0, math.inf):
+        closed, method = (g_1_closed, "closed_p1") if ctx.p == 1.0 else (g_inf_closed, "closed_pinf")
+        return [GpResult(ctx, r, *closed(ctx.n, r), method, 0.0, _closed_log_a(ctx.n, r, ctx.p))
+                for r in map(check_radius, radii)]
     results: dict[float, GpResult] = {}
     curve = []
     for r, s in _shift_curve(ctx, radii, order):

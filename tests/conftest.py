@@ -139,3 +139,42 @@ def mp_cap_pair(n, r, index, dps=60):
         measure = lambda x: mp.betainc(half, half, 0, x, regularized=True)
         ring = measure(rho2 * s / (1 - s + rho2 * s)) - measure(s / (rho2 * (1 - s) + s))
         return float(ring / (2 * measure(s)))
+
+
+def mp_g_even(n, r, q, dps=60):
+    """(a*, G_p) at p = q/(q-1) for an even integer q >= 2, exact: r promoted
+    exactly, no quadrature.
+
+    The kernel moments M_j = integral K^j dsigma are
+    (1-r^2)^((n-1)j) 2F1(a, a - n/2 + 1; n/2; r^2) with a = (n-1)j; Euler's
+    transform leaves (1-r^2)^((n-1)(1-j)) times a terminating sum of
+    (n-1)(j-1) + 1 positive terms (M_0 = M_1 = 1).  For even q, the
+    stationarity function F(a) = integral (K - a)^(q-1) dsigma and
+    Phi(a)^q = integral (K - a)^q dsigma are binomial sums of the M_j.  F
+    decreases in a; its root a* is bisected in log a over the kernel range
+    [-l, l] of log K, and G = Phi(a*).  The sums alternate, so ``dps`` must
+    cover their cancellation.
+    """
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        z, half = mp.mpf(r) ** 2, mp.mpf(n) / 2
+        moments = [mp.mpf(1), mp.mpf(1)]
+        for j in range(2, q + 1):
+            a = (n - 1) * j
+            term = total = mp.mpf(1)
+            for k in range((n - 1) * (j - 1)):  # (c - a)_k (c - b)_k / ((c)_k k!) z^k, c = n/2
+                term *= (half - a + k) * ((n - 1) * (1 - j) + k) / ((half + k) * (k + 1)) * z
+                total += term
+            moments.append((1 - z) ** ((n - 1) * (1 - j)) * total)
+
+        def power_sum(a, m):  # integral (K - a)^m dsigma
+            return mp.fsum(mp.binomial(m, j) * (-a) ** (m - j) * moments[j] for j in range(m + 1))
+
+        ell = (n - 1) * (mp.log1p(mp.mpf(r)) - mp.log1p(-mp.mpf(r)))
+        lo, hi = -ell, ell  # F > 0 at lo, F < 0 at hi
+        for _ in range(3 * dps):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if power_sum(mp.exp(mid), q - 1) > 0 else (lo, mid)
+        a_star = mp.exp((lo + hi) / 2)
+        return float(a_star), float(power_sum(a_star, q) ** (mp.mpf(1) / q))

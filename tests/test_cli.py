@@ -298,6 +298,14 @@ class TestVerifyCommands:
         _, rows = csv_rows(out)
         assert rows[0]["violations"] == "0"
 
+    def test_bound_at_a_subnormal_radius(self, capsys):
+        # the deciding draw's moment rounding is under 1% of BOUND_SLACK / 2
+        # here: answered, as before the subnormal refusal
+        code, out, err = run_cli(capsys, "verify-bound", "--n", "3", "--p", "3", "--r", "1e-310")
+        assert (code, err) == (0, "")
+        assert out == ("n,p,r,count,seed,violations,max_ratio\n"
+                       "3,3,9.9999999999999694e-311,1000,42,0,0.97927055093338156\n")
+
     def test_sharpness_clean_run(self, capsys):
         # p = 1 near the boundary needs a cap index that grows with 1/(1 - r)
         for p, r, limit in (("2", "0.5", 1e-6), ("1", "0.99", 0.02)):
@@ -449,6 +457,14 @@ class TestFailureModes:
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
+    def test_subnormal_draw_moments_are_refused(self, capsys):
+        # the kernel moments keep 12-15 bits there, far coarser than
+        # BOUND_SLACK: these exited 2 with 170 and 165 false violations
+        for argv in ("verify-bound --n 100 --p 2 --r 1e-320", "verify-bound --n 10 --p 2 --r 1e-322"):
+            code, out, err = run_cli(capsys, *argv.split())
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: the draws' kernel moments at r = 1e-32") and err.count("\n") == 1
+
     def test_sizes_numpy_cannot_allocate(self, capsys):
         # numpy refuses each size before allocating anything; each was a traceback
         for argv, flag in (
@@ -510,6 +526,7 @@ from contextlib import redirect_stdout
 from io import StringIO
 
 sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+sys.modules["numpy.ma"] = None  # np.unique loads numpy.ma; the package never needs it
 import numpy
 numpy_only = set(sys.modules)
 import hypschwarz
@@ -528,6 +545,7 @@ with redirect_stdout(StringIO()):
                  ["grad", "--n", "4", "--p", "3"],
                  ["verify-sharpness", "--n", "4", "--p", "3", "--r", "0.5"],
                  ["verify-bound", "--n", "4", "--p", "3", "--r", "0.5"],
+                 ["verify-bound", "--n", "4", "--p", "inf", "--r", "0.5"],  # exact sups
                  ["verify-capseq", "--n", "3", "--r", "0.5"],
                  ["check"]):
         assert cli.main(argv) == 0, argv

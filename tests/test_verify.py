@@ -379,6 +379,19 @@ class TestRandomChecks:
             assert report.violations == 0
             assert report.max_ratio <= 1.0
 
+    @pytest.mark.parametrize("n", (3, 10))
+    def test_subnormal_moments_within_their_rounding_bound(self, n):
+        # at subnormal r, M_k = 2 (n - 1) r integral t^(k+1) dsigma up to
+        # O(r^2), far below the spacing 2^-1074; the moments of the draws'
+        # site stay within 3% of _moment_rounding, near 1e-319 at n <= 100
+        bound = verify._moment_rounding(n, quadrature.DEFAULT_ORDER)
+        for r in (1e-322, 1e-320, 1e-315, 1e-310, 1e-308):
+            moments = quadrature._site_integral(n, r, quadrature.DEFAULT_ORDER, 1.0, lambda log_kernel, t:
+                                                np.cumprod([np.expm1(log_kernel)] + [t] * 8, axis=0))
+            exact = [2.0 * (n - 1) * r * (special.alpha_q(n, k + 1) if k % 2 else 0.0) for k in range(9)]
+            assert np.all(np.abs(np.subtract(moments, exact)) <= 0.05 * bound), (n, r)
+        assert verify._moment_rounding(100, quadrature.DEFAULT_ORDER).max() < 1e-318
+
     def test_seeded_determinism(self):
         ctx = BallContext(4, 3.0)
         first = random_bound_check(ctx, 0.6, count=100, seed=11)
