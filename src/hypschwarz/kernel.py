@@ -12,6 +12,7 @@ All helpers accept scalar or ndarray ``t``.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ class BallContext:
     """Dimension and exponent pair fixed for a whole computation.
 
     ``q`` is always the Holder conjugate of ``p``; exactly one of the two may
-    be infinite.
+    be infinite.  ``p`` is stored as a float, so equal contexts print alike.
     """
 
     n: int
@@ -44,9 +45,12 @@ class BallContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_dimension(self.n))
-        if not (self.p == math.inf or (math.isfinite(self.p) and self.p >= 1.0)):
-            raise DomainError(f"exponent p must lie in [1, inf], got {self.p!r}")
-        object.__setattr__(self, "q", conjugate_exponent(float(self.p)))
+        p = self.p
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not (
+                p == math.inf or (math.isfinite(p) and p >= 1.0)):
+            raise DomainError(f"exponent p must lie in [1, inf], got {p!r}")
+        object.__setattr__(self, "p", float(p))
+        object.__setattr__(self, "q", conjugate_exponent(self.p))
 
 
 def check_radius(r: float) -> float:

@@ -7,9 +7,10 @@ their extensions at axis points and the gradient at the origin reduce to
 one-dimensional integrals.  Kernel-weighted ones sum K - 1 = expm1(log K),
 so they read u(r axis) - u(0), on a site of ``quadrature``: the sharpness
 data on the site of the solve's own s = log a*, the random draws' kernel
-moments on the site split at the pole.  The draws are polynomials of
-degree <= 8, held as centered coefficient rows; their means and gradient
-moment come from a Gauss-Jacobi rule's integrals of t^k, norms from its nodes.
+moments on the site split at the pole (r times their gradient moments below
+the smallest normal r).  The draws are polynomials of degree <= 8, held as
+centered coefficient rows; their means and gradient moments come from a
+Gauss-Jacobi rule's integrals of t^k, norms from its nodes.
 
 Every pass/fail decision of a certificate is made here, against the limits
 below: reports carry violation counts or a ``passed`` flag, which the CLI
@@ -19,6 +20,7 @@ and the acceptance battery only render.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,8 +28,7 @@ import numpy as np
 
 from .errors import CapUnderflowError, DomainError
 from .kernel import BallContext, _log_range, _split_point, check_radius
-from .quadrature import (DEFAULT_ORDER, _graded_nodes, _legendre, _site_integral, _zonal_constant,
-                         build_rule, integrate_with_breakpoint)
+from .quadrature import DEFAULT_ORDER, _legendre, _site_integral, build_rule, integrate_with_breakpoint
 from .solver import GpResult, g_1_closed, g_p, grad_constant
 from .special import check_dimension, check_integer
 
@@ -51,6 +52,9 @@ _SIZE_ERRORS = (ValueError, IndexError, MemoryError)
 # Smallest unscaled power sum of a draw (the smallest normal double over
 # eps): |value|^p terms that underflow then weigh less than an ulp of it.
 _POWER_SUM_MIN = 2.0 ** -970
+# Ulps of G a closed form (est_error 0) may be off at subnormal r: one for each
+# of its last two roundings; the rest is under 1.4e-12 of G (n <= 1000).
+_CLOSED_FORM_ULPS = 2
 
 
 @dataclass(frozen=True)
@@ -239,9 +243,6 @@ def _ratio_checker(ctx: BallContext, rule, coeffs, values):
     rule nodes and at t = +-1 less _SUP_MARGIN sum |c_k|, which undercuts it
     by a relative margin of at least _SUP_MARGIN: both are evaluated from the
     same coefficients to within 2e-15 of that sum, which is at least the sup.
-    With ``error``, a bound on each moment's rounding, a deciding draw whose
-    |coeffs| @ error exceeds BOUND_SLACK / 2 of its bound (scale > 0) is not
-    decided: DomainError names the radius ``r``.
     """
     if ctx.p == math.inf:
         ends = np.abs(coeffs @ np.array([-1.0, 1.0]) ** np.arange(9)[:, None]).max(axis=1)
@@ -257,7 +258,7 @@ def _ratio_checker(ctx: BallContext, rule, coeffs, values):
             norms[todo] = _poly_sups(coeffs[todo])
         return _ratio_check(lhs[rows], scale * norms[rows])
 
-    def check(moments, scale, error=None, r=None):
+    def check(moments, scale):
         lhs = np.abs(coeffs @ moments)
         bound_floor = scale * floors
         ceiling = np.full_like(lhs, math.inf)
@@ -267,12 +268,7 @@ def _ratio_checker(ctx: BallContext, rule, coeffs, values):
         deciding = np.zeros(len(lhs), dtype=bool)
         deciding[np.argmax(ceiling)] = True
         deciding |= ceiling > min(exact(lhs, scale, deciding)[1], 1.0 + BOUND_SLACK)
-        result = exact(lhs, scale, deciding)
-        if error is not None and scale > 0.0 and (
-                np.abs(coeffs[deciding]) @ error > 0.5 * BOUND_SLACK * scale * norms[deciding]).any():
-            raise DomainError(f"the draws' kernel moments at r = {r!r} keep too few bits: their "
-                              "rounding could move a deciding draw's ratio by more than BOUND_SLACK / 2")
-        return result
+        return exact(lhs, scale, deciding)
 
     return check
 
@@ -319,10 +315,11 @@ def random_bound_check(
     draws.  Degenerate draws with ||g||_p = 0 count as ratio 0.  A draw's
     u(r axis) - u(0) = integral (K - 1) (g - mean) dsigma comes from the
     moments M_k = integral (K - 1) t^k dsigma, k = 0..8, of K - 1 = expm1(log K):
-    one stacked sum on the site split at the pole t = 1, where K peaks.  At
-    subnormal r those moments keep few bits: where their rounding
-    (``_moment_rounding``) could move a deciding draw's ratio by more than
-    BOUND_SLACK / 2, DomainError refuses the radius instead of a report.
+    one stacked sum on the site split at the pole t = 1, where K peaks.
+    Below the smallest normal r, K - 1 = log K = 2 (n - 1) r t to the last
+    bit: M_k is r times random_grad_check's moments, checked with the
+    constant G / r, and a G whose error (est_error, at least _CLOSED_FORM_ULPS
+    ulps) exceeds BOUND_SLACK / 2 of G raises DomainError naming r.
     """
     return _bound_checker(ctx, count, seed, order)(g_p(ctx, r, order))
 
@@ -330,39 +327,22 @@ def random_bound_check(
 def _bound_checker(ctx: BallContext, count: int, seed: int, order: int):
     """bound -> random_bound_check's report against the GpResult ``bound``
     (g_p's, or a g_p_curve row).  The draws and their norms do not depend on
-    r: they are taken, and count, seed and order refused, when the checker
-    is built; each bound adds its kernel moments and ratios."""
+    r: they are taken, and count, seed and order refused, when it is built."""
     check = _ratio_checker(ctx, *_random_poly_draws(ctx.n, count, seed, order))
-    rounding = _moment_rounding(ctx.n, order)
 
     def report(bound: GpResult) -> RandomBoundReport:
-        moments = _site_integral(ctx.n, bound.r, order, 1.0, lambda log_kernel, t: np.cumprod(
+        r, g_value = bound.r, bound.g_value
+        if 0.0 < r < sys.float_info.min:  # kernel._log_kernel's linear form
+            error = max(bound.est_error, _CLOSED_FORM_ULPS * math.ulp(g_value))
+            if error > 0.5 * BOUND_SLACK * g_value:
+                raise DomainError(f"G_p = {g_value:.3g} at r = {r!r} keeps too few bits: its error {error:.3g} "
+                                  "exceeds BOUND_SLACK / 2 of it")
+            return RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), g_value / r))
+        moments = _site_integral(ctx.n, r, order, 1.0, lambda log_kernel, t: np.cumprod(
             [np.expm1(log_kernel)] + [t] * 8, axis=0))
-        return RandomBoundReport(count, seed, *check(moments, bound.g_value, rounding, bound.r))
+        return RandomBoundReport(count, seed, *check(moments, g_value))
 
     return report
-
-
-def _moment_rounding(n: int, order: int) -> np.ndarray:
-    """Bound on the rounding of the draws' kernel moments M_k, k = 0..8,
-    where their node products are subnormal: c_n pi N (k + 4) 2^-1075.
-
-    There log K = (2 (n - 1) r) t = expm1(log K).  At each of the pole
-    site's N nodes that factor, its product by t, k more by t, one by
-    sin^(n-2) theta and one by the panel weight each round by at most half
-    the spacing 2^-1074, and later factors (none above 1 in size) do not
-    enlarge the errors; subnormal sums are exact, and the side length (at
-    most pi) and c_n scale the total.  The weights (summing to at most 1)
-    also scale every error made before their product, so the roundings come
-    to at most N + k + 3 half-spacings: the rest covers the geometric tail
-    and the last two products.  Measured for r from 5e-324 to 1e-308, the
-    moments' whole error is at most 3% of the bound (n <= 10 at order 128,
-    where larger n shows the pole site's layout error; n <= 100 at 256).
-    Normal operations round by about 1e-16 of each moment, which the other
-    half of BOUND_SLACK covers; on normal radii the bound never decides.
-    """
-    nodes = _graded_nodes(n, order, 1.0)[0].size
-    return _zonal_constant(n) * math.pi * nodes * (np.arange(9) + 4.0) * 0.5 * math.ulp(0.0)
 
 
 def random_grad_check(

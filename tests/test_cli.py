@@ -299,12 +299,13 @@ class TestVerifyCommands:
         assert rows[0]["violations"] == "0"
 
     def test_bound_at_a_subnormal_radius(self, capsys):
-        # the deciding draw's moment rounding is under 1% of BOUND_SLACK / 2
-        # here: answered, as before the subnormal refusal
+        # r times the gradient functional against G / r, within 2e-15 of the
+        # r = 1e-300 report (0.9792705509335667) and of random_grad_check
+        # (0.9792705509335656)
         code, out, err = run_cli(capsys, "verify-bound", "--n", "3", "--p", "3", "--r", "1e-310")
         assert (code, err) == (0, "")
         assert out == ("n,p,r,count,seed,violations,max_ratio\n"
-                       "3,3,9.9999999999999694e-311,1000,42,0,0.97927055093338156\n")
+                       "3,3,9.9999999999999694e-311,1000,42,0,0.97927055093357396\n")
 
     def test_sharpness_clean_run(self, capsys):
         # p = 1 near the boundary needs a cap index that grows with 1/(1 - r)
@@ -457,13 +458,14 @@ class TestFailureModes:
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
-    def test_subnormal_draw_moments_are_refused(self, capsys):
-        # the kernel moments keep 12-15 bits there, far coarser than
-        # BOUND_SLACK: these exited 2 with 170 and 165 false violations
+    def test_subnormal_bounds_with_too_few_bits_are_refused(self, capsys):
+        # G keeps 15 and 7 bits there, far coarser than BOUND_SLACK: these
+        # exited 2 with 170 and 165 false violations on the pole site's moments
         for argv in ("verify-bound --n 100 --p 2 --r 1e-320", "verify-bound --n 10 --p 2 --r 1e-322"):
             code, out, err = run_cli(capsys, *argv.split())
             assert code == 1 and out == "", argv
-            assert err.startswith("error: the draws' kernel moments at r = 1e-32") and err.count("\n") == 1
+            assert err.startswith("error: G_p = ") and err.count("\n") == 1
+            assert "at r = 1e-32" in err and "keeps too few bits" in err, err
 
     def test_sizes_numpy_cannot_allocate(self, capsys):
         # numpy refuses each size before allocating anything; each was a traceback

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from hypschwarz import solver
 from hypschwarz.errors import DomainError
 from hypschwarz.kernel import (
     BallContext,
@@ -38,6 +39,18 @@ def test_context_validation():
         BallContext(3, 0.5)
     with pytest.raises(DomainError):
         BallContext(3, math.nan)
+    # a p that is not a real number: "3" raised a raw TypeError, and "inf"
+    # must not become p = inf by float()
+    for p in ("3", "inf", None, True, False):
+        with pytest.raises(DomainError, match="exponent p"):
+            BallContext(3, p)
+    # p is stored as a float: g_p's memo returned the context of its first
+    # call, p=1 for BallContext(4, 1.0) after BallContext(4, 1)
+    for p in (1, 3, np.int64(3), np.float64(3.0)):
+        assert type(BallContext(4, p).p) is float
+    solver._g_p_numeric.cache_clear()
+    for ctx in (BallContext(4, 1), BallContext(4, 1.0)):
+        assert repr(solver.g_p(ctx, 0.5).ctx) == "BallContext(n=4, p=1.0, q=inf)"
 
 
 def test_check_radius():

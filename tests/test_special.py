@@ -49,11 +49,14 @@ class TestGauss2F1:
 
     def test_g_2_at_small_radii(self):
         # (1-r^2)^(1-n) 2F1(...) - 1 cancelled as G_2 -> 0: 1.7e-5 off at
-        # r = 1e-6, 0.29 at 1e-8, and a raw ValueError at (10, 1e-9)
+        # r = 1e-6, 0.29 at 1e-8, and a raw ValueError at (10, 1e-9); C_2 r
+        # just below 2^-27 was 5.5e-14 off at n = 1000.  The oracle's
+        # moment - 1 cancels to G_2^2, so its digits grow with |log10 r|
         pytest.importorskip("mpmath")
-        for n in (3, 4, 5, 10, 30, 100):
-            for r in (1e-3, 1e-6, 1e-9, 1e-15):
-                assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r, dps=80), rel=1e-15, abs=0), (n, r)
+        for n in (3, 4, 5, 10, 30, 100, 1000):
+            for r in (1e-3, 1e-6, 0.999 * 2.0 ** -27, 1e-9, 1e-15, 1e-50, 1e-150):
+                dps = 80 + 2 * round(-math.log10(r))
+                assert g_2_closed(n, r) == pytest.approx(mp_g_2(n, r, dps=dps), rel=1e-15, abs=0), (n, r)
 
     def test_g_inf_at_small_radii(self):
         pytest.importorskip("mpmath")

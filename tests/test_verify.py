@@ -312,9 +312,41 @@ class TestSmallRadii:
         # max_ratio tends to that of the gradient bound as r -> 0
         ctx = BallContext(n, p)
         near = random_bound_check(ctx, 1e-6).max_ratio
-        for r in self.RADII[1:] + (1e-310,):
+        for r in self.RADII[1:] + (1e-310, 1e-315):
             report = random_bound_check(ctx, r)
             assert report.violations == 0 and abs(report.max_ratio - near) <= 1e-5, (r, report)
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0, math.inf))
+    @pytest.mark.parametrize("n", (3, 4, 5, 10, 100))
+    def test_subnormal_draws_take_the_gradient_moments(self, n, p):
+        # below the smallest normal r, K - 1 = 2 (n - 1) r t to the last bit:
+        # u(r axis) - u(0) is r times the gradient functional.  The pole
+        # site's moments read 3 false violations at (100, 2, 1e-310)
+        ctx = BallContext(n, p)
+        for r in (1e-310, 1e-315):
+            constant = solver.g_p(ctx, r).g_value / r
+            expected = verify._grad_reports(ctx, 1000, 42, quadrature.DEFAULT_ORDER, (constant,))[0]
+            assert random_bound_check(ctx, r) == expected, r
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0, math.inf))
+    @pytest.mark.parametrize("n", (3, 10, 100))
+    def test_subnormal_refusal_is_on_the_error_of_g(self, n, p):
+        # refused exactly where G's error, est_error or _CLOSED_FORM_ULPS
+        # ulps, exceeds BOUND_SLACK / 2 of G
+        ctx = BallContext(n, p)
+        radii = [k * 10.0 ** -e for e in range(308, 324) for k in (3.0, 1.0)] + [5e-324]
+        refused = []
+        for r in radii:
+            bound = solver.g_p(ctx, r)
+            error = max(bound.est_error, verify._CLOSED_FORM_ULPS * math.ulp(bound.g_value))
+            if error > 0.5 * verify.BOUND_SLACK * bound.g_value:
+                with pytest.raises(DomainError, match=f"at r = {r!r} keeps too few bits"):
+                    random_bound_check(ctx, r, count=100)
+                refused.append(r)
+            else:
+                assert random_bound_check(ctx, r, count=100).violations == 0, r
+        # a tail of the grid: the first refused radius is 3e-319 at (100, 1) and at most 3e-316
+        assert refused == radii[-len(refused):] and 1e-319 <= refused[0] <= 1e-315, refused
 
     @pytest.mark.parametrize("n", (3, 4, 5, 10))
     def test_p1_cap_pair(self, n):
@@ -378,19 +410,6 @@ class TestRandomChecks:
             report = random_grad_check(ctx, count=300, seed=7)
             assert report.violations == 0
             assert report.max_ratio <= 1.0
-
-    @pytest.mark.parametrize("n", (3, 10))
-    def test_subnormal_moments_within_their_rounding_bound(self, n):
-        # at subnormal r, M_k = 2 (n - 1) r integral t^(k+1) dsigma up to
-        # O(r^2), far below the spacing 2^-1074; the moments of the draws'
-        # site stay within 3% of _moment_rounding, near 1e-319 at n <= 100
-        bound = verify._moment_rounding(n, quadrature.DEFAULT_ORDER)
-        for r in (1e-322, 1e-320, 1e-315, 1e-310, 1e-308):
-            moments = quadrature._site_integral(n, r, quadrature.DEFAULT_ORDER, 1.0, lambda log_kernel, t:
-                                                np.cumprod([np.expm1(log_kernel)] + [t] * 8, axis=0))
-            exact = [2.0 * (n - 1) * r * (special.alpha_q(n, k + 1) if k % 2 else 0.0) for k in range(9)]
-            assert np.all(np.abs(np.subtract(moments, exact)) <= 0.05 * bound), (n, r)
-        assert verify._moment_rounding(100, quadrature.DEFAULT_ORDER).max() < 1e-318
 
     def test_seeded_determinism(self):
         ctx = BallContext(4, 3.0)
