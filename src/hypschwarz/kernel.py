@@ -69,16 +69,23 @@ def poisson_szego_axis(ctx: BallContext, r: float, t):
     t = np.asarray(t, dtype=float)
     if t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
         raise DomainError("axis coordinate t must lie in [-1, 1]")
-    out = np.exp(_log_kernel(ctx.n, r, t))
-    return out if out.ndim else float(out)
+    out = np.exp(_log_kernel(ctx.n, r, np.atleast_1d(t)))
+    return out if t.ndim else float(out[0])
 
 
 def _log_kernel(n: int, r: float, t: np.ndarray) -> np.ndarray:
-    """log K(r, t) at a radius in [0, 1) and an array t of values in [-1, 1],
-    unchecked: the nodes of a quadrature rule are cosines and need no check."""
+    """log K(r, t) = (n - 1) (log(1 - r^2) - log(1 + r^2 - 2 r t)), a new
+    array built in place, at a radius in [0, 1) and an array t (of one
+    dimension or more) of values in [-1, 1], unchecked: the nodes of a
+    quadrature rule are cosines and need no check."""
     if r < sys.float_info.min:  # r^2 is 0: log K = 2 (n - 1) r t, rounded after the factor
         return (2.0 * (n - 1) * r) * t
-    return (n - 1) * (math.log1p(-r * r) - np.log1p(r * r - 2.0 * r * t))
+    log_k = (2.0 * r) * t
+    np.subtract(r * r, log_k, out=log_k)
+    np.log1p(log_k, out=log_k)
+    np.subtract(math.log1p(-r * r), log_k, out=log_k)
+    log_k *= n - 1
+    return log_k
 
 
 # math.exp and math.expm1 raise OverflowError past this.

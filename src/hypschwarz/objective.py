@@ -20,7 +20,9 @@ nodes of a site of ``quadrature`` split where K crosses the shift, summed by
 its one pass ``_site_sums``.  F and its slope (a second row of F's power)
 are one stack of values; Phi and the doubled-order Phi of ``est_error`` are
 one pass.  So Phi(a*) and the residual F(a*) cost one power and one panel
-sum on the site of the solve's last F.
+sum on the site of the solve's last F.  The public functions enter
+``quadrature._overflow_guard``; the private ones run under their caller's
+(``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import _EXP_MAX, BallContext, _log_range, _split_point, check_radius
-from .quadrature import DEFAULT_ORDER, _checked, _site_sums
+from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site_sums
+from .special import check_order
 
 # Floor applied to |d| in negative-exponent integrands: a quadrature node can
 # land within one rounding step of the crossing, where the computed deviation
@@ -45,6 +48,7 @@ class ObjectiveParams:
     """Evaluation site for the objective: context, radius in (0, 1), rule order.
 
     At r = 0 the kernel is identically 1: a*(0) = 1 and G_p(0) = 0 exactly.
+    The order is checked here, after p and r, and stored as an int.
     """
 
     ctx: BallContext
@@ -55,6 +59,7 @@ class ObjectiveParams:
         _check_exponent(self.ctx, "the objective")
         if check_radius(self.r) == 0.0:
             raise DomainError("objective is defined for r in (0, 1); a*(0) = 1 and G_p(0) = 0")
+        object.__setattr__(self, "order", check_order(self.order))
 
 
 def _check_exponent(ctx: BallContext, what: str) -> None:
@@ -84,7 +89,8 @@ def phi(params: ObjectiveParams, a: float) -> float:
     d = K/a - 1 is divided by its largest size m = max(e^(l-s) - 1, 1 - e^(-l-s))
     first: |d|^q overflows near r = 1 for large q, a m (integral |d/m|^q)^(1/q) not.
     """
-    return _phi_and_refined(params, _log_shift(a), False)[0]
+    with _overflow_guard():
+        return _phi_and_refined(params, _log_shift(a), False)[0]
 
 
 def _phi_and_refined(params: ObjectiveParams, s: float, refine: bool) -> list[float]:
@@ -110,7 +116,8 @@ def _phi_and_refined(params: ObjectiveParams, s: float, refine: bool) -> list[fl
 def big_f(params: ObjectiveParams, a: float) -> float:
     """F(r, a) = integral (K - a)|K - a|^(q-2) dsigma, decreasing in a,
     integrated as a^(q-1) integral sign(d) |d|^(q-1) dsigma, d = K/a - 1."""
-    return _f_and_slope(params, _log_shift(a), False)[0]
+    with _overflow_guard():
+        return _f_and_slope(params, _log_shift(a), False)[0]
 
 
 def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
@@ -125,10 +132,12 @@ def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
     def rows(log_kernel, _):
         dev = log_kernel - s
         np.expm1(dev, out=dev)
+        if not slope:
+            power = np.abs(dev)
+            power **= q - 1.0
+            return np.copysign(power, dev, out=power)
         size = np.abs(dev)
         power = size ** (q - 1.0)
-        if not slope:
-            return np.copysign(power, dev, out=power)
         out = np.empty((2, *dev.shape))
         np.copysign(power, dev, out=out[0])
         np.divide(power, np.maximum(size, _DEV_FLOOR, out=size), out=out[1])
@@ -145,4 +154,5 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     2^-(q-1) toward the crossing, and the tail past the innermost panel is
     summed from that ratio, however near 1 (README, "Numerical notes").
     """
-    return _checked(_f_and_slope(params, _log_shift(a))[1] / a)
+    with _overflow_guard():
+        return _checked(_f_and_slope(params, _log_shift(a))[1] / a)

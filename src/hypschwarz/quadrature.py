@@ -27,15 +27,18 @@ with the index of each panel's first node, and the panel sums one
 sides and shifts it to theta0.
 
 A site is the node set split at t0 (``_graded_nodes``) with log K(r, .) at
-its nodes; it depends on (n, r, order, t0) only, and the last two built are
-kept.  One function, ``_site_sums``, sums every zonal integral: it evaluates
-the values it is given at a site's nodes (at the node set alone, on no
-site, for ``integrate_with_breakpoint``'s integrands of t) under the one
-overflow guard, takes their panel sums and adds the side totals left to
-right.  With ``refine`` it also evaluates the outer panels alone
-(``_outer_nodes``, every panel at a pole), all that the order changes, at
-est_error's reference order 2 max(order, 96), and splices their sums over
-the first order's.  Non-finite values or totals raise DomainError.
+its nodes, all read-only; it depends on (n, r, order, t0) only, and the last
+two built are kept.  One function, ``_site_sums``, sums every zonal
+integral: it evaluates the values it is given at a site's nodes (at the node
+set alone, on no site, for ``integrate_with_breakpoint``'s integrands of t),
+takes their panel sums and adds the side totals left to right.  With
+``refine`` it also evaluates the outer panels alone (``_outer_nodes``, every
+panel at a pole), all that the order changes, at est_error's reference
+order 2 max(order, 96), and splices their sums over the first order's.
+Non-finite values or totals raise DomainError.  A site pass pays for its
+node work only: it runs under one ``_overflow_guard`` per solve, sweep or
+public call, not per integral, the order is checked where it enters the
+package, and the nodes and log K are built in place.
 
 Every rule is built here on first use, cached and read-only: ``_legendre``
 for the graded panels and ``verify``'s p = 1 cap pairs, and ``build_rule``,
@@ -202,8 +205,8 @@ def _graded_panels(order: int, outer: int):
     Panel j spans [ratio^(j+1), ratio^j], its index growing toward the
     breakpoint; the ``outer`` panels j < outer have max(_PANEL_NODES,
     order // 8) nodes, every other one _PANEL_NODES.  ``order`` is checked
-    by ``_graded_nodes``: est_error's reference layout is built at twice an
-    order that passed it, up to 2 * MAX_ORDER.
+    where it enters the package: est_error's reference layout is built at
+    twice an order that passed that check, up to 2 * MAX_ORDER.
     """
     counts = [max(_PANEL_NODES, order // 8)] * outer + [_PANEL_NODES] * (_PANELS - outer)
     edges = _PANEL_RATIO ** np.arange(_PANELS + 1)
@@ -221,10 +224,10 @@ def _graded_nodes(n: int, order: int, t0: float):
     """Node set of the graded rule split at t0: (t, sin^(n-2) theta, panel
     weights, panel starts, side lengths), with t and the sine power of shape
     (sides, nodes per side), on the layout with _outer_count(n, t0) outer
-    panels.  A breakpoint at a pole leaves one side; the empty one gets no
-    nodes, as an integrand may be infinite there.
+    panels, for an order already checked.  A breakpoint at a pole leaves one
+    side; the empty one gets no nodes, as an integrand may be infinite there.
     """
-    return _nodes_at(n, t0, *_graded_panels(check_order(order), _outer_count(n, t0)))
+    return _nodes_at(n, t0, *_graded_panels(order, _outer_count(n, t0)))
 
 
 def _outer_count(n: int, t0: float) -> int:
@@ -235,17 +238,27 @@ def _outer_count(n: int, t0: float) -> int:
 def _outer_nodes(n: int, order: int, t0: float):
     """The outer panels of ``_graded_nodes(n, order, t0)``, node for node, as
     a node set of their own: all of it at a pole."""
-    outer = _outer_count(n, t0)
+    return _nodes_at(n, t0, *_outer_layout(order, _outer_count(n, t0)))
+
+
+@lru_cache(maxsize=16)
+def _outer_layout(order: int, outer: int):
+    """The first ``outer`` panels of ``_graded_panels(order, outer)``: read-only views."""
     offsets, weights, starts = _graded_panels(order, outer)
     end = starts[outer] if outer < _PANELS else offsets.size
-    return _nodes_at(n, t0, offsets[:end], weights[:end], starts[:outer])
+    return offsets[:end], weights[:end], starts[:outer]
 
 
 def _nodes_at(n: int, t0: float, offsets, weights, starts):
     theta0 = math.acos(t0)
-    lengths = [side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300]
-    theta = theta0 + np.array(lengths)[:, None] * offsets
-    return np.cos(theta), np.sin(theta) ** (n - 2), weights, starts, lengths
+    lengths = tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
+    theta = np.multiply.outer(lengths, offsets)
+    theta += theta0
+    t = np.cos(theta)
+    sinpow = np.sin(theta, out=theta)
+    if n > 3:  # sin^1 is sin
+        sinpow **= n - 2
+    return t, sinpow, weights, starts, lengths
 
 
 def _panel_sums(vals, nodes):
@@ -286,13 +299,22 @@ def _checked(total: float) -> float:
     return total
 
 
-@lru_cache(maxsize=2, typed=True)  # typed: an order of 128.0 must miss 128's site and be refused
+def _overflow_guard():
+    """A new np.errstate (numpy 2 enters one instance only once) without
+    overflow or invalid-value warnings, which a solve, sweep or public call
+    enters once around its site passes: overflow leaves non-finite values,
+    and so non-finite sums, which ``_checked`` refuses."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+@lru_cache(maxsize=2, typed=True)  # typed: a float order never shares an int order's site
 def _site(n: int, r: float, order: int, t0: float):
     """(log K, node set): the graded rule's node set split at t0 and the
-    log of the kernel K(r, .) at its nodes, read-only."""
+    log of the kernel K(r, .) at its nodes, every array read-only."""
     nodes = _graded_nodes(n, order, t0)
     log_kernel = _log_kernel(n, r, nodes[0])
-    log_kernel.setflags(write=False)
+    for array in (log_kernel, *nodes[:2]):
+        array.setflags(False)  # write=False, at a third of the keyword form's cost
     return log_kernel, nodes
 
 
@@ -301,6 +323,7 @@ def _site_sums(n: int, r: float | None, order: int, t0: float, fn, refine: bool 
     at t0, unchecked (non-finite where a value or a sum is): a list of one
     for an array of values, of one per row for a stack of them.  Where r is
     None, fn(None, t) is summed on the node set alone, which takes no site.
+    The caller holds ``_overflow_guard`` and has checked the order.
 
     With ``refine`` (on a site), the same integrals at est_error's reference
     order follow.  The layouts differ only on the outer panels of each side,
@@ -309,17 +332,15 @@ def _site_sums(n: int, r: float | None, order: int, t0: float, fn, refine: bool 
     panels alone, their sums replace the first order's, and the panels are
     summed in the same left-to-right loop: a full evaluation's bits.
     """
-    # Overflow leaves non-finite values, and so non-finite sums.
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_kernel, nodes = (None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
-        per_panel = _panel_sums(fn(log_kernel, nodes[0]), nodes)
-        rows = [per_panel.tolist()]
-        if refine:
-            # Below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes: double that.
-            outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), t0)
-            outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
-            per_panel[..., :outer_sums.shape[-1]] = outer_sums
-            rows.append(per_panel.tolist())
+    log_kernel, nodes = (None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
+    per_panel = _panel_sums(fn(log_kernel, nodes[0]), nodes)
+    rows = [per_panel.tolist()]
+    if refine:
+        # Below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes: double that.
+        outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), t0)
+        outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
+        per_panel[..., :outer_sums.shape[-1]] = outer_sums
+        rows.append(per_panel.tolist())
     totals = []
     for sums in rows:
         for sides in sums if per_panel.ndim == 3 else [sums]:
@@ -328,8 +349,10 @@ def _site_sums(n: int, r: float | None, order: int, t0: float, fn, refine: bool 
 
 
 def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:
-    """``_site_sums``, each integral refused where non-finite."""
-    return [_checked(total) for total in _site_sums(n, r, order, t0, fn)]
+    """``_site_sums`` under its own overflow guard, each integral refused
+    where non-finite."""
+    with _overflow_guard():
+        return [_checked(total) for total in _site_sums(n, r, order, t0, fn)]
 
 
 def integrate_with_breakpoint(n: int, order: int, f, t0: float):
@@ -345,6 +368,7 @@ def integrate_with_breakpoint(n: int, order: int, f, t0: float):
     """
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"breakpoint must lie in [-1, 1], got {t0!r}")
+    order = check_order(order)
     stack = []
 
     def values(_, t):

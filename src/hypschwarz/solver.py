@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
 from .objective import ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined
-from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER
+from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER, _overflow_guard
 from .special import alpha_q, check_dimension, check_order
 
 # Width in log a at which the root bracket counts as resolved (times 2l, l < 1/2).
@@ -66,7 +66,8 @@ class GpResult:
 def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
     """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly: the
     cold solve of ``_solve``, rounded to a* = e^s."""
-    return math.exp(_solve(ctx, r, order, None, 0.0))
+    with _overflow_guard():
+        return math.exp(_solve(ctx, r, order, None, 0.0))
 
 
 def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> float:
@@ -89,7 +90,8 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     root is followed by one a quarter short of it.  The tolerance is 2^-44
     in log a, times 2l where l < 1/2, and never below the spacing of doubles
     at l (at subnormal r, 2^-44 2l underflows).  The guess changes the cost,
-    and the root only where F's quadrature noise outweighs its slope.
+    and the root only where F's quadrature noise outweighs its slope.  The
+    caller holds ``quadrature._overflow_guard``.
     """
     order = check_order(order)
     _check_exponent(ctx, "shift optimization")
@@ -327,10 +329,11 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
                 for r in map(check_radius, radii)]
     results: dict[float, GpResult] = {}
     curve = []
-    for r, s in _shift_curve(ctx, radii, order):
-        if r not in results:
-            results[r] = _numeric_result(ctx, r, order, s)
-        curve.append(results[r])
+    with _overflow_guard():
+        for r, s in _shift_curve(ctx, radii, order):
+            if r not in results:
+                results[r] = _numeric_result(ctx, r, order, s)
+            curve.append(results[r])
     return curve
 
 

@@ -207,23 +207,42 @@ def _poly_data(n: int, coeffs: np.ndarray, order: int):
 
 
 def _poly_norms(ctx: BallContext, rule, coeffs, values) -> np.ndarray:
-    """Finite p-norms of the draws of ``_poly_data``.
+    """Finite p-norms of the draws of ``_poly_data``, each from its own row.
 
     This consumes ``values``: |values|^p is taken in place, so a certificate
-    holds one count x order matrix instead of three.  Where a draw's power
-    sum leaves double range (large p), every draw is evaluated again and
-    divided by its largest |value| before the power.
+    holds one count x order matrix instead of three.  A draw whose power sum
+    leaves [_POWER_SUM_MIN, inf) (at large p, or a zero draw) is evaluated
+    again and divided by its largest |value| before the power; the others
+    keep their unscaled norms.
     """
     np.abs(values, out=values)
-    with np.errstate(over="ignore"):
-        values **= ctx.p
+    _power(values, ctx.p)
     sums = values @ rule.weights
-    if ((_POWER_SUM_MIN <= sums) & (sums < math.inf)).all():
-        return sums ** (1.0 / ctx.p)
-    values = np.abs(coeffs @ _monomials(rule.n, rule.order)[0])
-    scale = values.max(axis=1)
-    scale[scale == 0.0] = 1.0  # a zero draw keeps norm 0
-    return scale * (((values / scale[:, None]) ** ctx.p) @ rule.weights) ** (1.0 / ctx.p)
+    norms = sums ** (1.0 / ctx.p)
+    redo = ~((_POWER_SUM_MIN <= sums) & (sums < math.inf))
+    if redo.any():
+        values = np.abs(coeffs[redo] @ _monomials(rule.n, rule.order)[0])
+        scale = values.max(axis=1)
+        scale[scale == 0.0] = 1.0  # a zero draw keeps norm 0
+        values /= scale[:, None]
+        _power(values, ctx.p)
+        norms[redo] = scale * (values @ rule.weights) ** (1.0 / ctx.p)
+    return norms
+
+
+def _power(values, p: float) -> None:
+    """values **= p for values >= 0, in place.  Entries whose power is
+    certainly 0 (below 2^-1076) or inf (above 2^1025) are set to it first:
+    numpy's power takes a slow path for results that underflow or overflow,
+    about 30 times the cost of the others."""
+    bits = 1025.0 / p
+    tiny, huge = 2.0 ** (-1076.0 / p), 2.0 ** bits if bits < 1024.0 else math.inf
+    if values.min() < tiny:
+        values[values < tiny] = 0.0
+    if values.max() > huge:
+        values[values > huge] = math.inf
+    with np.errstate(over="ignore"):  # the entries next to huge
+        values **= p
 
 
 def _ratio_checker(ctx: BallContext, rule, coeffs, values):

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 import hypschwarz
 from hypschwarz import objective, quadrature, solver, verify
 from hypschwarz.cli import _render, build_parser, main
+from hypschwarz.errors import DomainError
 from hypschwarz.kernel import BallContext
 from hypschwarz.objective import ObjectiveParams
 from hypschwarz.quadrature import DEFAULT_ORDER
@@ -504,6 +506,36 @@ class TestFailureModes:
         for argv in ("astar --n 4 --p 3 --r 0 --order 1", "gp --n 4 --p inf --r 0.5 --order 1"):
             code, out, err = run_cli(capsys, *argv.split())
             assert (code, out) == (1, "") and "rule order must be an integer >= 2" in err, argv
+
+
+def test_no_warning_escapes_the_overflow_guard(capsys):
+    # numpy's overflow guard is entered once per solve, sweep or public call;
+    # at (10, 1.01, 0.5) |d|^(q - 1) overflows at q = 101, and every public
+    # numeric entry refuses it, or answers, with numpy's warnings as errors
+    ctx, r = BallContext(10, 1.01), 0.5
+    prm = ObjectiveParams(ctx, r)
+    message = "integrand produced non-finite values or a non-finite integral"
+    refusing = {
+        "g_p": lambda: solver.g_p(ctx, r),
+        "g_p_curve": lambda: g_p_curve(ctx, [0.3, 0.4, r]),
+        "solve_a_star": lambda: solver.solve_a_star(ctx, r),
+        "big_f": lambda: objective.big_f(prm, 1.0),
+        "dF_da": lambda: objective.dF_da(prm, 1.0),
+        "verify_sharpness": lambda: verify.verify_sharpness(ctx, r),
+        "random_bound_check": lambda: verify.random_bound_check(ctx, r),
+        "integrate_with_breakpoint": lambda: quadrature.integrate_with_breakpoint(
+            10, DEFAULT_ORDER, lambda t: np.exp(1000.0 * t), 0.0),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in refusing.items():
+            solver._g_p_numeric.cache_clear()
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
+        assert objective.phi(prm, 1.0) == pytest.approx(14347.499601443056, rel=1e-12, abs=0)
+        for command in ("gp", "astar"):
+            code, out, err = run_cli(capsys, command, "--n", "10", "--p", "1.01", "--r", "0.5")
+            assert (code, out, err) == (1, "", f"error: {message}\n"), command
 
 
 def test_console_script_entry_point():

@@ -45,7 +45,7 @@ class TestParams:
         for r in (1.0, -0.1, 0.0):  # r = 0 is solved exactly before the objective
             with pytest.raises(DomainError):
                 params(3, 2.0, r)
-        # the rule checks the order on the first integral
+        # the order is checked where it enters: by ObjectiveParams
         for order in (1, 2.5):
             with pytest.raises(DomainError, match="order"):
                 big_f(ObjectiveParams(BallContext(3, 2.0), 0.5, order=order), 1.0)

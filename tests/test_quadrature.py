@@ -293,6 +293,17 @@ class TestBreakpointRule:
             integrate_with_breakpoint(4, 128, f, t0)
         assert quadrature._site.cache_info() == before
 
+    def test_cached_site_is_read_only(self):
+        # the site pass works in place: a stray write into a cached site would
+        # corrupt every later integral on it, so every array of it refuses one
+        for n, t0 in ((3, 0.3), (4, 0.3), (4, 1.0)):
+            quadrature._site.cache_clear()
+            log_kernel, (t, sinpow, weights, starts, lengths) = quadrature._site(n, 0.5, 128, t0)
+            for array in (log_kernel, t, sinpow, weights, starts):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[..., 0] = 0
+            assert isinstance(lengths, tuple)
+
     def test_stack_must_end_in_the_node_shape(self):
         for shape in (lambda t: (3, *t.shape[1:]), lambda t: (*t.shape, 2), lambda t: (3, 7)):
             with pytest.raises(DomainError, match="shape"):

@@ -632,6 +632,30 @@ class TestRandomChecks:
         expected = (np.abs(values.copy()) ** p @ rule.weights) ** (1.0 / p)
         assert np.array_equal(verify._poly_norms(ctx, rule, coeffs, values), expected)
 
+    @pytest.mark.parametrize("p", [1.1, 3.0, 20.0])
+    def test_each_norm_from_its_own_draw(self, p):
+        # a zero draw's power sum leaves range; it alone is rescaled, where it
+        # moved every other draw to its scaled norm
+        ctx = BallContext(4, p)
+        rule, coeffs, values = verify._random_poly_draws(4, 200, 5, 128)
+        alone = verify._poly_norms(ctx, rule, coeffs, values.copy())
+        norms = verify._poly_norms(ctx, rule, np.vstack([coeffs, np.zeros((1, coeffs.shape[1]))]),
+                                   np.vstack([values, np.zeros((1, values.shape[1]))]))
+        assert norms[-1] == 0.0 and np.array_equal(norms[:-1], alone)
+
+    def test_large_p_draws_in_range_keep_their_unscaled_norms(self):
+        # at p = 1000 some draws' power sums stay in range: those keep the
+        # unscaled norm's bits, and only the others are rescaled
+        p = 1000.0
+        ctx = BallContext(3, p)
+        rule, coeffs, values = verify._random_poly_draws(3, 1000, 42, 128)
+        with np.errstate(over="ignore", under="ignore"):
+            sums = np.abs(values) ** p @ rule.weights
+        kept = (verify._POWER_SUM_MIN <= sums) & (sums < math.inf)
+        assert 0 < np.count_nonzero(kept) < len(kept)
+        norms = verify._poly_norms(ctx, rule, coeffs, values)
+        assert np.array_equal(norms[kept], sums[kept] ** (1.0 / p))
+
     @pytest.mark.parametrize("p", [200.0, 1000.0, 1e5])
     def test_large_p_norms_keep_every_draw(self, p):
         # |value|^p leaves double range: at p = 1000, 301 of these 1000 norms
