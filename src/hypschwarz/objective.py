@@ -20,7 +20,11 @@ nodes of a site of ``quadrature`` split where K crosses the shift, summed by
 its one pass ``_site_sums``.  F and its slope (a second row of F's power)
 are one stack of values; Phi and the doubled-order Phi of ``est_error`` are
 one pass.  So Phi(a*) and the residual F(a*) cost one power and one panel
-sum on the site of the solve's last F.  The public functions enter
+sum on the site of the solve's last F.  ``_phi_and_refined`` takes a list
+of (s, site) points: a sweep holds the site of each radius's last F and
+sums Phi on a chunk of them in one pass over a stack of sites, each shift
+and scale a column against its row, every point's values the bits of a
+pass on its site alone.  The public functions enter
 ``quadrature._overflow_guard``; the private ones run under their caller's
 (``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
 """
@@ -34,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import _EXP_MAX, BallContext, _log_range, _split_point, check_radius
-from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site_sums
+from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site, _site_sums
 from .special import check_order
 
 # Floor applied to |d| in negative-exponent integrands: a quadrature node can
@@ -90,27 +94,55 @@ def phi(params: ObjectiveParams, a: float) -> float:
     first: |d|^q overflows near r = 1 for large q, a m (integral |d/m|^q)^(1/q) not.
     """
     with _overflow_guard():
-        return _phi_and_refined(params, _log_shift(a), False)[0]
+        s = _log_shift(a)
+        points = [(s, _shift_site(params.ctx.n, params.r, params.order, s))]
+        return _checked(_phi_and_refined(params.ctx, params.order, points, False)[0][0])
 
 
-def _phi_and_refined(params: ObjectiveParams, s: float, refine: bool) -> list[float]:
-    """[Phi(e^s) at params.order, at est_error's reference order (``_site_sums``)]
-    from one site pass, the bits of two phi calls; [Phi(e^s)] without ``refine``."""
-    ctx, r, q = params.ctx, params.r, params.ctx.q
-    ell = _log_range(ctx.n, r)
-    size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
-    scale = 1.0 / size  # inf where size is subnormal: r below about 1e-308 / (2(n - 1))
+def _shift_site(n: int, r: float, order: int, s: float):
+    """The site (``quadrature._site``) split where K(r, .) crosses e^s: the
+    site of F, its slope and Phi at the shift a = e^s."""
+    return _site(n, r, order, _split_point(n, r, s))
 
-    def values(log_kernel, _):
-        dev = log_kernel - s
+
+def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list[list[float]]:
+    """[Phi(e^s) at ``order``, at est_error's reference order (``_site_sums``)]
+    at each (s, site of ``_shift_site``) of ``points``, or [Phi(e^s)]
+    without ``refine``, unchecked (non-finite where Phi is): the bits of the
+    point's own phi calls.  The points are one stacked site pass: a sweep
+    holds the site of each radius's last F and sums them together.  The
+    order is one already checked."""
+    q = ctx.q
+    shifts, sizes, inverse, sites = [], [], [], []
+    for s, site in points:
+        ell = _log_range(ctx.n, site[0])
+        size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
+        shifts.append(s)
+        sizes.append(size)
+        inverse.append(1.0 / size)  # inf where the size is subnormal (r below about 1e-308 / (2(n - 1)))
+        sites.append(site)
+    finite = math.inf not in inverse  # else divide by the size where 1 / size is inf
+
+    def values(log_kernel, _, rows):
+        # a scalar against one site (sides, nodes), a column against a stack (sites, sides, nodes)
+        shift, scale = (shifts[rows[0]], inverse[rows[0]]) if len(rows) == 1 else (
+            np.array([shifts[k] for k in rows])[:, None, None], np.array([inverse[k] for k in rows])[:, None, None])
+        dev = log_kernel - shift
         np.expm1(dev, out=dev)
-        np.multiply(dev, scale, out=dev) if scale < math.inf else np.divide(dev, size, out=dev)
+        if finite:
+            np.multiply(dev, scale, out=dev)
+        else:
+            for row, k in zip(dev if len(rows) > 1 else [dev], rows):
+                np.multiply(row, inverse[k], out=row) if inverse[k] < math.inf else np.divide(row, sizes[k], out=row)
         np.abs(dev, out=dev)
         dev **= q
         return dev
 
-    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), values, refine)
-    return [_checked(_exp(s) * size * total ** (1.0 / q)) for total in totals]
+    phis = []
+    for s, size, totals in zip(shifts, sizes, _site_sums(ctx.n, order, sites, values, refine)):
+        scale = _exp(s) * size
+        phis.append([scale * total ** (1.0 / q) for total in totals])
+    return phis
 
 
 def big_f(params: ObjectiveParams, a: float) -> float:
@@ -129,7 +161,7 @@ def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
     """
     ctx, r, q = params.ctx, params.r, params.ctx.q
 
-    def rows(log_kernel, _):
+    def rows(log_kernel, *_):
         dev = log_kernel - s
         np.expm1(dev, out=dev)
         if not slope:
@@ -143,7 +175,8 @@ def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
         np.divide(power, np.maximum(size, _DEV_FLOOR, out=size), out=out[1])
         return out
 
-    totals = _site_sums(ctx.n, r, params.order, _split_point(ctx.n, r, s), rows)
+    # _shift_site's site, without its call on the solve's hot path
+    totals, = _site_sums(ctx.n, params.order, [_site(ctx.n, r, params.order, _split_point(ctx.n, r, s))], rows)
     scale = _exp((q - 1.0) * s)
     return _checked(scale * totals[0]), (1.0 - q) * scale * totals[1] if slope else None
 

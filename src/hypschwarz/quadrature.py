@@ -28,16 +28,22 @@ sides and shifts it to theta0.
 
 A site is the node set split at t0 (``_graded_nodes``) with log K(r, .) at
 its nodes, all read-only; it depends on (n, r, order, t0) only, and the last
-two built are kept.  One function, ``_site_sums``, sums every zonal
-integral: it evaluates the values it is given at a site's nodes (at the node
-set alone, on no site, for ``integrate_with_breakpoint``'s integrands of t),
-takes their panel sums and adds the side totals left to right.  With
-``refine`` it also evaluates the outer panels alone (``_outer_nodes``, every
-panel at a pole), all that the order changes, at est_error's reference
-order 2 max(order, 96), and splices their sums over the first order's.
-Non-finite values or totals raise DomainError.  A site pass pays for its
-node work only: it runs under one ``_overflow_guard`` per solve, sweep or
-public call, not per integral, the order is checked where it enters the
+two built are kept, but a caller may hold one longer.  One function,
+``_site_sums``, sums every zonal integral: it evaluates the values it is
+given at a site's nodes (at the node set alone, on no site, for
+``integrate_with_breakpoint``'s integrands of t), takes their panel sums and
+adds the side totals left to right.  With ``refine`` it also evaluates the
+outer panels alone (``_outer_nodes``, every panel at a pole), all that the
+order changes, at est_error's reference order 2 max(order, 96), and splices
+their sums over the first order's.  Given several sites, it stacks those of
+one layout on a leading axis and takes each step once for the stack: one
+set of ufunc calls for the values, one ``np.add.reduceat`` for the panel
+sums, one build of the reference nodes and their log K.  Elementwise ufuncs
+and each panel's sum see a site's own values alone, so every site keeps the
+bits of a pass on it alone, and the side totals are still added site by
+site.  Non-finite values or totals raise DomainError.  A site pass pays for
+its node work only: it runs under one ``_overflow_guard`` per solve, sweep
+or public call, not per integral, the order is checked where it enters the
 package, and the nodes and log K are built in place.
 
 Every rule is built here on first use, cached and read-only: ``_legendre``
@@ -235,10 +241,13 @@ def _outer_count(n: int, t0: float) -> int:
     return _PANELS if abs(t0) == 1.0 else _outer_panels(n)
 
 
-def _outer_nodes(n: int, order: int, t0: float):
+def _outer_nodes(n: int, order: int, t0):
     """The outer panels of ``_graded_nodes(n, order, t0)``, node for node, as
-    a node set of their own: all of it at a pole."""
-    return _nodes_at(n, t0, *_outer_layout(order, _outer_count(n, t0)))
+    a node set of their own: all of it at a pole.  For a list of
+    breakpoints that share their outer count, one node set with a leading
+    axis of sites and a tuple of side lengths per site."""
+    first = t0[0] if isinstance(t0, list) else t0
+    return _nodes_at(n, t0, *_outer_layout(order, _outer_count(n, first)))
 
 
 @lru_cache(maxsize=16)
@@ -249,9 +258,16 @@ def _outer_layout(order: int, outer: int):
     return offsets[:end], weights[:end], starts[:outer]
 
 
-def _nodes_at(n: int, t0: float, offsets, weights, starts):
-    theta0 = math.acos(t0)
-    lengths = tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
+def _nodes_at(n: int, t0, offsets, weights, starts):
+    """The node set of a layout split at t0, or at each breakpoint of a list
+    of them, each a row of t and the sine power, with its side lengths."""
+    if isinstance(t0, list):
+        theta0 = [math.acos(start) for start in t0]
+        lengths = [tuple([side for side in (-start, math.pi - start) if abs(side) > 1e-300]) for start in theta0]
+        theta0 = np.array(theta0)[:, None, None]
+    else:
+        theta0 = math.acos(t0)
+        lengths = tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
     theta = np.multiply.outer(lengths, offsets)
     theta += theta0
     t = np.cos(theta)
@@ -263,7 +279,7 @@ def _nodes_at(n: int, t0: float, offsets, weights, starts):
 
 def _panel_sums(vals, nodes):
     """Per-panel sums of ``vals``, values of shape (*stack, *t.shape) at the
-    node set ``nodes`` of ``_graded_nodes``: shape (*stack, sides, panels)."""
+    node set ``nodes``: shape (*stack, [sites,] sides, panels)."""
     _, sinpow, weights, starts, _ = nodes
     weighted = vals * sinpow
     weighted *= weights
@@ -309,50 +325,98 @@ def _overflow_guard():
 
 @lru_cache(maxsize=2, typed=True)  # typed: a float order never shares an int order's site
 def _site(n: int, r: float, order: int, t0: float):
-    """(log K, node set): the graded rule's node set split at t0 and the
-    log of the kernel K(r, .) at its nodes, every array read-only."""
+    """(r, t0, log K, node set): the graded rule's node set split at t0 and
+    the log of the kernel K(r, .) at its nodes, every array read-only.  A
+    caller may hold it past the cache's two slots and sum on it later."""
     nodes = _graded_nodes(n, order, t0)
     log_kernel = _log_kernel(n, r, nodes[0])
     for array in (log_kernel, *nodes[:2]):
         array.setflags(False)  # write=False, at a third of the keyword form's cost
-    return log_kernel, nodes
+    return r, t0, log_kernel, nodes
 
 
-def _site_sums(n: int, r: float | None, order: int, t0: float, fn, refine: bool = False) -> list[float]:
-    """Zonal integrals of fn(log K, t), values at the nodes of the site split
-    at t0, unchecked (non-finite where a value or a sum is): a list of one
-    for an array of values, of one per row for a stack of them.  Where r is
-    None, fn(None, t) is summed on the node set alone, which takes no site.
-    The caller holds ``_overflow_guard`` and has checked the order.
+def _site_sums(n: int, order: int, sites, fn, refine: bool = False) -> list[list[float]]:
+    """Zonal integrals of fn on each site of ``sites`` (``_site``, or
+    (None, t0, None, node set) for a node set alone), unchecked (non-finite
+    where a value or a sum is): one list per site, of one total per row of
+    values.  The caller holds ``_overflow_guard`` and has checked the order.
 
-    With ``refine`` (on a site), the same integrals at est_error's reference
-    order follow.  The layouts differ only on the outer panels of each side,
-    every panel at a pole (``_outer_nodes``); each inner panel has the same 12
-    nodes at the same offsets in both.  So fn is evaluated on those outer
-    panels alone, their sums replace the first order's, and the panels are
-    summed in the same left-to-right loop: a full evaluation's bits.
+    Several sites are summed in one pass per layout (the same panels and
+    sides): fn(log K, t, rows) takes log K for the sites at the indices
+    ``rows`` stacked on a leading axis, of shape (sites, sides, nodes), and
+    t None, and returns values of that shape.  A single site is no stack:
+    fn takes its own log K and t, of shape (sides, nodes), with rows (0,),
+    and its values may come in rows of their own, of shape (rows, sides,
+    nodes).  Elementwise ufuncs and each panel's ``np.add.reduceat`` sum do
+    not depend on the length of the array or the place of a value in it, so
+    a site's totals are those of a pass on it alone, bit for bit.
+
+    With ``refine``, the same integrals at est_error's reference order
+    follow in each list.  The layouts differ only on the outer panels of
+    each side, every panel at a pole (``_outer_nodes``); each inner panel
+    has the same 12 nodes at the same offsets in both.  So fn is evaluated
+    on those outer panels alone, their sums replace the first order's, and
+    the panels are summed in the same left-to-right loop: a full
+    evaluation's bits.
     """
-    log_kernel, nodes = (None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
-    per_panel = _panel_sums(fn(log_kernel, nodes[0]), nodes)
-    rows = [per_panel.tolist()]
-    if refine:
-        # Below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes: double that.
-        outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), t0)
-        outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
-        per_panel[..., :outer_sums.shape[-1]] = outer_sums
-        rows.append(per_panel.tolist())
-    totals = []
-    for sums in rows:
-        for sides in sums if per_panel.ndim == 3 else [sums]:
-            totals.append(_side_total(n, sides, nodes[4]))
+    if len(sites) == 1:  # the site's own arrays: nothing to stack or split
+        r, t0, log_kernel, nodes = sites[0]
+        per_panel = _panel_sums(fn(log_kernel, nodes[0], _ONE_SITE), nodes)
+        passes = [per_panel.tolist()]
+        if refine:
+            outer_sums = _panel_sums(*_reference_values(n, order, r, t0, fn, _ONE_SITE))
+            per_panel[..., :outer_sums.shape[-1]] = outer_sums
+            passes.append(per_panel.tolist())
+        totals = []
+        for sums in passes:
+            for sides in sums if per_panel.ndim == 3 else [sums]:
+                totals.append(_side_total(n, sides, nodes[4]))
+        return [totals]
+    totals: list = [None] * len(sites)
+    for rows in _layouts(sites):
+        radii, t0s, log_kernels, node_sets = (list(column) for column in zip(*[sites[k] for k in rows]))
+        # np.array stacks equal arrays at a third of np.stack's cost; log K's
+        # stack is freed before the sine power's is built
+        vals = fn(np.array(log_kernels), None, rows)
+        _, sinpows, weights, starts, lengths = zip(*node_sets)
+        per_panel = _panel_sums(vals, (None, np.array(sinpows), weights[0], starts[0], None))
+        passes = [per_panel.tolist()]
+        if refine:
+            outer_sums = _panel_sums(*_reference_values(n, order, radii, t0s, fn, rows))
+            per_panel[..., :outer_sums.shape[-1]] = outer_sums
+            passes.append(per_panel.tolist())
+        for i, k in enumerate(rows):
+            totals[k] = [_side_total(n, sums[i], lengths[i]) for sums in passes]
     return totals
 
 
+_ONE_SITE = (0,)  # the rows of a single site
+
+
+def _reference_values(n: int, order: int, r, t0, fn, rows):
+    """(values, node set): fn on the outer panels of est_error's reference
+    order, 2 max(order, 96), split at t0 (a list of them for a stack);
+    below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes."""
+    outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), t0)
+    return fn(_log_kernel(n, r, outer[0]), outer[0], rows), outer
+
+
+def _layouts(sites):
+    """The indices of ``sites`` grouped by layout: the same panels and sides."""
+    groups: dict[tuple, list[int]] = {}
+    for k, (_, _, _, nodes) in enumerate(sites):
+        groups.setdefault((id(nodes[3]), len(nodes[4])), []).append(k)
+    return groups.values()
+
+
 def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:
-    """``_site_sums`` under its own overflow guard, each integral refused
-    where non-finite."""
+    """The zonal integrals of fn(log K, t) at the site split at t0 (at the
+    node set alone, with log K None, where r is None) by ``_site_sums``,
+    under its own overflow guard, each refused where non-finite."""
     with _overflow_guard():
-        return [_checked(total) for total in _site_sums(n, r, order, t0, fn)]
+        site = (None, t0, None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
+        totals, = _site_sums(n, order, [site], lambda log_kernel, t, _: fn(log_kernel, t))
+        return [_checked(total) for total in totals]
 
 
 def integrate_with_breakpoint(n: int, order: int, f, t0: float):

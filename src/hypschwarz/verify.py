@@ -216,7 +216,9 @@ def _poly_norms(ctx: BallContext, rule, coeffs, values) -> np.ndarray:
     keep their unscaled norms.
     """
     np.abs(values, out=values)
-    _power(values, ctx.p)
+    # |value| <= sum |c_k| <= 9 max |c_k| at nodes inside (-1, 1); 2^-40 covers
+    # the rounding of the nine-term sums
+    _power(values, ctx.p, (1.0 + 2.0 ** -40) * coeffs.shape[1] * float(np.abs(coeffs).max()))
     sums = values @ rule.weights
     norms = sums ** (1.0 / ctx.p)
     redo = ~((_POWER_SUM_MIN <= sums) & (sums < math.inf))
@@ -225,21 +227,25 @@ def _poly_norms(ctx: BallContext, rule, coeffs, values) -> np.ndarray:
         scale = values.max(axis=1)
         scale[scale == 0.0] = 1.0  # a zero draw keeps norm 0
         values /= scale[:, None]
-        _power(values, ctx.p)
+        _power(values, ctx.p, 1.0)
         norms[redo] = scale * (values @ rule.weights) ** (1.0 / ctx.p)
     return norms
 
 
-def _power(values, p: float) -> None:
-    """values **= p for values >= 0, in place.  Entries whose power is
-    certainly 0 (below 2^-1076) or inf (above 2^1025) are set to it first:
-    numpy's power takes a slow path for results that underflow or overflow,
-    about 30 times the cost of the others."""
+def _power(values, p: float, bound: float) -> None:
+    """values **= p for values in [0, bound], in place.  Entries whose power
+    is certainly 0 (below 2^-1076) or inf (above 2^1025) are set to it
+    first: numpy's power takes a slow path for results that underflow or
+    overflow, about 30 times the cost of the others.  No entry is scanned
+    for overflow where ``bound`` is at most 2^(1025/p): the random draws'
+    coefficients stay below 1 in size after centering (the even moments sum
+    below 1), so their bound 9 holds up to p = 323; values near a root can
+    still be tiny."""
     bits = 1025.0 / p
     tiny, huge = 2.0 ** (-1076.0 / p), 2.0 ** bits if bits < 1024.0 else math.inf
     if values.min() < tiny:
         values[values < tiny] = 0.0
-    if values.max() > huge:
+    if bound > huge and values.max() > huge:
         values[values > huge] = math.inf
     with np.errstate(over="ignore"):  # the entries next to huge
         values **= p

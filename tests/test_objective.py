@@ -25,6 +25,12 @@ def params(n, p, r, order=128):
     return ObjectiveParams(BallContext(n, p), r, order)
 
 
+def phi_values(prm, s, refine):
+    """_phi_and_refined at the one shift e^s, on its site: [Phi] or [Phi, Phi at the reference order]."""
+    site = quadrature._site(prm.ctx.n, prm.r, prm.order, _split_point(prm.ctx.n, prm.r, s))
+    return _phi_and_refined(prm.ctx, prm.order, [(s, site)], refine)[0]
+
+
 class TestParams:
     def test_rejects_exponents_without_finite_q(self):
         with pytest.raises(DomainError):
@@ -224,8 +230,8 @@ class TestRefinedPhi:
                         refined = ObjectiveParams(ctx, r, 2 * max(order, 96))
                         s = solver._solve(ctx, r, order, None, 0.0)
                         assert res.a_star == math.exp(s)
-                        g_val = _phi_and_refined(prm, s, False)[0]
-                        est = max(abs(g_val - _phi_and_refined(refined, s, False)[0]),
+                        g_val = phi_values(prm, s, False)[0]
+                        est = max(abs(g_val - phi_values(refined, s, False)[0]),
                                   _ROUNDING_FLOOR * g_val)
                         assert res.g_value.hex() == g_val.hex(), (order, n, p, r)
                         assert res.est_error.hex() == est.hex(), (order, n, p, r)
@@ -245,7 +251,7 @@ class TestRefinedPhi:
                 for order in (64, 128):
                     prm = ObjectiveParams(ctx, r, order)
                     sites.clear()
-                    pair = _phi_and_refined(prm, math.log(a), True)
+                    pair = phi_values(prm, math.log(a), True)
                     assert sites == [order], (n, p, r, a)
                     expected = (phi(prm, a), phi(ObjectiveParams(ctx, r, 2 * max(order, 96)), a))
                     assert [v.hex() for v in pair] == [v.hex() for v in expected], (n, p, r, a)

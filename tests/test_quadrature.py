@@ -6,7 +6,7 @@ import pytest
 
 from hypschwarz import quadrature
 from hypschwarz.errors import DomainError
-from hypschwarz.kernel import BallContext, _split_point, kernel_range, poisson_szego_axis
+from hypschwarz.kernel import BallContext, _log_kernel, _split_point, kernel_range, poisson_szego_axis
 from hypschwarz.quadrature import (
     _PANELS,
     _graded_nodes,
@@ -298,7 +298,7 @@ class TestBreakpointRule:
         # corrupt every later integral on it, so every array of it refuses one
         for n, t0 in ((3, 0.3), (4, 0.3), (4, 1.0)):
             quadrature._site.cache_clear()
-            log_kernel, (t, sinpow, weights, starts, lengths) = quadrature._site(n, 0.5, 128, t0)
+            _, _, log_kernel, (t, sinpow, weights, starts, lengths) = quadrature._site(n, 0.5, 128, t0)
             for array in (log_kernel, t, sinpow, weights, starts):
                 with pytest.raises(ValueError, match="read-only"):
                     array[..., 0] = 0
@@ -308,6 +308,50 @@ class TestBreakpointRule:
         for shape in (lambda t: (3, *t.shape[1:]), lambda t: (*t.shape, 2), lambda t: (3, 7)):
             with pytest.raises(DomainError, match="shape"):
                 integrate_with_breakpoint(3, 128, lambda t: np.zeros(shape(t)), 0.2)
+
+
+def bits(array):
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestStackedSites:
+    """A stack of sites is exact only because elementwise ufuncs and each
+    panel's reduceat sum see their own values alone: a value's bits and a
+    panel's sum do not depend on the array's length or its place in it."""
+
+    def test_values_and_panel_sums_do_not_depend_on_place(self):
+        _, _, log_kernel, (t, sinpow, weights, starts, _) = quadrature._site(4, 0.5, 128, 0.3)
+        ufuncs = (np.expm1, np.log1p, np.cos, np.sin, np.abs, lambda v: np.abs(v) ** 3.0,
+                  lambda v: np.abs(v) ** 1.37, lambda v: np.abs(v) ** 2.0, lambda v: v * 0.7)
+        values = np.abs(log_kernel.ravel())
+        for lead in (0, 1, 2, 3, 5, 7, 8, 13):  # places that move SIMD blocks and their tails
+            for tail in (0, 1, 6):
+                placed = np.concatenate([np.full(lead, 0.25), values, np.full(tail, 0.5)])
+                for f in ufuncs:
+                    assert bits(f(placed)[lead:lead + values.size]) == bits(f(values)), (lead, tail, f)
+        one = np.abs(log_kernel) * sinpow * weights
+        alone = np.add.reduceat(one, starts, axis=-1)
+        stack = np.stack([2.0 * one, one, one[::-1] * 3.0, one])
+        for row in (1, 3):
+            assert bits(np.add.reduceat(stack, starts, axis=-1)[row]) == bits(alone)
+        wide = np.concatenate([one, one[:, :20]], axis=-1)  # more panels after these
+        starts_wide = np.concatenate([starts, [one.shape[-1], one.shape[-1] + 12]])
+        assert bits(np.add.reduceat(wide, starts_wide, axis=-1)[:, :starts.size]) == bits(alone)
+
+    def test_stacked_rows_are_their_sites_alone(self):
+        # est_error's outer nodes and their log K for a stack of sites, row by
+        # row, are those of each site alone; a radius below the smallest
+        # normal double takes the linear log K in its row
+        t0s = [0.3, -0.2, 0.95, 0.3]
+        stacked = quadrature._outer_nodes(4, 256, t0s)
+        for i, t0 in enumerate(t0s):
+            alone = quadrature._outer_nodes(4, 256, t0)
+            assert bits(stacked[0][i]) == bits(alone[0]) and bits(stacked[1][i]) == bits(alone[1])
+            assert stacked[4][i] == alone[4]
+        for radii in ([0.5, 0.01, 0.9, 0.5], [0.5, 1e-310, 0.9, 5e-324]):
+            log_kernels = _log_kernel(4, radii, stacked[0])
+            for i, r in enumerate(radii):
+                assert bits(log_kernels[i]) == bits(_log_kernel(4, r, stacked[0][i])), r
 
 
 class TestGradedLayout:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hypschwarz.errors import DomainError, NonConvergenceError
-from hypschwarz import solver
+from hypschwarz import objective, quadrature, solver
 from hypschwarz.kernel import BallContext, _split_point, kernel_range, poisson_szego_axis
-from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
-from hypschwarz.quadrature import integrate_with_breakpoint
+from hypschwarz.objective import ObjectiveParams, _phi_and_refined, big_f, dF_da, phi
+from hypschwarz.quadrature import _ROUNDING_FLOOR, integrate_with_breakpoint
 from hypschwarz.solver import (
     GpResult,
     g_1_closed,
@@ -388,6 +388,98 @@ class TestGpCurve:
         assert g_inf_closed(3, 0.959)[1] <= values[-1] <= g_1_closed(3, 0.959)[1]
         assert math.isfinite(values[-1]) and curve[-1].est_error <= 1e-10 * values[-1]
         assert values[0] == g_p(ctx, 0.9).g_value
+
+
+def phi_at(ctx, r, order, s):
+    """Phi(e^s) at (ctx, r, order) from a pass on its own site alone, unchecked."""
+    site = objective._shift_site(ctx.n, r, order, s)
+    return _phi_and_refined(ctx, order, [(s, site)], False)[0][0]
+
+
+class TestStackedGPass:
+    """A sweep sums G and est_error in one stacked site pass per chunk of
+    solver._CHUNK radii; every row keeps the bits of its own Phi calls."""
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 20.0, 1000.0])
+    def test_rows_are_the_bits_of_their_own_phi_calls(self, p):
+        # n = 100 takes J(100) = 3 outer panels; r = 0 sits inside the first
+        # chunk of the 100-radius sweeps, and a repeated radius reuses its row
+        chunk = solver._CHUNK
+        for n in (3, 4, 5, 30, 100):
+            top = 0.85 if n < 100 else 0.4  # (100, 1.1) refuses from r = 0.45 on
+            span = [float(r) for r in np.linspace(0.05, top, chunk + 1)]
+            hundred = [float(r) for r in np.linspace(0.0, top, 100)]
+            repeated = [0.2 * top, 0.6 * top, 0.2 * top, 0.0, 0.6 * top, 0.45 * top]
+            sweeps = [([0.5 * top], 128), (span[:chunk], 128), (span, 128), (span, 64), (hundred, 128),
+                      (hundred[::-1], 128), (repeated, 128)]
+            ctx = BallContext(n, p)
+            for radii, order in sweeps:
+                curve = g_p_curve(ctx, radii, order)
+                assert [row.r for row in curve] == radii
+                for row in curve:
+                    assert row.method == "numeric" and row.a_star == math.exp(row.log_a_star)
+                    if row.r == 0.0:
+                        assert (row.a_star, row.g_value, row.est_error, row.log_a_star) == (1.0, 0.0, 0.0, 0.0)
+                        continue
+                    s = row.log_a_star
+                    g_val = phi_at(ctx, row.r, order, s)
+                    other = g_2_closed(n, row.r) if p == 2.0 else phi_at(ctx, row.r, 2 * max(order, 96), s)
+                    est = max(abs(g_val - other), _ROUNDING_FLOOR * g_val, (n - 1) * math.ulp(0.0))
+                    assert row.g_value.hex() == g_val.hex(), (n, p, order, row.r)
+                    assert row.est_error.hex() == est.hex(), (n, p, order, row.r)
+
+    def test_refusals_come_in_sweep_order(self, monkeypatch):
+        # at (40, 3) r = 0.9999 is solved but its G refuses; a later radius
+        # refused in its solve is raised only where no held radius before it
+        # refuses: the sweep raises its first refusal, as a G pass right after
+        # each solve would
+        ctx = BallContext(40, 3.0)
+        with quadrature._overflow_guard():
+            assert len(list(solver._shift_curve(ctx, [0.9, 0.9999], 128))) == 2
+        with pytest.raises(DomainError, match="non-finite"):
+            g_p_curve(ctx, [0.9, 0.9999, 1.0])
+        with pytest.raises(DomainError, match=r"radius must lie in \[0, 1\), got 1.0"):
+            g_p_curve(ctx, [0.9, 0.99, 1.0])
+        real = solver._solve
+
+        def stopped(ctx_, r, *args):
+            if r == 0.99995:
+                raise NonConvergenceError("no root resolved (stub)")
+            return real(ctx_, r, *args)
+
+        monkeypatch.setattr(solver, "_solve", stopped)
+        chunk = solver._CHUNK
+        for before in ([0.9], [float(r) for r in np.linspace(0.5, 0.9, chunk - 1)]):
+            with pytest.raises(DomainError, match="non-finite"):
+                g_p_curve(ctx, before + [0.9999, 0.99995])
+            with pytest.raises(NonConvergenceError, match="stub"):
+                g_p_curve(ctx, before + [0.99995, 0.9999])
+
+    def test_one_reference_node_build_per_chunk(self, monkeypatch):
+        # est_error's outer nodes are built once for each chunk's stack, and the
+        # G pass builds no site: every node set it reads is a solve's last F's
+        chunk = solver._CHUNK
+        radii = [float(r) for r in np.linspace(0.05, 0.9, 2 * chunk + 1)]
+        outer, built = [], []
+        real_outer, real_nodes = quadrature._outer_nodes, quadrature._graded_nodes
+        monkeypatch.setattr(quadrature, "_outer_nodes",
+                            lambda n, order, t0: outer.append((order, t0)) or real_outer(n, order, t0))
+        monkeypatch.setattr(quadrature, "_graded_nodes", lambda *args: built.append(1) or real_nodes(*args))
+        for p in (3.0, 2.0):
+            ctx = BallContext(4, p)
+            quadrature._site.cache_clear()
+            with quadrature._overflow_guard():
+                list(solver._shift_curve(ctx, radii, 128))
+            solves = len(built)
+            outer.clear()
+            quadrature._site.cache_clear()
+            g_p_curve(ctx, radii)
+            assert len(built) == 2 * solves, p
+            built.clear()
+            sizes = [len(t0) if isinstance(t0, list) else 1 for _, t0 in outer]
+            # p = 2: est_error is the gap to the closed form, with no reference pass
+            assert sizes == ([chunk, chunk, 1] if p == 3.0 else []), p
+            assert all(order == 256 for order, _ in outer)
 
 
 class TestClosedForms:
