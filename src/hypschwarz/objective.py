@@ -15,16 +15,17 @@ strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
 here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
-Each function here only supplies values: powers of d on log K at the
-nodes of a site of ``quadrature`` split where K crosses the shift, summed by
-its one pass ``_site_sums``.  F and its slope (a second row of F's power)
-are one stack of values; Phi and the doubled-order Phi of ``est_error`` are
-one pass.  So Phi(a*) and the residual F(a*) cost one power and one panel
-sum on the site of the solve's last F.  ``_phi_and_refined`` takes a list
-of (s, site) points: a sweep holds the site of each radius's last F and
-sums Phi on a chunk of them in one pass over a stack of sites, each shift
-and scale a column against its row, every point's values the bits of a
-pass on its site alone.  The public functions enter
+Each function here only supplies values, fn(log K, t): powers of d on log
+K at the nodes of a site of ``quadrature`` split where K crosses the shift,
+summed by its one pass ``_site_sums``.  F and its slope (a second row of
+F's power) are one stack of values; Phi and the doubled-order Phi of
+``est_error`` are one pass.  So Phi(a*) and the residual F(a*) cost one
+power and one panel sum on the site of the solve's last F.
+``_phi_and_refined`` takes a list of (s, site) points: a sweep holds the
+site of each radius's last F and sums Phi on a chunk of them, one pass per
+group of ``quadrature._stacks``, with the group's shifts and scales a
+column against its rows (a scalar against a lone site), every point's
+values the bits of a pass on its site alone.  The public functions enter
 ``quadrature._overflow_guard``; the private ones run under their caller's
 (``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
 """
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import _EXP_MAX, BallContext, _log_range, _split_point, check_radius
-from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site, _site_sums
+from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site, _site_sums, _stacks
 from .special import check_order
 
 # Floor applied to |d| in negative-exponent integrands: a quadrature node can
@@ -109,39 +110,40 @@ def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list
     """[Phi(e^s) at ``order``, at est_error's reference order (``_site_sums``)]
     at each (s, site of ``_shift_site``) of ``points``, or [Phi(e^s)]
     without ``refine``, unchecked (non-finite where Phi is): the bits of the
-    point's own phi calls.  The points are one stacked site pass: a sweep
-    holds the site of each radius's last F and sums them together.  The
-    order is one already checked."""
+    point's own phi calls.  The points of one layout are one stacked site
+    pass (``_stacks``): a sweep holds the site of each radius's last F and
+    sums them together.  The order is one already checked."""
     q = ctx.q
-    shifts, sizes, inverse, sites = [], [], [], []
+    shifts, sizes, inv = [], [], []
     for s, site in points:
         ell = _log_range(ctx.n, site[0])
         size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
         shifts.append(s)
         sizes.append(size)
-        inverse.append(1.0 / size)  # inf where the size is subnormal (r below about 1e-308 / (2(n - 1)))
-        sites.append(site)
-    finite = math.inf not in inverse  # else divide by the size where 1 / size is inf
+        inv.append(1.0 / size)  # inf where the size is subnormal (r below about 1e-308 / (2(n - 1)))
+    phis: list = [None] * len(points)
+    for rows, site in _stacks([site for _, site in points]):
+        scales = [inv[k] for k in rows]
+        finite = math.inf not in scales  # else divide by the size where 1 / size is inf
+        # a scalar against a lone site (sides, nodes), a column against a stack (sites, sides, nodes)
+        shift, scale = (shifts[rows[0]], scales[0]) if len(rows) == 1 else (
+            np.array([shifts[k] for k in rows])[:, None, None], np.array(scales)[:, None, None])
 
-    def values(log_kernel, _, rows):
-        # a scalar against one site (sides, nodes), a column against a stack (sites, sides, nodes)
-        shift, scale = (shifts[rows[0]], inverse[rows[0]]) if len(rows) == 1 else (
-            np.array([shifts[k] for k in rows])[:, None, None], np.array([inverse[k] for k in rows])[:, None, None])
-        dev = log_kernel - shift
-        np.expm1(dev, out=dev)
-        if finite:
-            np.multiply(dev, scale, out=dev)
-        else:
-            for row, k in zip(dev if len(rows) > 1 else [dev], rows):
-                np.multiply(row, inverse[k], out=row) if inverse[k] < math.inf else np.divide(row, sizes[k], out=row)
-        np.abs(dev, out=dev)
-        dev **= q
-        return dev
+        def values(log_kernel, _):
+            dev = log_kernel - shift
+            np.expm1(dev, out=dev)
+            if finite:
+                np.multiply(dev, scale, out=dev)
+            else:
+                for row, k in zip(dev if len(rows) > 1 else [dev], rows):
+                    np.multiply(row, inv[k], out=row) if inv[k] < math.inf else np.divide(row, sizes[k], out=row)
+            np.abs(dev, out=dev)
+            dev **= q
+            return dev
 
-    phis = []
-    for s, size, totals in zip(shifts, sizes, _site_sums(ctx.n, order, sites, values, refine)):
-        scale = _exp(s) * size
-        phis.append([scale * total ** (1.0 / q) for total in totals])
+        for k, *totals in zip(rows, *_site_sums(ctx.n, order, site, values, refine)):
+            factor = _exp(shifts[k]) * sizes[k]
+            phis[k] = [factor * total ** (1.0 / q) for total in totals]
     return phis
 
 
@@ -161,7 +163,7 @@ def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
     """
     ctx, r, q = params.ctx, params.r, params.ctx.q
 
-    def rows(log_kernel, *_):
+    def rows(log_kernel, _):
         dev = log_kernel - s
         np.expm1(dev, out=dev)
         if not slope:
@@ -176,7 +178,7 @@ def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
         return out
 
     # _shift_site's site, without its call on the solve's hot path
-    totals, = _site_sums(ctx.n, params.order, [_site(ctx.n, r, params.order, _split_point(ctx.n, r, s))], rows)
+    totals, = _site_sums(ctx.n, params.order, _site(ctx.n, r, params.order, _split_point(ctx.n, r, s)), rows)
     scale = _exp((q - 1.0) * s)
     return _checked(scale * totals[0]), (1.0 - q) * scale * totals[1] if slope else None
 

@@ -29,22 +29,21 @@ sides and shifts it to theta0.
 A site is the node set split at t0 (``_graded_nodes``) with log K(r, .) at
 its nodes, all read-only; it depends on (n, r, order, t0) only, and the last
 two built are kept, but a caller may hold one longer.  One function,
-``_site_sums``, sums every zonal integral: it evaluates the values it is
-given at a site's nodes (at the node set alone, on no site, for
-``integrate_with_breakpoint``'s integrands of t), takes their panel sums and
-adds the side totals left to right.  With ``refine`` it also evaluates the
-outer panels alone (``_outer_nodes``, every panel at a pole), all that the
-order changes, at est_error's reference order 2 max(order, 96), and splices
-their sums over the first order's.  Given several sites, it stacks those of
-one layout on a leading axis and takes each step once for the stack: one
-set of ufunc calls for the values, one ``np.add.reduceat`` for the panel
-sums, one build of the reference nodes and their log K.  Elementwise ufuncs
-and each panel's sum see a site's own values alone, so every site keeps the
-bits of a pass on it alone, and the side totals are still added site by
-site.  Non-finite values or totals raise DomainError.  A site pass pays for
-its node work only: it runs under one ``_overflow_guard`` per solve, sweep
-or public call, not per integral, the order is checked where it enters the
-package, and the nodes and log K are built in place.
+``_site_sums``, sums every zonal integral, with one body for every site: it
+evaluates fn(log K, t) there (on a node set alone for
+``integrate_with_breakpoint``'s integrands of t), takes the panel sums and
+adds the side totals of each row left to right.  With ``refine`` it also
+evaluates the outer panels alone (``_outer_nodes``, every panel at a pole),
+all that the order changes, at est_error's reference order
+2 max(order, 96), and splices their sums over the first order's.
+``_stacks`` makes the sites of one layout one site, whose radii,
+breakpoints, log K, sine powers and side lengths are its sites' own,
+stacked on a leading axis where they are used (t is None): so each step
+runs once for the stack, every site is a row and keeps the bits of a pass
+on it alone.  Non-finite values or totals raise DomainError.  A site pass
+pays for its node work only: it runs under one ``_overflow_guard`` per
+solve, sweep or public call, not per integral, the order is checked where
+it enters the package, and the nodes and log K are built in place.
 
 Every rule is built here on first use, cached and read-only: ``_legendre``
 for the graded panels and ``verify``'s p = 1 cap pairs, and ``build_rule``,
@@ -278,34 +277,38 @@ def _nodes_at(n: int, t0, offsets, weights, starts):
 
 
 def _panel_sums(vals, nodes):
-    """Per-panel sums of ``vals``, values of shape (*stack, *t.shape) at the
-    node set ``nodes``: shape (*stack, [sites,] sides, panels)."""
+    """Per-panel sums of ``vals``, values of shape (*rows, sides, nodes) at
+    the node set ``nodes``: shape (*rows, sides, panels)."""
     _, sinpow, weights, starts, _ = nodes
-    weighted = vals * sinpow
+    weighted = vals * sinpow  # a stack's tuple of sine powers is stacked by the product
     weighted *= weights
     return np.add.reduceat(weighted, starts, axis=-1)
 
 
-def _side_total(n: int, sides, lengths) -> float:
-    """Zonal integral from the per-panel sums of each side (nested lists, one
-    row of ``_panel_sums``), unchecked: it may be non-finite."""
-    total = 0.0
-    for length, panels in zip(lengths, sides):
-        # Left to right, as one loop: since Python 3.12 builtin sum()
-        # compensates float sums, which would change the bits by version.
-        side = 0.0
-        for panel in panels:
-            side += panel
-        # Sum the uncovered geometric tail from the measured decay ratio,
-        # 2^-(s+1) for a |theta - theta0|^s factor.  A ratio near 1 comes from
-        # s near -1 (dF/da's |K - a|^(q-2) at large p), whose tail is that large.
-        last, prev = panels[-1], panels[-2]
-        if prev != 0.0:
-            ratio = last / prev
-            if 0.0 < ratio < 1.0:
-                side += last * ratio / (1.0 - ratio)
-        total += abs(length) * side
-    return _zonal_constant(n) * total
+def _side_total(n: int, rows, lengths) -> list[float]:
+    """Zonal integral of each row of per-panel sums (nested lists of rows,
+    sides and panels: ``_panel_sums``' rows) with its tuple of side lengths,
+    unchecked: it may be non-finite."""
+    constant, totals = _zonal_constant(n), []
+    for sides, row_lengths in zip(rows, lengths):
+        total = 0.0
+        for length, panels in zip(row_lengths, sides):
+            # Left to right, as one loop: since Python 3.12 builtin sum()
+            # compensates float sums, which would change the bits by version.
+            side = 0.0
+            for panel in panels:
+                side += panel
+            # Sum the uncovered tail from the decay ratio of the last panel (the
+            # loop's) to the one before, 2^-(s+1) for a |theta - theta0|^s factor.  A
+            # ratio near 1 comes from s near -1 (dF/da's |K - a|^(q-2) at large p).
+            prev = panels[-2]
+            if prev != 0.0:
+                ratio = panel / prev
+                if 0.0 < ratio < 1.0:
+                    side += panel * ratio / (1.0 - ratio)
+            total += abs(length) * side
+        totals.append(constant * total)
+    return totals
 
 
 def _checked(total: float) -> float:
@@ -335,87 +338,62 @@ def _site(n: int, r: float, order: int, t0: float):
     return r, t0, log_kernel, nodes
 
 
-def _site_sums(n: int, order: int, sites, fn, refine: bool = False) -> list[list[float]]:
-    """Zonal integrals of fn on each site of ``sites`` (``_site``, or
-    (None, t0, None, node set) for a node set alone), unchecked (non-finite
-    where a value or a sum is): one list per site, of one total per row of
-    values.  The caller holds ``_overflow_guard`` and has checked the order.
+def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[float]]:
+    """Zonal integrals of fn on ``site`` (``_site``, a stack of ``_stacks``,
+    or (None, t0, None, node set) for a node set alone), unchecked
+    (non-finite where a value or a sum is): a list of one total per row for
+    each pass.  fn(log K, t) returns values of log K's shape, or of (rows,
+    *t.shape); on a stack t is None and each site is a row.  The caller
+    holds ``_overflow_guard`` and has checked the order.
 
-    Several sites are summed in one pass per layout (the same panels and
-    sides): fn(log K, t, rows) takes log K for the sites at the indices
-    ``rows`` stacked on a leading axis, of shape (sites, sides, nodes), and
-    t None, and returns values of that shape.  A single site is no stack:
-    fn takes its own log K and t, of shape (sides, nodes), with rows (0,),
-    and its values may come in rows of their own, of shape (rows, sides,
-    nodes).  Elementwise ufuncs and each panel's ``np.add.reduceat`` sum do
-    not depend on the length of the array or the place of a value in it, so
-    a site's totals are those of a pass on it alone, bit for bit.
-
-    With ``refine``, the same integrals at est_error's reference order
-    follow in each list.  The layouts differ only on the outer panels of
-    each side, every panel at a pole (``_outer_nodes``); each inner panel
-    has the same 12 nodes at the same offsets in both.  So fn is evaluated
-    on those outer panels alone, their sums replace the first order's, and
-    the panels are summed in the same left-to-right loop: a full
-    evaluation's bits.
+    With ``refine``, a second pass gives the same integrals at est_error's
+    reference order 2 max(order, 96).  The layouts differ only on the outer
+    panels of each side, every panel at a pole (``_outer_nodes``); each
+    inner panel has the same 12 nodes at the same offsets in both.  So fn
+    is evaluated on those outer panels alone, their sums replace the first
+    order's, and the panels are summed in the same left-to-right loop: a
+    full evaluation's bits.
     """
-    if len(sites) == 1:  # the site's own arrays: nothing to stack or split
-        r, t0, log_kernel, nodes = sites[0]
-        per_panel = _panel_sums(fn(log_kernel, nodes[0], _ONE_SITE), nodes)
-        passes = [per_panel.tolist()]
-        if refine:
-            outer_sums = _panel_sums(*_reference_values(n, order, r, t0, fn, _ONE_SITE))
-            per_panel[..., :outer_sums.shape[-1]] = outer_sums
-            passes.append(per_panel.tolist())
-        totals = []
-        for sums in passes:
-            for sides in sums if per_panel.ndim == 3 else [sums]:
-                totals.append(_side_total(n, sides, nodes[4]))
-        return [totals]
-    totals: list = [None] * len(sites)
-    for rows in _layouts(sites):
-        radii, t0s, log_kernels, node_sets = (list(column) for column in zip(*[sites[k] for k in rows]))
-        # np.array stacks equal arrays at a third of np.stack's cost; log K's
-        # stack is freed before the sine power's is built
-        vals = fn(np.array(log_kernels), None, rows)
-        _, sinpows, weights, starts, lengths = zip(*node_sets)
-        per_panel = _panel_sums(vals, (None, np.array(sinpows), weights[0], starts[0], None))
-        passes = [per_panel.tolist()]
-        if refine:
-            outer_sums = _panel_sums(*_reference_values(n, order, radii, t0s, fn, rows))
-            per_panel[..., :outer_sums.shape[-1]] = outer_sums
-            passes.append(per_panel.tolist())
-        for i, k in enumerate(rows):
-            totals[k] = [_side_total(n, sums[i], lengths[i]) for sums in passes]
+    r, t0, log_kernel, nodes = site
+    # np.asarray stacks a stack's log K, freed once fn returns, and passes a site's own
+    per_panel = _panel_sums(fn(np.asarray(log_kernel), nodes[0]), nodes)
+    rows = per_panel[None] if per_panel.ndim == 2 else per_panel  # a view: its rows see the splice
+    # a stack (t None) has a tuple of side lengths per site; a lone site's rows share its tuple
+    lengths = nodes[4] if nodes[0] is None else [nodes[4]] * len(rows)
+    totals = [_side_total(n, rows.tolist(), lengths)]
+    if refine:  # below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes
+        outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), t0)
+        outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
+        del outer  # held through the side totals, it left page faults at the heap's top (README)
+        per_panel[..., :outer_sums.shape[-1]] = outer_sums
+        totals.append(_side_total(n, rows.tolist(), lengths))
     return totals
 
 
-_ONE_SITE = (0,)  # the rows of a single site
-
-
-def _reference_values(n: int, order: int, r, t0, fn, rows):
-    """(values, node set): fn on the outer panels of est_error's reference
-    order, 2 max(order, 96), split at t0 (a list of them for a stack);
-    below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes."""
-    outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), t0)
-    return fn(_log_kernel(n, r, outer[0]), outer[0], rows), outer
-
-
-def _layouts(sites):
-    """The indices of ``sites`` grouped by layout: the same panels and sides."""
+def _stacks(sites):
+    """(indices, site) for each group of ``sites`` of one layout (the same
+    panels and sides): a lone site as itself, a larger group as one site of
+    its sites' radii, breakpoints, log K, sine powers and side lengths,
+    stacked where ``_site_sums`` uses them, with t None."""
     groups: dict[tuple, list[int]] = {}
     for k, (_, _, _, nodes) in enumerate(sites):
         groups.setdefault((id(nodes[3]), len(nodes[4])), []).append(k)
-    return groups.values()
+    for rows in groups.values():
+        if len(rows) == 1:
+            yield rows, sites[rows[0]]
+            continue
+        radii, t0s, log_kernels, node_sets = zip(*[sites[k] for k in rows])
+        _, sinpows, weights, starts, lengths = zip(*node_sets)
+        yield rows, (list(radii), list(t0s), log_kernels, (None, sinpows, weights[0], starts[0], lengths))
 
 
 def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:
     """The zonal integrals of fn(log K, t) at the site split at t0 (at the
-    node set alone, with log K None, where r is None) by ``_site_sums``,
+    node set alone, with no log K, where r is None) by ``_site_sums``,
     under its own overflow guard, each refused where non-finite."""
     with _overflow_guard():
         site = (None, t0, None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
-        totals, = _site_sums(n, order, [site], lambda log_kernel, t, _: fn(log_kernel, t))
+        totals, = _site_sums(n, order, site, fn)
         return [_checked(total) for total in totals]
 
 

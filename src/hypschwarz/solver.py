@@ -42,10 +42,9 @@ _COLD_STEP = 1.0 / 32.0
 _METHODS = ("numeric", "closed_p1", "closed_pinf")
 # Radii of a sweep whose G and est_error are summed in one stacked site pass.
 # Each chunk's fixed cost is about 40 numpy calls; a stack takes 5.3 KB a
-# radius at order 128.  At 12 the C library hands some of a chunk's freed
-# memory back to the system, and the next chunk faults about 90 pages per
-# 100-radius sweep back in (none below 8 radii, 408 at 25), still cheaper
-# than the twice as many chunks of 6: those sweeps took about 3% longer.
+# radius at order 128.  At 12 a 100-radius sweep mostly faults under one
+# page back in from the C library's heap trims (46 to 369 pages at 25,
+# README), and the twice as many chunks of 6 made sweeps about 3% longer.
 _CHUNK = 12
 
 
@@ -382,7 +381,8 @@ def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
     the last term, the gap between the predictions through all the pairs and
     through all but the oldest.  At p = 2, F(a) = 1 - a and the cold start
     a = 1 is the root; a guess would only extrapolate the solves' last-bit
-    jitter, so it solves cold.
+    jitter, so it solves cold, as it does from a NaN guess: at tiny, close
+    radii the differences overflow, and inf - inf leaves NaN.
     """
     if len(known) < 2 or ctx.p == 2.0:
         return _solve(ctx, r, order, None, 0.0)
@@ -395,7 +395,7 @@ def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
     for rk, diff in zip(radii, diffs):
         last = diff * term
         guess, term = guess + last, term * (r - rk)
-    return _solve(ctx, r, order, guess, 2.0 * abs(last))
+    return _solve(ctx, r, order, None if math.isnan(guess) else guess, 2.0 * abs(last))
 
 
 def grad_constant(ctx: BallContext) -> float:

@@ -256,6 +256,26 @@ class TestRefinedPhi:
                     expected = (phi(prm, a), phi(ObjectiveParams(ctx, r, 2 * max(order, 96)), a))
                     assert [v.hex() for v in pair] == [v.hex() for v in expected], (n, p, r, a)
 
+    def test_mixed_layouts_in_one_pass_are_each_point_alone(self):
+        # one pass over interior splits (one stack, whose r = 1e-320 row has a
+        # subnormal scale and is divided by it, not multiplied by its inf
+        # inverse) and splits at both poles (another layout: one side, every
+        # panel outer) gives each point the bits of a pass on it alone
+        ctx, ell = BallContext(4, 3.0), lambda r: _log_range(4, r)
+        shifts = [(0.5, 0.3 * ell(0.5)), (0.5, ell(0.5) + 0.2), (1e-320, 0.3 * ell(1e-320)),
+                  (0.3, -0.2 * ell(0.3)), (0.5, -ell(0.5) - 0.1), (0.7, 0.6 * ell(0.7))]
+        points = [(s, quadrature._site(4, r, 128, _split_point(4, r, s))) for r, s in shifts]
+        t0s = [site[1] for _, site in points]
+        assert t0s[1] == 1.0 and t0s[4] == -1.0 and all(-1.0 < t0s[k] < 1.0 for k in (0, 2, 3, 5))
+        s = shifts[2][1]
+        assert 1.0 / max(math.expm1(ell(1e-320) - s), -math.expm1(-ell(1e-320) - s)) == math.inf
+        for refine in (False, True):
+            together = _phi_and_refined(ctx, 128, points, refine)
+            for point, values in zip(points, together):
+                alone, = _phi_and_refined(ctx, 128, [point], refine)
+                assert len(values) == 1 + refine and all(map(math.isfinite, values))
+                assert [v.hex() for v in values] == [v.hex() for v in alone], (point[1][:2], refine)
+
 
 class TestStationarityIdentity:
     def test_phi_slope_from_big_f(self):

@@ -389,6 +389,22 @@ class TestGpCurve:
         assert math.isfinite(values[-1]) and curve[-1].est_error <= 1e-10 * values[-1]
         assert values[0] == g_p(ctx, 0.9).g_value
 
+    def test_tiny_close_radii_solve_cold_from_a_nan_guess(self):
+        # the divided differences of log a* overflow at tiny, close radii, and
+        # inf - inf made the guess NaN: F(NaN) was refused as non-finite, for
+        # every geometric sweep from 1e-100 or below and for the linspace to
+        # 1e-300 (the CLI's `gp --r-min 0 --r-max 1e-300 --steps 100`)
+        linspace = [float(r) for r in np.linspace(0.0, 1e-300, 100)]
+        for n, p in ((3, 3.0), (4, 1.5), (5, 10.0), (10, 20.0)):
+            ctx = BallContext(n, p)
+            sweeps = [[float(r) for r in np.geomspace(lo, 0.9, 40)] for lo in (5e-324, 1e-300, 1e-200, 1e-100)]
+            for radii in sweeps + [linspace]:
+                curve = g_p_curve(ctx, radii)
+                assert [row.r for row in curve] == radii
+                tol = max(row.est_error for row in curve)
+                for row in curve:
+                    assert abs(row.g_value - g_p(ctx, row.r).g_value) <= tol, (n, p, radii[0], row.r)
+
 
 def phi_at(ctx, r, order, s):
     """Phi(e^s) at (ctx, r, order) from a pass on its own site alone, unchecked."""
