@@ -77,17 +77,14 @@ def _log_kernel(n: int, r, t: np.ndarray) -> np.ndarray:
     """log K(r, t) = (n - 1) (log(1 - r^2) - log(1 + r^2 - 2 r t)), a new
     array built in place, at a radius in [0, 1) and an array t (of one
     dimension or more) of values in [-1, 1], unchecked: the nodes of a
-    quadrature rule are cosines and need no check.  For a list of radii,
-    one per row of t's leading axis (a stack of sites), each row is the bits
-    of its radius alone: the same operations, the radii's constants in a
-    column."""
+    quadrature rule are cosines and need no check.  Sites are built at r = 0
+    and from ``objective._R_LIN`` up, where r^2 is 0 or normal.  For a list
+    of radii, one per row of t's leading axis (a stack of sites), each row
+    is the bits of its radius alone: the same operations, the radii's
+    constants in a column."""
     if isinstance(r, list):
-        if min(r) < sys.float_info.min:
-            return np.stack([_log_kernel(n, rk, row) for rk, row in zip(r, t)])
         columns = np.array([(2.0 * rk, rk * rk, math.log1p(-rk * rk)) for rk in r]).T
         two_r, r_sq, gap = columns.reshape(3, -1, *(1,) * (t.ndim - 1))
-    elif r < sys.float_info.min:  # r^2 is 0: log K = 2 (n - 1) r t, rounded after the factor
-        return (2.0 * (n - 1) * r) * t
     else:
         two_r, r_sq, gap = 2.0 * r, r * r, math.log1p(-r * r)
     log_k = two_r * t

@@ -46,13 +46,14 @@ from .special import check_order
 # land within one rounding step of the crossing, where the computed deviation
 # may be exactly 0 although the true distance never is.
 _DEV_FLOOR = 2.0 ** -52
+# The linear regime: below it a* = 1 and G_p(r) = C_p r to double precision (``solver._linear``).
+_R_LIN = 2.0 ** -60
 
 
 @dataclass(frozen=True)
 class ObjectiveParams:
-    """Evaluation site for the objective: context, radius in (0, 1), rule order.
-
-    At r = 0 the kernel is identically 1: a*(0) = 1 and G_p(0) = 0 exactly.
+    """Evaluation site for the objective: context, radius in [_R_LIN, 1),
+    rule order.  Below _R_LIN (r = 0 included) a* = 1 and G_p(r) = C_p r.
     The order is checked here, after p and r, and stored as an int.
     """
 
@@ -62,8 +63,9 @@ class ObjectiveParams:
 
     def __post_init__(self) -> None:
         _check_exponent(self.ctx, "the objective")
-        if check_radius(self.r) == 0.0:
-            raise DomainError("objective is defined for r in (0, 1); a*(0) = 1 and G_p(0) = 0")
+        if check_radius(self.r) < _R_LIN:
+            raise DomainError(f"objective is defined for r in [2^-60, 1), got {self.r!r}: below it, the "
+                              "linear regime, a* = 1 and G_p(r) = C_p r")
         object.__setattr__(self, "order", check_order(self.order))
 
 
@@ -114,17 +116,14 @@ def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list
     pass (``_stacks``): a sweep holds the site of each radius's last F and
     sums them together.  The order is one already checked."""
     q = ctx.q
-    shifts, sizes, inv = [], [], []
+    shifts, sizes = [], []
     for s, site in points:
         ell = _log_range(ctx.n, site[0])
-        size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
         shifts.append(s)
-        sizes.append(size)
-        inv.append(1.0 / size)  # inf where the size is subnormal (r below about 1e-308 / (2(n - 1)))
+        sizes.append(max(_exp(ell - s, math.expm1), -math.expm1(-ell - s)))
     phis: list = [None] * len(points)
     for rows, site in _stacks([site for _, site in points]):
-        scales = [inv[k] for k in rows]
-        finite = math.inf not in scales  # else divide by the size where 1 / size is inf
+        scales = [1.0 / sizes[k] for k in rows]
         # a scalar against a lone site (sides, nodes), a column against a stack (sites, sides, nodes)
         shift, scale = (shifts[rows[0]], scales[0]) if len(rows) == 1 else (
             np.array([shifts[k] for k in rows])[:, None, None], np.array(scales)[:, None, None])
@@ -132,11 +131,7 @@ def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list
         def values(log_kernel, _):
             dev = log_kernel - shift
             np.expm1(dev, out=dev)
-            if finite:
-                np.multiply(dev, scale, out=dev)
-            else:
-                for row, k in zip(dev if len(rows) > 1 else [dev], rows):
-                    np.multiply(row, inv[k], out=row) if inv[k] < math.inf else np.divide(row, sizes[k], out=row)
+            np.multiply(dev, scale, out=dev)
             np.abs(dev, out=dev)
             dev **= q
             return dev

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
-from .objective import ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined, _shift_site
+from .objective import _R_LIN, ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined, _shift_site
 from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER, _checked, _overflow_guard
 from .special import alpha_q, check_dimension, check_order
 
@@ -39,7 +39,7 @@ _MAX_ITER = 200
 _COLD_SHARE = 1.0 / 8.0
 _COLD_STEP = 1.0 / 32.0
 
-_METHODS = ("numeric", "closed_p1", "closed_pinf")
+_METHODS = ("numeric", "linear", "closed_p1", "closed_pinf")
 # Radii of a sweep whose G and est_error are summed in one stacked site pass.
 # Each chunk's fixed cost is about 40 numpy calls; a stack takes 5.3 KB a
 # radius at order 128.  At 12 a 100-radius sweep mostly faults under one
@@ -70,14 +70,14 @@ class GpResult:
 
 
 def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
-    """Root of F(r, .) in the open kernel range; a*(0) = 1 exactly: the
-    cold solve of ``_solve``, rounded to a* = e^s."""
+    """Root of F(r, .) in the open kernel range, 1 below _R_LIN: the cold
+    solve of ``_solve``, rounded to a* = e^s."""
     with _overflow_guard():
         return math.exp(_solve(ctx, r, order, None, 0.0))
 
 
 def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> float:
-    """The root of F(r, .) as s = log a*, unrounded.
+    """The root of F(r, .) as s = log a*, unrounded; 0 below _R_LIN.
 
     One loop on s = log a, one F evaluation per step, inside the range
     (-l, l) of log K, at whose ends F's signs are known (positive at -l).
@@ -94,19 +94,18 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     interpolation where it stays well inside the bracket, else bisection,
     iterates half a tolerance inside, so a steered point a quarter past the
     root is followed by one a quarter short of it.  The tolerance is 2^-44
-    in log a, times 2l where l < 1/2, and never below the spacing of doubles
-    at l (at subnormal r, 2^-44 2l underflows).  The guess changes the cost,
-    and the root only where F's quadrature noise outweighs its slope.  The
-    caller holds ``quadrature._overflow_guard``.
+    in log a, times 2l where l < 1/2.  The guess changes the cost, and the
+    root only where F's quadrature noise outweighs its slope.  The caller
+    holds ``quadrature._overflow_guard``.
     """
     order = check_order(order)
     _check_exponent(ctx, "shift optimization")
     r = check_radius(r)
-    if r == 0.0:
+    if r < _R_LIN:
         return 0.0
     params = ObjectiveParams(ctx, r, order)
     ell = _log_range(ctx.n, r)  # F > 0 at log a = -ell, F < 0 at ell
-    tol = max(_LOG_A_TOL * min(1.0, 2.0 * ell), math.ulp(ell))
+    tol = _LOG_A_TOL * min(1.0, 2.0 * ell)
     if start is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
         x = 1.0 / ctx.p
         l_inf, l_one = _closed_log_a(ctx.n, r, math.inf), _closed_log_a(ctx.n, r, 1.0)
@@ -273,15 +272,16 @@ def uh_elementary(n: int, r: float) -> float:
 def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     """The sharp bound G_p(r), a* and est_error: ``g_p_curve`` at r alone, memoized.
 
-    Closed forms (p = 1, inf) report est_error 0, numeric ones the change
-    from doubling the rule order (at p = 2 the deviation from its closed
-    form), never below the rounding of the panel sums behind G.  Doubling
-    the order refines the outer panels of the graded rule, the only ones
-    whose node count grows with it: with 256 nodes on every panel instead of
-    the inner ones' 12, an F or Phi integral moved by at most 5e-16 of the
-    integral of |f| (n from 3 to 300, r from 0.1 to 0.99, p from 1.05 to
-    20).  So the doubled-order Phi evaluates those outer panels only and
-    takes the inner panel sums of Phi(a*): the bits of a full evaluation.
+    Closed forms (p = 1, inf) report est_error 0, ``_linear`` ones the c_2
+    term and C_p's rounding, numeric ones the change from doubling the rule
+    order (at p = 2 the deviation from its closed form), never below the
+    rounding of the panel sums behind G.  Doubling the order refines the
+    outer panels of the graded rule, the only ones whose node count grows
+    with it: with 256 nodes on every panel instead of the inner ones' 12, an
+    F or Phi integral moved by at most 5e-16 of the integral of |f| (n from
+    3 to 300, r from 0.1 to 0.99, p from 1.05 to 20).  So the doubled-order
+    Phi evaluates those outer panels only and takes the inner panel sums of
+    Phi(a*): the bits of a full evaluation.
     """
     order = check_order(order)
     return _g_p_numeric(ctx, check_radius(r), order)
@@ -304,33 +304,43 @@ def _numeric_results(ctx: BallContext, order: int, held) -> list[tuple[float, Gp
         r, g_val = site[0], _checked(values[0])
         # Phi is stationary at a*: its error needs no solve at the reference order.
         est = abs(g_val - (_checked(values[1]) if refine else g_2_closed(ctx.n, r)))
-        # Order doubling cannot see the rounding both orders share: an ulp for
-        # each panel sum, and at subnormal r n - 1 spacings 2^-1074 of log K.
-        floor = max(_ROUNDING_FLOOR * g_val, (ctx.n - 1) * math.ulp(0.0))
-        results.append((r, GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, floor), s)))
+        # Order doubling cannot see the rounding both orders share: an ulp for each panel sum.
+        results.append((r, GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val), s)))
     return results
+
+
+def _linear(ctx: BallContext, r: float) -> GpResult:
+    """G_p(r) = C_p r (1 + c_2 r^2 + ...) below _R_LIN at finite p, a* = 1:
+    est_error is the c_2 term (|c_2| <= 2.7 n^2 for n <= 300, p >= 1.01),
+    taken as 4 n^2 r^2 G, the rounding of C_p's log-gamma sum and an ulp of
+    G; 0 at r = 0."""
+    n, q, g_val = ctx.n, ctx.q, grad_constant(ctx) * r
+    logs = abs(math.lgamma(n / 2.0)) + abs(math.lgamma((1.0 + q) / 2.0)) + abs(math.lgamma((n + q) / 2.0))
+    est = g_val * (4.0 * n * n * r * r + 2.0 ** -50 * (1.0 + (logs + 1.0) / q)) + math.ulp(g_val) if r else 0.0
+    return GpResult(ctx, r, 1.0, g_val, "linear", est, 0.0)
 
 
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
     """g_p at every radius of a sweep, each shift solve started from its neighbours.
 
-    Every GpResult is built here: closed forms at p = 1 and inf.  For finite
-    p > 1 other than 2, log a* at each new radius is predicted by
-    extrapolation in r through the last six radii solved (through all of
-    them while there are two to five, a cold solve before that); the first
-    step is twice the gap between that prediction and the one without the
-    oldest radius.  The solve takes a Newton step from the guess, and mostly
-    needs three F evaluations.  At p = 2 every radius is solved cold, from
-    its root a = 1, so the rows are g_p's bit for bit.  A radius already
-    solved reuses that solve.  Each solved radius holds the site of its
-    solve's last F; every _CHUNK radii, and at the end of the sweep, one
-    stacked site pass sums G and est_error on the held sites, each row the
-    bits of a pass on its site alone.  Refusals come in sweep order: where a
-    solve refuses, the radii held before it are summed first, and the first
-    of them to refuse its G is raised in its place.  Results depend on (ctx,
-    radii, order) only: the per-point memo of g_p is neither read nor
-    filled.  Where F overflows near a kernel-range end but not near a* (p
-    near 1 at larger r), a warm solve answers although g_p refuses.
+    Every GpResult is built here: closed forms at p = 1 and inf, ``_linear``
+    ones below _R_LIN (after the solve's exponent check).  For finite p
+    other than 2, log a* at each new radius is predicted by extrapolation in
+    r through the last six radii solved (through all of them while there are
+    two to five, a cold solve before that); the first step is twice the gap
+    between that prediction and the one without the oldest radius.  The
+    solve takes a Newton step from the guess, and mostly needs three F
+    evaluations.  At p = 2 every radius is solved cold, from its root a = 1,
+    so the rows are g_p's bit for bit.  A radius already solved reuses that
+    solve.  Each solved radius holds the site of its solve's last F; every
+    _CHUNK radii, and at the end of the sweep, one stacked site pass sums G
+    and est_error on the held sites, each row the bits of a pass on its site
+    alone.  Refusals come in sweep order: where a solve refuses, the radii
+    held before it are summed first, and the first of them to refuse its G
+    is raised in its place.  Results depend on (ctx, radii, order) only: the
+    per-point memo of g_p is neither read nor filled.  Where F overflows near
+    a kernel-range end but not near a* (p near 1 at larger r), a warm solve
+    answers although g_p refuses.
     """
     order = check_order(order)
     if ctx.p in (1.0, math.inf):
@@ -345,8 +355,8 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
                 sweep.append(r)
                 if r in results:
                     continue
-                if r == 0.0:
-                    results[r] = GpResult(ctx, r, 1.0, 0.0, "numeric", 0.0, 0.0)
+                if r < _R_LIN:
+                    results[r] = _linear(ctx, r)
                     continue
                 results[r] = None
                 held.append((s, _shift_site(ctx.n, r, order, s)))

@@ -7,10 +7,12 @@ their extensions at axis points and the gradient at the origin reduce to
 one-dimensional integrals.  Kernel-weighted ones sum K - 1 = expm1(log K),
 so they read u(r axis) - u(0), on a site of ``quadrature``: the sharpness
 data on the site of the solve's own s = log a*, the random draws' kernel
-moments on the site split at the pole (r times their gradient moments below
-the smallest normal r).  The draws are polynomials of degree <= 8, held as
-centered coefficient rows; their means and gradient moments come from a
-Gauss-Jacobi rule's integrals of t^k, norms from its nodes.
+moments on the site split at the pole.  Below ``objective._R_LIN``, where
+G_p(r) = C_p r and u(r axis) - u(0) = r grad u(0) . axis, both are the
+gradient constant's certificates, on no site.  The draws are polynomials of
+degree <= 8, held as centered coefficient rows; their means and gradient
+moments come from a Gauss-Jacobi rule's integrals of t^k, norms from its
+nodes.
 
 Every pass/fail decision of a certificate is made here, against the limits
 below: reports carry violation counts or a ``passed`` flag, which the CLI
@@ -20,7 +22,6 @@ and the acceptance battery only render.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import CapUnderflowError, DomainError
 from .kernel import BallContext, _log_range, _split_point, check_radius
+from .objective import _R_LIN
 from .quadrature import DEFAULT_ORDER, _legendre, _site_integral, build_rule, integrate_with_breakpoint
 from .solver import GpResult, g_1_closed, g_p, grad_constant
 from .special import check_dimension, check_integer
@@ -52,9 +54,6 @@ _SIZE_ERRORS = (ValueError, IndexError, MemoryError)
 # Smallest unscaled power sum of a draw (the smallest normal double over
 # eps): |value|^p terms that underflow then weigh less than an ulp of it.
 _POWER_SUM_MIN = 2.0 ** -970
-# Ulps of G a closed form (est_error 0) may be off at subnormal r: one for each
-# of its last two roundings; the rest is under 1.4e-12 of G (n <= 1000).
-_CLOSED_FORM_ULPS = 2
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,17 @@ def verify_sharpness(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> 
 
 def _sharpness(result: GpResult, order: int) -> SharpnessReport:
     """verify_sharpness against the GpResult ``result`` (g_p's, or a
-    g_p_curve row)."""
+    g_p_curve row); below _R_LIN at p > 1, the gradient extremal data's gap
+    |C_p - ratio| / C_p, attained r ratio."""
     ctx, r, g_value = result.ctx, result.r, result.g_value
     if r == 0.0:
         raise DomainError("sharpness is certified for r in (0, 1)")
     if ctx.p == 1.0:  # g_value is g_1_closed's
         attained = minimizing_sequence_p1(ctx.n, r, max(64, math.ceil(4 * ctx.n / (1.0 - r))))
         return SharpnessReport(ctx, r, g_value, attained, 0.0, abs(g_value - attained) / g_value)
+    if r < _R_LIN:  # G = C_p r: r scales out of the gap
+        ratio, constant = _gradient_extremal_ratio(ctx, order), grad_constant(ctx)
+        return SharpnessReport(ctx, r, g_value, r * ratio, 0.0, abs(constant - ratio) / constant)
     s, expo, size = result.log_a_star, ctx.q - 1.0, min(_log_range(ctx.n, r), 1.0)
 
     def sums(log_kernel, _):
@@ -341,10 +344,8 @@ def random_bound_check(
     u(r axis) - u(0) = integral (K - 1) (g - mean) dsigma comes from the
     moments M_k = integral (K - 1) t^k dsigma, k = 0..8, of K - 1 = expm1(log K):
     one stacked sum on the site split at the pole t = 1, where K peaks.
-    Below the smallest normal r, K - 1 = log K = 2 (n - 1) r t to the last
-    bit: M_k is r times random_grad_check's moments, checked with the
-    constant G / r, and a G whose error (est_error, at least _CLOSED_FORM_ULPS
-    ulps) exceeds BOUND_SLACK / 2 of G raises DomainError naming r.
+    For 0 < r < _R_LIN the report is random_grad_check's: there
+    u(r axis) - u(0) = r grad u(0) . axis and G_p(r) = C_p r.
     """
     return _bound_checker(ctx, count, seed, order)(g_p(ctx, r, order))
 
@@ -356,16 +357,12 @@ def _bound_checker(ctx: BallContext, count: int, seed: int, order: int):
     check = _ratio_checker(ctx, *_random_poly_draws(ctx.n, count, seed, order))
 
     def report(bound: GpResult) -> RandomBoundReport:
-        r, g_value = bound.r, bound.g_value
-        if 0.0 < r < sys.float_info.min:  # kernel._log_kernel's linear form
-            error = max(bound.est_error, _CLOSED_FORM_ULPS * math.ulp(g_value))
-            if error > 0.5 * BOUND_SLACK * g_value:
-                raise DomainError(f"G_p = {g_value:.3g} at r = {r!r} keeps too few bits: its error {error:.3g} "
-                                  "exceeds BOUND_SLACK / 2 of it")
-            return RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), g_value / r))
+        r = bound.r
+        if 0.0 < r < _R_LIN:
+            return RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), grad_constant(ctx)))
         moments = _site_integral(ctx.n, r, order, 1.0, lambda log_kernel, t: np.cumprod(
             [np.expm1(log_kernel)] + [t] * 8, axis=0))
-        return RandomBoundReport(count, seed, *check(moments, g_value))
+        return RandomBoundReport(count, seed, *check(moments, bound.g_value))
 
     return report
 

@@ -23,9 +23,11 @@ def brute_zonal_midpoint(n, f, points=2_000_001):
     return zonal_weight_constant(n) * h * float(np.sum(vals * np.sin(theta) ** (n - 2)))
 
 
-def mp_zonal(n, f_mp, split=(), dps=30):
+def mp_zonal(n, f_mp, split=(), dps=30, root=None):
     """High-precision zonal integral; ``split`` lists interior break values
-    of t (as exact mpf expressions or floats promoted exactly)."""
+    of t (as exact mpf expressions or floats promoted exactly).  With
+    ``root`` its root-th root, taken in mpmath precision: a q-th power's
+    integral can leave double range where its root does not."""
     from mpmath import mp
 
     old = mp.dps
@@ -37,7 +39,8 @@ def mp_zonal(n, f_mp, split=(), dps=30):
         total = mp.mpf(0)
         for lo, hi in zip(points, points[1:]):
             total += mp.quad(lambda t: f_mp(t) * (1 - t * t) ** expo, [lo, hi])
-        return float(c_n * total)
+        total *= c_n
+        return float(total if root is None else total ** (1 / mp.mpf(root)))
     finally:
         mp.dps = old
 

@@ -186,6 +186,13 @@ class TestGp:
 
 
 class TestAstar:
+    def test_linear_regime_rows(self, capsys):
+        # below 2^-60 a* = 1 and no F is evaluated: f_residual 0, as the closed forms print
+        code, out, err = run_cli(capsys, *"astar --n 3 --p 3 --r-min 0 --r-max 1e-300 --steps 5".split())
+        assert (code, err) == (0, "")
+        rows = csv_rows(out)[1]
+        assert len(rows) == 5 and all((row["a_star"], row["f_residual"]) == ("1", "0") for row in rows), rows
+
     def test_json_output(self, capsys):
         code, out, err = run_cli(
             capsys, "astar", "--n", "3", "--p", "2", "--r", "0.5",
@@ -301,13 +308,13 @@ class TestVerifyCommands:
         assert rows[0]["violations"] == "0"
 
     def test_bound_at_a_subnormal_radius(self, capsys):
-        # r times the gradient functional against G / r, within 2e-15 of the
-        # r = 1e-300 report (0.9792705509335667) and of random_grad_check
-        # (0.9792705509335656)
+        # below 2^-60 the report is random_grad_check's (0.9792705509335656):
+        # the gradient functional against C_p; it was against G / r, which
+        # read 0.97927055093357396 here
         code, out, err = run_cli(capsys, "verify-bound", "--n", "3", "--p", "3", "--r", "1e-310")
         assert (code, err) == (0, "")
         assert out == ("n,p,r,count,seed,violations,max_ratio\n"
-                       "3,3,9.9999999999999694e-311,1000,42,0,0.97927055093357396\n")
+                       "3,3,9.9999999999999694e-311,1000,42,0,0.97927055093356563\n")
 
     def test_sharpness_clean_run(self, capsys):
         # p = 1 near the boundary needs a cap index that grows with 1/(1 - r)
@@ -461,13 +468,16 @@ class TestFailureModes:
             assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_subnormal_bounds_with_too_few_bits_are_refused(self, capsys):
-        # G keeps 15 and 7 bits there, far coarser than BOUND_SLACK: these
-        # exited 2 with 170 and 165 false violations on the pole site's moments
-        for argv in ("verify-bound --n 100 --p 2 --r 1e-320", "verify-bound --n 10 --p 2 --r 1e-322"):
+        # these exited 2 with 170 and 165 false violations on the pole site's
+        # moments, then 1: G keeps 15 and 7 bits there, too few to decide a
+        # draw against G / r.  Below 2^-60 the draws take the constant C_p, so
+        # they answer with random_grad_check's max_ratio
+        for argv, ratio in (("verify-bound --n 100 --p 2 --r 1e-320", "0.99999196673200941"),
+                            ("verify-bound --n 10 --p 2 --r 1e-322", "0.99912456899734359")):
             code, out, err = run_cli(capsys, *argv.split())
-            assert code == 1 and out == "", argv
-            assert err.startswith("error: G_p = ") and err.count("\n") == 1
-            assert "at r = 1e-32" in err and "keeps too few bits" in err, err
+            assert (code, err) == (0, ""), argv
+            row = csv_rows(out)[1][0]
+            assert (row["violations"], row["max_ratio"]) == ("0", ratio), argv
 
     def test_sizes_numpy_cannot_allocate(self, capsys):
         # numpy refuses each size before allocating anything; each was a traceback
@@ -532,7 +542,8 @@ def test_no_warning_escapes_the_overflow_guard(capsys):
             solver._g_p_numeric.cache_clear()
             with pytest.raises(DomainError, match=f"^{message}$"):
                 call()
-        assert objective.phi(prm, 1.0) == pytest.approx(14347.499601443056, rel=1e-12, abs=0)
+        # its value is 7.7e-4 off (test_objective's strict xfail, ROADMAP item 1)
+        assert math.isfinite(objective.phi(prm, 1.0))
         for command in ("gp", "astar"):
             code, out, err = run_cli(capsys, command, "--n", "10", "--p", "1.01", "--r", "0.5")
             assert (code, out, err) == (1, "", f"error: {message}\n"), command

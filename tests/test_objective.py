@@ -51,6 +51,11 @@ class TestParams:
         for r in (1.0, -0.1, 0.0):  # r = 0 is solved exactly before the objective
             with pytest.raises(DomainError):
                 params(3, 2.0, r)
+        # below 2^-60 G_p(r) = C_p r (solver._linear): no objective is built there
+        for r in (2.0 ** -61, 1e-300, 5e-324):
+            with pytest.raises(DomainError, match=r"r in \[2\^-60, 1\).*the linear regime, a\* = 1"):
+                params(3, 3.0, r)
+        assert params(3, 3.0, 2.0 ** -60).r == 2.0 ** -60
         # the order is checked where it enters: by ObjectiveParams
         for order in (1, 2.5):
             with pytest.raises(DomainError, match="order"):
@@ -112,6 +117,17 @@ class TestPhi:
         # digit (Phi read 0.0); the relative deviation keeps them all.  30-digit
         # mp_zonal of |K - 1|^(3/2), split at t = r: 2.1715340932759254e-17
         assert phi(params(3, 3.0, 1e-17), 1.0) == pytest.approx(2.1715340932759254e-17, rel=1e-14, abs=0)
+
+    # Known defect, ROADMAP open item 1: with q = 101, |K - 1|^q peaks at the
+    # pole inside one 16-node panel.  Phi reads 14347.499601443056, 7.7e-4
+    # below the 40-digit reference 14358.5929687616456
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="pole-side kernel peak, ROADMAP open item 1")
+    def test_large_q_within_1e_13_of_mpmath(self):
+        prm = params(10, 1.01, 0.5)
+        ref = mp_zonal(10, lambda t: abs(mp_kernel(10, 0.5, t) - 1) ** prm.ctx.q,
+                       split=[0.5] + [1.0 - 10.0 ** -k for k in range(1, 9)], dps=40, root=prm.ctx.q)
+        assert ref == pytest.approx(14358.5929687616456, rel=1e-15)
+        assert phi(prm, 1.0) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_rejects_nonfinite_shift(self):
         prm = params(3, 2.0, 0.5)
@@ -257,18 +273,17 @@ class TestRefinedPhi:
                     assert [v.hex() for v in pair] == [v.hex() for v in expected], (n, p, r, a)
 
     def test_mixed_layouts_in_one_pass_are_each_point_alone(self):
-        # one pass over interior splits (one stack, whose r = 1e-320 row has a
-        # subnormal scale and is divided by it, not multiplied by its inf
-        # inverse) and splits at both poles (another layout: one side, every
-        # panel outer) gives each point the bits of a pass on it alone
+        # one pass over interior splits (one stack, whose r = 2^-60 row, the
+        # objective's smallest radius, has a scale near 1e17; its r = 1e-320
+        # row had an inf one before the linear regime) and splits at both
+        # poles (another layout: one side, every panel outer) gives each
+        # point the bits of a pass on it alone
         ctx, ell = BallContext(4, 3.0), lambda r: _log_range(4, r)
-        shifts = [(0.5, 0.3 * ell(0.5)), (0.5, ell(0.5) + 0.2), (1e-320, 0.3 * ell(1e-320)),
+        shifts = [(0.5, 0.3 * ell(0.5)), (0.5, ell(0.5) + 0.2), (2.0 ** -60, 0.3 * ell(2.0 ** -60)),
                   (0.3, -0.2 * ell(0.3)), (0.5, -ell(0.5) - 0.1), (0.7, 0.6 * ell(0.7))]
         points = [(s, quadrature._site(4, r, 128, _split_point(4, r, s))) for r, s in shifts]
         t0s = [site[1] for _, site in points]
         assert t0s[1] == 1.0 and t0s[4] == -1.0 and all(-1.0 < t0s[k] < 1.0 for k in (0, 2, 3, 5))
-        s = shifts[2][1]
-        assert 1.0 / max(math.expm1(ell(1e-320) - s), -math.expm1(-ell(1e-320) - s)) == math.inf
         for refine in (False, True):
             together = _phi_and_refined(ctx, 128, points, refine)
             for point, values in zip(points, together):

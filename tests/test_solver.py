@@ -284,20 +284,55 @@ class TestDomainGrid:
                         n, p, r)
 
     def test_subnormal_radii_within_an_ulp_of_the_slope(self):
-        # log K = 2 (n - 1) r t is rounded after the factor n - 1; rounding 2rt
-        # to the subnormal spacing first left 18 of these points more than an
-        # ulp off C_p r (13 ulps at (100, 3, 5e-324)), with est_error floored
-        off = []
+        # solved on log K at subnormal r, G was more than an ulp off C_p r at
+        # 18 of these points (13 ulps at (100, 3, 5e-324)), then at 2 (154
+        # ulps at (100, 1.01, 1e-315)); the linear regime gives C_p r itself
         for n in (3, 5, 10, 100):
             for p in (1.01, 1.1, 2.0, 3.0, 10.0, 1e6):
                 ctx = BallContext(n, p)
                 c_p = grad_constant(ctx)
                 for r in (1e-315, 1e-320, 5e-324):
                     res = g_p(ctx, r)
-                    assert res.est_error >= (n - 1) * math.ulp(0.0), (n, p, r)
-                    if abs(res.g_value - c_p * r) > math.ulp(c_p * r):
-                        off.append((n, p, r))
-        assert off == [(10, 1.01, 1e-315), (100, 1.01, 1e-315)]
+                    assert (res.method, res.g_value) == ("linear", c_p * r), (n, p, r)
+                    assert res.est_error >= math.ulp(res.g_value), (n, p, r)
+
+
+class TestLinearRegime:
+    """Below objective._R_LIN = 2^-60 a finite-p GpResult is G = C_p r, a* = 1,
+    tagged "linear"."""
+
+    def test_error_bound_holds_against_mpmath(self):
+        # est_error covers |G - C_p r| with 50-digit C_p, q the context's own
+        # double; the worst point, (5, 1e15, 1e-300), uses 0.55 of it
+        from mpmath import mp
+
+        worst = 0.0
+        with mp.workdps(50):
+            for n in (3, 4, 5, 10, 30, 100, 300, 1000, 3000, 10000):
+                for p in (1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 100.0, 1e6, 1e15):
+                    ctx = BallContext(n, p)
+                    q, half = mp.mpf(ctx.q), mp.mpf(n) / 2
+                    alpha = mp.gamma(half) * mp.gamma((1 + q) / 2) / (mp.sqrt(mp.pi) * mp.gamma(half + q / 2))
+                    c_p = 2 * (n - 1) * alpha ** (1 / q)
+                    for r in (2.0 ** -61, 1e-30, 1e-300, 1e-310, 5e-324):
+                        res = g_p(ctx, r)
+                        assert (res.method, res.a_star, res.log_a_star) == ("linear", 1.0, 0.0), (n, p, r)
+                        error = abs(mp.mpf(res.g_value) - c_p * mp.mpf(r))
+                        assert error <= res.est_error, (n, p, r)
+                        worst = max(worst, float(error / mp.mpf(res.est_error)))
+        assert worst > 0.1, worst
+
+    @pytest.mark.parametrize("p", (1.01, 2.0, 3.0, 1e6))
+    def test_threshold(self, p):
+        ctx = BallContext(4, p)
+        below, at = math.nextafter(2.0 ** -60, 0.0), 2.0 ** -60
+        assert [row.method for row in g_p_curve(ctx, [below, at, 0.0])] == ["linear", "numeric", "linear"]
+        assert g_p(ctx, below).g_value == grad_constant(ctx) * below
+        assert g_p(ctx, 0.0) == GpResult(ctx, 0.0, 1.0, 0.0, "linear", 0.0, 0.0)
+        assert solve_a_star(ctx, below) == 1.0
+        # the numeric row at 2^-60 is C_p r within its own est_error
+        res = g_p(ctx, at)
+        assert abs(res.g_value - grad_constant(ctx) * at) <= res.est_error + 1e-14 * res.g_value
 
 
 class TestGpCurve:
@@ -433,14 +468,15 @@ class TestStackedGPass:
                 curve = g_p_curve(ctx, radii, order)
                 assert [row.r for row in curve] == radii
                 for row in curve:
-                    assert row.method == "numeric" and row.a_star == math.exp(row.log_a_star)
+                    assert row.method == ("linear" if row.r == 0.0 else "numeric"), (n, p, row.r)
+                    assert row.a_star == math.exp(row.log_a_star)
                     if row.r == 0.0:
                         assert (row.a_star, row.g_value, row.est_error, row.log_a_star) == (1.0, 0.0, 0.0, 0.0)
                         continue
                     s = row.log_a_star
                     g_val = phi_at(ctx, row.r, order, s)
                     other = g_2_closed(n, row.r) if p == 2.0 else phi_at(ctx, row.r, 2 * max(order, 96), s)
-                    est = max(abs(g_val - other), _ROUNDING_FLOOR * g_val, (n - 1) * math.ulp(0.0))
+                    est = max(abs(g_val - other), _ROUNDING_FLOOR * g_val)
                     assert row.g_value.hex() == g_val.hex(), (n, p, order, row.r)
                     assert row.est_error.hex() == est.hex(), (n, p, order, row.r)
 

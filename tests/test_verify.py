@@ -297,14 +297,18 @@ class TestSmallRadii:
             assert report.rel_gap <= 1e-12 and report.passed, (r, report)
 
     def test_extremal_data_keep_their_digits(self, monkeypatch):
-        # d is divided by min(l, 1) before its powers: (2 (n - 1) r)^q
-        # underflows at r = 1e-300, where the undivided sums read 0 = 0
+        # d is divided by min(l, 1) before its powers: (2 (n - 1) r)^(q - 1)
+        # underflows at q = 101 and 51 from r = 1e-15 down, where the
+        # undivided sums read 0 = 0.  Below 2^-60 no site is summed
         sums = []
         real = verify._site_integral
         monkeypatch.setattr(verify, "_site_integral", lambda *args: sums.append(real(*args)) or sums[-1])
-        for p in (1.5, 2.0, 3.0, 10.0):
-            verify_sharpness(BallContext(3, p), 1e-300)
-        assert all(attained >= 1e-301 and power >= 0.01 for _, attained, power in sums), sums
+        for p in (1.01, 1.02):
+            for r in (1e-15, 2.0 ** -60):
+                verify_sharpness(BallContext(3, p), r)
+                assert len(sums) == 1, (p, r)
+                _, attained, power = sums.pop()
+                assert attained >= 0.01 * r and power >= 0.005, (p, r, attained, power)
 
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 10.0, math.inf))
     @pytest.mark.parametrize("n", (3, 4, 5, 10))
@@ -319,34 +323,41 @@ class TestSmallRadii:
     @pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0, math.inf))
     @pytest.mark.parametrize("n", (3, 4, 5, 10, 100))
     def test_subnormal_draws_take_the_gradient_moments(self, n, p):
-        # below the smallest normal r, K - 1 = 2 (n - 1) r t to the last bit:
-        # u(r axis) - u(0) is r times the gradient functional.  The pole
-        # site's moments read 3 false violations at (100, 2, 1e-310)
+        # below 2^-60 u(r axis) - u(0) is r times the gradient functional and
+        # G_p(r) = C_p r: the report is random_grad_check's.  The pole site's
+        # moments read 3 false violations at (100, 2, 1e-310)
         ctx = BallContext(n, p)
         for r in (1e-310, 1e-315):
-            constant = solver.g_p(ctx, r).g_value / r
-            expected = verify._grad_reports(ctx, 1000, 42, quadrature.DEFAULT_ORDER, (constant,))[0]
-            assert random_bound_check(ctx, r) == expected, r
+            assert random_bound_check(ctx, r) == verify.random_grad_check(ctx), r
 
     @pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0, math.inf))
     @pytest.mark.parametrize("n", (3, 10, 100))
     def test_subnormal_refusal_is_on_the_error_of_g(self, n, p):
-        # refused exactly where G's error, est_error or _CLOSED_FORM_ULPS
-        # ulps, exceeds BOUND_SLACK / 2 of G
+        # checked against G / r, every (n, p) refused from 3e-316 down, where
+        # G kept too few bits; against C_p, no radius down to 5e-324 is
+        # refused, and none violates
         ctx = BallContext(n, p)
-        radii = [k * 10.0 ** -e for e in range(308, 324) for k in (3.0, 1.0)] + [5e-324]
-        refused = []
-        for r in radii:
-            bound = solver.g_p(ctx, r)
-            error = max(bound.est_error, verify._CLOSED_FORM_ULPS * math.ulp(bound.g_value))
-            if error > 0.5 * verify.BOUND_SLACK * bound.g_value:
-                with pytest.raises(DomainError, match=f"at r = {r!r} keeps too few bits"):
-                    random_bound_check(ctx, r, count=100)
-                refused.append(r)
-            else:
-                assert random_bound_check(ctx, r, count=100).violations == 0, r
-        # a tail of the grid: the first refused radius is 3e-319 at (100, 1) and at most 3e-316
-        assert refused == radii[-len(refused):] and 1e-319 <= refused[0] <= 1e-315, refused
+        expected = verify.random_grad_check(ctx, count=100)
+        assert expected.violations == 0
+        for r in [k * 10.0 ** -e for e in range(308, 324) for k in (3.0, 1.0)] + [5e-324]:
+            assert random_bound_check(ctx, r, count=100) == expected, r
+
+    @pytest.mark.parametrize("p", (1.5, 3.0, math.inf))
+    @pytest.mark.parametrize("n", (3, 4, 10, 100))
+    def test_linear_regime_sums_no_kernel(self, n, p, monkeypatch):
+        # below 2^-60 G_p(r) = C_p r: the sharpness gap is the gradient
+        # extremal data's against C_p, and the draws are random_grad_check's
+        kernels = []
+        real = quadrature._log_kernel
+        monkeypatch.setattr(quadrature, "_log_kernel", lambda n, r, t: kernels.append(r) or real(n, r, t))
+        ctx = BallContext(n, p)
+        ratio, constant = verify._gradient_extremal_ratio(ctx), grad_constant(ctx)
+        for r in (2.0 ** -61, 1e-100, 1e-320, 5e-324):
+            report = verify_sharpness(ctx, r)
+            assert report.passed and report.rel_gap == abs(constant - ratio) / constant, (r, report)
+            assert (report.attained, report.u_at_zero) == (r * ratio, 0.0), (r, report)
+            assert random_bound_check(ctx, r, count=100) == random_grad_check(ctx, count=100), r
+        assert kernels == []
 
     @pytest.mark.parametrize("n", (3, 4, 5, 10))
     def test_p1_cap_pair(self, n):
