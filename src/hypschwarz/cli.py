@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import CapUnderflowError, DomainError, NonConvergenceError
 from .kernel import BallContext
-from .objective import _R_LIN, ObjectiveParams, _f_and_slope
 from .quadrature import DEFAULT_ORDER, _overflow_guard
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
 from .special import MAX_ORDER
@@ -93,9 +92,8 @@ def _astar(args):
         return [{"r": r, "a_star": res.a_star, "f_residual": 0.0}
                 for r, res in zip(args.radii, g_p_curve(ctx, args.radii, args.order))], False
     with _overflow_guard():
-        rows = [{"r": r, "a_star": math.exp(s), "f_residual": _f_and_slope(
-                    ObjectiveParams(ctx, r, args.order), s, False)[0] if r >= _R_LIN else 0.0}
-                for r, s in _shift_curve(ctx, args.radii, args.order)]
+        rows = [{"r": r, "a_star": math.exp(s), "f_residual": f}
+                for r, s, f in _shift_curve(ctx, args.radii, args.order)]
     return rows, False
 
 

@@ -6,7 +6,8 @@ whose axis coordinate is t = <eta, axis>, the kernel depends on (r, t) only:
 
     K(r, t) = ((1 - r^2) / (1 + r^2 - 2 r t)) ** (n - 1).
 
-All helpers accept scalar or ndarray ``t``.
+All helpers accept scalar or ndarray ``t``.  ``_log_kernel`` takes r as its
+``_kernel_constants``: floats, or a stack's columns (``quadrature._stacks``).
 """
 
 from __future__ import annotations
@@ -69,24 +70,22 @@ def poisson_szego_axis(ctx: BallContext, r: float, t):
     t = np.asarray(t, dtype=float)
     if t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
         raise DomainError("axis coordinate t must lie in [-1, 1]")
-    out = np.exp(_log_kernel(ctx.n, r, np.atleast_1d(t)))
+    out = np.exp(_log_kernel(ctx.n, _kernel_constants(r), np.atleast_1d(t)))
     return out if t.ndim else float(out[0])
 
 
-def _log_kernel(n: int, r, t: np.ndarray) -> np.ndarray:
+def _kernel_constants(r: float) -> tuple[float, float, float]:
+    """(2r, r^2, log1p(-r^2)): what ``_log_kernel`` takes of the radius."""
+    return 2.0 * r, r * r, math.log1p(-r * r)
+
+
+def _log_kernel(n: int, constants, t: np.ndarray) -> np.ndarray:
     """log K(r, t) = (n - 1) (log(1 - r^2) - log(1 + r^2 - 2 r t)), a new
-    array built in place, at a radius in [0, 1) and an array t (of one
-    dimension or more) of values in [-1, 1], unchecked: the nodes of a
-    quadrature rule are cosines and need no check.  Sites are built at r = 0
-    and from ``objective._R_LIN`` up, where r^2 is 0 or normal.  For a list
-    of radii, one per row of t's leading axis (a stack of sites), each row
-    is the bits of its radius alone: the same operations, the radii's
-    constants in a column."""
-    if isinstance(r, list):
-        columns = np.array([(2.0 * rk, rk * rk, math.log1p(-rk * rk)) for rk in r]).T
-        two_r, r_sq, gap = columns.reshape(3, -1, *(1,) * (t.ndim - 1))
-    else:
-        two_r, r_sq, gap = 2.0 * r, r * r, math.log1p(-r * r)
+    array built in place, from the ``_kernel_constants`` of r in [0, 1) (on a
+    stack, columns against t's rows) at an array t of values in [-1, 1],
+    unchecked: the nodes of a rule are cosines.  Sites are built at r = 0
+    and from ``objective._R_LIN`` up, where r^2 is 0 or normal."""
+    two_r, r_sq, gap = constants
     log_k = two_r * t
     np.subtract(r_sq, log_k, out=log_k)
     np.log1p(log_k, out=log_k)

@@ -19,13 +19,13 @@ Each function here only supplies values, fn(log K, t): powers of d on log
 K at the nodes of a site of ``quadrature`` split where K crosses the shift,
 summed by its one pass ``_site_sums``.  F and its slope (a second row of
 F's power) are one stack of values; Phi and the doubled-order Phi of
-``est_error`` are one pass.  So Phi(a*) and the residual F(a*) cost one
-power and one panel sum on the site of the solve's last F.
+``est_error`` are one pass.  So Phi(a*) costs one power and one panel sum
+on the site of the solve's last F, and the residual F(a*) is that F.
 ``_phi_and_refined`` takes a list of (s, site) points: a sweep holds the
 site of each radius's last F and sums Phi on a chunk of them, one pass per
-group of ``quadrature._stacks``, with the group's shifts and scales a
-column against its rows (a scalar against a lone site), every point's
-values the bits of a pass on its site alone.  The public functions enter
+group of ``quadrature._stacks``, which also gives the group's shifts and
+scales in its shape, every point's values the bits of a pass on its site
+alone.  The public functions enter
 ``quadrature._overflow_guard``; the private ones run under their caller's
 (``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
 """
@@ -115,18 +115,13 @@ def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list
     point's own phi calls.  The points of one layout are one stacked site
     pass (``_stacks``): a sweep holds the site of each radius's last F and
     sums them together.  The order is one already checked."""
-    q = ctx.q
-    shifts, sizes = [], []
+    q, shifts, sizes = ctx.q, [], []
     for s, site in points:
         ell = _log_range(ctx.n, site[0])
         shifts.append(s)
         sizes.append(max(_exp(ell - s, math.expm1), -math.expm1(-ell - s)))
     phis: list = [None] * len(points)
-    for rows, site in _stacks([site for _, site in points]):
-        scales = [1.0 / sizes[k] for k in rows]
-        # a scalar against a lone site (sides, nodes), a column against a stack (sites, sides, nodes)
-        shift, scale = (shifts[rows[0]], scales[0]) if len(rows) == 1 else (
-            np.array([shifts[k] for k in rows])[:, None, None], np.array(scales)[:, None, None])
+    for rows, site, shift, scale in _stacks([site for _, site in points], shifts, [1.0 / size for size in sizes]):
 
         def values(log_kernel, _):
             dev = log_kernel - shift

@@ -26,21 +26,24 @@ with the index of each panel's first node, and the panel sums one
 (order, J) and cached; each call only scales it by the lengths of its two
 sides and shifts it to theta0.
 
-A site is the node set split at t0 (``_graded_nodes``) with log K(r, .) at
-its nodes, all read-only; it depends on (n, r, order, t0) only, and the last
-two built are kept, but a caller may hold one longer.  One function,
+A site is the node set split at t0 (``_graded_nodes``, which also keeps
+the layout it decided: theta0, the side lengths and the outer count) with
+log K(r, .) at its nodes and r's ``kernel._kernel_constants``, all
+read-only; it depends on (n, r, order, t0) only, and the last two built are
+kept, but a caller may hold one longer.  One function,
 ``_site_sums``, sums every zonal integral, with one body for every site: it
 evaluates fn(log K, t) there (on a node set alone for
 ``integrate_with_breakpoint``'s integrands of t), takes the panel sums and
 adds the side totals of each row left to right.  With ``refine`` it also
-evaluates the outer panels alone (``_outer_nodes``, every panel at a pole),
-all that the order changes, at est_error's reference order
-2 max(order, 96), and splices their sums over the first order's.
-``_stacks`` makes the sites of one layout one site, whose radii,
-breakpoints, log K, sine powers and side lengths are its sites' own,
-stacked on a leading axis where they are used (t is None): so each step
-runs once for the stack, every site is a row and keeps the bits of a pass
-on it alone.  Non-finite values or totals raise DomainError.  A site pass
+evaluates the outer panels alone (``_outer_nodes``, rebuilt from the node
+set, every panel at a pole), all that the order changes, at est_error's
+reference order 2 max(order, 96), and splices their sums over the first
+order's.  Only ``_stacks`` builds a stack: the sites of one layout (outer
+count and sides) as one site, whose log K, sine powers and side lengths are
+stacked on a leading axis where used (t is None), and whose theta0s, kernel
+constants and per-site values are columns (floats on a lone site): so each
+builder has one body, each step runs once for the stack, and every site is
+a row with the bits of a pass on it alone.  Non-finite values or totals raise DomainError.  A site pass
 pays for its node work only: it runs under one ``_overflow_guard`` per
 solve, sweep or public call, not per integral, the order is checked where
 it enters the package, and the nodes and log K are built in place.
@@ -70,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernel import _log_kernel
+from .kernel import _kernel_constants, _log_kernel
 from .special import check_dimension, check_order
 
 #: Default rule order: the node count of a draw rule; an outer graded panel
@@ -227,59 +230,42 @@ def _graded_panels(order: int, outer: int):
 
 def _graded_nodes(n: int, order: int, t0: float):
     """Node set of the graded rule split at t0: (t, sin^(n-2) theta, panel
-    weights, panel starts, side lengths), with t and the sine power of shape
-    (sides, nodes per side), on the layout with _outer_count(n, t0) outer
-    panels, for an order already checked.  A breakpoint at a pole leaves one
-    side; the empty one gets no nodes, as an integrand may be infinite there.
-    """
-    return _nodes_at(n, t0, *_graded_panels(order, _outer_count(n, t0)))
+    weights, panel starts, theta0, side lengths, outer count), t and the sine
+    power of shape (sides, nodes per side), with _outer_panels(n) outer
+    panels, all at a pole, for a checked order.  A pole leaves one side; the
+    empty one gets no nodes, as an integrand may be infinite there."""
+    theta0 = math.acos(t0)
+    lengths = tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
+    outer = _PANELS if abs(t0) == 1.0 else _outer_panels(n)
+    return _nodes_at(n, theta0, lengths, outer, *_graded_panels(order, outer))
 
 
-def _outer_count(n: int, t0: float) -> int:
-    """Outer panels of a side split at t0: _outer_panels(n), or all at a pole."""
-    return _PANELS if abs(t0) == 1.0 else _outer_panels(n)
-
-
-def _outer_nodes(n: int, order: int, t0):
-    """The outer panels of ``_graded_nodes(n, order, t0)``, node for node, as
-    a node set of their own: all of it at a pole.  For a list of
-    breakpoints that share their outer count, one node set with a leading
-    axis of sites and a tuple of side lengths per site."""
-    first = t0[0] if isinstance(t0, list) else t0
-    return _nodes_at(n, t0, *_outer_layout(order, _outer_count(n, first)))
-
-
-@lru_cache(maxsize=16)
-def _outer_layout(order: int, outer: int):
-    """The first ``outer`` panels of ``_graded_panels(order, outer)``: read-only views."""
+def _outer_nodes(n: int, order: int, nodes):
+    """The outer panels of the node set ``nodes`` rebuilt at ``order``, node
+    for node, as a node set of their own: all of it at a pole, and a stack's
+    rows on a stack."""
+    theta0, lengths, outer = nodes[4:]
     offsets, weights, starts = _graded_panels(order, outer)
     end = starts[outer] if outer < _PANELS else offsets.size
-    return offsets[:end], weights[:end], starts[:outer]
+    return _nodes_at(n, theta0, lengths, outer, offsets[:end], weights[:end], starts[:outer])
 
 
-def _nodes_at(n: int, t0, offsets, weights, starts):
-    """The node set of a layout split at t0, or at each breakpoint of a list
-    of them, each a row of t and the sine power, with its side lengths."""
-    if isinstance(t0, list):
-        theta0 = [math.acos(start) for start in t0]
-        lengths = [tuple([side for side in (-start, math.pi - start) if abs(side) > 1e-300]) for start in theta0]
-        theta0 = np.array(theta0)[:, None, None]
-    else:
-        theta0 = math.acos(t0)
-        lengths = tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
+def _nodes_at(n: int, theta0, lengths, outer: int, offsets, weights, starts):
+    """The node set of a layout at the breakpoint angle theta0 with its side
+    lengths: a float and a tuple, or a stack's column and tuple per site."""
     theta = np.multiply.outer(lengths, offsets)
     theta += theta0
     t = np.cos(theta)
     sinpow = np.sin(theta, out=theta)
     if n > 3:  # sin^1 is sin
         sinpow **= n - 2
-    return t, sinpow, weights, starts, lengths
+    return t, sinpow, weights, starts, theta0, lengths, outer
 
 
 def _panel_sums(vals, nodes):
     """Per-panel sums of ``vals``, values of shape (*rows, sides, nodes) at
     the node set ``nodes``: shape (*rows, sides, panels)."""
-    _, sinpow, weights, starts, _ = nodes
+    _, sinpow, weights, starts = nodes[:4]
     weighted = vals * sinpow  # a stack's tuple of sine powers is stacked by the product
     weighted *= weights
     return np.add.reduceat(weighted, starts, axis=-1)
@@ -328,19 +314,20 @@ def _overflow_guard():
 
 @lru_cache(maxsize=2, typed=True)  # typed: a float order never shares an int order's site
 def _site(n: int, r: float, order: int, t0: float):
-    """(r, t0, log K, node set): the graded rule's node set split at t0 and
-    the log of the kernel K(r, .) at its nodes, every array read-only.  A
+    """(r, its kernel constants, log K, node set): the graded rule's node set
+    split at t0 and log K(r, .) at its nodes, every array read-only.  A
     caller may hold it past the cache's two slots and sum on it later."""
     nodes = _graded_nodes(n, order, t0)
-    log_kernel = _log_kernel(n, r, nodes[0])
+    constants = _kernel_constants(r)
+    log_kernel = _log_kernel(n, constants, nodes[0])
     for array in (log_kernel, *nodes[:2]):
         array.setflags(False)  # write=False, at a third of the keyword form's cost
-    return r, t0, log_kernel, nodes
+    return r, constants, log_kernel, nodes
 
 
 def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[float]]:
     """Zonal integrals of fn on ``site`` (``_site``, a stack of ``_stacks``,
-    or (None, t0, None, node set) for a node set alone), unchecked
+    or (None, None, None, node set) for a node set alone), unchecked
     (non-finite where a value or a sum is): a list of one total per row for
     each pass.  fn(log K, t) returns values of log K's shape, or of (rows,
     *t.shape); on a stack t is None and each site is a row.  The caller
@@ -354,37 +341,41 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
     order's, and the panels are summed in the same left-to-right loop: a
     full evaluation's bits.
     """
-    r, t0, log_kernel, nodes = site
+    _, constants, log_kernel, nodes = site
     # np.asarray stacks a stack's log K, freed once fn returns, and passes a site's own
     per_panel = _panel_sums(fn(np.asarray(log_kernel), nodes[0]), nodes)
     rows = per_panel[None] if per_panel.ndim == 2 else per_panel  # a view: its rows see the splice
     # a stack (t None) has a tuple of side lengths per site; a lone site's rows share its tuple
-    lengths = nodes[4] if nodes[0] is None else [nodes[4]] * len(rows)
+    lengths = nodes[5] if nodes[0] is None else [nodes[5]] * len(rows)
     totals = [_side_total(n, rows.tolist(), lengths)]
     if refine:  # below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes
-        outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), t0)
-        outer_sums = _panel_sums(fn(_log_kernel(n, r, outer[0]), outer[0]), outer)
+        outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), nodes)
+        outer_sums = _panel_sums(fn(_log_kernel(n, constants, outer[0]), outer[0]), outer)
         del outer  # held through the side totals, it left page faults at the heap's top (README)
         per_panel[..., :outer_sums.shape[-1]] = outer_sums
         totals.append(_side_total(n, rows.tolist(), lengths))
     return totals
 
 
-def _stacks(sites):
-    """(indices, site) for each group of ``sites`` of one layout (the same
-    panels and sides): a lone site as itself, a larger group as one site of
-    its sites' radii, breakpoints, log K, sine powers and side lengths,
-    stacked where ``_site_sums`` uses them, with t None."""
+def _stacks(sites, *values):
+    """(indices, site, *values) for each group of ``sites`` of one layout
+    (outer count and sides), the only code that builds a stack: a lone site
+    and its own values, or one site of the group's radii, kernel constants,
+    log K, sine powers, theta0s and side lengths, stacked where
+    ``_site_sums`` uses them (t None), and its per-site values as columns."""
     groups: dict[tuple, list[int]] = {}
-    for k, (_, _, _, nodes) in enumerate(sites):
-        groups.setdefault((id(nodes[3]), len(nodes[4])), []).append(k)
+    for k, (*_, nodes) in enumerate(sites):
+        groups.setdefault((nodes[6], len(nodes[5])), []).append(k)
     for rows in groups.values():
         if len(rows) == 1:
-            yield rows, sites[rows[0]]
+            yield rows, sites[rows[0]], *[value[rows[0]] for value in values]
             continue
-        radii, t0s, log_kernels, node_sets = zip(*[sites[k] for k in rows])
-        _, sinpows, weights, starts, lengths = zip(*node_sets)
-        yield rows, (list(radii), list(t0s), log_kernels, (None, sinpows, weights[0], starts[0], lengths))
+        radii, constants, log_kernels, node_sets = zip(*[sites[k] for k in rows])
+        _, sinpows, weights, starts, theta0s, lengths, outer = zip(*node_sets)
+        column = np.array(constants).T[..., None, None]  # (3, sites, 1, 1): each site's own
+        node_set = (None, sinpows, weights[0], starts[0], np.array(theta0s)[:, None, None], lengths, outer[0])
+        yield rows, (radii, column, log_kernels, node_set), *[
+            np.array([value[k] for k in rows])[:, None, None] for value in values]
 
 
 def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:
@@ -392,7 +383,7 @@ def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[f
     node set alone, with no log K, where r is None) by ``_site_sums``,
     under its own overflow guard, each refused where non-finite."""
     with _overflow_guard():
-        site = (None, t0, None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
+        site = (None, None, None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
         totals, = _site_sums(n, order, site, fn)
         return [_checked(total) for total in totals]
 

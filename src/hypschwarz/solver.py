@@ -73,11 +73,11 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
     """Root of F(r, .) in the open kernel range, 1 below _R_LIN: the cold
     solve of ``_solve``, rounded to a* = e^s."""
     with _overflow_guard():
-        return math.exp(_solve(ctx, r, order, None, 0.0))
+        return math.exp(_solve(ctx, r, order, None, 0.0)[0])
 
 
-def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> float:
-    """The root of F(r, .) as s = log a*, unrounded; 0 below _R_LIN.
+def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> tuple[float, float]:
+    """(s, F(s)) at the root s = log a* of F(r, .), unrounded; (0, 0) below _R_LIN.
 
     One loop on s = log a, one F evaluation per step, inside the range
     (-l, l) of log K, at whose ends F's signs are known (positive at -l).
@@ -102,7 +102,7 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     _check_exponent(ctx, "shift optimization")
     r = check_radius(r)
     if r < _R_LIN:
-        return 0.0
+        return 0.0, 0.0
     params = ObjectiveParams(ctx, r, order)
     ell = _log_range(ctx.n, r)  # F > 0 at log a = -ell, F < 0 at ell
     tol = _LOG_A_TOL * min(1.0, 2.0 * ell)
@@ -121,7 +121,7 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     for _ in range(_MAX_ITER):
         fs, slope = _f_and_slope(params, s, steered == 3)
         if fs == 0.0:
-            return s
+            return s, fs
         if a is None or (fs > 0.0) == (fa > 0.0):
             a, fa, c, fc = s, fs, a, fa
         else:
@@ -142,7 +142,7 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
             steered = max(steered - 1, 0)
             continue
         if abs(a - b) <= tol:
-            return a
+            return a, fa
         t = fa / (fa - fb)  # the first bracketed step: secant
         if c is not None:
             xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
@@ -302,6 +302,8 @@ def _numeric_results(ctx: BallContext, order: int, held) -> list[tuple[float, Gp
     refine = ctx.p != 2.0
     for (s, site), values in zip(held, _phi_and_refined(ctx, order, held, refine)):
         r, g_val = site[0], _checked(values[0])
+        if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
+            raise DomainError(f"G_p(r) underflows to 0 at n={ctx.n}, p={ctx.p}, r={r}")
         # Phi is stationary at a*: its error needs no solve at the reference order.
         est = abs(g_val - (_checked(values[1]) if refine else g_2_closed(ctx.n, r)))
         # Order doubling cannot see the rounding both orders share: an ulp for each panel sum.
@@ -348,10 +350,10 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
         return [GpResult(ctx, r, *closed(ctx.n, r), method, 0.0, _closed_log_a(ctx.n, r, ctx.p))
                 for r in map(check_radius, radii)]
     results: dict[float, GpResult | None] = {}
-    sweep, held, refusal = [], [], None  # held: (s, site) of each radius solved since the last pass
+    sweep, held = [], []  # held: (s, site) of each radius solved since the last pass
     with _overflow_guard():
         try:
-            for r, s in _shift_curve(ctx, radii, order):
+            for r, s, _ in _shift_curve(ctx, radii, order):
                 sweep.append(r)
                 if r in results:
                     continue
@@ -363,28 +365,25 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
                 if len(held) == _CHUNK:
                     chunk, held = held, []
                     results.update(_numeric_results(ctx, order, chunk))
-        except (DomainError, NonConvergenceError) as exc:
-            refusal = exc
-        results.update(_numeric_results(ctx, order, held))
-    if refusal is not None:
-        raise refusal
+        finally:  # a G refused here replaces the solve's refusal that follows it in sweep order
+            results.update(_numeric_results(ctx, order, held))
     return [results[r] for r in sweep]
 
 
 def _shift_curve(ctx: BallContext, radii, order: int):
-    """(r, log a*) at every radius of a sweep for finite p > 1, yielded as
-    each is solved: g_p_curve's continued solves without Phi."""
-    solved: dict[float, float] = {}
+    """(r, log a*, F(a*)) at every radius of a sweep for finite p > 1,
+    yielded as each is solved: g_p_curve's continued solves without Phi."""
+    solved: dict[float, tuple[float, float]] = {}
     history: list[tuple[float, float]] = []  # (r, log a*) of each radius solved, in order
     for r in map(check_radius, radii):
         if r not in solved:
             solved[r] = _continued_solve(ctx, r, order, history[-6:])
-            history.append((r, solved[r]))
-        yield r, solved[r]
+            history.append((r, solved[r][0]))
+        yield r, *solved[r]
 
 
-def _continued_solve(ctx: BallContext, r: float, order: int, known) -> float:
-    """log a* at r, solved from a guess through up to six known (radius, log a*) pairs.
+def _continued_solve(ctx: BallContext, r: float, order: int, known) -> tuple[float, float]:
+    """(log a*, F(a*)) at r, solved from a guess through up to six known (radius, log a*) pairs.
 
     The guess is log a* extrapolated through all of them in Newton's
     divided-difference form, newest radius first; its first step is twice

@@ -228,7 +228,7 @@ class TestAstar:
         assert calls == []
 
     def test_sweep_residuals_build_no_node_sets(self, capsys, monkeypatch):
-        # each row's F(a*) reads the site of its solve's last F
+        # each row's F(a*) is its solve's last F, so the rows build no node set past the solves
         built = []
         real = quadrature._graded_nodes
         monkeypatch.setattr(quadrature, "_graded_nodes", lambda *args: built.append(1) or real(*args))
@@ -239,16 +239,17 @@ class TestAstar:
         quadrature._site.cache_clear()
         code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
                                "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
-        assert code == 0 and [float(row["a_star"]) for row in csv_rows(out)[1]] == [
-            math.exp(s) for _, s in shifts]
+        assert code == 0 and [(float(row["a_star"]), float(row["f_residual"])) for row in csv_rows(out)[1]] == [
+            (math.exp(s), f) for _, s, f in shifts]
         assert len(built) == 2 * solves
 
     def test_sweep_rows_are_gp_shifts_and_their_residuals(self, capsys):
-        # the residual is F at the solve's own log a*, of which a_star is the exp
+        # the residual is F at the solve's own log a*, of which a_star is the
+        # exp: the solve's last F has the bits of an F call there
         radii = [float(r) for r in np.linspace(0.0, 0.95, 20)]
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             ctx = BallContext(4, p)
-            logs = dict(solver._shift_curve(ctx, radii, DEFAULT_ORDER)) if 1.0 < p < math.inf else {}
+            logs = {r: s for r, s, _ in solver._shift_curve(ctx, radii, DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
             expected = [{"r": r, "a_star": res.a_star, "f_residual": (
                 objective._f_and_slope(ObjectiveParams(ctx, r, DEFAULT_ORDER), logs[r], False)[0]
                 if res.method == "numeric" and r > 0.0 else 0.0)}

@@ -244,7 +244,7 @@ class TestRefinedPhi:
                             continue
                         prm = ObjectiveParams(ctx, r, order)
                         refined = ObjectiveParams(ctx, r, 2 * max(order, 96))
-                        s = solver._solve(ctx, r, order, None, 0.0)
+                        s, _ = solver._solve(ctx, r, order, None, 0.0)
                         assert res.a_star == math.exp(s)
                         g_val = phi_values(prm, s, False)[0]
                         est = max(abs(g_val - phi_values(refined, s, False)[0]),
@@ -282,14 +282,15 @@ class TestRefinedPhi:
         shifts = [(0.5, 0.3 * ell(0.5)), (0.5, ell(0.5) + 0.2), (2.0 ** -60, 0.3 * ell(2.0 ** -60)),
                   (0.3, -0.2 * ell(0.3)), (0.5, -ell(0.5) - 0.1), (0.7, 0.6 * ell(0.7))]
         points = [(s, quadrature._site(4, r, 128, _split_point(4, r, s))) for r, s in shifts]
-        t0s = [site[1] for _, site in points]
-        assert t0s[1] == 1.0 and t0s[4] == -1.0 and all(-1.0 < t0s[k] < 1.0 for k in (0, 2, 3, 5))
+        nodes = [site[3] for _, site in points]  # t0 = 1 leaves theta0 = 0, t0 = -1 theta0 = pi
+        assert nodes[1][4] == 0.0 and nodes[4][4] == math.pi and [len(node_set[5]) for node_set in nodes] == [
+            2, 1, 2, 2, 1, 2]
         for refine in (False, True):
             together = _phi_and_refined(ctx, 128, points, refine)
             for point, values in zip(points, together):
                 alone, = _phi_and_refined(ctx, 128, [point], refine)
                 assert len(values) == 1 + refine and all(map(math.isfinite, values))
-                assert [v.hex() for v in values] == [v.hex() for v in alone], (point[1][:2], refine)
+                assert [v.hex() for v in values] == [v.hex() for v in alone], (point[1][0], refine)
 
 
 class TestStationarityIdentity:
@@ -374,7 +375,7 @@ class TestSharedSite:
         monkeypatch.setattr(quadrature, "_graded_nodes",
                             lambda n, order, t0: built.append(order) or real_nodes(n, order, t0))
         monkeypatch.setattr(quadrature, "_outer_nodes",
-                            lambda n, order, t0: outer.append((order, t0)) or real_outer(n, order, t0))
+                            lambda n, order, nodes: outer.append((order, nodes[4])) or real_outer(n, order, nodes))
         quadrature._site.cache_clear()
         solver._g_p_numeric.cache_clear()
         res = g_p(BallContext(4, 3.0), 0.5)
@@ -384,8 +385,8 @@ class TestSharedSite:
         assert len(f_calls) == 8
         assert built == [128] * 8
         t0 = _split_point(4, 0.5, math.log(res.a_star))
-        assert outer == [(256, t0)] and -1.0 < t0 < 1.0
-        assert real_outer(4, 256, t0)[0].shape == (2, 64)
+        assert outer == [(256, math.acos(t0))] and -1.0 < t0 < 1.0
+        assert real_outer(4, 256, real_nodes(4, 128, t0))[0].shape == (2, 64)
         # Phi, F and dF/da at a* read the site of the solve's last F, building nothing
         prm = params(4, 3.0, 0.5)
         assert phi(prm, res.a_star) == res.g_value

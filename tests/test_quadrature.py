@@ -6,7 +6,14 @@ import pytest
 
 from hypschwarz import quadrature
 from hypschwarz.errors import DomainError
-from hypschwarz.kernel import BallContext, _log_kernel, _split_point, kernel_range, poisson_szego_axis
+from hypschwarz.kernel import (
+    BallContext,
+    _kernel_constants,
+    _log_kernel,
+    _split_point,
+    kernel_range,
+    poisson_szego_axis,
+)
 from hypschwarz.quadrature import (
     _PANELS,
     _graded_nodes,
@@ -298,11 +305,14 @@ class TestBreakpointRule:
         # corrupt every later integral on it, so every array of it refuses one
         for n, t0 in ((3, 0.3), (4, 0.3), (4, 1.0)):
             quadrature._site.cache_clear()
-            _, _, log_kernel, (t, sinpow, weights, starts, lengths) = quadrature._site(n, 0.5, 128, t0)
+            _, constants, log_kernel, (t, sinpow, weights, starts, theta0, lengths, outer) = quadrature._site(
+                n, 0.5, 128, t0)
             for array in (log_kernel, t, sinpow, weights, starts):
                 with pytest.raises(ValueError, match="read-only"):
                     array[..., 0] = 0
-            assert isinstance(lengths, tuple)
+            # a lone site's layout and kernel constants are immutable floats, ints and tuples
+            assert isinstance(lengths, tuple) and isinstance(theta0, float) and isinstance(outer, int)
+            assert constants == _kernel_constants(0.5) and all(isinstance(c, float) for c in constants)
 
     def test_stack_must_end_in_the_node_shape(self):
         for shape in (lambda t: (3, *t.shape[1:]), lambda t: (*t.shape, 2), lambda t: (3, 7)):
@@ -320,7 +330,7 @@ class TestStackedSites:
     panel's sum do not depend on the array's length or its place in it."""
 
     def test_values_and_panel_sums_do_not_depend_on_place(self):
-        _, _, log_kernel, (t, sinpow, weights, starts, _) = quadrature._site(4, 0.5, 128, 0.3)
+        _, _, log_kernel, (t, sinpow, weights, starts, *_) = quadrature._site(4, 0.5, 128, 0.3)
         ufuncs = (np.expm1, np.log1p, np.cos, np.sin, np.abs, lambda v: np.abs(v) ** 3.0,
                   lambda v: np.abs(v) ** 1.37, lambda v: np.abs(v) ** 2.0, lambda v: v * 0.7)
         values = np.abs(log_kernel.ravel())
@@ -339,19 +349,27 @@ class TestStackedSites:
         assert bits(np.add.reduceat(wide, starts_wide, axis=-1)[:, :starts.size]) == bits(alone)
 
     def test_stacked_rows_are_their_sites_alone(self):
-        # est_error's outer nodes and their log K for a stack of sites, row by
-        # row, are those of each site alone; a radius below the smallest
-        # normal double takes the linear log K in its row
-        t0s = [0.3, -0.2, 0.95, 0.3]
-        stacked = quadrature._outer_nodes(4, 256, t0s)
-        for i, t0 in enumerate(t0s):
-            alone = quadrature._outer_nodes(4, 256, t0)
-            assert bits(stacked[0][i]) == bits(alone[0]) and bits(stacked[1][i]) == bits(alone[1])
-            assert stacked[4][i] == alone[4]
-        for radii in ([0.5, 0.01, 0.9, 0.5], [0.5, 1e-310, 0.9, 5e-324]):
-            log_kernels = _log_kernel(4, radii, stacked[0])
-            for i, r in enumerate(radii):
-                assert bits(log_kernels[i]) == bits(_log_kernel(4, r, stacked[0][i])), r
+        # a stack of _stacks is its sites row by row: est_error's outer nodes
+        # rebuilt from its node set, and log K from its kernel constants, have
+        # each site's own bits.  The columns are each site's math constants:
+        # numpy 2.4's log1p(-r^2) differs from math's at r = 0.357
+        sites = [quadrature._site(4, r, 128, t0) for r, t0 in ((2.0 ** -60, 0.3), (0.357, -0.2), (0.5, 1.0),
+                                                               (0.5, 0.95), (0.9, -1.0), (0.9, 0.3))]
+        groups = list(quadrature._stacks(sites, list(range(6)), [1.5] * 6))
+        # interior splits form one group, the two pole splits (one side, every panel outer) another
+        assert [rows for rows, *_ in groups] == [[0, 1, 3, 5], [2, 4]]
+        for rows, stack, index, scale in groups:
+            assert index.shape == scale.shape == (len(rows), 1, 1) and index.ravel().tolist() == rows
+            assert bits(np.asarray(stack[2])) == bits(np.stack([sites[k][2] for k in rows]))
+            outer = quadrature._outer_nodes(4, 256, stack[3])
+            log_kernels = _log_kernel(4, stack[1], outer[0])
+            for i, k in enumerate(rows):
+                alone = quadrature._outer_nodes(4, 256, sites[k][3])
+                assert bits(outer[0][i]) == bits(alone[0]) and bits(outer[1][i]) == bits(alone[1]), k
+                assert outer[5][i] == alone[5] and outer[6] == alone[6], k
+                assert bits(log_kernels[i]) == bits(_log_kernel(4, sites[k][1], alone[0])), k
+        # a lone site is itself, with its own values
+        assert list(quadrature._stacks(sites[2:3], ["own"])) == [([0], sites[2], "own")]
 
 
 class TestGradedLayout:
@@ -367,8 +385,9 @@ class TestGradedLayout:
     def test_pole_split_keeps_order_nodes_on_every_panel(self):
         for n in (3, 30, 1000):
             for t0 in (1.0, -1.0):
-                t, _, _, starts, lengths = _graded_nodes(n, 512, t0)
+                t, _, _, starts, theta0, lengths, outer = _graded_nodes(n, 512, t0)
                 assert t.shape == (1, 27 * 64) and len(lengths) == 1
+                assert theta0 == math.acos(t0) and outer == _PANELS
                 assert starts.tolist() == list(range(0, 27 * 64, 64))
 
     def test_pole_split_resolves_the_kernel_peak(self):

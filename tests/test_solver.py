@@ -34,7 +34,7 @@ def anchored_log_start(ctx, r):
 
 def guessed(ctx, r, guess):
     """a* from a solve started at the shift ``guess``, with the least first step."""
-    return math.exp(solver._solve(ctx, r, 128, math.log(guess), 0.0))
+    return math.exp(solver._solve(ctx, r, 128, math.log(guess), 0.0)[0])
 
 
 def log_range(n, r):
@@ -146,6 +146,9 @@ class TestSolveAStar:
             calls.clear()
             assert guessed(ctx, r, a_star) == pytest.approx(a_star, rel=1e-12, abs=0)
             assert len(calls) <= 6, (n, p, r)
+            # the solve returns its root with its last F, the bits of an F call there
+            s, f = solver._solve(ctx, r, 128, math.log(a_star), 0.0)
+            assert f == objective._f_and_slope(ObjectiveParams(ctx, r, 128), s, False)[0], (n, p, r)
             # a guess past a range end is clamped into it and still finds the root
             for guess in (1e-300, 1e300):
                 assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12, abs=0)
@@ -253,6 +256,16 @@ class TestDomainGrid:
                         pass
         assert answered >= 280
 
+    def test_underflowing_g_is_refused(self):
+        # G_p(r) > 0 at r > 0, but Phi(a*) underflowed to 0 at these points,
+        # with est_error 0 (or G_2 at p = 2): a silently wrong answer
+        for n, p, r in ((300, 1.9, 0.8), (1000, 1.9, 0.3), (1000, 2.1, 0.3), (300, 2.0, 0.8), (1000, 2.0, 0.3)):
+            with pytest.raises(DomainError, match=rf"underflows to 0 at n={n}, p={p}, r={r}$"):
+                g_p(BallContext(n, p), r)
+        # in a sweep the G pass of the held r = 0.8 refuses first, as it precedes r = 0.9 in sweep order
+        with pytest.raises(DomainError, match=r"underflows to 0 at n=300, p=2.0, r=0.8$"):
+            g_p_curve(BallContext(300, 2.0), [float(r) for r in np.linspace(0.1, 0.9, 9)])
+
     @pytest.mark.parametrize("p", (1.01, 1.1, 2.0, 3.0, 10.0))
     @pytest.mark.parametrize("n", (3, 5, 10))
     def test_small_radius_slope_is_the_gradient_constant(self, n, p):
@@ -329,7 +342,7 @@ class TestLinearRegime:
         assert [row.method for row in g_p_curve(ctx, [below, at, 0.0])] == ["linear", "numeric", "linear"]
         assert g_p(ctx, below).g_value == grad_constant(ctx) * below
         assert g_p(ctx, 0.0) == GpResult(ctx, 0.0, 1.0, 0.0, "linear", 0.0, 0.0)
-        assert solve_a_star(ctx, below) == 1.0
+        assert solve_a_star(ctx, below) == 1.0 and solver._solve(ctx, below, 128, None, 0.0) == (0.0, 0.0)
         # the numeric row at 2^-60 is C_p r within its own est_error
         res = g_p(ctx, at)
         assert abs(res.g_value - grad_constant(ctx) * at) <= res.est_error + 1e-14 * res.g_value
@@ -514,8 +527,8 @@ class TestStackedGPass:
         radii = [float(r) for r in np.linspace(0.05, 0.9, 2 * chunk + 1)]
         outer, built = [], []
         real_outer, real_nodes = quadrature._outer_nodes, quadrature._graded_nodes
-        monkeypatch.setattr(quadrature, "_outer_nodes",
-                            lambda n, order, t0: outer.append((order, t0)) or real_outer(n, order, t0))
+        monkeypatch.setattr(quadrature, "_outer_nodes",  # one theta0 per row of the node set
+                            lambda n, order, nodes: outer.append((order, np.size(nodes[4]))) or real_outer(n, order, nodes))
         monkeypatch.setattr(quadrature, "_graded_nodes", lambda *args: built.append(1) or real_nodes(*args))
         for p in (3.0, 2.0):
             ctx = BallContext(4, p)
@@ -528,7 +541,7 @@ class TestStackedGPass:
             g_p_curve(ctx, radii)
             assert len(built) == 2 * solves, p
             built.clear()
-            sizes = [len(t0) if isinstance(t0, list) else 1 for _, t0 in outer]
+            sizes = [rows for _, rows in outer]
             # p = 2: est_error is the gap to the closed form, with no reference pass
             assert sizes == ([chunk, chunk, 1] if p == 3.0 else []), p
             assert all(order == 256 for order, _ in outer)
