@@ -16,18 +16,19 @@ here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
 Each function here only supplies values, fn(log K, t): powers of d on log
-K at the nodes of a site of ``quadrature`` split where K crosses the shift,
-summed by its one pass ``_site_sums``.  F and its slope (a second row of
-F's power) are one stack of values; Phi and the doubled-order Phi of
-``est_error`` are one pass.  So Phi(a*) costs one power and one panel sum
-on the site of the solve's last F, and the residual F(a*) is that F.
+K at the nodes of a shift's one site, ``_shift_site`` (a site of
+``quadrature`` split where K crosses the shift), summed by its one pass
+``_site_sums``.  F and its slope (a second row of F's one power |d|^(q-1))
+are one stack of values; Phi and the doubled-order Phi of ``est_error``
+are one pass.  So Phi(a*) costs one power and one panel sum on the site of
+the solve's last F, and the residual F(a*) is that F.
 ``_phi_and_refined`` takes a list of (s, site) points: a sweep holds the
 site of each radius's last F and sums Phi on a chunk of them, one pass per
 group of ``quadrature._stacks``, which also gives the group's shifts and
 scales in its shape, every point's values the bits of a pass on its site
-alone.  The public functions enter
-``quadrature._overflow_guard``; the private ones run under their caller's
-(``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
+alone.  The public functions check their arguments (``ObjectiveParams``)
+and enter ``quadrature._overflow_guard``; the private ones run under their
+caller's (``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _R_LIN = 2.0 ** -60
 class ObjectiveParams:
     """Evaluation site for the objective: context, radius in [_R_LIN, 1),
     rule order.  Below _R_LIN (r = 0 included) a* = 1 and G_p(r) = C_p r.
-    The order is checked here, after p and r, and stored as an int.
+    r and the order are checked here, after p, and stored as a float and an int.
     """
 
     ctx: BallContext
@@ -63,7 +64,8 @@ class ObjectiveParams:
 
     def __post_init__(self) -> None:
         _check_exponent(self.ctx, "the objective")
-        if check_radius(self.r) < _R_LIN:
+        object.__setattr__(self, "r", check_radius(self.r))
+        if self.r < _R_LIN:
             raise DomainError(f"objective is defined for r in [2^-60, 1), got {self.r!r}: below it, the "
                               "linear regime, a* = 1 and G_p(r) = C_p r")
         object.__setattr__(self, "order", check_order(self.order))
@@ -103,8 +105,8 @@ def phi(params: ObjectiveParams, a: float) -> float:
 
 
 def _shift_site(n: int, r: float, order: int, s: float):
-    """The site (``quadrature._site``) split where K(r, .) crosses e^s: the
-    site of F, its slope and Phi at the shift a = e^s."""
+    """The one builder of the site split where K(r, .) crosses e^s
+    (``quadrature._site``), on which F, its slope and Phi at a = e^s sum."""
     return _site(n, r, order, _split_point(n, r, s))
 
 
@@ -141,34 +143,32 @@ def big_f(params: ObjectiveParams, a: float) -> float:
     """F(r, a) = integral (K - a)|K - a|^(q-2) dsigma, decreasing in a,
     integrated as a^(q-1) integral sign(d) |d|^(q-1) dsigma, d = K/a - 1."""
     with _overflow_guard():
-        return _f_and_slope(params, _log_shift(a), False)[0]
+        return _f_and_slope(params.ctx, params.r, params.order, _log_shift(a), False)[0]
 
 
-def _f_and_slope(params: ObjectiveParams, s: float, slope: bool = True):
-    """(F, dF/ds) at the shift a = e^s from one power on one site, or
-    (F, None) without the slope.  The slope row, |d|^(q-1) / max(|d|, floor)
-    for |d|^(q-2), is the one definition of dF/ds = a dF/da.  F is refused
-    where non-finite (where a^(q-1) underflows, its integral overflows); the
-    slope comes as it is: a caller that only steers by it keeps F's points.
+def _f_and_slope(ctx: BallContext, r: float, order: int, s: float, slope: bool):
+    """(F, dF/ds) at the shift a = e^s on ``_shift_site`` for checked
+    arguments, or (F, None) without the slope, from one power |d|^(q-1):
+    F's row is its copysign, the slope row that power over max(|d|, floor),
+    the one definition of dF/ds = a dF/da.  F is refused where non-finite
+    (where a^(q-1) underflows, its integral overflows); the slope comes as
+    it is: a caller that only steers by it keeps F's points.
     """
-    ctx, r, q = params.ctx, params.r, params.ctx.q
+    q = ctx.q
 
     def rows(log_kernel, _):
         dev = log_kernel - s
         np.expm1(dev, out=dev)
-        if not slope:
-            power = np.abs(dev)
-            power **= q - 1.0
-            return np.copysign(power, dev, out=power)
-        size = np.abs(dev)
-        power = size ** (q - 1.0)
-        out = np.empty((2, *dev.shape))
-        np.copysign(power, dev, out=out[0])
-        np.divide(power, np.maximum(size, _DEV_FLOOR, out=size), out=out[1])
+        out = np.empty((1 + slope, *dev.shape))
+        power = np.abs(dev, out=out[0])
+        power **= q - 1.0
+        if slope:
+            size = np.abs(dev)
+            np.divide(power, np.maximum(size, _DEV_FLOOR, out=size), out=out[1])
+        np.copysign(power, dev, out=power)
         return out
 
-    # _shift_site's site, without its call on the solve's hot path
-    totals, = _site_sums(ctx.n, params.order, _site(ctx.n, r, params.order, _split_point(ctx.n, r, s)), rows)
+    totals, = _site_sums(ctx.n, order, _shift_site(ctx.n, r, order, s), rows)
     scale = _exp((q - 1.0) * s)
     return _checked(scale * totals[0]), (1.0 - q) * scale * totals[1] if slope else None
 
@@ -180,4 +180,4 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     summed from that ratio, however near 1 (README, "Numerical notes").
     """
     with _overflow_guard():
-        return _checked(_f_and_slope(params, _log_shift(a))[1] / a)
+        return _checked(_f_and_slope(params.ctx, params.r, params.order, _log_shift(a), True)[1] / a)

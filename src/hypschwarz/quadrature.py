@@ -110,7 +110,7 @@ class ZonalQuadrature:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64, typed=True)  # typed: its order is checked inside, and 2.0 must not read order 2's rule
 def build_rule(n: int, order: int = DEFAULT_ORDER) -> ZonalQuadrature:
     """Gauss-Jacobi zonal rule for dimension n with ``order`` nodes.
 
@@ -312,7 +312,7 @@ def _overflow_guard():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-@lru_cache(maxsize=2, typed=True)  # typed: a float order never shares an int order's site
+@lru_cache(maxsize=2)
 def _site(n: int, r: float, order: int, t0: float):
     """(r, its kernel constants, log K, node set): the graded rule's node set
     split at t0 and log K(r, .) at its nodes, every array read-only.  A

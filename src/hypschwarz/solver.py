@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
-from .objective import _R_LIN, ObjectiveParams, _check_exponent, _f_and_slope, _phi_and_refined, _shift_site
+from .objective import _R_LIN, _check_exponent, _f_and_slope, _phi_and_refined, _shift_site
 from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER, _checked, _overflow_guard
 from .special import alpha_q, check_dimension, check_order
 
@@ -65,8 +65,8 @@ class GpResult:
             raise DomainError(f"unknown method tag {self.method!r}")
         if not (self.a_star > 0.0 and math.isfinite(self.log_a_star)):
             raise DomainError(f"need a* > 0 and a finite log a*, got {self.a_star!r}, {self.log_a_star!r}")
-        if self.g_value < 0.0 or self.est_error < 0.0:
-            raise DomainError("bound value and error estimate must be nonnegative")
+        if not (0.0 <= self.g_value < math.inf and 0.0 <= self.est_error < math.inf):
+            raise DomainError(f"need a finite G and est_error >= 0, got {self.g_value!r}, {self.est_error!r}")
 
 
 def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
@@ -103,7 +103,6 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     r = check_radius(r)
     if r < _R_LIN:
         return 0.0, 0.0
-    params = ObjectiveParams(ctx, r, order)
     ell = _log_range(ctx.n, r)  # F > 0 at log a = -ell, F < 0 at ell
     tol = _LOG_A_TOL * min(1.0, 2.0 * ell)
     if start is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
@@ -119,7 +118,7 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     steered = 3 if start is not None else 0
     a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
     for _ in range(_MAX_ITER):
-        fs, slope = _f_and_slope(params, s, steered == 3)
+        fs, slope = _f_and_slope(ctx, r, order, s, steered == 3)
         if fs == 0.0:
             return s, fs
         if a is None or (fs > 0.0) == (fa > 0.0):
@@ -170,7 +169,7 @@ def g_1_closed(n: int, r: float) -> tuple[float, float]:
     log1p: the difference max - min cancels at small r (5.5e-2 relative at
     r = 1e-15).
     """
-    ctx = BallContext(n, 1.0)
+    ctx, r = BallContext(n, 1.0), check_radius(r)
     kmin, kmax = kernel_range(ctx, r)
     gap = -math.expm1(2.0 * (n - 1) * math.log1p(-2.0 * r / (1.0 + r)))
     return 0.5 * (kmax + kmin), gap / (2.0 * kmin)
@@ -229,7 +228,7 @@ def g_inf_closed(n: int, r: float) -> tuple[float, float]:
     ``uh_elementary`` at n = 3, 4, 5 it is at most 1.8e-15.
     Raises DomainError once a* drops below the smallest normal double.
     """
-    check_radius(r)
+    r = check_radius(r)
     n = check_dimension(n)
     a_star = ((1.0 - r * r) / (1.0 + r * r)) ** (n - 1)
     if a_star < sys.float_info.min:
@@ -258,7 +257,7 @@ def g_inf_closed(n: int, r: float) -> tuple[float, float]:
 
 def uh_elementary(n: int, r: float) -> float:
     """Elementary forms of G_inf in dimensions 3, 4, 5 (cross-check targets)."""
-    check_radius(r)
+    r = check_radius(r)
     rr = r * r
     if n == 3:
         return 2.0 * r / (1.0 + rr)
@@ -287,7 +286,7 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     return _g_p_numeric(ctx, check_radius(r), order)
 
 
-@lru_cache(maxsize=4096, typed=True)  # a float order must not reuse an int order's solve
+@lru_cache(maxsize=4096)
 def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
     return g_p_curve(ctx, [r], order)[0]
 

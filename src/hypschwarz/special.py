@@ -50,6 +50,7 @@ def alpha_q(n: int, q: float) -> float:
     n = check_dimension(n)
     if not (q >= 0.0 and math.isfinite(q)):
         raise DomainError(f"moment order must be finite and >= 0, got {q!r}")
+    q = float(q)
     return math.exp(
         math.lgamma(n / 2.0)
         + math.lgamma((1.0 + q) / 2.0)

@@ -454,7 +454,8 @@ class CapSequenceReport:
 
 def cap_sequence_check(n: int, r: float, i_max: int = 64) -> CapSequenceReport:
     """The cap-pair sequence at every power of two i <= i_max against G_1(r)."""
-    if not 0.0 < check_radius(r):
+    r = check_radius(r)
+    if not 0.0 < r:
         raise DomainError("the cap sequence is compared with G_1(r) > 0; r must lie in (0, 1)")
     i_max = check_integer(i_max, 2, "i_max")
     g1 = g_1_closed(n, r)[1]

@@ -251,7 +251,7 @@ class TestAstar:
             ctx = BallContext(4, p)
             logs = {r: s for r, s, _ in solver._shift_curve(ctx, radii, DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
             expected = [{"r": r, "a_star": res.a_star, "f_residual": (
-                objective._f_and_slope(ObjectiveParams(ctx, r, DEFAULT_ORDER), logs[r], False)[0]
+                objective._f_and_slope(ctx, r, DEFAULT_ORDER, logs[r], False)[0]
                 if res.method == "numeric" and r > 0.0 else 0.0)}
                 for r, res in zip(radii, g_p_curve(ctx, radii))]
             assert all(res.a_star == math.exp(logs[res.r]) for res in g_p_curve(ctx, radii)

@@ -129,6 +129,19 @@ class TestPhi:
         assert ref == pytest.approx(14358.5929687616456, rel=1e-15)
         assert phi(prm, 1.0) == pytest.approx(ref, rel=1e-13, abs=0)
 
+    # Known defect, ROADMAP open item 1: G_2 is Phi(1) at p = 2, and the
+    # order-128 rule misses the pole-side kernel peak.  The worst relative
+    # errors on this grid are 2.4e-4 (n = 3), 1.2e-2, 4.7e-2, 2.5e-1, 6.2e-1
+    # and 5.3e-1 (n = 100).  Strict: the item's gate, 5e-14 up to n = 30 and
+    # 1e-13 at n = 100; g_2_closed itself refuses (100, 0.999).
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="pole-side kernel peak, ROADMAP open item 1")
+    def test_g_2_is_phi_at_one_within_the_item_1_gate(self):
+        for n in (3, 4, 5, 10, 30, 100):
+            for r in (0.01, 0.1, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                if (n, r) != (100, 0.999):
+                    assert phi(params(n, 2.0, r), 1.0) == pytest.approx(
+                        g_2_closed(n, r), rel=5e-14 if n <= 30 else 1e-13, abs=0), (n, r)
+
     def test_rejects_nonfinite_shift(self):
         prm = params(3, 2.0, 0.5)
         for bad in (math.inf, math.nan):
@@ -222,7 +235,7 @@ class TestDfDa:
             a_star = solve_a_star(prm.ctx, r)
             kmin, kmax = kernel_range(prm.ctx, r)
             for a in (a_star, a_star * (1.0 + 1e-9), 0.7 * a_star, 1.3 * a_star, kmin / 2.0, kmax * 2.0):
-                f_value, slope = _f_and_slope(prm, math.log(a))
+                f_value, slope = _f_and_slope(prm.ctx, r, prm.order, math.log(a), True)
                 assert f_value.hex() == big_f(prm, a).hex(), (n, p, r, a)
                 assert (slope / a).hex() == dF_da(prm, a).hex(), (n, p, r, a)
 

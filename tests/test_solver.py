@@ -148,7 +148,7 @@ class TestSolveAStar:
             assert len(calls) <= 6, (n, p, r)
             # the solve returns its root with its last F, the bits of an F call there
             s, f = solver._solve(ctx, r, 128, math.log(a_star), 0.0)
-            assert f == objective._f_and_slope(ObjectiveParams(ctx, r, 128), s, False)[0], (n, p, r)
+            assert f == objective._f_and_slope(ctx, r, 128, s, False)[0], (n, p, r)
             # a guess past a range end is clamped into it and still finds the root
             for guess in (1e-300, 1e300):
                 assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12, abs=0)
@@ -158,7 +158,8 @@ class TestSolveAStar:
         # evaluates F at an end of the range of log K, where its sign is known
         logs = []
         real = solver._f_and_slope
-        monkeypatch.setattr(solver, "_f_and_slope", lambda prm, s, *rest: logs.append(s) or real(prm, s, *rest))
+        # _f_and_slope(ctx, r, order, s, slope)
+        monkeypatch.setattr(solver, "_f_and_slope", lambda *args: logs.append(args[3]) or real(*args))
         for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03), (30, 2.0, 0.9705), (3, 3.0, 1e-12)):
             ctx = BallContext(n, p)
             ell = log_range(n, r)
@@ -178,7 +179,7 @@ class TestSolveAStar:
         class FirstShift(Exception):
             pass
 
-        def first_shift(prm, s, slope):
+        def first_shift(ctx, r, order, s, slope):
             raise FirstShift(s)
 
         monkeypatch.setattr(solver, "_f_and_slope", first_shift)
@@ -600,6 +601,15 @@ class TestClosedForms:
             assert g_val == pytest.approx(uh_elementary(n, 0.999), rel=5e-10, abs=0)
             assert g_val < 1.0
 
+    # Known defect, ROADMAP open item 9: G_inf is a difference of harmonic
+    # measures, below 1, but the rounding of exp of its prefactor's log-gamma
+    # sum reads 1.0000000000000144 at (30, 0.999) and 1.0000000000000073 at
+    # (64, 0.99).  Strict: passes once the sum keeps its digits.
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="log-gamma rounding at large n, ROADMAP open item 9")
+    @pytest.mark.parametrize("n, r", ((30, 0.999), (64, 0.99)))
+    def test_pinf_below_one_at_large_n(self, n, r):
+        assert g_inf_closed(n, r)[1] < 1.0
+
     def test_pinf_reference_points(self):
         assert uh_elementary(4, 0.5) == pytest.approx(0.8959119613381721, rel=1e-15, abs=0)
         assert uh_elementary(5, 0.5) == pytest.approx(0.944, rel=1e-15, abs=0)
@@ -698,6 +708,13 @@ class TestGpDispatch:
             GpResult(ctx, 0.5, 0.0, 1.0, "numeric", 0.0, 0.0)
         with pytest.raises(DomainError):
             GpResult(ctx, 0.5, 1.0, -1.0, "numeric", 0.0, 0.0)
+        # NaN fails every comparison: `< 0` let it through, and a certificate
+        # then read rel_gap NaN, or 0 violations against an infinite bound
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="need a finite G and est_error >= 0"):
+                GpResult(ctx, 0.5, 1.0, bad, "numeric", 0.0, 0.0)
+            with pytest.raises(DomainError, match="need a finite G and est_error >= 0"):
+                GpResult(ctx, 0.5, 1.0, 1.0, "numeric", bad, 0.0)
 
 
 class TestOneBuilder:
@@ -798,3 +815,18 @@ class TestGradConstant:
         for n, p in ((3, 2.0), (4, 3.0), (3, math.inf)):
             ctx = BallContext(n, p)
             assert g_p(ctx, h).g_value / h == pytest.approx(grad_constant(ctx), rel=1e-6, abs=0)
+
+    # Known defect, ROADMAP open item 9: alpha_q is exp of a difference of
+    # log-gamma values near 2,600 at n = 1000, whose ulps carry into C_p:
+    # 2.9e-14, 7.9e-14, 3.6e-13 and 1.1e-13 off 40-digit mpmath (at the
+    # package's own q).  Strict: passes once the Gamma ratio keeps its digits.
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="log-gamma rounding at large n, ROADMAP open item 9")
+    @pytest.mark.parametrize("p", (1.1, 1.5, 3.0, 10.0))
+    def test_large_n_within_1e_14_of_mpmath(self, p):
+        mp = pytest.importorskip("mpmath").mp
+        ctx = BallContext(1000, p)
+        with mp.workdps(40):
+            n, q = mp.mpf(1000), mp.mpf(ctx.q)
+            alpha = mp.gamma(n / 2) * mp.gamma((1 + q) / 2) / (mp.sqrt(mp.pi) * mp.gamma((n + q) / 2))
+            ref = float(2 * (n - 1) * alpha ** (1 / q))
+        assert grad_constant(ctx) == pytest.approx(ref, rel=1e-14, abs=0)

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hypschwarz.errors import DomainError
-from hypschwarz.kernel import BallContext
-from hypschwarz.solver import g_2_closed, g_inf_closed, g_p, g_p_curve, solve_a_star, uh_elementary
+from hypschwarz import quadrature, solver
+from hypschwarz.kernel import BallContext, kernel_range
+from hypschwarz.objective import ObjectiveParams, phi
+from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p, g_p_curve, solve_a_star, uh_elementary
 from hypschwarz.special import MAX_ORDER, alpha_q
 from hypschwarz.quadrature import build_rule, integrate_with_breakpoint
-from hypschwarz.verify import minimizing_sequence_p1
+from hypschwarz.verify import cap_sequence_check, minimizing_sequence_p1
 from conftest import mp_g_2, mp_g_inf
 
 
@@ -137,3 +140,42 @@ def test_order_checked_alike_everywhere(entry):
         with pytest.raises(DomainError, match=r"^rule order must be an integer >= 2, got "):
             entry(order)
     entry(np.int64(16))
+
+
+def _bits(value):
+    """float.hex() of every float in a result (a float, a tuple or a report),
+    other fields as they are; a numpy float32 or float16 has no hex()."""
+    if dataclasses.is_dataclass(value):
+        return [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, tuple):
+        return [_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) or hasattr(value, "dtype") else value
+
+
+@pytest.mark.parametrize("kind", (np.float32, np.float16))
+@pytest.mark.parametrize("entry", [
+    lambda x: g_1_closed(4, x),
+    lambda x: g_2_closed(4, x),
+    lambda x: g_inf_closed(4, x),
+    lambda x: uh_elementary(4, x),
+    lambda x: alpha_q(4, x),
+    lambda x: kernel_range(BallContext(4, 3.0), x),
+    lambda x: minimizing_sequence_p1(4, x, 8),
+    lambda x: cap_sequence_check(3, x),
+    lambda x: g_p(BallContext(4, 3.0), x),
+    lambda x: phi(ObjectiveParams(BallContext(4, 3.0), x), 1.0),
+], ids=["g_1_closed", "g_2_closed", "g_inf_closed", "uh_elementary", "alpha_q", "kernel_range",
+        "minimizing_sequence_p1", "cap_sequence_check", "g_p", "phi"])
+def test_numpy_float_arguments_are_converted_where_they_enter(entry, kind):
+    # g_inf_closed(4, np.float32(0.5)) returned float32 values; g_1_closed,
+    # alpha_q, cap_sequence_check and phi (ObjectiveParams kept r as given)
+    # computed in part in float32.  The caches, keyed by value, are emptied
+    # before each call: a site built at a float32 radius answers its float.
+    def fresh(arg):
+        quadrature._site.cache_clear()
+        solver._g_p_numeric.cache_clear()
+        return _bits(entry(arg))
+
+    for x in (0.3, 0.5, 0.9):
+        arg = kind(x)
+        assert fresh(arg) == fresh(float(arg)), x

@@ -274,6 +274,19 @@ class TestSharpness:
         verify_sharpness(ctx, r)
         assert quadrature._site.cache_info().misses == misses
 
+    def test_numpy_integer_order_shares_the_solve_site(self, monkeypatch):
+        # the site and solve caches are keyed by value: every order reaching
+        # them passed check_order, and np.int64(128) built one node set here
+        # when they were typed
+        ctx = BallContext(4, 3.0)
+        solver._g_p_numeric.cache_clear()
+        solver.g_p(ctx, 0.5)
+        built = []
+        real = quadrature._graded_nodes
+        monkeypatch.setattr(quadrature, "_graded_nodes", lambda *args: built.append(args) or real(*args))
+        assert verify_sharpness(ctx, 0.5, np.int64(128)) == verify_sharpness(ctx, 0.5, 128)
+        assert built == []
+
     def test_result_refuses_a_non_finite_log_a_star(self):
         result = solver.g_p(BallContext(3, 3.0), 0.5)
         for log_a_star in (math.nan, math.inf, -math.inf):
