@@ -17,11 +17,12 @@ breakpoint-aware rule split at that crossing.
 
 Each function here only supplies values, fn(log K, t): powers of d on log
 K at the nodes of a shift's one site, ``_shift_site`` (a site of
-``quadrature`` split where K crosses the shift), summed by its one pass
-``_site_sums``.  F and its slope (a second row of F's one power |d|^(q-1))
-are one stack of values; Phi and the doubled-order Phi of ``est_error``
-are one pass.  So Phi(a*) costs one power and one panel sum on the site of
-the solve's last F, and the residual F(a*) is that F.
+``quadrature`` split where K crosses the shift, on the lean layout but for
+``dF_da``'s), summed by its one pass ``_site_sums``.  F and its slope (a
+second row of F's one power |d|^(q-1)) are one stack of values; Phi and
+the doubled-order Phi of ``est_error`` are one pass.  So Phi(a*) costs one
+power and one panel sum on the site of the solve's last F, and the
+residual F(a*) is that F.
 ``_phi_and_refined`` takes a list of (s, site) points: a sweep holds the
 site of each radius's last F and sums Phi on a chunk of them, one pass per
 group of ``quadrature._stacks``, which also gives the group's shifts and
@@ -104,10 +105,13 @@ def phi(params: ObjectiveParams, a: float) -> float:
         return _checked(_phi_and_refined(params.ctx, params.order, points, False)[0][0])
 
 
-def _shift_site(n: int, r: float, order: int, s: float):
+def _shift_site(n: int, r: float, order: int, s: float, lean: bool = True):
     """The one builder of the site split where K(r, .) crosses e^s
-    (``quadrature._site``), on which F, its slope and Phi at a = e^s sum."""
-    return _site(n, r, order, _split_point(n, r, s))
+    (``quadrature._site``), on which F, its slope and Phi at a = e^s sum:
+    on the lean layout (``quadrature._layout``), as |d|^(q-1) and |d|^q
+    vanish at the crossing like a power, but for ``dF_da``, whose
+    |d|^(q-2) is singular there."""
+    return _site(n, r, order, _split_point(n, r, s), lean)
 
 
 def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list[list[float]]:
@@ -146,9 +150,9 @@ def big_f(params: ObjectiveParams, a: float) -> float:
         return _f_and_slope(params.ctx, params.r, params.order, _log_shift(a), False)[0]
 
 
-def _f_and_slope(ctx: BallContext, r: float, order: int, s: float, slope: bool):
-    """(F, dF/ds) at the shift a = e^s on ``_shift_site`` for checked
-    arguments, or (F, None) without the slope, from one power |d|^(q-1):
+def _f_and_slope(ctx: BallContext, r: float, order: int, s: float, slope: bool, lean: bool = True):
+    """(F, dF/ds) at the shift a = e^s on ``_shift_site`` (lean or not) for
+    checked arguments, or (F, None) without the slope, from one power |d|^(q-1):
     F's row is its copysign, the slope row that power over max(|d|, floor),
     the one definition of dF/ds = a dF/da.  F is refused where non-finite
     (where a^(q-1) underflows, its integral overflows); the slope comes as
@@ -168,7 +172,7 @@ def _f_and_slope(ctx: BallContext, r: float, order: int, s: float, slope: bool):
         np.copysign(power, dev, out=power)
         return out
 
-    totals, = _site_sums(ctx.n, order, _shift_site(ctx.n, r, order, s), rows)
+    totals, = _site_sums(ctx.n, order, _shift_site(ctx.n, r, order, s, lean), rows)
     scale = _exp((q - 1.0) * s)
     return _checked(scale * totals[0]), (1.0 - q) * scale * totals[1] if slope else None
 
@@ -180,4 +184,4 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     summed from that ratio, however near 1 (README, "Numerical notes").
     """
     with _overflow_guard():
-        return _checked(_f_and_slope(params.ctx, params.r, params.order, _log_shift(a), True)[1] / a)
+        return _checked(_f_and_slope(params.ctx, params.r, params.order, _log_shift(a), True, lean=False)[1] / a)

@@ -11,26 +11,31 @@ non-smooth point t0 (a kink, an integrable power singularity, or the pole
 t = 1 where the Poisson kernel peaks).  It substitutes t = cos(theta), which
 keeps the Jacobi weight analytic at the poles, and tiles each side of
 theta0 = arccos(t0) with panels shrinking geometrically toward the breakpoint
-(ratio 1/2, 27 panels per side).  The leftover geometric tail is summed by
-extrapolating the measured panel-sum ratio, which resolves any integrable
-power behaviour without knowing its exponent.  At an interior breakpoint
-only the outer J(n) = max(2, ceil(log2(n - 1)) - 4) panels of a side
-carry order // 8 Gauss-Legendre nodes (at least 12): every other panel lies
-three half-widths from the breakpoint, where 12 nodes already reach rounding
-level, and has 12 at any order.  So raising the order refines the outer
-panels, where all order-dependent error lives.  A breakpoint at a pole
+(ratio 1/2, 27 panels per side on the full layout).  The leftover geometric
+tail is summed by extrapolating the measured panel-sum ratio, which resolves
+any integrable power behaviour without knowing its exponent.  At an interior
+breakpoint only the outer J(n) = max(2, ceil(log2(n - 1)) - 4) panels of a
+side carry order // 8 Gauss-Legendre nodes (at least 12): every other panel
+lies three half-widths from the breakpoint, where 12 nodes already reach
+rounding level, and has 12 at any order.  So raising the order refines the
+outer panels, where all order-dependent error lives.  A breakpoint at a pole
 (t0 = +-1) keeps order // 8 nodes on every panel, as its side is graded
-toward the kernel's peak there.  The nodes of a side are one flat array
-with the index of each panel's first node, and the panel sums one
-``np.add.reduceat``.  The layout of a side of unit length is built once per
-(order, J) and cached; each call only scales it by the lengths of its two
-sides and shifts it to theta0.
+toward the kernel's peak there.  A shift's own sites (``objective``'s F and
+Phi, whose integrands vanish at the crossing like a power) take a lean
+layout instead: 20 panels per side, 10 nodes on each inner one, the same
+outer panels, 424 nodes a site in place of 664 at order 128; a pole split,
+or an n whose J(n) reaches 20, keeps the full one (``_layout``).  The nodes
+of a side are one flat array with the index of each panel's first node, and
+the panel sums one ``np.add.reduceat``.  The layout of a side of unit length
+is built once per order and layout and cached; each call only scales it by
+the lengths of its two sides and shifts it to theta0.
 
 A site is the node set split at t0 (``_graded_nodes``, which also keeps
-the layout it decided: theta0, the side lengths and the outer count) with
-log K(r, .) at its nodes and r's ``kernel._kernel_constants``, all
-read-only; it depends on (n, r, order, t0) only, and the last two built are
-kept, but a caller may hold one longer.  One function,
+the layout it decided: theta0, the side lengths and the layout key (outer
+count, panel count, inner nodes)) with log K(r, .) at its nodes and r's
+``kernel._kernel_constants``, all read-only; it depends on (n, r, order,
+t0) and the layout only, and the last two built are kept, but a caller may
+hold one longer.  One function,
 ``_site_sums``, sums every zonal integral, with one body for every site: it
 evaluates fn(log K, t) there (on a node set alone for
 ``integrate_with_breakpoint``'s integrands of t), takes the panel sums and
@@ -38,8 +43,8 @@ adds the side totals of each row left to right.  With ``refine`` it also
 evaluates the outer panels alone (``_outer_nodes``, rebuilt from the node
 set, every panel at a pole), all that the order changes, at est_error's
 reference order 2 max(order, 96), and splices their sums over the first
-order's.  Only ``_stacks`` builds a stack: the sites of one layout (outer
-count and sides) as one site, whose log K, sine powers and side lengths are
+order's.  Only ``_stacks`` builds a stack: the sites of one layout (layout
+key and sides) as one site, whose log K, sine powers and side lengths are
 stacked on a leading axis where used (t is None), and whose theta0s, kernel
 constants and per-site values are columns (floats on a lone site): so each
 builder has one body, each step runs once for the stack, and every site is
@@ -84,6 +89,11 @@ DEFAULT_ORDER = 128
 _PANEL_RATIO = 0.5
 _PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
 _PANEL_NODES = 12  # Gauss-Legendre nodes on an inner panel, and on every one up to order 8 * 12
+# The lean layout of a shift's own sites (``objective._shift_site``), whose
+# integrands vanish at the crossing like a power: innermost edge at 2^-20,
+# 10 nodes on an inner panel.
+_LEAN_PANELS = 20
+_LEAN_NODES = 10
 # A node's orthonormal values are scaled by 2^-_RESCALE_BITS once their sum of
 # squares passes _RESCALE_AT: one recurrence step grows them by far less than
 # the 2^256 that would take the sum past double range.
@@ -205,19 +215,31 @@ def _outer_panels(n: int) -> int:
     return min(_PANELS, max(2, (n - 2).bit_length() - 4))
 
 
-@lru_cache(maxsize=16)
-def _graded_panels(order: int, outer: int):
+def _layout(n: int, t0: float, lean: bool) -> tuple[int, int, int]:
+    """(outer count, panel count, inner nodes) of the graded rule split at
+    t0: _PANELS panels of _PANEL_NODES, J(n) of them outer, every one at a
+    pole; with ``lean``, _LEAN_PANELS of _LEAN_NODES at an interior split
+    where J(n) < _LEAN_PANELS, which leaves inner panels to grade."""
+    if abs(t0) == 1.0:
+        return _PANELS, _PANELS, _PANEL_NODES
+    outer = _outer_panels(n)
+    return (outer, _LEAN_PANELS, _LEAN_NODES) if lean and outer < _LEAN_PANELS else (outer, _PANELS, _PANEL_NODES)
+
+
+@lru_cache(maxsize=32)
+def _graded_panels(order: int, outer: int, panels: int = _PANELS, inner: int = _PANEL_NODES):
     """Read-only (offsets, weights, starts): Gauss-Legendre nodes on the
     graded panels of a side of unit length, as offsets from the breakpoint,
     flat and panel by panel, with the index of each panel's first node.
     Panel j spans [ratio^(j+1), ratio^j], its index growing toward the
-    breakpoint; the ``outer`` panels j < outer have max(_PANEL_NODES,
-    order // 8) nodes, every other one _PANEL_NODES.  ``order`` is checked
-    where it enters the package: est_error's reference layout is built at
-    twice an order that passed that check, up to 2 * MAX_ORDER.
+    breakpoint; the ``outer`` panels j < outer of a layout (``_layout``)
+    have max(_PANEL_NODES, order // 8) nodes, every other one ``inner``.
+    ``order`` is checked where it enters the package: est_error's reference
+    layout is built at twice an order that passed that check, up to
+    2 * MAX_ORDER.
     """
-    counts = [max(_PANEL_NODES, order // 8)] * outer + [_PANEL_NODES] * (_PANELS - outer)
-    edges = _PANEL_RATIO ** np.arange(_PANELS + 1)
+    counts = [max(_PANEL_NODES, order // 8)] * outer + [inner] * (panels - outer)
+    edges = _PANEL_RATIO ** np.arange(panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[:-1] - edges[1:])
     offsets = np.concatenate([m + h * _legendre(k)[0] for m, h, k in zip(mid, half, counts)])
@@ -228,29 +250,30 @@ def _graded_panels(order: int, outer: int):
     return offsets, weights, starts
 
 
-def _graded_nodes(n: int, order: int, t0: float):
+def _graded_nodes(n: int, order: int, t0: float, lean: bool = False):
     """Node set of the graded rule split at t0: (t, sin^(n-2) theta, panel
-    weights, panel starts, theta0, side lengths, outer count), t and the sine
-    power of shape (sides, nodes per side), with _outer_panels(n) outer
-    panels, all at a pole, for a checked order.  A pole leaves one side; the
-    empty one gets no nodes, as an integrand may be infinite there."""
+    weights, panel starts, theta0, side lengths, layout), t and the sine
+    power of shape (sides, nodes per side), for a checked order and the
+    ``_layout`` of (n, t0, lean).  A pole leaves one side; the empty one
+    gets no nodes, as an integrand may be infinite there."""
     theta0 = math.acos(t0)
     lengths = tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
-    outer = _PANELS if abs(t0) == 1.0 else _outer_panels(n)
-    return _nodes_at(n, theta0, lengths, outer, *_graded_panels(order, outer))
+    layout = _layout(n, t0, lean)
+    return _nodes_at(n, theta0, lengths, layout, *_graded_panels(order, *layout))
 
 
 def _outer_nodes(n: int, order: int, nodes):
     """The outer panels of the node set ``nodes`` rebuilt at ``order``, node
     for node, as a node set of their own: all of it at a pole, and a stack's
     rows on a stack."""
-    theta0, lengths, outer = nodes[4:]
-    offsets, weights, starts = _graded_panels(order, outer)
-    end = starts[outer] if outer < _PANELS else offsets.size
-    return _nodes_at(n, theta0, lengths, outer, offsets[:end], weights[:end], starts[:outer])
+    theta0, lengths, layout = nodes[4:]
+    outer, panels, _ = layout
+    offsets, weights, starts = _graded_panels(order, *layout)
+    end = starts[outer] if outer < panels else offsets.size
+    return _nodes_at(n, theta0, lengths, layout, offsets[:end], weights[:end], starts[:outer])
 
 
-def _nodes_at(n: int, theta0, lengths, outer: int, offsets, weights, starts):
+def _nodes_at(n: int, theta0, lengths, layout, offsets, weights, starts):
     """The node set of a layout at the breakpoint angle theta0 with its side
     lengths: a float and a tuple, or a stack's column and tuple per site."""
     theta = np.multiply.outer(lengths, offsets)
@@ -259,7 +282,7 @@ def _nodes_at(n: int, theta0, lengths, outer: int, offsets, weights, starts):
     sinpow = np.sin(theta, out=theta)
     if n > 3:  # sin^1 is sin
         sinpow **= n - 2
-    return t, sinpow, weights, starts, theta0, lengths, outer
+    return t, sinpow, weights, starts, theta0, lengths, layout
 
 
 def _panel_sums(vals, nodes):
@@ -313,11 +336,12 @@ def _overflow_guard():
 
 
 @lru_cache(maxsize=2)
-def _site(n: int, r: float, order: int, t0: float):
+def _site(n: int, r: float, order: int, t0: float, lean: bool = False):
     """(r, its kernel constants, log K, node set): the graded rule's node set
-    split at t0 and log K(r, .) at its nodes, every array read-only.  A
-    caller may hold it past the cache's two slots and sum on it later."""
-    nodes = _graded_nodes(n, order, t0)
+    split at t0, lean or not (``_layout``), and log K(r, .) at its nodes,
+    every array read-only.  A caller may hold it past the cache's two slots
+    and sum on it later."""
+    nodes = _graded_nodes(n, order, t0, lean)
     constants = _kernel_constants(r)
     log_kernel = _log_kernel(n, constants, nodes[0])
     for array in (log_kernel, *nodes[:2]):
@@ -336,7 +360,7 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
     With ``refine``, a second pass gives the same integrals at est_error's
     reference order 2 max(order, 96).  The layouts differ only on the outer
     panels of each side, every panel at a pole (``_outer_nodes``); each
-    inner panel has the same 12 nodes at the same offsets in both.  So fn
+    inner panel has the same nodes at the same offsets in both.  So fn
     is evaluated on those outer panels alone, their sums replace the first
     order's, and the panels are summed in the same left-to-right loop: a
     full evaluation's bits.
@@ -359,7 +383,7 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
 
 def _stacks(sites, *values):
     """(indices, site, *values) for each group of ``sites`` of one layout
-    (outer count and sides), the only code that builds a stack: a lone site
+    (``_layout`` and sides), the only code that builds a stack: a lone site
     and its own values, or one site of the group's radii, kernel constants,
     log K, sine powers, theta0s and side lengths, stacked where
     ``_site_sums`` uses them (t None), and its per-site values as columns."""
@@ -371,19 +395,20 @@ def _stacks(sites, *values):
             yield rows, sites[rows[0]], *[value[rows[0]] for value in values]
             continue
         radii, constants, log_kernels, node_sets = zip(*[sites[k] for k in rows])
-        _, sinpows, weights, starts, theta0s, lengths, outer = zip(*node_sets)
+        _, sinpows, weights, starts, theta0s, lengths, layout = zip(*node_sets)
         column = np.array(constants).T[..., None, None]  # (3, sites, 1, 1): each site's own
-        node_set = (None, sinpows, weights[0], starts[0], np.array(theta0s)[:, None, None], lengths, outer[0])
+        node_set = (None, sinpows, weights[0], starts[0], np.array(theta0s)[:, None, None], lengths, layout[0])
         yield rows, (radii, column, log_kernels, node_set), *[
             np.array([value[k] for k in rows])[:, None, None] for value in values]
 
 
 def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:
     """The zonal integrals of fn(log K, t) at the site split at t0 (at the
-    node set alone, with no log K, where r is None) by ``_site_sums``,
-    under its own overflow guard, each refused where non-finite."""
+    node set alone, with no log K, where r is None) by ``_site_sums``, on
+    the full layout, under its own overflow guard, each refused where
+    non-finite."""
     with _overflow_guard():
-        site = (None, None, None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0)
+        site = (None, None, None, _graded_nodes(n, order, t0)) if r is None else _site(n, r, order, t0, False)
         totals, = _site_sums(n, order, site, fn)
         return [_checked(total) for total in totals]
 

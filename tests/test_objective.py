@@ -26,8 +26,8 @@ def params(n, p, r, order=128):
 
 
 def phi_values(prm, s, refine):
-    """_phi_and_refined at the one shift e^s, on its site: [Phi] or [Phi, Phi at the reference order]."""
-    site = quadrature._site(prm.ctx.n, prm.r, prm.order, _split_point(prm.ctx.n, prm.r, s))
+    """_phi_and_refined at the one shift e^s, on its lean site: [Phi] or [Phi, Phi at the reference order]."""
+    site = quadrature._site(prm.ctx.n, prm.r, prm.order, _split_point(prm.ctx.n, prm.r, s), True)
     return _phi_and_refined(prm.ctx, prm.order, [(s, site)], refine)[0]
 
 
@@ -229,7 +229,10 @@ class TestDfDa:
             assert dF_da(prm, a_star) == pytest.approx(fd, rel=1e-5, abs=0), p
 
     def test_slope_of_the_first_point(self):
-        # F with the slope is big_f's bits, and the slope in log a over a is dF/da's
+        # F with the slope is big_f's bits, both on the lean layout; the slope
+        # in log a over a on the full layout is dF/da's, whose |d|^(q-2) is
+        # singular at the crossing.  The lean slope only steers the solve: it
+        # is within 4.5e-6 of the full one here (p = 20, q = 1.05)
         for n, p, r in ((3, 1.1, 0.5), (4, 1.5, 0.9), (4, 3.0, 0.5), (5, 20.0, 0.3), (10, 3.0, 0.6)):
             prm = params(n, p, r)
             a_star = solve_a_star(prm.ctx, r)
@@ -237,7 +240,20 @@ class TestDfDa:
             for a in (a_star, a_star * (1.0 + 1e-9), 0.7 * a_star, 1.3 * a_star, kmin / 2.0, kmax * 2.0):
                 f_value, slope = _f_and_slope(prm.ctx, r, prm.order, math.log(a), True)
                 assert f_value.hex() == big_f(prm, a).hex(), (n, p, r, a)
-                assert (slope / a).hex() == dF_da(prm, a).hex(), (n, p, r, a)
+                _, full_slope = _f_and_slope(prm.ctx, r, prm.order, math.log(a), True, lean=False)
+                assert (full_slope / a).hex() == dF_da(prm, a).hex(), (n, p, r, a)
+                assert slope == pytest.approx(full_slope, rel=1e-5, abs=0), (n, p, r, a)
+
+    @pytest.mark.parametrize("n, p, r, a, expected", [
+        (4, 3.0, 0.5, 1.6, "-0x1.fa62d30720805p-2"),
+        (3, 1.5, 0.9, 1.0, "-0x1.cccccccccd1adp+1"),
+        (5, 20.0, 0.3, 0.8, "-0x1.7c08c62d11ccap-1"),
+    ])
+    def test_keeps_the_full_layout(self, n, p, r, a, expected):
+        # dF/da is summed on 27 panels of 12 inner nodes: these are its bits
+        # from before the lean layout; the solve's lean slope reads
+        # -0x1.fa62d2c6c2660p-2, -0x1.cccccccccd1afp+1 and -0x1.7c07f92c3ff53p-1
+        assert dF_da(params(n, p, r), a).hex() == expected
 
 
 class TestRefinedPhi:
@@ -322,15 +338,16 @@ class TestStationarityIdentity:
         assert -1.0 < t0 < 1.0
 
 
-def closure_integral(prm, a, weight):
+def closure_integral(prm, a, weight, lean=True):
     """The integral of weight(d), d = K/a - 1 = expm1(log K - log a), as one
     integrand closure of its own pass, on log K of the site split where K
-    crosses a."""
+    crosses a, lean or not."""
     ctx, r, s = prm.ctx, prm.r, math.log(a)
-    total, = quadrature._site_integral(
-        ctx.n, r, prm.order, _split_point(ctx.n, r, s), lambda log_kernel, _: weight(np.expm1(log_kernel - s)),
-    )
-    return total
+    with quadrature._overflow_guard():
+        site = quadrature._site(ctx.n, r, prm.order, _split_point(ctx.n, r, s), lean)
+        (total,), = quadrature._site_sums(ctx.n, prm.order, site, lambda log_kernel, _: weight(
+            np.expm1(log_kernel - s)))
+    return _checked(total)
 
 
 def closure_phi(prm, a):
@@ -349,11 +366,11 @@ def closure_big_f(prm, a):
 
 def closure_dF_da(prm, a):
     # the slope row of _f_and_slope: |d|^(q-2) as |d|^(q-1) / max(|d|, floor),
-    # times (1 - q) a^(q-1), over a
+    # times (1 - q) a^(q-1), over a, on the full layout
     q = prm.ctx.q
-    closure_big_f(prm, a)  # refused where F is
+    closure_integral(prm, a, lambda dev: np.sign(dev) * np.abs(dev) ** (q - 1.0), False)  # refused where F is
     return _checked((1.0 - q) * math.exp((q - 1.0) * math.log(a)) * closure_integral(
-        prm, a, lambda dev: np.abs(dev) ** (q - 1.0) / np.maximum(np.abs(dev), _DEV_FLOOR)) / a)
+        prm, a, lambda dev: np.abs(dev) ** (q - 1.0) / np.maximum(np.abs(dev), _DEV_FLOOR), False) / a)
 
 
 def outcome(fn, *args):
@@ -367,7 +384,8 @@ def outcome(fn, *args):
 class TestSharedSite:
     def test_matches_closure_formulation_bit_for_bit(self):
         # F, Phi and dF/da (F's stacked slope row) give the bits of one
-        # unstacked integrand closure each, summed on the same site, around a*,
+        # unstacked integrand closure each, summed on the same site (lean for
+        # F and Phi, full for dF/da), around a*,
         # just inside the range and past both its ends
         for n in (3, 4, 5, 10):
             for p in (1.1, 1.5, 3.0, 10.0):
@@ -386,26 +404,28 @@ class TestSharedSite:
         f_calls, built, outer = count_f_evals(monkeypatch), [], []
         real_nodes, real_outer = quadrature._graded_nodes, quadrature._outer_nodes
         monkeypatch.setattr(quadrature, "_graded_nodes",
-                            lambda n, order, t0: built.append(order) or real_nodes(n, order, t0))
+                            lambda n, order, t0, lean: built.append((order, lean)) or real_nodes(n, order, t0, lean))
         monkeypatch.setattr(quadrature, "_outer_nodes",
                             lambda n, order, nodes: outer.append((order, nodes[4])) or real_outer(n, order, nodes))
         quadrature._site.cache_clear()
         solver._g_p_numeric.cache_clear()
         res = g_p(BallContext(4, 3.0), 0.5)
-        # Phi at a* read the site of the solve's last F; the order-256 Phi of
-        # est_error built the outer J(4) = 2 panels of each side only, 32
-        # nodes each, and no site
+        # Phi at a* read the lean site of the solve's last F; the order-256
+        # Phi of est_error built the outer J(4) = 2 panels of each side only,
+        # 32 nodes each, and no site
         assert len(f_calls) == 8
-        assert built == [128] * 8
+        assert built == [(128, True)] * 8
         t0 = _split_point(4, 0.5, math.log(res.a_star))
         assert outer == [(256, math.acos(t0))] and -1.0 < t0 < 1.0
-        assert real_outer(4, 256, real_nodes(4, 128, t0))[0].shape == (2, 64)
-        # Phi, F and dF/da at a* read the site of the solve's last F, building nothing
+        assert real_outer(4, 256, real_nodes(4, 128, t0, True))[0].shape == (2, 64)
+        # Phi and F at a* read the site of the solve's last F, building nothing;
+        # dF/da builds its own, on the full layout
         prm = params(4, 3.0, 0.5)
         assert phi(prm, res.a_star) == res.g_value
         big_f(prm, res.a_star)
+        assert built == [(128, True)] * 8
         dF_da(prm, res.a_star)
-        assert built == [128] * 8 and len(outer) == 1
+        assert built == [(128, True)] * 8 + [(128, False)] and len(outer) == 1
 
     def test_one_site_pass_sums_every_kernel_weighted_integral(self):
         # F, its slope, Phi, the doubled-order Phi, the certificates' data and

@@ -304,15 +304,17 @@ class TestBreakpointRule:
         # the site pass works in place: a stray write into a cached site would
         # corrupt every later integral on it, so every array of it refuses one
         for n, t0 in ((3, 0.3), (4, 0.3), (4, 1.0)):
-            quadrature._site.cache_clear()
-            _, constants, log_kernel, (t, sinpow, weights, starts, theta0, lengths, outer) = quadrature._site(
-                n, 0.5, 128, t0)
-            for array in (log_kernel, t, sinpow, weights, starts):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[..., 0] = 0
-            # a lone site's layout and kernel constants are immutable floats, ints and tuples
-            assert isinstance(lengths, tuple) and isinstance(theta0, float) and isinstance(outer, int)
-            assert constants == _kernel_constants(0.5) and all(isinstance(c, float) for c in constants)
+            for lean in (False, True):
+                quadrature._site.cache_clear()
+                _, constants, log_kernel, (t, sinpow, weights, starts, theta0, lengths, layout) = quadrature._site(
+                    n, 0.5, 128, t0, lean)
+                for array in (log_kernel, t, sinpow, weights, starts):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[..., 0] = 0
+                # a lone site's layout and kernel constants are immutable floats, ints and tuples
+                assert isinstance(lengths, tuple) and isinstance(theta0, float)
+                assert isinstance(layout, tuple) and all(isinstance(k, int) for k in layout)
+                assert constants == _kernel_constants(0.5) and all(isinstance(c, float) for c in constants)
 
     def test_stack_must_end_in_the_node_shape(self):
         for shape in (lambda t: (3, *t.shape[1:]), lambda t: (*t.shape, 2), lambda t: (3, 7)):
@@ -382,13 +384,65 @@ class TestGradedLayout:
                                    (4, 64, 27 * 12)):
             assert _graded_nodes(n, order, 0.3)[0].shape == (2, per_side)
 
+    def test_lean_nodes_per_site(self):
+        # a shift's own sites: 20 panels a side, 10 nodes on an inner one,
+        # J(n) outer ones of order // 8; 424 nodes a site at n <= 33 and order
+        # 128, 664 on the full layout
+        for n, order, per_side in ((4, 128, 2 * 16 + 18 * 10), (33, 128, 2 * 16 + 18 * 10),
+                                   (100, 512, 3 * 64 + 17 * 10), (4, 64, 2 * 12 + 18 * 10)):
+            t, _, _, starts, _, _, layout = _graded_nodes(n, order, 0.3, True)
+            assert t.shape == (2, per_side) and layout == (quadrature._outer_panels(n), 20, 10)
+            assert starts.size == 20
+        assert _graded_nodes(4, 128, 0.3, True)[0].size == 424 and _graded_nodes(4, 128, 0.3)[0].size == 664
+        # the full layout where J(n) reaches 20 panels, leaving none inner:
+        # n - 1 > 2^23
+        assert quadrature._layout(2 ** 23 + 1, 0.3, True) == (19, 20, 10)
+        assert quadrature._layout(2 ** 23 + 2, 0.3, True) == (20, _PANELS, 12)
+
+    def test_lean_inner_panels_at_rounding_level(self, monkeypatch):
+        # The twin of test_inner_panels_at_rounding_level on the lean layout,
+        # against the same all-outer reference: Phi's |d|^q within 2e-15 of
+        # integral |f| (it read 1.1e-15), F's sign(d) |d|^(q-1) within 1e-9
+        # (2.3e-10 at p = 20, n = 300: the tail of a nearly flat power past
+        # 2^-20, which moves only a*, as G is stationary in a)
+        exponents = [p / (p - 1.0) for p in (1.05, 1.5, 3.0, 20.0)]
+        for n in (3, 5, 10, 30, 100, 300):
+            for r in (0.1, 0.5, 0.9, 0.99):
+                ctx = BallContext(n, 2.0)
+                try:
+                    kmin, kmax = kernel_range(ctx, r)
+                except DomainError:
+                    continue  # the kernel range leaves double precision
+                for share in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    a = kmin ** (1.0 - share) * kmax ** share
+                    scale = max(kmax - a, a - kmin)
+
+                    def sums(t):
+                        dev = (poisson_szego_axis(ctx, r, t) - a) / scale
+                        size = np.abs(dev)
+                        return np.stack([part for q in exponents for part in (
+                            np.copysign(size ** (q - 1.0), dev), size ** (q - 1.0), size ** q)])
+
+                    t0 = _split_point(ctx.n, r, math.log(a))
+                    with quadrature._overflow_guard():
+                        lean, = quadrature._site_sums(n, 2048, (None, None, None, _graded_nodes(n, 2048, t0, True)),
+                                                      lambda _, t: sums(t))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)
+                        ref = integrate_with_breakpoint(n, 2048, sums, t0).reshape(4, 3)
+                    err = np.abs(np.reshape(lean, (4, 3)) - ref)
+                    assert np.all(err[:, 2] <= 2e-15 * ref[:, 2]), (n, r, share)
+                    assert np.all(err[:, 0] <= 1e-9 * ref[:, 1]), (n, r, share)
+
     def test_pole_split_keeps_order_nodes_on_every_panel(self):
+        # a pole split keeps the full layout, lean or not
         for n in (3, 30, 1000):
             for t0 in (1.0, -1.0):
-                t, _, _, starts, theta0, lengths, outer = _graded_nodes(n, 512, t0)
-                assert t.shape == (1, 27 * 64) and len(lengths) == 1
-                assert theta0 == math.acos(t0) and outer == _PANELS
-                assert starts.tolist() == list(range(0, 27 * 64, 64))
+                for lean in (False, True):
+                    t, _, _, starts, theta0, lengths, layout = _graded_nodes(n, 512, t0, lean)
+                    assert t.shape == (1, 27 * 64) and len(lengths) == 1
+                    assert theta0 == math.acos(t0) and layout == (_PANELS, _PANELS, 12)
+                    assert starts.tolist() == list(range(0, 27 * 64, 64))
 
     def test_pole_split_resolves_the_kernel_peak(self):
         # the kernel mean is 1; with 12 nodes on the inner panels of a pole

@@ -257,6 +257,55 @@ class TestDomainGrid:
                         pass
         assert answered >= 280
 
+    def test_lean_layout_against_the_full_one(self, monkeypatch):
+        # The shift's own sites have the lean layout (20 panels a side, 10
+        # nodes on an inner one).  Patched to the full 27 x 12, every point
+        # answers or refuses as before; G moves by less than the sum of the
+        # two est_errors (3.1% of it), by at most 5e-15 of G where the full
+        # est_error is below 1e-13 G (7.4e-16), and log a* by at most 1e-10
+        # (2.4e-11)
+        def grid():
+            solver._g_p_numeric.cache_clear()
+            quadrature._site.cache_clear()
+            results = {}
+            for n in (3, 4, 5, 10, 30, 100):
+                for p in GRID_PS:
+                    for r in GRID_RADII:
+                        try:
+                            results[n, p, r] = g_p(BallContext(n, p), r)
+                        except DomainError as exc:
+                            results[n, p, r] = str(exc)
+            return results
+
+        lean = grid()
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_LEAN_PANELS", quadrature._PANELS)
+            patch.setattr(quadrature, "_LEAN_NODES", quadrature._PANEL_NODES)
+            full = grid()
+        solver._g_p_numeric.cache_clear()
+        quadrature._site.cache_clear()
+        answered = 0
+        for key, res in lean.items():
+            ref = full[key]
+            if isinstance(res, str) or isinstance(ref, str):
+                assert res == ref, key
+                continue
+            answered += 1
+            gap = abs(res.g_value - ref.g_value)
+            assert gap <= res.est_error + ref.est_error, key
+            if ref.est_error < 1e-13 * ref.g_value:
+                assert gap <= 5e-15 * ref.g_value, key
+            assert abs(res.log_a_star - ref.log_a_star) <= 1e-10, key
+        assert answered >= 280
+
+    def test_largest_n_keeps_the_full_layout(self):
+        # J(2^25 + 3) = 22 outer panels, more than the lean layout's 20: the
+        # shift's sites keep the full one.  A lean layout of 20 outer panels,
+        # none inner, read 1.0477332373960323e-05 here, 5.2e-10 off and 4
+        # times its est_error
+        solver._g_p_numeric.cache_clear()
+        assert g_p(BallContext(2 ** 25 + 3, 3.0), 1e-9).g_value == 1.047733236854567e-05
+
     def test_underflowing_g_is_refused(self):
         # G_p(r) > 0 at r > 0, but Phi(a*) underflowed to 0 at these points,
         # with est_error 0 (or G_2 at p = 2): a silently wrong answer
