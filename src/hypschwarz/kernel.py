@@ -79,14 +79,15 @@ def _kernel_constants(r: float) -> tuple[float, float, float]:
     return 2.0 * r, r * r, math.log1p(-r * r)
 
 
-def _log_kernel(n: int, constants, t: np.ndarray) -> np.ndarray:
+def _log_kernel(n: int, constants, t: np.ndarray, out=None) -> np.ndarray:
     """log K(r, t) = (n - 1) (log(1 - r^2) - log(1 + r^2 - 2 r t)), a new
-    array built in place, from the ``_kernel_constants`` of r in [0, 1) (on a
-    stack, columns against t's rows) at an array t of values in [-1, 1],
-    unchecked: the nodes of a rule are cosines.  Sites are built at r = 0
-    and from ``objective._R_LIN`` up, where r^2 is 0 or normal."""
+    array built in place (or ``out``, which may be t), from the
+    ``_kernel_constants`` of r in [0, 1) (on a stack, columns against t's
+    rows) at an array t of values in [-1, 1], unchecked: the nodes of a rule
+    are cosines.  Sites are built at r = 0 and from ``objective._R_LIN`` up,
+    where r^2 is 0 or normal."""
     two_r, r_sq, gap = constants
-    log_k = two_r * t
+    log_k = np.multiply(two_r, t, out=out)
     np.subtract(r_sq, log_k, out=log_k)
     np.log1p(log_k, out=log_k)
     np.subtract(gap, log_k, out=log_k)

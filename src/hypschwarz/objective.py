@@ -23,13 +23,18 @@ second row of F's one power |d|^(q-1)) are one stack of values; Phi and
 the doubled-order Phi of ``est_error`` are one pass.  So Phi(a*) costs one
 power and one panel sum on the site of the solve's last F, and the
 residual F(a*) is that F.
-``_phi_and_refined`` takes a list of (s, site) points: a sweep holds the
-site of each radius's last F and sums Phi on a chunk of them, one pass per
-group of ``quadrature._stacks``, which also gives the group's shifts and
-scales in its shape, every point's values the bits of a pass on its site
-alone.  The public functions check their arguments (``ObjectiveParams``)
-and enter ``quadrature._overflow_guard``; the private ones run under their
-caller's (``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
+The two private sums take lists of points.  ``_f_and_slope`` takes
+(r, s, slope) points: a sweep's F pass, the next F of every open solve,
+builds the new sites of each layout in one node pass
+(``quadrature._new_sites``) and sums an F row for every point and a slope
+row for those that ask, one pass per layout.  ``_phi_and_refined`` takes
+(s, site) points: a sweep holds a copy of the site of each radius's last F
+and sums Phi on a chunk of them, one pass per group of
+``quadrature._stacks``, which also gives the group's shifts and scales in
+its shape.  Every point's values are the bits of a pass on its site alone.
+The public functions check their arguments (``ObjectiveParams``) and enter
+``quadrature._overflow_guard``; the private ones run under their caller's
+(``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import _EXP_MAX, BallContext, _log_range, _split_point, check_radius
-from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site, _site_sums, _stacks
+from .quadrature import DEFAULT_ORDER, _checked, _new_sites, _overflow_guard, _site, _site_sums, _stacks
 from .special import check_order
 
 # Floor applied to |d| in negative-exponent integrands: a quadrature node can
@@ -147,34 +152,69 @@ def big_f(params: ObjectiveParams, a: float) -> float:
     """F(r, a) = integral (K - a)|K - a|^(q-2) dsigma, decreasing in a,
     integrated as a^(q-1) integral sign(d) |d|^(q-1) dsigma, d = K/a - 1."""
     with _overflow_guard():
-        return _f_and_slope(params.ctx, params.r, params.order, _log_shift(a), False)[0]
+        return _checked(_f_and_slope(params.ctx, params.order, [(params.r, _log_shift(a), False)])[0][0])
 
 
-def _f_and_slope(ctx: BallContext, r: float, order: int, s: float, slope: bool, lean: bool = True):
-    """(F, dF/ds) at the shift a = e^s on ``_shift_site`` (lean or not) for
-    checked arguments, or (F, None) without the slope, from one power |d|^(q-1):
-    F's row is its copysign, the slope row that power over max(|d|, floor),
-    the one definition of dF/ds = a dF/da.  F is refused where non-finite
-    (where a^(q-1) underflows, its integral overflows); the slope comes as
-    it is: a caller that only steers by it keeps F's points.
+def _f_and_slope(ctx: BallContext, order: int, points, lean: bool = True) -> list[tuple]:
+    """[(F, dF/ds, site)] at each (r, s, slope) of ``points``, the shift
+    a = e^s at r, for checked arguments: dF/ds = a dF/da is None unless
+    ``slope``, and the site is the point's ``_shift_site`` (lean or not).
+    Both come from one power |d|^(q-1): F's row is its copysign, the slope
+    row that power over max(|d|, floor), the one definition of dF/ds.  Both
+    are unchecked: the caller refuses a non-finite F (where a^(q-1)
+    underflows, its integral overflows), and a caller that only steers by
+    the slope keeps F's points.  One point sums on its lone site; several
+    are one stacked site pass for each layout (``quadrature._new_sites``),
+    with F rows for every point and slope rows for the points that ask for
+    one, its points' sites built in one node pass: every row the bits of a
+    pass on its point's site alone.
     """
+    q, n = ctx.q, ctx.n
+    if len(points) == 1:  # no stacking machinery
+        (r, s, slope), = points
+        site = _shift_site(n, r, order, s, lean)
+        totals = _f_rows(ctx, order, site, s, int(slope))
+        scale = _exp((q - 1.0) * s)
+        return [(scale * totals[0], (1.0 - q) * scale * totals[1] if slope else None, site)]
+    # the points that ask for a slope first: a stack's slope rows are its first sites'
+    ranked = sorted(range(len(points)), key=lambda k: not points[k][2])
+    t0s = [_split_point(n, points[k][0], points[k][1]) for k in ranked]
+    results: list = [None] * len(points)
+    for rows, stack, sites in _new_sites(n, order, [points[k][0] for k in ranked], t0s, lean):
+        rows = [ranked[k] for k in rows]
+        slopes = sum(points[k][2] for k in rows)
+        totals = _f_rows(ctx, order, stack, np.array([points[k][1] for k in rows])[:, None, None], slopes)
+        for i, k in enumerate(rows):
+            scale = _exp((q - 1.0) * points[k][1])
+            slope = (1.0 - q) * scale * totals[len(rows) + i] if i < slopes else None
+            results[k] = (scale * totals[i], slope, sites[i])
+    return results
+
+
+def _f_rows(ctx: BallContext, order: int, site, shift, slopes: int) -> list[float]:
+    """The totals of ``_f_and_slope``'s rows on ``site``, a lone site or a
+    stack, at the shift s (a float, or a column of one per site): F's row,
+    sign(d) |d|^(q-1), for each site, then the slope row, |d|^(q-1) over
+    max(|d|, floor), for each of its first ``slopes``, both unscaled."""
     q = ctx.q
 
-    def rows(log_kernel, _):
-        dev = log_kernel - s
+    def values(log_kernel, _):
+        dev = log_kernel - shift
         np.expm1(dev, out=dev)
-        out = np.empty((1 + slope, *dev.shape))
-        power = np.abs(dev, out=out[0])
+        if dev.ndim == 2:  # a lone site's rows, as a stack of one
+            dev = dev[None]
+        sites = len(dev)
+        out = np.empty((sites + slopes, *dev.shape[1:]))
+        power = np.abs(dev, out=out[:sites])
         power **= q - 1.0
-        if slope:
-            size = np.abs(dev)
-            np.divide(power, np.maximum(size, _DEV_FLOOR, out=size), out=out[1])
+        if slopes:
+            size = np.abs(dev[:slopes], out=out[sites:])
+            np.divide(power[:slopes], np.maximum(size, _DEV_FLOOR, out=size), out=size)
         np.copysign(power, dev, out=power)
         return out
 
-    totals, = _site_sums(ctx.n, order, _shift_site(ctx.n, r, order, s, lean), rows)
-    scale = _exp((q - 1.0) * s)
-    return _checked(scale * totals[0]), (1.0 - q) * scale * totals[1] if slope else None
+    totals, = _site_sums(ctx.n, order, site, values)
+    return totals
 
 
 def dF_da(params: ObjectiveParams, a: float) -> float:
@@ -184,4 +224,6 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     summed from that ratio, however near 1 (README, "Numerical notes").
     """
     with _overflow_guard():
-        return _checked(_f_and_slope(params.ctx, params.r, params.order, _log_shift(a), True, lean=False)[1] / a)
+        (f_value, slope, _), = _f_and_slope(params.ctx, params.order, [(params.r, _log_shift(a), True)], lean=False)
+        _checked(f_value)
+        return _checked(slope / a)

@@ -43,12 +43,21 @@ adds the side totals of each row left to right.  With ``refine`` it also
 evaluates the outer panels alone (``_outer_nodes``, rebuilt from the node
 set, every panel at a pole), all that the order changes, at est_error's
 reference order 2 max(order, 96), and splices their sums over the first
-order's.  Only ``_stacks`` builds a stack: the sites of one layout (layout
-key and sides) as one site, whose log K, sine powers and side lengths are
-stacked on a leading axis where used (t is None), and whose theta0s, kernel
-constants and per-site values are columns (floats on a lone site): so each
-builder has one body, each step runs once for the stack, and every site is
-a row with the bits of a pass on it alone.  Non-finite values or totals raise DomainError.  A site pass
+order's.  A stack is several sites of one layout (layout key and sides)
+as one site, whose log K, sine powers and side lengths are stacked on a
+leading axis where used (t is None), and whose theta0s, kernel constants
+and per-site values are columns (floats on a lone site, which is how the
+two are told apart): so each build step has one body, runs once
+for the stack, and every site is a row with the bits of a pass on it
+alone.  Two functions build stacks: ``_stacks`` stacks sites already
+built (a sweep's held sites, for G), and ``_new_sites`` builds the new
+sites of a sweep's F pass, at every open solve's next shift, in one node
+pass for each layout (the pole splits form their own group), with each
+row as a lone site of views into the stack and no t, as no integrand of t
+is summed on it (``_own_site`` copies one out).  The side totals add each
+side's panels left to right in one ``np.add.accumulate`` for all rows,
+and the tail past the innermost panel from the last two panel sums on
+Python floats.  Non-finite values or totals raise DomainError.  A site pass
 pays for its node work only: it runs under one ``_overflow_guard`` per
 solve, sweep or public call, not per integral, the order is checked where
 it enters the package, and the nodes and log K are built in place.
@@ -256,10 +265,15 @@ def _graded_nodes(n: int, order: int, t0: float, lean: bool = False):
     power of shape (sides, nodes per side), for a checked order and the
     ``_layout`` of (n, t0, lean).  A pole leaves one side; the empty one
     gets no nodes, as an integrand may be infinite there."""
-    theta0 = math.acos(t0)
-    lengths = tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
+    theta0, lengths = _split(t0)
     layout = _layout(n, t0, lean)
     return _nodes_at(n, theta0, lengths, layout, *_graded_panels(order, *layout))
+
+
+def _split(t0: float) -> tuple[float, tuple]:
+    """(theta0, side lengths) of the split at t0: a pole leaves one side."""
+    theta0 = math.acos(t0)
+    return theta0, tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
 
 
 def _outer_nodes(n: int, order: int, nodes):
@@ -287,30 +301,38 @@ def _nodes_at(n: int, theta0, lengths, layout, offsets, weights, starts):
 
 def _panel_sums(vals, nodes):
     """Per-panel sums of ``vals``, values of shape (*rows, sides, nodes) at
-    the node set ``nodes``: shape (*rows, sides, panels)."""
-    _, sinpow, weights, starts = nodes[:4]
-    weighted = vals * sinpow  # a stack's tuple of sine powers is stacked by the product
+    the node set ``nodes``: shape (*rows, sides, panels).  On a stack (a
+    column of theta0s) row i is of site i mod the site count: its rows past
+    the sites' own are further rows of its first sites.  Values in an array
+    of their own (no view) are weighted in place."""
+    _, sinpow, weights, starts, theta0 = nodes[:5]
+    weighted = vals if vals.base is None and vals.flags.writeable else np.empty(vals.shape)
+    if not isinstance(theta0, float) and len(vals) > len(sinpow):
+        for first in range(0, len(vals), len(sinpow)):
+            block = weighted[first:first + len(sinpow)]
+            np.multiply(vals[first:first + len(block)], sinpow[:len(block)], out=block)
+    else:  # a stack's tuple of sine powers is stacked by the product
+        np.multiply(vals, sinpow, out=weighted)
     weighted *= weights
     return np.add.reduceat(weighted, starts, axis=-1)
 
 
 def _side_total(n: int, rows, lengths) -> list[float]:
-    """Zonal integral of each row of per-panel sums (nested lists of rows,
-    sides and panels: ``_panel_sums``' rows) with its tuple of side lengths,
+    """Zonal integral of each row of per-panel sums (an array of rows, sides
+    and panels: ``_panel_sums``' rows) with its tuple of side lengths,
     unchecked: it may be non-finite."""
+    # Left to right, as one accumulate: since Python 3.12 builtin sum()
+    # compensates float sums, which would change the bits by version, and
+    # np.add.reduce sums pairwise.  Only a side of -0.0 panels differs from
+    # a loop from 0.0, and it adds nothing to a total that starts at 0.0.
+    sides = np.add.accumulate(rows, axis=-1)[..., -1].tolist()
     constant, totals = _zonal_constant(n), []
-    for sides, row_lengths in zip(rows, lengths):
+    for row_sides, row_tails, row_lengths in zip(sides, rows[..., -2:].tolist(), lengths):
         total = 0.0
-        for length, panels in zip(row_lengths, sides):
-            # Left to right, as one loop: since Python 3.12 builtin sum()
-            # compensates float sums, which would change the bits by version.
-            side = 0.0
-            for panel in panels:
-                side += panel
-            # Sum the uncovered tail from the decay ratio of the last panel (the
-            # loop's) to the one before, 2^-(s+1) for a |theta - theta0|^s factor.  A
+        for side, (prev, panel), length in zip(row_sides, row_tails, row_lengths):
+            # Sum the uncovered tail from the decay ratio of the last panel to
+            # the one before, 2^-(s+1) for a |theta - theta0|^s factor.  A
             # ratio near 1 comes from s near -1 (dF/da's |K - a|^(q-2) at large p).
-            prev = panels[-2]
             if prev != 0.0:
                 ratio = panel / prev
                 if 0.0 < ratio < 1.0:
@@ -350,34 +372,40 @@ def _site(n: int, r: float, order: int, t0: float, lean: bool = False):
 
 
 def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[float]]:
-    """Zonal integrals of fn on ``site`` (``_site``, a stack of ``_stacks``,
-    or (None, None, None, node set) for a node set alone), unchecked
-    (non-finite where a value or a sum is): a list of one total per row for
-    each pass.  fn(log K, t) returns values of log K's shape, or of (rows,
-    *t.shape); on a stack t is None and each site is a row.  The caller
-    holds ``_overflow_guard`` and has checked the order.
+    """Zonal integrals of fn on ``site`` (``_site``, a row of
+    ``_new_sites``, a stack of ``_stacks`` or ``_new_sites``, or (None,
+    None, None, node set) for a node set alone), unchecked (non-finite where
+    a value or a sum is): a list of one total per row for each pass.
+    fn(log K, t) returns values of log K's shape, or of (rows, *t.shape), in
+    an array the pass may overwrite unless it is a view; on a stack t is
+    None and each site is a row, and its rows past the sites' own are
+    further rows of its first sites.  The caller holds ``_overflow_guard``
+    and has checked the order.
 
     With ``refine``, a second pass gives the same integrals at est_error's
     reference order 2 max(order, 96).  The layouts differ only on the outer
     panels of each side, every panel at a pole (``_outer_nodes``); each
     inner panel has the same nodes at the same offsets in both.  So fn
     is evaluated on those outer panels alone, their sums replace the first
-    order's, and the panels are summed in the same left-to-right loop: a
+    order's, and the panels are summed in the same left-to-right order: a
     full evaluation's bits.
     """
     _, constants, log_kernel, nodes = site
     # np.asarray stacks a stack's log K, freed once fn returns, and passes a site's own
     per_panel = _panel_sums(fn(np.asarray(log_kernel), nodes[0]), nodes)
     rows = per_panel[None] if per_panel.ndim == 2 else per_panel  # a view: its rows see the splice
-    # a stack (t None) has a tuple of side lengths per site; a lone site's rows share its tuple
-    lengths = nodes[5] if nodes[0] is None else [nodes[5]] * len(rows)
-    totals = [_side_total(n, rows.tolist(), lengths)]
+    # a stack has a tuple of side lengths per site, row i that of site i mod the site
+    # count; a lone site's rows share its tuple
+    lengths = [nodes[5]] * len(rows) if isinstance(nodes[4], float) else nodes[5]
+    if len(lengths) < len(rows):
+        lengths = [lengths[i % len(lengths)] for i in range(len(rows))]
+    totals = [_side_total(n, rows, lengths)]
     if refine:  # below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes
         outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), nodes)
         outer_sums = _panel_sums(fn(_log_kernel(n, constants, outer[0]), outer[0]), outer)
         del outer  # held through the side totals, it left page faults at the heap's top (README)
         per_panel[..., :outer_sums.shape[-1]] = outer_sums
-        totals.append(_side_total(n, rows.tolist(), lengths))
+        totals.append(_side_total(n, rows, lengths))
     return totals
 
 
@@ -400,6 +428,41 @@ def _stacks(sites, *values):
         node_set = (None, sinpows, weights[0], starts[0], np.array(theta0s)[:, None, None], lengths, layout[0])
         yield rows, (radii, column, log_kernels, node_set), *[
             np.array([value[k] for k in rows])[:, None, None] for value in values]
+
+
+def _new_sites(n: int, order: int, radii, t0s, lean: bool):
+    """(indices, stack, sites) for each group of the sites split at ``t0s``
+    at ``radii`` of one layout (``_layout`` and sides): their node set and
+    log K built in one node pass, with theta0s and kernel constants as
+    columns, as a stack that ``_site_sums`` sums (t None), and its rows as
+    lone sites, each the bits of ``_site``'s there, whose arrays are views of
+    the stack's (``_own_site`` copies one out)."""
+    groups: dict[tuple, list] = {}
+    for k, t0 in enumerate(t0s):
+        theta0, lengths = _split(t0)
+        layout = _layout(n, t0, lean)
+        groups.setdefault((layout, len(lengths)), []).append((k, theta0, lengths))
+    for (layout, _), members in groups.items():
+        rows, theta0s, lengths = zip(*members)
+        t, sinpow, weights, starts, column0, _, _ = _nodes_at(
+            n, np.array(theta0s)[:, None, None], lengths, layout, *_graded_panels(order, *layout))
+        constants = [_kernel_constants(radii[k]) for k in rows]
+        column = np.array(constants).T[..., None, None]
+        log_kernel = _log_kernel(n, column, t, out=t)  # no integrand of t is summed on these sites
+        stack = ([radii[k] for k in rows], column, log_kernel,
+                 (None, sinpow, weights, starts, column0, lengths, layout))
+        yield list(rows), stack, [
+            (radii[k], constants[i], log_kernel[i], (None, sinpow[i], weights, starts, theta0s[i], lengths[i], layout))
+            for i, k in enumerate(rows)]
+
+
+def _own_site(site):
+    """``site`` with arrays of its own: a row of a ``_new_sites`` stack
+    copied out, so that the stack can be freed; any other site as it is."""
+    r, constants, log_kernel, nodes = site
+    if log_kernel.base is None:
+        return site
+    return r, constants, log_kernel.copy(), (None, nodes[1].copy(), *nodes[2:])
 
 
 def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:

@@ -2,12 +2,15 @@
 
 For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
-range.  One loop on s = log a finds it from F (``_solve``) and hands
-that s, not a rounded a*, to Phi.  It resolves the root of the computed F:
-where F's quadrature noise near a* exceeds its slope times the tolerance,
-another start can move a* by more (17 times that at n = 4, p = 1.5,
-r = 0.99, with G still far inside est_error).  The endpoint exponents have
-closed forms:
+range.  One loop on s = log a finds it from F (``_steps``, a generator
+that yields each point and receives F there) and hands that s, not a
+rounded a*, to Phi.  A lone solve drives it one F at a time (``_solve``);
+a sweep drives the solves of its radii in lockstep, every open solve's
+next F in one stacked site pass (``_shift_curve``).  It resolves the root
+of the computed F: where F's quadrature noise near a* exceeds its slope
+times the tolerance, another start can move a* by more (17 times that at
+n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
+endpoint exponents have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -26,7 +29,7 @@ from functools import lru_cache
 from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
 from .objective import _R_LIN, _check_exponent, _f_and_slope, _phi_and_refined, _shift_site
-from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER, _checked, _overflow_guard
+from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER, _checked, _overflow_guard, _own_site
 from .special import alpha_q, check_dimension, check_order
 
 # Width in log a at which the root bracket counts as resolved (times 2l, l < 1/2).
@@ -40,12 +43,26 @@ _COLD_SHARE = 1.0 / 8.0
 _COLD_STEP = 1.0 / 32.0
 
 _METHODS = ("numeric", "linear", "closed_p1", "closed_pinf")
-# Radii of a sweep whose G and est_error are summed in one stacked site pass.
-# Each chunk's fixed cost is about 40 numpy calls; a stack takes 5.3 KB a
-# radius at order 128.  At 12 a 100-radius sweep mostly faults under one
-# page back in from the C library's heap trims (46 to 369 pages at 25,
-# README), and the twice as many chunks of 6 made sweeps about 3% longer.
+# Radii of a sweep whose G and est_error are summed in one stacked site pass,
+# and the most solves of a sweep open at once, whose F passes are stacked
+# site passes of at most as many sites.  Each G chunk's fixed cost is about
+# 40 numpy calls; a stack takes 5.3 KB a radius at order 128.  At 12 a
+# 100-radius sweep mostly faults under one page back in from the C
+# library's heap trims (46 to 369 pages at 25, README), and the twice as
+# many chunks of 6 made sweeps about 3% longer.
 _CHUNK = 12
+# A guessed radius of a sweep opens before the radius ahead of it has an
+# estimate where its first step in log a is at most _SPECULATE.  A Newton
+# point is an estimate where its step from the guess is within the guess's
+# first step and at most _TRUSTED_STEP.  On 126 sweeps (n in {3, 4, 5, 10,
+# 30, 100}, p from 1.01 to 1000, up, down and geometric to r = 0.99; 89
+# answer) the costliest took 17.1 F per radius with no such cap (a poor
+# Newton point at p = 1.1 from r = 0.99 down misguides the radii opened from
+# it), 5.6 at 0.1 and 5.2 at 0.01 and 0.001, as many as sequential solves
+# took; passes per radius rise as the cap falls (0.91, 0.97 and 1.08 on
+# average).
+_SPECULATE = 1e-5
+_TRUSTED_STEP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -77,26 +94,49 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
 
 
 def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> tuple[float, float]:
-    """(s, F(s)) at the root s = log a* of F(r, .), unrounded; (0, 0) below _R_LIN.
+    """(s, F(s)) at the root s = log a* of F(r, .), unrounded; (0, 0) below
+    _R_LIN: the steps of ``_steps`` driven one F at a time on a lone site.
+    The caller holds ``quadrature._overflow_guard``."""
+    steps = _steps(ctx, r, order, start, width)
+    try:
+        s, slope = next(steps)  # the arguments' checks come first
+        r = float(r)
+        while True:
+            (fs, slope, _), = _f_and_slope(ctx, order, [(r, s, slope)])
+            s, slope = steps.send((fs, slope))
+    except StopIteration as solved:
+        return solved.value
 
-    One loop on s = log a, one F evaluation per step, inside the range
-    (-l, l) of log K, at whose ends F's signs are known (positive at -l).
-    It starts at the log guess ``start`` with a first step of ``width``, or
-    at log a* interpolated quadratically in 1/p through its closed forms at
-    p = inf, 2 and 1, with a first step of _COLD_SHARE of |log a|, at least
-    _COLD_STEP.  Until F changes sign it steps outward, eightfold each time
-    and at most half the way to the range end; reaching that end within the
-    tolerance raises DomainError.  A guessed solve steers its first three
-    such steps: to Newton's root from the slope that comes with the guess's
-    F, then to secant roots, each a quarter tolerance past the root, while
-    the slope is negative and finite.  Then Chandrupatla's rule (newest
-    point a, bracket end b, displaced point c): inverse quadratic
-    interpolation where it stays well inside the bracket, else bisection,
-    iterates half a tolerance inside, so a steered point a quarter past the
-    root is followed by one a quarter short of it.  The tolerance is 2^-44
-    in log a, times 2l where l < 1/2.  The guess changes the cost, and the
-    root only where F's quadrature noise outweighs its slope.  The caller
-    holds ``quadrature._overflow_guard``.
+
+def _tolerance(n: int, r: float) -> float:
+    """Width in log a at which the root bracket of a solve at r counts as resolved."""
+    return _LOG_A_TOL * min(1.0, 2.0 * _log_range(n, r))
+
+
+def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: float):
+    """The one solve loop on s = log a, a generator: it yields (s, slope),
+    the next point and whether it needs dF/ds there, receives (F, dF/ds)
+    of ``objective._f_and_slope`` at it, and returns (s, F(s)) at the root
+    s = log a* of F(r, .), unrounded; (0, 0) below _R_LIN, with no point.
+
+    One F evaluation per step, inside the range (-l, l) of log K, at whose
+    ends F's signs are known (positive at -l).  It starts at the log guess
+    ``start`` with a first step of ``width``, or at log a* interpolated
+    quadratically in 1/p through its closed forms at p = inf, 2 and 1, with
+    a first step of _COLD_SHARE of |log a|, at least _COLD_STEP.  Until F
+    changes sign it steps outward, eightfold each time and at most half the
+    way to the range end; reaching that end within the tolerance raises
+    DomainError.  A guessed solve steers its first three such steps: to
+    Newton's root from the slope that comes with the guess's F, then to
+    secant roots, each a quarter tolerance past the root, while the slope is
+    negative and finite.  Then Chandrupatla's rule (newest point a, bracket
+    end b, displaced point c): inverse quadratic interpolation where it
+    stays well inside the bracket, else bisection, iterates half a tolerance
+    inside, so a steered point a quarter past the root is followed by one a
+    quarter short of it.  The tolerance is 2^-44 in log a, times 2l where
+    l < 1/2 (``_tolerance``).  The guess changes the cost, and the root
+    only where F's quadrature noise outweighs its slope.  A non-finite F is
+    refused.
     """
     order = check_order(order)
     _check_exponent(ctx, "shift optimization")
@@ -104,7 +144,7 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     if r < _R_LIN:
         return 0.0, 0.0
     ell = _log_range(ctx.n, r)  # F > 0 at log a = -ell, F < 0 at ell
-    tol = _LOG_A_TOL * min(1.0, 2.0 * ell)
+    tol = _tolerance(ctx.n, r)
     if start is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
         x = 1.0 / ctx.p
         l_inf, l_one = _closed_log_a(ctx.n, r, math.inf), _closed_log_a(ctx.n, r, 1.0)
@@ -118,7 +158,8 @@ def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: f
     steered = 3 if start is not None else 0
     a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
     for _ in range(_MAX_ITER):
-        fs, slope = _f_and_slope(ctx, r, order, s, steered == 3)
+        fs, slope = yield s, steered == 3
+        fs = _checked(fs)
         if fs == 0.0:
             return s, fs
         if a is None or (fs > 0.0) == (fa > 0.0):
@@ -322,19 +363,14 @@ def _linear(ctx: BallContext, r: float) -> GpResult:
 
 
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
-    """g_p at every radius of a sweep, each shift solve started from its neighbours.
+    """g_p at every radius of a sweep, the shift solves in lockstep (``_shift_curve``).
 
     Every GpResult is built here: closed forms at p = 1 and inf, ``_linear``
-    ones below _R_LIN (after the solve's exponent check).  For finite p
-    other than 2, log a* at each new radius is predicted by extrapolation in
-    r through the last six radii solved (through all of them while there are
-    two to five, a cold solve before that); the first step is twice the gap
-    between that prediction and the one without the oldest radius.  The
-    solve takes a Newton step from the guess, and mostly needs three F
-    evaluations.  At p = 2 every radius is solved cold, from its root a = 1,
-    so the rows are g_p's bit for bit.  A radius already solved reuses that
-    solve.  Each solved radius holds the site of its solve's last F; every
-    _CHUNK radii, and at the end of the sweep, one stacked site pass sums G
+    ones below _R_LIN (after the solve's exponent check).  At p = 2 every
+    radius is solved cold, from its root a = 1, so the rows are g_p's bit
+    for bit.  A radius already solved reuses that solve.  Each solved radius
+    holds a copy of the site of its solve's last F; every _CHUNK radii in
+    sweep order, and at the end of the sweep, one stacked site pass sums G
     and est_error on the held sites, each row the bits of a pass on its site
     alone.  Refusals come in sweep order: where a solve refuses, the radii
     held before it are summed first, and the first of them to refuse its G
@@ -352,7 +388,7 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     sweep, held = [], []  # held: (s, site) of each radius solved since the last pass
     with _overflow_guard():
         try:
-            for r, s, _ in _shift_curve(ctx, radii, order):
+            for r, s, _, site in _shift_curve(ctx, radii, order):
                 sweep.append(r)
                 if r in results:
                     continue
@@ -360,7 +396,7 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
                     results[r] = _linear(ctx, r)
                     continue
                 results[r] = None
-                held.append((s, _shift_site(ctx.n, r, order, s)))
+                held.append((s, site))
                 if len(held) == _CHUNK:
                     chunk, held = held, []
                     results.update(_numeric_results(ctx, order, chunk))
@@ -370,32 +406,134 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
 
 
 def _shift_curve(ctx: BallContext, radii, order: int):
-    """(r, log a*, F(a*)) at every radius of a sweep for finite p > 1,
-    yielded as each is solved: g_p_curve's continued solves without Phi."""
-    solved: dict[float, tuple[float, float]] = {}
-    history: list[tuple[float, float]] = []  # (r, log a*) of each radius solved, in order
-    for r in map(check_radius, radii):
-        if r not in solved:
-            solved[r] = _continued_solve(ctx, r, order, history[-6:])
-            history.append((r, solved[r][0]))
-        yield r, *solved[r]
+    """(r, log a*, F(a*), site of that F) at every radius of a sweep for
+    finite p > 1, in sweep order, each as soon as it and every radius
+    before it is solved: g_p_curve's solves without Phi.  The site has
+    arrays of its own (``quadrature._own_site``); it is None below _R_LIN,
+    where no F is taken, and for a repeated radius.
 
-
-def _continued_solve(ctx: BallContext, r: float, order: int, known) -> tuple[float, float]:
-    """(log a*, F(a*)) at r, solved from a guess through up to six known (radius, log a*) pairs.
-
-    The guess is log a* extrapolated through all of them in Newton's
-    divided-difference form, newest radius first; its first step is twice
-    the last term, the gap between the predictions through all the pairs and
-    through all but the oldest.  At p = 2, F(a) = 1 - a and the cold start
-    a = 1 is the root; a guess would only extrapolate the solves' last-bit
-    jitter, so it solves cold, as it does from a NaN guess: at tiny, close
-    radii the differences overflow, and inf - inf leaves NaN.
+    One radius is a lone ``_solve``.  Otherwise the radii are solved in
+    lockstep: each pass gives every open solve (``_steps``) its next F in
+    one ``_f_and_slope`` call, at most _CHUNK sites, every row the bits of a
+    lone F.  Radii open in sweep order.  The first two, and every one at
+    p = 2 (where the cold start a = 1 is the root), open cold.  Any other
+    starts from log a* extrapolated in r through the latest six estimates
+    before it (``_extrapolate``), with a first step of twice the last term:
+    a radius's estimate is its root, or the Newton point of its first steered
+    step where that point is within this first step and within
+    _TRUSTED_STEP of its guess.  It opens once the radius before it has an
+    estimate, or at once where its first step is at most _SPECULATE; from a
+    NaN guess (at tiny, close radii the differences overflow) it solves
+    cold.  Once a radius refuses, no later
+    one is solved, and its refusal is raised in its place in sweep order,
+    as is a radius refused by ``check_radius``.
     """
-    if len(known) < 2 or ctx.p == 2.0:
-        return _solve(ctx, r, order, None, 0.0)
-    radii = [rk for rk, _ in reversed(known)]
-    diffs = [sk for _, sk in reversed(known)]
+    checked, invalid = [], None
+    for r in radii:
+        try:
+            checked.append(check_radius(r))
+        except DomainError as refusal:
+            invalid = refusal
+            break
+    unique = list(dict.fromkeys(checked))
+    outcomes = _lockstep(ctx, unique, order) if len(unique) > 1 else _lone(ctx, unique, order)
+    solved: dict[float, tuple[float, float]] = {}  # (s, F) of each radius yielded: a repeat takes no site
+    for r in checked:
+        if r in solved:
+            yield r, *solved[r], None
+            continue
+        s, fs, site = next(outcomes)
+        solved[r] = s, fs
+        yield r, s, fs, site
+    if invalid is not None:
+        raise invalid
+
+
+def _lone(ctx: BallContext, radii, order: int):
+    """(s, F, site) of the root at the one radius of ``radii``, if any: a
+    cold ``_solve`` and its last F's site, the lone site cache's newest."""
+    for r in radii:
+        s, fs = _solve(ctx, r, order, None, 0.0)
+        yield s, fs, _shift_site(ctx.n, r, order, s) if r >= _R_LIN else None
+
+
+def _lockstep(ctx: BallContext, radii, order: int):
+    """(s, F, site) of the root at each of ``radii`` (checked, distinct), in
+    order, from solves in lockstep (``_shift_curve``); a refused radius
+    raises in its place."""
+    estimates: list[float | None] = [None] * len(radii)  # log a*: a root, or a trusted Newton point
+    outcomes: dict = {}  # (s, F, site) or the refusal of each radius resolved and not yet yielded
+    solves = []  # [index, steps, next point, the guess until its Newton point is known, first step]
+    opened = yielded = 0
+    stop = len(radii)  # past the first refused radius, none is solved
+    while True:
+        # a radius held back waits on an open solve: with none open, every radius before it has an estimate
+        while opened < stop and len(solves) < _CHUNK:
+            u, r = opened, radii[opened]
+            start, width = None, 0.0
+            if u >= 2 and ctx.p != 2.0:
+                known = []  # (radius, estimate) of the latest six estimates, newest first
+                for v in range(u - 1, -1, -1):
+                    if estimates[v] is not None:
+                        known.append((radii[v], estimates[v]))
+                        if len(known) == 6:
+                            break
+                if len(known) < 2:
+                    break
+                guess, width = _extrapolate(r, known)
+                if estimates[u - 1] is None and not width <= _SPECULATE:
+                    break
+                start = None if math.isnan(guess) else guess
+            opened += 1
+            try:
+                steps = _steps(ctx, r, order, start, width)
+                point = next(steps)
+            except StopIteration as solved:  # below _R_LIN: no F
+                estimates[u] = solved.value[0]
+                outcomes[u] = (*solved.value, None)
+            except (DomainError, NonConvergenceError) as refusal:
+                outcomes[u], stop = refusal, u + 1
+            else:
+                if start is None:
+                    solves.append([u, steps, point, None, 0.0])
+                else:
+                    solves.append([u, steps, point, point[0], max(width, _tolerance(ctx.n, r))])
+        if solves:
+            # the pass's sites are views of its stacks: none outlives the loop but as a copy
+            for solve, (fs, slope, site) in zip(solves, _f_and_slope(
+                    ctx, order, [(radii[u], *point) for u, _, point, _, _ in solves])):
+                u, steps, _, first, width = solve
+                try:
+                    point = solve[2] = steps.send((fs, slope))
+                except StopIteration as solved:
+                    estimates[u] = solved.value[0]
+                    outcomes[u] = (*solved.value, _own_site(site))
+                except (DomainError, NonConvergenceError) as refusal:
+                    outcomes[u], stop = refusal, min(stop, u + 1)
+                else:
+                    if first is not None:  # the Newton point of a guessed solve's first step
+                        if abs(point[0] - first) <= min(width, _TRUSTED_STEP):
+                            estimates[u] = point[0]
+                        solve[3] = None
+            del site
+            solves = [solve for solve in solves if solve[0] not in outcomes and solve[0] < stop]
+        while yielded in outcomes:
+            outcome = outcomes.pop(yielded)
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
+            yielded += 1
+        if yielded == len(radii):
+            return
+
+
+def _extrapolate(r: float, known) -> tuple[float, float]:
+    """(guess, first step): log a* at r extrapolated through the (radius,
+    log a*) pairs of ``known``, newest first, in Newton's divided-difference
+    form, and twice its last term, the gap between the predictions through
+    all the pairs and through all but the oldest."""
+    radii = [rk for rk, _ in known]
+    diffs = [sk for _, sk in known]
     for k in range(1, len(diffs)):  # diffs[i] becomes the divided difference over radii[:i + 1]
         for i in range(len(diffs) - 1, k - 1, -1):
             diffs[i] = (diffs[i] - diffs[i - 1]) / (radii[i] - radii[i - k])
@@ -403,7 +541,7 @@ def _continued_solve(ctx: BallContext, r: float, order: int, known) -> tuple[flo
     for rk, diff in zip(radii, diffs):
         last = diff * term
         guess, term = guess + last, term * (r - rk)
-    return _solve(ctx, r, order, None if math.isnan(guess) else guess, 2.0 * abs(last))
+    return guess, 2.0 * abs(last)
 
 
 def grad_constant(ctx: BallContext) -> float:

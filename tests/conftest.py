@@ -87,15 +87,41 @@ def mp_crossing(n, r, a):
 
 
 def count_f_evals(monkeypatch):
-    """Hook the shift solve's F evaluations, plain and with the slope (both
-    _f_and_slope, at s = log a); the returned list gets one entry per
-    evaluation."""
+    """Hook the shift solves' F evaluations (solver._f_and_slope, plain and
+    with the slope, at s = log a: one point of a lone solve, or every open
+    solve of a sweep in one stacked pass); the returned list gets one entry
+    per F, the number of the pass it came in (``f_passes`` counts them)."""
     from hypschwarz import solver
 
     calls = []
     real = solver._f_and_slope
-    monkeypatch.setattr(solver, "_f_and_slope", lambda *args: calls.append(1) or real(*args))
+
+    def counted(ctx, order, points, *args, **kwargs):
+        counted.passes += 1
+        calls.extend([counted.passes] * len(points))
+        return real(ctx, order, points, *args, **kwargs)
+
+    counted.passes = 0
+    monkeypatch.setattr(solver, "_f_and_slope", counted)
     return calls
+
+
+def f_passes(calls):
+    """The number of F passes among the entries of ``count_f_evals``' list."""
+    return len(set(calls))
+
+
+def count_site_builds(monkeypatch):
+    """Hook the building of kernel sites: a lone site (``quadrature._site``
+    on a miss) or a stack's rows (``quadrature._new_sites``) each take their
+    radius's kernel constants once, and nothing else in quadrature does; the
+    returned list gets one entry per site built."""
+    from hypschwarz import quadrature
+
+    built = []
+    real = quadrature._kernel_constants
+    monkeypatch.setattr(quadrature, "_kernel_constants", lambda r: built.append(r) or real(r))
+    return built
 
 
 def central_diff(fn, x, h):

@@ -22,7 +22,7 @@ from hypschwarz.kernel import BallContext
 from hypschwarz.objective import ObjectiveParams
 from hypschwarz.quadrature import DEFAULT_ORDER
 from hypschwarz.solver import g_p_curve
-from conftest import count_f_evals
+from conftest import count_f_evals, count_site_builds
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -228,10 +228,8 @@ class TestAstar:
         assert calls == []
 
     def test_sweep_residuals_build_no_node_sets(self, capsys, monkeypatch):
-        # each row's F(a*) is its solve's last F, so the rows build no node set past the solves
-        built = []
-        real = quadrature._graded_nodes
-        monkeypatch.setattr(quadrature, "_graded_nodes", lambda *args: built.append(1) or real(*args))
+        # each row's F(a*) is its solve's last F, so the rows build no site past the solves
+        built = count_site_builds(monkeypatch)
         radii = [float(r) for r in np.linspace(0.01, 0.95, 20)]
         quadrature._site.cache_clear()
         shifts = list(solver._shift_curve(BallContext(4, 3.0), radii, DEFAULT_ORDER))
@@ -240,7 +238,7 @@ class TestAstar:
         code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
                                "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
         assert code == 0 and [(float(row["a_star"]), float(row["f_residual"])) for row in csv_rows(out)[1]] == [
-            (math.exp(s), f) for _, s, f in shifts]
+            (math.exp(s), f) for _, s, f, _ in shifts]
         assert len(built) == 2 * solves
 
     def test_sweep_rows_are_gp_shifts_and_their_residuals(self, capsys):
@@ -249,9 +247,9 @@ class TestAstar:
         radii = [float(r) for r in np.linspace(0.0, 0.95, 20)]
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             ctx = BallContext(4, p)
-            logs = {r: s for r, s, _ in solver._shift_curve(ctx, radii, DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
+            logs = {r: s for r, s, *_ in solver._shift_curve(ctx, radii, DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
             expected = [{"r": r, "a_star": res.a_star, "f_residual": (
-                objective._f_and_slope(ctx, r, DEFAULT_ORDER, logs[r], False)[0]
+                objective._f_and_slope(ctx, DEFAULT_ORDER, [(r, logs[r], False)])[0][0]
                 if res.method == "numeric" and r > 0.0 else 0.0)}
                 for r, res in zip(radii, g_p_curve(ctx, radii))]
             assert all(res.a_star == math.exp(logs[res.r]) for res in g_p_curve(ctx, radii)
@@ -326,9 +324,10 @@ class TestVerifyCommands:
             assert float(rows[0]["rel_gap"]) <= limit
 
     def test_sweeps_solve_by_continuation(self, capsys, monkeypatch):
-        # each radius is solved from its neighbours, as in gp: 3.9 F per
-        # radius at (4, 3) on these radii (5.6 without the slope-steered first
-        # steps), 7.2 with a cold solve per radius
+        # each radius is solved from its neighbours, as in gp: 4.0 F per
+        # radius at (4, 3) on these radii in lockstep (3.9 one after another,
+        # 5.6 without the slope-steered first steps), 7.2 with a cold solve
+        # per radius
         calls = count_f_evals(monkeypatch)
         sweep = ("--n", "4", "--p", "3", "--r-min", "0.05", "--r-max", "0.9", "--steps", "40")
         for argv in (("verify-sharpness", *sweep), ("verify-bound", *sweep, "--count", "50")):

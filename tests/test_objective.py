@@ -238,9 +238,9 @@ class TestDfDa:
             a_star = solve_a_star(prm.ctx, r)
             kmin, kmax = kernel_range(prm.ctx, r)
             for a in (a_star, a_star * (1.0 + 1e-9), 0.7 * a_star, 1.3 * a_star, kmin / 2.0, kmax * 2.0):
-                f_value, slope = _f_and_slope(prm.ctx, r, prm.order, math.log(a), True)
+                (f_value, slope, _), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)])
                 assert f_value.hex() == big_f(prm, a).hex(), (n, p, r, a)
-                _, full_slope = _f_and_slope(prm.ctx, r, prm.order, math.log(a), True, lean=False)
+                (_, full_slope, _), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)], lean=False)
                 assert (full_slope / a).hex() == dF_da(prm, a).hex(), (n, p, r, a)
                 assert slope == pytest.approx(full_slope, rel=1e-5, abs=0), (n, p, r, a)
 
@@ -254,6 +254,32 @@ class TestDfDa:
         # from before the lean layout; the solve's lean slope reads
         # -0x1.fa62d2c6c2660p-2, -0x1.cccccccccd1afp+1 and -0x1.7c07f92c3ff53p-1
         assert dF_da(params(n, p, r), a).hex() == expected
+
+
+class TestStackedF:
+    """A sweep's F pass: every open solve's next F, with a slope row only
+    where asked, in one stacked site pass per layout."""
+
+    def test_rows_are_the_bits_of_lone_calls(self):
+        # F and slope rows of one pass, with mixed slope requests and a shift
+        # past the kernel range (a split at the pole) among them, are the bits
+        # of _f_and_slope on each point alone; n = 100 takes J(100) = 3 outer panels
+        rng = np.random.default_rng(3)
+        for n in (3, 4, 5, 30, 100):
+            for p in (1.05, 1.1, 1.5, 3.0, 20.0, 1000.0):
+                ctx = BallContext(n, p)
+                radii = rng.uniform(0.01, 0.4 if n == 100 else 0.9, 7)
+                points = [(float(r), float(rng.uniform(-0.9, 0.9)) * _log_range(n, r), bool(rng.random() < 0.4))
+                          for r in radii]
+                points.append((0.3, 1.5 * _log_range(n, 0.3), True))
+                with quadrature._overflow_guard():
+                    stacked = _f_and_slope(ctx, 128, points)
+                    for point, (f_value, slope, site) in zip(points, stacked):
+                        (alone_f, alone_slope, alone_site), = _f_and_slope(ctx, 128, [point])
+                        assert f_value.hex() == alone_f.hex(), (n, p, point)
+                        assert (slope is None) == (not point[2]), (n, p, point)
+                        assert slope is None or slope.hex() == alone_slope.hex(), (n, p, point)
+                        assert np.array_equal(site[2], alone_site[2]) and site[3][4:] == alone_site[3][4:]
 
 
 class TestRefinedPhi:

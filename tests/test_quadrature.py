@@ -374,6 +374,66 @@ class TestStackedSites:
         assert list(quadrature._stacks(sites[2:3], ["own"])) == [([0], sites[2], "own")]
 
 
+    def test_new_sites_are_their_lone_sites(self):
+        # the sites of one layout built in one node pass are each _site's bits;
+        # the pole splits form their own group
+        radii = [2.0 ** -60, 0.357, 0.5, 0.5, 0.9, 0.9, 0.99]
+        t0s = [0.3, -0.2, 1.0, 0.95, -1.0, 0.3, -0.999999]
+        for lean in (True, False):
+            groups = list(quadrature._new_sites(4, 128, radii, t0s, lean))
+            assert [rows for rows, *_ in groups] == [[0, 1, 3, 5, 6], [2, 4]]
+            for rows, stack, sites in groups:
+                assert len(sites) == len(rows) == len(stack[0])
+                for i, k in enumerate(rows):
+                    alone = quadrature._site(4, radii[k], 128, t0s[k], lean)
+                    assert bits(stack[2][i]) == bits(sites[i][2]) == bits(alone[2]), (lean, k)
+                    assert bits(stack[3][1][i]) == bits(sites[i][3][1]) == bits(alone[3][1]), (lean, k)
+                    assert sites[i][:2] == alone[:2] and sites[i][3][4:] == alone[3][4:], (lean, k)
+                    own = quadrature._own_site(sites[i])
+                    assert own[2].base is None and own[3][1].base is None
+                    assert bits(own[2]) == bits(alone[2]) and bits(own[3][1]) == bits(alone[3][1])
+                    assert quadrature._own_site(alone) is alone
+
+    def test_side_totals_accumulate_as_the_loop(self):
+        # np.add.accumulate along the panels keeps the left-to-right bits of a
+        # loop from 0.0, and the tail from the last two panel sums is the
+        # loop's: exact zeros, decay ratios of 1 and more, negative ratios and
+        # a side of -0.0 panels, which adds nothing to a total from 0.0
+        def loop(n, rows, lengths):
+            totals = []
+            for sides, row_lengths in zip(rows.tolist(), lengths):
+                total = 0.0
+                for length, panels in zip(row_lengths, sides):
+                    side = 0.0
+                    for panel in panels:
+                        side += panel
+                    prev = panels[-2]
+                    if prev != 0.0:
+                        ratio = panel / prev
+                        if 0.0 < ratio < 1.0:
+                            side += panel * ratio / (1.0 - ratio)
+                    total += abs(length) * side
+                totals.append(quadrature._zonal_constant(n) * total)
+            return totals
+
+        rng = np.random.default_rng(7)
+        for sides in (1, 2):
+            rows = rng.standard_normal((40, sides, 20)) * 10.0 ** rng.integers(-300, 300, (40, sides, 1))
+            rows[0] = 0.0
+            rows[1, :, -2:] = 0.0
+            rows[2, :, -1] = rows[2, :, -2]  # ratio 1
+            rows[3, :, -1] = 3.0 * rows[3, :, -2]
+            rows[4, :, -1] = -0.5 * rows[4, :, -2]
+            rows[5] = -0.0
+            rows[6, :, 0] = -0.0
+            rows[7, :, :5] = -0.0
+            rows[8, :, -1] = 0.5 * rows[8, :, -2]
+            lengths = [tuple(rng.uniform(-math.pi, math.pi, sides)) for _ in rows]
+            for n in (3, 4, 100):
+                assert [v.hex() for v in quadrature._side_total(n, rows, lengths)] == [
+                    v.hex() for v in loop(n, rows, lengths)], (sides, n)
+
+
 class TestGradedLayout:
     """12 nodes on the inner panels at an interior breakpoint, order // 8 on
     the outer J(n) panels; order // 8 on every panel at a pole."""

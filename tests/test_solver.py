@@ -20,7 +20,7 @@ from hypschwarz.solver import (
     uh_elementary,
 )
 from hypschwarz.acceptance import brent_minimize
-from conftest import count_f_evals, mp_crossing, mp_g_2, mp_g_even, mp_kernel, mp_zonal
+from conftest import count_f_evals, count_site_builds, f_passes, mp_crossing, mp_g_2, mp_g_even, mp_kernel, mp_zonal
 
 
 def anchored_log_start(ctx, r):
@@ -116,7 +116,8 @@ class TestSolveAStar:
         assert abs(a_star - 1.0) < 0.02
         # an F that never changes sign is refused next to the end it walks to
         real = solver._f_and_slope
-        monkeypatch.setattr(solver, "_f_and_slope", lambda *args: (1.0, real(*args)[1]))
+        monkeypatch.setattr(solver, "_f_and_slope",
+                            lambda *args: [(1.0, slope, site) for _, slope, site in real(*args)])
         with pytest.raises(DomainError, match="no sign change") as refused:
             solve_a_star(BallContext(4, 3.0), 0.5)
         end = float(str(refused.value).rsplit(" = ", 1)[1])
@@ -148,7 +149,7 @@ class TestSolveAStar:
             assert len(calls) <= 6, (n, p, r)
             # the solve returns its root with its last F, the bits of an F call there
             s, f = solver._solve(ctx, r, 128, math.log(a_star), 0.0)
-            assert f == objective._f_and_slope(ctx, r, 128, s, False)[0], (n, p, r)
+            assert f == objective._f_and_slope(ctx, 128, [(r, s, False)])[0][0], (n, p, r)
             # a guess past a range end is clamped into it and still finds the root
             for guess in (1e-300, 1e300):
                 assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12, abs=0)
@@ -158,8 +159,8 @@ class TestSolveAStar:
         # evaluates F at an end of the range of log K, where its sign is known
         logs = []
         real = solver._f_and_slope
-        # _f_and_slope(ctx, r, order, s, slope)
-        monkeypatch.setattr(solver, "_f_and_slope", lambda *args: logs.append(args[3]) or real(*args))
+        # _f_and_slope(ctx, order, [(r, s, slope)])
+        monkeypatch.setattr(solver, "_f_and_slope", lambda *args: logs.append(args[2][0][1]) or real(*args))
         for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03), (30, 2.0, 0.9705), (3, 3.0, 1e-12)):
             ctx = BallContext(n, p)
             ell = log_range(n, r)
@@ -179,8 +180,8 @@ class TestSolveAStar:
         class FirstShift(Exception):
             pass
 
-        def first_shift(ctx, r, order, s, slope):
-            raise FirstShift(s)
+        def first_shift(ctx, order, points):
+            raise FirstShift(points[0][1])
 
         monkeypatch.setattr(solver, "_f_and_slope", first_shift)
         checked = 0
@@ -418,13 +419,40 @@ class TestGpCurve:
 
     def test_cost_per_radius(self, monkeypatch):
         # cold solves take 6.4 to 9.8 F per radius on these sweeps, and warm
-        # ones took 5.0 to 5.7 with a quadratic guess and no Newton step
+        # ones took 5.0 to 5.7 with a quadratic guess and no Newton step; the
+        # solves in lockstep take 3.4 to 3.8 F in 0.62 to 0.69 passes
         calls = count_f_evals(monkeypatch)
         radii = [float(r) for r in np.linspace(0.01, 0.95, 100)]
         for n, p in ((4, 3.0), (5, 20.0), (3, 1.1)):
             calls.clear()
             g_p_curve(BallContext(n, p), radii)
             assert len(calls) / len(radii) <= 4.0, (n, p)
+            assert f_passes(calls) / len(radii) <= 0.75, (n, p)
+
+    def test_steep_sweeps(self, monkeypatch):
+        # log a* falls steeply with r at p near 1: with no cap on the step of a
+        # trusted Newton point, one far from the root misguided the radii
+        # opened from it (17 F per radius at (10, 1.1)).  Solved one after
+        # another these sweeps took at most 4.96 F per radius
+        calls = count_f_evals(monkeypatch)
+        down = [float(r) for r in np.linspace(0.99, 0.01, 100)]
+        sweeps = [((n, p), down) for n, p in ((3, 1.1), (5, 1.1), (10, 1.1), (10, 1.5))] + [
+            ((100, 1.1), [float(r) for r in np.linspace(0.4, 0.01, 100)]),
+            ((100, 1.1), [float(r) for r in np.geomspace(1e-6, 0.4, 100)]),
+            ((10, 1.1), [float(r) for r in np.geomspace(1e-6, 0.99, 100)])]
+        for (n, p), radii in sweeps:
+            ctx = BallContext(n, p)
+            calls.clear()
+            curve = g_p_curve(ctx, radii)
+            assert len(calls) / len(radii) <= 5.5, (n, p, radii[0])
+            rising = sorted(curve, key=lambda row: row.r)
+            assert all(b.g_value > a.g_value for a, b in zip(rising, rising[1:])), (n, p, radii[0])
+            for row in curve:
+                try:
+                    point = g_p(ctx, row.r)
+                except DomainError:
+                    continue
+                assert abs(row.g_value - point.g_value) <= point.est_error + 1e-13 * point.g_value, (n, p, row.r)
 
     def test_unusable_slope_falls_back_to_the_outward_step(self, monkeypatch):
         # a slope that is non-finite, zero or of the wrong sign only costs
@@ -433,7 +461,8 @@ class TestGpCurve:
         a_star = solve_a_star(ctx, r)
         real = solver._f_and_slope
         for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
-            monkeypatch.setattr(solver, "_f_and_slope", lambda *args: (real(*args)[0], bad))
+            monkeypatch.setattr(solver, "_f_and_slope",
+                                lambda *args: [(f, bad, site) for f, _, site in real(*args)])
             for guess in (a_star * 0.99, a_star * 1.01):
                 assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12, abs=0)
 
@@ -555,14 +584,14 @@ class TestStackedGPass:
             g_p_curve(ctx, [0.9, 0.9999, 1.0])
         with pytest.raises(DomainError, match=r"radius must lie in \[0, 1\), got 1.0"):
             g_p_curve(ctx, [0.9, 0.99, 1.0])
-        real = solver._solve
+        real = solver._steps
 
         def stopped(ctx_, r, *args):
             if r == 0.99995:
                 raise NonConvergenceError("no root resolved (stub)")
             return real(ctx_, r, *args)
 
-        monkeypatch.setattr(solver, "_solve", stopped)
+        monkeypatch.setattr(solver, "_steps", stopped)
         chunk = solver._CHUNK
         for before in ([0.9], [float(r) for r in np.linspace(0.5, 0.9, chunk - 1)]):
             with pytest.raises(DomainError, match="non-finite"):
@@ -575,11 +604,10 @@ class TestStackedGPass:
         # G pass builds no site: every node set it reads is a solve's last F's
         chunk = solver._CHUNK
         radii = [float(r) for r in np.linspace(0.05, 0.9, 2 * chunk + 1)]
-        outer, built = [], []
-        real_outer, real_nodes = quadrature._outer_nodes, quadrature._graded_nodes
+        outer, built = [], count_site_builds(monkeypatch)
+        real_outer = quadrature._outer_nodes
         monkeypatch.setattr(quadrature, "_outer_nodes",  # one theta0 per row of the node set
                             lambda n, order, nodes: outer.append((order, np.size(nodes[4]))) or real_outer(n, order, nodes))
-        monkeypatch.setattr(quadrature, "_graded_nodes", lambda *args: built.append(1) or real_nodes(*args))
         for p in (3.0, 2.0):
             ctx = BallContext(4, p)
             quadrature._site.cache_clear()

@@ -22,9 +22,11 @@ the digest).  With ``--against PARENT_ROWS``, a rows file written by another
 checkout, it then prints for each (function, field) the largest relative
 move |new - old| / |old| between the two, row by row (and the largest
 |new - old|: a field that is 0 in one has no relative move), the rows whose
-refusal appeared, vanished or changed, and the count of ``g_p`` points and
-``g_p_curve`` radii whose G moved by more than the sum of the two
-est_errors; it exits 1 if that count is nonzero.  Otherwise exit status 0;
+refusal appeared, vanished or changed, the largest move of ``log_a_star``
+in units of its radius's solve tolerance 2^-44 min(1, 2l) for ``g_p`` and
+for ``g_p_curve`` rows, and the count of ``g_p`` points and ``g_p_curve``
+radii whose G moved by more than the sum of the two est_errors; it exits 1
+if that count is nonzero.  Otherwise exit status 0;
 an import or call that fails other than by the package's own refusals
 raises.
 """
@@ -129,6 +131,11 @@ def _number(token: str):
         return None
 
 
+def _tolerance(n: int, r: float) -> float:
+    """A shift solve's tolerance in log a at (n, r): 2^-44 min(1, 2l), l = log K(r, 1)."""
+    return 2.0 ** -44 * min(1.0, 2.0 * (n - 1) * (math.log1p(r) - math.log1p(-r)))
+
+
 def compare(new_rows: list[str], old_rows: list[str]) -> int:
     """Print the moves from ``old_rows`` to ``new_rows``, row by row; the
     number of G values that moved past the sum of their two est_errors."""
@@ -136,6 +143,7 @@ def compare(new_rows: list[str], old_rows: list[str]) -> int:
         raise SystemExit(f"the rows differ in number: {len(new_rows)} against {len(old_rows)}")
     moves: dict[tuple[str, str], tuple[float, float]] = {}
     refusals, points, past = [], 0, []
+    drift = {"g_p": 0.0, "g_p_curve": 0.0}  # largest |new - old| of log a* in solve tolerances
     for new, old in zip(new_rows, old_rows):
         name, label, new_fields, new_refusal = _parse(new)
         _, _, old_fields, old_refusal = _parse(old)
@@ -156,14 +164,21 @@ def compare(new_rows: list[str], old_rows: list[str]) -> int:
             rel, gap = moves.get((name, field), (0.0, 0.0))
             moves[name, field] = (max(rel, move[0]), max(gap, move[1]))
         if name in ("g_p", "g_p_curve"):
+            n = int(label.split(" ")[1])
             for k, values in sorted(by_point.items()):
                 (g_new, g_old), (e_new, e_old) = values["g_value"], values["est_error"]
+                (s_new, s_old), r = values["log_a_star"], values["r"][1]
+                if s_new != s_old:  # at r = 0, no solve and a tolerance of 0: any move is infinite
+                    tolerance = _tolerance(n, r)
+                    drift[name] = max(drift[name], abs(s_new - s_old) / tolerance if tolerance else math.inf)
                 points += 1
                 if abs(g_new - g_old) > e_new + e_old:
                     past.append(f"  {label} #{k}: G {g_old!r} -> {g_new!r}, est_errors {e_old!r} + {e_new!r}")
     print("largest relative move |new - old| / |old| (and |new - old|) per (function, field):")
     for (name, field), (rel, gap) in sorted(moves.items()):
         print(f"  {name} {field}: {rel:.2g} ({gap:.2g})")
+    print("largest |new - old| of log a* in solve tolerances 2^-44 min(1, 2l): "
+          f"g_p {drift['g_p']:.3g}, g_p_curve {drift['g_p_curve']:.3g}")
     print(f"refusals changed: {len(refusals)}")
     for line in refusals:
         print(line)
