@@ -11,8 +11,11 @@ moments on the site split at the pole.  Below ``objective._R_LIN``, where
 G_p(r) = C_p r and u(r axis) - u(0) = r grad u(0) . axis, both are the
 gradient constant's certificates, on no site.  The draws are polynomials of
 degree <= 8, held as centered coefficient rows; their means and gradient
-moments come from a Gauss-Jacobi rule's integrals of t^k, norms from its
-nodes.
+moments come from a Gauss-Jacobi rule's integrals of t^k.  A certificate
+decides on cheap norm floors (at finite p, power means of the draws' block
+means from the rule's sums of t^k over 16 blocks of its nodes) and takes the
+exact norm (the sup, or the rule norm from the nodes) of only the draws
+whose floors leave the decision open.
 
 Every pass/fail decision of a certificate is made here, against the limits
 below: reports carry violation counts or a ``passed`` flag, which the CLI
@@ -45,9 +48,12 @@ CAPSEQ_GAP_LIMIT = 0.02
 #: Largest drop between consecutive cap-pair values, relative to G_1.
 CAPSEQ_MONOTONE_SLACK = 1e-9
 
-# Relative margin by which a draw's sup floor undercuts its exact sup at
-# p = inf, far above the rounding of either (``_ratio_checker``).
+# Margin, in units of a draw's sum |c_k| (a bound of its sup on [-1, 1]), by
+# which its norm floor undercuts its exact norm, far above the rounding of
+# either (``_norm_floors``).
 _SUP_MARGIN = 1e-12
+# Contiguous node blocks of the finite-p norm floors (``_norm_floors``).
+_BLOCKS = 16
 # What numpy raises for an array size it cannot index or allocate (IndexError:
 # ``np.linspace`` at 2^63 points, numpy 2.4).
 _SIZE_ERRORS = (ValueError, IndexError, MemoryError)
@@ -200,39 +206,59 @@ def _random_poly_draws(n: int, count: int, seed: int, order: int):
 
 
 def _poly_data(n: int, coeffs: np.ndarray, order: int):
-    """The rule, the centered coefficient rows (ascending, nine each: each
-    mean, the row times the rule's moments, taken off c_0) and their values
-    at the nodes of the (n, order) zonal rule."""
-    table, moments = _monomials(n, order)
+    """The (n, order) zonal rule and the centered coefficient rows (ascending,
+    nine each: each mean, the row times the rule's moments, taken off c_0)."""
     centered = coeffs.copy()
-    centered[:, 0] -= coeffs @ moments[:9]
-    return build_rule(n, order), centered, centered @ table
+    centered[:, 0] -= coeffs @ _monomials(n, order)[1][:9]
+    return build_rule(n, order), centered
 
 
-def _poly_norms(ctx: BallContext, rule, coeffs, values) -> np.ndarray:
-    """Finite p-norms of the draws of ``_poly_data``, each from its own row.
+def _node_values(rule, coeffs) -> np.ndarray:
+    """The values at the nodes of ``rule`` of the draws with coefficient rows
+    ``coeffs``.  einsum (without ``optimize``) sums each value's nine products
+    with the monomial table in its own loop, calling no BLAS, so a draw's
+    values depend on its own row alone; a matrix product's bits depend on the
+    other rows."""
+    return np.einsum("ik,kj->ij", coeffs, _monomials(rule.n, rule.order)[0])
 
-    This consumes ``values``: |values|^p is taken in place, so a certificate
-    holds one count x order matrix instead of three.  A draw whose power sum
-    leaves [_POWER_SUM_MIN, inf) (at large p, or a zero draw) is evaluated
-    again and divided by its largest |value| before the power; the others
-    keep their unscaled norms.
+
+def _poly_norms(ctx: BallContext, rule, coeffs) -> np.ndarray:
+    """Finite p-norms on ``rule`` of the draws with coefficient rows
+    ``coeffs``, each from its own row alone.
+
+    A draw's values come from ``_node_values``; |values|^p and its
+    weighting are taken in place and summed row by row, whose bits (unlike a
+    matrix product's with the weights) do not depend on the other rows.  A
+    draw whose power sum leaves [_POWER_SUM_MIN, inf) (at large p, or a zero
+    draw) is evaluated again and divided by its largest |value| before the
+    power; the others keep their unscaled norms.
     """
+    values = _node_values(rule, coeffs)
     np.abs(values, out=values)
     # |value| <= sum |c_k| <= 9 max |c_k| at nodes inside (-1, 1); 2^-40 covers
     # the rounding of the nine-term sums
     _power(values, ctx.p, (1.0 + 2.0 ** -40) * coeffs.shape[1] * float(np.abs(coeffs).max()))
-    sums = values @ rule.weights
+    values *= rule.weights
+    sums = values.sum(axis=1)
     norms = sums ** (1.0 / ctx.p)
     redo = ~((_POWER_SUM_MIN <= sums) & (sums < math.inf))
     if redo.any():
-        values = np.abs(coeffs[redo] @ _monomials(rule.n, rule.order)[0])
+        values = np.abs(_node_values(rule, coeffs[redo]))
         scale = values.max(axis=1)
         scale[scale == 0.0] = 1.0  # a zero draw keeps norm 0
         values /= scale[:, None]
         _power(values, ctx.p, 1.0)
-        norms[redo] = scale * (values @ rule.weights) ** (1.0 / ctx.p)
+        values *= rule.weights
+        norms[redo] = scale * values.sum(axis=1) ** (1.0 / ctx.p)
     return norms
+
+
+def _exact_norms(ctx: BallContext, rule, coeffs) -> np.ndarray:
+    """Each draw's exact norm from its own coefficient row alone: the sup on
+    [-1, 1] at p = inf, else the rule norm of its values at the nodes."""
+    if ctx.p == math.inf:
+        return _poly_sups(coeffs)
+    return _poly_norms(ctx, rule, coeffs)
 
 
 def _power(values, p: float, bound: float) -> None:
@@ -254,36 +280,82 @@ def _power(values, p: float, bound: float) -> None:
         values **= p
 
 
-def _ratio_checker(ctx: BallContext, rule, coeffs, values):
-    """(moments, scale) -> ``_ratio_check(|coeffs @ moments|, scale * norms)``
-    for the p-norms of the draws of ``_poly_data``; consumes ``values`` as
-    ``_poly_norms``.
+@lru_cache(maxsize=16)
+def _block_moments(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only moments of the (n, order) zonal rule on min(order, _BLOCKS)
+    contiguous blocks of its nodes: a blocks x 9 matrix whose row b holds the
+    sums of w t^k over block b (k <= 8), and each block's weight W_b."""
+    blocks = min(order, _BLOCKS)
+    member = np.arange(blocks)[:, None] == np.arange(order) * blocks // order
+    moments = (member * build_rule(n, order).weights) @ _monomials(n, order)[0].T
+    totals = moments[:, 0].copy()
+    moments.setflags(write=False)
+    totals.setflags(write=False)
+    return moments, totals
 
-    Only the draws that can decide the result take their exact norm.  A
-    draw's norm floor makes lhs / (scale * floor) an upper bound on its ratio
-    (inf where the floor is not positive).  The draw of the largest bound
-    takes its exact norm, and so does every draw whose bound exceeds
-    min(that draw's ratio, 1 + BOUND_SLACK); any other draw's ratio is at
-    most that minimum, so it neither raises the largest ratio nor violates.
-    Floors and exact norms are the only p-specific parts: at finite p both
-    are the rule norms; at p = inf the exact norm is the sup, taken at most
-    once per draw over every call, and the floor the largest |value| at the
-    rule nodes and at t = +-1 less _SUP_MARGIN sum |c_k|, which undercuts it
-    by a relative margin of at least _SUP_MARGIN: both are evaluated from the
-    same coefficients to within 2e-15 of that sum, which is at least the sup.
+
+def _norm_floors(ctx: BallContext, rule, coeffs) -> np.ndarray:
+    """Lower bounds of the exact norms (``_exact_norms``) of the draws with
+    centered coefficient rows ``coeffs``.
+
+    At p = inf a floor is the draw's largest |g| at the rule nodes and at
+    t = +-1.  At finite p it is (sum_b W_b m_b^p)^(1/p) over the blocks b of
+    ``_block_moments``, with m_b = |sum_b w g| / W_b: the weights are positive
+    and p >= 1, so by the power-mean inequality block b's sum of w |g|^p is
+    at least W_b (sum_b w |g| / W_b)^p, and m_b is at most that mean of |g|
+    (equal to it on every block where g keeps its sign).  The m_b are the
+    coefficients times the block moments, so no node value is taken; each
+    draw's are divided by the largest before the power, so no floor
+    overflows.
+
+    Either floor is lowered by _SUP_MARGIN sum |c_k|.  That sum bounds |g| on
+    [-1, 1], so it bounds the exact norm, and it covers the rounding of both
+    routes: each evaluates the same coefficients (as node values, or as
+    block sums over W_b) to within about 5e-15 of it, nine-term sums at
+    |t| <= 1.  At finite p both routes then take power means, with weights
+    summing to 1, of those values, which move by at most the values' largest
+    move (Minkowski); their sums, powers and roots round by less than 2e-13
+    relative up to order 8192.  So a lowered floor stays below the computed
+    exact norm.
     """
     if ctx.p == math.inf:
+        values = coeffs @ _monomials(rule.n, rule.order)[0]
+        np.abs(values, out=values)
         ends = np.abs(coeffs @ np.array([-1.0, 1.0]) ** np.arange(9)[:, None]).max(axis=1)
-        floors = np.maximum(np.maximum(values.max(axis=1), -values.min(axis=1)), ends)
-        floors -= _SUP_MARGIN * np.abs(coeffs).sum(axis=1)
-        norms = np.full(len(coeffs), math.nan)  # exact sups taken so far
+        floors = np.maximum(values.max(axis=1), ends)
     else:
-        norms = floors = _poly_norms(ctx, rule, coeffs, values)
+        # one row per block, one column per draw: numpy reduces the short
+        # columns of a draw's 16 means far faster than its short rows
+        moments, totals = _block_moments(rule.n, rule.order)
+        means = np.abs(moments @ coeffs.T)
+        means /= totals[:, None]
+        top = means.max(axis=0)
+        means /= np.where(top > 0.0, top, 1.0)
+        _power(means, ctx.p, 1.0)
+        floors = top * (totals @ means) ** (1.0 / ctx.p)
+    return floors - _SUP_MARGIN * (np.abs(coeffs) @ np.ones(coeffs.shape[1]))  # sum |c_k|
+
+
+def _ratio_checker(ctx: BallContext, rule, coeffs):
+    """(moments, scale) -> ``_ratio_check(|coeffs @ moments|, scale * norms)``
+    for the exact norms (``_exact_norms``) of the draws of ``_poly_data``.
+
+    Only the draws that can decide the result take their exact norm.  A
+    draw's norm floor (``_norm_floors``) makes lhs / (scale * floor) an upper
+    bound on its ratio (inf where the floor is not positive).  The draw of
+    the largest bound takes its exact norm, and so does every draw whose
+    bound exceeds min(that draw's ratio, 1 + BOUND_SLACK); any other draw's
+    ratio is at most that minimum, so it neither raises the largest ratio
+    nor violates.  Each exact norm is taken at most once per draw over every
+    call, from the draw's own coefficients.
+    """
+    floors = _norm_floors(ctx, rule, coeffs)
+    norms = np.full(len(coeffs), math.nan)  # exact norms taken so far
 
     def exact(lhs, scale, rows):
         todo = rows & np.isnan(norms)
         if todo.any():
-            norms[todo] = _poly_sups(coeffs[todo])
+            norms[todo] = _exact_norms(ctx, rule, coeffs[todo])
         return _ratio_check(lhs[rows], scale * norms[rows])
 
     def check(moments, scale):
@@ -489,9 +561,9 @@ def corollary_l2_check(n: int, coeffs) -> CorollaryL2Report:
     if datum.ndim != 1 or not 1 <= datum.size <= 9 or not np.isfinite(datum).all():
         raise DomainError(f"datum must be 1 to 9 finite polynomial coefficients, got {coeffs!r}")
     ctx = BallContext(n, 2.0)
-    rule, coeffs, values = _poly_data(ctx.n, np.pad(datum, (0, 9 - datum.size))[None], DEFAULT_ORDER)
+    rule, coeffs = _poly_data(ctx.n, np.pad(datum, (0, 9 - datum.size))[None], DEFAULT_ORDER)
     lhs = float(abs(coeffs[0] @ _grad_moments(ctx.n, DEFAULT_ORDER)))
-    rms = float(_poly_norms(ctx, rule, coeffs, values)[0])
+    rms = float(_poly_norms(ctx, rule, coeffs)[0])
     rhs_sqrt = math.sqrt(2.0 * (ctx.n - 1.0)) * rms
     rhs_moment = grad_constant(ctx) * rms
     holds = [_ratio_check(lhs, rhs)[0] == 0 for rhs in (rhs_sqrt, rhs_moment)]
