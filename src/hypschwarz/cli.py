@@ -93,7 +93,7 @@ def _astar(args):
                 for r, res in zip(args.radii, g_p_curve(ctx, args.radii, args.order))], False
     with _overflow_guard():
         rows = [{"r": r, "a_star": math.exp(s), "f_residual": f}
-                for r, s, f, _ in _shift_curve(ctx, args.radii, args.order)]
+                for r, s, f in _shift_curve(ctx, args.radii, args.order)]
     return rows, False
 
 

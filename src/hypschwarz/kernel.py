@@ -7,7 +7,7 @@ whose axis coordinate is t = <eta, axis>, the kernel depends on (r, t) only:
     K(r, t) = ((1 - r^2) / (1 + r^2 - 2 r t)) ** (n - 1).
 
 All helpers accept scalar or ndarray ``t``.  ``_log_kernel`` takes r as its
-``_kernel_constants``: floats, or a stack's columns (``quadrature._stacks``).
+``_kernel_constants``: floats, or a stack's columns (``quadrature._new_sites``).
 """
 
 from __future__ import annotations

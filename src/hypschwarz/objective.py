@@ -20,18 +20,19 @@ K at the nodes of a shift's one site, ``_shift_site`` (a site of
 ``quadrature`` split where K crosses the shift, on the lean layout but for
 ``dF_da``'s), summed by its one pass ``_site_sums``.  F and its slope (a
 second row of F's one power |d|^(q-1)) are one stack of values; Phi and
-the doubled-order Phi of ``est_error`` are one pass.  So Phi(a*) costs one
-power and one panel sum on the site of the solve's last F, and the
-residual F(a*) is that F.
-The two private sums take lists of points.  ``_f_and_slope`` takes
-(r, s, slope) points: a sweep's F pass, the next F of every open solve,
-builds the new sites of each layout in one node pass
-(``quadrature._new_sites``) and sums an F row for every point and a slope
-row for those that ask, one pass per layout.  ``_phi_and_refined`` takes
-(s, site) points: a sweep holds a copy of the site of each radius's last F
-and sums Phi on a chunk of them, one pass per group of
-``quadrature._stacks``, which also gives the group's shifts and scales in
-its shape.  Every point's values are the bits of a pass on its site alone.
+the doubled-order Phi of ``est_error`` are one pass.  So the Phi(a*) of a
+lone solve costs one power and one panel sum on the site of its last F,
+and the residual F(a*) is that F.
+The two private sums take lists of points and build the sites they sum on
+(``_sites``, the one place that chooses a lone site or a stack): one point
+sums on its cached lone site, so the Phi of a lone solve reads its last
+F's site; several are one node pass for each layout
+(``quadrature._new_sites``) and one stacked site pass.  ``_f_and_slope``
+takes (r, s, slope) points: a sweep's F pass, the next F of every open
+solve, sums an F row for every point and a slope row for those that ask.
+``_phi_and_refined`` takes (r, s) points: a sweep sums Phi on a chunk of
+its solved radii.  Every point's values are the bits of a pass on its site
+alone.  No site is handed out: a caller passes numbers and gets numbers.
 The public functions check their arguments (``ObjectiveParams``) and enter
 ``quadrature._overflow_guard``; the private ones run under their caller's
 (``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import _EXP_MAX, BallContext, _log_range, _split_point, check_radius
-from .quadrature import DEFAULT_ORDER, _checked, _new_sites, _overflow_guard, _site, _site_sums, _stacks
+from .quadrature import DEFAULT_ORDER, _checked, _new_sites, _overflow_guard, _site, _site_sums
 from .special import check_order
 
 # Floor applied to |d| in negative-exponent integrands: a quadrature node can
@@ -105,8 +106,7 @@ def phi(params: ObjectiveParams, a: float) -> float:
     first: |d|^q overflows near r = 1 for large q, a m (integral |d/m|^q)^(1/q) not.
     """
     with _overflow_guard():
-        s = _log_shift(a)
-        points = [(s, _shift_site(params.ctx.n, params.r, params.order, s))]
+        points = [(params.r, _log_shift(a))]
         return _checked(_phi_and_refined(params.ctx, params.order, points, False)[0][0])
 
 
@@ -119,20 +119,36 @@ def _shift_site(n: int, r: float, order: int, s: float, lean: bool = True):
     return _site(n, r, order, _split_point(n, r, s), lean)
 
 
+def _sites(n: int, order: int, points, lean: bool) -> list[tuple]:
+    """(indices, site, *entries) for each group of the sites of ``points``,
+    (r, s, *entries) tuples, with each point's s and further entries in the
+    site's shape: one point on its lone ``_shift_site`` (cached, and so a
+    hit right after a lone solve) with its own, several in one node pass for
+    each layout (``quadrature._new_sites``) with theirs as columns.  The one
+    place that chooses: a one-row stack costs about a quarter more per F
+    than a lone site."""
+    if len(points) == 1:
+        point = points[0]
+        return [([0], _shift_site(n, point[0], order, point[1], lean), *point[1:])]
+    t0s = [_split_point(n, point[0], point[1]) for point in points]
+    return [(rows, stack, *[np.array(column)[:, None, None] for column in zip(*[points[k][1:] for k in rows])])
+            for rows, stack in _new_sites(n, order, [point[0] for point in points], t0s, lean)]
+
+
 def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list[list[float]]:
     """[Phi(e^s) at ``order``, at est_error's reference order (``_site_sums``)]
-    at each (s, site of ``_shift_site``) of ``points``, or [Phi(e^s)]
-    without ``refine``, unchecked (non-finite where Phi is): the bits of the
-    point's own phi calls.  The points of one layout are one stacked site
-    pass (``_stacks``): a sweep holds the site of each radius's last F and
-    sums them together.  The order is one already checked."""
-    q, shifts, sizes = ctx.q, [], []
-    for s, site in points:
-        ell = _log_range(ctx.n, site[0])
-        shifts.append(s)
-        sizes.append(max(_exp(ell - s, math.expm1), -math.expm1(-ell - s)))
+    at each (r, s) of ``points``, or [Phi(e^s)] without ``refine``,
+    unchecked (non-finite where Phi is): the bits of the point's own phi
+    calls, on the lean sites of ``_sites``.  The order is one already
+    checked."""
+    q, scaled, factors = ctx.q, [], []
+    for r, s in points:
+        ell = _log_range(ctx.n, r)
+        size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
+        scaled.append((r, s, 1.0 / size))
+        factors.append(_exp(s) * size)
     phis: list = [None] * len(points)
-    for rows, site, shift, scale in _stacks([site for _, site in points], shifts, [1.0 / size for size in sizes]):
+    for rows, site, shift, scale in _sites(ctx.n, order, scaled, True):
 
         def values(log_kernel, _):
             dev = log_kernel - shift
@@ -143,8 +159,7 @@ def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list
             return dev
 
         for k, *totals in zip(rows, *_site_sums(ctx.n, order, site, values, refine)):
-            factor = _exp(shifts[k]) * sizes[k]
-            phis[k] = [factor * total ** (1.0 / q) for total in totals]
+            phis[k] = [factors[k] * total ** (1.0 / q) for total in totals]
     return phis
 
 
@@ -156,65 +171,42 @@ def big_f(params: ObjectiveParams, a: float) -> float:
 
 
 def _f_and_slope(ctx: BallContext, order: int, points, lean: bool = True) -> list[tuple]:
-    """[(F, dF/ds, site)] at each (r, s, slope) of ``points``, the shift
-    a = e^s at r, for checked arguments: dF/ds = a dF/da is None unless
-    ``slope``, and the site is the point's ``_shift_site`` (lean or not).
-    Both come from one power |d|^(q-1): F's row is its copysign, the slope
-    row that power over max(|d|, floor), the one definition of dF/ds.  Both
-    are unchecked: the caller refuses a non-finite F (where a^(q-1)
-    underflows, its integral overflows), and a caller that only steers by
-    the slope keeps F's points.  One point sums on its lone site; several
-    are one stacked site pass for each layout (``quadrature._new_sites``),
-    with F rows for every point and slope rows for the points that ask for
-    one, its points' sites built in one node pass: every row the bits of a
-    pass on its point's site alone.
+    """[(F, dF/ds)] at each (r, s, slope) of ``points``, the shift a = e^s
+    at r, for checked arguments, on the sites of ``_sites`` (lean or not):
+    dF/ds = a dF/da is None unless ``slope``.  Both come from one power
+    |d|^(q-1): F's row is its copysign, the slope row that power over
+    max(|d|, floor), the one definition of dF/ds.  Both are unchecked: the
+    caller refuses a non-finite F (where a^(q-1) underflows, its integral
+    overflows), and a caller that only steers by the slope keeps F's
+    points.  Every site has an F row, and the sites of the points that ask
+    a slope row, which ``quadrature._site_sums`` reads as further rows of a
+    stack's first sites: so the points that ask come first.  Every row has
+    the bits of a pass on its point's site alone.
     """
-    q, n = ctx.q, ctx.n
-    if len(points) == 1:  # no stacking machinery
-        (r, s, slope), = points
-        site = _shift_site(n, r, order, s, lean)
-        totals = _f_rows(ctx, order, site, s, int(slope))
-        scale = _exp((q - 1.0) * s)
-        return [(scale * totals[0], (1.0 - q) * scale * totals[1] if slope else None, site)]
-    # the points that ask for a slope first: a stack's slope rows are its first sites'
-    ranked = sorted(range(len(points)), key=lambda k: not points[k][2])
-    t0s = [_split_point(n, points[k][0], points[k][1]) for k in ranked]
-    results: list = [None] * len(points)
-    for rows, stack, sites in _new_sites(n, order, [points[k][0] for k in ranked], t0s, lean):
-        rows = [ranked[k] for k in rows]
+    q, results = ctx.q, [None] * len(points)
+    for rows, site, shift, _ in _sites(ctx.n, order, points, lean):
         slopes = sum(points[k][2] for k in rows)
-        totals = _f_rows(ctx, order, stack, np.array([points[k][1] for k in rows])[:, None, None], slopes)
+
+        def values(log_kernel, _):
+            dev = log_kernel - shift
+            np.expm1(dev, out=dev)
+            if dev.ndim == 2:  # a lone site's rows, as a stack of one
+                dev = dev[None]
+            sites = len(dev)
+            out = np.empty((sites + slopes, *dev.shape[1:]))
+            power = np.abs(dev, out=out[:sites])
+            power **= q - 1.0
+            if slopes:
+                size = np.abs(dev[:slopes], out=out[sites:])
+                np.divide(power[:slopes], np.maximum(size, _DEV_FLOOR, out=size), out=size)
+            np.copysign(power, dev, out=power)
+            return out
+
+        totals, = _site_sums(ctx.n, order, site, values)
         for i, k in enumerate(rows):
             scale = _exp((q - 1.0) * points[k][1])
-            slope = (1.0 - q) * scale * totals[len(rows) + i] if i < slopes else None
-            results[k] = (scale * totals[i], slope, sites[i])
+            results[k] = (scale * totals[i], (1.0 - q) * scale * totals[len(rows) + i] if i < slopes else None)
     return results
-
-
-def _f_rows(ctx: BallContext, order: int, site, shift, slopes: int) -> list[float]:
-    """The totals of ``_f_and_slope``'s rows on ``site``, a lone site or a
-    stack, at the shift s (a float, or a column of one per site): F's row,
-    sign(d) |d|^(q-1), for each site, then the slope row, |d|^(q-1) over
-    max(|d|, floor), for each of its first ``slopes``, both unscaled."""
-    q = ctx.q
-
-    def values(log_kernel, _):
-        dev = log_kernel - shift
-        np.expm1(dev, out=dev)
-        if dev.ndim == 2:  # a lone site's rows, as a stack of one
-            dev = dev[None]
-        sites = len(dev)
-        out = np.empty((sites + slopes, *dev.shape[1:]))
-        power = np.abs(dev, out=out[:sites])
-        power **= q - 1.0
-        if slopes:
-            size = np.abs(dev[:slopes], out=out[sites:])
-            np.divide(power[:slopes], np.maximum(size, _DEV_FLOOR, out=size), out=size)
-        np.copysign(power, dev, out=power)
-        return out
-
-    totals, = _site_sums(ctx.n, order, site, values)
-    return totals
 
 
 def dF_da(params: ObjectiveParams, a: float) -> float:
@@ -224,6 +216,6 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     summed from that ratio, however near 1 (README, "Numerical notes").
     """
     with _overflow_guard():
-        (f_value, slope, _), = _f_and_slope(params.ctx, params.order, [(params.r, _log_shift(a), True)], lean=False)
+        (f_value, slope), = _f_and_slope(params.ctx, params.order, [(params.r, _log_shift(a), True)], lean=False)
         _checked(f_value)
         return _checked(slope / a)

@@ -34,8 +34,7 @@ A site is the node set split at t0 (``_graded_nodes``, which also keeps
 the layout it decided: theta0, the side lengths and the layout key (outer
 count, panel count, inner nodes)) with log K(r, .) at its nodes and r's
 ``kernel._kernel_constants``, all read-only; it depends on (n, r, order,
-t0) and the layout only, and the last two built are kept, but a caller may
-hold one longer.  One function,
+t0) and the layout only, and the last two built are kept.  One function,
 ``_site_sums``, sums every zonal integral, with one body for every site: it
 evaluates fn(log K, t) there (on a node set alone for
 ``integrate_with_breakpoint``'s integrands of t), takes the panel sums and
@@ -45,16 +44,14 @@ set, every panel at a pole), all that the order changes, at est_error's
 reference order 2 max(order, 96), and splices their sums over the first
 order's.  A stack is several sites of one layout (layout key and sides)
 as one site, whose log K, sine powers and side lengths are stacked on a
-leading axis where used (t is None), and whose theta0s, kernel constants
-and per-site values are columns (floats on a lone site, which is how the
-two are told apart): so each build step has one body, runs once
-for the stack, and every site is a row with the bits of a pass on it
-alone.  Two functions build stacks: ``_stacks`` stacks sites already
-built (a sweep's held sites, for G), and ``_new_sites`` builds the new
-sites of a sweep's F pass, at every open solve's next shift, in one node
-pass for each layout (the pole splits form their own group), with each
-row as a lone site of views into the stack and no t, as no integrand of t
-is summed on it (``_own_site`` copies one out).  The side totals add each
+leading axis (t is None), and whose theta0s, kernel constants and per-site
+values are columns (floats on a lone site, which is how the two are told
+apart): so each build step has one body, runs once for the stack, and
+every site is a row with the bits of a pass on it alone.  One function
+builds stacks, ``_new_sites``: the sites of a sweep's F or G pass, at
+every point's shift, in one node pass for each layout (the pole splits
+form their own group), with no t, as no integrand of t is summed on them;
+the stack lives as long as the pass that sums on it.  The side totals add each
 side's panels left to right in one ``np.add.accumulate`` for all rows,
 and the tail past the innermost panel from the last two panel sums on
 Python floats.  Non-finite values or totals raise DomainError.  A site pass
@@ -236,7 +233,7 @@ def _layout(n: int, t0: float, lean: bool) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=32)
-def _graded_panels(order: int, outer: int, panels: int = _PANELS, inner: int = _PANEL_NODES):
+def _graded_panels(order: int, outer: int, panels: int, inner: int):
     """Read-only (offsets, weights, starts): Gauss-Legendre nodes on the
     graded panels of a side of unit length, as offsets from the breakpoint,
     flat and panel by panel, with the index of each panel's first node.
@@ -311,7 +308,7 @@ def _panel_sums(vals, nodes):
         for first in range(0, len(vals), len(sinpow)):
             block = weighted[first:first + len(sinpow)]
             np.multiply(vals[first:first + len(block)], sinpow[:len(block)], out=block)
-    else:  # a stack's tuple of sine powers is stacked by the product
+    else:
         np.multiply(vals, sinpow, out=weighted)
     weighted *= weights
     return np.add.reduceat(weighted, starts, axis=-1)
@@ -361,8 +358,7 @@ def _overflow_guard():
 def _site(n: int, r: float, order: int, t0: float, lean: bool = False):
     """(r, its kernel constants, log K, node set): the graded rule's node set
     split at t0, lean or not (``_layout``), and log K(r, .) at its nodes,
-    every array read-only.  A caller may hold it past the cache's two slots
-    and sum on it later."""
+    every array read-only."""
     nodes = _graded_nodes(n, order, t0, lean)
     constants = _kernel_constants(r)
     log_kernel = _log_kernel(n, constants, nodes[0])
@@ -372,10 +368,10 @@ def _site(n: int, r: float, order: int, t0: float, lean: bool = False):
 
 
 def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[float]]:
-    """Zonal integrals of fn on ``site`` (``_site``, a row of
-    ``_new_sites``, a stack of ``_stacks`` or ``_new_sites``, or (None,
-    None, None, node set) for a node set alone), unchecked (non-finite where
-    a value or a sum is): a list of one total per row for each pass.
+    """Zonal integrals of fn on ``site`` (``_site``, a stack of
+    ``_new_sites``, or (None, None, None, node set) for a node set alone),
+    unchecked (non-finite where a value or a sum is): a list of one total
+    per row for each pass.
     fn(log K, t) returns values of log K's shape, or of (rows, *t.shape), in
     an array the pass may overwrite unless it is a view; on a stack t is
     None and each site is a row, and its rows past the sites' own are
@@ -391,8 +387,7 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
     full evaluation's bits.
     """
     _, constants, log_kernel, nodes = site
-    # np.asarray stacks a stack's log K, freed once fn returns, and passes a site's own
-    per_panel = _panel_sums(fn(np.asarray(log_kernel), nodes[0]), nodes)
+    per_panel = _panel_sums(fn(log_kernel, nodes[0]), nodes)
     rows = per_panel[None] if per_panel.ndim == 2 else per_panel  # a view: its rows see the splice
     # a stack has a tuple of side lengths per site, row i that of site i mod the site
     # count; a lone site's rows share its tuple
@@ -409,34 +404,12 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
     return totals
 
 
-def _stacks(sites, *values):
-    """(indices, site, *values) for each group of ``sites`` of one layout
-    (``_layout`` and sides), the only code that builds a stack: a lone site
-    and its own values, or one site of the group's radii, kernel constants,
-    log K, sine powers, theta0s and side lengths, stacked where
-    ``_site_sums`` uses them (t None), and its per-site values as columns."""
-    groups: dict[tuple, list[int]] = {}
-    for k, (*_, nodes) in enumerate(sites):
-        groups.setdefault((nodes[6], len(nodes[5])), []).append(k)
-    for rows in groups.values():
-        if len(rows) == 1:
-            yield rows, sites[rows[0]], *[value[rows[0]] for value in values]
-            continue
-        radii, constants, log_kernels, node_sets = zip(*[sites[k] for k in rows])
-        _, sinpows, weights, starts, theta0s, lengths, layout = zip(*node_sets)
-        column = np.array(constants).T[..., None, None]  # (3, sites, 1, 1): each site's own
-        node_set = (None, sinpows, weights[0], starts[0], np.array(theta0s)[:, None, None], lengths, layout[0])
-        yield rows, (radii, column, log_kernels, node_set), *[
-            np.array([value[k] for k in rows])[:, None, None] for value in values]
-
-
 def _new_sites(n: int, order: int, radii, t0s, lean: bool):
-    """(indices, stack, sites) for each group of the sites split at ``t0s``
-    at ``radii`` of one layout (``_layout`` and sides): their node set and
-    log K built in one node pass, with theta0s and kernel constants as
-    columns, as a stack that ``_site_sums`` sums (t None), and its rows as
-    lone sites, each the bits of ``_site``'s there, whose arrays are views of
-    the stack's (``_own_site`` copies one out)."""
+    """(indices, stack) for each group of the sites split at ``t0s`` at
+    ``radii`` of one layout (``_layout`` and sides): their node set and log K
+    built in one node pass, with theta0s and kernel constants as columns, as
+    a stack that ``_site_sums`` sums (t None), each row the bits of
+    ``_site``'s there.  This is the only code that builds a stack."""
     groups: dict[tuple, list] = {}
     for k, t0 in enumerate(t0s):
         theta0, lengths = _split(t0)
@@ -446,23 +419,10 @@ def _new_sites(n: int, order: int, radii, t0s, lean: bool):
         rows, theta0s, lengths = zip(*members)
         t, sinpow, weights, starts, column0, _, _ = _nodes_at(
             n, np.array(theta0s)[:, None, None], lengths, layout, *_graded_panels(order, *layout))
-        constants = [_kernel_constants(radii[k]) for k in rows]
-        column = np.array(constants).T[..., None, None]
+        column = np.array([_kernel_constants(radii[k]) for k in rows]).T[..., None, None]
         log_kernel = _log_kernel(n, column, t, out=t)  # no integrand of t is summed on these sites
-        stack = ([radii[k] for k in rows], column, log_kernel,
-                 (None, sinpow, weights, starts, column0, lengths, layout))
-        yield list(rows), stack, [
-            (radii[k], constants[i], log_kernel[i], (None, sinpow[i], weights, starts, theta0s[i], lengths[i], layout))
-            for i, k in enumerate(rows)]
-
-
-def _own_site(site):
-    """``site`` with arrays of its own: a row of a ``_new_sites`` stack
-    copied out, so that the stack can be freed; any other site as it is."""
-    r, constants, log_kernel, nodes = site
-    if log_kernel.base is None:
-        return site
-    return r, constants, log_kernel.copy(), (None, nodes[1].copy(), *nodes[2:])
+        yield list(rows), ([radii[k] for k in rows], column, log_kernel,
+                           (None, sinpow, weights, starts, column0, lengths, layout))
 
 
 def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:

@@ -4,13 +4,14 @@ For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
 range.  One loop on s = log a finds it from F (``_steps``, a generator
 that yields each point and receives F there) and hands that s, not a
-rounded a*, to Phi.  A lone solve drives it one F at a time (``_solve``);
-a sweep drives the solves of its radii in lockstep, every open solve's
-next F in one stacked site pass (``_shift_curve``).  It resolves the root
-of the computed F: where F's quadrature noise near a* exceeds its slope
-times the tolerance, another start can move a* by more (17 times that at
-n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
-endpoint exponents have closed forms:
+rounded a*, to Phi.  One driver runs every solve, of one radius or of a
+sweep's many (``_lockstep``): each pass gives every open solve its next F
+in one ``_f_and_slope`` call.  The solver deals in numbers: every F or Phi
+pass builds the sites it sums on.  It resolves the root of the computed
+F: where F's quadrature noise near a* exceeds its slope times the
+tolerance, another start can move a* by more (17 times that at n = 4,
+p = 1.5, r = 0.99, with G still far inside est_error).  The endpoint
+exponents have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -28,8 +29,8 @@ from functools import lru_cache
 
 from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
-from .objective import _R_LIN, _check_exponent, _f_and_slope, _phi_and_refined, _shift_site
-from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER, _checked, _overflow_guard, _own_site
+from .objective import _R_LIN, _check_exponent, _f_and_slope, _phi_and_refined
+from .quadrature import _ROUNDING_FLOOR, DEFAULT_ORDER, _checked, _overflow_guard
 from .special import alpha_q, check_dimension, check_order
 
 # Width in log a at which the root bracket counts as resolved (times 2l, l < 1/2).
@@ -46,10 +47,9 @@ _METHODS = ("numeric", "linear", "closed_p1", "closed_pinf")
 # Radii of a sweep whose G and est_error are summed in one stacked site pass,
 # and the most solves of a sweep open at once, whose F passes are stacked
 # site passes of at most as many sites.  Each G chunk's fixed cost is about
-# 40 numpy calls; a stack takes 5.3 KB a radius at order 128.  At 12 a
-# 100-radius sweep mostly faults under one page back in from the C
-# library's heap trims (46 to 369 pages at 25, README), and the twice as
-# many chunks of 6 made sweeps about 3% longer.
+# 40 numpy calls, and the twice as many chunks of 6 made sweeps about 3%
+# longer; a chunk's stacks grow with it, and at 25 a 100-radius sweep
+# faulted 46 to 369 pages back in from the C library's heap trims (README).
 _CHUNK = 12
 # A guessed radius of a sweep opens before the radius ahead of it has an
 # estimate where its first step in log a is at most _SPECULATE.  A Newton
@@ -88,24 +88,10 @@ class GpResult:
 
 def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
     """Root of F(r, .) in the open kernel range, 1 below _R_LIN: the cold
-    solve of ``_solve``, rounded to a* = e^s."""
+    solve of ``_lockstep`` at r alone, rounded to a* = e^s."""
     with _overflow_guard():
-        return math.exp(_solve(ctx, r, order, None, 0.0)[0])
-
-
-def _solve(ctx: BallContext, r: float, order: int, start: float | None, width: float) -> tuple[float, float]:
-    """(s, F(s)) at the root s = log a* of F(r, .), unrounded; (0, 0) below
-    _R_LIN: the steps of ``_steps`` driven one F at a time on a lone site.
-    The caller holds ``quadrature._overflow_guard``."""
-    steps = _steps(ctx, r, order, start, width)
-    try:
-        s, slope = next(steps)  # the arguments' checks come first
-        r = float(r)
-        while True:
-            (fs, slope, _), = _f_and_slope(ctx, order, [(r, s, slope)])
-            s, slope = steps.send((fs, slope))
-    except StopIteration as solved:
-        return solved.value
+        (s, _), = _lockstep(ctx, [r], order)
+        return math.exp(s)
 
 
 def _tolerance(n: int, r: float) -> float:
@@ -114,10 +100,11 @@ def _tolerance(n: int, r: float) -> float:
 
 
 def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: float):
-    """The one solve loop on s = log a, a generator: it yields (s, slope),
-    the next point and whether it needs dF/ds there, receives (F, dF/ds)
-    of ``objective._f_and_slope`` at it, and returns (s, F(s)) at the root
-    s = log a* of F(r, .), unrounded; (0, 0) below _R_LIN, with no point.
+    """The one solve loop on s = log a, a generator: it yields the next
+    point of ``objective._f_and_slope``, (r, s, slope) with r checked and
+    whether it needs dF/ds there, receives (F, dF/ds) at it, and returns
+    (s, F(s)) at the root s = log a* of F(r, .), unrounded; (0, 0) below
+    _R_LIN, with no point.
 
     One F evaluation per step, inside the range (-l, l) of log K, at whose
     ends F's signs are known (positive at -l).  It starts at the log guess
@@ -158,7 +145,7 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
     steered = 3 if start is not None else 0
     a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
     for _ in range(_MAX_ITER):
-        fs, slope = yield s, steered == 3
+        fs, slope = yield r, s, steered == 3
         fs = _checked(fs)
         if fs == 0.0:
             return s, fs
@@ -332,16 +319,17 @@ def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
     return g_p_curve(ctx, [r], order)[0]
 
 
-def _numeric_results(ctx: BallContext, order: int, held) -> list[tuple[float, GpResult]]:
-    """(r, GpResult) for each held (s, site) of a solved radius, from one
-    stacked site pass on the site of each solve's last F: G_p = Phi(a*) and
-    est_error (|G_p - G_2| at p = 2, else the gap to Phi(a*) at quadrature's
-    reference order) for the solved s = log a*; only a* is rounded to e^s.
-    Radius by radius, as g_p would, the first to refuse raises."""
+def _numeric_results(ctx: BallContext, order: int, solved) -> list[tuple[float, GpResult]]:
+    """(r, GpResult) for each (r, s) of a solved radius, from one
+    ``_phi_and_refined`` pass, which builds the sites of the solves' last F
+    anew (a lone one is still cached): G_p = Phi(a*) and est_error
+    (|G_p - G_2| at p = 2, else the gap to Phi(a*) at quadrature's reference
+    order) for the solved s = log a*; only a* is rounded to e^s.  Radius by
+    radius, as g_p would, the first to refuse raises."""
     results = []
     refine = ctx.p != 2.0
-    for (s, site), values in zip(held, _phi_and_refined(ctx, order, held, refine)):
-        r, g_val = site[0], _checked(values[0])
+    for (r, s), values in zip(solved, _phi_and_refined(ctx, order, solved, refine)):
+        g_val = _checked(values[0])
         if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
             raise DomainError(f"G_p(r) underflows to 0 at n={ctx.n}, p={ctx.p}, r={r}")
         # Phi is stationary at a*: its error needs no solve at the reference order.
@@ -368,16 +356,15 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     Every GpResult is built here: closed forms at p = 1 and inf, ``_linear``
     ones below _R_LIN (after the solve's exponent check).  At p = 2 every
     radius is solved cold, from its root a = 1, so the rows are g_p's bit
-    for bit.  A radius already solved reuses that solve.  Each solved radius
-    holds a copy of the site of its solve's last F; every _CHUNK radii in
-    sweep order, and at the end of the sweep, one stacked site pass sums G
-    and est_error on the held sites, each row the bits of a pass on its site
-    alone.  Refusals come in sweep order: where a solve refuses, the radii
-    held before it are summed first, and the first of them to refuse its G
-    is raised in its place.  Results depend on (ctx, radii, order) only: the
-    per-point memo of g_p is neither read nor filled.  Where F overflows near
-    a kernel-range end but not near a* (p near 1 at larger r), a warm solve
-    answers although g_p refuses.
+    for bit.  A radius already solved reuses that solve.  Every _CHUNK
+    solved radii in sweep order, and at the end of the sweep, one
+    ``_numeric_results`` pass sums G and est_error at their (r, s), each row
+    the bits of a pass on its site alone.  Refusals come in sweep order:
+    where a solve refuses, the radii solved before it are summed first, and
+    the first of them to refuse its G is raised in its place.  Results
+    depend on (ctx, radii, order) only: the per-point memo of g_p is neither
+    read nor filled.  Where F overflows near a kernel-range end but not near
+    a* (p near 1 at larger r), a warm solve answers although g_p refuses.
     """
     order = check_order(order)
     if ctx.p in (1.0, math.inf):
@@ -385,10 +372,10 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
         return [GpResult(ctx, r, *closed(ctx.n, r), method, 0.0, _closed_log_a(ctx.n, r, ctx.p))
                 for r in map(check_radius, radii)]
     results: dict[float, GpResult | None] = {}
-    sweep, held = [], []  # held: (s, site) of each radius solved since the last pass
+    sweep, solved = [], []  # solved: (r, s) of each radius solved since the last G pass
     with _overflow_guard():
         try:
-            for r, s, _, site in _shift_curve(ctx, radii, order):
+            for r, s, _ in _shift_curve(ctx, radii, order):
                 sweep.append(r)
                 if r in results:
                     continue
@@ -396,37 +383,22 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
                     results[r] = _linear(ctx, r)
                     continue
                 results[r] = None
-                held.append((s, site))
-                if len(held) == _CHUNK:
-                    chunk, held = held, []
+                solved.append((r, s))
+                if len(solved) == _CHUNK:
+                    chunk, solved = solved, []
                     results.update(_numeric_results(ctx, order, chunk))
         finally:  # a G refused here replaces the solve's refusal that follows it in sweep order
-            results.update(_numeric_results(ctx, order, held))
+            results.update(_numeric_results(ctx, order, solved))
     return [results[r] for r in sweep]
 
 
 def _shift_curve(ctx: BallContext, radii, order: int):
-    """(r, log a*, F(a*), site of that F) at every radius of a sweep for
-    finite p > 1, in sweep order, each as soon as it and every radius
-    before it is solved: g_p_curve's solves without Phi.  The site has
-    arrays of its own (``quadrature._own_site``); it is None below _R_LIN,
-    where no F is taken, and for a repeated radius.
-
-    One radius is a lone ``_solve``.  Otherwise the radii are solved in
-    lockstep: each pass gives every open solve (``_steps``) its next F in
-    one ``_f_and_slope`` call, at most _CHUNK sites, every row the bits of a
-    lone F.  Radii open in sweep order.  The first two, and every one at
-    p = 2 (where the cold start a = 1 is the root), open cold.  Any other
-    starts from log a* extrapolated in r through the latest six estimates
-    before it (``_extrapolate``), with a first step of twice the last term:
-    a radius's estimate is its root, or the Newton point of its first steered
-    step where that point is within this first step and within
-    _TRUSTED_STEP of its guess.  It opens once the radius before it has an
-    estimate, or at once where its first step is at most _SPECULATE; from a
-    NaN guess (at tiny, close radii the differences overflow) it solves
-    cold.  Once a radius refuses, no later
-    one is solved, and its refusal is raised in its place in sweep order,
-    as is a radius refused by ``check_radius``.
+    """(r, log a*, F(a*)) at every radius of a sweep for finite p > 1, in
+    sweep order, each as soon as it and every radius before it is solved:
+    g_p_curve's solves without Phi, the distinct radii solved by
+    ``_lockstep``.  Once a radius refuses, no later one is solved, and its
+    refusal is raised in its place in sweep order, as is a radius refused by
+    ``check_radius``.
     """
     checked, invalid = [], None
     for r in radii:
@@ -435,34 +407,33 @@ def _shift_curve(ctx: BallContext, radii, order: int):
         except DomainError as refusal:
             invalid = refusal
             break
-    unique = list(dict.fromkeys(checked))
-    outcomes = _lockstep(ctx, unique, order) if len(unique) > 1 else _lone(ctx, unique, order)
-    solved: dict[float, tuple[float, float]] = {}  # (s, F) of each radius yielded: a repeat takes no site
+    outcomes = _lockstep(ctx, list(dict.fromkeys(checked)), order)
+    solved: dict[float, tuple[float, float]] = {}  # (s, F) of each radius yielded
     for r in checked:
-        if r in solved:
-            yield r, *solved[r], None
-            continue
-        s, fs, site = next(outcomes)
-        solved[r] = s, fs
-        yield r, s, fs, site
+        if r not in solved:
+            solved[r] = next(outcomes)
+        yield r, *solved[r]
     if invalid is not None:
         raise invalid
 
 
-def _lone(ctx: BallContext, radii, order: int):
-    """(s, F, site) of the root at the one radius of ``radii``, if any: a
-    cold ``_solve`` and its last F's site, the lone site cache's newest."""
-    for r in radii:
-        s, fs = _solve(ctx, r, order, None, 0.0)
-        yield s, fs, _shift_site(ctx.n, r, order, s) if r >= _R_LIN else None
-
-
 def _lockstep(ctx: BallContext, radii, order: int):
-    """(s, F, site) of the root at each of ``radii`` (checked, distinct), in
-    order, from solves in lockstep (``_shift_curve``); a refused radius
-    raises in its place."""
+    """(s, F) of the root at each of ``radii`` (distinct), in order; a
+    refused radius raises in its place.  Every solve, of one radius or many,
+    is driven here: each pass gives every open solve (``_steps``) its next F
+    in one ``_f_and_slope`` call of at most _CHUNK points, every row the
+    bits of a lone F.  Radii open in order.  The first two, and every one at
+    p = 2 (where the cold start a = 1 is the root), open cold.  Any other
+    starts from log a* extrapolated in r through the latest six estimates
+    before it (``_extrapolate``), with a first step of twice the last term:
+    a radius's estimate is its root, or the Newton point of its first
+    steered step where that point is within this first step and within
+    _TRUSTED_STEP of its guess.  It opens once the radius before it has an
+    estimate, or at once where its first step is at most _SPECULATE; from a
+    NaN guess (at tiny, close radii the differences overflow) it solves
+    cold."""
     estimates: list[float | None] = [None] * len(radii)  # log a*: a root, or a trusted Newton point
-    outcomes: dict = {}  # (s, F, site) or the refusal of each radius resolved and not yet yielded
+    outcomes: dict = {}  # (s, F) or the refusal of each radius resolved and not yet yielded
     solves = []  # [index, steps, next point, the guess until its Newton point is known, first step]
     opened = yielded = 0
     stop = len(radii)  # past the first refused radius, none is solved
@@ -489,34 +460,31 @@ def _lockstep(ctx: BallContext, radii, order: int):
                 steps = _steps(ctx, r, order, start, width)
                 point = next(steps)
             except StopIteration as solved:  # below _R_LIN: no F
-                estimates[u] = solved.value[0]
-                outcomes[u] = (*solved.value, None)
+                estimates[u], outcomes[u] = solved.value[0], solved.value
             except (DomainError, NonConvergenceError) as refusal:
                 outcomes[u], stop = refusal, u + 1
             else:
                 if start is None:
                     solves.append([u, steps, point, None, 0.0])
-                else:
-                    solves.append([u, steps, point, point[0], max(width, _tolerance(ctx.n, r))])
+                else:  # its first point asks for the slope: those come first in an F pass
+                    solves.insert(0, [u, steps, point, point[1], max(width, _tolerance(ctx.n, r))])
         if solves:
-            # the pass's sites are views of its stacks: none outlives the loop but as a copy
-            for solve, (fs, slope, site) in zip(solves, _f_and_slope(
-                    ctx, order, [(radii[u], *point) for u, _, point, _, _ in solves])):
+            resolved = len(outcomes)
+            for solve, values in zip(solves, _f_and_slope(ctx, order, [solve[2] for solve in solves])):
                 u, steps, _, first, width = solve
                 try:
-                    point = solve[2] = steps.send((fs, slope))
+                    point = solve[2] = steps.send(values)
                 except StopIteration as solved:
-                    estimates[u] = solved.value[0]
-                    outcomes[u] = (*solved.value, _own_site(site))
+                    estimates[u], outcomes[u] = solved.value[0], solved.value
                 except (DomainError, NonConvergenceError) as refusal:
                     outcomes[u], stop = refusal, min(stop, u + 1)
                 else:
                     if first is not None:  # the Newton point of a guessed solve's first step
-                        if abs(point[0] - first) <= min(width, _TRUSTED_STEP):
-                            estimates[u] = point[0]
+                        if abs(point[1] - first) <= min(width, _TRUSTED_STEP):
+                            estimates[u] = point[1]
                         solve[3] = None
-            del site
-            solves = [solve for solve in solves if solve[0] not in outcomes and solve[0] < stop]
+            if len(outcomes) > resolved:
+                solves = [solve for solve in solves if solve[0] not in outcomes and solve[0] < stop]
         while yielded in outcomes:
             outcome = outcomes.pop(yielded)
             if isinstance(outcome, Exception):

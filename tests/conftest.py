@@ -106,6 +106,23 @@ def count_f_evals(monkeypatch):
     return calls
 
 
+def solve_from(ctx, r, order, start, width):
+    """(s, F(s)) at the root s = log a* of F(r, .) from a solve started at
+    the log guess ``start`` (None: cold) with first step ``width``: the
+    steps of solver._steps driven one F at a time through
+    solver._f_and_slope, which a test may hook."""
+    from hypschwarz import quadrature, solver
+
+    with quadrature._overflow_guard():
+        steps = solver._steps(ctx, r, order, start, width)
+        try:
+            point = next(steps)
+            while True:
+                point = steps.send(solver._f_and_slope(ctx, order, [point])[0])
+        except StopIteration as solved:
+            return solved.value
+
+
 def f_passes(calls):
     """The number of F passes among the entries of ``count_f_evals``' list."""
     return len(set(calls))

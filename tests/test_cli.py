@@ -238,7 +238,7 @@ class TestAstar:
         code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
                                "--r-min", "0.01", "--r-max", "0.95", "--steps", "20")
         assert code == 0 and [(float(row["a_star"]), float(row["f_residual"])) for row in csv_rows(out)[1]] == [
-            (math.exp(s), f) for _, s, f, _ in shifts]
+            (math.exp(s), f) for _, s, f in shifts]
         assert len(built) == 2 * solves
 
     def test_sweep_rows_are_gp_shifts_and_their_residuals(self, capsys):

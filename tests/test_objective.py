@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypschwarz import quadrature, solver, verify
+from hypschwarz import objective, quadrature, solver, verify
 from hypschwarz.errors import DomainError
 from hypschwarz.kernel import BallContext, _log_range, _split_point, kernel_range
 from hypschwarz.objective import (
@@ -18,7 +18,7 @@ from hypschwarz.objective import (
 )
 from hypschwarz.quadrature import _ROUNDING_FLOOR, _checked
 from hypschwarz.solver import g_1_closed, g_2_closed, g_inf_closed, g_p, g_p_curve, solve_a_star
-from conftest import central_diff, count_f_evals, mp_crossing, mp_kernel, mp_zonal
+from conftest import central_diff, count_f_evals, mp_crossing, mp_kernel, mp_zonal, solve_from
 
 
 def params(n, p, r, order=128):
@@ -27,8 +27,7 @@ def params(n, p, r, order=128):
 
 def phi_values(prm, s, refine):
     """_phi_and_refined at the one shift e^s, on its lean site: [Phi] or [Phi, Phi at the reference order]."""
-    site = quadrature._site(prm.ctx.n, prm.r, prm.order, _split_point(prm.ctx.n, prm.r, s), True)
-    return _phi_and_refined(prm.ctx, prm.order, [(s, site)], refine)[0]
+    return _phi_and_refined(prm.ctx, prm.order, [(prm.r, s)], refine)[0]
 
 
 class TestParams:
@@ -238,9 +237,9 @@ class TestDfDa:
             a_star = solve_a_star(prm.ctx, r)
             kmin, kmax = kernel_range(prm.ctx, r)
             for a in (a_star, a_star * (1.0 + 1e-9), 0.7 * a_star, 1.3 * a_star, kmin / 2.0, kmax * 2.0):
-                (f_value, slope, _), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)])
+                (f_value, slope), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)])
                 assert f_value.hex() == big_f(prm, a).hex(), (n, p, r, a)
-                (_, full_slope, _), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)], lean=False)
+                (_, full_slope), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)], lean=False)
                 assert (full_slope / a).hex() == dF_da(prm, a).hex(), (n, p, r, a)
                 assert slope == pytest.approx(full_slope, rel=1e-5, abs=0), (n, p, r, a)
 
@@ -261,9 +260,10 @@ class TestStackedF:
     where asked, in one stacked site pass per layout."""
 
     def test_rows_are_the_bits_of_lone_calls(self):
-        # F and slope rows of one pass, with mixed slope requests and a shift
-        # past the kernel range (a split at the pole) among them, are the bits
-        # of _f_and_slope on each point alone; n = 100 takes J(100) = 3 outer panels
+        # F and slope rows of one pass, with slope requests for some points
+        # and a shift past the kernel range (a split at the pole) among them,
+        # are the bits of _f_and_slope on each point alone; n = 100 takes
+        # J(100) = 3 outer panels
         rng = np.random.default_rng(3)
         for n in (3, 4, 5, 30, 100):
             for p in (1.05, 1.1, 1.5, 3.0, 20.0, 1000.0):
@@ -272,14 +272,14 @@ class TestStackedF:
                 points = [(float(r), float(rng.uniform(-0.9, 0.9)) * _log_range(n, r), bool(rng.random() < 0.4))
                           for r in radii]
                 points.append((0.3, 1.5 * _log_range(n, 0.3), True))
+                points.sort(key=lambda point: not point[2])  # the points that ask come first
                 with quadrature._overflow_guard():
                     stacked = _f_and_slope(ctx, 128, points)
-                    for point, (f_value, slope, site) in zip(points, stacked):
-                        (alone_f, alone_slope, alone_site), = _f_and_slope(ctx, 128, [point])
+                    for point, (f_value, slope) in zip(points, stacked):
+                        (alone_f, alone_slope), = _f_and_slope(ctx, 128, [point])
                         assert f_value.hex() == alone_f.hex(), (n, p, point)
                         assert (slope is None) == (not point[2]), (n, p, point)
                         assert slope is None or slope.hex() == alone_slope.hex(), (n, p, point)
-                        assert np.array_equal(site[2], alone_site[2]) and site[3][4:] == alone_site[3][4:]
 
 
 class TestRefinedPhi:
@@ -299,7 +299,7 @@ class TestRefinedPhi:
                             continue
                         prm = ObjectiveParams(ctx, r, order)
                         refined = ObjectiveParams(ctx, r, 2 * max(order, 96))
-                        s, _ = solver._solve(ctx, r, order, None, 0.0)
+                        s, _ = solve_from(ctx, r, order, None, 0.0)
                         assert res.a_star == math.exp(s)
                         g_val = phi_values(prm, s, False)[0]
                         est = max(abs(g_val - phi_values(refined, s, False)[0]),
@@ -313,8 +313,8 @@ class TestRefinedPhi:
         # interior splits reuse the inner panels; at a split at a pole (a
         # shift outside the kernel range) the outer panels are all of them.
         # Neither builds a site at the doubled order.
-        sites, real_site = [], quadrature._site
-        monkeypatch.setattr(quadrature, "_site", lambda *args: sites.append(args[2]) or real_site(*args))
+        sites, real_site = [], objective._site
+        monkeypatch.setattr(objective, "_site", lambda *args: sites.append(args[2]) or real_site(*args))
         for n, p, r in ((3, 1.1, 0.5), (4, 3.0, 0.9), (5, 20.0, 0.3), (30, 1.5, 0.2)):
             ctx = BallContext(n, p)
             kmin, kmax = kernel_range(ctx, r)
@@ -336,16 +336,16 @@ class TestRefinedPhi:
         ctx, ell = BallContext(4, 3.0), lambda r: _log_range(4, r)
         shifts = [(0.5, 0.3 * ell(0.5)), (0.5, ell(0.5) + 0.2), (2.0 ** -60, 0.3 * ell(2.0 ** -60)),
                   (0.3, -0.2 * ell(0.3)), (0.5, -ell(0.5) - 0.1), (0.7, 0.6 * ell(0.7))]
-        points = [(s, quadrature._site(4, r, 128, _split_point(4, r, s))) for r, s in shifts]
-        nodes = [site[3] for _, site in points]  # t0 = 1 leaves theta0 = 0, t0 = -1 theta0 = pi
+        # t0 = 1 leaves theta0 = 0, t0 = -1 theta0 = pi
+        nodes = [objective._shift_site(4, r, 128, s)[3] for r, s in shifts]
         assert nodes[1][4] == 0.0 and nodes[4][4] == math.pi and [len(node_set[5]) for node_set in nodes] == [
             2, 1, 2, 2, 1, 2]
         for refine in (False, True):
-            together = _phi_and_refined(ctx, 128, points, refine)
-            for point, values in zip(points, together):
+            together = _phi_and_refined(ctx, 128, shifts, refine)
+            for point, values in zip(shifts, together):
                 alone, = _phi_and_refined(ctx, 128, [point], refine)
                 assert len(values) == 1 + refine and all(map(math.isfinite, values))
-                assert [v.hex() for v in values] == [v.hex() for v in alone], (point[1][0], refine)
+                assert [v.hex() for v in values] == [v.hex() for v in alone], (point, refine)
 
 
 class TestStationarityIdentity:

@@ -229,8 +229,8 @@ class TestBreakpointRule:
             assert len(calls) == 1
 
     def test_graded_panels_cached_and_frozen(self):
-        offsets, weights, starts = _graded_panels(128, 2)
-        assert _graded_panels(128, 2)[0] is offsets
+        offsets, weights, starts = _graded_panels(128, 2, quadrature._PANELS, quadrature._PANEL_NODES)
+        assert _graded_panels(128, 2, quadrature._PANELS, quadrature._PANEL_NODES)[0] is offsets
         assert offsets.shape == weights.shape == (2 * 16 + 25 * 12,)
         assert starts.tolist() == [0, 16] + list(range(32, 332, 12))
         for array in (offsets, weights, starts):
@@ -253,7 +253,7 @@ class TestBreakpointRule:
         edges = 0.5 ** np.arange(28)
         for order in (32, 128, 512):
             for outer in (2, 4, 27):
-                offsets, weights, starts = _graded_panels(order, outer)
+                offsets, weights, starts = _graded_panels(order, outer, quadrature._PANELS, quadrature._PANEL_NODES)
                 assert offsets.min() > 0.0 and offsets.max() < 1.0
                 assert np.all(weights > 0.0)
                 panels = np.split(offsets, starts[1:])
@@ -351,28 +351,23 @@ class TestStackedSites:
         assert bits(np.add.reduceat(wide, starts_wide, axis=-1)[:, :starts.size]) == bits(alone)
 
     def test_stacked_rows_are_their_sites_alone(self):
-        # a stack of _stacks is its sites row by row: est_error's outer nodes
-        # rebuilt from its node set, and log K from its kernel constants, have
-        # each site's own bits.  The columns are each site's math constants:
-        # numpy 2.4's log1p(-r^2) differs from math's at r = 0.357
-        sites = [quadrature._site(4, r, 128, t0) for r, t0 in ((2.0 ** -60, 0.3), (0.357, -0.2), (0.5, 1.0),
-                                                               (0.5, 0.95), (0.9, -1.0), (0.9, 0.3))]
-        groups = list(quadrature._stacks(sites, list(range(6)), [1.5] * 6))
+        # a stack of _new_sites is its sites row by row: est_error's outer
+        # nodes rebuilt from its node set, and log K from its kernel constants,
+        # have each site's own bits.  The columns are each site's math
+        # constants: numpy 2.4's log1p(-r^2) differs from math's at r = 0.357
+        radii, t0s = [2.0 ** -60, 0.357, 0.5, 0.5, 0.9, 0.9], [0.3, -0.2, 1.0, 0.95, -1.0, 0.3]
+        groups = list(quadrature._new_sites(4, 128, radii, t0s, False))
         # interior splits form one group, the two pole splits (one side, every panel outer) another
-        assert [rows for rows, *_ in groups] == [[0, 1, 3, 5], [2, 4]]
-        for rows, stack, index, scale in groups:
-            assert index.shape == scale.shape == (len(rows), 1, 1) and index.ravel().tolist() == rows
-            assert bits(np.asarray(stack[2])) == bits(np.stack([sites[k][2] for k in rows]))
+        assert [rows for rows, _ in groups] == [[0, 1, 3, 5], [2, 4]]
+        for rows, stack in groups:
             outer = quadrature._outer_nodes(4, 256, stack[3])
             log_kernels = _log_kernel(4, stack[1], outer[0])
             for i, k in enumerate(rows):
-                alone = quadrature._outer_nodes(4, 256, sites[k][3])
+                site = quadrature._site(4, radii[k], 128, t0s[k])
+                alone = quadrature._outer_nodes(4, 256, site[3])
                 assert bits(outer[0][i]) == bits(alone[0]) and bits(outer[1][i]) == bits(alone[1]), k
                 assert outer[5][i] == alone[5] and outer[6] == alone[6], k
-                assert bits(log_kernels[i]) == bits(_log_kernel(4, sites[k][1], alone[0])), k
-        # a lone site is itself, with its own values
-        assert list(quadrature._stacks(sites[2:3], ["own"])) == [([0], sites[2], "own")]
-
+                assert bits(log_kernels[i]) == bits(_log_kernel(4, site[1], alone[0])), k
 
     def test_new_sites_are_their_lone_sites(self):
         # the sites of one layout built in one node pass are each _site's bits;
@@ -381,18 +376,16 @@ class TestStackedSites:
         t0s = [0.3, -0.2, 1.0, 0.95, -1.0, 0.3, -0.999999]
         for lean in (True, False):
             groups = list(quadrature._new_sites(4, 128, radii, t0s, lean))
-            assert [rows for rows, *_ in groups] == [[0, 1, 3, 5, 6], [2, 4]]
-            for rows, stack, sites in groups:
-                assert len(sites) == len(rows) == len(stack[0])
+            assert [rows for rows, _ in groups] == [[0, 1, 3, 5, 6], [2, 4]]
+            for rows, stack in groups:
+                assert stack[0] == [radii[k] for k in rows] and stack[3][0] is None
                 for i, k in enumerate(rows):
                     alone = quadrature._site(4, radii[k], 128, t0s[k], lean)
-                    assert bits(stack[2][i]) == bits(sites[i][2]) == bits(alone[2]), (lean, k)
-                    assert bits(stack[3][1][i]) == bits(sites[i][3][1]) == bits(alone[3][1]), (lean, k)
-                    assert sites[i][:2] == alone[:2] and sites[i][3][4:] == alone[3][4:], (lean, k)
-                    own = quadrature._own_site(sites[i])
-                    assert own[2].base is None and own[3][1].base is None
-                    assert bits(own[2]) == bits(alone[2]) and bits(own[3][1]) == bits(alone[3][1])
-                    assert quadrature._own_site(alone) is alone
+                    assert bits(stack[2][i]) == bits(alone[2]), (lean, k)
+                    assert bits(stack[3][1][i]) == bits(alone[3][1]), (lean, k)
+                    assert stack[1][:, i].ravel().tolist() == list(alone[1]), (lean, k)
+                    assert stack[3][4][i, 0, 0] == alone[3][4] and stack[3][5][i] == alone[3][5], (lean, k)
+                    assert stack[3][6] == alone[3][6], (lean, k)
 
     def test_side_totals_accumulate_as_the_loop(self):
         # np.add.accumulate along the panels keeps the left-to-right bits of a

@@ -20,7 +20,8 @@ from hypschwarz.solver import (
     uh_elementary,
 )
 from hypschwarz.acceptance import brent_minimize
-from conftest import count_f_evals, count_site_builds, f_passes, mp_crossing, mp_g_2, mp_g_even, mp_kernel, mp_zonal
+from conftest import (count_f_evals, count_site_builds, f_passes, mp_crossing, mp_g_2, mp_g_even, mp_kernel, mp_zonal,
+                      solve_from)
 
 
 def anchored_log_start(ctx, r):
@@ -34,7 +35,7 @@ def anchored_log_start(ctx, r):
 
 def guessed(ctx, r, guess):
     """a* from a solve started at the shift ``guess``, with the least first step."""
-    return math.exp(solver._solve(ctx, r, 128, math.log(guess), 0.0)[0])
+    return math.exp(solve_from(ctx, r, 128, math.log(guess), 0.0)[0])
 
 
 def log_range(n, r):
@@ -117,7 +118,7 @@ class TestSolveAStar:
         # an F that never changes sign is refused next to the end it walks to
         real = solver._f_and_slope
         monkeypatch.setattr(solver, "_f_and_slope",
-                            lambda *args: [(1.0, slope, site) for _, slope, site in real(*args)])
+                            lambda *args: [(1.0, slope) for _, slope in real(*args)])
         with pytest.raises(DomainError, match="no sign change") as refused:
             solve_a_star(BallContext(4, 3.0), 0.5)
         end = float(str(refused.value).rsplit(" = ", 1)[1])
@@ -148,7 +149,7 @@ class TestSolveAStar:
             assert guessed(ctx, r, a_star) == pytest.approx(a_star, rel=1e-12, abs=0)
             assert len(calls) <= 6, (n, p, r)
             # the solve returns its root with its last F, the bits of an F call there
-            s, f = solver._solve(ctx, r, 128, math.log(a_star), 0.0)
+            s, f = solve_from(ctx, r, 128, math.log(a_star), 0.0)
             assert f == objective._f_and_slope(ctx, 128, [(r, s, False)])[0][0], (n, p, r)
             # a guess past a range end is clamped into it and still finds the root
             for guess in (1e-300, 1e300):
@@ -393,7 +394,7 @@ class TestLinearRegime:
         assert [row.method for row in g_p_curve(ctx, [below, at, 0.0])] == ["linear", "numeric", "linear"]
         assert g_p(ctx, below).g_value == grad_constant(ctx) * below
         assert g_p(ctx, 0.0) == GpResult(ctx, 0.0, 1.0, 0.0, "linear", 0.0, 0.0)
-        assert solve_a_star(ctx, below) == 1.0 and solver._solve(ctx, below, 128, None, 0.0) == (0.0, 0.0)
+        assert solve_a_star(ctx, below) == 1.0 and solve_from(ctx, below, 128, None, 0.0) == (0.0, 0.0)
         # the numeric row at 2^-60 is C_p r within its own est_error
         res = g_p(ctx, at)
         assert abs(res.g_value - grad_constant(ctx) * at) <= res.est_error + 1e-14 * res.g_value
@@ -462,7 +463,7 @@ class TestGpCurve:
         real = solver._f_and_slope
         for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
             monkeypatch.setattr(solver, "_f_and_slope",
-                                lambda *args: [(f, bad, site) for f, _, site in real(*args)])
+                                lambda *args: [(f, bad) for f, _ in real(*args)])
             for guess in (a_star * 0.99, a_star * 1.01):
                 assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12, abs=0)
 
@@ -535,8 +536,7 @@ class TestGpCurve:
 
 def phi_at(ctx, r, order, s):
     """Phi(e^s) at (ctx, r, order) from a pass on its own site alone, unchecked."""
-    site = objective._shift_site(ctx.n, r, order, s)
-    return _phi_and_refined(ctx, order, [(s, site)], False)[0][0]
+    return _phi_and_refined(ctx, order, [(r, s)], False)[0][0]
 
 
 class TestStackedGPass:
@@ -600,25 +600,32 @@ class TestStackedGPass:
                 g_p_curve(ctx, before + [0.99995, 0.9999])
 
     def test_one_reference_node_build_per_chunk(self, monkeypatch):
-        # est_error's outer nodes are built once for each chunk's stack, and the
-        # G pass builds no site: every node set it reads is a solve's last F's
+        # the G pass builds each chunk's sites in one node pass and est_error's
+        # outer nodes once for each chunk's stack; the last chunk, of one
+        # radius, sums on its lone site
         chunk = solver._CHUNK
         radii = [float(r) for r in np.linspace(0.05, 0.9, 2 * chunk + 1)]
-        outer, built = [], count_site_builds(monkeypatch)
-        real_outer = quadrature._outer_nodes
+        outer, passes, built = [], [], count_site_builds(monkeypatch)
+        real_outer, real_new = quadrature._outer_nodes, objective._new_sites
         monkeypatch.setattr(quadrature, "_outer_nodes",  # one theta0 per row of the node set
                             lambda n, order, nodes: outer.append((order, np.size(nodes[4]))) or real_outer(n, order, nodes))
+        monkeypatch.setattr(objective, "_new_sites",  # the radii of each node pass
+                            lambda n, order, rows, *args: passes.append(len(rows)) or real_new(n, order, rows, *args))
         for p in (3.0, 2.0):
             ctx = BallContext(4, p)
             quadrature._site.cache_clear()
             with quadrature._overflow_guard():
                 list(solver._shift_curve(ctx, radii, 128))
-            solves = len(built)
+            solves, solve_passes = len(built), sorted(passes)
             outer.clear()
+            passes.clear()
             quadrature._site.cache_clear()
             g_p_curve(ctx, radii)
-            assert len(built) == 2 * solves, p
+            assert sorted(passes) == sorted(solve_passes + [chunk, chunk]), p
+            # the last radius's lone site is a hit: its solve's last F was the sweep's last
+            assert len(built) == 2 * solves + 2 * chunk, p
             built.clear()
+            passes.clear()
             sizes = [rows for _, rows in outer]
             # p = 2: est_error is the gap to the closed form, with no reference pass
             assert sizes == ([chunk, chunk, 1] if p == 3.0 else []), p
@@ -805,6 +812,8 @@ class TestOneBuilder:
                 solver._g_p_numeric.cache_clear()
                 point, row = g_p(ctx, r, order), g_p_curve(ctx, [r], order)[0]
                 assert point == row, (p, order, r)  # field for field
+                if 1.0 < p < math.inf:  # the solve of a one-radius sweep is solve_a_star's
+                    assert solve_a_star(ctx, r, order) == point.a_star, (p, order, r)
 
     def test_repeated_calls_return_the_memoized_result(self):
         # closed forms too: they were rebuilt on every call

@@ -603,11 +603,11 @@ class TestRandomChecks:
                             check(np.where(np.arange(9) == moment, math.nan, moments), 1.0)
             assert check(moments, 1e-3)[0] == 1, p  # subset [5]
 
-    @pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 2.0, 3.0, 20.0, 1000.0, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 2.0, 3.0, 20.0, 1000.0, 1e5, math.inf])
     def test_norm_floors_stay_below_the_exact_norms(self, p):
         # the block power-mean floors, lowered by the margin, never exceed the
-        # norms they stand in for: on 40 seeds of 1000 draws per n, zero
-        # draws, a single draw and the crafted rows
+        # norms they stand in for (at p = inf the exact sups): on 40 seeds of
+        # 1000 draws per n, zero draws, a single draw and the crafted rows
         def floors_and_norms(n, coeffs):
             ctx = BallContext(n, p)
             rule, centered = verify._poly_data(n, coeffs, 128)
@@ -693,11 +693,13 @@ class TestRandomChecks:
     @pytest.mark.parametrize("check", [
         lambda: random_bound_check(BallContext(4, 3.0), 0.6, count=1000, seed=3),
         lambda: random_grad_check(BallContext(4, 3.0), count=1000, seed=3),
-    ], ids=["random_bound_check", "random_grad_check"])
+        lambda: random_bound_check(BallContext(4, math.inf), 0.6, count=1000, seed=3),
+    ], ids=["random_bound_check", "random_grad_check", "random_bound_check_inf"])
     def test_one_draw_matrix_at_a_time(self, check):
         # the peak stays below one 1000 x 128 matrix of doubles, where a fresh
         # |values| and its power took three: the finite-p floors take no node
-        # values, and only the deciding draws are evaluated at the nodes
+        # values, the p = inf ones one such matrix, |g| in place, and only the
+        # deciding draws are evaluated at the nodes or take their sups
         check()  # warm the rule, monomial and g_p caches
         tracemalloc.start()
         try:
