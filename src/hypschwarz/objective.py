@@ -153,7 +153,7 @@ def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list
         def values(log_kernel, _):
             dev = log_kernel - shift
             np.expm1(dev, out=dev)
-            np.multiply(dev, scale, out=dev)
+            dev *= scale
             np.abs(dev, out=dev)
             dev **= q
             return dev
@@ -190,15 +190,17 @@ def _f_and_slope(ctx: BallContext, order: int, points, lean: bool = True) -> lis
         def values(log_kernel, _):
             dev = log_kernel - shift
             np.expm1(dev, out=dev)
-            if dev.ndim == 2:  # a lone site's rows, as a stack of one
-                dev = dev[None]
-            sites = len(dev)
-            out = np.empty((sites + slopes, *dev.shape[1:]))
-            power = np.abs(dev, out=out[:sites])
+            if slopes:  # the F rows of every site, then the slope rows of the first ones
+                if dev.ndim == 2:  # a lone site's rows, as a stack of one
+                    dev = dev[None]
+                out = np.empty((len(dev) + slopes, *dev.shape[1:]))
+                power = np.abs(dev, out=out[:len(dev)])
+                size = np.maximum(power[:slopes], _DEV_FLOOR, out=out[len(dev):])
+            else:
+                out = power = np.abs(dev)
             power **= q - 1.0
             if slopes:
-                size = np.abs(dev[:slopes], out=out[sites:])
-                np.divide(power[:slopes], np.maximum(size, _DEV_FLOOR, out=size), out=size)
+                np.divide(power[:slopes], size, out=size)
             np.copysign(power, dev, out=power)
             return out
 

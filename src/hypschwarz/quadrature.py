@@ -270,6 +270,8 @@ def _graded_nodes(n: int, order: int, t0: float, lean: bool = False):
 def _split(t0: float) -> tuple[float, tuple]:
     """(theta0, side lengths) of the split at t0: a pole leaves one side."""
     theta0 = math.acos(t0)
+    if -1.0 < t0 < 1.0:  # each side at least acos(1 - 2^-53) > 1e-8 long
+        return theta0, (-theta0, math.pi - theta0)
     return theta0, tuple([side for side in (-theta0, math.pi - theta0) if abs(side) > 1e-300])
 
 
@@ -304,7 +306,7 @@ def _panel_sums(vals, nodes):
     of their own (no view) are weighted in place."""
     _, sinpow, weights, starts, theta0 = nodes[:5]
     weighted = vals if vals.base is None and vals.flags.writeable else np.empty(vals.shape)
-    if not isinstance(theta0, float) and len(vals) > len(sinpow):
+    if len(vals) > len(sinpow) and not isinstance(theta0, float):
         for first in range(0, len(vals), len(sinpow)):
             block = weighted[first:first + len(sinpow)]
             np.multiply(vals[first:first + len(block)], sinpow[:len(block)], out=block)
@@ -362,8 +364,9 @@ def _site(n: int, r: float, order: int, t0: float, lean: bool = False):
     nodes = _graded_nodes(n, order, t0, lean)
     constants = _kernel_constants(r)
     log_kernel = _log_kernel(n, constants, nodes[0])
-    for array in (log_kernel, *nodes[:2]):
-        array.setflags(False)  # write=False, at a third of the keyword form's cost
+    log_kernel.setflags(False)  # write=False, at a third of the keyword form's cost
+    nodes[0].setflags(False)
+    nodes[1].setflags(False)
     return r, constants, log_kernel, nodes
 
 

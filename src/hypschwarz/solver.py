@@ -434,7 +434,7 @@ def _lockstep(ctx: BallContext, radii, order: int):
     cold."""
     estimates: list[float | None] = [None] * len(radii)  # log a*: a root, or a trusted Newton point
     outcomes: dict = {}  # (s, F) or the refusal of each radius resolved and not yet yielded
-    solves = []  # [index, steps, next point, the guess until its Newton point is known, first step]
+    solves = []  # [index, steps, next point, (guess, trusted step) until its Newton point is known]
     opened = yielded = 0
     stop = len(radii)  # past the first refused radius, none is solved
     while True:
@@ -465,13 +465,14 @@ def _lockstep(ctx: BallContext, radii, order: int):
                 outcomes[u], stop = refusal, u + 1
             else:
                 if start is None:
-                    solves.append([u, steps, point, None, 0.0])
+                    solves.append([u, steps, point, None])
                 else:  # its first point asks for the slope: those come first in an F pass
-                    solves.insert(0, [u, steps, point, point[1], max(width, _tolerance(ctx.n, r))])
+                    trusted = min(max(width, _tolerance(ctx.n, r)), _TRUSTED_STEP)
+                    solves.insert(0, [u, steps, point, (point[1], trusted)])
         if solves:
             resolved = len(outcomes)
             for solve, values in zip(solves, _f_and_slope(ctx, order, [solve[2] for solve in solves])):
-                u, steps, _, first, width = solve
+                u, steps, _, guess = solve
                 try:
                     point = solve[2] = steps.send(values)
                 except StopIteration as solved:
@@ -479,8 +480,8 @@ def _lockstep(ctx: BallContext, radii, order: int):
                 except (DomainError, NonConvergenceError) as refusal:
                     outcomes[u], stop = refusal, min(stop, u + 1)
                 else:
-                    if first is not None:  # the Newton point of a guessed solve's first step
-                        if abs(point[1] - first) <= min(width, _TRUSTED_STEP):
+                    if guess is not None:  # the Newton point of a guessed solve's first step
+                        if abs(point[1] - guess[0]) <= guess[1]:
                             estimates[u] = point[1]
                         solve[3] = None
             if len(outcomes) > resolved:
