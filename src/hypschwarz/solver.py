@@ -6,8 +6,9 @@ range.  One loop on s = log a finds it from F (``_steps``, a generator
 that yields each point and receives F there) and hands that s, not a
 rounded a*, to Phi.  One driver runs every solve, of one radius or of a
 sweep's many (``_lockstep``): each pass gives every open solve its next F
-in one ``_f_and_slope`` call.  The solver deals in numbers: every F or Phi
-pass builds the sites it sums on.  It resolves the root of the computed
+in one ``_f_and_slope`` call.  Every solve steers its first step by the
+slope that comes with its first F, one more row of that F's pass.  The
+solver deals in numbers: every F or Phi pass builds the sites it sums on.  It resolves the root of the computed
 F: where F's quadrature noise near a* exceeds its slope times the
 tolerance, another start can move a* by more (17 times that at n = 4,
 p = 1.5, r = 0.99, with G still far inside est_error).  The endpoint
@@ -37,9 +38,11 @@ from .special import alpha_q, check_dimension, check_order
 _LOG_A_TOL = 2.0 ** -44
 _MAX_ITER = 200
 # First step in log a of a solve without a guess: a share of the start's
-# |log a|, with a floor.  Mean F per cold solve moves by at most 4% for shares
-# from 1/16 to 1/2 and floors from 1/128 to 1/4 (7.0 to 7.2 per solve on 300
-# points with n in {3, 4, 5}, p in [1.1, 20], r in [0.01, 0.95]).
+# |log a|, with a floor, taken only where the Newton or secant point of a
+# steered step is unusable.  Mean F per cold solve moves by at most 1.1% for
+# shares from 1/16 to 1/2 and floors from 1/128 to 1/4 (6.49 to 6.56 per solve
+# on 300 points with n in {3, 4, 5}, p in [1.1, 20], r in [0.01, 0.95]; 6.98
+# to 7.36 when only guessed solves steered).
 _COLD_SHARE = 1.0 / 8.0
 _COLD_STEP = 1.0 / 32.0
 
@@ -113,16 +116,17 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
     a first step of _COLD_SHARE of |log a|, at least _COLD_STEP.  Until F
     changes sign it steps outward, eightfold each time and at most half the
     way to the range end; reaching that end within the tolerance raises
-    DomainError.  A guessed solve steers its first three such steps: to
-    Newton's root from the slope that comes with the guess's F, then to
+    DomainError.  Every solve steers its first three such steps: to
+    Newton's root from the slope that comes with its first F, then to
     secant roots, each a quarter tolerance past the root, while the slope is
     negative and finite.  Then Chandrupatla's rule (newest point a, bracket
     end b, displaced point c): inverse quadratic interpolation where it
     stays well inside the bracket, else bisection, iterates half a tolerance
     inside, so a steered point a quarter past the root is followed by one a
     quarter short of it.  The tolerance is 2^-44 in log a, times 2l where
-    l < 1/2 (``_tolerance``).  The guess changes the cost, and the root
-    only where F's quadrature noise outweighs its slope.  A non-finite F is
+    l < 1/2 (``_tolerance``).  The start changes the cost, and the root
+    only where F's quadrature noise outweighs its slope: a cold solve at
+    p = 2 starts at its root a = 1 and takes about 2 F.  A non-finite F is
     refused.
     """
     order = check_order(order)
@@ -140,9 +144,9 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
     else:
         s, width = start, max(width, tol)
     s, step = min(max(s, tol - ell), ell - tol), width
-    # A guessed solve steers its first three unbracketed steps: by its slope
-    # from the guess's own site, then by the secant through its last two points.
-    steered = 3 if start is not None else 0
+    # Every solve steers its first three unbracketed steps: by its slope at
+    # its start, then by the secant through its last two points.
+    steered = 3
     a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
     for _ in range(_MAX_ITER):
         fs, slope = yield r, s, steered == 3
@@ -428,10 +432,12 @@ def _lockstep(ctx: BallContext, radii, order: int):
     before it (``_extrapolate``), with a first step of twice the last term:
     a radius's estimate is its root, or the Newton point of its first
     steered step where that point is within this first step and within
-    _TRUSTED_STEP of its guess.  It opens once the radius before it has an
-    estimate, or at once where its first step is at most _SPECULATE; from a
-    NaN guess (at tiny, close radii the differences overflow) it solves
-    cold."""
+    _TRUSTED_STEP of its guess (a cold solve's Newton point is none).  It
+    opens once the radius before it has an estimate, or at once where its
+    first step is at most _SPECULATE; from a NaN guess (at tiny, close radii
+    the differences overflow) it solves cold.  A new solve's first point
+    asks for the slope, so it goes to the front of the next F pass, where
+    ``_f_and_slope`` wants the points that ask."""
     estimates: list[float | None] = [None] * len(radii)  # log a*: a root, or a trusted Newton point
     outcomes: dict = {}  # (s, F) or the refusal of each radius resolved and not yet yielded
     solves = []  # [index, steps, next point, (guess, trusted step) until its Newton point is known]
@@ -463,12 +469,9 @@ def _lockstep(ctx: BallContext, radii, order: int):
                 estimates[u], outcomes[u] = solved.value[0], solved.value
             except (DomainError, NonConvergenceError) as refusal:
                 outcomes[u], stop = refusal, u + 1
-            else:
-                if start is None:
-                    solves.append([u, steps, point, None])
-                else:  # its first point asks for the slope: those come first in an F pass
-                    trusted = min(max(width, _tolerance(ctx.n, r)), _TRUSTED_STEP)
-                    solves.insert(0, [u, steps, point, (point[1], trusted)])
+            else:  # its first point asks for the slope: those come first in an F pass
+                guess = None if start is None else (point[1], min(max(width, _tolerance(ctx.n, r)), _TRUSTED_STEP))
+                solves.insert(0, [u, steps, point, guess])
         if solves:
             resolved = len(outcomes)
             for solve, values in zip(solves, _f_and_slope(ctx, order, [solve[2] for solve in solves])):

@@ -282,6 +282,29 @@ class TestStackedF:
                         assert slope is None or slope.hex() == alone_slope.hex(), (n, p, point)
 
 
+class TestLonePassBits:
+    """F with its slope row and Phi with its reference order, each on one
+    lone site: bits pinned from the site passes before their bookkeeping was
+    trimmed, which must keep them."""
+
+    # (n, p, r, a): F, dF/ds, Phi, Phi at est_error's reference order
+    @pytest.mark.parametrize("n, p, r, a, expected", [
+        (5, 1.7, 0.6, 0.9, ("0x1.83864ee43fae9p+1", "-0x1.431c752a154bfp+0",
+                            "0x1.3f28a74349c08p+3", "0x1.3f28a74349c0dp+3")),
+        (4, 3.0, 0.5, 1.3, ("-0x1.2b1e4f8cdaf87p-1", "-0x1.734081a8dba52p-1",
+                            "0x1.d07158c26affep+0", "0x1.d07158c26affep+0")),
+        (10, 20.0, 0.9, 0.05, ("-0x1.b4f9dfedf4354p-1", "-0x1.72aa3c6880287p-5",
+                               "0x1.6153056a37279p+1", "0x1.61530d912fc99p+1")),
+    ])
+    def test_values_are_pinned(self, n, p, r, a, expected):
+        prm = params(n, p, r)
+        with quadrature._overflow_guard():
+            (f_value, slope), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)])
+        values = (f_value, slope, *phi_values(prm, math.log(a), True))
+        assert tuple(value.hex() for value in values) == expected
+        assert big_f(prm, a) == f_value and phi(prm, a) == values[2]
+
+
 class TestRefinedPhi:
     def test_est_error_is_two_full_phi_calls(self):
         # est_error from the outer panels of the doubled order alone is
