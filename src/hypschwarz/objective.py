@@ -125,8 +125,8 @@ def _sites(n: int, order: int, points, lean: bool) -> list[tuple]:
     site's shape: one point on its lone ``_shift_site`` (cached, and so a
     hit right after a lone solve) with its own, several in one node pass for
     each layout (``quadrature._new_sites``) with theirs as columns.  The one
-    place that chooses: a one-row stack costs about a quarter more per F
-    than a lone site."""
+    place that chooses: a one-row stack costs about a third more per F
+    than a lone site (1.23 to 1.45 times)."""
     if len(points) == 1:
         point = points[0]
         return [([0], _shift_site(n, point[0], order, point[1], lean), *point[1:])]

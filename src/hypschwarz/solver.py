@@ -8,11 +8,11 @@ rounded a*, to Phi.  One driver runs every solve, of one radius or of a
 sweep's many (``_lockstep``): each pass gives every open solve its next F
 in one ``_f_and_slope`` call.  Every solve steers its first step by the
 slope that comes with its first F, one more row of that F's pass.  The
-solver deals in numbers: every F or Phi pass builds the sites it sums on.  It resolves the root of the computed
-F: where F's quadrature noise near a* exceeds its slope times the
-tolerance, another start can move a* by more (17 times that at n = 4,
-p = 1.5, r = 0.99, with G still far inside est_error).  The endpoint
-exponents have closed forms:
+solver deals in numbers: every F or Phi pass builds the sites it sums on.
+It resolves the root of the computed F: where F's quadrature noise near a*
+exceeds its slope times the tolerance, another start can move a* by more
+(17 times that at n = 4, p = 1.5, r = 0.99, with G still far inside
+est_error).  The endpoint exponents have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;

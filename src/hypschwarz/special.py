@@ -20,8 +20,6 @@ MAX_ORDER = 8192
 
 def check_integer(value, least: int, what: str) -> int:
     """``value`` as an int if it is an integer (numpy's too, not a bool) >= ``least``."""
-    if type(value) is int and value >= least:  # the common case, without the slower ABC check
-        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)

@@ -326,8 +326,8 @@ class TestVerifyCommands:
     def test_sweeps_solve_by_continuation(self, capsys, monkeypatch):
         # each radius is solved from its neighbours, as in gp: 4.0 F per
         # radius at (4, 3) on these radii in lockstep (3.9 one after another,
-        # 5.6 without the slope-steered first steps), 7.2 with a cold solve
-        # per radius
+        # 5.6 without the slope-steered first steps), 7.1 with a cold solve
+        # per radius (7.2 before cold solves steered too)
         calls = count_f_evals(monkeypatch)
         sweep = ("--n", "4", "--p", "3", "--r-min", "0.05", "--r-max", "0.9", "--steps", "40")
         for argv in (("verify-sharpness", *sweep), ("verify-bound", *sweep, "--count", "50")):

@@ -42,12 +42,13 @@ import workloads  # noqa: E402  (it imports this tree's hypschwarz)
 SWEEP_CURVES = 25
 
 
-def load_parent(src: str, name: str = "hypschwarz_parent"):
-    """The ``hypschwarz`` package under ``src``, imported as ``name``."""
+def load_parent(src: str):
+    """The ``hypschwarz`` package under ``src``, imported as ``hypschwarz_parent``."""
     init = Path(src) / "hypschwarz" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    spec = importlib.util.spec_from_file_location("hypschwarz_parent", init,
+                                                  submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
+    sys.modules[spec.name] = package
     spec.loader.exec_module(package)
     return package
 
@@ -99,13 +100,12 @@ def _sweep_op(package, out_dir: str):
 
 
 def measure(ops, items, rounds: int):
-    """(fastest times of each op per item, items whose results differ)."""
+    """(fastest times of each of the two ops per item, items whose results differ)."""
     best = [[float("inf")] * len(items) for _ in ops]
     keys = [[None] * len(items) for _ in ops]
     for k in range(rounds):
-        order = range(len(ops)) if k % 2 == 0 else range(len(ops) - 1, -1, -1)
         for i, item in enumerate(items):
-            for j in order:
+            for j in ((0, 1) if k % 2 == 0 else (1, 0)):
                 seconds, keys[j][i] = ops[j](item)
                 best[j][i] = min(best[j][i], seconds)
     return best, sum(a != b for a, b in zip(*keys))
