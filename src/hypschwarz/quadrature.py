@@ -413,13 +413,13 @@ def _new_sites(n: int, order: int, radii, t0s, lean: bool):
     built in one node pass, with theta0s and kernel constants as columns, as
     a stack that ``_site_sums`` sums (t None), each row the bits of
     ``_site``'s there.  This is the only code that builds a stack."""
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, list] = {}  # keyed by pole or not, which decides the layout at one n, and sides
     for k, t0 in enumerate(t0s):
         theta0, lengths = _split(t0)
-        layout = _layout(n, t0, lean)
-        groups.setdefault((layout, len(lengths)), []).append((k, theta0, lengths))
-    for (layout, _), members in groups.items():
+        groups.setdefault((abs(t0) == 1.0, len(lengths)), []).append((k, theta0, lengths))
+    for members in groups.values():
         rows, theta0s, lengths = zip(*members)
+        layout = _layout(n, t0s[rows[0]], lean)
         t, sinpow, weights, starts, column0, _, _ = _nodes_at(
             n, np.array(theta0s)[:, None, None], lengths, layout, *_graded_panels(order, *layout))
         column = np.array([_kernel_constants(radii[k]) for k in rows]).T[..., None, None]
