@@ -23,8 +23,8 @@ import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .kernel import BallContext, kernel_range
-from .objective import ObjectiveParams, big_f, dF_da, phi
-from .quadrature import DEFAULT_ORDER, _site_integral
+from .objective import ObjectiveParams, _phi_and_refined, big_f, dF_da, phi
+from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site_integral
 from .solver import (
     g_1_closed,
     g_2_closed,
@@ -38,10 +38,11 @@ from .solver import (
 from .verify import (
     CAPSEQ_GAP_LIMIT,
     _bound_checker,
+    _grad_reports,
     _gradient_extremal_ratio,
+    _random_poly_draws,
     corollary_l2_batch,
     corollary_l2_check,
-    random_grad_check,
     verify_sharpness,
 )
 
@@ -57,20 +58,37 @@ _ORDER = 512
 
 
 def brent_minimize(fn, lo: float, hi: float, tol: float) -> float:
-    """Brent's derivative-free minimizer for a unimodal function on [lo, hi].
+    """Brent's derivative-free minimizer for a unimodal function on [lo, hi]:
+    the steps of ``_brent_steps``, each point's value from fn.
 
     Used as the derivative-free cross-check against root-based optimizers:
-    it calls fn only.  Parabolic steps through the last three points where
-    they fall well inside the bracket, golden-section steps elsewhere
-    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5).  Every step is at least tol / 4 long.  It stops once its best
-    point is within tol / 2 of both ends of the bracket, which then is at
-    most tol wide, and returns that point.
+    it calls fn only.
+    """
+    steps = _brent_steps(lo, hi, tol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fn(x))
+    except StopIteration as done:
+        return done.value
+
+
+def _brent_steps(lo: float, hi: float, tol: float):
+    """Brent's minimizer on [lo, hi] as a generator: it yields each point,
+    receives the function's value there, and returns its minimizer.
+
+    Parabolic steps through the last three points where they fall well
+    inside the bracket, golden-section steps elsewhere (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5).  Every
+    step is at least tol / 4 long.  It stops once its best point is within
+    tol / 2 of both ends of the bracket, which then is at most tol wide, and
+    returns that point.  ``brent_minimize`` drives one; criterion 4 drives
+    the twelve of one dimension in lockstep (``_phi_minimizers``).
     """
     a, b = lo, hi
     step_min = 0.25 * tol
     x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = fn(x)
+    fx = fw = fv = yield x
     d = e = 0.0
     while max(x - a, b - x) > 0.5 * tol:
         mid = 0.5 * (a + b)
@@ -95,7 +113,7 @@ def brent_minimize(fn, lo: float, hi: float, tol: float) -> float:
             e = (b if x < mid else a) - x
             d = _GOLDEN * e
         u = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
-        fu = fn(u)
+        fu = yield u
         if fu <= fx:
             a, b = (a, x) if u < x else (x, b)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
@@ -106,6 +124,29 @@ def brent_minimize(fn, lo: float, hi: float, tol: float) -> float:
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     return x
+
+
+def _phi_minimizers(n: int, cells) -> list[float]:
+    """Brent's minimizer of Phi at each (q, r, lo, hi, tol) of ``cells``
+    (one n, rule order _ORDER), all in lockstep: each round gives every open
+    cell its next Phi in one ``_phi_and_refined`` pass, every row the bits of
+    a lone ``phi`` call there, under one overflow guard.  So each minimizer
+    is ``brent_minimize``'s on that phi, bit for bit."""
+    found: list = [None] * len(cells)
+    searches = []  # [index, q, r, steps, next point] of each open cell
+    for k, (q, r, lo, hi, tol) in enumerate(cells):
+        steps = _brent_steps(lo, hi, tol)
+        searches.append([k, q, r, steps, next(steps)])
+    with _overflow_guard():
+        while searches:
+            points = [(r, math.log(u), q) for _, q, r, _, u in searches]
+            for search, (value,) in zip(searches, _phi_and_refined(n, _ORDER, points, False)):
+                try:
+                    search[4] = search[3].send(_checked(value))
+                except StopIteration as done:
+                    found[search[0]] = done.value
+            searches = [search for search in searches if found[search[0]] is None]
+    return found
 
 
 @dataclass(frozen=True)
@@ -209,6 +250,7 @@ def criterion_4():
     minimum location unresolvable to 1e-7 in double precision) the
     comparison instead uses the standard resolution limit of derivative-free
     minimization, sqrt(c * eps * Phi / Phi''), documented in the ledger.
+    The twelve cross-checks of one n run in lockstep (``_phi_minimizers``).
     """
     worst_res = 0.0
     worst_ratio = 0.0
@@ -217,6 +259,7 @@ def criterion_4():
     ok_origin = True
     eps = 2.0 ** -52
     for n in _DIMS:
+        cells, shifts = [], []  # Brent's (q, r, lo, hi, tol) and (a*, its tolerance, resolution) per cell
         for p in _FINITE_PS:
             ctx = BallContext(n, p)
             ok_origin &= solve_a_star(ctx, 0.0) == 1.0
@@ -230,19 +273,13 @@ def criterion_4():
                 ok_signs &= slope < 0.0
                 kmin, kmax = kernel_range(ctx, r)
                 width = kmax - kmin
-                direct = brent_minimize(
-                    lambda a: phi(params, a),
-                    kmin + 1e-12 * width,
-                    kmax - 1e-12 * width,
-                    1e-9 * max(1.0, a_star),
-                )
-                gap = abs(direct - a_star)
-                base_tol = 1e-7 * max(1.0, a_star)
+                cells.append((ctx.q, r, kmin + 1e-12 * width, kmax - 1e-12 * width, 1e-9 * max(1.0, a_star)))
                 curvature = -slope * value ** (1.0 - ctx.q)
-                resolution = math.sqrt(64.0 * eps * value / curvature)
-                if resolution > base_tol:
-                    limited_cells += 1
-                worst_ratio = max(worst_ratio, gap / max(base_tol, resolution))
+                shifts.append((a_star, 1e-7 * max(1.0, a_star), math.sqrt(64.0 * eps * value / curvature)))
+        for (a_star, base_tol, resolution), direct in zip(shifts, _phi_minimizers(n, cells)):
+            if resolution > base_tol:
+                limited_cells += 1
+            worst_ratio = max(worst_ratio, abs(direct - a_star) / max(base_tol, resolution))
     passed = worst_res <= 1e-9 and worst_ratio <= 1.0 and ok_signs and ok_origin
     return passed, (
         f"max |F(a*)| {worst_res:.2e}, worst Brent gap at {worst_ratio:.2f} of its "
@@ -282,8 +319,11 @@ def criterion_6():
     violations = 0
     worst_random = 0.0
     for n in _DIMS:
+        # one draw pass for the five exponents: random_grad_check's reports
+        draws = _random_poly_draws(n, 1000, 42, DEFAULT_ORDER)
         for p in _FINITE_PS + (math.inf,):
-            report = random_grad_check(BallContext(n, p), count=1000, seed=42)
+            ctx = BallContext(n, p)
+            report, = _grad_reports(ctx, 1000, 42, DEFAULT_ORDER, (grad_constant(ctx),), draws)
             violations += report.violations
             worst_random = max(worst_random, report.max_ratio)
     passed = worst_extremal <= 1e-9 and worst_fd <= 1e-2 and violations == 0
@@ -300,10 +340,11 @@ def criterion_7():
     worst = 0.0
     for seed in (7, 42):
         for n in _DIMS:
+            # one draw pass for the four exponents, one set of norms for the three radii
+            draws = _random_poly_draws(n, 1000, seed, DEFAULT_ORDER)
             for p in _FINITE_PS:
-                # one draw pass and one set of norms for the three radii
                 ctx = BallContext(n, p)
-                check = _bound_checker(ctx, 1000, seed, DEFAULT_ORDER)
+                check = _bound_checker(ctx, 1000, seed, DEFAULT_ORDER, draws)
                 for r in _RADII:
                     report = check(g_p(ctx, r))
                     violations += report.violations

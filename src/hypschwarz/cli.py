@@ -21,10 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapUnderflowError, DomainError, NonConvergenceError
-from .kernel import BallContext
+from .kernel import BallContext, check_radius
 from .quadrature import DEFAULT_ORDER, _overflow_guard
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
-from .special import MAX_ORDER
+from .special import MAX_ORDER, check_order
 from .verify import _SIZE_ERRORS, _bound_checker, _sharpness, cap_sequence_check
 
 
@@ -91,9 +91,11 @@ def _astar(args):
     if not 1.0 < ctx.p < math.inf:  # closed forms, as the linear regime's rows: no F to report
         return [{"r": r, "a_star": res.a_star, "f_residual": 0.0}
                 for r, res in zip(args.radii, g_p_curve(ctx, args.radii, args.order))], False
+    check_radius(args.radii[0])  # refused before the order, as the sweep's solves refused them
+    order = check_order(args.order)
     with _overflow_guard():
         rows = [{"r": r, "a_star": math.exp(s), "f_residual": f}
-                for r, s, f in _shift_curve(ctx, args.radii, args.order)]
+                for r, s, f in _shift_curve(ctx, args.radii, order)]
     return rows, False
 
 

@@ -30,12 +30,15 @@ F's site; several are one node pass for each layout
 (``quadrature._new_sites``) and one stacked site pass.  ``_f_and_slope``
 takes (r, s, slope) points: a sweep's F pass, the next F of every open
 solve, sums an F row for every point and a slope row for those that ask.
-``_phi_and_refined`` takes (r, s) points: a sweep sums Phi on a chunk of
-its solved radii.  Every point's values are the bits of a pass on its site
-alone.  No site is handed out: a caller passes numbers and gets numbers.
-The public functions check their arguments (``ObjectiveParams``) and enter
+``_phi_and_refined`` takes (r, s, q) points of one n, each with its own
+conjugate exponent: a sweep sums Phi on a chunk of its solved radii, and
+the battery's Brent cross-checks of one n at every open cell.  Every
+point's values are the bits of a pass on its site alone.  No site is
+handed out: a caller passes numbers and gets numbers.  The public
+functions check their arguments (``ObjectiveParams``) and enter
 ``quadrature._overflow_guard``; the private ones run under their caller's
-(``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``).
+(``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``,
+``acceptance._phi_minimizers``).
 """
 
 from __future__ import annotations
@@ -106,8 +109,8 @@ def phi(params: ObjectiveParams, a: float) -> float:
     first: |d|^q overflows near r = 1 for large q, a m (integral |d/m|^q)^(1/q) not.
     """
     with _overflow_guard():
-        points = [(params.r, _log_shift(a))]
-        return _checked(_phi_and_refined(params.ctx, params.order, points, False)[0][0])
+        points = [(params.r, _log_shift(a), params.ctx.q)]
+        return _checked(_phi_and_refined(params.ctx.n, params.order, points, False)[0][0])
 
 
 def _shift_site(n: int, r: float, order: int, s: float, lean: bool = True):
@@ -135,30 +138,44 @@ def _sites(n: int, order: int, points, lean: bool) -> list[tuple]:
             for rows, stack in _new_sites(n, order, [point[0] for point in points], t0s, lean)]
 
 
-def _phi_and_refined(ctx: BallContext, order: int, points, refine: bool) -> list[list[float]]:
+def _phi_and_refined(n: int, order: int, points, refine: bool) -> list[list[float]]:
     """[Phi(e^s) at ``order``, at est_error's reference order (``_site_sums``)]
-    at each (r, s) of ``points``, or [Phi(e^s)] without ``refine``,
-    unchecked (non-finite where Phi is): the bits of the point's own phi
-    calls, on the lean sites of ``_sites``.  The order is one already
+    at each (r, s, q) of ``points``, Phi of the conjugate exponent q, or
+    [Phi(e^s)] without ``refine``, unchecked (non-finite where Phi is): the
+    bits of the point's own phi calls, on the lean sites of ``_sites``.
+    Each run of rows with equal q takes ``**= q`` with that scalar q, the
+    one way to keep a lone pass's bits: numpy's power takes fast paths at
+    the exponents 2 and 0.5 for a scalar, not for a column.  Points with
+    equal q side by side make the fewest runs.  The order is one already
     checked."""
-    q, scaled, factors = ctx.q, [], []
-    for r, s in points:
-        ell = _log_range(ctx.n, r)
+    scaled, factors = [], []
+    for r, s, _ in points:
+        ell = _log_range(n, r)
         size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
         scaled.append((r, s, 1.0 / size))
         factors.append(_exp(s) * size)
     phis: list = [None] * len(points)
-    for rows, site, shift, scale in _sites(ctx.n, order, scaled, True):
+    for rows, site, shift, scale in _sites(n, order, scaled, True):
+        qs = [points[k][2] for k in rows]
+        runs = None  # (rows, q) of each run of equal exponents, on a stack with several
+        if qs.count(qs[0]) < len(qs):
+            cuts = [i for i in range(1, len(qs)) if qs[i] != qs[i - 1]]
+            runs = [(slice(first, end), qs[first]) for first, end in zip([0, *cuts], [*cuts, None])]
 
         def values(log_kernel, _):
             dev = log_kernel - shift
             np.expm1(dev, out=dev)
             dev *= scale
             np.abs(dev, out=dev)
-            dev **= q
+            if runs is None:  # one exponent, also on a lone site's (sides, nodes)
+                dev **= qs[0]
+            else:
+                for run, q in runs:
+                    part = dev[run]
+                    part **= q
             return dev
 
-        for k, *totals in zip(rows, *_site_sums(ctx.n, order, site, values, refine)):
+        for k, q, *totals in zip(rows, qs, *_site_sums(n, order, site, values, refine)):
             phis[k] = [factors[k] * total ** (1.0 / q) for total in totals]
     return phis
 

@@ -92,6 +92,7 @@ class GpResult:
 def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
     """Root of F(r, .) in the open kernel range, 1 below _R_LIN: the cold
     solve of ``_lockstep`` at r alone, rounded to a* = e^s."""
+    order = check_order(order)
     with _overflow_guard():
         (s, _), = _lockstep(ctx, [r], order)
         return math.exp(s)
@@ -127,9 +128,8 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
     l < 1/2 (``_tolerance``).  The start changes the cost, and the root
     only where F's quadrature noise outweighs its slope: a cold solve at
     p = 2 starts at its root a = 1 and takes about 2 F.  A non-finite F is
-    refused.
+    refused.  The order is one already checked.
     """
-    order = check_order(order)
     _check_exponent(ctx, "shift optimization")
     r = check_radius(r)
     if r < _R_LIN:
@@ -324,7 +324,7 @@ def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
 
 
 def _numeric_results(ctx: BallContext, order: int, solved) -> list[tuple[float, GpResult]]:
-    """(r, GpResult) for each (r, s) of a solved radius, from one
+    """(r, GpResult) for each (r, s, q) of a solved radius, from one
     ``_phi_and_refined`` pass, which builds the sites of the solves' last F
     anew (a lone one is still cached): G_p = Phi(a*) and est_error
     (|G_p - G_2| at p = 2, else the gap to Phi(a*) at quadrature's reference
@@ -332,7 +332,7 @@ def _numeric_results(ctx: BallContext, order: int, solved) -> list[tuple[float, 
     radius, as g_p would, the first to refuse raises."""
     results = []
     refine = ctx.p != 2.0
-    for (r, s), values in zip(solved, _phi_and_refined(ctx, order, solved, refine)):
+    for (r, s, _), values in zip(solved, _phi_and_refined(ctx.n, order, solved, refine)):
         g_val = _checked(values[0])
         if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
             raise DomainError(f"G_p(r) underflows to 0 at n={ctx.n}, p={ctx.p}, r={r}")
@@ -376,7 +376,7 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
         return [GpResult(ctx, r, *closed(ctx.n, r), method, 0.0, _closed_log_a(ctx.n, r, ctx.p))
                 for r in map(check_radius, radii)]
     results: dict[float, GpResult | None] = {}
-    sweep, solved = [], []  # solved: (r, s) of each radius solved since the last G pass
+    sweep, solved = [], []  # solved: (r, s, q) of each radius solved since the last G pass
     with _overflow_guard():
         try:
             for r, s, _ in _shift_curve(ctx, radii, order):
@@ -387,7 +387,7 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
                     results[r] = _linear(ctx, r)
                     continue
                 results[r] = None
-                solved.append((r, s))
+                solved.append((r, s, ctx.q))
                 if len(solved) == _CHUNK:
                     chunk, solved = solved, []
                     results.update(_numeric_results(ctx, order, chunk))

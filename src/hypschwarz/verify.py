@@ -422,21 +422,32 @@ def random_bound_check(
     return _bound_checker(ctx, count, seed, order)(g_p(ctx, r, order))
 
 
-def _bound_checker(ctx: BallContext, count: int, seed: int, order: int):
+def _bound_checker(ctx: BallContext, count: int, seed: int, order: int, draws=None):
     """bound -> random_bound_check's report against the GpResult ``bound``
     (g_p's, or a g_p_curve row).  The draws and their norms do not depend on
-    r: they are taken, and count, seed and order refused, when it is built."""
-    check = _ratio_checker(ctx, *_random_poly_draws(ctx.n, count, seed, order))
+    r: they are taken, and count, seed and order refused, when it is built,
+    unless ``draws``, ``_random_poly_draws(ctx.n, count, seed, order)``
+    taken once for several exponents, are given."""
+    check = _ratio_checker(ctx, *(draws or _random_poly_draws(ctx.n, count, seed, order)))
 
     def report(bound: GpResult) -> RandomBoundReport:
         r = bound.r
         if 0.0 < r < _R_LIN:
             return RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), grad_constant(ctx)))
-        moments = _site_integral(ctx.n, r, order, 1.0, lambda log_kernel, t: np.cumprod(
-            [np.expm1(log_kernel)] + [t] * 8, axis=0))
-        return RandomBoundReport(count, seed, *check(moments, bound.g_value))
+        return RandomBoundReport(count, seed, *check(_pole_moments(ctx.n, r, order), bound.g_value))
 
     return report
+
+
+@lru_cache(maxsize=16)
+def _pole_moments(n: int, r: float, order: int) -> np.ndarray:
+    """Read-only kernel moments M_k = integral (K - 1) t^k dsigma, k = 0..8,
+    at r: one stacked sum on the site split at the pole t = 1, summed once
+    for every exponent and seed that checks draws at (n, r, order)."""
+    moments = np.array(_site_integral(n, r, order, 1.0, lambda log_kernel, t: np.cumprod(
+        [np.expm1(log_kernel)] + [t] * 8, axis=0)))
+    moments.setflags(write=False)
+    return moments
 
 
 def random_grad_check(
@@ -452,9 +463,10 @@ def random_grad_check(
     return _grad_reports(ctx, count, seed, order, (grad_constant(ctx),))[0]
 
 
-def _grad_reports(ctx: BallContext, count: int, seed: int, order: int, constants):
-    """random_grad_check's report for each constant in place of C_p, from one draw pass."""
-    check = _ratio_checker(ctx, *_random_poly_draws(ctx.n, count, seed, order))
+def _grad_reports(ctx: BallContext, count: int, seed: int, order: int, constants, draws=None):
+    """random_grad_check's report for each constant in place of C_p, from one
+    draw pass, or on ``draws`` as ``_bound_checker`` takes them."""
+    check = _ratio_checker(ctx, *(draws or _random_poly_draws(ctx.n, count, seed, order)))
     return tuple(RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), constant))
                  for constant in constants)
 

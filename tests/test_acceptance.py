@@ -8,11 +8,14 @@ command line.
 import math
 import sys
 
+import numpy as np
 import pytest
 
-from hypschwarz import acceptance, quadrature
+from hypschwarz import acceptance, quadrature, verify
 from hypschwarz.acceptance import brent_minimize
 from hypschwarz.kernel import BallContext, kernel_range
+from hypschwarz.objective import ObjectiveParams, phi
+from hypschwarz.solver import solve_a_star
 
 
 def _run(criterion):
@@ -65,20 +68,29 @@ def _sup_distance(n, r):
     return (lambda a: max(kmax - a, a - kmin)), kmin, kmax, 1e-13 * max(1.0, kmax), 0.5 * (kmin + kmax)
 
 
+# (fn, lo, hi, tol, argmin) of the minimizer tests
+_BRENT_CASES = [
+    # smooth, strictly convex and lopsided; its minimum value is 0, so
+    # rounding does not flatten it within 1e-9 of the minimizer
+    (lambda x: math.expm1(x - math.log(2.0)) - (x - math.log(2.0)), -3.0, 5.0, 1e-9,
+     math.log(2.0)),
+    # flat-bottomed: zero curvature at the minimum
+    (lambda x: (x - 0.3) ** 4, 0.0, 1.0, 1e-9, 0.3),
+    # monotone: the minimum at an end of the interval
+    (lambda x: x, 0.0, 1.0, 1e-9, 0.0),
+    # V-shaped, as in criterion 3
+    _sup_distance(3, 0.5),
+    _sup_distance(5, 0.8),
+]
+
+
+def _plateau(x):
+    """Every point of [0.2, 0.4] is a minimizer."""
+    return max(abs(x - 0.3) - 0.1, 0.0) ** 2
+
+
 class TestBrentMinimize:
-    @pytest.mark.parametrize("fn, lo, hi, tol, argmin", [
-        # smooth, strictly convex and lopsided; its minimum value is 0, so
-        # rounding does not flatten it within 1e-9 of the minimizer
-        (lambda x: math.expm1(x - math.log(2.0)) - (x - math.log(2.0)), -3.0, 5.0, 1e-9,
-         math.log(2.0)),
-        # flat-bottomed: zero curvature at the minimum
-        (lambda x: (x - 0.3) ** 4, 0.0, 1.0, 1e-9, 0.3),
-        # monotone: the minimum at an end of the interval
-        (lambda x: x, 0.0, 1.0, 1e-9, 0.0),
-        # V-shaped, as in criterion 3
-        _sup_distance(3, 0.5),
-        _sup_distance(5, 0.8),
-    ])
+    @pytest.mark.parametrize("fn, lo, hi, tol, argmin", _BRENT_CASES)
     def test_within_tol_of_the_minimizer(self, fn, lo, hi, tol, argmin):
         points = []
         found = brent_minimize(lambda x: points.append(x) or fn(x), lo, hi, tol)
@@ -86,9 +98,8 @@ class TestBrentMinimize:
         assert all(lo <= x <= hi for x in points)
 
     def test_plateau_returns_a_point_within_tol_of_it(self):
-        # every point of [0.2, 0.4] is a minimizer
         tol = 1e-9
-        found = brent_minimize(lambda x: max(abs(x - 0.3) - 0.1, 0.0) ** 2, 0.0, 1.0, tol)
+        found = brent_minimize(_plateau, 0.0, 1.0, tol)
         assert 0.2 - tol <= found <= 0.4 + tol
 
     def test_calls_only_the_function_it_is_given(self):
@@ -106,8 +117,53 @@ class TestBrentMinimize:
             brent_minimize(fn, 0.0, 1.0, 1e-9)
         finally:
             sys.setprofile(None)
+        # its own step generator resumes between the calls of fn
         assert called[0] is brent_minimize.__code__
-        assert set(called[1:]) == {fn.__code__}
+        assert set(called[1:]) == {fn.__code__, acceptance._brent_steps.__code__}
+
+    def test_lockstep_is_each_minimizer_alone(self):
+        # every function of this class, the plateau included, driven in one
+        # lockstep round after round, each generator fed its own values
+        cases = [*_BRENT_CASES, (_plateau, 0.0, 1.0, 1e-9, None)]
+        found = [None] * len(cases)
+        steps = [acceptance._brent_steps(lo, hi, tol) for _, lo, hi, tol, _ in cases]
+        points = [next(step) for step in steps]
+        while None in found:
+            for k, (step, (fn, *_)) in enumerate(zip(steps, cases)):
+                if found[k] is None:
+                    try:
+                        points[k] = step.send(fn(points[k]))
+                    except StopIteration as done:
+                        found[k] = done.value
+        for (fn, lo, hi, tol, _), value in zip(cases, found):
+            assert value.hex() == brent_minimize(fn, lo, hi, tol).hex()
+
+
+def _criterion_4_cells(n):
+    """Criterion 4's Brent cells at n, (q, r, lo, hi, tol) with p major, and
+    their ObjectiveParams."""
+    cells, params = [], []
+    for p in acceptance._FINITE_PS:
+        ctx = BallContext(n, p)
+        for r in acceptance._RADII:
+            a_star = solve_a_star(ctx, r, acceptance._ORDER)
+            kmin, kmax = kernel_range(ctx, r)
+            width = kmax - kmin
+            cells.append((ctx.q, r, kmin + 1e-12 * width, kmax - 1e-12 * width, 1e-9 * max(1.0, a_star)))
+            params.append(ObjectiveParams(ctx, r, acceptance._ORDER))
+    return cells, params
+
+
+def test_criterion_4_lockstep_minimizers_are_the_sequential_ones():
+    # the twelve cells of one n in lockstep, each round one stacked Phi pass,
+    # against brent_minimize on the public phi, cell by cell
+    for n in acceptance._DIMS:
+        cells, params = _criterion_4_cells(n)
+        together = acceptance._phi_minimizers(n, cells)
+        assert len(together) == 12
+        for (_, _, lo, hi, tol), prm, found in zip(cells, params, together):
+            alone = brent_minimize(lambda a: phi(prm, a), lo, hi, tol)
+            assert found.hex() == alone.hex(), (n, prm.ctx.p, prm.r)
 
 
 def test_criterion_4_cross_check_calls(monkeypatch):
@@ -115,17 +171,42 @@ def test_criterion_4_cross_check_calls(monkeypatch):
     # search from the same interval to the same tolerance takes 52.6 on
     # average and 64 at most
     counts = []
+    real_steps = acceptance._brent_steps
 
-    def counted(fn, lo, hi, tol):
-        calls = []
-        found = brent_minimize(lambda a: calls.append(a) or fn(a), lo, hi, tol)
-        counts.append(len(calls))
-        return found
+    def counted(lo, hi, tol):
+        steps, calls = real_steps(lo, hi, tol), []
+        counts.append(calls)
+        point = next(steps)
+        while True:
+            calls.append(point)
+            try:
+                point = steps.send((yield point))
+            except StopIteration as done:
+                return done.value
 
-    monkeypatch.setattr(acceptance, "brent_minimize", counted)
+    monkeypatch.setattr(acceptance, "_brent_steps", counted)
     assert acceptance.criterion_4().passed
     assert len(counts) == 36
-    assert sum(counts) / len(counts) <= 30.0 and max(counts) <= 50
+    assert sum(map(len, counts)) / len(counts) <= 30.0 and max(map(len, counts)) <= 50
+
+
+def test_random_draw_data_is_built_once_per_key(monkeypatch):
+    # criterion 7 sums the pole-site kernel moments once per (n, r), 9 in
+    # place of 72, and both criteria draw once per (n, seed): criterion 6 3
+    # times in place of 15, criterion 7 6 in place of 24
+    draws, moment_passes = [], []
+    real_rng, real_integral = np.random.default_rng, verify._site_integral
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or real_rng(seed))
+    monkeypatch.setattr(verify, "_site_integral",
+                        lambda n, r, order, t0, fn: moment_passes.append((n, r, t0))
+                        or real_integral(n, r, order, t0, fn))
+    assert acceptance.criterion_6().passed
+    assert draws == [42] * 3 and moment_passes == []
+    draws.clear()
+    verify._pole_moments.cache_clear()
+    assert acceptance.criterion_7().passed
+    assert draws == [7] * 3 + [42] * 3
+    assert sorted(moment_passes) == [(n, r, 1.0) for n in acceptance._DIMS for r in acceptance._RADII]
 
 
 def test_criterion_4_reads_phi_at_the_shift_on_its_cached_site(monkeypatch):

@@ -27,7 +27,7 @@ def params(n, p, r, order=128):
 
 def phi_values(prm, s, refine):
     """_phi_and_refined at the one shift e^s, on its lean site: [Phi] or [Phi, Phi at the reference order]."""
-    return _phi_and_refined(prm.ctx, prm.order, [(prm.r, s)], refine)[0]
+    return _phi_and_refined(prm.ctx.n, prm.order, [(prm.r, s, prm.ctx.q)], refine)[0]
 
 
 class TestParams:
@@ -364,11 +364,44 @@ class TestRefinedPhi:
         assert nodes[1][4] == 0.0 and nodes[4][4] == math.pi and [len(node_set[5]) for node_set in nodes] == [
             2, 1, 2, 2, 1, 2]
         for refine in (False, True):
-            together = _phi_and_refined(ctx, 128, shifts, refine)
-            for point, values in zip(shifts, together):
-                alone, = _phi_and_refined(ctx, 128, [point], refine)
+            points = [(r, s, ctx.q) for r, s in shifts]
+            together = _phi_and_refined(4, 128, points, refine)
+            for point, values in zip(points, together):
+                alone, = _phi_and_refined(4, 128, [point], refine)
                 assert len(values) == 1 + refine and all(map(math.isfinite, values))
                 assert [v.hex() for v in values] == [v.hex() for v in alone], (point, refine)
+
+
+class TestMixedExponents:
+    """A Phi pass whose points carry their own exponent q: each run of equal
+    q takes its scalar power, so every row keeps a lone phi call's bits,
+    also at q = 2 (p = 2), where numpy's power squares a scalar exponent's
+    values and rounds a column's differently, and q = 3 (p = 1.5)."""
+
+    # (p, r, a as a share of the kernel range, or past its ends), equal
+    # exponents apart: q = 2 comes in three runs, q = 3 in two
+    POINTS = [(2.0, 0.5, 0.3), (2.0, 0.8, 0.7), (1.5, 0.2, 0.5), (3.0, 0.5, 0.6), (2.0, 0.2, 0.1),
+              (1.5, 0.8, 0.9), (5.0, 0.5, 0.4), (2.0, 0.5, 1.5), (1.5, 0.5, -0.5)]
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_rows_are_lone_phi_calls(self, n):
+        points, lone = [], []
+        for p, r, share in self.POINTS:
+            prm = params(n, p, r, 256)
+            kmin, kmax = kernel_range(prm.ctx, r)
+            a = kmin + share * (kmax - kmin) if share > 0.0 else 0.5 * kmin
+            points.append((r, math.log(a), prm.ctx.q))
+            lone.append((phi(prm, a), phi(params(n, p, r, 512), a)))
+        for refine in (False, True):
+            with quadrature._overflow_guard():
+                together = _phi_and_refined(n, 256, points, refine)
+                alone = [_phi_and_refined(n, 256, [point], refine)[0] for point in points]
+            for point, values, own, calls in zip(points, together, alone, lone):
+                assert len(values) == 1 + refine
+                assert [v.hex() for v in values] == [v.hex() for v in own], (n, point, refine)
+                assert values[0].hex() == calls[0].hex(), (n, point)
+                if refine:  # est_error's reference order of 256 is 512
+                    assert values[1].hex() == calls[1].hex(), (n, point)
 
 
 class TestStationarityIdentity:

@@ -603,7 +603,7 @@ class TestGpCurve:
 
 def phi_at(ctx, r, order, s):
     """Phi(e^s) at (ctx, r, order) from a pass on its own site alone, unchecked."""
-    return _phi_and_refined(ctx, order, [(r, s)], False)[0][0]
+    return _phi_and_refined(ctx.n, order, [(r, s, ctx.q)], False)[0][0]
 
 
 class TestStackedGPass:
