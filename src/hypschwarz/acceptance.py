@@ -62,15 +62,30 @@ def brent_minimize(fn, lo: float, hi: float, tol: float) -> float:
     the steps of ``_brent_steps``, each point's value from fn.
 
     Used as the derivative-free cross-check against root-based optimizers:
-    it calls fn only.
+    it calls fn only.  The one-search case of ``_minimize_together``.
     """
-    steps = _brent_steps(lo, hi, tol)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(fn(x))
-    except StopIteration as done:
-        return done.value
+    return _minimize_together([(lo, hi, tol)], lambda _, points: [fn(points[0])])[0]
+
+
+def _minimize_together(brackets, values) -> list[float]:
+    """Brent's minimizer on each (lo, hi, tol) of ``brackets``, all in
+    lockstep: each round, values(open, points) gives the value at the next
+    point of every open search, ``open`` their indices into ``brackets`` and
+    ``points`` those points, and each search takes its own.  So every
+    minimizer is the one its search finds alone."""
+    found: list = [None] * len(brackets)
+    searches = []  # [index, steps, next point] of each open search
+    for k, bracket in enumerate(brackets):
+        steps = _brent_steps(*bracket)
+        searches.append([k, steps, next(steps)])
+    while searches:
+        for search, value in zip(searches, values([k for k, _, _ in searches], [u for _, _, u in searches])):
+            try:
+                search[2] = search[1].send(value)
+            except StopIteration as done:
+                found[search[0]] = done.value
+        searches = [search for search in searches if found[search[0]] is None]
+    return found
 
 
 def _brent_steps(lo: float, hi: float, tol: float):
@@ -82,8 +97,7 @@ def _brent_steps(lo: float, hi: float, tol: float):
     Algorithms for Minimization without Derivatives, 1973, ch. 5).  Every
     step is at least tol / 4 long.  It stops once its best point is within
     tol / 2 of both ends of the bracket, which then is at most tol wide, and
-    returns that point.  ``brent_minimize`` drives one; criterion 4 drives
-    the twelve of one dimension in lockstep (``_phi_minimizers``).
+    returns that point.  ``_minimize_together`` drives them.
     """
     a, b = lo, hi
     step_min = 0.25 * tol
@@ -128,25 +142,17 @@ def _brent_steps(lo: float, hi: float, tol: float):
 
 def _phi_minimizers(n: int, cells) -> list[float]:
     """Brent's minimizer of Phi at each (q, r, lo, hi, tol) of ``cells``
-    (one n, rule order _ORDER), all in lockstep: each round gives every open
-    cell its next Phi in one ``_phi_and_refined`` pass, every row the bits of
-    a lone ``phi`` call there, under one overflow guard.  So each minimizer
-    is ``brent_minimize``'s on that phi, bit for bit."""
-    found: list = [None] * len(cells)
-    searches = []  # [index, q, r, steps, next point] of each open cell
-    for k, (q, r, lo, hi, tol) in enumerate(cells):
-        steps = _brent_steps(lo, hi, tol)
-        searches.append([k, q, r, steps, next(steps)])
+    (one n, rule order _ORDER), all in lockstep (``_minimize_together``):
+    each round gives every open cell its next Phi in one ``_phi_and_refined``
+    pass, every row the bits of a lone ``phi`` call there, under one
+    overflow guard.  So each minimizer is ``brent_minimize``'s on that phi,
+    bit for bit."""
+    def values(open_cells, points):
+        at = [(cells[k][1], math.log(u), cells[k][0]) for k, u in zip(open_cells, points)]
+        return [_checked(value) for value, in _phi_and_refined(n, _ORDER, at, False)]
+
     with _overflow_guard():
-        while searches:
-            points = [(r, math.log(u), q) for _, q, r, _, u in searches]
-            for search, (value,) in zip(searches, _phi_and_refined(n, _ORDER, points, False)):
-                try:
-                    search[4] = search[3].send(_checked(value))
-                except StopIteration as done:
-                    found[search[0]] = done.value
-            searches = [search for search in searches if found[search[0]] is None]
-    return found
+        return _minimize_together([cell[2:] for cell in cells], values)
 
 
 @dataclass(frozen=True)

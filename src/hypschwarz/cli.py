@@ -25,7 +25,7 @@ from .kernel import BallContext, check_radius
 from .quadrature import DEFAULT_ORDER, _overflow_guard
 from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
 from .special import MAX_ORDER, check_order
-from .verify import _SIZE_ERRORS, _bound_checker, _sharpness, cap_sequence_check
+from .verify import _SIZE_ERRORS, _bound_checker, _random_poly_draws, _sharpness, cap_sequence_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +119,8 @@ def _verify_sharpness(args):
 
 def _verify_bound(args):
     ctx = BallContext(args.n, args.p)
-    check = _bound_checker(ctx, args.count, args.seed, args.order)  # refuses before any solve
+    draws = _random_poly_draws(ctx.n, args.count, args.seed, args.order)  # refuses before any solve
+    check = _bound_checker(ctx, args.count, args.seed, args.order, draws)
     rows = [{"n": ctx.n, "p": ctx.p, "r": r, "count": report.count, "seed": report.seed,
              "violations": report.violations, "max_ratio": report.max_ratio}
             for r, report in zip(args.radii, map(check, g_p_curve(ctx, args.radii, args.order)))]

@@ -157,22 +157,19 @@ def _phi_and_refined(n: int, order: int, points, refine: bool) -> list[list[floa
     phis: list = [None] * len(points)
     for rows, site, shift, scale in _sites(n, order, scaled, True):
         qs = [points[k][2] for k in rows]
-        runs = None  # (rows, q) of each run of equal exponents, on a stack with several
-        if qs.count(qs[0]) < len(qs):
-            cuts = [i for i in range(1, len(qs)) if qs[i] != qs[i - 1]]
-            runs = [(slice(first, end), qs[first]) for first, end in zip([0, *cuts], [*cuts, None])]
+        # (rows, q) of each run of equal exponents; one run of all rows also
+        # raises a lone site's (sides, nodes) whole
+        cuts = [i for i in range(1, len(qs)) if qs[i] != qs[i - 1]]
+        runs = [(slice(first, end), qs[first]) for first, end in zip([0, *cuts], [*cuts, None])]
 
         def values(log_kernel, _):
             dev = log_kernel - shift
             np.expm1(dev, out=dev)
             dev *= scale
             np.abs(dev, out=dev)
-            if runs is None:  # one exponent, also on a lone site's (sides, nodes)
-                dev **= qs[0]
-            else:
-                for run, q in runs:
-                    part = dev[run]
-                    part **= q
+            for run, q in runs:
+                part = dev[run]
+                part **= q
             return dev
 
         for k, q, *totals in zip(rows, qs, *_site_sums(n, order, site, values, refine)):

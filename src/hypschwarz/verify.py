@@ -419,16 +419,17 @@ def random_bound_check(
     For 0 < r < _R_LIN the report is random_grad_check's: there
     u(r axis) - u(0) = r grad u(0) . axis and G_p(r) = C_p r.
     """
-    return _bound_checker(ctx, count, seed, order)(g_p(ctx, r, order))
+    draws = _random_poly_draws(ctx.n, count, seed, order)  # refuses count, seed and order before the solve
+    return _bound_checker(ctx, count, seed, order, draws)(g_p(ctx, r, order))
 
 
-def _bound_checker(ctx: BallContext, count: int, seed: int, order: int, draws=None):
+def _bound_checker(ctx: BallContext, count: int, seed: int, order: int, draws):
     """bound -> random_bound_check's report against the GpResult ``bound``
-    (g_p's, or a g_p_curve row).  The draws and their norms do not depend on
-    r: they are taken, and count, seed and order refused, when it is built,
-    unless ``draws``, ``_random_poly_draws(ctx.n, count, seed, order)``
-    taken once for several exponents, are given."""
-    check = _ratio_checker(ctx, *(draws or _random_poly_draws(ctx.n, count, seed, order)))
+    (g_p's, or a g_p_curve row), on ``draws``, the caller's
+    ``_random_poly_draws(ctx.n, count, seed, order)``.  The draws and their
+    norms do not depend on r, nor the draws on p: one set serves every
+    radius and exponent."""
+    check = _ratio_checker(ctx, *draws)
 
     def report(bound: GpResult) -> RandomBoundReport:
         r = bound.r
@@ -460,13 +461,14 @@ def random_grad_check(
 
     Tests |grad u(0)| <= C_p ||g||_p * (1 + BOUND_SLACK).
     """
-    return _grad_reports(ctx, count, seed, order, (grad_constant(ctx),))[0]
+    return _grad_reports(ctx, count, seed, order, (grad_constant(ctx),),
+                         _random_poly_draws(ctx.n, count, seed, order))[0]
 
 
-def _grad_reports(ctx: BallContext, count: int, seed: int, order: int, constants, draws=None):
-    """random_grad_check's report for each constant in place of C_p, from one
-    draw pass, or on ``draws`` as ``_bound_checker`` takes them."""
-    check = _ratio_checker(ctx, *(draws or _random_poly_draws(ctx.n, count, seed, order)))
+def _grad_reports(ctx: BallContext, count: int, seed: int, order: int, constants, draws):
+    """random_grad_check's report for each constant in place of C_p, on
+    ``draws`` as ``_bound_checker`` takes them."""
+    check = _ratio_checker(ctx, *draws)
     return tuple(RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), constant))
                  for constant in constants)
 
@@ -591,4 +593,5 @@ def corollary_l2_batch(
     sqrt(2(n-1)), each comparing |grad u(0)| with constant * ||g - mean||_2.
     """
     ctx = BallContext(n, 2.0)
-    return _grad_reports(ctx, count, seed, order, (grad_constant(ctx), math.sqrt(2.0 * (ctx.n - 1.0))))
+    constants = (grad_constant(ctx), math.sqrt(2.0 * (ctx.n - 1.0)))
+    return _grad_reports(ctx, count, seed, order, constants, _random_poly_draws(n, count, seed, order))

@@ -7,6 +7,7 @@ command line.
 
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -117,24 +118,26 @@ class TestBrentMinimize:
             brent_minimize(fn, 0.0, 1.0, 1e-9)
         finally:
             sys.setprofile(None)
-        # its own step generator resumes between the calls of fn
+        # besides fn, only Brent's own code runs: its lockstep driver, its
+        # step generator and the code they hold
+        own = {code for outer in (brent_minimize, acceptance._minimize_together, acceptance._brent_steps)
+               for code in (outer.__code__, *(const for const in outer.__code__.co_consts
+                                              if isinstance(const, types.CodeType)))}
         assert called[0] is brent_minimize.__code__
-        assert set(called[1:]) == {fn.__code__, acceptance._brent_steps.__code__}
+        assert fn.__code__ in called and set(called[1:]) <= own | {fn.__code__}
 
     def test_lockstep_is_each_minimizer_alone(self):
-        # every function of this class, the plateau included, driven in one
-        # lockstep round after round, each generator fed its own values
+        # every function of this class, the plateau included, in one
+        # _minimize_together, each search given its own function's values
         cases = [*_BRENT_CASES, (_plateau, 0.0, 1.0, 1e-9, None)]
-        found = [None] * len(cases)
-        steps = [acceptance._brent_steps(lo, hi, tol) for _, lo, hi, tol, _ in cases]
-        points = [next(step) for step in steps]
-        while None in found:
-            for k, (step, (fn, *_)) in enumerate(zip(steps, cases)):
-                if found[k] is None:
-                    try:
-                        points[k] = step.send(fn(points[k]))
-                    except StopIteration as done:
-                        found[k] = done.value
+        rounds = []
+
+        def values(open_cases, points):
+            rounds.append(len(open_cases))
+            return [cases[k][0](x) for k, x in zip(open_cases, points)]
+
+        found = acceptance._minimize_together([case[1:4] for case in cases], values)
+        assert rounds[0] == len(cases) and rounds[-1] >= 1 and rounds == sorted(rounds, reverse=True)
         for (fn, lo, hi, tol, _), value in zip(cases, found):
             assert value.hex() == brent_minimize(fn, lo, hi, tol).hex()
 

@@ -522,7 +522,7 @@ class TestRandomChecks:
         ctx = BallContext(3, 2.0)
         for check in (
             lambda: random_bound_check(ctx, 0.5, count=20),
-            lambda: list(map(verify._bound_checker(ctx, 20, 42, 128),
+            lambda: list(map(verify._bound_checker(ctx, 20, 42, 128, verify._random_poly_draws(3, 20, 42, 128)),
                              solver.g_p_curve(ctx, SWEEP_RADII))),
             lambda: random_grad_check(ctx, count=20),
             lambda: corollary_l2_batch(3, count=20),
@@ -546,7 +546,7 @@ class TestRandomChecks:
                         single.append(exc)
                         break
                 answered = [report for report in single if isinstance(report, RandomBoundReport)]
-                check = verify._bound_checker(ctx, 1000, seed, 128)
+                check = verify._bound_checker(ctx, 1000, seed, 128, verify._random_poly_draws(n, 1000, seed, 128))
                 swept = [check(solver.g_p(ctx, r)) for r in SWEEP_RADII[:len(answered)]]
                 assert swept == answered, (n, p, seed)
                 if len(answered) < len(SWEEP_RADII):
