@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapUnderflowError, DomainError, NonConvergenceError
 from .kernel import BallContext, check_radius
 from .quadrature import DEFAULT_ORDER, _overflow_guard
-from .solver import _shift_curve, g_inf_closed, g_p_curve, grad_constant
+from .solver import _lockstep, g_inf_closed, g_p_curve, grad_constant
 from .special import MAX_ORDER, check_order
 from .verify import _SIZE_ERRORS, _bound_checker, _random_poly_draws, _sharpness, cap_sequence_check
 
@@ -67,13 +67,13 @@ def _radii(args) -> list:
     if args.r is not None:
         if sweep != (None, None, None):
             args.parser.error("give either --r or the sweep flags, not both")
-        return [args.r]
+        return [args.r + 0.0]  # + 0.0: a radius of -0.0 is 0
     if None in sweep:
         args.parser.error("need --r, or all of --r-min/--r-max/--steps")
     if args.steps < 1:
         args.parser.error("--steps must be >= 1")
     try:
-        return [float(x) for x in np.linspace(args.r_min, args.r_max, args.steps)]
+        return [float(x) + 0.0 for x in np.linspace(args.r_min, args.r_max, args.steps)]
     except _SIZE_ERRORS as exc:
         raise DomainError(f"--steps {args.steps} radii do not fit in memory: {exc}") from None
 
@@ -95,7 +95,7 @@ def _astar(args):
     order = check_order(args.order)
     with _overflow_guard():
         rows = [{"r": r, "a_star": math.exp(s), "f_residual": f}
-                for r, s, f in _shift_curve(ctx, args.radii, order)]
+                for r, s, f in _lockstep(ctx, args.radii, order)]
     return rows, False
 
 

@@ -57,7 +57,7 @@ class BallContext:
 def check_radius(r: float) -> float:
     if not (0.0 <= r < 1.0 and math.isfinite(r)):
         raise DomainError(f"radius must lie in [0, 1), got {r!r}")
-    return float(r)
+    return float(r) + 0.0  # + 0.0 turns -0.0 into 0.0, an equal key of g_p's memo
 
 
 def poisson_szego_axis(ctx: BallContext, r: float, t):

@@ -16,17 +16,17 @@ here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
 Each function here only supplies values, fn(log K, t): powers of d on log
-K at the nodes of a shift's one site, ``_shift_site`` (a site of
-``quadrature`` split where K crosses the shift, on the lean layout but for
-``dF_da``'s), summed by its one pass ``_site_sums``.  F and its slope (a
+K at the nodes of a shift's sites (``quadrature``'s, split where K crosses
+the shift, on the lean layout but for ``dF_da``'s), summed by the one pass
+``_site_sums``.  F and its slope (a
 second row of F's one power |d|^(q-1)) are one stack of values; Phi and
 the doubled-order Phi of ``est_error`` are one pass.  So the Phi(a*) of a
 lone solve costs one power and one panel sum on the site of its last F,
 and the residual F(a*) is that F.
 The two private sums take lists of points and build the sites they sum on
-(``_sites``, the one place that chooses a lone site or a stack): one point
-sums on its cached lone site, so the Phi of a lone solve reads its last
-F's site; several are one node pass for each layout
+(``_sites``, the one place that chooses a builder): one point sums on its
+cached ``quadrature._site``, so the Phi of a lone solve reads its last F's
+site; several are one node pass for each layout
 (``quadrature._new_sites``) and one stacked site pass.  ``_f_and_slope``
 takes (r, s, slope) points: a sweep's F pass, the next F of every open
 solve, sums an F row for every point and a slope row for those that ask.
@@ -113,26 +113,16 @@ def phi(params: ObjectiveParams, a: float) -> float:
         return _checked(_phi_and_refined(params.ctx.n, params.order, points, False)[0][0])
 
 
-def _shift_site(n: int, r: float, order: int, s: float, lean: bool = True):
-    """The one builder of the site split where K(r, .) crosses e^s
-    (``quadrature._site``), on which F, its slope and Phi at a = e^s sum:
-    on the lean layout (``quadrature._layout``), as |d|^(q-1) and |d|^q
-    vanish at the crossing like a power, but for ``dF_da``, whose
-    |d|^(q-2) is singular there."""
-    return _site(n, r, order, _split_point(n, r, s), lean)
-
-
 def _sites(n: int, order: int, points, lean: bool) -> list[tuple]:
-    """(indices, site, *entries) for each group of the sites of ``points``,
-    (r, s, *entries) tuples, with each point's s and further entries in the
-    site's shape: one point on its lone ``_shift_site`` (cached, and so a
-    hit right after a lone solve) with its own, several in one node pass for
-    each layout (``quadrature._new_sites``) with theirs as columns.  The one
-    place that chooses: a one-row stack costs about a third more per F
-    than a lone site (1.23 to 1.45 times)."""
+    """(indices, site, *entries) for each group of the sites split where
+    K(r, .) crosses e^s at the (r, s, *entries) of ``points``, lean or not,
+    with each point's s and entries in the site's shape: one point on its
+    cached ``quadrature._site`` (a hit right after a lone solve), several
+    in one node pass for each layout (``quadrature._new_sites``) with
+    theirs as columns.  The one place that chooses a builder (README)."""
     if len(points) == 1:
-        point = points[0]
-        return [([0], _shift_site(n, point[0], order, point[1], lean), *point[1:])]
+        (r, s, *entries), = points
+        return [([0], _site(n, r, order, _split_point(n, r, s), lean), s, *entries)]
     t0s = [_split_point(n, point[0], point[1]) for point in points]
     return [(rows, stack, *[np.array(column)[:, None, None] for column in zip(*[points[k][1:] for k in rows])])
             for rows, stack in _new_sites(n, order, [point[0] for point in points], t0s, lean)]
@@ -157,8 +147,7 @@ def _phi_and_refined(n: int, order: int, points, refine: bool) -> list[list[floa
     phis: list = [None] * len(points)
     for rows, site, shift, scale in _sites(n, order, scaled, True):
         qs = [points[k][2] for k in rows]
-        # (rows, q) of each run of equal exponents; one run of all rows also
-        # raises a lone site's (sides, nodes) whole
+        # (rows, q) of each run of equal exponents
         cuts = [i for i in range(1, len(qs)) if qs[i] != qs[i - 1]]
         runs = [(slice(first, end), qs[first]) for first, end in zip([0, *cuts], [*cuts, None])]
 
@@ -205,8 +194,6 @@ def _f_and_slope(ctx: BallContext, order: int, points, lean: bool = True) -> lis
             dev = log_kernel - shift
             np.expm1(dev, out=dev)
             if slopes:  # the F rows of every site, then the slope rows of the first ones
-                if dev.ndim == 2:  # a lone site's rows, as a stack of one
-                    dev = dev[None]
                 out = np.empty((len(dev) + slopes, *dev.shape[1:]))
                 power = np.abs(dev, out=out[:len(dev)])
                 size = np.maximum(power[:slopes], _DEV_FLOOR, out=out[len(dev):])

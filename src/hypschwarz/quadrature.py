@@ -30,34 +30,34 @@ the panel sums one ``np.add.reduceat``.  The layout of a side of unit length
 is built once per order and layout and cached; each call only scales it by
 the lengths of its two sides and shifts it to theta0.
 
-A site is the node set split at t0 (``_graded_nodes``, which also keeps
-the layout it decided: theta0, the side lengths and the layout key (outer
-count, panel count, inner nodes)) with log K(r, .) at its nodes and r's
-``kernel._kernel_constants``, all read-only; it depends on (n, r, order,
-t0) and the layout only, and the last two built are kept.  One function,
-``_site_sums``, sums every zonal integral, with one body for every site: it
-evaluates fn(log K, t) there (on a node set alone for
-``integrate_with_breakpoint``'s integrands of t), takes the panel sums and
-adds the side totals of each row left to right.  With ``refine`` it also
-evaluates the outer panels alone (``_outer_nodes``, rebuilt from the node
-set, every panel at a pole), all that the order changes, at est_error's
-reference order 2 max(order, 96), and splices their sums over the first
-order's.  A stack is several sites of one layout (layout key and sides)
-as one site, whose log K, sine powers and side lengths are stacked on a
-leading axis (t is None), and whose theta0s, kernel constants and per-site
-values are columns (floats on a lone site, which is how the two are told
-apart): so each build step has one body, runs once for the stack, and
-every site is a row with the bits of a pass on it alone.  One function
-builds stacks, ``_new_sites``: the sites of a sweep's F or G pass, at
-every point's shift, in one node pass for each layout (the pole splits
-form their own group), with no t, as no integrand of t is summed on them;
-the stack lives as long as the pass that sums on it.  The side totals add each
-side's panels left to right in one ``np.add.accumulate`` for all rows,
-and the tail past the innermost panel from the last two panel sums on
-Python floats.  Non-finite values or totals raise DomainError.  A site pass
-pays for its node work only: it runs under one ``_overflow_guard`` per
-solve, sweep or public call, not per integral, the order is checked where
-it enters the package, and the nodes and log K are built in place.
+A site is one or more node sets of one layout (layout key (outer count,
+panel count, inner nodes) and sides), each split at its own t0, with log
+K(r, .) at its nodes and r's ``kernel._kernel_constants``: t, the sine
+powers and log K have shape (sites, sides, nodes), the side lengths are one
+tuple per site, and theta0, the kernel constants and the per-site values
+of a pass are columns, or floats on a site of one, which broadcast alike.
+So a lone site is a stack of one: each build step and each pass has one
+body, and every site is a row with the bits of a pass on it alone.  Two
+functions build sites.  ``_site`` builds one from ``_graded_nodes``, which
+also keeps the layout it decided, all read-only; it depends on (n, r,
+order, t0) and the layout only, and the last two built are kept.
+``_new_sites`` builds the sites of a sweep's F or G pass, at every point's
+shift, in one node pass for each layout (the pole splits form their own
+group), with no t, as no integrand of t is summed on them; such a stack
+lives as long as the pass that sums on it.  One function, ``_site_sums``,
+sums every zonal integral on any site: it evaluates fn(log K, t) there (on
+a node set alone for ``integrate_with_breakpoint``'s integrands of t),
+takes the panel sums and adds the side totals of each row left to right.
+With ``refine`` it also evaluates the outer panels alone (``_outer_nodes``,
+rebuilt from the node set, every panel at a pole), all that the order
+changes, at est_error's reference order 2 max(order, 96), and splices their
+sums over the first order's.  The side totals add each side's panels left
+to right in one ``np.add.accumulate`` for all rows, and the tail past the
+innermost panel from the last two panel sums on Python floats.  Non-finite
+values or totals raise DomainError.  A site pass pays for its node work
+only: it runs under one ``_overflow_guard`` per solve, sweep or public
+call, not per integral, the order is checked where it enters the package,
+and the nodes and log K are built in place.
 
 Every rule is built here on first use, cached and read-only: ``_legendre``
 for the graded panels and ``verify``'s p = 1 cap pairs, and ``build_rule``,
@@ -95,7 +95,7 @@ DEFAULT_ORDER = 128
 _PANEL_RATIO = 0.5
 _PANELS = 27  # innermost panel edge at 2^-27 (< 1e-8) of the side length
 _PANEL_NODES = 12  # Gauss-Legendre nodes on an inner panel, and on every one up to order 8 * 12
-# The lean layout of a shift's own sites (``objective._shift_site``), whose
+# The lean layout of a shift's own sites (``objective._sites``), whose
 # integrands vanish at the crossing like a power: innermost edge at 2^-20,
 # 10 nodes on an inner panel.
 _LEAN_PANELS = 20
@@ -257,14 +257,15 @@ def _graded_panels(order: int, outer: int, panels: int, inner: int):
 
 
 def _graded_nodes(n: int, order: int, t0: float, lean: bool = False):
-    """Node set of the graded rule split at t0: (t, sin^(n-2) theta, panel
-    weights, panel starts, theta0, side lengths, layout), t and the sine
-    power of shape (sides, nodes per side), for a checked order and the
-    ``_layout`` of (n, t0, lean).  A pole leaves one side; the empty one
-    gets no nodes, as an integrand may be infinite there."""
+    """Node set of the graded rule split at t0 as a stack of one: (t,
+    sin^(n-2) theta, panel weights, panel starts, theta0, side lengths,
+    layout), t and the sine power of shape (1, sides, nodes per side), one
+    tuple of side lengths, for a checked order and the ``_layout`` of (n,
+    t0, lean).  A pole leaves one side; the empty one gets no nodes, as an
+    integrand may be infinite there."""
     theta0, lengths = _split(t0)
     layout = _layout(n, t0, lean)
-    return _nodes_at(n, theta0, lengths, layout, *_graded_panels(order, *layout))
+    return _nodes_at(n, theta0, (lengths,), layout, *_graded_panels(order, *layout))
 
 
 def _split(t0: float) -> tuple[float, tuple]:
@@ -277,8 +278,8 @@ def _split(t0: float) -> tuple[float, tuple]:
 
 def _outer_nodes(n: int, order: int, nodes):
     """The outer panels of the node set ``nodes`` rebuilt at ``order``, node
-    for node, as a node set of their own: all of it at a pole, and a stack's
-    rows on a stack."""
+    for node, as a node set of their own: all of it at a pole, a row for
+    each site."""
     theta0, lengths, layout = nodes[4:]
     outer, panels, _ = layout
     offsets, weights, starts = _graded_panels(order, *layout)
@@ -287,8 +288,8 @@ def _outer_nodes(n: int, order: int, nodes):
 
 
 def _nodes_at(n: int, theta0, lengths, layout, offsets, weights, starts):
-    """The node set of a layout at the breakpoint angle theta0 with its side
-    lengths: a float and a tuple, or a stack's column and tuple per site."""
+    """The node set of a layout at the breakpoint angles theta0, a float or
+    a column, with a tuple of side lengths per site."""
     theta = np.multiply.outer(lengths, offsets)
     theta += theta0
     t = np.cos(theta)
@@ -299,14 +300,13 @@ def _nodes_at(n: int, theta0, lengths, layout, offsets, weights, starts):
 
 
 def _panel_sums(vals, nodes):
-    """Per-panel sums of ``vals``, values of shape (*rows, sides, nodes) at
-    the node set ``nodes``: shape (*rows, sides, panels).  On a stack (a
-    column of theta0s) row i is of site i mod the site count: its rows past
-    the sites' own are further rows of its first sites.  Values in an array
-    of their own (no view) are weighted in place."""
-    _, sinpow, weights, starts, theta0 = nodes[:5]
+    """Per-panel sums of ``vals``, values of shape (rows, sides, nodes) at
+    the node set ``nodes``: shape (rows, sides, panels), row i of site i
+    mod the site count.  Values in an array of their own (no view) are
+    weighted in place."""
+    _, sinpow, weights, starts = nodes[:4]
     weighted = vals if vals.base is None and vals.flags.writeable else np.empty(vals.shape)
-    if len(vals) > len(sinpow) and not isinstance(theta0, float):
+    if len(vals) > len(sinpow) > 1:  # block by block; a site of one broadcasts over the rows
         for first in range(0, len(vals), len(sinpow)):
             block = weighted[first:first + len(sinpow)]
             np.multiply(vals[first:first + len(block)], sinpow[:len(block)], out=block)
@@ -359,8 +359,8 @@ def _overflow_guard():
 @lru_cache(maxsize=2)
 def _site(n: int, r: float, order: int, t0: float, lean: bool = False):
     """(r, its kernel constants, log K, node set): the graded rule's node set
-    split at t0, lean or not (``_layout``), and log K(r, .) at its nodes,
-    every array read-only."""
+    split at t0, lean or not (``_layout``), and log K(r, .) at its nodes, a
+    site of one with every array read-only."""
     nodes = _graded_nodes(n, order, t0, lean)
     constants = _kernel_constants(r)
     log_kernel = _log_kernel(n, constants, nodes[0])
@@ -371,15 +371,15 @@ def _site(n: int, r: float, order: int, t0: float, lean: bool = False):
 
 
 def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[float]]:
-    """Zonal integrals of fn on ``site`` (``_site``, a stack of
+    """Zonal integrals of fn on ``site`` (``_site``, a group of
     ``_new_sites``, or (None, None, None, node set) for a node set alone),
     unchecked (non-finite where a value or a sum is): a list of one total
     per row for each pass.
-    fn(log K, t) returns values of log K's shape, or of (rows, *t.shape), in
-    an array the pass may overwrite unless it is a view; on a stack t is
-    None and each site is a row, and its rows past the sites' own are
-    further rows of its first sites.  The caller holds ``_overflow_guard``
-    and has checked the order.
+    fn(log K, t), both of shape (sites, sides, nodes) (t None on a group of
+    ``_new_sites``), returns values of shape (rows, sides, nodes), row i on
+    site i mod the site count, in an array the pass may overwrite unless it
+    is a view.  The caller holds ``_overflow_guard`` and has checked the
+    order.
 
     With ``refine``, a second pass gives the same integrals at est_error's
     reference order 2 max(order, 96).  The layouts differ only on the outer
@@ -390,11 +390,8 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
     full evaluation's bits.
     """
     _, constants, log_kernel, nodes = site
-    per_panel = _panel_sums(fn(log_kernel, nodes[0]), nodes)
-    rows = per_panel[None] if per_panel.ndim == 2 else per_panel  # a view: its rows see the splice
-    # a stack has a tuple of side lengths per site, row i that of site i mod the site
-    # count; a lone site's rows share its tuple
-    lengths = [nodes[5]] * len(rows) if isinstance(nodes[4], float) else nodes[5]
+    rows = _panel_sums(fn(log_kernel, nodes[0]), nodes)
+    lengths = nodes[5]  # a tuple per site, row i that of site i mod the site count
     if len(lengths) < len(rows):
         lengths = [lengths[i % len(lengths)] for i in range(len(rows))]
     totals = [_side_total(n, rows, lengths)]
@@ -402,7 +399,7 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
         outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), nodes)
         outer_sums = _panel_sums(fn(_log_kernel(n, constants, outer[0]), outer[0]), outer)
         del outer  # held through the side totals, it left page faults at the heap's top (README)
-        per_panel[..., :outer_sums.shape[-1]] = outer_sums
+        rows[..., :outer_sums.shape[-1]] = outer_sums
         totals.append(_side_total(n, rows, lengths))
     return totals
 
@@ -412,7 +409,7 @@ def _new_sites(n: int, order: int, radii, t0s, lean: bool):
     ``radii`` of one layout (``_layout`` and sides): their node set and log K
     built in one node pass, with theta0s and kernel constants as columns, as
     a stack that ``_site_sums`` sums (t None), each row the bits of
-    ``_site``'s there.  This is the only code that builds a stack."""
+    ``_site``'s there."""
     groups: dict[tuple, list] = {}  # keyed by pole or not, which decides the layout at one n, and sides
     for k, t0 in enumerate(t0s):
         theta0, lengths = _split(t0)
@@ -462,7 +459,7 @@ def integrate_with_breakpoint(n: int, order: int, f, t0: float):
         elif vals.shape[-t.ndim:] != t.shape:
             raise DomainError(f"integrand returned shape {vals.shape} at nodes of shape {t.shape}")
         stack.append(vals.shape[:-t.ndim])
-        return vals.reshape(-1, *t.shape)
+        return vals.reshape(-1, *t.shape[1:])
 
     totals = _site_integral(n, None, order, t0, values)
     return np.reshape(totals, stack[0]) if stack[0] else totals[0]

@@ -91,10 +91,12 @@ class GpResult:
 
 def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> float:
     """Root of F(r, .) in the open kernel range, 1 below _R_LIN: the cold
-    solve of ``_lockstep`` at r alone, rounded to a* = e^s."""
+    solve of ``_lockstep`` at r alone, rounded to a* = e^s.  The exponent
+    is refused before the radius."""
     order = check_order(order)
+    _check_exponent(ctx, "shift optimization")
     with _overflow_guard():
-        (s, _), = _lockstep(ctx, [r], order)
+        (_, s, _), = _lockstep(ctx, [r], order)
         return math.exp(s)
 
 
@@ -105,10 +107,10 @@ def _tolerance(n: int, r: float) -> float:
 
 def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: float):
     """The one solve loop on s = log a, a generator: it yields the next
-    point of ``objective._f_and_slope``, (r, s, slope) with r checked and
-    whether it needs dF/ds there, receives (F, dF/ds) at it, and returns
-    (s, F(s)) at the root s = log a* of F(r, .), unrounded; (0, 0) below
-    _R_LIN, with no point.
+    point of ``objective._f_and_slope``, (r, s, slope) with r checked by
+    its caller and whether it needs dF/ds there, receives (F, dF/ds) at it,
+    and returns (s, F(s)) at the root s = log a* of F(r, .), unrounded;
+    (0, 0) below _R_LIN, with no point.
 
     One F evaluation per step, inside the range (-l, l) of log K, at whose
     ends F's signs are known (positive at -l).  It starts at the log guess
@@ -131,7 +133,6 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
     refused.  The order is one already checked.
     """
     _check_exponent(ctx, "shift optimization")
-    r = check_radius(r)
     if r < _R_LIN:
         return 0.0, 0.0
     ell = _log_range(ctx.n, r)  # F > 0 at log a = -ell, F < 0 at ell
@@ -355,17 +356,18 @@ def _linear(ctx: BallContext, r: float) -> GpResult:
 
 
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
-    """g_p at every radius of a sweep, the shift solves in lockstep (``_shift_curve``).
+    """g_p at every radius of a sweep, the shift solves in lockstep (``_lockstep``).
 
     Every GpResult is built here: closed forms at p = 1 and inf, ``_linear``
     ones below _R_LIN (after the solve's exponent check).  At p = 2 every
     radius is solved cold, from its root a = 1, so the rows are g_p's bit
-    for bit.  A radius already solved reuses that solve.  Every _CHUNK
+    for bit.  A repeated radius reuses its first solve.  Every _CHUNK
     solved radii in sweep order, and at the end of the sweep, one
     ``_numeric_results`` pass sums G and est_error at their (r, s), each row
     the bits of a pass on its site alone.  Refusals come in sweep order:
-    where a solve refuses, the radii solved before it are summed first, and
-    the first of them to refuse its G is raised in its place.  Results
+    where ``_lockstep`` raises a radius's or its solve's refusal, the radii
+    solved before it are summed first, and the first of them to refuse its
+    G is raised in its place.  Results
     depend on (ctx, radii, order) only: the per-point memo of g_p is neither
     read nor filled.  Where F overflows near a kernel-range end but not near
     a* (p near 1 at larger r), a warm solve answers although g_p refuses.
@@ -379,7 +381,7 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     sweep, solved = [], []  # solved: (r, s, q) of each radius solved since the last G pass
     with _overflow_guard():
         try:
-            for r, s, _ in _shift_curve(ctx, radii, order):
+            for r, s, _ in _lockstep(ctx, radii, order):
                 sweep.append(r)
                 if r in results:
                     continue
@@ -396,37 +398,16 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     return [results[r] for r in sweep]
 
 
-def _shift_curve(ctx: BallContext, radii, order: int):
-    """(r, log a*, F(a*)) at every radius of a sweep for finite p > 1, in
-    sweep order, each as soon as it and every radius before it is solved:
-    g_p_curve's solves without Phi, the distinct radii solved by
-    ``_lockstep``.  Once a radius refuses, no later one is solved, and its
-    refusal is raised in its place in sweep order, as is a radius refused by
-    ``check_radius``.
-    """
-    checked, invalid = [], None
-    for r in radii:
-        try:
-            checked.append(check_radius(r))
-        except DomainError as refusal:
-            invalid = refusal
-            break
-    outcomes = _lockstep(ctx, list(dict.fromkeys(checked)), order)
-    solved: dict[float, tuple[float, float]] = {}  # (s, F) of each radius yielded
-    for r in checked:
-        if r not in solved:
-            solved[r] = next(outcomes)
-        yield r, *solved[r]
-    if invalid is not None:
-        raise invalid
-
-
 def _lockstep(ctx: BallContext, radii, order: int):
-    """(s, F) of the root at each of ``radii`` (distinct), in order; a
-    refused radius raises in its place.  Every solve, of one radius or many,
-    is driven here: each pass gives every open solve (``_steps``) its next F
-    in one ``_f_and_slope`` call of at most _CHUNK points, every row the
-    bits of a lone F.  Radii open in order.  The first two, and every one at
+    """(r, s, F) of the root at each radius of a sweep for finite p > 1, in
+    sweep order, each as soon as it and every radius before it is solved:
+    ``radii`` as given, each checked (``check_radius``) where it opens, a
+    repeated radius with its first occurrence's outcome.  A refusal, the
+    radius check's included, is raised in its place, and no radius past it
+    is solved.  Every solve, of one radius or many, is driven here: each
+    pass gives every open solve (``_steps``) its next F in one
+    ``_f_and_slope`` call of at most _CHUNK points, every row the bits of a
+    lone F.  Distinct radii open in order.  The first two, and every one at
     p = 2 (where the cold start a = 1 is the root), open cold.  Any other
     starts from log a* extrapolated in r through the latest six estimates
     before it (``_extrapolate``), with a first step of twice the last term:
@@ -438,21 +419,34 @@ def _lockstep(ctx: BallContext, radii, order: int):
     the differences overflow) it solves cold.  A new solve's first point
     asks for the slope, so it goes to the front of the next F pass, where
     ``_f_and_slope`` wants the points that ask."""
-    estimates: list[float | None] = [None] * len(radii)  # log a*: a root, or a trusted Newton point
-    outcomes: dict = {}  # (s, F) or the refusal of each radius resolved and not yet yielded
+    radii = list(radii)
+    checked: list[float] = []  # each distinct radius opened, checked, in sweep order
+    estimates: list[float | None] = []  # log a* at each: a root, or a trusted Newton point
+    firsts: dict[float, int] = {}  # the index of each radius in checked
+    slots: list[int] = []  # the index in checked of each radius of the sweep opened
+    outcomes: dict = {}  # (s, F) or the refusal of each index in checked resolved
     solves = []  # [index, steps, next point, (guess, trusted step) until its Newton point is known]
-    opened = yielded = 0
-    stop = len(radii)  # past the first refused radius, none is solved
+    yielded = 0
+    stop = len(radii)  # past the first refused index in checked, none is solved
     while True:
         # a radius held back waits on an open solve: with none open, every radius before it has an estimate
-        while opened < stop and len(solves) < _CHUNK:
-            u, r = opened, radii[opened]
+        while len(slots) < len(radii) and len(checked) < stop and len(solves) < _CHUNK:
+            u = len(checked)
+            try:
+                r = check_radius(radii[len(slots)])
+            except DomainError as refusal:  # the next index holds its refusal, and none opens past it
+                slots.append(u)
+                outcomes[u], stop = refusal, u
+                break
+            if r in firsts:
+                slots.append(firsts[r])
+                continue
             start, width = None, 0.0
             if u >= 2 and ctx.p != 2.0:
                 known = []  # (radius, estimate) of the latest six estimates, newest first
                 for v in range(u - 1, -1, -1):
                     if estimates[v] is not None:
-                        known.append((radii[v], estimates[v]))
+                        known.append((checked[v], estimates[v]))
                         if len(known) == 6:
                             break
                 if len(known) < 2:
@@ -461,7 +455,10 @@ def _lockstep(ctx: BallContext, radii, order: int):
                 if estimates[u - 1] is None and not width <= _SPECULATE:
                     break
                 start = None if math.isnan(guess) else guess
-            opened += 1
+            firsts[r] = u
+            checked.append(r)
+            estimates.append(None)
+            slots.append(u)
             try:
                 steps = _steps(ctx, r, order, start, width)
                 point = next(steps)
@@ -489,11 +486,11 @@ def _lockstep(ctx: BallContext, radii, order: int):
                         solve[3] = None
             if len(outcomes) > resolved:
                 solves = [solve for solve in solves if solve[0] not in outcomes and solve[0] < stop]
-        while yielded in outcomes:
-            outcome = outcomes.pop(yielded)
+        while yielded < len(slots) and slots[yielded] in outcomes:
+            outcome = outcomes[slots[yielded]]
             if isinstance(outcome, Exception):
                 raise outcome
-            yield outcome
+            yield checked[slots[yielded]], *outcome
             yielded += 1
         if yielded == len(radii):
             return

@@ -120,7 +120,7 @@ def _sharpness(result: GpResult, order: int) -> SharpnessReport:
     def sums(log_kernel, _):
         dev = np.expm1(log_kernel - s) / size
         data = np.sign(dev) * np.abs(dev) ** expo
-        return np.stack([data, np.expm1(log_kernel) * data, np.abs(data) ** ctx.p])
+        return np.concatenate([data, np.expm1(log_kernel) * data, np.abs(data) ** ctx.p])
 
     mean, attained, power = _site_integral(ctx.n, r, order, _split_point(ctx.n, r, s), sums)
     bound = g_value * power ** (1.0 / ctx.p)  # the norm is 1 at p = inf
@@ -446,7 +446,7 @@ def _pole_moments(n: int, r: float, order: int) -> np.ndarray:
     at r: one stacked sum on the site split at the pole t = 1, summed once
     for every exponent and seed that checks draws at (n, r, order)."""
     moments = np.array(_site_integral(n, r, order, 1.0, lambda log_kernel, t: np.cumprod(
-        [np.expm1(log_kernel)] + [t] * 8, axis=0)))
+        np.concatenate([np.expm1(log_kernel)] + [t] * 8), axis=0)))
     moments.setflags(write=False)
     return moments
 

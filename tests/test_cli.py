@@ -169,6 +169,19 @@ class TestGp:
         assert all(float(b["g_value"]) < float(a["g_value"]) for a, b in zip(rows, rows[1:]))
 
 
+    def test_signed_zero_radius_is_zero(self, capsys):
+        # check_radius returned -0.0 for -0.0, and g_p's memo, whose keys -0.0
+        # and 0.0 are equal, then served r = -0.0 and G = -0.0 for r = 0
+        for p in (1.0, 2.0, 3.0, math.inf):
+            ctx = BallContext(4, p)
+            solver._g_p_numeric.cache_clear()
+            solver.g_p(ctx, -0.0)
+            for res in (solver.g_p(ctx, 0.0), *g_p_curve(ctx, [-0.0])):
+                assert math.copysign(1.0, res.r) == math.copysign(1.0, res.g_value) == 1.0, p
+        zero = run_cli(capsys, "gp", "--n", "4", "--p", "3", "--r", "0")
+        assert run_cli(capsys, "gp", "--n", "4", "--p", "3", "--r", "-0.0") == zero
+        assert zero[1].splitlines()[-1] == "0,1,0,linear,0"
+
     def test_edge_of_domain_points_answer(self, capsys):
         # (10, 3, 0.8) and the sweep's upper radii were refused with "no sign
         # change" (an absolute bracket margin cut a* out), (3, 3, 1e-300) too
@@ -232,7 +245,7 @@ class TestAstar:
         built = count_site_builds(monkeypatch)
         radii = [float(r) for r in np.linspace(0.01, 0.95, 20)]
         quadrature._site.cache_clear()
-        shifts = list(solver._shift_curve(BallContext(4, 3.0), radii, DEFAULT_ORDER))
+        shifts = list(solver._lockstep(BallContext(4, 3.0), radii, DEFAULT_ORDER))
         solves = len(built)
         quadrature._site.cache_clear()
         code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
@@ -247,7 +260,7 @@ class TestAstar:
         radii = [float(r) for r in np.linspace(0.0, 0.95, 20)]
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             ctx = BallContext(4, p)
-            logs = {r: s for r, s, *_ in solver._shift_curve(ctx, radii, DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
+            logs = {r: s for r, s, *_ in solver._lockstep(ctx, radii, DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
             expected = [{"r": r, "a_star": res.a_star, "f_residual": (
                 objective._f_and_slope(ctx, DEFAULT_ORDER, [(r, logs[r], False)])[0][0]
                 if res.method == "numeric" and r > 0.0 else 0.0)}
@@ -507,6 +520,20 @@ class TestFailureModes:
         assert (code, err) == (0, "")
         g_value = float(csv_rows(out)[1][0]["g_value"])
         assert g_value == pytest.approx(solver.g_inf_closed(4, 0.5)[1], abs=2e-16)
+
+    def test_refusal_order_with_two_bad_arguments(self, capsys):
+        # a radius and an exponent both refused: each entry names the one it
+        # checks first, solve_a_star the exponent, a sweep the first radius's
+        # refusal in sweep order, astar the radius
+        ctx = BallContext(4, 1e308)
+        exponent, radius = "q rounds to 1", r"radius must lie in \[0, 1\), got 1.5"
+        for call, match in ((lambda: solver.solve_a_star(ctx, 1.5), exponent),
+                            (lambda: g_p_curve(ctx, [1.5, 0.5]), radius),
+                            (lambda: g_p_curve(ctx, [0.5, 1.5]), exponent)):
+            with pytest.raises(DomainError, match=match):
+                call()
+        assert run_cli(capsys, *"astar --n 4 --p 1e308 --r 1.5".split()) == (
+            1, "", "error: radius must lie in [0, 1), got 1.5\n")
 
     def test_order_flag_validation(self, capsys):
         code, _, err = run_cli(

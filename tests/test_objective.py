@@ -360,8 +360,8 @@ class TestRefinedPhi:
         shifts = [(0.5, 0.3 * ell(0.5)), (0.5, ell(0.5) + 0.2), (2.0 ** -60, 0.3 * ell(2.0 ** -60)),
                   (0.3, -0.2 * ell(0.3)), (0.5, -ell(0.5) - 0.1), (0.7, 0.6 * ell(0.7))]
         # t0 = 1 leaves theta0 = 0, t0 = -1 theta0 = pi
-        nodes = [objective._shift_site(4, r, 128, s)[3] for r, s in shifts]
-        assert nodes[1][4] == 0.0 and nodes[4][4] == math.pi and [len(node_set[5]) for node_set in nodes] == [
+        nodes = [quadrature._site(4, r, 128, _split_point(4, r, s), True)[3] for r, s in shifts]
+        assert nodes[1][4] == 0.0 and nodes[4][4] == math.pi and [len(node_set[5][0]) for node_set in nodes] == [
             2, 1, 2, 2, 1, 2]
         for refine in (False, True):
             points = [(r, s, ctx.q) for r, s in shifts]
@@ -499,7 +499,7 @@ class TestSharedSite:
         assert built == [(128, True)] * 8
         t0 = _split_point(4, 0.5, math.log(res.a_star))
         assert outer == [(256, math.acos(t0))] and -1.0 < t0 < 1.0
-        assert real_outer(4, 256, real_nodes(4, 128, t0, True))[0].shape == (2, 64)
+        assert real_outer(4, 256, real_nodes(4, 128, t0, True))[0].shape == (1, 2, 64)
         # Phi and F at a* read the site of the solve's last F, building nothing;
         # dF/da builds its own, on the full layout
         prm = params(4, 3.0, 0.5)

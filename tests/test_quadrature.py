@@ -341,7 +341,7 @@ class TestStackedSites:
                 placed = np.concatenate([np.full(lead, 0.25), values, np.full(tail, 0.5)])
                 for f in ufuncs:
                     assert bits(f(placed)[lead:lead + values.size]) == bits(f(values)), (lead, tail, f)
-        one = np.abs(log_kernel) * sinpow * weights
+        one = (np.abs(log_kernel) * sinpow * weights)[0]  # the (sides, nodes) of a site of one
         alone = np.add.reduceat(one, starts, axis=-1)
         stack = np.stack([2.0 * one, one, one[::-1] * 3.0, one])
         for row in (1, 3):
@@ -366,7 +366,7 @@ class TestStackedSites:
                 site = quadrature._site(4, radii[k], 128, t0s[k])
                 alone = quadrature._outer_nodes(4, 256, site[3])
                 assert bits(outer[0][i]) == bits(alone[0]) and bits(outer[1][i]) == bits(alone[1]), k
-                assert outer[5][i] == alone[5] and outer[6] == alone[6], k
+                assert outer[5][i] == alone[5][0] and outer[6] == alone[6], k
                 assert bits(log_kernels[i]) == bits(_log_kernel(4, site[1], alone[0])), k
 
     def test_new_sites_are_their_lone_sites(self):
@@ -384,8 +384,23 @@ class TestStackedSites:
                     assert bits(stack[2][i]) == bits(alone[2]), (lean, k)
                     assert bits(stack[3][1][i]) == bits(alone[3][1]), (lean, k)
                     assert stack[1][:, i].ravel().tolist() == list(alone[1]), (lean, k)
-                    assert stack[3][4][i, 0, 0] == alone[3][4] and stack[3][5][i] == alone[3][5], (lean, k)
+                    assert stack[3][4][i, 0, 0] == alone[3][4] and stack[3][5][i] == alone[3][5][0], (lean, k)
                     assert stack[3][6] == alone[3][6], (lean, k)
+
+    def test_every_site_has_the_stack_shape(self):
+        # a lone site is a stack of one: _site and every group of _new_sites
+        # hold t (where kept), log K and the sine power of shape (sites,
+        # sides, nodes), and one tuple of side lengths per site
+        radii, t0s = [0.357, 0.5, 0.5, 0.9], [-0.2, 1.0, 0.95, -1.0]
+        for lean in (True, False):
+            sites = [quadrature._site(4, r, 128, t0, lean) for r, t0 in zip(radii, t0s)]
+            sites += [stack for _, stack in quadrature._new_sites(4, 128, radii, t0s, lean)]
+            assert [len(site[3][5]) for site in sites] == [1, 1, 1, 1, 2, 2]
+            for i, (_, _, log_kernel, (t, sinpow, weights, _, _, lengths, _)) in enumerate(sites):
+                sides = {len(side_lengths) for side_lengths in lengths}
+                assert len(sides) == 1 and log_kernel.shape == sinpow.shape == (
+                    len(lengths), *sides, weights.size), (lean, i)
+                assert t.shape == log_kernel.shape if i < 4 else t is None, (lean, i)
 
     def test_side_totals_accumulate_as_the_loop(self):
         # np.add.accumulate along the panels keeps the left-to-right bits of a
@@ -435,7 +450,7 @@ class TestGradedLayout:
         for n, order, per_side in ((4, 128, 332), (4, 256, 364), (4, 512, 428),
                                    (100, 512, 3 * 64 + 24 * 12), (1000, 512, 6 * 64 + 21 * 12),
                                    (4, 64, 27 * 12)):
-            assert _graded_nodes(n, order, 0.3)[0].shape == (2, per_side)
+            assert _graded_nodes(n, order, 0.3)[0].shape == (1, 2, per_side)
 
     def test_lean_nodes_per_site(self):
         # a shift's own sites: 20 panels a side, 10 nodes on an inner one,
@@ -444,7 +459,7 @@ class TestGradedLayout:
         for n, order, per_side in ((4, 128, 2 * 16 + 18 * 10), (33, 128, 2 * 16 + 18 * 10),
                                    (100, 512, 3 * 64 + 17 * 10), (4, 64, 2 * 12 + 18 * 10)):
             t, _, _, starts, _, _, layout = _graded_nodes(n, order, 0.3, True)
-            assert t.shape == (2, per_side) and layout == (quadrature._outer_panels(n), 20, 10)
+            assert t.shape == (1, 2, per_side) and layout == (quadrature._outer_panels(n), 20, 10)
             assert starts.size == 20
         assert _graded_nodes(4, 128, 0.3, True)[0].size == 424 and _graded_nodes(4, 128, 0.3)[0].size == 664
         # the full layout where J(n) reaches 20 panels, leaving none inner:
@@ -479,7 +494,7 @@ class TestGradedLayout:
                     t0 = _split_point(ctx.n, r, math.log(a))
                     with quadrature._overflow_guard():
                         lean, = quadrature._site_sums(n, 2048, (None, None, None, _graded_nodes(n, 2048, t0, True)),
-                                                      lambda _, t: sums(t))
+                                                      lambda _, t: sums(t).reshape(-1, *t.shape[1:]))
                     with monkeypatch.context() as patch:
                         patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)
                         ref = integrate_with_breakpoint(n, 2048, sums, t0).reshape(4, 3)
@@ -493,7 +508,7 @@ class TestGradedLayout:
             for t0 in (1.0, -1.0):
                 for lean in (False, True):
                     t, _, _, starts, theta0, lengths, layout = _graded_nodes(n, 512, t0, lean)
-                    assert t.shape == (1, 27 * 64) and len(lengths) == 1
+                    assert t.shape == (1, 1, 27 * 64) and len(lengths) == 1 and len(lengths[0]) == 1
                     assert theta0 == math.acos(t0) and layout == (_PANELS, _PANELS, 12)
                     assert starts.tolist() == list(range(0, 27 * 64, 64))
 

@@ -646,7 +646,7 @@ class TestStackedGPass:
         # each solve would
         ctx = BallContext(40, 3.0)
         with quadrature._overflow_guard():
-            assert len(list(solver._shift_curve(ctx, [0.9, 0.9999], 128))) == 2
+            assert len(list(solver._lockstep(ctx, [0.9, 0.9999], 128))) == 2
         with pytest.raises(DomainError, match="non-finite"):
             g_p_curve(ctx, [0.9, 0.9999, 1.0])
         with pytest.raises(DomainError, match=r"radius must lie in \[0, 1\), got 1.0"):
@@ -682,7 +682,7 @@ class TestStackedGPass:
             ctx = BallContext(4, p)
             quadrature._site.cache_clear()
             with quadrature._overflow_guard():
-                list(solver._shift_curve(ctx, radii, 128))
+                list(solver._lockstep(ctx, radii, 128))
             solves, solve_passes = len(built), sorted(passes)
             outer.clear()
             passes.clear()

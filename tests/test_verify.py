@@ -559,7 +559,7 @@ class TestRandomChecks:
         r = 0.6
 
         def kernel_powers(log_kernel, t):  # (K - 1) t^k, k = 0..8, as _bound_checker sums them
-            return np.cumprod([np.expm1(log_kernel)] + [t] * 8, axis=0)
+            return np.cumprod(np.concatenate([np.expm1(log_kernel)] + [t] * 8), axis=0)
 
         for p in DECIDING_PS:
             violated = 0
