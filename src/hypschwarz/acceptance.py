@@ -329,7 +329,7 @@ def criterion_6():
         draws = _random_poly_draws(n, 1000, 42, DEFAULT_ORDER)
         for p in _FINITE_PS + (math.inf,):
             ctx = BallContext(n, p)
-            report, = _grad_reports(ctx, 1000, 42, DEFAULT_ORDER, (grad_constant(ctx),), draws)
+            report, = _grad_reports(ctx, (grad_constant(ctx),), draws)
             violations += report.violations
             worst_random = max(worst_random, report.max_ratio)
     passed = worst_extremal <= 1e-9 and worst_fd <= 1e-2 and violations == 0
@@ -350,7 +350,7 @@ def criterion_7():
             draws = _random_poly_draws(n, 1000, seed, DEFAULT_ORDER)
             for p in _FINITE_PS:
                 ctx = BallContext(n, p)
-                check = _bound_checker(ctx, 1000, seed, DEFAULT_ORDER, draws)
+                check = _bound_checker(ctx, draws)
                 for r in _RADII:
                     report = check(g_p(ctx, r))
                     violations += report.violations

@@ -119,8 +119,7 @@ def _verify_sharpness(args):
 
 def _verify_bound(args):
     ctx = BallContext(args.n, args.p)
-    draws = _random_poly_draws(ctx.n, args.count, args.seed, args.order)  # refuses before any solve
-    check = _bound_checker(ctx, args.count, args.seed, args.order, draws)
+    check = _bound_checker(ctx, _random_poly_draws(ctx.n, args.count, args.seed, args.order))  # refuses first
     rows = [{"n": ctx.n, "p": ctx.p, "r": r, "count": report.count, "seed": report.seed,
              "violations": report.violations, "max_ratio": report.max_ratio}
             for r, report in zip(args.radii, map(check, g_p_curve(ctx, args.radii, args.order)))]

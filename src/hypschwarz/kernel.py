@@ -55,7 +55,9 @@ class BallContext:
 
 
 def check_radius(r: float) -> float:
-    if not (0.0 <= r < 1.0 and math.isfinite(r)):
+    """r as a float if it is a numbers.Real in [0, 1), not a bool (a float passes the cheap first test)."""
+    if not ((isinstance(r, float) or isinstance(r, numbers.Real) and not isinstance(r, bool))
+            and 0.0 <= r < 1.0 and math.isfinite(r)):
         raise DomainError(f"radius must lie in [0, 1), got {r!r}")
     return float(r) + 0.0  # + 0.0 turns -0.0 into 0.0, an equal key of g_p's memo
 

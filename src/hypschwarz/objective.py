@@ -15,30 +15,29 @@ strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
 here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
-Each function here only supplies values, fn(log K, t): powers of d on log
-K at the nodes of a shift's sites (``quadrature``'s, split where K crosses
+Each function here only supplies values, fn(log K, t): powers of d on log K
+at the nodes of a shift's sites (``quadrature``'s, split where K crosses
 the shift, on the lean layout but for ``dF_da``'s), summed by the one pass
-``_site_sums``.  F and its slope (a
-second row of F's one power |d|^(q-1)) are one stack of values; Phi and
-the doubled-order Phi of ``est_error`` are one pass.  So the Phi(a*) of a
-lone solve costs one power and one panel sum on the site of its last F,
-and the residual F(a*) is that F.
+``_site_sums``.  F and its slope (a second row of F's one power |d|^(q-1))
+are one stack of values; Phi and the doubled-order Phi of ``est_error`` are
+one pass.  So the Phi(a*) of a lone solve costs one power and one panel sum
+on the site of its last F, and the residual F(a*) is that F.
+
 The two private sums take lists of points and build the sites they sum on
 (``_sites``, the one place that chooses a builder): one point sums on its
 cached ``quadrature._site``, so the Phi of a lone solve reads its last F's
-site; several are one node pass for each layout
-(``quadrature._new_sites``) and one stacked site pass.  ``_f_and_slope``
-takes (r, s, slope) points: a sweep's F pass, the next F of every open
-solve, sums an F row for every point and a slope row for those that ask.
-``_phi_and_refined`` takes (r, s, q) points of one n, each with its own
-conjugate exponent: a sweep sums Phi on a chunk of its solved radii, and
-the battery's Brent cross-checks of one n at every open cell.  Every
-point's values are the bits of a pass on its site alone.  No site is
-handed out: a caller passes numbers and gets numbers.  The public
-functions check their arguments (``ObjectiveParams``) and enter
-``quadrature._overflow_guard``; the private ones run under their caller's
-(``solver.solve_a_star``, ``solver.g_p_curve``, ``cli._astar``,
-``acceptance._phi_minimizers``).
+site; several are one node pass for each layout (``quadrature._new_sites``)
+and one stacked site pass.  ``_f_and_slope`` takes (r, s, slope) points: a
+sweep's F pass, the next F of every open solve, sums an F row for every
+point and a slope row for those that ask.  ``_phi_and_refined`` takes
+(r, s, q) points of one n, each with its own conjugate exponent: a sweep
+sums Phi on a chunk of its solved radii, and the battery's Brent
+cross-checks of one n at every open cell.  Every point's values are the
+bits of a pass on its site alone.  No site is handed out: a caller passes
+numbers and gets numbers.  The public functions check their arguments
+(``ObjectiveParams``) and enter ``quadrature._overflow_guard``; the private
+ones run under their caller's (``solver.solve_a_star``,
+``solver.g_p_curve``, ``cli._astar``, ``acceptance._phi_minimizers``).
 """
 
 from __future__ import annotations

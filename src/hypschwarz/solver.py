@@ -400,97 +400,95 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
 
 def _lockstep(ctx: BallContext, radii, order: int):
     """(r, s, F) of the root at each radius of a sweep for finite p > 1, in
-    sweep order, each as soon as it and every radius before it is solved:
-    ``radii`` as given, each checked (``check_radius``) where it opens, a
-    repeated radius with its first occurrence's outcome.  A refusal, the
-    radius check's included, is raised in its place, and no radius past it
-    is solved.  Every solve, of one radius or many, is driven here: each
-    pass gives every open solve (``_steps``) its next F in one
-    ``_f_and_slope`` call of at most _CHUNK points, every row the bits of a
-    lone F.  Distinct radii open in order.  The first two, and every one at
-    p = 2 (where the cold start a = 1 is the root), open cold.  Any other
-    starts from log a* extrapolated in r through the latest six estimates
-    before it (``_extrapolate``), with a first step of twice the last term:
-    a radius's estimate is its root, or the Newton point of its first
-    steered step where that point is within this first step and within
-    _TRUSTED_STEP of its guess (a cold solve's Newton point is none).  It
+    sweep order, each as soon as it and every radius before it is solved.
+    Each distinct radius opened is one entry, [radius, estimate, outcome]:
+    (s, F) or a refusal, None while open.  Each radius of ``radii``, checked
+    (``check_radius``) where it opens, points at one: a repeat at its first
+    occurrence's, a refused check at one of its own.  A refusal is raised in
+    its place, and no radius past it is solved.  Every solve, of one radius
+    or many, is driven here: each pass gives every open solve (``_steps``)
+    its next F in one ``_f_and_slope`` call of at most _CHUNK points, every
+    row the bits of a lone F.  Distinct radii open in order, the first two
+    and every one at p = 2 (where a = 1 is the root) cold.  Any other starts
+    from log a* extrapolated in r through the latest six estimates before it
+    (``_extrapolate``), with a first step of twice the last term: an
+    estimate is a root, or the Newton point of a guessed solve's first step
+    where it is within that step and within _TRUSTED_STEP of the guess.  It
     opens once the radius before it has an estimate, or at once where its
     first step is at most _SPECULATE; from a NaN guess (at tiny, close radii
     the differences overflow) it solves cold.  A new solve's first point
     asks for the slope, so it goes to the front of the next F pass, where
     ``_f_and_slope`` wants the points that ask."""
     radii = list(radii)
-    checked: list[float] = []  # each distinct radius opened, checked, in sweep order
-    estimates: list[float | None] = []  # log a* at each: a root, or a trusted Newton point
-    firsts: dict[float, int] = {}  # the index of each radius in checked
-    slots: list[int] = []  # the index in checked of each radius of the sweep opened
-    outcomes: dict = {}  # (s, F) or the refusal of each index in checked resolved
-    solves = []  # [index, steps, next point, (guess, trusted step) until its Newton point is known]
+    entries = []  # [radius, log a* estimate, outcome] of each distinct radius opened, in sweep order
+    firsts = {}  # the entry of each radius in entries
+    slots = []  # the entry of each radius of the sweep opened; a refused radius check has its own
+    solves = []  # [entry, steps, next point, (guess, trusted step) until its Newton point is known], newest first
     yielded = 0
-    stop = len(radii)  # past the first refused index in checked, none is solved
+    refused = False  # past a refusal, no radius opens
     while True:
         # a radius held back waits on an open solve: with none open, every radius before it has an estimate
-        while len(slots) < len(radii) and len(checked) < stop and len(solves) < _CHUNK:
-            u = len(checked)
+        while len(slots) < len(radii) and not refused and len(solves) < _CHUNK:
             try:
                 r = check_radius(radii[len(slots)])
-            except DomainError as refusal:  # the next index holds its refusal, and none opens past it
-                slots.append(u)
-                outcomes[u], stop = refusal, u
+            except DomainError as refusal:
+                slots.append([None, None, refusal])
+                refused = True
                 break
             if r in firsts:
                 slots.append(firsts[r])
                 continue
             start, width = None, 0.0
-            if u >= 2 and ctx.p != 2.0:
+            if len(entries) >= 2 and ctx.p != 2.0:
                 known = []  # (radius, estimate) of the latest six estimates, newest first
-                for v in range(u - 1, -1, -1):
-                    if estimates[v] is not None:
-                        known.append((checked[v], estimates[v]))
+                for entry in reversed(entries):
+                    if entry[1] is not None:
+                        known.append((entry[0], entry[1]))
                         if len(known) == 6:
                             break
                 if len(known) < 2:
                     break
                 guess, width = _extrapolate(r, known)
-                if estimates[u - 1] is None and not width <= _SPECULATE:
+                if entries[-1][1] is None and not width <= _SPECULATE:
                     break
                 start = None if math.isnan(guess) else guess
-            firsts[r] = u
-            checked.append(r)
-            estimates.append(None)
-            slots.append(u)
+            entry = firsts[r] = [r, None, None]
+            entries.append(entry)
+            slots.append(entry)
             try:
                 steps = _steps(ctx, r, order, start, width)
                 point = next(steps)
             except StopIteration as solved:  # below _R_LIN: no F
-                estimates[u], outcomes[u] = solved.value[0], solved.value
+                entry[1], entry[2] = solved.value[0], solved.value
             except (DomainError, NonConvergenceError) as refusal:
-                outcomes[u], stop = refusal, u + 1
+                entry[2], refused = refusal, True
             else:  # its first point asks for the slope: those come first in an F pass
                 guess = None if start is None else (point[1], min(max(width, _tolerance(ctx.n, r)), _TRUSTED_STEP))
-                solves.insert(0, [u, steps, point, guess])
+                solves.insert(0, [entry, steps, point, guess])
         if solves:
-            resolved = len(outcomes)
+            resolved, older = False, 0  # solves[older:], the older ones, opened before every refusal of this pass
             for solve, values in zip(solves, _f_and_slope(ctx, order, [solve[2] for solve in solves])):
-                u, steps, _, guess = solve
+                entry, steps, _, guess = solve
                 try:
                     point = solve[2] = steps.send(values)
                 except StopIteration as solved:
-                    estimates[u], outcomes[u] = solved.value[0], solved.value
+                    entry[1], entry[2] = solved.value[0], solved.value
+                    resolved = True
                 except (DomainError, NonConvergenceError) as refusal:
-                    outcomes[u], stop = refusal, min(stop, u + 1)
+                    entry[2], refused = refusal, True
+                    resolved, older = True, solves.index(solve) + 1
                 else:
                     if guess is not None:  # the Newton point of a guessed solve's first step
                         if abs(point[1] - guess[0]) <= guess[1]:
-                            estimates[u] = point[1]
+                            entry[1] = point[1]
                         solve[3] = None
-            if len(outcomes) > resolved:
-                solves = [solve for solve in solves if solve[0] not in outcomes and solve[0] < stop]
-        while yielded < len(slots) and slots[yielded] in outcomes:
-            outcome = outcomes[slots[yielded]]
+            if resolved:
+                solves = [solve for solve in solves[older:] if solve[0][2] is None]
+        while yielded < len(slots) and slots[yielded][2] is not None:
+            r, _, outcome = slots[yielded]
             if isinstance(outcome, Exception):
                 raise outcome
-            yield checked[slots[yielded]], *outcome
+            yield r, *outcome
             yielded += 1
         if yielded == len(radii):
             return

@@ -194,15 +194,15 @@ def _random_poly_draws(n: int, count: int, seed: int, order: int):
     on [-1, 1) and read row-major: draw i is values 9i to 9i + 8 of it.  A
     smaller count is therefore a prefix of a larger one, the draws depend on
     neither n nor order, and results do not depend on evaluation order or
-    batch size.  Returns ``_poly_data`` of them.
+    batch size.  Returns ``_poly_data`` of them and the seed: (rule, rows, seed).
     """
-    check_integer(seed, 0, "seed")
+    seed = check_integer(seed, 0, "seed")
     check_integer(count, 1, "count")
     try:
         coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 9))
     except _SIZE_ERRORS as exc:
         raise DomainError(f"count = {count} draws do not fit in memory: {exc}") from None
-    return _poly_data(n, coeffs, order)
+    return *_poly_data(n, coeffs, order), seed
 
 
 def _poly_data(n: int, coeffs: np.ndarray, order: int):
@@ -420,22 +420,22 @@ def random_bound_check(
     u(r axis) - u(0) = r grad u(0) . axis and G_p(r) = C_p r.
     """
     draws = _random_poly_draws(ctx.n, count, seed, order)  # refuses count, seed and order before the solve
-    return _bound_checker(ctx, count, seed, order, draws)(g_p(ctx, r, order))
+    return _bound_checker(ctx, draws)(g_p(ctx, r, order))
 
 
-def _bound_checker(ctx: BallContext, count: int, seed: int, order: int, draws):
+def _bound_checker(ctx: BallContext, draws):
     """bound -> random_bound_check's report against the GpResult ``bound``
-    (g_p's, or a g_p_curve row), on ``draws``, the caller's
-    ``_random_poly_draws(ctx.n, count, seed, order)``.  The draws and their
-    norms do not depend on r, nor the draws on p: one set serves every
+    (g_p's, or a g_p_curve row), on ``draws`` from ``_random_poly_draws``,
+    whose row count, seed and rule order the report takes.  The draws and
+    their norms do not depend on r, nor the draws on p: one set serves every
     radius and exponent."""
-    check = _ratio_checker(ctx, *draws)
+    rule, coeffs, seed = draws
+    check = _ratio_checker(ctx, rule, coeffs)
 
     def report(bound: GpResult) -> RandomBoundReport:
-        r = bound.r
-        if 0.0 < r < _R_LIN:
-            return RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), grad_constant(ctx)))
-        return RandomBoundReport(count, seed, *check(_pole_moments(ctx.n, r, order), bound.g_value))
+        if 0.0 < bound.r < _R_LIN:
+            return RandomBoundReport(len(coeffs), seed, *check(_grad_moments(ctx.n, rule.order), grad_constant(ctx)))
+        return RandomBoundReport(len(coeffs), seed, *check(_pole_moments(ctx.n, bound.r, rule.order), bound.g_value))
 
     return report
 
@@ -461,15 +461,15 @@ def random_grad_check(
 
     Tests |grad u(0)| <= C_p ||g||_p * (1 + BOUND_SLACK).
     """
-    return _grad_reports(ctx, count, seed, order, (grad_constant(ctx),),
-                         _random_poly_draws(ctx.n, count, seed, order))[0]
+    return _grad_reports(ctx, (grad_constant(ctx),), _random_poly_draws(ctx.n, count, seed, order))[0]
 
 
-def _grad_reports(ctx: BallContext, count: int, seed: int, order: int, constants, draws):
+def _grad_reports(ctx: BallContext, constants, draws):
     """random_grad_check's report for each constant in place of C_p, on
     ``draws`` as ``_bound_checker`` takes them."""
-    check = _ratio_checker(ctx, *draws)
-    return tuple(RandomBoundReport(count, seed, *check(_grad_moments(ctx.n, order), constant))
+    rule, coeffs, seed = draws
+    check = _ratio_checker(ctx, rule, coeffs)
+    return tuple(RandomBoundReport(len(coeffs), seed, *check(_grad_moments(ctx.n, rule.order), constant))
                  for constant in constants)
 
 
@@ -594,4 +594,4 @@ def corollary_l2_batch(
     """
     ctx = BallContext(n, 2.0)
     constants = (grad_constant(ctx), math.sqrt(2.0 * (ctx.n - 1.0)))
-    return _grad_reports(ctx, count, seed, order, constants, _random_poly_draws(n, count, seed, order))
+    return _grad_reports(ctx, constants, _random_poly_draws(n, count, seed, order))

@@ -360,8 +360,7 @@ class TestVerifyCommands:
         for row in csv_rows(out)[1]:
             r = float(row["r"])
             result, cold = curve[r], solver.g_p(ctx, r)
-            draws = verify._random_poly_draws(ctx.n, 50, 42, DEFAULT_ORDER)
-            report = verify._bound_checker(ctx, 50, 42, DEFAULT_ORDER, draws)(result)
+            report = verify._bound_checker(ctx, verify._random_poly_draws(ctx.n, 50, 42, DEFAULT_ORDER))(result)
             assert float(row["max_ratio"]) == report.max_ratio
             assert abs(result.g_value - cold.g_value) <= max(result.est_error, cold.est_error)
             moved += result.g_value != cold.g_value

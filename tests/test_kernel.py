@@ -1,10 +1,12 @@
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypschwarz import solver
+from hypschwarz import solver, verify
 from hypschwarz.errors import DomainError
 from hypschwarz.kernel import (
     BallContext,
@@ -59,6 +61,31 @@ def test_check_radius():
     for bad in (-0.1, 1.0, 1.5, math.nan):
         with pytest.raises(DomainError):
             check_radius(bad)
+
+
+def test_radius_that_is_not_a_real_number_is_refused():
+    # "0.5", None and 0.5+0j raised a raw TypeError from the range test, and a
+    # bool answered as r = 0; a radius is refused as BallContext refuses p:
+    # not a bool, and a numbers.Real (Decimal is not one)
+    ctx = BallContext(4, 3.0)
+    calls = (
+        lambda r: solver.g_p(ctx, r),
+        lambda r: solver.g_p_curve(ctx, [0.3, r]),
+        lambda r: solver.g_p_curve(BallContext(4, math.inf), [r]),
+        lambda r: solver.solve_a_star(ctx, r),
+        lambda r: verify.verify_sharpness(ctx, r),
+        lambda r: verify.minimizing_sequence_p1(4, r, 2),
+        lambda r: kernel_range(ctx, r),
+    )
+    for bad in ("0.5", None, 0.5 + 0j, False, True, np.False_, Decimal("0.5")):
+        for call in calls:
+            with pytest.raises(DomainError, match=r"^radius must lie in \[0, 1\), got "):
+                call(bad)
+    for good, r in ((Fraction(1, 2), 0.5), (np.float32(0.5), 0.5), (np.int64(0), 0.0)):
+        assert type(check_radius(good)) is float and check_radius(good) == r
+        assert solver.g_p(ctx, good) == solver.g_p(ctx, r)
+        assert solver.g_p_curve(ctx, [0.3, good]) == solver.g_p_curve(ctx, [0.3, r])
+        assert kernel_range(ctx, good) == kernel_range(ctx, r)
 
 
 def test_kernel_extremes_dimension_three():

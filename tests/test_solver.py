@@ -497,6 +497,19 @@ class TestGpCurve:
             assert len(calls) / len(radii) <= 4.0, (n, p)
             assert f_passes(calls) / len(radii) <= 0.75, (n, p)
 
+    def test_sweep_cost_is_pinned(self, monkeypatch):
+        # F evaluations and F passes of four 100-radius sweeps, exactly: a
+        # change to the opening policy that keeps every root's bits can still
+        # move when radii open, and so these counts
+        calls = count_f_evals(monkeypatch)
+        up = [float(r) for r in np.linspace(0.01, 0.95, 100)]
+        down = [float(r) for r in np.linspace(0.99, 0.01, 100)]
+        for (n, p), radii, pinned in (((4, 3.0), up, (337, 61)), ((5, 20.0), up, (369, 67)),
+                                      ((3, 1.1), up, (367, 64)), ((10, 1.1), down, (514, 215))):
+            calls.clear()
+            g_p_curve(BallContext(n, p), radii)
+            assert (len(calls), f_passes(calls)) == pinned, (n, p)
+
     def test_steep_sweeps(self, monkeypatch):
         # log a* falls steeply with r at p near 1: with no cap on the step of a
         # trusted Newton point, one far from the root misguided the radii

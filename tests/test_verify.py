@@ -57,7 +57,7 @@ def crafted_rows():
 
 def random_draws(n, count, seed):
     """(rule, centered coefficient rows, values at the nodes) of seeded draws."""
-    rule, coeffs = verify._random_poly_draws(n, count, seed, 128)
+    rule, coeffs, _ = verify._random_poly_draws(n, count, seed, 128)
     return rule, coeffs, verify._node_values(rule, coeffs)
 
 
@@ -522,7 +522,7 @@ class TestRandomChecks:
         ctx = BallContext(3, 2.0)
         for check in (
             lambda: random_bound_check(ctx, 0.5, count=20),
-            lambda: list(map(verify._bound_checker(ctx, 20, 42, 128, verify._random_poly_draws(3, 20, 42, 128)),
+            lambda: list(map(verify._bound_checker(ctx, verify._random_poly_draws(3, 20, 42, 128)),
                              solver.g_p_curve(ctx, SWEEP_RADII))),
             lambda: random_grad_check(ctx, count=20),
             lambda: corollary_l2_batch(3, count=20),
@@ -530,6 +530,20 @@ class TestRandomChecks:
             calls.clear()
             check()
             assert len(calls) == 1
+
+    def test_draws_carry_their_key(self):
+        # a report's count is its draws' number of rows and its seed theirs,
+        # as ints, and its moments are taken at their rule's order: no
+        # argument beside the draws can disagree with them
+        ctx = BallContext(3, 3.0)
+        rule, coeffs, seed = draws = verify._random_poly_draws(3, np.int64(20), np.int64(5), 64)
+        assert (len(coeffs), type(seed), seed, rule.order) == (20, int, 5, 64)
+        for r in (0.5, 1e-20):
+            report = verify._bound_checker(ctx, draws)(solver.g_p(ctx, r, 64))
+            assert report == random_bound_check(ctx, r, count=20, seed=5, order=64)
+            assert (type(report.count), type(report.seed)) == (int, int)
+        assert verify._grad_reports(ctx, (grad_constant(ctx),), draws) == (
+            random_grad_check(ctx, count=20, seed=5, order=64),)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 10])
     def test_sweep_reports_equal_single_radius_ones(self, n):
@@ -546,7 +560,7 @@ class TestRandomChecks:
                         single.append(exc)
                         break
                 answered = [report for report in single if isinstance(report, RandomBoundReport)]
-                check = verify._bound_checker(ctx, 1000, seed, 128, verify._random_poly_draws(n, 1000, seed, 128))
+                check = verify._bound_checker(ctx, verify._random_poly_draws(n, 1000, seed, 128))
                 swept = [check(solver.g_p(ctx, r)) for r in SWEEP_RADII[:len(answered)]]
                 assert swept == answered, (n, p, seed)
                 if len(answered) < len(SWEEP_RADII):
@@ -569,7 +583,7 @@ class TestRandomChecks:
                     n = (3, 4, 5, 10)[seed % 4]
                     ctx = BallContext(n, p)
                     bound_moments = quadrature._site_integral(n, r, 128, 1.0, kernel_powers)
-                    draws = verify._random_poly_draws(n, 1000, seed, 128)
+                    draws = verify._random_poly_draws(n, 1000, seed, 128)[:2]
                     norms = verify._exact_norms(ctx, *draws)
                     check = verify._ratio_checker(ctx, *draws)
                     try:
@@ -619,7 +633,7 @@ class TestRandomChecks:
 
         for n in (3, 4, 5, 10, 30, 100):
             for seed in range(40):
-                rule, coeffs = verify._random_poly_draws(n, 1000, seed, 128)
+                rule, coeffs, _ = verify._random_poly_draws(n, 1000, seed, 128)
                 ctx = BallContext(n, p)
                 floors = verify._norm_floors(ctx, rule, coeffs)
                 assert np.all(floors <= verify._exact_norms(ctx, rule, coeffs)), (n, seed)
