@@ -6,8 +6,11 @@ whose axis coordinate is t = <eta, axis>, the kernel depends on (r, t) only:
 
     K(r, t) = ((1 - r^2) / (1 + r^2 - 2 r t)) ** (n - 1).
 
-All helpers accept scalar or ndarray ``t``.  ``_log_kernel`` takes r as its
-``_kernel_constants``: floats, or a stack's columns (``quadrature._new_sites``).
+All helpers accept scalar or ndarray ``t``.  ``_log_kernel`` takes a point
+by s^2 = sin^2(theta/2) = (1 - t)/2 and r as its ``_kernel_constants``:
+floats, or a stack's columns (``quadrature._new_sites``).  As 1 + r^2 - 2 r t
+= (1 - r)^2 + 4 r s^2, log K = (n - 1) (log1p(r) - log1p(-r) - log1p(4 r s^2
+/ (1 - r)^2)), with no cancellation at the pole t = 1.
 """
 
 from __future__ import annotations
@@ -72,27 +75,28 @@ def poisson_szego_axis(ctx: BallContext, r: float, t):
     t = np.asarray(t, dtype=float)
     if t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
         raise DomainError("axis coordinate t must lie in [-1, 1]")
-    out = np.exp(_log_kernel(ctx.n, _kernel_constants(r), np.atleast_1d(t)))
+    s_sq = 0.5 * (1.0 - np.atleast_1d(t))
+    out = np.exp(_log_kernel(ctx.n, _kernel_constants(r), s_sq, out=s_sq))
     return out if t.ndim else float(out[0])
 
 
-def _kernel_constants(r: float) -> tuple[float, float, float]:
-    """(2r, r^2, log1p(-r^2)): what ``_log_kernel`` takes of the radius."""
-    return 2.0 * r, r * r, math.log1p(-r * r)
+def _kernel_constants(r: float) -> tuple[float, float]:
+    """(4r / (1 - r)^2, log1p(r) - log1p(-r)): what ``_log_kernel`` takes of
+    the radius, the second log K(r, 1) / (n - 1)."""
+    return 4.0 * r / ((1.0 - r) * (1.0 - r)), math.log1p(r) - math.log1p(-r)
 
 
-def _log_kernel(n: int, constants, t: np.ndarray, out=None) -> np.ndarray:
-    """log K(r, t) = (n - 1) (log(1 - r^2) - log(1 + r^2 - 2 r t)), a new
-    array built in place (or ``out``, which may be t), from the
-    ``_kernel_constants`` of r in [0, 1) (on a stack, columns against t's
-    rows) at an array t of values in [-1, 1], unchecked: the nodes of a rule
-    are cosines.  Sites are built at r = 0 and from ``objective._R_LIN`` up,
-    where r^2 is 0 or normal."""
-    two_r, r_sq, gap = constants
-    log_k = np.multiply(two_r, t, out=out)
-    np.subtract(r_sq, log_k, out=log_k)
+def _log_kernel(n: int, constants, s_sq: np.ndarray, out=None) -> np.ndarray:
+    """log K(r, t) = (n - 1) (log1p(r) - log1p(-r) - log1p(4 r s^2 / (1 - r)^2)),
+    a new array built in place (or ``out``, which may be s_sq), from the
+    ``_kernel_constants`` of r in [0, 1) (on a stack, columns against the
+    rows of s_sq) at an array s_sq of half-angle squares s^2 = (1 - t)/2 in
+    [0, 1], unchecked: a rule's nodes are angles.  4 r / (1 - r)^2 is at most
+    2^108, and 0 at r = 0, where log K is 0."""
+    scale, peak = constants
+    log_k = np.multiply(scale, s_sq, out=out)
     np.log1p(log_k, out=log_k)
-    np.subtract(gap, log_k, out=log_k)
+    np.subtract(peak, log_k, out=log_k)
     log_k *= n - 1
     return log_k
 

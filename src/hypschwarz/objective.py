@@ -15,7 +15,7 @@ strictly decreasing in a, with d(Phi)/da = -Phi^(1-q) * F.  Every integrand
 here is smooth except where K crosses the level a, so all integrals use the
 breakpoint-aware rule split at that crossing.
 
-Each function here only supplies values, fn(log K, t): powers of d on log K
+Each function here only supplies values, fn(log K, s^2): powers of d on log K
 at the nodes of a shift's sites (``quadrature``'s, split where K crosses
 the shift, on the lean layout but for ``dF_da``'s), summed by the one pass
 ``_site_sums``.  F and its slope (a second row of F's one power |d|^(q-1))

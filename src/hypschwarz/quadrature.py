@@ -28,11 +28,13 @@ or an n whose J(n) reaches 20, keeps the full one (``_layout``).  The nodes
 of a side are one flat array with the index of each panel's first node, and
 the panel sums one ``np.add.reduceat``.  The layout of a side of unit length
 is built once per order and layout and cached; each call only scales it by
-the lengths of its two sides and shifts it to theta0.
+the lengths of its two sides and shifts it to theta0.  A node is kept as
+s^2 = sin^2(theta/2) = (1 - t)/2, which log K takes (``kernel._log_kernel``),
+and s^2 and the sine power come from one numpy tan a node (``_nodes_at``).
 
 A site is one or more node sets of one layout (layout key (outer count,
 panel count, inner nodes) and sides), each split at its own t0, with log
-K(r, .) at its nodes and r's ``kernel._kernel_constants``: t, the sine
+K(r, .) at its nodes and r's ``kernel._kernel_constants``: s^2, the sine
 powers and log K have shape (sites, sides, nodes), the side lengths are one
 tuple per site, and theta0, the kernel constants and the per-site values
 of a pass are columns, or floats on a site of one, which broadcast alike.
@@ -43,11 +45,12 @@ also keeps the layout it decided, all read-only; it depends on (n, r,
 order, t0) and the layout only, and the last two built are kept.
 ``_new_sites`` builds the sites of a sweep's F or G pass, at every point's
 shift, in one node pass for each layout (the pole splits form their own
-group), with no t, as no integrand of t is summed on them; such a stack
-lives as long as the pass that sums on it.  One function, ``_site_sums``,
-sums every zonal integral on any site: it evaluates fn(log K, t) there (on
-a node set alone for ``integrate_with_breakpoint``'s integrands of t),
-takes the panel sums and adds the side totals of each row left to right.
+group), with log K built over s^2, as no integrand of t is summed on them;
+such a stack lives as long as the pass that sums on it.  One function,
+``_site_sums``, sums every zonal integral on any site: it evaluates
+fn(log K, s^2) there (on a node set alone for ``integrate_with_breakpoint``,
+whose integrands of t take t = 1 - 2 s^2), takes the panel sums and adds
+the side totals of each row left to right.
 With ``refine`` it also evaluates the outer panels alone (``_outer_nodes``,
 rebuilt from the node set, every panel at a pole), all that the order
 changes, at est_error's reference order 2 max(order, 96), and splices their
@@ -108,6 +111,11 @@ _RESCALE_AT = 2.0 ** 512
 # Relative rounding floor of a breakpoint integral: an ulp for each panel sum
 # of its two sides.
 _ROUNDING_FLOOR = 2 * _PANELS * 2.0 ** -52
+# The largest n whose sine power comes from tan(theta/2): that sine rounds
+# about twice as coarsely as np.sin's, n - 2 times over.  Against the 1e-15
+# gate of TestGradedLayout.test_inner_panels_at_rounding_level it reads 0.52
+# at n = 30, 0.93 at 50, 1.00 at 64 and 1.20 at 100 (np.sin's 0.27-0.66).
+_TANGENT_SINE_MAX = 30
 
 
 @lru_cache(maxsize=64)
@@ -257,12 +265,12 @@ def _graded_panels(order: int, outer: int, panels: int, inner: int):
 
 
 def _graded_nodes(n: int, order: int, t0: float, lean: bool = False):
-    """Node set of the graded rule split at t0 as a stack of one: (t,
-    sin^(n-2) theta, panel weights, panel starts, theta0, side lengths,
-    layout), t and the sine power of shape (1, sides, nodes per side), one
-    tuple of side lengths, for a checked order and the ``_layout`` of (n,
-    t0, lean).  A pole leaves one side; the empty one gets no nodes, as an
-    integrand may be infinite there."""
+    """Node set of the graded rule split at t0 as a stack of one: (s^2 =
+    (1 - t)/2, sin^(n-2) theta, panel weights, panel starts, theta0, side
+    lengths, layout), s^2 and the sine power of shape (1, sides, nodes per
+    side), one tuple of side lengths, for a checked order and the
+    ``_layout`` of (n, t0, lean).  A pole leaves one side; the empty one gets
+    no nodes, as an integrand may be infinite there."""
     theta0, lengths = _split(t0)
     layout = _layout(n, t0, lean)
     return _nodes_at(n, theta0, (lengths,), layout, *_graded_panels(order, *layout))
@@ -289,14 +297,25 @@ def _outer_nodes(n: int, order: int, nodes):
 
 def _nodes_at(n: int, theta0, lengths, layout, offsets, weights, starts):
     """The node set of a layout at the breakpoint angles theta0, a float or
-    a column, with a tuple of side lengths per site."""
+    a column, with a tuple of side lengths per site, from tau = tan(theta/2):
+    s^2 = tau^2 / (1 + tau^2) (below 1 up to the antipode) and sin theta =
+    2 tau / (1 + tau^2), or np.sin's above n = _TANGENT_SINE_MAX."""
     theta = np.multiply.outer(lengths, offsets)
     theta += theta0
-    t = np.cos(theta)
-    sinpow = np.sin(theta, out=theta)
+    sinpow = np.sin(theta) if n > _TANGENT_SINE_MAX else None
+    theta *= 0.5
+    tau = np.tan(theta, out=theta)
+    s_sq = np.multiply(tau, tau)
+    if sinpow is None:
+        sec_sq = s_sq + 1.0  # 1 / cos^2(theta/2), freed on return
+        sinpow = np.divide(tau, sec_sq, out=tau)
+        sinpow += sinpow
+    else:
+        sec_sq = np.add(s_sq, 1.0, out=tau)
+    np.divide(s_sq, sec_sq, out=s_sq)
     if n > 3:  # sin^1 is sin
         sinpow **= n - 2
-    return t, sinpow, weights, starts, theta0, lengths, layout
+    return s_sq, sinpow, weights, starts, theta0, lengths, layout
 
 
 def _panel_sums(vals, nodes):
@@ -375,8 +394,8 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
     ``_new_sites``, or (None, None, None, node set) for a node set alone),
     unchecked (non-finite where a value or a sum is): a list of one total
     per row for each pass.
-    fn(log K, t), both of shape (sites, sides, nodes) (t None on a group of
-    ``_new_sites``), returns values of shape (rows, sides, nodes), row i on
+    fn(log K, s^2), both of shape (sites, sides, nodes) (s^2 None on a group
+    of ``_new_sites``), returns values of shape (rows, sides, nodes), row i on
     site i mod the site count, in an array the pass may overwrite unless it
     is a view.  The caller holds ``_overflow_guard`` and has checked the
     order.
@@ -408,7 +427,7 @@ def _new_sites(n: int, order: int, radii, t0s, lean: bool):
     """(indices, stack) for each group of the sites split at ``t0s`` at
     ``radii`` of one layout (``_layout`` and sides): their node set and log K
     built in one node pass, with theta0s and kernel constants as columns, as
-    a stack that ``_site_sums`` sums (t None), each row the bits of
+    a stack that ``_site_sums`` sums (s^2 None), each row the bits of
     ``_site``'s there."""
     groups: dict[tuple, list] = {}  # keyed by pole or not, which decides the layout at one n, and sides
     for k, t0 in enumerate(t0s):
@@ -417,16 +436,16 @@ def _new_sites(n: int, order: int, radii, t0s, lean: bool):
     for members in groups.values():
         rows, theta0s, lengths = zip(*members)
         layout = _layout(n, t0s[rows[0]], lean)
-        t, sinpow, weights, starts, column0, _, _ = _nodes_at(
+        s_sq, sinpow, weights, starts, column0, _, _ = _nodes_at(
             n, np.array(theta0s)[:, None, None], lengths, layout, *_graded_panels(order, *layout))
         column = np.array([_kernel_constants(radii[k]) for k in rows]).T[..., None, None]
-        log_kernel = _log_kernel(n, column, t, out=t)  # no integrand of t is summed on these sites
+        log_kernel = _log_kernel(n, column, s_sq, out=s_sq)  # no integrand of s^2 or t is summed on these sites
         yield list(rows), ([radii[k] for k in rows], column, log_kernel,
                            (None, sinpow, weights, starts, column0, lengths, layout))
 
 
 def _site_integral(n: int, r: float | None, order: int, t0: float, fn) -> list[float]:
-    """The zonal integrals of fn(log K, t) at the site split at t0 (at the
+    """The zonal integrals of fn(log K, s^2) at the site split at t0 (at the
     node set alone, with no log K, where r is None) by ``_site_sums``, on
     the full layout, under its own overflow guard, each refused where
     non-finite."""
@@ -452,7 +471,8 @@ def integrate_with_breakpoint(n: int, order: int, f, t0: float):
     order = check_order(order)
     stack = []
 
-    def values(_, t):
+    def values(_, s_sq):
+        t = 1.0 - 2.0 * s_sq
         vals = np.asarray(f(t), dtype=float)
         if vals.ndim == 0:  # a constant f
             vals = np.broadcast_to(vals, t.shape)

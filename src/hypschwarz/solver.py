@@ -96,7 +96,7 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
     order = check_order(order)
     _check_exponent(ctx, "shift optimization")
     with _overflow_guard():
-        (_, s, _), = _lockstep(ctx, [r], order)
+        (_, s, _, _), = _lockstep(ctx, [r], order)
         return math.exp(s)
 
 
@@ -324,24 +324,24 @@ def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
     return g_p_curve(ctx, [r], order)[0]
 
 
-def _numeric_results(ctx: BallContext, order: int, solved) -> list[tuple[float, GpResult]]:
-    """(r, GpResult) for each (r, s, q) of a solved radius, from one
-    ``_phi_and_refined`` pass, which builds the sites of the solves' last F
-    anew (a lone one is still cached): G_p = Phi(a*) and est_error
-    (|G_p - G_2| at p = 2, else the gap to Phi(a*) at quadrature's reference
-    order) for the solved s = log a*; only a* is rounded to e^s.  Radius by
-    radius, as g_p would, the first to refuse raises."""
-    results = []
+def _numeric_results(ctx: BallContext, order: int, solved) -> None:
+    """The GpResult of each ``_lockstep`` entry of ``solved``, whose result
+    slot holds its (r, s, q), put in that slot, from one ``_phi_and_refined``
+    pass, which builds the sites of the solves' last F anew (a lone one is
+    still cached): G_p = Phi(a*) and est_error (|G_p - G_2| at p = 2, else
+    the gap to Phi(a*) at quadrature's reference order) for the solved
+    s = log a*; only a* is rounded to e^s.  Radius by radius, as g_p would,
+    the first to refuse raises."""
     refine = ctx.p != 2.0
-    for (r, s, _), values in zip(solved, _phi_and_refined(ctx.n, order, solved, refine)):
+    points = [entry[3] for entry in solved]
+    for entry, (r, s, _), values in zip(solved, points, _phi_and_refined(ctx.n, order, points, refine)):
         g_val = _checked(values[0])
         if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
             raise DomainError(f"G_p(r) underflows to 0 at n={ctx.n}, p={ctx.p}, r={r}")
         # Phi is stationary at a*: its error needs no solve at the reference order.
         est = abs(g_val - (_checked(values[1]) if refine else g_2_closed(ctx.n, r)))
         # Order doubling cannot see the rounding both orders share: an ulp for each panel sum.
-        results.append((r, GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val), s)))
-    return results
+        entry[3] = GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val), s)
 
 
 def _linear(ctx: BallContext, r: float) -> GpResult:
@@ -361,7 +361,8 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
     Every GpResult is built here: closed forms at p = 1 and inf, ``_linear``
     ones below _R_LIN (after the solve's exponent check).  At p = 2 every
     radius is solved cold, from its root a = 1, so the rows are g_p's bit
-    for bit.  A repeated radius reuses its first solve.  Every _CHUNK
+    for bit.  A repeated radius reuses its first solve and its result, both
+    in its first occurrence's ``_lockstep`` entry.  Every _CHUNK
     solved radii in sweep order, and at the end of the sweep, one
     ``_numeric_results`` pass sums G and est_error at their (r, s), each row
     the bits of a pass on its site alone.  Refusals come in sweep order:
@@ -377,32 +378,34 @@ def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpRes
         closed, method = (g_1_closed, "closed_p1") if ctx.p == 1.0 else (g_inf_closed, "closed_pinf")
         return [GpResult(ctx, r, *closed(ctx.n, r), method, 0.0, _closed_log_a(ctx.n, r, ctx.p))
                 for r in map(check_radius, radii)]
-    results: dict[float, GpResult | None] = {}
-    sweep, solved = [], []  # solved: (r, s, q) of each radius solved since the last G pass
+    entries, solved = [], []  # the entry of each radius; those solved since the last G pass
     with _overflow_guard():
         try:
-            for r, s, _ in _lockstep(ctx, radii, order):
-                sweep.append(r)
-                if r in results:
+            for entry in _lockstep(ctx, radii, order):
+                entries.append(entry)
+                if entry[3] is not None:  # a repeat: its result is its first occurrence's
                     continue
+                r, s = entry[0], entry[1]
                 if r < _R_LIN:
-                    results[r] = _linear(ctx, r)
+                    entry[3] = _linear(ctx, r)
                     continue
-                results[r] = None
-                solved.append((r, s, ctx.q))
+                entry[3] = (r, s, ctx.q)  # its G point until the G pass puts its GpResult there
+                solved.append(entry)
                 if len(solved) == _CHUNK:
                     chunk, solved = solved, []
-                    results.update(_numeric_results(ctx, order, chunk))
+                    _numeric_results(ctx, order, chunk)
         finally:  # a G refused here replaces the solve's refusal that follows it in sweep order
-            results.update(_numeric_results(ctx, order, solved))
-    return [results[r] for r in sweep]
+            _numeric_results(ctx, order, solved)
+    return [entry[3] for entry in entries]
 
 
 def _lockstep(ctx: BallContext, radii, order: int):
-    """(r, s, F) of the root at each radius of a sweep for finite p > 1, in
-    sweep order, each as soon as it and every radius before it is solved.
-    Each distinct radius opened is one entry, [radius, estimate, outcome]:
-    (s, F) or a refusal, None while open.  Each radius of ``radii``, checked
+    """The entry [r, s, (s, F), result] of the root at each radius of a sweep
+    for finite p > 1, in sweep order, each as soon as it and every radius
+    before it is solved.  Each distinct radius opened is one entry, [radius,
+    estimate, outcome, result]: the outcome (s, F) or a refusal, None while
+    open, and a result slot, None, which is the caller's (``g_p_curve``
+    keeps its GpResult there).  Each radius of ``radii``, checked
     (``check_radius``) where it opens, points at one: a repeat at its first
     occurrence's, a refused check at one of its own.  A refusal is raised in
     its place, and no radius past it is solved.  Every solve, of one radius
@@ -420,7 +423,7 @@ def _lockstep(ctx: BallContext, radii, order: int):
     asks for the slope, so it goes to the front of the next F pass, where
     ``_f_and_slope`` wants the points that ask."""
     radii = list(radii)
-    entries = []  # [radius, log a* estimate, outcome] of each distinct radius opened, in sweep order
+    entries = []  # [radius, log a* estimate, outcome, result] of each distinct radius opened, in sweep order
     firsts = {}  # the entry of each radius in entries
     slots = []  # the entry of each radius of the sweep opened; a refused radius check has its own
     solves = []  # [entry, steps, next point, (guess, trusted step) until its Newton point is known], newest first
@@ -432,7 +435,7 @@ def _lockstep(ctx: BallContext, radii, order: int):
             try:
                 r = check_radius(radii[len(slots)])
             except DomainError as refusal:
-                slots.append([None, None, refusal])
+                slots.append([None, None, refusal, None])
                 refused = True
                 break
             if r in firsts:
@@ -452,7 +455,7 @@ def _lockstep(ctx: BallContext, radii, order: int):
                 if entries[-1][1] is None and not width <= _SPECULATE:
                     break
                 start = None if math.isnan(guess) else guess
-            entry = firsts[r] = [r, None, None]
+            entry = firsts[r] = [r, None, None, None]
             entries.append(entry)
             slots.append(entry)
             try:
@@ -485,10 +488,9 @@ def _lockstep(ctx: BallContext, radii, order: int):
             if resolved:
                 solves = [solve for solve in solves[older:] if solve[0][2] is None]
         while yielded < len(slots) and slots[yielded][2] is not None:
-            r, _, outcome = slots[yielded]
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield r, *outcome
+            if isinstance(slots[yielded][2], Exception):
+                raise slots[yielded][2]
+            yield slots[yielded]
             yielded += 1
         if yielded == len(radii):
             return

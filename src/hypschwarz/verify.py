@@ -445,8 +445,8 @@ def _pole_moments(n: int, r: float, order: int) -> np.ndarray:
     """Read-only kernel moments M_k = integral (K - 1) t^k dsigma, k = 0..8,
     at r: one stacked sum on the site split at the pole t = 1, summed once
     for every exponent and seed that checks draws at (n, r, order)."""
-    moments = np.array(_site_integral(n, r, order, 1.0, lambda log_kernel, t: np.cumprod(
-        np.concatenate([np.expm1(log_kernel)] + [t] * 8), axis=0)))
+    moments = np.array(_site_integral(n, r, order, 1.0, lambda log_kernel, s_sq: np.cumprod(
+        np.concatenate([np.expm1(log_kernel)] + [1.0 - 2.0 * s_sq] * 8), axis=0)))
     moments.setflags(write=False)
     return moments
 

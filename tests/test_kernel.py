@@ -17,6 +17,7 @@ from hypschwarz.kernel import (
     poisson_szego_axis,
 )
 from hypschwarz.quadrature import integrate_with_breakpoint
+from conftest import mp_kernel
 
 
 def test_conjugate_exponent():
@@ -112,6 +113,21 @@ def test_kernel_range_refuses_subnormal_minimum(r):
         kernel_range(ctx, r)
     lo, hi = kernel_range(ctx, 0.998)
     assert lo >= sys.float_info.min and math.isfinite(hi)
+
+
+def test_kernel_keeps_its_digits_near_the_pole():
+    # K in its half-angle form on s^2 = (1 - t)/2 has no cancellation at the
+    # pole; the form 1 + r^2 - 2 r t was 1.5e-8 off at (4, 0.9999, 1), 5.8e-11
+    # at (3, 0.999, 1) and 7.5e-13 at (4, 0.9999, 0.5)
+    from mpmath import mp
+
+    points = [(4, 0.9999, 1.0), (3, 0.999, 1.0), (4, 0.9999, 0.5)]
+    points += [(10, 0.99, t) for t in (1.0, 1.0 - 1e-7, 0.5)]
+    for n, r, t in points:
+        with mp.workdps(50):
+            expected = float(mp_kernel(n, r, t))
+        value = poisson_szego_axis(BallContext(n, 2.0), r, t)
+        assert abs(value - expected) <= 8 * (n - 1) * 2.0 ** -52 * expected, (n, r, t)
 
 
 def test_kernel_constant_at_origin():

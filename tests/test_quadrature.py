@@ -442,6 +442,80 @@ class TestStackedSites:
                     v.hex() for v in loop(n, rows, lengths)], (sides, n)
 
 
+class TestHalfAngleNodes:
+    """A node set keeps s^2 = sin^2(theta/2) = (1 - t)/2 and the sine power,
+    both from one tan(theta/2) per node up to n = _TANGENT_SINE_MAX, the sine
+    power from np.sin above it."""
+
+    @staticmethod
+    def angles(n, order, t0, lean):
+        # the node angles as _nodes_at forms them, bit for bit
+        theta0, lengths = quadrature._split(t0)
+        offsets = _graded_panels(order, *quadrature._layout(n, t0, lean))[0]
+        return np.multiply.outer((lengths,), offsets) + theta0
+
+    def test_no_cos_or_sin_up_to_the_cut(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a node set called np.cos or np.sin")
+
+        monkeypatch.setattr(np, "cos", refused)
+        monkeypatch.setattr(np, "sin", refused)
+        quadrature._site.cache_clear()
+        for n in (3, 4, quadrature._TANGENT_SINE_MAX):
+            for t0 in (0.3, 1.0, -1.0):
+                for lean in (False, True):
+                    nodes = _graded_nodes(n, 128, t0, lean)
+                    quadrature._outer_nodes(n, 256, nodes)
+                    quadrature._site(n, 0.5, 128, t0, lean)
+            list(quadrature._new_sites(n, 128, [0.5, 0.9, 0.9], [0.3, 1.0, -0.2], True))
+            assert integrate_with_breakpoint(n, 128, lambda t: t * t, 0.3) > 0.0
+
+    def test_sine_power_above_the_cut_is_np_sin(self):
+        for n in (quadrature._TANGENT_SINE_MAX + 1, 100):
+            for t0 in (0.3, -1.0):
+                s_sq, sinpow = _graded_nodes(n, 128, t0)[:2]
+                theta = self.angles(n, 128, t0, False)
+                assert bits(sinpow) == bits(np.sin(theta) ** (n - 2)), (n, t0)
+                tau = np.tan(0.5 * theta)
+                assert bits(s_sq) == bits(tau * tau / (tau * tau + 1.0)), (n, t0)
+
+    def test_half_angle_square_against_mpmath(self):
+        # s^2 within 3 ulps, and below 1, up to the antipode, where 1 + t =
+        # 2 (1 - s^2) is all an integrand singular at t = -1 sees
+        from mpmath import mp
+
+        for t0 in (0.3, 1.0, -1.0):
+            s_sq = _graded_nodes(4, 128, t0)[0].ravel()
+            theta = self.angles(4, 128, t0, False).ravel()
+            assert s_sq.max() < 1.0
+            with mp.workdps(40):
+                expected = [float(mp.sin(mp.mpf(x) / 2) ** 2) for x in theta]
+            assert np.all(np.abs(s_sq - expected) <= 3 * np.spacing(expected)), t0
+
+    def test_log_kernel_near_the_pole_within_ulps(self):
+        # log K at r = 0.999 on a lone site and on a group of _new_sites split
+        # near t = 1: within a few (n - 1) ulps of its scale log((1 + r)/(1 - r))
+        # against mpmath at each node's angle
+        from mpmath import mp
+
+        r, t0s = 0.999, [1.0 - 1e-6, 1.0 - 2.0 ** -40, 1.0]
+        for n in (4, 10, 30):
+            peak = math.log1p(r) - math.log1p(-r)
+            sites = [quadrature._site(n, r, 128, t0, True)[2] for t0 in t0s]
+            groups = list(quadrature._new_sites(n, 128, [r] * 3, t0s, True))
+            assert [rows for rows, _ in groups] == [[0, 1], [2]]
+            stacked = [stack[2][i] for _, stack in groups for i in range(len(stack[0]))]
+            for t0, alone, row in zip(t0s, sites, stacked):
+                theta = self.angles(n, 128, t0, True).ravel()
+                with mp.workdps(40):
+                    rr = mp.mpf(r)
+                    expected = np.array([float((n - 1) * (mp.log1p(rr) - mp.log1p(-rr) - mp.log1p(
+                        4 * rr * mp.sin(mp.mpf(x) / 2) ** 2 / (1 - rr) ** 2))) for x in theta])
+                for log_kernel in (alone.ravel(), row.ravel()):
+                    err = np.abs(log_kernel - expected)
+                    assert err.max() <= 4 * (n - 1) * peak * 2.0 ** -52, (n, t0)
+
+
 class TestGradedLayout:
     """12 nodes on the inner panels at an interior breakpoint, order // 8 on
     the outer J(n) panels; order // 8 on every panel at a pole."""
@@ -494,7 +568,8 @@ class TestGradedLayout:
                     t0 = _split_point(ctx.n, r, math.log(a))
                     with quadrature._overflow_guard():
                         lean, = quadrature._site_sums(n, 2048, (None, None, None, _graded_nodes(n, 2048, t0, True)),
-                                                      lambda _, t: sums(t).reshape(-1, *t.shape[1:]))
+                                                      lambda _, s_sq: sums(1.0 - 2.0 * s_sq).reshape(
+                                                          -1, *s_sq.shape[1:]))
                     with monkeypatch.context() as patch:
                         patch.setattr(quadrature, "_outer_panels", lambda n: _PANELS)
                         ref = integrate_with_breakpoint(n, 2048, sums, t0).reshape(4, 3)

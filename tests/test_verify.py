@@ -107,7 +107,8 @@ class TestPoissonIntegral:
     def test_sign_data_matches_equator_split(self):
         # the extension of sign(t) on the axis is the harmonic-measure gap
         for r in (0.2, 0.5, 0.8):
-            u, = quadrature._site_integral(3, r, 128, 0.0, lambda log_kernel, t: np.exp(log_kernel) * np.sign(t))
+            u, = quadrature._site_integral(3, r, 128, 0.0, lambda log_kernel, s_sq: np.exp(log_kernel) * np.sign(
+                1.0 - 2.0 * s_sq))
             assert u == pytest.approx(uh_elementary(3, r), rel=1e-8, abs=0)
 
 
@@ -190,40 +191,44 @@ class TestSharpness:
     # figures were taken at the a* of solves that steered only from a guess;
     # since every solve steers its first step by its slope, log a* moved by
     # at most 195 solve tolerances and g_bound by at most 44 ulps (at
-    # (5, 10, 0.8), where G's est_error is 7.1e-8)
+    # (5, 10, 0.8), where G's est_error is 7.1e-8).  With the half-angle
+    # kernel and nodes from one tangent, at each row's new a*: within 6 ulps
+    # at r = 0.2 (7 before), and at r = 0.8 from 1 ulp (27 to 42 ulps before
+    # at p = 1.5, n = 3 and 5, the kernel's cancellation) to 3.8e8, the
+    # rule's pole error
     @pytest.mark.parametrize("n, p, r, expected", [
-        (3, 1.5, 0.2, ("0x1.4770a809ad1f8p-3", "0x1.4770a809ad1c8p-3",
-                       "-0x1.1a9e2495b9a8dp-46", "0x1.269bf4e909c6ap-47")),
-        (3, 1.5, 0.8, ("0x1.0eb2fe9f2ea93p+10", "0x1.0eb2fe9f2ea7dp+10",
-                       "-0x1.739a7d5e4cb36p-40", "0x1.54716c110df63p-48")),
-        (3, 3.0, 0.2, ("0x1.29b654ddeca76p-2", "0x1.29b654ddeca51p-2",
-                       "0x1.191d8f3c5178ap-45", "0x1.01d8058333dd7p-47")),
-        (3, 3.0, 0.8, ("0x1.1fa0f3e815225p+2", "0x1.1fa0f3e81521cp+2",
-                       "0x1.460475d5b783ap-47", "0x1.04d31733d602ep-49")),
+        (3, 1.5, 0.2, ("0x1.4770a809ad1f8p-3", "0x1.4770a809ad1c6p-3",
+                       "-0x1.1b00fb5df936bp-46", "0x1.3519228762635p-47")),
+        (3, 1.5, 0.8, ("0x1.0eb2fe9f2eabap+10", "0x1.0eb2fe9f2eaa4p+10",
+                       "-0x1.7b964f0fd35b4p-40", "0x1.54716c110df50p-48")),
+        (3, 3.0, 0.2, ("0x1.29b654ddeca77p-2", "0x1.29b654ddeca73p-2",
+                       "0x1.be4c4c9426e0bp-53", "0x1.7fc47f46414f9p-51")),
+        (3, 3.0, 0.8, ("0x1.1fa0f3e815234p+2", "0x1.1fa0f3e81523ap+2",
+                       "-0x1.eadb91c6173d2p-48", "0x1.38fd4f0b00d90p-50")),
         (3, 10.0, 0.2, ("0x1.6fd65dab0f0f7p-2", "0x1.6fd65dab0f091p-2",
-                        "0x1.7d93e1bbef70fp-45", "0x1.1bfb35e4658d7p-46")),
-        (3, 10.0, 0.8, ("0x1.51c84a5af5bc9p+0", "0x1.51c84a5af5b03p+0",
-                        "0x1.a3c38c11976c2p-45", "0x1.2d727c418c426p-45")),
-        (3, math.inf, 0.2, ("0x1.89d89d89d89d5p-2", "0x1.89d89d89d89d4p-2",
-                            "-0x1.fffffffffffffp-54", "0x1.4ccccccccccd0p-53")),
-        (3, math.inf, 0.8, ("0x1.f3831f3831f33p-1", "0x1.f3831f3b5d4cdp-1",
-                            "-0x1.fffffffffffffp-54", "0x1.9fd1220000004p-32")),
-        (5, 1.5, 0.2, ("0x1.e3deba8c7a7a5p-1", "0x1.e3deba8c7a808p-1",
-                       "0x1.af44130b95505p-45", "0x1.a282c2cfd360ap-47")),
-        (5, 1.5, 0.8, ("0x1.1e091fa8bdbf6p+21", "0x1.1e091fa8bdbf9p+21",
-                       "0x1.ceb2b9cd72595p-35", "0x1.342d1ba8919dep-51")),
-        (5, 3.0, 0.2, ("0x1.1c60a3c92d078p-1", "0x1.1c60a3c92d096p-1",
-                       "-0x1.be8bf4cff37c5p-46", "0x1.ba2f705086f04p-48")),
-        (5, 3.0, 0.8, ("0x1.8b352d37dcbacp+4", "0x1.8b352d37dcbaep+4",
-                       "-0x1.4c52e88683e01p-49", "0x1.d70292887f052p-53")),
-        (5, 10.0, 0.2, ("0x1.164e98d4ae284p-1", "0x1.164e98d4ae24ap-1",
-                        "0x1.c7315a8c1fa3ep-46", "0x1.ac126e5cd9a03p-47")),
-        (5, 10.0, 0.8, ("0x1.e7d1a1976f694p+0", "0x1.e7d1a1976f66bp+0",
-                        "0x1.43cef8357e0c3p-47", "0x1.5c3b0578c398ep-48")),
-        (5, math.inf, 0.2, ("0x1.18d1bd9508463p-1", "0x1.18d1bd950845cp-1",
-                            "-0x1.8000000000004p-53", "0x1.9867acb867ac5p-50")),
-        (5, math.inf, 0.8, ("0x1.ff8bfdef4eb86p-1", "0x1.ff8bfc986936ap-1",
-                            "-0x1.8000000000004p-53", "0x1.573344bff7322p-25")),
+                        "0x1.7f056e0c624ddp-45", "0x1.1bfb35e4658d7p-46")),
+        (3, 10.0, 0.8, ("0x1.51c84a5af5bcfp+0", "0x1.51c84a5af5b07p+0",
+                        "0x1.a3c38c11976c2p-45", "0x1.2fac025e5f016p-45")),
+        (3, math.inf, 0.2, ("0x1.89d89d89d89d5p-2", "0x1.89d89d89d89d3p-2",
+                            "0x0.0p+0", "0x1.4ccccccccccd0p-52")),
+        (3, math.inf, 0.8, ("0x1.f3831f3831f33p-1", "0x1.f3831f3b5d4e3p-1",
+                            "0x0.0p+0", "0x1.9fd1d6666666bp-32")),
+        (5, 1.5, 0.2, ("0x1.e3deba8c7a7a1p-1", "0x1.e3deba8c7a807p-1",
+                       "0x1.af44130b95507p-45", "0x1.af6356973477ap-47")),
+        (5, 1.5, 0.8, ("0x1.1e091fa8bdc16p+21", "0x1.1e091fa8bdc1cp+21",
+                       "0x1.cd5a646cd9780p-35", "0x1.6789f599ff37dp-50")),
+        (5, 3.0, 0.2, ("0x1.1c60a3c92d079p-1", "0x1.1c60a3c92d095p-1",
+                       "-0x1.bdd9566e06b49p-46", "0x1.91fc94a64c202p-48")),
+        (5, 3.0, 0.8, ("0x1.8b352d37dcbefp+4", "0x1.8b352d37dcbecp+4",
+                       "-0x1.48103450471bep-49", "0x1.d70292887f00bp-52")),
+        (5, 10.0, 0.2, ("0x1.164e98d4ae286p-1", "0x1.164e98d4ae24bp-1",
+                        "0x1.c5bd0e31b536ap-46", "0x1.b334df22aa0d7p-47")),
+        (5, 10.0, 0.8, ("0x1.e7d1a1976f6c9p+0", "0x1.e7d1a1976f69ep+0",
+                        "0x1.3bd538b753d98p-47", "0x1.6e16a9dadabf2p-48")),
+        (5, math.inf, 0.2, ("0x1.18d1bd9508463p-1", "0x1.18d1bd950845ep-1",
+                            "0x0.0p+0", "0x1.23b7c483b7c44p-50")),
+        (5, math.inf, 0.8, ("0x1.ff8bfdef4eb86p-1", "0x1.ff8bfc9869394p-1",
+                            "0x0.0p+0", "0x1.5733421f5eccep-25")),
     ])
     def test_reports_are_pinned(self, n, p, r, expected):
         report = verify_sharpness(BallContext(n, p), r)
@@ -250,8 +255,8 @@ class TestSharpness:
         report = verify_sharpness(BallContext(3, 3.0), 0.2)
         fields = (report.g_bound, report.attained, report.u_at_zero, report.rel_gap)
         assert tuple(value.hex() for value in fields) == (
-            "0x1.29b654ddeca76p-2", "0x1.29b654ddeca51p-2",
-            "0x1.191d8f3c5178ap-45", "0x1.01d8058333dd7p-47")
+            "0x1.29b654ddeca77p-2", "0x1.29b654ddeca73p-2",
+            "0x1.be4c4c9426e0bp-53", "0x1.7fc47f46414f9p-51")
 
     def test_one_site_after_the_solve(self, monkeypatch):
         # the extremal data, its extension and its norm share one node set
@@ -283,9 +288,10 @@ class TestSharpness:
 
     def test_full_site_split_at_the_solves_own_log_a_star(self, monkeypatch):
         # the certificate sums on the full layout, split at the solve's own
-        # log a*, not at log(e^s): at (3, 3, 0.4) the two differ.  The solve
-        # left a lean site there, so the certificate builds its own
-        ctx, r = BallContext(3, 3.0), 0.4
+        # log a*, not at log(e^s): at (3, 3, 0.3) the two differ (at 0.4 until
+        # the kernel took its half-angle form).  The solve left a lean site
+        # there, so the certificate builds its own
+        ctx, r = BallContext(3, 3.0), 0.3
         solver._g_p_numeric.cache_clear()
         result = solver.g_p(ctx, r)
         assert _split_point(3, r, math.log(result.a_star)) != _split_point(3, r, result.log_a_star)
@@ -429,7 +435,7 @@ class TestMomentExtremal:
     # every panel
     @pytest.mark.parametrize("n, p, expected", [
         (3, 1.5, "0x1.428a2f98d728bp+1"),
-        (3, 3.0, "0x1.15f4d44462722p+1"),
+        (3, 3.0, "0x1.15f4d44462723p+1"),
         (3, 10.0, "0x1.0557ab9c326bdp+1"),
         (3, math.inf, "0x1.fffffffffffffp+0"),
         (5, 1.5, "0x1.0000000000001p+2"),
@@ -695,14 +701,16 @@ class TestRandomChecks:
     # item 1), and 0.044077124915177 at its exact norm (open item 4).  Both
     # bound pins then moved by 2 and 11 ulps (G by 4.4e-16 and 6.3e-13,
     # within est_errors of 2.6e-14 and 2.2e-9) when every solve steered its
-    # first step by its slope
+    # first step by its slope.  The three bound pins then moved by 4, 1 and
+    # 22 ulps (G by 0, by 1 ulp to an ulp below mpmath's G_2 at (3, 0.5), and
+    # by 4.9e-15) with the half-angle kernel and nodes from one tangent
     @pytest.mark.parametrize("check, expected", [
         (lambda: random_bound_check(BallContext(4, 3.0), 0.6, count=1000, seed=3),
-         0.9889803881064766),
+         0.988980388106477),
         (lambda: random_bound_check(BallContext(3, 2.0), 0.5, count=1000, seed=3),
-         0.9957236723260433),
+         0.9957236723260434),
         (lambda: random_bound_check(BallContext(5, 1.7), 0.9, count=1000, seed=3),
-         0.04407694078281197),
+         0.04407694078281212),
         (lambda: random_grad_check(BallContext(4, 3.0), count=1000, seed=3),
          0.9940261725469652),
         (lambda: random_grad_check(BallContext(4, math.inf), count=1000, seed=3),

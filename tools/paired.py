@@ -11,8 +11,9 @@ tree times a cold ``g_p`` on the first N acceptance-box inputs of the
 benchmark's scatter stream at seed 1 (``perfbench/workloads.py``), with the
 solver's memo cleared after each call.  With ``--sweeps`` it times the 25
 curves of the benchmark's sweep stream at seed 1 instead, each one ``gp`` table
-through ``cli.main``.  Each input is timed in K interleaved rounds, the tree
-that goes first alternating from round to round, and keeps its fastest time.
+through ``cli.main`` into a file removed before the call, outside its time.
+Each input is timed in K interleaved rounds, the tree that goes first
+alternating from round to round, and keeps its fastest time.
 
 It prints the median over inputs of the ratio of this tree's time to the
 other's, with its quartiles, each tree's median time, and the number of inputs
@@ -90,6 +91,9 @@ def _sweep_op(package, out_dir: str):
     def run(item):
         argv = ["gp", "--n", str(item.n), "--p", repr(item.p), "--r-min", repr(item.r),
                 "--r-max", repr(workloads.SWEEP_R_MAX), "--steps", str(workloads.SWEEP_STEPS), "--output", path]
+        # a new file each call: truncating one that holds data costs 25-50 ms
+        # on ext4, several times the table, and writing a new one microseconds
+        Path(path).unlink(missing_ok=True)
         started = perf_counter()
         code = cli_module.main(argv)
         seconds = perf_counter() - started
