@@ -23,9 +23,11 @@ import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .kernel import BallContext, kernel_range
-from .objective import ObjectiveParams, _phi_and_refined, big_f, dF_da, phi
+from .objective import _f_and_slope, _phi_and_refined
 from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site_integral
 from .solver import (
+    _g_p_curves,
+    _lockstep,
     g_1_closed,
     g_2_closed,
     g_inf_closed,
@@ -41,6 +43,7 @@ from .verify import (
     _grad_reports,
     _gradient_extremal_ratio,
     _random_poly_draws,
+    _sharpness,
     corollary_l2_batch,
     corollary_l2_check,
     verify_sharpness,
@@ -155,6 +158,38 @@ def _phi_minimizers(n: int, cells) -> list[float]:
         return _minimize_together([cell[2:] for cell in cells], values)
 
 
+def _stationarity(n: int, curves) -> list[tuple]:
+    """(a*, F, dF/da, Phi) of each one-radius (ctx, [r]) of ``curves`` (one
+    n, order _ORDER): the cold solves in one ``_lockstep``, then three
+    stacked passes at the rounded a*, the bits of solve_a_star, big_f, dF_da
+    and phi, checked as they check them."""
+    a_stars = [0.0] * len(curves)
+    with _overflow_guard():
+        for k, entry in _lockstep(n, curves, _ORDER):
+            a_stars[k] = math.exp(entry[1])
+        points = [(r, math.log(a_star), ctx.q) for (ctx, (r,)), a_star in zip(curves, a_stars)]
+        lean = _f_and_slope(n, _ORDER, [(*point, False) for point in points])
+        full = _f_and_slope(n, _ORDER, [(*point, True) for point in points], lean=False)
+        phis = _phi_and_refined(n, _ORDER, points, False)
+    rows = []
+    for a_star, (f_value, _), (f_full, slope), (value,) in zip(a_stars, lean, full, phis):
+        _checked(f_full)
+        rows.append((a_star, _checked(f_value), _checked(slope / a_star), _checked(value)))
+    return rows
+
+
+@functools.lru_cache(maxsize=1)
+def _finite_cells() -> dict:
+    """g_p at each (n, p, r) of the finite grid, bit for bit, from one
+    lockstep of one-radius curves per n: built once for criteria 5 and 7."""
+    cells = {}
+    for n in _DIMS:
+        curves = [(BallContext(n, p), [r]) for p in _FINITE_PS for r in _RADII]
+        for (ctx, (r,)), (result,) in zip(curves, _g_p_curves(n, curves, DEFAULT_ORDER)):
+            cells[n, ctx.p, r] = result
+    return cells
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     index: int
@@ -210,11 +245,10 @@ def criterion_2():
     """Numeric p = 2 bound against its hypergeometric closed form."""
     worst_g = 0.0
     worst_a = 0.0
+    radii = [float(r) for r in np.arange(0.0, 0.8001, 0.1)]
     for n in _DIMS:
-        ctx = BallContext(n, 2.0)
-        for r in np.arange(0.0, 0.8001, 0.1):
-            r = float(r)
-            res = g_p(ctx, r)
+        # at p = 2 every radius of a curve is solved cold: g_p's rows bit for bit
+        for r, res in zip(radii, g_p_curve(BallContext(n, 2.0), radii)):
             worst_g = max(worst_g, abs(res.g_value - g_2_closed(n, r)))
             worst_a = max(worst_a, abs(res.a_star - 1.0))
     passed = worst_g <= 1e-8 and worst_a <= 1e-10
@@ -256,7 +290,9 @@ def criterion_4():
     minimum location unresolvable to 1e-7 in double precision) the
     comparison instead uses the standard resolution limit of derivative-free
     minimization, sqrt(c * eps * Phi / Phi''), documented in the ledger.
-    The twelve cross-checks of one n run in lockstep (``_phi_minimizers``).
+    The twelve shift solves of one n, F, dF/da and Phi at their a*
+    (``_stationarity``) and the twelve cross-checks (``_phi_minimizers``)
+    each run in lockstep.
     """
     worst_res = 0.0
     worst_ratio = 0.0
@@ -266,22 +302,16 @@ def criterion_4():
     eps = 2.0 ** -52
     for n in _DIMS:
         cells, shifts = [], []  # Brent's (q, r, lo, hi, tol) and (a*, its tolerance, resolution) per cell
-        for p in _FINITE_PS:
-            ctx = BallContext(n, p)
-            ok_origin &= solve_a_star(ctx, 0.0) == 1.0
-            for r in _RADII:
-                params = ObjectiveParams(ctx, r, _ORDER)
-                a_star = solve_a_star(ctx, r, _ORDER)
-                worst_res = max(worst_res, abs(big_f(params, a_star)))
-                slope = dF_da(params, a_star)
-                # read while the site of a* is still cached
-                value = phi(params, a_star)
-                ok_signs &= slope < 0.0
-                kmin, kmax = kernel_range(ctx, r)
-                width = kmax - kmin
-                cells.append((ctx.q, r, kmin + 1e-12 * width, kmax - 1e-12 * width, 1e-9 * max(1.0, a_star)))
-                curvature = -slope * value ** (1.0 - ctx.q)
-                shifts.append((a_star, 1e-7 * max(1.0, a_star), math.sqrt(64.0 * eps * value / curvature)))
+        curves = [(BallContext(n, p), [r]) for p in _FINITE_PS for r in _RADII]
+        ok_origin &= all(solve_a_star(ctx, 0.0) == 1.0 for ctx, _ in curves[::len(_RADII)])
+        for (ctx, (r,)), (a_star, residual, slope, value) in zip(curves, _stationarity(n, curves)):
+            worst_res = max(worst_res, abs(residual))
+            ok_signs &= slope < 0.0
+            kmin, kmax = kernel_range(ctx, r)
+            width = kmax - kmin
+            cells.append((ctx.q, r, kmin + 1e-12 * width, kmax - 1e-12 * width, 1e-9 * max(1.0, a_star)))
+            curvature = -slope * value ** (1.0 - ctx.q)
+            shifts.append((a_star, 1e-7 * max(1.0, a_star), math.sqrt(64.0 * eps * value / curvature)))
         for (a_star, base_tol, resolution), direct in zip(shifts, _phi_minimizers(n, cells)):
             if resolution > base_tol:
                 limited_cells += 1
@@ -297,8 +327,9 @@ def criterion_4():
 @_criterion(5, "sharpness gap", budget=30.0)
 def criterion_5():
     """Extremal data attains the bound on the full grid plus p = inf."""
+    cells = _finite_cells()
     reports = [
-        verify_sharpness(BallContext(n, p), r)
+        _sharpness(cells[n, p, r], DEFAULT_ORDER) if p < math.inf else verify_sharpness(BallContext(n, p), r)
         for n in _DIMS for p in _FINITE_PS + (math.inf,) for r in _RADII
     ]
     worst = max(report.rel_gap for report in reports)
@@ -344,6 +375,7 @@ def criterion_7():
     """Random boundary data never violates the bound (two seeds, full grid)."""
     violations = 0
     worst = 0.0
+    cells = _finite_cells()
     for seed in (7, 42):
         for n in _DIMS:
             # one draw pass for the four exponents, one set of norms for the three radii
@@ -352,7 +384,7 @@ def criterion_7():
                 ctx = BallContext(n, p)
                 check = _bound_checker(ctx, draws)
                 for r in _RADII:
-                    report = check(g_p(ctx, r))
+                    report = check(cells[n, p, r])
                     violations += report.violations
                     worst = max(worst, report.max_ratio)
     return violations == 0, f"violations {violations} over 72000 draws, max ratio {worst:.6f}"
@@ -361,13 +393,14 @@ def criterion_7():
 @_criterion(8, "growth and range")
 def criterion_8():
     """Monotone growth in r; the p = inf bound stays inside [0, 1)."""
-    radii = np.arange(0.0, 0.9501, 0.05)
+    radii = [float(r) for r in np.arange(0.0, 0.9501, 0.05)]
     monotone = True
     inf_in_range = True
     for n in _DIMS:
+        # the four numeric curves of one n in one lockstep
+        numeric = dict(zip(_FINITE_PS, _g_p_curves(n, [(BallContext(n, p), radii) for p in _FINITE_PS], DEFAULT_ORDER)))
         for p in (1.0,) + _FINITE_PS + (math.inf,):
-            ctx = BallContext(n, p)
-            values = [res.g_value for res in g_p_curve(ctx, [float(r) for r in radii])]
+            values = [res.g_value for res in (numeric[p] if p in numeric else g_p_curve(BallContext(n, p), radii))]
             monotone &= all(b > a for a, b in zip(values, values[1:]))
             if p == math.inf:
                 inf_in_range &= all(0.0 <= v < 1.0 for v in values)

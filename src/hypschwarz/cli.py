@@ -95,7 +95,7 @@ def _astar(args):
     order = check_order(args.order)
     with _overflow_guard():
         rows = [{"r": r, "a_star": math.exp(s), "f_residual": f}
-                for r, s, (_, f), _ in _lockstep(ctx, args.radii, order)]
+                for _, (r, s, (_, f), _) in _lockstep(ctx.n, [(ctx, args.radii)], order)]
     return rows, False
 
 

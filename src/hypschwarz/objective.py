@@ -27,17 +27,18 @@ The two private sums take lists of points and build the sites they sum on
 (``_sites``, the one place that chooses a builder): one point sums on its
 cached ``quadrature._site``, so the Phi of a lone solve reads its last F's
 site; several are one node pass for each layout (``quadrature._new_sites``)
-and one stacked site pass.  ``_f_and_slope`` takes (r, s, slope) points: a
-sweep's F pass, the next F of every open solve, sums an F row for every
-point and a slope row for those that ask.  ``_phi_and_refined`` takes
-(r, s, q) points of one n, each with its own conjugate exponent: a sweep
-sums Phi on a chunk of its solved radii, and the battery's Brent
-cross-checks of one n at every open cell.  Every point's values are the
+and one stacked site pass.  Both take points of one n, each with its own
+conjugate exponent q.  ``_f_and_slope`` takes (r, s, q, slope) points: an F
+pass, the next F of every open solve of every curve, sums an F row for
+every point and a slope row for those that ask.  ``_phi_and_refined`` takes
+(r, s, q) points: the G pass of a chunk of solved radii, and the battery's
+Brent cross-checks of one n at every open cell.  Every point's values are the
 bits of a pass on its site alone.  No site is handed out: a caller passes
 numbers and gets numbers.  The public functions check their arguments
 (``ObjectiveParams``) and enter ``quadrature._overflow_guard``; the private
 ones run under their caller's (``solver.solve_a_star``,
-``solver.g_p_curve``, ``cli._astar``, ``acceptance._phi_minimizers``).
+``solver._g_p_curves``, ``cli._astar``, ``acceptance._stationarity``,
+``acceptance._phi_minimizers``).
 """
 
 from __future__ import annotations
@@ -112,30 +113,45 @@ def phi(params: ObjectiveParams, a: float) -> float:
         return _checked(_phi_and_refined(params.ctx.n, params.order, points, False)[0][0])
 
 
-def _sites(n: int, order: int, points, lean: bool) -> list[tuple]:
+def _sites(n: int, order: int, points, lean: bool, columns: int) -> list[tuple]:
     """(indices, site, *entries) for each group of the sites split where
-    K(r, .) crosses e^s at the (r, s, *entries) of ``points``, lean or not,
-    with each point's s and entries in the site's shape: one point on its
-    cached ``quadrature._site`` (a hit right after a lone solve), several
-    in one node pass for each layout (``quadrature._new_sites``) with
-    theirs as columns.  The one place that chooses a builder (README)."""
+    K(r, .) crosses e^s at the (r, s, ...) of ``points``, lean or not, with
+    the first ``columns`` entries of each point from s on in the site's
+    shape: one point on its cached ``quadrature._site`` (a hit right after a
+    lone solve), several in one node pass for each layout
+    (``quadrature._new_sites``) with theirs as columns.  The one place that
+    chooses a builder (README)."""
     if len(points) == 1:
-        (r, s, *entries), = points
-        return [([0], _site(n, r, order, _split_point(n, r, s), lean), s, *entries)]
+        (r, s, *_), = points
+        return [([0], _site(n, r, order, _split_point(n, r, s), lean), *points[0][1:1 + columns])]
     t0s = [_split_point(n, point[0], point[1]) for point in points]
-    return [(rows, stack, *[np.array(column)[:, None, None] for column in zip(*[points[k][1:] for k in rows])])
+    return [(rows, stack, *[np.array(column)[:, None, None]
+                            for column in zip(*[points[k][1:1 + columns] for k in rows])])
             for rows, stack in _new_sites(n, order, [point[0] for point in points], t0s, lean)]
+
+
+def _runs(points, rows, at: int) -> list[tuple]:
+    """(slice, q) of each run of ``rows`` with equal q = point[at], in row
+    order, the slice None for a run of them all.  Each run is raised with
+    its scalar q, the one way to keep a lone pass's bits: numpy's power
+    takes fast paths at the exponents 2 and 0.5 for a scalar, not a column."""
+    if len(rows) == 1:
+        return ((None, points[rows[0]][at]),)
+    runs, start, q = [], 0, points[rows[0]][at]
+    for i in range(1, len(rows)):
+        if points[rows[i]][at] != q:
+            runs.append((slice(start, i), q))
+            start, q = i, points[rows[i]][at]
+    runs.append((slice(start, len(rows)) if start else None, q))
+    return runs
 
 
 def _phi_and_refined(n: int, order: int, points, refine: bool) -> list[list[float]]:
     """[Phi(e^s) at ``order``, at est_error's reference order (``_site_sums``)]
     at each (r, s, q) of ``points``, Phi of the conjugate exponent q, or
     [Phi(e^s)] without ``refine``, unchecked (non-finite where Phi is): the
-    bits of the point's own phi calls, on the lean sites of ``_sites``.
-    Each run of rows with equal q takes ``**= q`` with that scalar q, the
-    one way to keep a lone pass's bits: numpy's power takes fast paths at
-    the exponents 2 and 0.5 for a scalar, not for a column.  Points with
-    equal q side by side make the fewest runs.  The order is one already
+    bits of the point's own phi calls, on the lean sites of ``_sites``,
+    each run of equal q raised by ``_runs``.  The order is one already
     checked."""
     scaled, factors = [], []
     for r, s, _ in points:
@@ -144,11 +160,8 @@ def _phi_and_refined(n: int, order: int, points, refine: bool) -> list[list[floa
         scaled.append((r, s, 1.0 / size))
         factors.append(_exp(s) * size)
     phis: list = [None] * len(points)
-    for rows, site, shift, scale in _sites(n, order, scaled, True):
-        qs = [points[k][2] for k in rows]
-        # (rows, q) of each run of equal exponents
-        cuts = [i for i in range(1, len(qs)) if qs[i] != qs[i - 1]]
-        runs = [(slice(first, end), qs[first]) for first, end in zip([0, *cuts], [*cuts, None])]
+    for rows, site, shift, scale in _sites(n, order, scaled, True, 2):
+        runs = _runs(points, rows, 2)
 
         def values(log_kernel, _):
             dev = log_kernel - shift
@@ -156,12 +169,12 @@ def _phi_and_refined(n: int, order: int, points, refine: bool) -> list[list[floa
             dev *= scale
             np.abs(dev, out=dev)
             for run, q in runs:
-                part = dev[run]
+                part = dev if run is None else dev[run]
                 part **= q
             return dev
 
-        for k, q, *totals in zip(rows, qs, *_site_sums(n, order, site, values, refine)):
-            phis[k] = [factors[k] * total ** (1.0 / q) for total in totals]
+        for k, *totals in zip(rows, *_site_sums(n, order, site, values, refine)):
+            phis[k] = [factors[k] * total ** (1.0 / points[k][2]) for total in totals]
     return phis
 
 
@@ -169,25 +182,28 @@ def big_f(params: ObjectiveParams, a: float) -> float:
     """F(r, a) = integral (K - a)|K - a|^(q-2) dsigma, decreasing in a,
     integrated as a^(q-1) integral sign(d) |d|^(q-1) dsigma, d = K/a - 1."""
     with _overflow_guard():
-        return _checked(_f_and_slope(params.ctx, params.order, [(params.r, _log_shift(a), False)])[0][0])
+        point = (params.r, _log_shift(a), params.ctx.q, False)
+        return _checked(_f_and_slope(params.ctx.n, params.order, [point])[0][0])
 
 
-def _f_and_slope(ctx: BallContext, order: int, points, lean: bool = True) -> list[tuple]:
-    """[(F, dF/ds)] at each (r, s, slope) of ``points``, the shift a = e^s
-    at r, for checked arguments, on the sites of ``_sites`` (lean or not):
-    dF/ds = a dF/da is None unless ``slope``.  Both come from one power
-    |d|^(q-1): F's row is its copysign, the slope row that power over
-    max(|d|, floor), the one definition of dF/ds.  Both are unchecked: the
-    caller refuses a non-finite F (where a^(q-1) underflows, its integral
-    overflows), and a caller that only steers by the slope keeps F's
-    points.  Every site has an F row, and the sites of the points that ask
-    a slope row, which ``quadrature._site_sums`` reads as further rows of a
-    stack's first sites: so the points that ask come first.  Every row has
-    the bits of a pass on its point's site alone.
+def _f_and_slope(n: int, order: int, points, lean: bool = True) -> list[tuple]:
+    """[(F, dF/ds)] at each (r, s, q, slope) of ``points`` of one n, the
+    shift a = e^s at r and F of the conjugate exponent q, for checked
+    arguments, on the sites of ``_sites`` (lean or not): dF/ds = a dF/da is
+    None unless ``slope``.  Both come from one power |d|^(q-1), each run of
+    equal q raised by ``_runs``: F's row is its copysign, the slope row
+    that power over max(|d|, floor), the one definition of dF/ds.  Both are
+    unchecked: the caller refuses a non-finite F (where a^(q-1) underflows,
+    its integral overflows), and a caller that only steers by the slope
+    keeps F's points.  Every site has an F row, and the sites of the points
+    that ask a slope row, which ``quadrature._site_sums`` reads as further
+    rows of a stack's first sites: so the points that ask come first.
+    Every row has the bits of a pass on its point's site alone.
     """
-    q, results = ctx.q, [None] * len(points)
-    for rows, site, shift, _ in _sites(ctx.n, order, points, lean):
-        slopes = sum(points[k][2] for k in rows)
+    results = [None] * len(points)
+    for rows, site, shift in _sites(n, order, points, lean, 1):
+        runs = _runs(points, rows, 2)
+        slopes = sum(points[k][3] for k in rows)
 
         def values(log_kernel, _):
             dev = log_kernel - shift
@@ -198,14 +214,17 @@ def _f_and_slope(ctx: BallContext, order: int, points, lean: bool = True) -> lis
                 size = np.maximum(power[:slopes], _DEV_FLOOR, out=out[len(dev):])
             else:
                 out = power = np.abs(dev)
-            power **= q - 1.0
+            for run, q in runs:
+                part = power if run is None else power[run]
+                part **= q - 1.0
             if slopes:
                 np.divide(power[:slopes], size, out=size)
             np.copysign(power, dev, out=power)
             return out
 
-        totals, = _site_sums(ctx.n, order, site, values)
+        totals, = _site_sums(n, order, site, values)
         for i, k in enumerate(rows):
+            q = points[k][2]
             scale = _exp((q - 1.0) * points[k][1])
             results[k] = (scale * totals[i], (1.0 - q) * scale * totals[len(rows) + i] if i < slopes else None)
     return results
@@ -218,6 +237,7 @@ def dF_da(params: ObjectiveParams, a: float) -> float:
     summed from that ratio, however near 1 (README, "Numerical notes").
     """
     with _overflow_guard():
-        (f_value, slope), = _f_and_slope(params.ctx, params.order, [(params.r, _log_shift(a), True)], lean=False)
+        point = (params.r, _log_shift(a), params.ctx.q, True)
+        (f_value, slope), = _f_and_slope(params.ctx.n, params.order, [point], lean=False)
         _checked(f_value)
         return _checked(slope / a)

@@ -4,10 +4,11 @@ For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
 range.  One loop on s = log a finds it from F (``_steps``, a generator
 that yields each point and receives F there) and hands that s, not a
-rounded a*, to Phi.  One driver runs every solve, of one radius or of a
-sweep's many (``_lockstep``): each pass gives every open solve its next F
-in one ``_f_and_slope`` call.  Every solve steers its first step by the
-slope that comes with its first F, one more row of that F's pass.  The
+rounded a*, to Phi.  One driver runs every solve, of one radius, of a
+sweep's many or of several curves of one n (``_lockstep``): each pass gives
+every open solve its next F in one ``_f_and_slope`` call.  Every solve
+steers its first step by the slope that comes with its first F, one more
+row of that F's pass.  The
 solver deals in numbers: every F or Phi pass builds the sites it sums on.
 It resolves the root of the computed F: where F's quadrature noise near a*
 exceeds its slope times the tolerance, another start can move a* by more
@@ -96,7 +97,7 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
     order = check_order(order)
     _check_exponent(ctx, "shift optimization")
     with _overflow_guard():
-        (_, s, _, _), = _lockstep(ctx, [r], order)
+        (_, (_, s, _, _)), = _lockstep(ctx.n, [(ctx, [r])], order)
         return math.exp(s)
 
 
@@ -107,8 +108,8 @@ def _tolerance(n: int, r: float) -> float:
 
 def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: float):
     """The one solve loop on s = log a, a generator: it yields the next
-    point of ``objective._f_and_slope``, (r, s, slope) with r checked by
-    its caller and whether it needs dF/ds there, receives (F, dF/ds) at it,
+    point of ``objective._f_and_slope``, (r, s, q, slope) with r checked
+    by its caller and whether it needs dF/ds there, receives (F, dF/ds) at it,
     and returns (s, F(s)) at the root s = log a* of F(r, .), unrounded;
     (0, 0) below _R_LIN, with no point.
 
@@ -150,7 +151,7 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
     steered = 3
     a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
     for _ in range(_MAX_ITER):
-        fs, slope = yield r, s, steered == 3
+        fs, slope = yield r, s, ctx.q, steered == 3
         fs = _checked(fs)
         if fs == 0.0:
             return s, fs
@@ -324,24 +325,32 @@ def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
     return g_p_curve(ctx, [r], order)[0]
 
 
-def _numeric_results(ctx: BallContext, order: int, solved) -> None:
-    """The GpResult of each ``_lockstep`` entry of ``solved``, whose result
-    slot holds its (r, s, q), put in that slot, from one ``_phi_and_refined``
-    pass, which builds the sites of the solves' last F anew (a lone one is
-    still cached): G_p = Phi(a*) and est_error (|G_p - G_2| at p = 2, else
-    the gap to Phi(a*) at quadrature's reference order) for the solved
-    s = log a*; only a* is rounded to e^s.  Radius by radius, as g_p would,
-    the first to refuse raises."""
-    refine = ctx.p != 2.0
-    points = [entry[3] for entry in solved]
-    for entry, (r, s, _), values in zip(solved, points, _phi_and_refined(ctx.n, order, points, refine)):
-        g_val = _checked(values[0])
-        if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
-            raise DomainError(f"G_p(r) underflows to 0 at n={ctx.n}, p={ctx.p}, r={r}")
-        # Phi is stationary at a*: its error needs no solve at the reference order.
-        est = abs(g_val - (_checked(values[1]) if refine else g_2_closed(ctx.n, r)))
-        # Order doubling cannot see the rounding both orders share: an ulp for each panel sum.
-        entry[3] = GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val), s)
+def _numeric_results(n: int, order: int, solved) -> bool:
+    """The GpResult of each (ctx, entry) of the two lists ``solved``, at
+    p = 2 and at other p, a ``_lockstep`` entry whose result slot holds its
+    (r, s, q), put in that slot, or the refusal of its G, from one
+    ``_phi_and_refined`` pass for each list, which builds the sites of the
+    solves' last F anew (a lone one is still cached): G_p = Phi(a*) and est_error
+    (|G_p - G_2| at p = 2, else the gap to Phi(a*) at quadrature's reference
+    order) for the solved s = log a*; only a* is rounded to e^s.  Returns
+    whether any G was refused."""
+    refused = False
+    for refine, part in zip((False, True), solved):
+        if not part:
+            continue
+        points = [entry[3] for _, entry in part]
+        for (ctx, entry), (r, s, _), values in zip(part, points, _phi_and_refined(n, order, points, refine)):
+            try:
+                g_val = _checked(values[0])
+                if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
+                    raise DomainError(f"G_p(r) underflows to 0 at n={n}, p={ctx.p}, r={r}")
+                # Phi is stationary at a*: its error needs no solve at the reference order.
+                est = abs(g_val - (_checked(values[1]) if refine else g_2_closed(n, r)))
+                # Order doubling cannot see the rounding both orders share: an ulp for each panel sum.
+                entry[3] = GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val), s)
+            except DomainError as refusal:
+                entry[3], refused = refusal, True
+    return refused
 
 
 def _linear(ctx: BallContext, r: float) -> GpResult:
@@ -356,143 +365,194 @@ def _linear(ctx: BallContext, r: float) -> GpResult:
 
 
 def g_p_curve(ctx: BallContext, radii, order: int = DEFAULT_ORDER) -> list[GpResult]:
-    """g_p at every radius of a sweep, the shift solves in lockstep (``_lockstep``).
+    """g_p at every radius of a sweep: closed forms at p = 1 and inf, else
+    the one-curve case of ``_g_p_curves``, its shift solves in lockstep.
 
-    Every GpResult is built here: closed forms at p = 1 and inf, ``_linear``
-    ones below _R_LIN (after the solve's exponent check).  At p = 2 every
-    radius is solved cold, from its root a = 1, so the rows are g_p's bit
-    for bit.  A repeated radius reuses its first solve and its result, both
-    in its first occurrence's ``_lockstep`` entry.  Every _CHUNK
-    solved radii in sweep order, and at the end of the sweep, one
-    ``_numeric_results`` pass sums G and est_error at their (r, s), each row
-    the bits of a pass on its site alone.  Refusals come in sweep order:
-    where ``_lockstep`` raises a radius's or its solve's refusal, the radii
-    solved before it are summed first, and the first of them to refuse its
-    G is raised in its place.  Results
-    depend on (ctx, radii, order) only: the per-point memo of g_p is neither
-    read nor filled.  Where F overflows near a kernel-range end but not near
-    a* (p near 1 at larger r), a warm solve answers although g_p refuses.
+    At p = 2 every radius is solved cold, from its root a = 1, so the rows
+    are g_p's bit for bit.  Results depend on (ctx, radii, order) only: the
+    per-point memo of g_p is neither read nor filled.  Where F overflows
+    near a kernel-range end but not near a* (p near 1 at larger r), a warm
+    solve answers although g_p refuses.
     """
     order = check_order(order)
     if ctx.p in (1.0, math.inf):
         closed, method = (g_1_closed, "closed_p1") if ctx.p == 1.0 else (g_inf_closed, "closed_pinf")
         return [GpResult(ctx, r, *closed(ctx.n, r), method, 0.0, _closed_log_a(ctx.n, r, ctx.p))
                 for r in map(check_radius, radii)]
-    entries, solved = [], []  # the entry of each radius; those solved since the last G pass
+    return _g_p_curves(ctx.n, [(ctx, list(radii))], order)[0]
+
+
+def _g_p_curves(n: int, curves, order: int) -> list[list[GpResult]]:
+    """The g_p_curve rows of each (ctx, radii) of ``curves`` (one n, finite
+    p > 1, radii a sequence, a checked order) from one ``_lockstep``, under
+    one overflow guard: ``_linear`` rows below _R_LIN (after the solve's
+    exponent check), and a repeated radius reuses its first solve and
+    result, both in its first occurrence's entry.  Every _CHUNK solved radii
+    of any curves, and at the end, one ``_numeric_results`` pass sums G and
+    est_error at their (r, s), each row the bits of a pass on its site
+    alone.  The refusal raised is
+    the first of g_p_curve on each curve in turn: a curve's radii solved
+    before its refused radius or solve are summed first, and the first of
+    them to refuse its G is raised in its place."""
+    rows = [[] for _ in curves]  # the entries of each curve
+    solved, refused = ([], []), False  # (ctx, entry) solved since the last G pass, at p = 2 and not; a G refused
     with _overflow_guard():
         try:
-            for entry in _lockstep(ctx, radii, order):
-                entries.append(entry)
+            for k, entry in _lockstep(n, curves, order):
+                rows[k].append(entry)
                 if entry[3] is not None:  # a repeat: its result is its first occurrence's
                     continue
-                r, s = entry[0], entry[1]
+                ctx, r = curves[k][0], entry[0]
                 if r < _R_LIN:
                     entry[3] = _linear(ctx, r)
                     continue
-                entry[3] = (r, s, ctx.q)  # its G point until the G pass puts its GpResult there
-                solved.append(entry)
-                if len(solved) == _CHUNK:
-                    chunk, solved = solved, []
-                    _numeric_results(ctx, order, chunk)
-        finally:  # a G refused here replaces the solve's refusal that follows it in sweep order
-            _numeric_results(ctx, order, solved)
-    return [entry[3] for entry in entries]
+                entry[3] = (r, entry[1], ctx.q)  # its G point until the G pass puts its GpResult there
+                solved[ctx.p != 2.0].append((ctx, entry))
+                if len(solved[0]) + len(solved[1]) == _CHUNK:
+                    chunk, solved = solved, ([], [])
+                    if _numeric_results(n, order, chunk):
+                        refused = True
+                        _raise_first(curves, rows)
+        finally:  # a G refused here replaces a refusal of ``_lockstep`` that follows it
+            if _numeric_results(n, order, solved) or refused:
+                _raise_first(curves, rows)
+    return [[entry[3] for entry in entries] for entries in rows]
 
 
-def _lockstep(ctx: BallContext, radii, order: int):
-    """The entry [r, s, (s, F), result] of the root at each radius of a sweep
-    for finite p > 1, in sweep order, each as soon as it and every radius
-    before it is solved.  Each distinct radius opened is one entry, [radius,
-    estimate, outcome, result]: the outcome (s, F) or a refusal, None while
-    open, and a result slot, None, which is the caller's (``g_p_curve``
-    keeps its GpResult there).  Each radius of ``radii``, checked
-    (``check_radius``) where it opens, points at one: a repeat at its first
-    occurrence's, a refused check at one of its own.  A refusal is raised in
-    its place, and no radius past it is solved.  Every solve, of one radius
-    or many, is driven here: each pass gives every open solve (``_steps``)
-    its next F in one ``_f_and_slope`` call of at most _CHUNK points, every
-    row the bits of a lone F.  Distinct radii open in order, the first two
-    and every one at p = 2 (where a = 1 is the root) cold.  Any other starts
-    from log a* extrapolated in r through the latest six estimates before it
-    (``_extrapolate``), with a first step of twice the last term: an
-    estimate is a root, or the Newton point of a guessed solve's first step
-    where it is within that step and within _TRUSTED_STEP of the guess.  It
-    opens once the radius before it has an estimate, or at once where its
-    first step is at most _SPECULATE; from a NaN guess (at tiny, close radii
-    the differences overflow) it solves cold.  A new solve's first point
-    asks for the slope, so it goes to the front of the next F pass, where
+def _raise_first(curves, rows) -> None:
+    """Raise the first G refused in the ``rows`` of ``curves`` in turn, up to
+    the first curve not yet through: the one sequential curves would raise."""
+    for (_, radii), entries in zip(curves, rows):
+        for entry in entries:
+            if isinstance(entry[3], Exception):
+                raise entry[3]
+        if len(entries) < len(radii):
+            return
+
+
+class _Curve:
+    """One curve of ``_lockstep``: its index, context and radii; [radius, log
+    a* estimate, outcome, result] of each distinct radius opened, in sweep
+    order, and each by radius; the entry of each radius opened (a refused
+    radius check has its own); its solves open, slots yielded, and whether
+    it refused (past a refusal, no radius opens)."""
+
+    __slots__ = ("k", "ctx", "radii", "entries", "firsts", "slots", "open", "yielded", "refused")
+
+    def __init__(self, k: int, ctx: BallContext, radii) -> None:
+        self.k, self.ctx, self.radii, self.entries, self.firsts, self.slots = k, ctx, radii, [], {}, []
+        self.open, self.yielded, self.refused = 0, 0, False
+
+
+def _lockstep(n: int, curves, order: int):
+    """(k, entry) for the entry [radius, log a* estimate, outcome, result]
+    of each radius of curve k of the (ctx, radii) ``curves`` (one n, finite
+    p > 1, radii a sequence), in sweep order as soon as it and every radius before it is
+    solved: the outcome (s, F) at the root s, or a refusal, None while open;
+    the result slot is the caller's.  Each radius, checked (``check_radius``)
+    where it opens, points at one entry: a repeat at its first occurrence's,
+    a refused check at one of its own.  Past a curve's refusal none of its
+    radii opens, and the refusal is raised once every curve before it is
+    through.  Every solve is driven here: each round gives every open solve
+    (``_steps``) of every curve its next F in one ``_f_and_slope`` pass,
+    every row the bits of a lone F, so each curve solves as it would alone.
+    A curve has at most _CHUNK solves open, and opens its distinct radii in
+    order, the first two and every one at p = 2 (where a = 1 is the root)
+    cold.  Any other starts from log a* extrapolated in r through the
+    curve's latest six estimates (``_extrapolate``), with a first step of
+    twice the last term: an estimate is a root, or a guessed solve's first
+    Newton point within that step and _TRUSTED_STEP of the guess.  It opens
+    once the radius before it has an estimate, or at once where its first
+    step is at most _SPECULATE; from a NaN guess (at tiny, close radii the
+    differences overflow) it solves cold.  A new solve's first point asks
+    for the slope, so new solves go to the front of the next pass, where
     ``_f_and_slope`` wants the points that ask."""
-    radii = list(radii)
-    entries = []  # [radius, log a* estimate, outcome, result] of each distinct radius opened, in sweep order
-    firsts = {}  # the entry of each radius in entries
-    slots = []  # the entry of each radius of the sweep opened; a refused radius check has its own
-    solves = []  # [entry, steps, next point, (guess, trusted step) until its Newton point is known], newest first
-    yielded = 0
-    refused = False  # past a refusal, no radius opens
+    curves = [_Curve(k, *curve) for k, curve in enumerate(curves)]
+    opening = curves  # the curves with radii left to open
+    solves = []  # [curve, entry, steps, next point, (guess, trusted step) until its Newton point], newest first
+    moved = True  # whether a slot may have come to its outcome since the last yields: a radius opened or a solve ended
     while True:
-        # a radius held back waits on an open solve: with none open, every radius before it has an estimate
-        while len(slots) < len(radii) and not refused and len(solves) < _CHUNK:
-            try:
-                r = check_radius(radii[len(slots)])
-            except DomainError as refusal:
-                slots.append([None, None, refusal, None])
-                refused = True
-                break
-            if r in firsts:
-                slots.append(firsts[r])
-                continue
-            start, width = None, 0.0
-            if len(entries) >= 2 and ctx.p != 2.0:
-                known = []  # (radius, estimate) of the latest six estimates, newest first
-                for entry in reversed(entries):
-                    if entry[1] is not None:
-                        known.append((entry[0], entry[1]))
-                        if len(known) == 6:
-                            break
-                if len(known) < 2:
-                    break
-                guess, width = _extrapolate(r, known)
-                if entries[-1][1] is None and not width <= _SPECULATE:
-                    break
-                start = None if math.isnan(guess) else guess
-            entry = firsts[r] = [r, None, None, None]
-            entries.append(entry)
-            slots.append(entry)
-            try:
-                steps = _steps(ctx, r, order, start, width)
-                point = next(steps)
-            except StopIteration as solved:  # below _R_LIN: no F
-                entry[1], entry[2] = solved.value[0], solved.value
-            except (DomainError, NonConvergenceError) as refusal:
-                entry[2], refused = refusal, True
-            else:  # its first point asks for the slope: those come first in an F pass
-                guess = None if start is None else (point[1], min(max(width, _tolerance(ctx.n, r)), _TRUSTED_STEP))
-                solves.insert(0, [entry, steps, point, guess])
-        if solves:
-            resolved, older = False, 0  # solves[older:], the older ones, opened before every refusal of this pass
-            for solve, values in zip(solves, _f_and_slope(ctx, order, [solve[2] for solve in solves])):
-                entry, steps, _, guess = solve
+        for curve in opening:
+            ctx, radii, entries, firsts, slots = curve.ctx, curve.radii, curve.entries, curve.firsts, curve.slots
+            # a radius held back waits on an open solve: with none open, every radius before it has an estimate
+            while len(slots) < len(radii) and not curve.refused and curve.open < _CHUNK:
                 try:
-                    point = solve[2] = steps.send(values)
+                    r = check_radius(radii[len(slots)])
+                except DomainError as refusal:
+                    slots.append([None, None, refusal, None])
+                    curve.refused = True
+                    break
+                if r in firsts:
+                    slots.append(firsts[r])
+                    continue
+                start, width = None, 0.0
+                if len(entries) >= 2 and ctx.p != 2.0:
+                    known = []  # (radius, estimate) of the latest six estimates, newest first
+                    for entry in reversed(entries):
+                        if entry[1] is not None:
+                            known.append((entry[0], entry[1]))
+                            if len(known) == 6:
+                                break
+                    if len(known) < 2:
+                        break
+                    guess, width = _extrapolate(r, known)
+                    if entries[-1][1] is None and not width <= _SPECULATE:
+                        break
+                    start = None if math.isnan(guess) else guess
+                entry = firsts[r] = [r, None, None, None]
+                entries.append(entry)
+                slots.append(entry)
+                try:
+                    steps = _steps(ctx, r, order, start, width)
+                    point = next(steps)
+                except StopIteration as solved:  # below _R_LIN: no F
+                    entry[1], entry[2] = solved.value[0], solved.value
+                except (DomainError, NonConvergenceError) as refusal:
+                    entry[2], curve.refused = refusal, True
+                else:  # its first point asks for the slope: those come first in an F pass
+                    guess = None if start is None else (point[1], min(max(width, _tolerance(n, r)), _TRUSTED_STEP))
+                    solves.insert(0, [curve, entry, steps, point, guess])
+                    curve.open += 1
+        if opening:
+            opening = [curve for curve in opening if len(curve.slots) < len(curve.radii) and not curve.refused]
+            moved = True
+        if solves:
+            resolved, cuts = False, {}  # each refusing curve keeps its solves past its cut, the older ones
+            for solve, values in zip(solves, _f_and_slope(n, order, [solve[3] for solve in solves])):
+                curve, entry, steps, _, guess = solve
+                try:
+                    point = solve[3] = steps.send(values)
                 except StopIteration as solved:
                     entry[1], entry[2] = solved.value[0], solved.value
                     resolved = True
-                except (DomainError, NonConvergenceError) as refusal:
-                    entry[2], refused = refusal, True
-                    resolved, older = True, solves.index(solve) + 1
+                    curve.open -= 1
+                except (DomainError, NonConvergenceError) as refusal:  # its curve opens no more
+                    entry[2], curve.refused = refusal, True
+                    resolved, cuts[curve] = True, solves.index(solve)
                 else:
                     if guess is not None:  # the Newton point of a guessed solve's first step
                         if abs(point[1] - guess[0]) <= guess[1]:
                             entry[1] = point[1]
-                        solve[3] = None
+                        solve[4] = None
+            if cuts:
+                solves = [solve for i, solve in enumerate(solves) if i > cuts.get(solve[0], -1)]
             if resolved:
-                solves = [solve for solve in solves[older:] if solve[0][2] is None]
-        while yielded < len(slots) and slots[yielded][2] is not None:
-            if isinstance(slots[yielded][2], Exception):
-                raise slots[yielded][2]
-            yield slots[yielded]
-            yielded += 1
-        if yielded == len(radii):
+                solves = [solve for solve in solves if solve[1][2] is None]
+                moved = True
+        if not moved:
+            continue
+        moved, through = False, True  # every curve before this one has yielded its every radius
+        for curve in curves:
+            slots, yielded = curve.slots, curve.yielded
+            while yielded < len(slots) and slots[yielded][2] is not None:
+                if isinstance(slots[yielded][2], Exception):
+                    if through:
+                        raise slots[yielded][2]
+                    break
+                yield curve.k, slots[yielded]
+                yielded = curve.yielded = yielded + 1
+            through = through and yielded == len(curve.radii)
+        if through:
             return
 
 

@@ -96,10 +96,10 @@ def count_f_evals(monkeypatch):
     calls = []
     real = solver._f_and_slope
 
-    def counted(ctx, order, points, *args, **kwargs):
+    def counted(n, order, points, *args, **kwargs):
         counted.passes += 1
         calls.extend([counted.passes] * len(points))
-        return real(ctx, order, points, *args, **kwargs)
+        return real(n, order, points, *args, **kwargs)
 
     counted.passes = 0
     monkeypatch.setattr(solver, "_f_and_slope", counted)
@@ -118,7 +118,7 @@ def solve_from(ctx, r, order, start, width):
         try:
             point = next(steps)
             while True:
-                point = steps.send(solver._f_and_slope(ctx, order, [point])[0])
+                point = steps.send(solver._f_and_slope(ctx.n, order, [point])[0])
         except StopIteration as solved:
             return solved.value
 

@@ -15,8 +15,8 @@ import pytest
 from hypschwarz import acceptance, quadrature, verify
 from hypschwarz.acceptance import brent_minimize
 from hypschwarz.kernel import BallContext, kernel_range
-from hypschwarz.objective import ObjectiveParams, phi
-from hypschwarz.solver import solve_a_star
+from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
+from hypschwarz.solver import g_p, solve_a_star
 
 
 def _run(criterion):
@@ -212,30 +212,24 @@ def test_random_draw_data_is_built_once_per_key(monkeypatch):
     assert sorted(moment_passes) == [(n, r, 1.0) for n in acceptance._DIMS for r in acceptance._RADII]
 
 
-def test_criterion_4_reads_phi_at_the_shift_on_its_cached_site(monkeypatch):
-    built = []
-    real_nodes = quadrature._graded_nodes
-    monkeypatch.setattr(quadrature, "_graded_nodes",
-                        lambda *args: built.append(args) or real_nodes(*args))
-    solved = []
-    real_solve = acceptance.solve_a_star
+def test_criterion_4_stacked_rows_are_the_public_calls():
+    # the twelve shifts of one n in one lockstep, then F, dF/da and Phi at
+    # them in three stacked passes: solve_a_star, big_f, dF_da and phi
+    # there, bit for bit
+    for n in acceptance._DIMS:
+        curves = [(BallContext(n, p), [r]) for p in acceptance._FINITE_PS for r in acceptance._RADII]
+        rows = acceptance._stationarity(n, curves)
+        assert len(rows) == 12
+        for (ctx, (r,)), row in zip(curves, rows):
+            prm = ObjectiveParams(ctx, r, acceptance._ORDER)
+            a_star = solve_a_star(ctx, r, acceptance._ORDER)
+            alone = (a_star, big_f(prm, a_star), dF_da(prm, a_star), phi(prm, a_star))
+            assert [v.hex() for v in row] == [v.hex() for v in alone], (n, ctx.p, r)
 
-    def solve(*args):
-        solved.append(real_solve(*args))
-        return solved[-1]
 
-    builds_at_shift = []
-    real_phi = acceptance.phi
-
-    def phi(params, a):
-        before = len(built)
-        value = real_phi(params, a)
-        if a == solved[-1]:
-            builds_at_shift.append(len(built) - before)
-        return value
-
-    monkeypatch.setattr(acceptance, "solve_a_star", solve)
-    monkeypatch.setattr(acceptance, "phi", phi)
-    quadrature._site.cache_clear()
-    assert acceptance.criterion_4().passed
-    assert builds_at_shift == [0] * 36
+def test_finite_grid_is_g_p():
+    # criteria 5 and 7 read the 36 finite cells from one lockstep per n
+    cells = acceptance._finite_cells()
+    assert len(cells) == 36
+    for (n, p, r), result in cells.items():
+        assert result == g_p(BallContext(n, p), r), (n, p, r)

@@ -245,7 +245,8 @@ class TestAstar:
         built = count_site_builds(monkeypatch)
         radii = [float(r) for r in np.linspace(0.01, 0.95, 20)]
         quadrature._site.cache_clear()
-        shifts = list(solver._lockstep(BallContext(4, 3.0), radii, DEFAULT_ORDER))
+        ctx = BallContext(4, 3.0)
+        shifts = [entry for _, entry in solver._lockstep(4, [(ctx, radii)], DEFAULT_ORDER)]
         solves = len(built)
         quadrature._site.cache_clear()
         code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
@@ -260,9 +261,9 @@ class TestAstar:
         radii = [float(r) for r in np.linspace(0.0, 0.95, 20)]
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             ctx = BallContext(4, p)
-            logs = {r: s for r, s, *_ in solver._lockstep(ctx, radii, DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
+            logs = {r: s for _, (r, s, *_) in solver._lockstep(4, [(ctx, radii)], DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
             expected = [{"r": r, "a_star": res.a_star, "f_residual": (
-                objective._f_and_slope(ctx, DEFAULT_ORDER, [(r, logs[r], False)])[0][0]
+                objective._f_and_slope(4, DEFAULT_ORDER, [(r, logs[r], ctx.q, False)])[0][0]
                 if res.method == "numeric" and r > 0.0 else 0.0)}
                 for r, res in zip(radii, g_p_curve(ctx, radii))]
             assert all(res.a_star == math.exp(logs[res.r]) for res in g_p_curve(ctx, radii)

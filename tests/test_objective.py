@@ -237,9 +237,9 @@ class TestDfDa:
             a_star = solve_a_star(prm.ctx, r)
             kmin, kmax = kernel_range(prm.ctx, r)
             for a in (a_star, a_star * (1.0 + 1e-9), 0.7 * a_star, 1.3 * a_star, kmin / 2.0, kmax * 2.0):
-                (f_value, slope), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)])
+                (f_value, slope), = _f_and_slope(n, prm.order, [(r, math.log(a), prm.ctx.q, True)])
                 assert f_value.hex() == big_f(prm, a).hex(), (n, p, r, a)
-                (_, full_slope), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)], lean=False)
+                (_, full_slope), = _f_and_slope(n, prm.order, [(r, math.log(a), prm.ctx.q, True)], lean=False)
                 assert (full_slope / a).hex() == dF_da(prm, a).hex(), (n, p, r, a)
                 assert slope == pytest.approx(full_slope, rel=1e-5, abs=0), (n, p, r, a)
 
@@ -269,17 +269,37 @@ class TestStackedF:
             for p in (1.05, 1.1, 1.5, 3.0, 20.0, 1000.0):
                 ctx = BallContext(n, p)
                 radii = rng.uniform(0.01, 0.4 if n == 100 else 0.9, 7)
-                points = [(float(r), float(rng.uniform(-0.9, 0.9)) * _log_range(n, r), bool(rng.random() < 0.4))
-                          for r in radii]
-                points.append((0.3, 1.5 * _log_range(n, 0.3), True))
-                points.sort(key=lambda point: not point[2])  # the points that ask come first
-                with quadrature._overflow_guard():
-                    stacked = _f_and_slope(ctx, 128, points)
-                    for point, (f_value, slope) in zip(points, stacked):
-                        (alone_f, alone_slope), = _f_and_slope(ctx, 128, [point])
-                        assert f_value.hex() == alone_f.hex(), (n, p, point)
-                        assert (slope is None) == (not point[2]), (n, p, point)
-                        assert slope is None or slope.hex() == alone_slope.hex(), (n, p, point)
+                points = [(float(r), float(rng.uniform(-0.9, 0.9)) * _log_range(n, r), ctx.q,
+                           bool(rng.random() < 0.4)) for r in radii]
+                points.append((0.3, 1.5 * _log_range(n, 0.3), ctx.q, True))
+                points.sort(key=lambda point: not point[3])  # the points that ask come first
+                self.assert_lone_rows(n, points)
+
+    def test_mixed_exponents_are_lone_rows(self):
+        # each point with its own q, q - 1 = 2 (p = 1.5), 0.5 (p = 3), 1/19
+        # (p = 20) and 10 (p = 1.1) apart and in several runs: numpy's power
+        # takes its fast paths at the scalar exponents 2 and 0.5, so each run
+        # keeps its scalar q - 1 and every row a lone pass's bits
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 5):
+            points = []
+            for p in (1.5, 3.0, 1.5, 20.0, 3.0, 1.1, 1.5, 3.0):
+                r = float(rng.uniform(0.05, 0.9))
+                points.append((r, float(rng.uniform(-0.9, 0.9)) * _log_range(n, r), BallContext(n, p).q,
+                               bool(rng.random() < 0.5)))
+            points.sort(key=lambda point: not point[3])
+            assert len({q for _, _, q, _ in points}) == 4 and 0 < sum(point[3] for point in points) < len(points)
+            self.assert_lone_rows(n, points)
+
+    @staticmethod
+    def assert_lone_rows(n, points):
+        with quadrature._overflow_guard():
+            stacked = _f_and_slope(n, 128, points)
+            for point, (f_value, slope) in zip(points, stacked):
+                (alone_f, alone_slope), = _f_and_slope(n, 128, [point])
+                assert f_value.hex() == alone_f.hex(), (n, point)
+                assert (slope is None) == (not point[3]), (n, point)
+                assert slope is None or slope.hex() == alone_slope.hex(), (n, point)
 
 
 class TestLonePassBits:
@@ -299,7 +319,7 @@ class TestLonePassBits:
     def test_values_are_pinned(self, n, p, r, a, expected):
         prm = params(n, p, r)
         with quadrature._overflow_guard():
-            (f_value, slope), = _f_and_slope(prm.ctx, prm.order, [(r, math.log(a), True)])
+            (f_value, slope), = _f_and_slope(n, prm.order, [(r, math.log(a), prm.ctx.q, True)])
         values = (f_value, slope, *phi_values(prm, math.log(a), True))
         assert tuple(value.hex() for value in values) == expected
         assert big_f(prm, a) == f_value and phi(prm, a) == values[2]

@@ -150,7 +150,7 @@ class TestSolveAStar:
             assert len(calls) <= 6, (n, p, r)
             # the solve returns its root with its last F, the bits of an F call there
             s, f = solve_from(ctx, r, 128, math.log(a_star), 0.0)
-            assert f == objective._f_and_slope(ctx, 128, [(r, s, False)])[0][0], (n, p, r)
+            assert f == objective._f_and_slope(n, 128, [(r, s, ctx.q, False)])[0][0], (n, p, r)
             # a guess past a range end is clamped into it and still finds the root
             for guess in (1e-300, 1e300):
                 assert guessed(ctx, r, guess) == pytest.approx(a_star, rel=1e-12, abs=0)
@@ -160,7 +160,7 @@ class TestSolveAStar:
         # evaluates F at an end of the range of log K, where its sign is known
         logs = []
         real = solver._f_and_slope
-        # _f_and_slope(ctx, order, [(r, s, slope)])
+        # _f_and_slope(n, order, [(r, s, q, slope)])
         monkeypatch.setattr(solver, "_f_and_slope", lambda *args: logs.append(args[2][0][1]) or real(*args))
         for n, p, r in ((4, 3.0, 0.5), (3, 1.1, 0.03), (30, 2.0, 0.9705), (3, 3.0, 1e-12)):
             ctx = BallContext(n, p)
@@ -181,7 +181,7 @@ class TestSolveAStar:
         class FirstShift(Exception):
             pass
 
-        def first_shift(ctx, order, points):
+        def first_shift(n, order, points):
             raise FirstShift(points[0][1])
 
         monkeypatch.setattr(solver, "_f_and_slope", first_shift)
@@ -229,13 +229,13 @@ class TestSteeredStart:
     def test_a_new_solve_asks_for_the_slope_first(self, monkeypatch):
         passes = []
         real = solver._f_and_slope
-        monkeypatch.setattr(solver, "_f_and_slope", lambda ctx, order, points: passes.append(points) or real(
-            ctx, order, points))
+        monkeypatch.setattr(solver, "_f_and_slope", lambda n, order, points: passes.append(points) or real(
+            n, order, points))
         ctx, r = BallContext(4, 3.0), 0.5
         for start in (None, math.log(solve_a_star(ctx, r)) + 0.01):
             passes.clear()
             solve_from(ctx, r, 128, start, 0.0)
-            assert [point[2] for points in passes for point in points] == [True] + [False] * (len(passes) - 1)
+            assert [point[3] for points in passes for point in points] == [True] + [False] * (len(passes) - 1)
         # in a sweep each radius asks once, with its first point, and the
         # points that ask come first in their pass
         passes.clear()
@@ -243,10 +243,10 @@ class TestSteeredStart:
         g_p_curve(ctx, radii)
         seen = set()
         for points in passes:
-            slopes = [slope for _, _, slope in points]
+            slopes = [slope for _, _, _, slope in points]
             assert slopes == sorted(slopes, reverse=True)
-            assert slopes == [radius not in seen for radius, _, _ in points]
-            seen.update(radius for radius, _, _ in points)
+            assert slopes == [radius not in seen for radius, *_ in points]
+            seen.update(radius for radius, *_ in points)
         assert seen == set(radii)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -623,6 +623,62 @@ def phi_at(ctx, r, order, s):
     return _phi_and_refined(ctx.n, order, [(r, s, ctx.q)], False)[0][0]
 
 
+class TestCurvesInLockstep:
+    """Several curves of one n in one lockstep (``solver._g_p_curves``): one
+    F pass a round for every open solve of every curve."""
+
+    @staticmethod
+    def key(result):
+        return result.ctx, *(float(v).hex() for v in (result.r, result.a_star, result.g_value, result.est_error,
+                                                       result.log_a_star)), result.method
+
+    def test_each_curve_is_its_own_sweep(self, monkeypatch):
+        # rows and F count of each curve are those of g_p_curve on it alone,
+        # with repeats, reversed and empty curves and p = 2 among them
+        calls = count_f_evals(monkeypatch)
+        down = [float(r) for r in np.linspace(0.9, 0.0, 15)]
+        curves = [(BallContext(4, 1.5), [float(r) for r in np.linspace(0.01, 0.95, 30)]),
+                  (BallContext(4, 2.0), [0.5, 0.2, 0.5, 0.8]), (BallContext(4, 3.0), []),
+                  (BallContext(4, 10.0), down + down[:3]), (BallContext(4, 1.1), [0.7])]
+        alone, counts = [], []
+        for ctx, radii in curves:
+            calls.clear()
+            alone.append(g_p_curve(ctx, radii))
+            counts.append(len(calls))
+        calls.clear()
+        together = solver._g_p_curves(4, curves, 128)
+        assert len(calls) == sum(counts) and f_passes(calls) < sum(counts)
+        assert together[2] == [] and [len(rows) for rows in together] == [len(radii) for _, radii in curves]
+        for rows, own in zip(together, alone):
+            assert [self.key(row) for row in rows] == [self.key(row) for row in own]
+
+    def test_empty_curves(self):
+        ctx = BallContext(4, 3.0)
+        assert solver._g_p_curves(4, [], 128) == []
+        assert solver._g_p_curves(4, [(ctx, [])], 128) == [[]]
+        assert solver._g_p_curves(4, [(ctx, []), (ctx, [0.5]), (ctx, [])], 128)[::2] == [[], []]
+
+    def test_refusal_is_the_first_of_sequential_curves(self):
+        # at (40, 3) r = 0.9999 is solved but its G refuses; r = 1.5 and 1.0
+        # fail their radius checks; the curves before a refusing one must be
+        # through before it is raised, and a later curve's refusal, found
+        # first, never replaces it
+        answering = (BallContext(40, 3.0), [0.5, 0.9])
+        g_refused = (BallContext(40, 3.0), [0.9, 0.9999, 0.5])
+        checked = (BallContext(40, 1.5), [0.5, 0.8, 1.5])
+        late = (BallContext(40, 5.0), [float(r) for r in np.linspace(0.1, 0.9, 30)] + [1.0])
+        for curves in ([answering, g_refused, checked], [answering, checked, g_refused], [late, g_refused],
+                       [g_refused, late], [answering, late, checked], [checked, answering]):
+            with pytest.raises(DomainError) as sequential:
+                for ctx, radii in curves:
+                    g_p_curve(ctx, radii)
+            with pytest.raises(DomainError) as together:
+                solver._g_p_curves(40, curves, 128)
+            assert str(together.value) == str(sequential.value)
+        # every curve answers: the sequential rows
+        assert [len(rows) for rows in solver._g_p_curves(40, [answering, answering], 128)] == [2, 2]
+
+
 class TestStackedGPass:
     """A sweep sums G and est_error in one stacked site pass per chunk of
     solver._CHUNK radii; every row keeps the bits of its own Phi calls."""
@@ -663,7 +719,7 @@ class TestStackedGPass:
         # each solve would
         ctx = BallContext(40, 3.0)
         with quadrature._overflow_guard():
-            assert len(list(solver._lockstep(ctx, [0.9, 0.9999], 128))) == 2
+            assert len(list(solver._lockstep(40, [(ctx, [0.9, 0.9999])], 128))) == 2
         with pytest.raises(DomainError, match="non-finite"):
             g_p_curve(ctx, [0.9, 0.9999, 1.0])
         with pytest.raises(DomainError, match=r"radius must lie in \[0, 1\), got 1.0"):
@@ -699,7 +755,7 @@ class TestStackedGPass:
             ctx = BallContext(4, p)
             quadrature._site.cache_clear()
             with quadrature._overflow_guard():
-                list(solver._lockstep(ctx, radii, 128))
+                list(solver._lockstep(4, [(ctx, radii)], 128))
             solves, solve_passes = len(built), sorted(passes)
             outer.clear()
             passes.clear()
