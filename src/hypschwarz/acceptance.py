@@ -178,15 +178,24 @@ def _stationarity(n: int, curves) -> list[tuple]:
     return rows
 
 
+@functools.lru_cache(maxsize=None)
+def _p2_curve(n: int) -> dict:
+    """Criterion 2's g_p_curve at p = 2 and r = 0, 0.1, ..., 0.8 by radius, each radius solved cold:
+    g_p's rows bit for bit, three of them the finite grid's p = 2 cells (``_finite_cells``)."""
+    radii = [float(r) for r in np.arange(0.0, 0.8001, 0.1)]
+    return dict(zip(radii, g_p_curve(BallContext(n, 2.0), radii)))
+
+
 @functools.lru_cache(maxsize=1)
 def _finite_cells() -> dict:
-    """g_p at each (n, p, r) of the finite grid, bit for bit, from one
-    lockstep of one-radius curves per n: built once for criteria 5 and 7."""
+    """g_p at each (n, p, r) of the finite grid, bit for bit, built once for criteria 5 and 7: the
+    p = 2 cells from ``_p2_curve``, the others from one lockstep of one-radius curves per n."""
     cells = {}
     for n in _DIMS:
-        curves = [(BallContext(n, p), [r]) for p in _FINITE_PS for r in _RADII]
+        curves = [(BallContext(n, p), [r]) for p in _FINITE_PS if p != 2.0 for r in _RADII]
         for (ctx, (r,)), (result,) in zip(curves, _g_p_curves(n, curves, DEFAULT_ORDER)):
             cells[n, ctx.p, r] = result
+        cells.update({(n, 2.0, r): _p2_curve(n)[r] for r in _RADII})
     return cells
 
 
@@ -245,10 +254,8 @@ def criterion_2():
     """Numeric p = 2 bound against its hypergeometric closed form."""
     worst_g = 0.0
     worst_a = 0.0
-    radii = [float(r) for r in np.arange(0.0, 0.8001, 0.1)]
     for n in _DIMS:
-        # at p = 2 every radius of a curve is solved cold: g_p's rows bit for bit
-        for r, res in zip(radii, g_p_curve(BallContext(n, 2.0), radii)):
+        for r, res in _p2_curve(n).items():
             worst_g = max(worst_g, abs(res.g_value - g_2_closed(n, r)))
             worst_a = max(worst_a, abs(res.a_star - 1.0))
     passed = worst_g <= 1e-8 and worst_a <= 1e-10

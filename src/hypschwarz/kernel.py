@@ -50,7 +50,7 @@ class BallContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_dimension(self.n))
         p = self.p
-        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not (
+        if not (type(p) is float or isinstance(p, numbers.Real) and not isinstance(p, bool)) or not (
                 p == math.inf or (math.isfinite(p) and p >= 1.0)):
             raise DomainError(f"exponent p must lie in [1, inf], got {p!r}")
         object.__setattr__(self, "p", float(p))
@@ -94,9 +94,9 @@ def _log_kernel(n: int, constants, s_sq: np.ndarray, out=None) -> np.ndarray:
     [0, 1], unchecked: a rule's nodes are angles.  4 r / (1 - r)^2 is at most
     2^108, and 0 at r = 0, where log K is 0."""
     scale, peak = constants
-    log_k = np.multiply(scale, s_sq, out=out)
-    np.log1p(log_k, out=log_k)
-    np.subtract(peak, log_k, out=log_k)
+    log_k = np.multiply(scale, s_sq, out)
+    np.log1p(log_k, log_k)
+    np.subtract(peak, log_k, log_k)
     log_k *= n - 1
     return log_k
 
@@ -137,4 +137,5 @@ def _split_point(n: int, r: float, s: float) -> float:
     log K.  Outside it, the pole where K comes nearest to the level: t = 1
     for a level above the range, t = -1 below."""
     sigma = s / (n - 1)
-    return min(max((-math.expm1(-sigma) + r * r * (1.0 + math.exp(-sigma))) / (2.0 * r), -1.0), 1.0)
+    t = (-math.expm1(-sigma) + r * r * (1.0 + math.exp(-sigma))) / (2.0 * r)
+    return -1.0 if t < -1.0 else (1.0 if t > 1.0 else t)

@@ -44,6 +44,7 @@ ones run under their caller's (``solver.solve_a_star``,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,35 +114,31 @@ def phi(params: ObjectiveParams, a: float) -> float:
         return _checked(_phi_and_refined(params.ctx.n, params.order, points, False)[0][0])
 
 
-def _sites(n: int, order: int, points, lean: bool, columns: int) -> list[tuple]:
-    """(indices, site, *entries) for each group of the sites split where
-    K(r, .) crosses e^s at the (r, s, ...) of ``points``, lean or not, with
-    the first ``columns`` entries of each point from s on in the site's
-    shape: one point on its cached ``quadrature._site`` (a hit right after a
-    lone solve), several in one node pass for each layout
-    (``quadrature._new_sites``) with theirs as columns.  The one place that
-    chooses a builder (README)."""
+def _sites(n: int, order: int, points, lean: bool):
+    """(rows, site, s, runs) for each group of the sites split where K(r, .)
+    crosses e^s at the (r, s, q, ...) of ``points``, lean or not, and its
+    runs of equal q (``_runs``): one point on its cached ``quadrature._site``
+    (a hit right after a lone solve), s a float; several in one node pass for
+    each layout (``quadrature._new_sites``), s a column against the rows.
+    The one place that chooses a builder (README)."""
     if len(points) == 1:
-        (r, s, *_), = points
-        return [([0], _site(n, r, order, _split_point(n, r, s), lean), *points[0][1:1 + columns])]
+        r, s, q = points[0][:3]
+        return (((0,), _site(n, r, order, _split_point(n, r, s), lean), s, ((None, q),)),)
     t0s = [_split_point(n, point[0], point[1]) for point in points]
-    return [(rows, stack, *[np.array(column)[:, None, None]
-                            for column in zip(*[points[k][1:1 + columns] for k in rows])])
+    return [(rows, stack, np.array([points[k][1] for k in rows])[:, None, None], _runs(points, rows))
             for rows, stack in _new_sites(n, order, [point[0] for point in points], t0s, lean)]
 
 
-def _runs(points, rows, at: int) -> list[tuple]:
-    """(slice, q) of each run of ``rows`` with equal q = point[at], in row
+def _runs(points, rows) -> list[tuple]:
+    """(slice, q) of each run of ``rows`` with equal q = point[2], in row
     order, the slice None for a run of them all.  Each run is raised with
     its scalar q, the one way to keep a lone pass's bits: numpy's power
     takes fast paths at the exponents 2 and 0.5 for a scalar, not a column."""
-    if len(rows) == 1:
-        return ((None, points[rows[0]][at]),)
-    runs, start, q = [], 0, points[rows[0]][at]
+    runs, start, q = [], 0, points[rows[0]][2]
     for i in range(1, len(rows)):
-        if points[rows[i]][at] != q:
+        if points[rows[i]][2] != q:
             runs.append((slice(start, i), q))
-            start, q = i, points[rows[i]][at]
+            start, q = i, points[rows[i]][2]
     runs.append((slice(start, len(rows)) if start else None, q))
     return runs
 
@@ -151,30 +148,31 @@ def _phi_and_refined(n: int, order: int, points, refine: bool) -> list[list[floa
     at each (r, s, q) of ``points``, Phi of the conjugate exponent q, or
     [Phi(e^s)] without ``refine``, unchecked (non-finite where Phi is): the
     bits of the point's own phi calls, on the lean sites of ``_sites``,
-    each run of equal q raised by ``_runs``.  The order is one already
+    each run of equal q raised by its scalar q.  The order is one already
     checked."""
-    scaled, factors = [], []
-    for r, s, _ in points:
-        ell = _log_range(n, r)
-        size = max(_exp(ell - s, math.expm1), -math.expm1(-ell - s))
-        scaled.append((r, s, 1.0 / size))
-        factors.append(_exp(s) * size)
     phis: list = [None] * len(points)
-    for rows, site, shift, scale in _sites(n, order, scaled, True, 2):
-        runs = _runs(points, rows, 2)
+    for rows, site, shift, runs in _sites(n, order, points, True):
+        sizes = []  # the largest |d| of each row
+        for k in rows:
+            ell, s = _log_range(n, points[k][0]), points[k][1]
+            sizes.append(down if (down := -math.expm1(-ell - s)) > (up := _exp(ell - s, math.expm1)) else up)
+        scale = 1.0 / sizes[0] if len(rows) == 1 else 1.0 / np.array(sizes)[:, None, None]
 
         def values(log_kernel, _):
             dev = log_kernel - shift
-            np.expm1(dev, out=dev)
+            np.expm1(dev, dev)
             dev *= scale
-            np.abs(dev, out=dev)
+            np.abs(dev, dev)
             for run, q in runs:
                 part = dev if run is None else dev[run]
                 part **= q
             return dev
 
-        for k, *totals in zip(rows, *_site_sums(n, order, site, values, refine)):
-            phis[k] = [factors[k] * total ** (1.0 / points[k][2]) for total in totals]
+        totals = _site_sums(n, order, site, values, refine)
+        for i, k in enumerate(rows):
+            _, s, q = points[k]
+            factor = _exp(s) * sizes[i]
+            phis[k] = [factor * total[i] ** (1.0 / q) for total in totals]
     return phis
 
 
@@ -191,7 +189,7 @@ def _f_and_slope(n: int, order: int, points, lean: bool = True) -> list[tuple]:
     shift a = e^s at r and F of the conjugate exponent q, for checked
     arguments, on the sites of ``_sites`` (lean or not): dF/ds = a dF/da is
     None unless ``slope``.  Both come from one power |d|^(q-1), each run of
-    equal q raised by ``_runs``: F's row is its copysign, the slope row
+    equal q raised by its scalar q: F's row is its copysign, the slope row
     that power over max(|d|, floor), the one definition of dF/ds.  Both are
     unchecked: the caller refuses a non-finite F (where a^(q-1) underflows,
     its integral overflows), and a caller that only steers by the slope
@@ -200,32 +198,34 @@ def _f_and_slope(n: int, order: int, points, lean: bool = True) -> list[tuple]:
     rows of a stack's first sites: so the points that ask come first.
     Every row has the bits of a pass on its point's site alone.
     """
-    results = [None] * len(points)
-    for rows, site, shift in _sites(n, order, points, lean, 1):
-        runs = _runs(points, rows, 2)
-        slopes = sum(points[k][3] for k in rows)
+    asking, results = 0, [None] * len(points)
+    while asking < len(points) and points[asking][3]:  # the points that ask, the first ones
+        asking += 1
+    for rows, site, shift, runs in _sites(n, order, points, lean):
+        slopes = bisect_left(rows, asking)  # the rows that ask, the first ones
 
         def values(log_kernel, _):
             dev = log_kernel - shift
-            np.expm1(dev, out=dev)
+            np.expm1(dev, dev)
             if slopes:  # the F rows of every site, then the slope rows of the first ones
                 out = np.empty((len(dev) + slopes, *dev.shape[1:]))
-                power = np.abs(dev, out=out[:len(dev)])
-                size = np.maximum(power[:slopes], _DEV_FLOOR, out=out[len(dev):])
+                power, size = out[:len(dev)], out[len(dev):]
+                asked = np.abs(dev, power)[:slopes]
+                np.maximum(asked, _DEV_FLOOR, out=size)
             else:
                 out = power = np.abs(dev)
             for run, q in runs:
                 part = power if run is None else power[run]
                 part **= q - 1.0
             if slopes:
-                np.divide(power[:slopes], size, out=size)
-            np.copysign(power, dev, out=power)
+                np.divide(asked, size, size)
+            np.copysign(power, dev, power)
             return out
 
         totals, = _site_sums(n, order, site, values)
         for i, k in enumerate(rows):
-            q = points[k][2]
-            scale = _exp((q - 1.0) * points[k][1])
+            _, s, q, _ = points[k]
+            scale = _exp((q - 1.0) * s)
             results[k] = (scale * totals[i], (1.0 - q) * scale * totals[len(rows) + i] if i < slopes else None)
     return results
 

@@ -226,7 +226,7 @@ def _outer_panels(n: int) -> int:
     at an interior breakpoint.  It grows with log2 n because log K, and so
     its variation across a panel of half the width, grows with n - 1."""
     # ceil(log2(n - 1)) is the least m with 2^m >= n - 1.
-    return min(_PANELS, max(2, (n - 2).bit_length() - 4))
+    return 2 if (outer := (n - 2).bit_length() - 4) < 2 else (outer if outer < _PANELS else _PANELS)
 
 
 def _layout(n: int, t0: float, lean: bool) -> tuple[int, int, int]:
@@ -242,12 +242,13 @@ def _layout(n: int, t0: float, lean: bool) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=32)
 def _graded_panels(order: int, outer: int, panels: int, inner: int):
-    """Read-only (offsets, weights, starts): Gauss-Legendre nodes on the
-    graded panels of a side of unit length, as offsets from the breakpoint,
-    flat and panel by panel, with the index of each panel's first node.
-    Panel j spans [ratio^(j+1), ratio^j], its index growing toward the
-    breakpoint; the ``outer`` panels j < outer of a layout (``_layout``)
-    have max(_PANEL_NODES, order // 8) nodes, every other one ``inner``.
+    """Read-only (halves, weights, starts): Gauss-Legendre nodes on the
+    graded panels of a side of unit length, as half their offsets from the
+    breakpoint (``_nodes_at`` forms theta/2), flat and panel by panel, with
+    the index of each panel's first node.  Panel j spans offsets
+    [ratio^(j+1), ratio^j], its index growing toward the breakpoint; the
+    ``outer`` panels j < outer of a layout (``_layout``) have
+    max(_PANEL_NODES, order // 8) nodes, every other one ``inner``.
     ``order`` is checked where it enters the package: est_error's reference
     layout is built at twice an order that passed that check, up to
     2 * MAX_ORDER.
@@ -256,12 +257,12 @@ def _graded_panels(order: int, outer: int, panels: int, inner: int):
     edges = _PANEL_RATIO ** np.arange(panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[:-1] - edges[1:])
-    offsets = np.concatenate([m + h * _legendre(k)[0] for m, h, k in zip(mid, half, counts)])
+    halves = 0.5 * np.concatenate([m + h * _legendre(k)[0] for m, h, k in zip(mid, half, counts)])
     weights = np.concatenate([h * _legendre(k)[1] for h, k in zip(half, counts)])
     starts = np.cumsum([0] + counts[:-1])
-    for array in (offsets, weights, starts):
+    for array in (halves, weights, starts):
         array.setflags(write=False)
-    return offsets, weights, starts
+    return halves, weights, starts
 
 
 def _graded_nodes(n: int, order: int, t0: float, lean: bool = False):
@@ -290,29 +291,28 @@ def _outer_nodes(n: int, order: int, nodes):
     each site."""
     theta0, lengths, layout = nodes[4:]
     outer, panels, _ = layout
-    offsets, weights, starts = _graded_panels(order, *layout)
-    end = starts[outer] if outer < panels else offsets.size
-    return _nodes_at(n, theta0, lengths, layout, offsets[:end], weights[:end], starts[:outer])
+    halves, weights, starts = _graded_panels(order, *layout)
+    end = starts[outer] if outer < panels else halves.size
+    return _nodes_at(n, theta0, lengths, layout, halves[:end], weights[:end], starts[:outer])
 
 
-def _nodes_at(n: int, theta0, lengths, layout, offsets, weights, starts):
+def _nodes_at(n: int, theta0, lengths, layout, halves, weights, starts):
     """The node set of a layout at the breakpoint angles theta0, a float or
     a column, with a tuple of side lengths per site, from tau = tan(theta/2):
     s^2 = tau^2 / (1 + tau^2) (below 1 up to the antipode) and sin theta =
     2 tau / (1 + tau^2), or np.sin's above n = _TANGENT_SINE_MAX."""
-    theta = np.multiply.outer(lengths, offsets)
-    theta += theta0
-    sinpow = np.sin(theta) if n > _TANGENT_SINE_MAX else None
-    theta *= 0.5
-    tau = np.tan(theta, out=theta)
+    theta = np.multiply.outer(lengths, halves)  # theta/2 = L (o/2) + theta0/2, exactly (L o + theta0)/2
+    theta += 0.5 * theta0
+    sinpow = np.sin(theta + theta) if n > _TANGENT_SINE_MAX else None
+    tau = np.tan(theta, theta)
     s_sq = np.multiply(tau, tau)
     if sinpow is None:
         sec_sq = s_sq + 1.0  # 1 / cos^2(theta/2), freed on return
-        sinpow = np.divide(tau, sec_sq, out=tau)
+        sinpow = np.divide(tau, sec_sq, tau)
         sinpow += sinpow
     else:
-        sec_sq = np.add(s_sq, 1.0, out=tau)
-    np.divide(s_sq, sec_sq, out=s_sq)
+        sec_sq = np.add(s_sq, 1.0, tau)
+    np.divide(s_sq, sec_sq, s_sq)
     if n > 3:  # sin^1 is sin
         sinpow **= n - 2
     return s_sq, sinpow, weights, starts, theta0, lengths, layout
@@ -328,34 +328,36 @@ def _panel_sums(vals, nodes):
     if len(vals) > len(sinpow) > 1:  # block by block; a site of one broadcasts over the rows
         for first in range(0, len(vals), len(sinpow)):
             block = weighted[first:first + len(sinpow)]
-            np.multiply(vals[first:first + len(block)], sinpow[:len(block)], out=block)
+            np.multiply(vals[first:first + len(block)], sinpow[:len(block)], block)
     else:
-        np.multiply(vals, sinpow, out=weighted)
+        np.multiply(vals, sinpow, weighted)
     weighted *= weights
     return np.add.reduceat(weighted, starts, axis=-1)
 
 
 def _side_total(n: int, rows, lengths) -> list[float]:
     """Zonal integral of each row of per-panel sums (an array of rows, sides
-    and panels: ``_panel_sums``' rows) with its tuple of side lengths,
-    unchecked: it may be non-finite."""
+    and panels: ``_panel_sums``' rows), row i with the side lengths of site i
+    mod the site count (``lengths``, a tuple per site), unchecked."""
     # Left to right, as one accumulate: since Python 3.12 builtin sum()
     # compensates float sums, which would change the bits by version, and
     # np.add.reduce sums pairwise.  Only a side of -0.0 panels differs from
     # a loop from 0.0, and it adds nothing to a total that starts at 0.0.
+    # Indexed loops: zip, and cycling the lengths, would cost more than the tail's arithmetic.
     sides = np.add.accumulate(rows, axis=-1)[..., -1].tolist()
-    constant, totals = _zonal_constant(n), []
-    for row_sides, row_tails, row_lengths in zip(sides, rows[..., -2:].tolist(), lengths):
-        total = 0.0
-        for side, (prev, panel), length in zip(row_sides, row_tails, row_lengths):
+    tails, constant, totals = rows[..., -2:].tolist(), _zonal_constant(n), []
+    for i, row_sides in enumerate(sides):
+        total, row_tails, row_lengths = 0.0, tails[i], lengths[i % len(lengths)]
+        for j, side in enumerate(row_sides):
             # Sum the uncovered tail from the decay ratio of the last panel to
             # the one before, 2^-(s+1) for a |theta - theta0|^s factor.  A
             # ratio near 1 comes from s near -1 (dF/da's |K - a|^(q-2) at large p).
+            prev, panel = row_tails[j]
             if prev != 0.0:
                 ratio = panel / prev
                 if 0.0 < ratio < 1.0:
                     side += panel * ratio / (1.0 - ratio)
-            total += abs(length) * side
+            total += abs(row_lengths[j]) * side
         totals.append(constant * total)
     return totals
 
@@ -410,16 +412,13 @@ def _site_sums(n: int, order: int, site, fn, refine: bool = False) -> list[list[
     """
     _, constants, log_kernel, nodes = site
     rows = _panel_sums(fn(log_kernel, nodes[0]), nodes)
-    lengths = nodes[5]  # a tuple per site, row i that of site i mod the site count
-    if len(lengths) < len(rows):
-        lengths = [lengths[i % len(lengths)] for i in range(len(rows))]
-    totals = [_side_total(n, rows, lengths)]
+    totals = [_side_total(n, rows, nodes[5])]
     if refine:  # below order 8 * _PANEL_NODES outer panels have _PANEL_NODES nodes
-        outer = _outer_nodes(n, 2 * max(order, 8 * _PANEL_NODES), nodes)
+        outer = _outer_nodes(n, 2 * (order if order > 8 * _PANEL_NODES else 8 * _PANEL_NODES), nodes)
         outer_sums = _panel_sums(fn(_log_kernel(n, constants, outer[0]), outer[0]), outer)
         del outer  # held through the side totals, it left page faults at the heap's top (README)
         rows[..., :outer_sums.shape[-1]] = outer_sums
-        totals.append(_side_total(n, rows, lengths))
+        totals.append(_side_total(n, rows, nodes[5]))
     return totals
 
 

@@ -28,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .errors import DomainError, NonConvergenceError
 from .kernel import _EXP_MAX, BallContext, _log_range, check_radius, kernel_range
@@ -103,7 +104,7 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
 
 def _tolerance(n: int, r: float) -> float:
     """Width in log a at which the root bracket of a solve at r counts as resolved."""
-    return _LOG_A_TOL * min(1.0, 2.0 * _log_range(n, r))
+    return _LOG_A_TOL * (x if (x := 2.0 * _log_range(n, r)) < 1.0 else 1.0)  # min(1, x), as in _steps
 
 
 def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: float):
@@ -142,10 +143,11 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
         x = 1.0 / ctx.p
         l_inf, l_one = _closed_log_a(ctx.n, r, math.inf), _closed_log_a(ctx.n, r, 1.0)
         s = 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * l_one)
-        width = max(_COLD_SHARE * abs(s), _COLD_STEP)
+        # min and max here and below as conditionals: the same picks at a tenth of the builtins' cost
+        width = _COLD_STEP if _COLD_STEP > (w := _COLD_SHARE * abs(s)) else w
     else:
-        s, width = start, max(width, tol)
-    s, step = min(max(s, tol - ell), ell - tol), width
+        s, width = start, (tol if tol > width else width)
+    s, step = (tol - ell if tol - ell > s else (ell - tol if ell - tol < s else s)), width  # ell > tol
     # Every solve steers its first three unbracketed steps: by its slope at
     # its start, then by the secant through its last two points.
     steered = 3
@@ -171,8 +173,8 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
             if -ell < target < ell:
                 s = target
             else:
-                s, step = s + math.copysign(min(step, 0.5 * abs(end - s)), fs), 8.0 * step
-            steered = max(steered - 1, 0)
+                s, step = s + math.copysign(h if (h := 0.5 * abs(end - s)) < step else step, fs), 8.0 * step
+            steered -= steered > 0
             continue
         if abs(a - b) <= tol:
             return a, fa
@@ -182,7 +184,8 @@ def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: f
             iqi = ph * ph < xi and (1.0 - ph) ** 2 < 1.0 - xi
             t = (fa / (fb - fa) * fc / (fb - fc)
                  + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)) if iqi else 0.5
-        s = min(max(a + t * (b - a), min(a, b) + 0.5 * tol), max(a, b) - 0.5 * tol)
+        lo, hi = (b + 0.5 * tol, a - 0.5 * tol) if b < a else (a + 0.5 * tol, b - 0.5 * tol)
+        s = hi if hi < (m := lo if lo > (v := a + t * (b - a)) else v) else m  # min(max(v, lo), hi)
     raise NonConvergenceError(f"no root resolved after {_MAX_ITER} iterations at r={r}, q={ctx.q}")
 
 
@@ -316,30 +319,30 @@ def g_p(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> GpResult:
     Phi evaluates those outer panels only and takes the inner panel sums of
     Phi(a*): the bits of a full evaluation.
     """
-    order = check_order(order)
+    order = check_order(order)  # refused before the radius
     return _g_p_numeric(ctx, check_radius(r), order)
 
 
 @lru_cache(maxsize=4096)
 def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
-    return g_p_curve(ctx, [r], order)[0]
+    return g_p_curve(ctx, (r,), order)[0]
 
 
 def _numeric_results(n: int, order: int, solved) -> bool:
-    """The GpResult of each (ctx, entry) of the two lists ``solved``, at
-    p = 2 and at other p, a ``_lockstep`` entry whose result slot holds its
-    (r, s, q), put in that slot, or the refusal of its G, from one
-    ``_phi_and_refined`` pass for each list, which builds the sites of the
-    solves' last F anew (a lone one is still cached): G_p = Phi(a*) and est_error
-    (|G_p - G_2| at p = 2, else the gap to Phi(a*) at quadrature's reference
-    order) for the solved s = log a*; only a* is rounded to e^s.  Returns
-    whether any G was refused."""
-    refused = False
-    for refine, part in zip((False, True), solved):
-        if not part:
-            continue
-        points = [entry[3] for _, entry in part]
-        for (ctx, entry), (r, s, _), values in zip(part, points, _phi_and_refined(n, order, points, refine)):
+    """The GpResult of each ``_lockstep`` entry of ``solved``, whose result
+    slot holds its context, put in that slot, or the refusal of its G, from
+    one ``_phi_and_refined`` pass for those at p = 2 and one for the others,
+    which builds the sites of the solves' last F anew (a lone one is still
+    cached): G_p = Phi(a*) and est_error (|G_p - G_2| at p = 2, else the gap
+    to Phi(a*) at quadrature's reference order) for the solved s = log a*;
+    only a* is rounded to e^s.  Returns whether any G was refused."""
+    refused, parts = False, ([], [])  # the entries at p = 2 and the others
+    for entry in solved:
+        parts[entry[3].p != 2.0].append(entry)
+    for refine, part in ((False, parts[0]), (True, parts[1])):
+        points = [(entry[0], entry[1], entry[3].q) for entry in part]
+        for i, values in enumerate(_phi_and_refined(n, order, points, refine) if part else ()):
+            r, s, _, ctx = entry = part[i]
             try:
                 g_val = _checked(values[0])
                 if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
@@ -389,27 +392,22 @@ def _g_p_curves(n: int, curves, order: int) -> list[list[GpResult]]:
     exponent check), and a repeated radius reuses its first solve and
     result, both in its first occurrence's entry.  Every _CHUNK solved radii
     of any curves, and at the end, one ``_numeric_results`` pass sums G and
-    est_error at their (r, s), each row the bits of a pass on its site
-    alone.  The refusal raised is
-    the first of g_p_curve on each curve in turn: a curve's radii solved
-    before its refused radius or solve are summed first, and the first of
-    them to refuse its G is raised in its place."""
-    rows = [[] for _ in curves]  # the entries of each curve
-    solved, refused = ([], []), False  # (ctx, entry) solved since the last G pass, at p = 2 and not; a G refused
+    est_error at their (r, s), each row the bits of a pass on its site alone.
+    The refusal raised is the first of g_p_curve on each curve in turn: a
+    curve's radii solved before its refused radius or solve are summed
+    first, and the first of them to refuse its G is raised in its place."""
+    rows, solved, refused = [[] for _ in curves], [], False  # each curve's entries; those solved since the last G pass
     with _overflow_guard():
         try:
             for k, entry in _lockstep(n, curves, order):
-                rows[k].append(entry)
-                if entry[3] is not None:  # a repeat: its result is its first occurrence's
-                    continue
-                ctx, r = curves[k][0], entry[0]
-                if r < _R_LIN:
-                    entry[3] = _linear(ctx, r)
-                    continue
-                entry[3] = (r, entry[1], ctx.q)  # its G point until the G pass puts its GpResult there
-                solved[ctx.p != 2.0].append((ctx, entry))
-                if len(solved[0]) + len(solved[1]) == _CHUNK:
-                    chunk, solved = solved, ([], [])
+                rows[k].append(entry)  # a repeat's entry holds its first occurrence's result
+                if entry[3] is None and entry[0] < _R_LIN:
+                    entry[3] = _linear(curves[k][0], entry[0])
+                elif entry[3] is None:  # its context until the G pass puts its GpResult there
+                    entry[3] = curves[k][0]
+                    solved.append(entry)
+                if len(solved) == _CHUNK:
+                    chunk, solved = solved, []
                     if _numeric_results(n, order, chunk):
                         refused = True
                         _raise_first(curves, rows)
@@ -431,32 +429,34 @@ def _raise_first(curves, rows) -> None:
 
 
 class _Curve:
-    """One curve of ``_lockstep``: its index, context and radii; [radius, log
-    a* estimate, outcome, result] of each distinct radius opened, in sweep
-    order, and each by radius; the entry of each radius opened (a refused
-    radius check has its own); its solves open, slots yielded, and whether
-    it refused (past a refusal, no radius opens)."""
+    """One curve of ``_lockstep``: its index, context and radii; the entry
+    [radius, log a* estimate, outcome, result] of each distinct radius
+    opened, by radius, in sweep order; the entry of each radius opened (a
+    refused radius check has its own); its solves open, slots yielded, and
+    whether it refused (past a refusal, no radius opens)."""
 
-    __slots__ = ("k", "ctx", "radii", "entries", "firsts", "slots", "open", "yielded", "refused")
+    __slots__ = ("k", "ctx", "radii", "firsts", "slots", "open", "yielded", "refused")
 
     def __init__(self, k: int, ctx: BallContext, radii) -> None:
-        self.k, self.ctx, self.radii, self.entries, self.firsts, self.slots = k, ctx, radii, [], {}, []
+        self.k, self.ctx, self.radii, self.firsts, self.slots = k, ctx, radii, {}, []
         self.open, self.yielded, self.refused = 0, 0, False
 
 
 def _lockstep(n: int, curves, order: int):
     """(k, entry) for the entry [radius, log a* estimate, outcome, result]
     of each radius of curve k of the (ctx, radii) ``curves`` (one n, finite
-    p > 1, radii a sequence), in sweep order as soon as it and every radius before it is
-    solved: the outcome (s, F) at the root s, or a refusal, None while open;
-    the result slot is the caller's.  Each radius, checked (``check_radius``)
-    where it opens, points at one entry: a repeat at its first occurrence's,
-    a refused check at one of its own.  Past a curve's refusal none of its
-    radii opens, and the refusal is raised once every curve before it is
-    through.  Every solve is driven here: each round gives every open solve
-    (``_steps``) of every curve its next F in one ``_f_and_slope`` pass,
-    every row the bits of a lone F, so each curve solves as it would alone.
-    A curve has at most _CHUNK solves open, and opens its distinct radii in
+    p > 1, radii a sequence), in sweep order once it and every radius before
+    it is solved: the outcome (s, F) at the root s, or a refusal, None while
+    open; the result slot is the caller's.  Each radius, checked
+    (``check_radius``) where it opens, points at one entry: a repeat at its
+    first occurrence's, a refused check at one of its own.  Past a curve's
+    refusal none of its radii opens, and the refusal is raised once every
+    curve before it is through.  Every solve is driven here: each pass gives
+    every open solve (``_steps``) of every curve its next F in one
+    ``_f_and_slope`` call, every row the bits of a lone F, so each curve
+    solves as it would alone; passes follow one another until a solve ends
+    or gives its estimate, and only then do radii open and slots yield.  A
+    curve has at most _CHUNK solves open, and opens its distinct radii in
     order, the first two and every one at p = 2 (where a = 1 is the root)
     cold.  Any other starts from log a* extrapolated in r through the
     curve's latest six estimates (``_extrapolate``), with a first step of
@@ -465,82 +465,74 @@ def _lockstep(n: int, curves, order: int):
     once the radius before it has an estimate, or at once where its first
     step is at most _SPECULATE; from a NaN guess (at tiny, close radii the
     differences overflow) it solves cold.  A new solve's first point asks
-    for the slope, so new solves go to the front of the next pass, where
-    ``_f_and_slope`` wants the points that ask."""
+    for the slope, so new solves go to the front, where ``_f_and_slope``
+    wants the points that ask."""
     curves = [_Curve(k, *curve) for k, curve in enumerate(curves)]
     opening = curves  # the curves with radii left to open
     solves = []  # [curve, entry, steps, next point, (guess, trusted step) until its Newton point], newest first
-    moved = True  # whether a slot may have come to its outcome since the last yields: a radius opened or a solve ended
+    moved = False  # whether a slot may have come to its outcome since the last yields
     while True:
         for curve in opening:
-            ctx, radii, entries, firsts, slots = curve.ctx, curve.radii, curve.entries, curve.firsts, curve.slots
+            ctx, radii, firsts, slots = curve.ctx, curve.radii, curve.firsts, curve.slots
             # a radius held back waits on an open solve: with none open, every radius before it has an estimate
             while len(slots) < len(radii) and not curve.refused and curve.open < _CHUNK:
                 try:
                     r = check_radius(radii[len(slots)])
                 except DomainError as refusal:
                     slots.append([None, None, refusal, None])
-                    curve.refused = True
+                    curve.refused = moved = True
                     break
                 if r in firsts:
                     slots.append(firsts[r])
+                    moved = True
                     continue
                 start, width = None, 0.0
-                if len(entries) >= 2 and ctx.p != 2.0:
-                    known = []  # (radius, estimate) of the latest six estimates, newest first
-                    for entry in reversed(entries):
-                        if entry[1] is not None:
-                            known.append((entry[0], entry[1]))
-                            if len(known) == 6:
-                                break
+                if len(firsts) >= 2 and ctx.p != 2.0:
+                    # (radius, estimate) of the latest six estimates, newest first
+                    known = list(islice(((e[0], e[1]) for e in reversed(firsts.values()) if e[1] is not None), 6))
                     if len(known) < 2:
                         break
                     guess, width = _extrapolate(r, known)
-                    if entries[-1][1] is None and not width <= _SPECULATE:
-                        break
+                    if known[0][0] != next(reversed(firsts)) and not width <= _SPECULATE:
+                        break  # the radius before it has no estimate yet
                     start = None if math.isnan(guess) else guess
                 entry = firsts[r] = [r, None, None, None]
-                entries.append(entry)
                 slots.append(entry)
                 try:
                     steps = _steps(ctx, r, order, start, width)
                     point = next(steps)
                 except StopIteration as solved:  # below _R_LIN: no F
-                    entry[1], entry[2] = solved.value[0], solved.value
+                    entry[1], entry[2], moved = solved.value[0], solved.value, True
                 except (DomainError, NonConvergenceError) as refusal:
-                    entry[2], curve.refused = refusal, True
+                    entry[2], curve.refused, moved = refusal, True, True
                 else:  # its first point asks for the slope: those come first in an F pass
                     guess = None if start is None else (point[1], min(max(width, _tolerance(n, r)), _TRUSTED_STEP))
                     solves.insert(0, [curve, entry, steps, point, guess])
                     curve.open += 1
         if opening:
             opening = [curve for curve in opening if len(curve.slots) < len(curve.radii) and not curve.refused]
-            moved = True
-        if solves:
-            resolved, cuts = False, {}  # each refusing curve keeps its solves past its cut, the older ones
-            for solve, values in zip(solves, _f_and_slope(n, order, [solve[3] for solve in solves])):
-                curve, entry, steps, _, guess = solve
+        # each curve refused in a pass keeps its solves past its cut, the older ones
+        points, estimated, cuts = [solve[3] for solve in solves], False, {}
+        while points and not (moved or estimated):
+            passed, points = _f_and_slope(n, order, points), []
+            for i, solve in enumerate(solves):  # enumerate, not zip: half its cost here
                 try:
-                    point = solve[3] = steps.send(values)
+                    point = solve[3] = solve[2].send(passed[i])
                 except StopIteration as solved:
-                    entry[1], entry[2] = solved.value[0], solved.value
-                    resolved = True
-                    curve.open -= 1
+                    solve[1][1], solve[1][2], moved = solved.value[0], solved.value, True
+                    solve[0].open -= 1
                 except (DomainError, NonConvergenceError) as refusal:  # its curve opens no more
-                    entry[2], curve.refused = refusal, True
-                    resolved, cuts[curve] = True, solves.index(solve)
+                    solve[1][2], solve[0].refused, cuts[solve[0]], moved = refusal, True, i, True
                 else:
-                    if guess is not None:  # the Newton point of a guessed solve's first step
-                        if abs(point[1] - guess[0]) <= guess[1]:
-                            entry[1] = point[1]
+                    points.append(point)
+                    if solve[4] is not None:  # the Newton point of a guessed solve's first step
+                        if abs(point[1] - solve[4][0]) <= solve[4][1]:
+                            solve[1][1] = point[1]
+                            estimated = True
                         solve[4] = None
-            if cuts:
-                solves = [solve for i, solve in enumerate(solves) if i > cuts.get(solve[0], -1)]
-            if resolved:
-                solves = [solve for solve in solves if solve[1][2] is None]
-                moved = True
-        if not moved:
+        if points and not moved:  # with none open, every slot has its outcome
             continue
+        solves = [solve for i, solve in enumerate(solves) if solve[1][2] is None and i > cuts.get(solve[0], -1)]
         moved, through = False, True  # every curve before this one has yielded its every radius
         for curve in curves:
             slots, yielded = curve.slots, curve.yielded
@@ -561,8 +553,7 @@ def _extrapolate(r: float, known) -> tuple[float, float]:
     log a*) pairs of ``known``, newest first, in Newton's divided-difference
     form, and twice its last term, the gap between the predictions through
     all the pairs and through all but the oldest."""
-    radii = [rk for rk, _ in known]
-    diffs = [sk for _, sk in known]
+    radii, diffs = [rk for rk, _ in known], [sk for _, sk in known]
     for k in range(1, len(diffs)):  # diffs[i] becomes the divided difference over radii[:i + 1]
         for i in range(len(diffs) - 1, k - 1, -1):
             diffs[i] = (diffs[i] - diffs[i - 1]) / (radii[i] - radii[i - k])

@@ -35,6 +35,8 @@ def check_dimension(n) -> int:
 def check_order(order) -> int:
     """A rule order as an int, if it is an integer in [2, MAX_ORDER]: a
     larger one is refused before any rule of it is built."""
+    if type(order) is int and 2 <= order <= MAX_ORDER:  # the common case, without check_integer's call
+        return order
     order = check_integer(order, 2, "rule order")
     if order > MAX_ORDER:
         raise DomainError(f"rule order must be at most {MAX_ORDER}, got {order}")

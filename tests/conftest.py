@@ -141,6 +141,18 @@ def count_site_builds(monkeypatch):
     return built
 
 
+def avx512_targets():
+    """The AVX512 targets numpy reports enabled here, for the messages of
+    exact count pins: those pins are the counts of AVX512 dispatch (ROADMAP
+    item 27), and NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+    drops AVX512_SKX, AVX512_ICL and AVX512_SPR from the list."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x, whose numpy.core is not yet deprecated
+        from numpy.core._multiarray_umath import __cpu_features__
+    return sorted(name for name, enabled in __cpu_features__.items() if enabled and name.startswith("AVX512"))
+
+
 def central_diff(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

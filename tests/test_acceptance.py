@@ -17,6 +17,7 @@ from hypschwarz.acceptance import brent_minimize
 from hypschwarz.kernel import BallContext, kernel_range
 from hypschwarz.objective import ObjectiveParams, big_f, dF_da, phi
 from hypschwarz.solver import g_p, solve_a_star
+from conftest import avx512_targets, count_f_evals
 
 
 def _run(criterion):
@@ -225,6 +226,22 @@ def test_criterion_4_stacked_rows_are_the_public_calls():
             a_star = solve_a_star(ctx, r, acceptance._ORDER)
             alone = (a_star, big_f(prm, a_star), dF_da(prm, a_star), phi(prm, a_star))
             assert [v.hex() for v in row] == [v.hex() for v in alone], (n, ctx.p, r)
+
+
+def test_criterion_5_reads_the_p2_cells_of_criterion_2(monkeypatch):
+    # criterion 2's p = 2 curves solve the finite grid's p = 2 cells bit for
+    # bit (np.arange's 0.2, 0.5 and 0.8 are those radii), and criterion 5
+    # reads them there: 203 F where it took 220 solving them again
+    acceptance._p2_curve.cache_clear()
+    acceptance._finite_cells.cache_clear()
+    calls = count_f_evals(monkeypatch)
+    assert acceptance.criterion_2().passed
+    assert len(calls) == 44, f"numpy's AVX512 targets {avx512_targets()}"
+    calls.clear()
+    assert acceptance.criterion_5().passed
+    assert len(calls) == 203, f"numpy's AVX512 targets {avx512_targets()}"
+    cells = acceptance._finite_cells()
+    assert all(cells[n, 2.0, r] is acceptance._p2_curve(n)[r] for n in acceptance._DIMS for r in acceptance._RADII)
 
 
 def test_finite_grid_is_g_p():

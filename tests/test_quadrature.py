@@ -250,10 +250,12 @@ class TestBreakpointRule:
         assert quadrature._legendre.cache_info().misses == 1
 
     def test_graded_offsets_interior_and_ordered(self):
+        # the layout keeps half the offsets, from which the nodes take theta/2
         edges = 0.5 ** np.arange(28)
         for order in (32, 128, 512):
             for outer in (2, 4, 27):
-                offsets, weights, starts = _graded_panels(order, outer, quadrature._PANELS, quadrature._PANEL_NODES)
+                halves, weights, starts = _graded_panels(order, outer, quadrature._PANELS, quadrature._PANEL_NODES)
+                offsets = 2.0 * halves
                 assert offsets.min() > 0.0 and offsets.max() < 1.0
                 assert np.all(weights > 0.0)
                 panels = np.split(offsets, starts[1:])
@@ -449,10 +451,13 @@ class TestHalfAngleNodes:
 
     @staticmethod
     def angles(n, order, t0, lean):
-        # the node angles as _nodes_at forms them, bit for bit
+        # the node angles as _nodes_at forms them, bit for bit: twice
+        # L (o/2) + theta0/2, which is exactly L o + theta0
         theta0, lengths = quadrature._split(t0)
-        offsets = _graded_panels(order, *quadrature._layout(n, t0, lean))[0]
-        return np.multiply.outer((lengths,), offsets) + theta0
+        halves = _graded_panels(order, *quadrature._layout(n, t0, lean))[0]
+        assert np.array_equal(2.0 * (np.multiply.outer((lengths,), halves) + 0.5 * theta0),
+                              np.multiply.outer((lengths,), 2.0 * halves) + theta0)
+        return 2.0 * (np.multiply.outer((lengths,), halves) + 0.5 * theta0)
 
     def test_no_cos_or_sin_up_to_the_cut(self, monkeypatch):
         def refused(*args, **kwargs):

@@ -20,8 +20,8 @@ from hypschwarz.solver import (
     uh_elementary,
 )
 from hypschwarz.acceptance import brent_minimize
-from conftest import (count_f_evals, count_site_builds, f_passes, mp_crossing, mp_g_2, mp_g_even, mp_kernel, mp_zonal,
-                      solve_from)
+from conftest import (avx512_targets, count_f_evals, count_site_builds, f_passes, mp_crossing, mp_g_2, mp_g_even,
+                      mp_kernel, mp_zonal, solve_from)
 
 
 def anchored_log_start(ctx, r):
@@ -273,7 +273,25 @@ class TestSteeredStart:
                 for r in (0.05, 0.3, 0.6, 0.9):
                     solver._g_p_numeric.cache_clear()
                     g_p(BallContext(n, p), r)
-        assert len(calls) == 372
+        assert len(calls) == 372, f"{len(calls)} F, numpy's AVX512 targets {avx512_targets()}"
+
+    @pytest.mark.parametrize("n, p, r, evals", [(4, 3.0, 0.5, 8), (5, 1.5, 0.9, 14), (3, 2.0, 0.5, 2),
+                                                (10, 20.0, 0.9, 7)])
+    def test_lone_path_passes_are_pinned(self, n, p, r, evals, monkeypatch):
+        # a cold g_p is one F pass and one site build per F, then one G pass,
+        # refined but at p = 2, on the site of its last F, still cached: a
+        # driver that adds a pass or builds a site again shows here
+        calls, built, g_passes = count_f_evals(monkeypatch), count_site_builds(monkeypatch), []
+        real = solver._phi_and_refined
+        monkeypatch.setattr(solver, "_phi_and_refined", lambda n_, order, points, refine: g_passes.append(
+            (len(points), refine)) or real(n_, order, points, refine))
+        quadrature._site.cache_clear()
+        solver._g_p_numeric.cache_clear()
+        g_p(BallContext(n, p), r)
+        dispatch = f"numpy's AVX512 targets {avx512_targets()}"
+        assert (len(calls), f_passes(calls)) == (evals, evals), dispatch
+        assert g_passes == [(1, p != 2.0)], dispatch
+        assert len(built) == evals, dispatch
 
 
 GRID_PS = (1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 100.0)
@@ -512,7 +530,7 @@ class TestGpCurve:
                                       ((3, 1.1), up, (363, 63)), ((10, 1.1), down, (500, 206))):
             calls.clear()
             g_p_curve(BallContext(n, p), radii)
-            assert (len(calls), f_passes(calls)) == pinned, (n, p)
+            assert (len(calls), f_passes(calls)) == pinned, (n, p, f"numpy's AVX512 targets {avx512_targets()}")
 
     def test_steep_sweeps(self, monkeypatch):
         # log a* falls steeply with r at p near 1: with no cap on the step of a

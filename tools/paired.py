@@ -2,7 +2,7 @@
 
 Run from the repository root with the package importable:
 
-    PYTHONPATH=src python tools/paired.py PARENT_SRC [--rounds K] [--inputs N] [--sweeps]
+    PYTHONPATH=src python tools/paired.py PARENT_SRC [--rounds K] [--inputs N] [--sweeps | --certs]
 
 PARENT_SRC is the ``src`` directory of another checkout (say, the parent
 commit's, written by ``git archive``); its ``hypschwarz`` is loaded under the
@@ -12,12 +12,15 @@ benchmark's scatter stream at seed 1 (``perfbench/workloads.py``), with the
 solver's memo cleared after each call.  With ``--sweeps`` it times the 25
 curves of the benchmark's sweep stream at seed 1 instead, each one ``gp`` table
 through ``cli.main`` into a file removed before the call, outside its time.
-Each input is timed in K interleaved rounds, the tree that goes first
-alternating from round to round, and keeps its fastest time.
+With ``--certs`` it times, on the first N inputs of the benchmark's certify
+stream at seed 1, ``verify_sharpness`` and then ``random_bound_check`` with
+1000 draws of the input's seed, as one call, with the solver's memo cleared
+after it.  Each input is timed in K interleaved rounds, the tree that goes
+first alternating from round to round, and keeps its fastest time.
 
 It prints the median over inputs of the ratio of this tree's time to the
 other's, with its quartiles, each tree's median time, and the number of inputs
-whose results are not bit-identical: a ``GpResult``'s fields by
+whose results are not bit-identical: a ``GpResult``'s or a report's fields by
 ``float.hex()``, a refusal by its type and message, a table by its text.  The
 ratios are read on the machine that runs them; no timing is a gate.
 """
@@ -60,27 +63,37 @@ def _memo_caches(module):
             if callable(getattr(obj, "cache_clear", None)) and getattr(obj, "__module__", None) == module.__name__]
 
 
-def _point_op(package):
-    """A call of package's cold g_p on one item: (seconds, result key)."""
-    solver_module = importlib.import_module(package.__name__ + ".solver")
-    caches = _memo_caches(solver_module)
+def _timed_op(package, call):
+    """A call of ``call(package, ctx, item)`` on one item, the solver's memo
+    cleared after it: (seconds, key), the key of each returned dataclass's
+    fields by ``float.hex()`` or ``repr``, or a refusal by its type and message."""
+    caches = _memo_caches(importlib.import_module(package.__name__ + ".solver"))
 
     def run(item):
         ctx = package.BallContext(item.n, item.p)
         started = perf_counter()
         try:
-            result = solver_module.g_p(ctx, item.r)
+            results = call(package, ctx, item)
         except Exception as refusal:  # a refusal is compared, by its type and message
             seconds, key = perf_counter() - started, (type(refusal).__name__, str(refusal))
         else:
             seconds = perf_counter() - started
-            key = tuple(v.hex() if isinstance(v, float) else repr(v)
-                        for v in (result.a_star, result.g_value, result.method, result.est_error, result.log_a_star))
+            key = tuple(value.hex() if isinstance(value, float) else repr(value)
+                        for result in results for value in vars(result).values())
         for cache in caches:
             cache.cache_clear()
         return seconds, key
 
     return run
+
+
+def _cold_g_p(package, ctx, item):
+    return (package.g_p(ctx, item.r),)
+
+
+def _certificates(package, ctx, item):
+    return (package.verify_sharpness(ctx, item.r),
+            package.random_bound_check(ctx, item.r, count=workloads.CERT_DRAWS, seed=item.draw_seed))
 
 
 def _sweep_op(package, out_dir: str):
@@ -119,8 +132,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", help="the src directory of the checkout to compare against")
     parser.add_argument("--rounds", type=int, default=5, help="interleaved rounds per input (default 5)")
-    parser.add_argument("--inputs", type=int, default=300, help="scatter box inputs (default 300)")
-    parser.add_argument("--sweeps", action="store_true", help="time the 25 seed-1 sweep curves instead")
+    parser.add_argument("--inputs", type=int, default=300, help="scatter box or certify inputs (default 300)")
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--sweeps", action="store_true", help="time the 25 seed-1 sweep curves instead")
+    modes.add_argument("--certs", action="store_true", help="time the certificates of N seed-1 certify inputs instead")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.inputs < 2:
         parser.error("--rounds takes a positive count and --inputs at least 2")
@@ -130,11 +145,15 @@ def main(argv=None) -> int:
             stream = workloads.Stream("sweep", 1)
             items = [stream.item(i) for i in range(SWEEP_CURVES)]
             what, ops = "sweep curve", [_sweep_op(hypschwarz, out_dir), _sweep_op(parent, out_dir)]
+        elif args.certs:
+            stream = workloads.Stream("certify", 1)
+            items = [stream.item(i) for i in range(args.inputs)]
+            what, ops = "certificates", [_timed_op(hypschwarz, _certificates), _timed_op(parent, _certificates)]
         else:
             stream = workloads.Stream("scatter", 1)
             box = (item for item in map(stream.item, itertools.count()) if item.box)
             items = list(itertools.islice(box, args.inputs))
-            what, ops = "cold g_p", [_point_op(hypschwarz), _point_op(parent)]
+            what, ops = "cold g_p", [_timed_op(hypschwarz, _cold_g_p), _timed_op(parent, _cold_g_p)]
         (new, old), differ = measure(ops, items, args.rounds)
     ratios = [a / b for a, b in zip(new, old)]
     lower, median, upper = statistics.quantiles(ratios, n=4, method="inclusive")
