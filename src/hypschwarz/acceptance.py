@@ -28,6 +28,7 @@ from .quadrature import DEFAULT_ORDER, _checked, _overflow_guard, _site_integral
 from .solver import (
     _g_p_curves,
     _lockstep,
+    _raise_first,
     g_1_closed,
     g_2_closed,
     g_inf_closed,
@@ -163,10 +164,10 @@ def _stationarity(n: int, curves) -> list[tuple]:
     n, order _ORDER): the cold solves in one ``_lockstep``, then three
     stacked passes at the rounded a*, the bits of solve_a_star, big_f, dF_da
     and phi, checked as they check them."""
-    a_stars = [0.0] * len(curves)
     with _overflow_guard():
-        for k, entry in _lockstep(n, curves, _ORDER):
-            a_stars[k] = math.exp(entry[1])
+        slots = _lockstep(n, curves, _ORDER)
+        _raise_first(slots)
+        a_stars = [math.exp(records[0][1]) for records in slots]
         points = [(r, math.log(a_star), ctx.q) for (ctx, (r,)), a_star in zip(curves, a_stars)]
         lean = _f_and_slope(n, _ORDER, [(*point, False) for point in points])
         full = _f_and_slope(n, _ORDER, [(*point, True) for point in points], lean=False)

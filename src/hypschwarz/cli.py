@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapUnderflowError, DomainError, NonConvergenceError
 from .kernel import BallContext, check_radius
 from .quadrature import DEFAULT_ORDER, _overflow_guard
-from .solver import _lockstep, g_inf_closed, g_p_curve, grad_constant
+from .solver import _lockstep, _raise_first, g_inf_closed, g_p_curve, grad_constant
 from .special import MAX_ORDER, check_order
 from .verify import _SIZE_ERRORS, _bound_checker, _random_poly_draws, _sharpness, cap_sequence_check
 
@@ -94,9 +94,9 @@ def _astar(args):
     check_radius(args.radii[0])  # refused before the order, as the sweep's solves refused them
     order = check_order(args.order)
     with _overflow_guard():
-        rows = [{"r": r, "a_star": math.exp(s), "f_residual": f}
-                for _, (r, s, (_, f), _) in _lockstep(ctx.n, [(ctx, args.radii)], order)]
-    return rows, False
+        slots = _lockstep(ctx.n, [(ctx, args.radii)], order)
+    _raise_first(slots)
+    return [{"r": r, "a_star": math.exp(s), "f_residual": f} for r, s, (_, f), _ in slots[0]], False
 
 
 def _uh(args):

@@ -6,14 +6,15 @@ range.  One loop on s = log a finds it from F (``_steps``, a generator
 that yields each point and receives F there) and hands that s, not a
 rounded a*, to Phi.  One driver runs every solve, of one radius, of a
 sweep's many or of several curves of one n (``_lockstep``): each pass gives
-every open solve its next F in one ``_f_and_slope`` call.  Every solve
-steers its first step by the slope that comes with its first F, one more
-row of that F's pass.  The
-solver deals in numbers: every F or Phi pass builds the sites it sums on.
-It resolves the root of the computed F: where F's quadrature noise near a*
-exceeds its slope times the tolerance, another start can move a* by more
-(17 times that at n = 4, p = 1.5, r = 0.99, with G still far inside
-est_error).  The endpoint exponents have closed forms:
+every open solve its next F in one ``_f_and_slope`` call, and it returns
+each curve's records, whose first refusal one function raises
+(``_raise_first``).  Every solve steers its first step by the slope that
+comes with its first F, one more row of that F's pass.  The solver deals in
+numbers: every F or Phi pass builds the sites it sums on.  It resolves the
+root of the computed F: where F's quadrature noise near a* exceeds its
+slope times the tolerance, another start can move a* by more (17 times
+that at n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
+endpoint exponents have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -98,8 +99,9 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
     order = check_order(order)
     _check_exponent(ctx, "shift optimization")
     with _overflow_guard():
-        (_, (_, s, _, _)), = _lockstep(ctx.n, [(ctx, [r])], order)
-        return math.exp(s)
+        slots = _lockstep(ctx.n, [(ctx, [r])], order)
+    _raise_first(slots)
+    return math.exp(slots[0][0][1])
 
 
 def _tolerance(n: int, r: float) -> float:
@@ -328,32 +330,27 @@ def _g_p_numeric(ctx: BallContext, r: float, order: int) -> GpResult:
     return g_p_curve(ctx, (r,), order)[0]
 
 
-def _numeric_results(n: int, order: int, solved) -> bool:
-    """The GpResult of each ``_lockstep`` entry of ``solved``, whose result
-    slot holds its context, put in that slot, or the refusal of its G, from
-    one ``_phi_and_refined`` pass for those at p = 2 and one for the others,
+def _numeric_results(n: int, order: int, chunk, refine: bool) -> None:
+    """Put in the result slot of each ``_lockstep`` record of ``chunk``
+    (solved radii, all at p = 2 or none, each slot holding its context) its
+    GpResult, or the refusal of its G, from one ``_phi_and_refined`` pass,
     which builds the sites of the solves' last F anew (a lone one is still
-    cached): G_p = Phi(a*) and est_error (|G_p - G_2| at p = 2, else the gap
-    to Phi(a*) at quadrature's reference order) for the solved s = log a*;
-    only a* is rounded to e^s.  Returns whether any G was refused."""
-    refused, parts = False, ([], [])  # the entries at p = 2 and the others
-    for entry in solved:
-        parts[entry[3].p != 2.0].append(entry)
-    for refine, part in ((False, parts[0]), (True, parts[1])):
-        points = [(entry[0], entry[1], entry[3].q) for entry in part]
-        for i, values in enumerate(_phi_and_refined(n, order, points, refine) if part else ()):
-            r, s, _, ctx = entry = part[i]
-            try:
-                g_val = _checked(values[0])
-                if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
-                    raise DomainError(f"G_p(r) underflows to 0 at n={n}, p={ctx.p}, r={r}")
-                # Phi is stationary at a*: its error needs no solve at the reference order.
-                est = abs(g_val - (_checked(values[1]) if refine else g_2_closed(n, r)))
-                # Order doubling cannot see the rounding both orders share: an ulp for each panel sum.
-                entry[3] = GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val), s)
-            except DomainError as refusal:
-                entry[3], refused = refusal, True
-    return refused
+    cached): G_p = Phi(a*) and est_error (with ``refine``, the gap to Phi(a*)
+    at quadrature's reference order, else |G_p - G_2|) for the solved
+    s = log a*; only a* is rounded to e^s."""
+    points = [(record[0], record[1], record[3].q) for record in chunk]
+    for record, values in zip(chunk, _phi_and_refined(n, order, points, refine)):
+        r, s, _, ctx = record
+        try:
+            g_val = _checked(values[0])
+            if g_val == 0.0:  # G_p(r) > 0 at r > 0: a 0 is an underflow of Phi
+                raise DomainError(f"G_p(r) underflows to 0 at n={n}, p={ctx.p}, r={r}")
+            # Phi is stationary at a*: its error needs no solve at the reference order.
+            est = abs(g_val - (_checked(values[1]) if refine else g_2_closed(n, r)))
+            # Order doubling cannot see the rounding both orders share: an ulp for each panel sum.
+            record[3] = GpResult(ctx, r, math.exp(s), g_val, "numeric", max(est, _ROUNDING_FLOOR * g_val), s)
+        except DomainError as refusal:
+            record[3] = refusal
 
 
 def _linear(ctx: BallContext, r: float) -> GpResult:
@@ -390,87 +387,84 @@ def _g_p_curves(n: int, curves, order: int) -> list[list[GpResult]]:
     p > 1, radii a sequence, a checked order) from one ``_lockstep``, under
     one overflow guard: ``_linear`` rows below _R_LIN (after the solve's
     exponent check), and a repeated radius reuses its first solve and
-    result, both in its first occurrence's entry.  Every _CHUNK solved radii
-    of any curves, and at the end, one ``_numeric_results`` pass sums G and
-    est_error at their (r, s), each row the bits of a pass on its site alone.
-    The refusal raised is the first of g_p_curve on each curve in turn: a
-    curve's radii solved before its refused radius or solve are summed
-    first, and the first of them to refuse its G is raised in its place."""
-    rows, solved, refused = [[] for _ in curves], [], False  # each curve's entries; those solved since the last G pass
+    result, both in its first occurrence's record.  The solved radii of each
+    curve up to its refusal take their G and est_error from
+    ``_numeric_results`` passes of _CHUNK radii, those at p = 2 first, each
+    row the bits of a pass on its site alone.  The refusal raised is
+    ``_raise_first``'s, the first of g_p_curve on each curve in turn."""
+    parts = ([], [])  # the solved records at p = 2 and the others
     with _overflow_guard():
-        try:
-            for k, entry in _lockstep(n, curves, order):
-                rows[k].append(entry)  # a repeat's entry holds its first occurrence's result
-                if entry[3] is None and entry[0] < _R_LIN:
-                    entry[3] = _linear(curves[k][0], entry[0])
-                elif entry[3] is None:  # its context until the G pass puts its GpResult there
-                    entry[3] = curves[k][0]
-                    solved.append(entry)
-                if len(solved) == _CHUNK:
-                    chunk, solved = solved, []
-                    if _numeric_results(n, order, chunk):
-                        refused = True
-                        _raise_first(curves, rows)
-        finally:  # a G refused here replaces a refusal of ``_lockstep`` that follows it
-            if _numeric_results(n, order, solved) or refused:
-                _raise_first(curves, rows)
-    return [[entry[3] for entry in entries] for entries in rows]
+        slots = _lockstep(n, curves, order)
+        for (ctx, _), records in zip(curves, slots):
+            for record in records:
+                if isinstance(record[2], Exception):
+                    break  # the curve's refusal: no radius past it is summed
+                if record[3] is None and record[0] < _R_LIN:  # a repeat shares its first occurrence's record
+                    record[3] = _linear(ctx, record[0])
+                elif record[3] is None:  # its context until the G pass puts its GpResult there
+                    record[3] = ctx
+                    parts[ctx.p != 2.0].append(record)
+        for refine, part in zip((False, True), parts):
+            for i in range(0, len(part), _CHUNK):
+                _numeric_results(n, order, part[i:i + _CHUNK], refine)
+    _raise_first(slots)
+    return [[record[3] for record in records] for records in slots]
 
 
-def _raise_first(curves, rows) -> None:
-    """Raise the first G refused in the ``rows`` of ``curves`` in turn, up to
-    the first curve not yet through: the one sequential curves would raise."""
-    for (_, radii), entries in zip(curves, rows):
-        for entry in entries:
-            if isinstance(entry[3], Exception):
-                raise entry[3]
-        if len(entries) < len(radii):
-            return
+def _raise_first(slots) -> None:
+    """Raise the first refusal in ``_lockstep``'s records ``slots``, in curve
+    order, then sweep order, a record's outcome (its radius check or solve)
+    before its result (its G): the one sequential curves would raise."""
+    for records in slots:
+        for record in records:
+            if isinstance(record[2], Exception):
+                raise record[2]
+            if isinstance(record[3], Exception):
+                raise record[3]
 
 
 class _Curve:
-    """One curve of ``_lockstep``: its index, context and radii; the entry
+    """One curve of ``_lockstep``: its context and radii; the record
     [radius, log a* estimate, outcome, result] of each distinct radius
-    opened, by radius, in sweep order; the entry of each radius opened (a
-    refused radius check has its own); its solves open, slots yielded, and
-    whether it refused (past a refusal, no radius opens)."""
+    opened, by radius, in sweep order; the record of each radius opened (a
+    refused radius check has its own); its solves open, and whether it
+    refused (past a refusal, no radius opens)."""
 
-    __slots__ = ("k", "ctx", "radii", "firsts", "slots", "open", "yielded", "refused")
+    __slots__ = ("ctx", "radii", "firsts", "slots", "open", "refused")
 
-    def __init__(self, k: int, ctx: BallContext, radii) -> None:
-        self.k, self.ctx, self.radii, self.firsts, self.slots = k, ctx, radii, {}, []
-        self.open, self.yielded, self.refused = 0, 0, False
+    def __init__(self, ctx: BallContext, radii) -> None:
+        self.ctx, self.radii, self.firsts, self.slots = ctx, radii, {}, []
+        self.open, self.refused = 0, False
 
 
-def _lockstep(n: int, curves, order: int):
-    """(k, entry) for the entry [radius, log a* estimate, outcome, result]
-    of each radius of curve k of the (ctx, radii) ``curves`` (one n, finite
-    p > 1, radii a sequence), in sweep order once it and every radius before
-    it is solved: the outcome (s, F) at the root s, or a refusal, None while
-    open; the result slot is the caller's.  Each radius, checked
-    (``check_radius``) where it opens, points at one entry: a repeat at its
-    first occurrence's, a refused check at one of its own.  Past a curve's
-    refusal none of its radii opens, and the refusal is raised once every
-    curve before it is through.  Every solve is driven here: each pass gives
-    every open solve (``_steps``) of every curve its next F in one
-    ``_f_and_slope`` call, every row the bits of a lone F, so each curve
-    solves as it would alone; passes follow one another until a solve ends
-    or gives its estimate, and only then do radii open and slots yield.  A
-    curve has at most _CHUNK solves open, and opens its distinct radii in
-    order, the first two and every one at p = 2 (where a = 1 is the root)
-    cold.  Any other starts from log a* extrapolated in r through the
-    curve's latest six estimates (``_extrapolate``), with a first step of
-    twice the last term: an estimate is a root, or a guessed solve's first
-    Newton point within that step and _TRUSTED_STEP of the guess.  It opens
-    once the radius before it has an estimate, or at once where its first
-    step is at most _SPECULATE; from a NaN guess (at tiny, close radii the
-    differences overflow) it solves cold.  A new solve's first point asks
-    for the slope, so new solves go to the front, where ``_f_and_slope``
-    wants the points that ask."""
-    curves = [_Curve(k, *curve) for k, curve in enumerate(curves)]
+def _lockstep(n: int, curves, order: int) -> list[list[list]]:
+    """The records of each (ctx, radii) of ``curves`` (one n, finite
+    p > 1, radii a sequence), one for each radius opened, in sweep order,
+    once no solve is open; it raises nothing.  A record is [radius, log a*
+    estimate, outcome, result]: the outcome (s, F) at the root s, or a
+    refusal, None where a solve past its curve's refusal was dropped; the
+    result slot is the caller's, and ``_raise_first`` raises the first
+    refusal.  Each radius, checked (``check_radius``) where it opens, points
+    at one record: a repeat at its first occurrence's, a refused check at
+    one of its own.  Past a curve's refusal none of its radii opens; the
+    other curves run to their end.  Each pass gives every open solve
+    (``_steps``) of every curve its next F in one ``_f_and_slope`` call,
+    every row the bits of a lone F, so each curve solves as it would alone;
+    passes follow one another until a solve ends, refuses or gives its
+    estimate, and only then do radii open.  A curve has at most _CHUNK
+    solves open, and opens its distinct radii in order, the first two and
+    every one at p = 2 (where a = 1 is the root) cold.  Any other starts
+    from log a* extrapolated in r through the curve's latest six estimates
+    (``_extrapolate``), with a first step of twice the last term: an
+    estimate is a root, or a guessed solve's first Newton point within that
+    step and _TRUSTED_STEP of the guess.  It opens once the radius before
+    it has an estimate, or at once where its first step is at most
+    _SPECULATE; from a NaN guess (at tiny, close radii the differences
+    overflow) it solves cold.  A new solve's first point asks for the slope,
+    so new solves go to the front, where ``_f_and_slope`` wants them."""
+    curves = [_Curve(*curve) for curve in curves]
     opening = curves  # the curves with radii left to open
-    solves = []  # [curve, entry, steps, next point, (guess, trusted step) until its Newton point], newest first
-    moved = False  # whether a slot may have come to its outcome since the last yields
+    solves = []  # [curve, record, steps, next point, (guess, trusted step) until its Newton point], newest first
     while True:
         for curve in opening:
             ctx, radii, firsts, slots = curve.ctx, curve.radii, curve.firsts, curve.slots
@@ -480,11 +474,10 @@ def _lockstep(n: int, curves, order: int):
                     r = check_radius(radii[len(slots)])
                 except DomainError as refusal:
                     slots.append([None, None, refusal, None])
-                    curve.refused = moved = True
+                    curve.refused = True
                     break
                 if r in firsts:
                     slots.append(firsts[r])
-                    moved = True
                     continue
                 start, width = None, 0.0
                 if len(firsts) >= 2 and ctx.p != 2.0:
@@ -496,24 +489,25 @@ def _lockstep(n: int, curves, order: int):
                     if known[0][0] != next(reversed(firsts)) and not width <= _SPECULATE:
                         break  # the radius before it has no estimate yet
                     start = None if math.isnan(guess) else guess
-                entry = firsts[r] = [r, None, None, None]
-                slots.append(entry)
+                record = firsts[r] = [r, None, None, None]
+                slots.append(record)
                 try:
                     steps = _steps(ctx, r, order, start, width)
                     point = next(steps)
                 except StopIteration as solved:  # below _R_LIN: no F
-                    entry[1], entry[2], moved = solved.value[0], solved.value, True
+                    record[1], record[2] = solved.value[0], solved.value
                 except (DomainError, NonConvergenceError) as refusal:
-                    entry[2], curve.refused, moved = refusal, True, True
+                    record[2], curve.refused = refusal, True
                 else:  # its first point asks for the slope: those come first in an F pass
                     guess = None if start is None else (point[1], min(max(width, _tolerance(n, r)), _TRUSTED_STEP))
-                    solves.insert(0, [curve, entry, steps, point, guess])
+                    solves.insert(0, [curve, record, steps, point, guess])
                     curve.open += 1
-        if opening:
-            opening = [curve for curve in opening if len(curve.slots) < len(curve.radii) and not curve.refused]
+        if not solves:  # with none open, every curve has opened its every radius or refused
+            return [curve.slots for curve in curves]
+        opening = [curve for curve in opening if len(curve.slots) < len(curve.radii) and not curve.refused]
         # each curve refused in a pass keeps its solves past its cut, the older ones
-        points, estimated, cuts = [solve[3] for solve in solves], False, {}
-        while points and not (moved or estimated):
+        points, moved, cuts = [solve[3] for solve in solves], False, {}
+        while not moved:  # a pass that ends every solve moves
             passed, points = _f_and_slope(n, order, points), []
             for i, solve in enumerate(solves):  # enumerate, not zip: half its cost here
                 try:
@@ -527,25 +521,9 @@ def _lockstep(n: int, curves, order: int):
                     points.append(point)
                     if solve[4] is not None:  # the Newton point of a guessed solve's first step
                         if abs(point[1] - solve[4][0]) <= solve[4][1]:
-                            solve[1][1] = point[1]
-                            estimated = True
+                            solve[1][1], moved = point[1], True
                         solve[4] = None
-        if points and not moved:  # with none open, every slot has its outcome
-            continue
         solves = [solve for i, solve in enumerate(solves) if solve[1][2] is None and i > cuts.get(solve[0], -1)]
-        moved, through = False, True  # every curve before this one has yielded its every radius
-        for curve in curves:
-            slots, yielded = curve.slots, curve.yielded
-            while yielded < len(slots) and slots[yielded][2] is not None:
-                if isinstance(slots[yielded][2], Exception):
-                    if through:
-                        raise slots[yielded][2]
-                    break
-                yield curve.k, slots[yielded]
-                yielded = curve.yielded = yielded + 1
-            through = through and yielded == len(curve.radii)
-        if through:
-            return
 
 
 def _extrapolate(r: float, known) -> tuple[float, float]:

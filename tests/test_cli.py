@@ -246,7 +246,7 @@ class TestAstar:
         radii = [float(r) for r in np.linspace(0.01, 0.95, 20)]
         quadrature._site.cache_clear()
         ctx = BallContext(4, 3.0)
-        shifts = [entry for _, entry in solver._lockstep(4, [(ctx, radii)], DEFAULT_ORDER)]
+        (shifts,) = solver._lockstep(4, [(ctx, radii)], DEFAULT_ORDER)
         solves = len(built)
         quadrature._site.cache_clear()
         code, out, _ = run_cli(capsys, "astar", "--n", "4", "--p", "3",
@@ -261,7 +261,7 @@ class TestAstar:
         radii = [float(r) for r in np.linspace(0.0, 0.95, 20)]
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             ctx = BallContext(4, p)
-            logs = {r: s for _, (r, s, *_) in solver._lockstep(4, [(ctx, radii)], DEFAULT_ORDER)} if 1.0 < p < math.inf else {}
+            logs = {r: s for r, s, *_ in solver._lockstep(4, [(ctx, radii)], DEFAULT_ORDER)[0]} if 1.0 < p < math.inf else {}
             expected = [{"r": r, "a_star": res.a_star, "f_residual": (
                 objective._f_and_slope(4, DEFAULT_ORDER, [(r, logs[r], ctx.q, False)])[0][0]
                 if res.method == "numeric" and r > 0.0 else 0.0)}

@@ -696,6 +696,36 @@ class TestCurvesInLockstep:
         # every curve answers: the sequential rows
         assert [len(rows) for rows in solver._g_p_curves(40, [answering, answering], 128)] == [2, 2]
 
+    def test_lockstep_returns_every_curves_records(self):
+        # the driver raises nothing: a curve stops opening at its refusal, the
+        # others run to their end, and the refusal of a G is its caller's
+        answering = (BallContext(40, 3.0), [0.5, 0.9])
+        checked = (BallContext(40, 1.5), [0.5, 0.8, 1.5])
+        g_refused = (BallContext(40, 3.0), [0.9, 0.9999, 0.5])
+        with quadrature._overflow_guard():
+            slots = solver._lockstep(40, [answering, checked, g_refused], 128)
+        assert [len(records) for records in slots] == [2, 3, 3]
+        for (_, radii), records in zip((answering, g_refused), (slots[0], slots[2])):
+            assert [record[0] for record in records] == radii
+            assert all(isinstance(record[2], tuple) and len(record[2]) == 2 for record in records)
+            assert all(record[1] == record[2][0] and record[3] is None for record in records)
+        opened, refused = slots[1][:2], slots[1][2]
+        assert [record[0] for record in opened] == [0.5, 0.8] and all(isinstance(r[2], tuple) for r in opened)
+        assert isinstance(refused[2], DomainError) and "got 1.5" in str(refused[2])
+        with pytest.raises(DomainError, match="got 1.5"):
+            solver._raise_first(slots)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_g_passes_of_several_curves(self, monkeypatch, n):
+        # criterion 8's call: the 19 solved radii at p = 2 in passes of 12 and
+        # 7, then the 57 others in four of 12 and one of 9
+        sizes, real = [], solver._phi_and_refined
+        monkeypatch.setattr(solver, "_phi_and_refined",
+                            lambda n_, order, points, refine: sizes.append((len(points), refine))
+                            or real(n_, order, points, refine))
+        solver._g_p_curves(n, [(BallContext(n, p), np.arange(0, 0.9501, 0.05)) for p in (1.5, 2, 3, 5)], 128)
+        assert sizes == [(12, False), (7, False)] + [(12, True)] * 4 + [(9, True)]
+
 
 class TestStackedGPass:
     """A sweep sums G and est_error in one stacked site pass per chunk of
@@ -737,7 +767,8 @@ class TestStackedGPass:
         # each solve would
         ctx = BallContext(40, 3.0)
         with quadrature._overflow_guard():
-            assert len(list(solver._lockstep(40, [(ctx, [0.9, 0.9999])], 128))) == 2
+            (records,) = solver._lockstep(40, [(ctx, [0.9, 0.9999])], 128)
+            assert len(records) == 2 and not any(isinstance(record[2], Exception) for record in records)
         with pytest.raises(DomainError, match="non-finite"):
             g_p_curve(ctx, [0.9, 0.9999, 1.0])
         with pytest.raises(DomainError, match=r"radius must lie in \[0, 1\), got 1.0"):
@@ -773,7 +804,7 @@ class TestStackedGPass:
             ctx = BallContext(4, p)
             quadrature._site.cache_clear()
             with quadrature._overflow_guard():
-                list(solver._lockstep(4, [(ctx, radii)], 128))
+                solver._lockstep(4, [(ctx, radii)], 128)
             solves, solve_passes = len(built), sorted(passes)
             outer.clear()
             passes.clear()
