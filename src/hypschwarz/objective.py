@@ -28,9 +28,9 @@ The two private sums take lists of points and build the sites they sum on
 cached ``quadrature._site``, so the Phi of a lone solve reads its last F's
 site; several are one node pass for each layout (``quadrature._new_sites``)
 and one stacked site pass.  Both take points of one n, each with its own
-conjugate exponent q.  ``_f_and_slope`` takes (r, s, q, slope) points: an F
-pass, the next F of every open solve of every curve, sums an F row for
-every point and a slope row for those that ask.  ``_phi_and_refined`` takes
+conjugate exponent q.  ``_f_and_slope`` takes (r, s, q, slope, ...)
+points: an F pass, the next F of every open solve of every curve, sums an
+F row for every point and a slope row for those that ask.  ``_phi_and_refined`` takes
 (r, s, q) points: the G pass of a chunk of solved radii, and the battery's
 Brent cross-checks of one n at every open cell.  Every point's values are the
 bits of a pass on its site alone.  No site is handed out: a caller passes
@@ -185,10 +185,10 @@ def big_f(params: ObjectiveParams, a: float) -> float:
 
 
 def _f_and_slope(n: int, order: int, points, lean: bool = True) -> list[tuple]:
-    """[(F, dF/ds)] at each (r, s, q, slope) of ``points`` of one n, the
-    shift a = e^s at r and F of the conjugate exponent q, for checked
-    arguments, on the sites of ``_sites`` (lean or not): dF/ds = a dF/da is
-    None unless ``slope``.  Both come from one power |d|^(q-1), each run of
+    """[(F, dF/ds)] at each (r, s, q, slope, ...) of ``points`` of one n
+    (a solve's estimate flag rides along), the shift a = e^s at r and F of
+    the conjugate exponent q, for checked arguments, on the sites of
+    ``_sites`` (lean or not): dF/ds = a dF/da is None unless ``slope``.  Both come from one power |d|^(q-1), each run of
     equal q raised by its scalar q: F's row is its copysign, the slope row
     that power over max(|d|, floor), the one definition of dF/ds.  Both are
     unchecked: the caller refuses a non-finite F (where a^(q-1) underflows,
@@ -224,7 +224,7 @@ def _f_and_slope(n: int, order: int, points, lean: bool = True) -> list[tuple]:
 
         totals, = _site_sums(n, order, site, values)
         for i, k in enumerate(rows):
-            _, s, q, _ = points[k]
+            s, q = points[k][1:3]
             scale = _exp((q - 1.0) * s)
             results[k] = (scale * totals[i], (1.0 - q) * scale * totals[len(rows) + i] if i < slopes else None)
     return results

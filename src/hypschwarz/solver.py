@@ -3,18 +3,18 @@
 For p in (1, inf) the bound is G_p(r) = Phi(a*) where a* = a*(r) is the
 unique root of the stationarity function F(r, .) inside the kernel's value
 range.  One loop on s = log a finds it from F (``_steps``, a generator
-that yields each point and receives F there) and hands that s, not a
-rounded a*, to Phi.  One driver runs every solve, of one radius, of a
-sweep's many or of several curves of one n (``_lockstep``): each pass gives
-every open solve its next F in one ``_f_and_slope`` call, and it returns
-each curve's records, whose first refusal one function raises
-(``_raise_first``).  Every solve steers its first step by the slope that
-comes with its first F, one more row of that F's pass.  The solver deals in
-numbers: every F or Phi pass builds the sites it sums on.  It resolves the
-root of the computed F: where F's quadrature noise near a* exceeds its
-slope times the tolerance, another start can move a* by more (17 times
-that at n = 4, p = 1.5, r = 0.99, with G still far inside est_error).  The
-endpoint exponents have closed forms:
+that yields each point, receives F there and makes every decision of its
+solve) and hands that s, not a rounded a*, to Phi.  One driver runs every
+solve, of one radius, of a sweep's many or of several curves of one n
+(``_lockstep``): it opens radii, each pass gives every open solve its next
+F in one ``_f_and_slope`` call, and it returns each curve's records, whose
+first refusal one function raises (``_raise_first``).  Every solve steers
+its first step by the slope that comes with its first F, one more row of
+that F's pass.  The solver deals in numbers: every F or Phi pass builds the
+sites it sums on.  It resolves the root of the computed F: where F's
+quadrature noise near a* exceeds its slope times the tolerance, another
+start can move a* by more (17 times that at n = 4, p = 1.5, r = 0.99, with
+G still far inside est_error).  The endpoint exponents have closed forms:
 
   p = 1:    a* is the midpoint of the kernel range, G_1 its half-width;
   p = 2:    a* = 1 and G_2^2 = (1-r^2)^(2n-2) 2F1(2n-2, (3n-2)/2; n/2; r^2) - 1;
@@ -58,11 +58,11 @@ _METHODS = ("numeric", "linear", "closed_p1", "closed_pinf")
 # faulted 46 to 369 pages back in from the C library's heap trims (README).
 _CHUNK = 12
 # A guessed radius of a sweep opens before the radius ahead of it has an
-# estimate where its first step in log a is at most _SPECULATE.  A Newton
-# point is an estimate where its step from the guess is within the guess's
-# first step and at most _TRUSTED_STEP.  On 126 sweeps (n in {3, 4, 5, 10,
-# 30, 100}, p from 1.01 to 1000, up, down and geometric to r = 0.99; 89
-# answer) the costliest took 17.1 F per radius with no such cap (a poor
+# estimate where its first step in log a is at most _SPECULATE.  A guessed
+# solve's second point is an estimate where its step from the guess is
+# within the guess's first step and at most _TRUSTED_STEP.  On 126 sweeps (n
+# in {3, 4, 5, 10, 30, 100}, p from 1.01 to 1000, up, down and geometric to
+# r = 0.99; 89 answer) the costliest took 17.1 F per radius with no such cap (a poor
 # Newton point at p = 1.1 from r = 0.99 down misguides the radii opened from
 # it), 5.6 at 0.1 and 5.2 at 0.01 and 0.001, as many as sequential solves
 # took; passes per radius rise as the cap falls (0.91, 0.97 and 1.08 on
@@ -104,58 +104,56 @@ def solve_a_star(ctx: BallContext, r: float, order: int = DEFAULT_ORDER) -> floa
     return math.exp(slots[0][0][1])
 
 
-def _tolerance(n: int, r: float) -> float:
-    """Width in log a at which the root bracket of a solve at r counts as resolved."""
-    return _LOG_A_TOL * (x if (x := 2.0 * _log_range(n, r)) < 1.0 else 1.0)  # min(1, x), as in _steps
-
-
 def _steps(ctx: BallContext, r: float, order: int, start: float | None, width: float):
     """The one solve loop on s = log a, a generator: it yields the next
-    point of ``objective._f_and_slope``, (r, s, q, slope) with r checked
-    by its caller and whether it needs dF/ds there, receives (F, dF/ds) at it,
-    and returns (s, F(s)) at the root s = log a* of F(r, .), unrounded;
-    (0, 0) below _R_LIN, with no point.
+    point of ``objective._f_and_slope``, (r, s, q, slope, estimate) with r
+    checked by its caller, whether it needs dF/ds there and whether s is its
+    estimate of log a* (a guessed solve's second point alone, within
+    min(max(width, tol), _TRUSTED_STEP) of its clamped start), receives
+    (F, dF/ds) at it, and returns (s, F(s)) at the root s = log a* of
+    F(r, .), unrounded; (0, 0) below _R_LIN, with no point.
 
     One F evaluation per step, inside the range (-l, l) of log K, at whose
     ends F's signs are known (positive at -l).  It starts at the log guess
-    ``start`` with a first step of ``width``, or at log a* interpolated
-    quadratically in 1/p through its closed forms at p = inf, 2 and 1, with
-    a first step of _COLD_SHARE of |log a|, at least _COLD_STEP.  Until F
-    changes sign it steps outward, eightfold each time and at most half the
-    way to the range end; reaching that end within the tolerance raises
-    DomainError.  Every solve steers its first three such steps: to
-    Newton's root from the slope that comes with its first F, then to
-    secant roots, each a quarter tolerance past the root, while the slope is
-    negative and finite.  Then Chandrupatla's rule (newest point a, bracket
-    end b, displaced point c): inverse quadratic interpolation where it
-    stays well inside the bracket, else bisection, iterates half a tolerance
-    inside, so a steered point a quarter past the root is followed by one a
-    quarter short of it.  The tolerance is 2^-44 in log a, times 2l where
-    l < 1/2 (``_tolerance``).  The start changes the cost, and the root
-    only where F's quadrature noise outweighs its slope: a cold solve at
-    p = 2 starts at its root a = 1 and takes about 2 F.  A non-finite F is
-    refused.  The order is one already checked.
+    ``start`` with a first step of ``width``, or, from a None or NaN start,
+    cold at log a* interpolated quadratically in 1/p through its closed
+    forms at p = inf, 2 and 1, with a first step of _COLD_SHARE of |log a|,
+    at least _COLD_STEP.  Until F changes sign it steps outward, eightfold
+    each time and at most half the way to the range end; reaching that end
+    within the tolerance raises DomainError.  Every solve steers its first
+    three such steps: to Newton's root from the slope that comes with its
+    first F, then to secant roots, each a quarter tolerance past the root,
+    while the slope is negative and finite.  Then Chandrupatla's rule
+    (newest point a, bracket end b, displaced point c): inverse quadratic
+    interpolation where it stays well inside the bracket, else bisection,
+    iterates half a tolerance inside, so a steered point a quarter past the
+    root is followed by one a quarter short of it.  The tolerance tol is
+    2^-44 in log a, times 2l where l < 1/2.  The start changes the cost, and
+    the root only where F's quadrature noise outweighs its slope: a cold
+    solve at p = 2 starts at its root a = 1 and takes about 2 F.  A
+    non-finite F is refused.  The order is one already checked.
     """
     _check_exponent(ctx, "shift optimization")
     if r < _R_LIN:
         return 0.0, 0.0
     ell = _log_range(ctx.n, r)  # F > 0 at log a = -ell, F < 0 at ell
-    tol = _tolerance(ctx.n, r)
-    if start is None:  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
+    # min and max here and below as conditionals: the same picks at a tenth of the builtins' cost
+    tol, trust = _LOG_A_TOL * (x if (x := 2.0 * ell) < 1.0 else 1.0), -1.0  # a cold solve has no estimate
+    if start is None or math.isnan(start):  # log a* at p = inf, 2 and 1, interpolated in x = 1/p
         x = 1.0 / ctx.p
         l_inf, l_one = _closed_log_a(ctx.n, r, math.inf), _closed_log_a(ctx.n, r, 1.0)
         s = 2.0 * (x - 0.5) * ((x - 1.0) * l_inf + x * l_one)
-        # min and max here and below as conditionals: the same picks at a tenth of the builtins' cost
         width = _COLD_STEP if _COLD_STEP > (w := _COLD_SHARE * abs(s)) else w
     else:
         s, width = start, (tol if tol > width else width)
+        trust = _TRUSTED_STEP if _TRUSTED_STEP < width else width
     s, step = (tol - ell if tol - ell > s else (ell - tol if ell - tol < s else s)), width  # ell > tol
     # Every solve steers its first three unbracketed steps: by its slope at
     # its start, then by the secant through its last two points.
-    steered = 3
+    steered, first = 3, s  # and the clamped start its estimate is measured from
     a = fa = b = fb = c = fc = None  # newest point, opposite-sign point, displaced point
-    for _ in range(_MAX_ITER):
-        fs, slope = yield r, s, ctx.q, steered == 3
+    for i in range(_MAX_ITER):
+        fs, slope = yield r, s, ctx.q, steered == 3, i == 1 and abs(s - first) <= trust
         fs = _checked(fs)
         if fs == 0.0:
             return s, fs
@@ -428,7 +426,7 @@ class _Curve:
     [radius, log a* estimate, outcome, result] of each distinct radius
     opened, by radius, in sweep order; the record of each radius opened (a
     refused radius check has its own); its solves open, and whether it
-    refused (past a refusal, no radius opens)."""
+    refused (then no radius opens; its open solves run to their end)."""
 
     __slots__ = ("ctx", "radii", "firsts", "slots", "open", "refused")
 
@@ -442,31 +440,30 @@ def _lockstep(n: int, curves, order: int) -> list[list[list]]:
     p > 1, radii a sequence), one for each radius opened, in sweep order,
     once no solve is open; it raises nothing.  A record is [radius, log a*
     estimate, outcome, result]: the outcome (s, F) at the root s, or a
-    refusal, None where a solve past its curve's refusal was dropped; the
-    result slot is the caller's, and ``_raise_first`` raises the first
-    refusal.  Each radius, checked (``check_radius``) where it opens, points
-    at one record: a repeat at its first occurrence's, a refused check at
-    one of its own.  Past a curve's refusal none of its radii opens; the
-    other curves run to their end.  Each pass gives every open solve
-    (``_steps``) of every curve its next F in one ``_f_and_slope`` call,
-    every row the bits of a lone F, so each curve solves as it would alone;
-    passes follow one another until a solve ends, refuses or gives its
-    estimate, and only then do radii open.  A curve has at most _CHUNK
-    solves open, and opens its distinct radii in order, the first two and
-    every one at p = 2 (where a = 1 is the root) cold.  Any other starts
-    from log a* extrapolated in r through the curve's latest six estimates
-    (``_extrapolate``), with a first step of twice the last term: an
-    estimate is a root, or a guessed solve's first Newton point within that
-    step and _TRUSTED_STEP of the guess.  It opens once the radius before
-    it has an estimate, or at once where its first step is at most
-    _SPECULATE; from a NaN guess (at tiny, close radii the differences
-    overflow) it solves cold.  A new solve's first point asks for the slope,
-    so new solves go to the front, where ``_f_and_slope`` wants them."""
+    refusal, never None; the result slot is the caller's, and
+    ``_raise_first`` raises the first refusal.  Each radius, checked
+    (``check_radius``) where it opens, points at one record: a repeat at its
+    first occurrence's, a refused check at one of its own.  Past a curve's
+    refusal none of its radii opens, and no solve is dropped: its open ones
+    and the other curves run to their end.  The driver opens radii, runs
+    passes and fills records; each solve (``_steps``) makes its own
+    decisions.  Each pass gives every open solve its next F in one
+    ``_f_and_slope`` call, every row the bits of a lone F, so each curve
+    solves as it would alone; passes follow one another until a solve ends,
+    refuses or flags its estimate, and only then do radii open.  A curve
+    has at most _CHUNK solves open, and opens its distinct radii in order,
+    the first two and every one at p = 2 (where a = 1 is the root) cold.
+    Any other starts from log a* extrapolated in r through the curve's
+    latest six estimates (``_extrapolate``), with a first step of twice the
+    last term, once the radius before it has an estimate (a root or a
+    flagged point), or at once where that step is at most _SPECULATE; a NaN
+    guess (at tiny, close radii the differences overflow) solves cold.  A
+    new solve's first point asks for the slope, so new solves go to the
+    front, where ``_f_and_slope`` wants them."""
     curves = [_Curve(*curve) for curve in curves]
-    opening = curves  # the curves with radii left to open
-    solves = []  # [curve, record, steps, next point, (guess, trusted step) until its Newton point], newest first
+    solves = []  # [curve, record, steps, next point], newest first
     while True:
-        for curve in opening:
+        for curve in curves:
             ctx, radii, firsts, slots = curve.ctx, curve.radii, curve.firsts, curve.slots
             # a radius held back waits on an open solve: with none open, every radius before it has an estimate
             while len(slots) < len(radii) and not curve.refused and curve.open < _CHUNK:
@@ -485,10 +482,9 @@ def _lockstep(n: int, curves, order: int) -> list[list[list]]:
                     known = list(islice(((e[0], e[1]) for e in reversed(firsts.values()) if e[1] is not None), 6))
                     if len(known) < 2:
                         break
-                    guess, width = _extrapolate(r, known)
+                    start, width = _extrapolate(r, known)
                     if known[0][0] != next(reversed(firsts)) and not width <= _SPECULATE:
                         break  # the radius before it has no estimate yet
-                    start = None if math.isnan(guess) else guess
                 record = firsts[r] = [r, None, None, None]
                 slots.append(record)
                 try:
@@ -499,14 +495,11 @@ def _lockstep(n: int, curves, order: int) -> list[list[list]]:
                 except (DomainError, NonConvergenceError) as refusal:
                     record[2], curve.refused = refusal, True
                 else:  # its first point asks for the slope: those come first in an F pass
-                    guess = None if start is None else (point[1], min(max(width, _tolerance(n, r)), _TRUSTED_STEP))
-                    solves.insert(0, [curve, record, steps, point, guess])
+                    solves.insert(0, [curve, record, steps, point])
                     curve.open += 1
         if not solves:  # with none open, every curve has opened its every radius or refused
             return [curve.slots for curve in curves]
-        opening = [curve for curve in opening if len(curve.slots) < len(curve.radii) and not curve.refused]
-        # each curve refused in a pass keeps its solves past its cut, the older ones
-        points, moved, cuts = [solve[3] for solve in solves], False, {}
+        points, moved = [solve[3] for solve in solves], False
         while not moved:  # a pass that ends every solve moves
             passed, points = _f_and_slope(n, order, points), []
             for i, solve in enumerate(solves):  # enumerate, not zip: half its cost here
@@ -516,14 +509,12 @@ def _lockstep(n: int, curves, order: int) -> list[list[list]]:
                     solve[1][1], solve[1][2], moved = solved.value[0], solved.value, True
                     solve[0].open -= 1
                 except (DomainError, NonConvergenceError) as refusal:  # its curve opens no more
-                    solve[1][2], solve[0].refused, cuts[solve[0]], moved = refusal, True, i, True
+                    solve[1][2], solve[0].refused, moved = refusal, True, True
                 else:
                     points.append(point)
-                    if solve[4] is not None:  # the Newton point of a guessed solve's first step
-                        if abs(point[1] - solve[4][0]) <= solve[4][1]:
-                            solve[1][1], moved = point[1], True
-                        solve[4] = None
-        solves = [solve for i, solve in enumerate(solves) if solve[1][2] is None and i > cuts.get(solve[0], -1)]
+                    if point[4]:  # the estimate a guessed solve flags
+                        solve[1][1], moved = point[1], True
+        solves = [solve for solve in solves if solve[1][2] is None]
 
 
 def _extrapolate(r: float, known) -> tuple[float, float]:

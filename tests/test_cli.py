@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -636,6 +637,27 @@ def test_cold_path_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    # a module-level private name (a function, class or assignment) that no
+    # module of the package loads, by name or as an attribute, is dead code;
+    # a caller in the tests does not count
+    defined, loaded = set(), set()
+    for path in sorted(Path(hypschwarz.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    defined.update(name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert len(private) > 100  # the walk found the package
+    assert sorted(private - loaded) == []
 
 
 def _readme_block(heading, language):

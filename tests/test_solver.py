@@ -5,7 +5,7 @@ import pytest
 
 from hypschwarz.errors import DomainError, NonConvergenceError
 from hypschwarz import objective, quadrature, solver
-from hypschwarz.kernel import BallContext, _split_point, kernel_range, poisson_szego_axis
+from hypschwarz.kernel import BallContext, _log_range, _split_point, kernel_range, poisson_szego_axis
 from hypschwarz.objective import ObjectiveParams, _phi_and_refined, big_f, dF_da, phi
 from hypschwarz.quadrature import _ROUNDING_FLOOR, integrate_with_breakpoint
 from hypschwarz.solver import (
@@ -243,11 +243,46 @@ class TestSteeredStart:
         g_p_curve(ctx, radii)
         seen = set()
         for points in passes:
-            slopes = [slope for _, _, _, slope in points]
+            slopes = [point[3] for point in points]
             assert slopes == sorted(slopes, reverse=True)
             assert slopes == [radius not in seen for radius, *_ in points]
             seen.update(radius for radius, *_ in points)
         assert seen == set(radii)
+
+    def test_a_solve_flags_its_estimate(self, monkeypatch):
+        # the one estimate of a solve is the second point of a guessed one
+        # within min(max(width, tol), _TRUSTED_STEP) of its clamped start;
+        # guesses from 1e-6 to past the range end, first steps from 0 to 1
+        points, near, real = [], set(), solver._f_and_slope
+        monkeypatch.setattr(solver, "_f_and_slope", lambda n, order, pts: points.extend(pts) or real(n, order, pts))
+        for n, p, r in ((4, 3.0, 0.5), (5, 1.5, 0.9), (10, 20.0, 0.9)):
+            ctx, ell = BallContext(n, p), _log_range(n, r)
+            tol, root = solver._LOG_A_TOL * min(1.0, 2.0 * ell), math.log(solve_a_star(ctx, r))
+            points.clear()
+            solve_from(ctx, r, 128, None, 0.0)
+            assert not any(point[4] for point in points), (n, p, r)
+            for start in (root + 1e-6, root - 1e-4, root + 3e-3, root - 0.03, root + 0.5, 2.0 * ell):
+                for width in (0.0, 1e-5, 1e-3, 1e-2, 1.0):
+                    points.clear()
+                    solve_from(ctx, r, 128, start, width)
+                    assert points[0][1] == min(max(start, tol - ell), ell - tol)  # the clamped start
+                    bound = min(max(width, tol), solver._TRUSTED_STEP)
+                    within = len(points) > 1 and abs(points[1][1] - points[0][1]) <= bound
+                    assert [point[4] for point in points] == [i == 1 and within for i in range(len(points))]
+                    near.add(within)
+        assert near == {False, True}
+
+    def test_a_nan_start_solves_cold(self, monkeypatch):
+        # an extrapolated guess whose differences overflow is NaN: the solve
+        # from it is the cold one, point for point and root for root
+        points, real = [], solver._f_and_slope
+        monkeypatch.setattr(solver, "_f_and_slope", lambda n, order, pts: points.extend(pts) or real(n, order, pts))
+        for n, p, r in ((4, 3.0, 0.5), (5, 1.5, 0.9), (10, 20.0, 0.9), (3, 2.0, 0.5)):
+            runs = []
+            for start, width in ((None, 0.0), (math.nan, math.nan), (math.nan, 0.1)):
+                points.clear()
+                runs.append(repr((solve_from(BallContext(n, p), r, 128, start, width), points)))
+            assert runs == runs[:1] * 3, (n, p, r)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_p2_cold_solve_cost(self, n, monkeypatch):
@@ -787,6 +822,31 @@ class TestStackedGPass:
                 g_p_curve(ctx, before + [0.9999, 0.99995])
             with pytest.raises(NonConvergenceError, match="stub"):
                 g_p_curve(ctx, before + [0.99995, 0.9999])
+
+    def test_a_refused_curve_runs_its_open_solves_to_their_end(self, monkeypatch):
+        # at p = 2 the radii open cold together, so the solve at r = 0.4
+        # refuses in the first pass with the newer solves of its curve open:
+        # they run to their end, and every record opened has an outcome
+        ctx, radii = BallContext(4, 2.0), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        real = solver._steps
+
+        def stopped(ctx_, r, *args):
+            steps = real(ctx_, r, *args)
+            if r != 0.4:
+                return steps
+
+            def refusing():
+                yield next(steps)
+                raise NonConvergenceError("no root resolved (stub)")
+            return refusing()
+
+        monkeypatch.setattr(solver, "_steps", stopped)
+        with quadrature._overflow_guard():
+            (records,) = solver._lockstep(4, [(ctx, radii)], 128)
+        assert [record[0] for record in records] == radii
+        assert [type(record[2]) for record in records] == [NonConvergenceError if r == 0.4 else tuple for r in radii]
+        with pytest.raises(NonConvergenceError, match="stub"):
+            g_p_curve(ctx, radii)
 
     def test_one_reference_node_build_per_chunk(self, monkeypatch):
         # the G pass builds each chunk's sites in one node pass and est_error's
